@@ -24,6 +24,7 @@ from .channel import (
     exponential_profile,
     flat_profile,
     frequency_response,
+    linear_convolve,
     uniform_profile,
 )
 from .harness import (
@@ -43,9 +44,8 @@ from .harness import (
     sweep_points,
     write_csv,
 )
-from .ofdm import OfdmParams, TimeSignal, draw_symbols, modulate, remove_cp
+from .ofdm import OfdmParams, draw_symbols, modulate, remove_cp
 from .relay import (
-    BranchRealization,
     DirectPath,
     RelayGainConfig,
     RelayPath,
@@ -54,13 +54,12 @@ from .relay import (
     decompose_trial,
     derotate_branch,
     gain_factor,
-    receive_egc,
+    simulate_block,
     simulate_direct,
     simulate_relay_branch,
     simulate_trial,
 )
 from .transforms import (
-    circular_convolve,
     cfo_spectrum,
     dft,
     dirichlet_gain,

@@ -2,15 +2,18 @@
 
 Channels are block fading: one tap realization per OFDM symbol, taps drawn
 as independent circularly-symmetric complex Gaussians (Rayleigh-magnitude
-fading) with per-tap variances given by a power delay profile.
+fading) with per-tap variances given by a power delay profile.  The
+stage functions work on whole blocks of trials: the leading axis indexes
+trials and the last axis holds taps or samples.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ofdm import TimeSignal
+from .ofdm import OfdmParams, require_extended
 from .transforms import dft
 
 
@@ -65,64 +68,93 @@ def exponential_profile(n_taps: int, power: float = 1.0, decay: float = 1.0) -> 
     return PowerDelayProfile(power * shape / shape.sum())
 
 
-def draw_channel(profile: PowerDelayProfile, rng: np.random.Generator) -> np.ndarray:
-    """One block-fading realization: zero-mean complex Gaussian taps."""
+def draw_channel(profile: PowerDelayProfile, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Block-fading realizations, one row per trial: zero-mean complex
+    Gaussian taps of shape (trials, n_taps), real parts drawn first."""
     std = np.sqrt(profile.tap_powers / 2.0)
-    n = profile.n_taps
-    return std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    shape = (trials, profile.n_taps)
+    return std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def frequency_response(taps, n: int) -> np.ndarray:
-    """Per-bin response H[k]: transform of the taps zero-padded to n."""
+    """Per-bin response H[k] of each row: transform of the taps zero-padded to n."""
     taps = np.asarray(taps, dtype=np.complex128)
-    if taps.ndim != 1 or taps.size == 0:
-        raise ValueError("taps must be a non-empty 1-D vector")
-    if taps.size > n:
-        raise ValueError(f"channel has {taps.size} taps, more than n={n} bins")
-    padded = np.zeros(n, dtype=np.complex128)
-    padded[: taps.size] = taps
+    if taps.ndim == 0 or taps.size == 0:
+        raise ValueError("taps must be a non-empty array with taps on the last axis")
+    if taps.shape[-1] > n:
+        raise ValueError(f"channel has {taps.shape[-1]} taps, more than n={n} bins")
+    padded = np.zeros(taps.shape[:-1] + (n,), dtype=np.complex128)
+    padded[..., : taps.shape[-1]] = taps
     return dft(padded)
 
 
-def apply_channel(sig: TimeSignal, taps) -> TimeSignal:
-    """Convolve a prefix-extended signal with the channel taps.
+def linear_convolve(x, taps, length: int) -> np.ndarray:
+    """Row-wise linear convolution of x with taps, truncated to `length` samples.
+
+    With fewer taps than rows, each tap is one vectorized shift-and-add
+    across all rows; otherwise each row is one `np.convolve`.  Both are the
+    same time-domain sum and agree to rounding.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    taps = np.asarray(taps, dtype=np.complex128)
+    rows = np.broadcast_shapes(x.shape[:-1], taps.shape[:-1])
+    out = np.zeros(rows + (length,), dtype=np.complex128)
+    n_taps = min(taps.shape[-1], length)
+    if n_taps <= math.prod(rows):
+        for lag in range(n_taps):
+            m = min(x.shape[-1], length - lag)
+            out[..., lag:lag + m] += taps[..., lag:lag + 1] * x[..., :m]
+        return out
+    x = np.broadcast_to(x, rows + x.shape[-1:])
+    taps = np.broadcast_to(taps, rows + taps.shape[-1:])
+    for row in np.ndindex(rows):
+        full = np.convolve(x[row], taps[row])[:length]
+        out[row][: full.size] = full
+    return out
+
+
+def apply_channel(samples, taps, params: OfdmParams) -> np.ndarray:
+    """Convolve prefix-extended rows with their channel taps.
 
     Linear convolution truncated to the input length; provided the cyclic
     prefix covers the channel memory, the prefix-free body then equals the
     cyclic convolution of the body with the zero-padded taps.
     """
+    samples = require_extended(samples, params)
     taps = np.asarray(taps, dtype=np.complex128)
-    if not sig.cp_present:
-        raise ValueError("channel must be applied to the prefix-extended signal")
-    if taps.size - 1 > sig.cp_len:
+    if taps.shape[-1] - 1 > params.cp_len:
         raise ValueError(
-            f"inter-symbol interference: channel memory {taps.size - 1} exceeds "
-            f"cyclic prefix length {sig.cp_len}"
+            f"inter-symbol interference: channel memory {taps.shape[-1] - 1} exceeds "
+            f"cyclic prefix length {params.cp_len}"
         )
-    out = np.convolve(sig.samples, taps)[: sig.samples.size]
-    return TimeSignal(out, cp_present=True, cp_len=sig.cp_len)
+    return linear_convolve(samples, taps, samples.shape[-1])
 
 
-def apply_cfo(sig: TimeSignal, eps: float, n: int) -> TimeSignal:
-    """Multiply by the frequency-offset ramp exp(j2*pi*eps*n'/n).
+def apply_cfo(samples, eps: float, params: OfdmParams) -> np.ndarray:
+    """Multiply each row by the frequency-offset ramp exp(j2*pi*eps*n'/N).
 
     The sample index n' is referenced to the start of the prefix-free body
     (n' = 0 at the first body sample), matching the symbol synthesis
     convention.
     """
-    offsets = np.arange(sig.samples.size) - (sig.cp_len if sig.cp_present else 0)
-    ramp = np.exp(2j * np.pi * eps * offsets / n)
-    return TimeSignal(sig.samples * ramp, sig.cp_present, sig.cp_len)
+    samples = require_extended(samples, params)
+    offsets = np.arange(samples.shape[-1]) - params.cp_len
+    return samples * np.exp(2j * np.pi * eps * offsets / params.n_subcarriers)
 
 
-def add_awgn(sig: TimeSignal, noise_var: float, rng: np.random.Generator) -> TimeSignal:
+def add_awgn(samples, noise_var: float, rng: np.random.Generator) -> np.ndarray:
     """Add circularly-symmetric white Gaussian noise, variance per sample.
 
-    The noise draw happens even at noise_var = 0 so random streams stay
-    aligned across runs that differ only in noise level.
+    One real block then one imaginary block of the samples' shape are
+    drawn, even at noise_var = 0, so random streams stay aligned across
+    runs that differ only in noise level.
     """
     if noise_var < 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_var}")
-    m = sig.samples.size
-    noise = np.sqrt(noise_var / 2.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    return TimeSignal(sig.samples + noise, sig.cp_present, sig.cp_len)
+    samples = np.asarray(samples, dtype=np.complex128)
+    noise = np.empty(samples.shape, dtype=np.complex128)
+    noise.real = rng.standard_normal(samples.shape)
+    noise.imag = rng.standard_normal(samples.shape)
+    noise *= np.sqrt(noise_var / 2.0)
+    noise += samples
+    return noise

@@ -11,16 +11,22 @@ bin, the same quantities the closed-form SNR consumes.  The simulator
 injects time-domain noise at variance var/N per sample, which the
 un-normalized transform maps back to var per bin.
 
-Reproducibility: trial t draws everything from a generator seeded with
-(master_seed, t), and per-trial powers are reduced in trial order, so the
-result is bitwise independent of how trials are distributed over workers.
+Reproducibility: trials run in blocks of B = max(1, 8192 // (N + cp_len))
+(102 at N=64, 7 at N=1024), a size fixed by the numerology alone.  Block b
+covers trials [bB, (b+1)B), the last one possibly short, and draws from
+numpy's default_rng([master_seed, b]) in the order `simulate_block`
+documents.  Workers receive whole blocks and per-trial powers are reduced
+in trial order, so the result is bitwise independent of `workers`.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
+from itertools import islice
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,13 +45,16 @@ from .analysis import (
 )
 from .channel import PowerDelayProfile, exponential_profile, flat_profile, uniform_profile
 from .ofdm import OfdmParams
-from .relay import DirectPath, RelayGainConfig, RelayPath, gain_factor, simulate_trial
+from .relay import DirectPath, RelayGainConfig, RelayPath, gain_factor, simulate_block
 from .transforms import require_fractional_cfo
 
 SWEEP_AXES = ("eps1", "eps2", "both_equal")
 MODES = ("analytical", "simulate", "both")
 
 CSV_HEADER = "eps1,eps2,analytical_db,empirical_db,stderr_db,lambda1,lambda2,trials,seed"
+
+# Target samples per (trials, N + cp_len) array of one random-stream block.
+BLOCK_SAMPLES = 8192
 
 
 class ConfigError(Exception):
@@ -520,29 +529,60 @@ def _simulation_paths(cfg: ExperimentConfig, point: PointAssignment):
     return direct, relays
 
 
-def _trial_powers_chunk(args):
-    cfg, point, indices = args
+def block_size(params: OfdmParams) -> int:
+    """Trials per random-stream block: about BLOCK_SAMPLES samples per row
+    array, fixed by the numerology alone."""
+    return max(1, BLOCK_SAMPLES // (params.n_subcarriers + params.cp_len))
+
+
+def _simulate_blocks(task):
+    """Per-trial (signal, residual) powers of blocks [first, stop) of one point."""
+    cfg, point, first, stop = task
     direct, relays = _simulation_paths(cfg, point)
-    sig = np.empty(len(indices))
-    res = np.empty(len(indices))
-    for i, t in enumerate(indices):
-        rng = np.random.default_rng([cfg.master_seed, int(t)])
-        outcome = simulate_trial(cfg.ofdm, direct, relays, rng)
-        sig[i] = outcome.signal_power
-        res[i] = outcome.residual_power
-    return sig, res
+    size = block_size(cfg.ofdm)
+    sig, res = [], []
+    for b in range(first, stop):
+        trials = min(size, cfg.trials - b * size)
+        rng = np.random.default_rng([cfg.master_seed, b])
+        outcome = simulate_block(cfg.ofdm, direct, relays, rng, trials)
+        sig.append(outcome.signal_power)
+        res.append(outcome.residual_power)
+    return np.concatenate(sig), np.concatenate(res)
 
 
-def _point_trial_powers(cfg: ExperimentConfig, point: PointAssignment):
-    indices = np.arange(cfg.trials)
-    if cfg.workers <= 1 or cfg.trials < 2 * cfg.workers:
-        return _trial_powers_chunk((cfg, point, indices))
-    chunks = np.array_split(indices, cfg.workers)
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        parts = list(pool.map(_trial_powers_chunk, [(cfg, point, c) for c in chunks]))
-    sig = np.concatenate([p[0] for p in parts])
-    res = np.concatenate([p[1] for p in parts])
-    return sig, res
+def _block_tasks(cfg: ExperimentConfig, point: PointAssignment) -> list:
+    """Split one point's blocks into at most `workers` contiguous ranges."""
+    blocks = -(-cfg.trials // block_size(cfg.ofdm))
+    parts = min(cfg.workers, blocks)
+    edges = [i * blocks // parts for i in range(parts + 1)]
+    return [(cfg, point, a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _empirical_results(cfg: ExperimentConfig, points):
+    """Yield the EmpiricalSnr of each point in order, or None per point
+    when the mode does not simulate.
+
+    With workers > 1 one process pool serves every point: all block ranges
+    are submitted up front and each point's per-trial powers are
+    reassembled in trial order, so the result does not depend on workers.
+    """
+    if cfg.mode not in ("simulate", "both"):
+        yield from (None for _ in points)
+        return
+    tasks = [_block_tasks(cfg, point) for point in points]
+    flat = [task for point_tasks in tasks for task in point_tasks]
+    pool = None
+    if cfg.workers > 1 and len(flat) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(cfg.workers, len(flat)),
+                                   mp_context=multiprocessing.get_context("spawn"))
+    try:
+        results = (pool.map if pool else map)(_simulate_blocks, flat)
+        for point_tasks in tasks:
+            sig, res = zip(*islice(results, len(point_tasks)))
+            yield _aggregate_trials(np.concatenate(sig), np.concatenate(res), cfg)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _aggregate_trials(sig: np.ndarray, res: np.ndarray, cfg: ExperimentConfig) -> EmpiricalSnr:
@@ -580,10 +620,7 @@ def run_point(cfg: ExperimentConfig, point: PointAssignment):
     only when the config mode asks for simulation.
     """
     breakdown = point_analytical(cfg, point)
-    empirical = None
-    if cfg.mode in ("simulate", "both"):
-        sig, res = _point_trial_powers(cfg, point)
-        empirical = _aggregate_trials(sig, res, cfg)
+    (empirical,) = _empirical_results(cfg, [point])
     return empirical, breakdown
 
 
@@ -612,24 +649,26 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     (None).  `on_row` is called with each finished SweepRow, for progress
     reporting.
     """
+    points = sweep_points(cfg)
     rows = []
-    for point in sweep_points(cfg):
-        empirical, breakdown = run_point(cfg, point)
-        lams = point_sensitivities(cfg, point) if cfg.mode != "simulate" else None
-        row = SweepRow(
-            eps1=point.direct_cfo,
-            eps2=point.relay_cfos[0],
-            analytical_db=breakdown.snr_db if cfg.mode != "simulate" else None,
-            empirical_db=empirical.snr_db if empirical is not None else None,
-            stderr_db=empirical.stderr_db if empirical is not None else None,
-            lambda1=lams.lambda1 if isinstance(lams, SensitivityPair) else None,
-            lambda2=lams.lambda2 if isinstance(lams, SensitivityPair) else None,
-            trials=cfg.trials if empirical is not None else 0,
-            seed=cfg.master_seed,
-        )
-        rows.append(row)
-        if on_row is not None:
-            on_row(row)
+    with closing(_empirical_results(cfg, points)) as empirical_results:
+        for point, empirical in zip(points, empirical_results):
+            breakdown = point_analytical(cfg, point)
+            lams = point_sensitivities(cfg, point) if cfg.mode != "simulate" else None
+            row = SweepRow(
+                eps1=point.direct_cfo,
+                eps2=point.relay_cfos[0],
+                analytical_db=breakdown.snr_db if cfg.mode != "simulate" else None,
+                empirical_db=empirical.snr_db if empirical is not None else None,
+                stderr_db=empirical.stderr_db if empirical is not None else None,
+                lambda1=lams.lambda1 if isinstance(lams, SensitivityPair) else None,
+                lambda2=lams.lambda2 if isinstance(lams, SensitivityPair) else None,
+                trials=cfg.trials if empirical is not None else 0,
+                seed=cfg.master_seed,
+            )
+            rows.append(row)
+            if on_row is not None:
+                on_row(row)
     return rows
 
 

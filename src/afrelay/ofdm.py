@@ -5,10 +5,14 @@ for 0 <= n <= N+Ng-1, i.e. the inverse transform of the data vector with
 its last Ng samples copied in front as a cyclic prefix.  Sample n = Ng is
 the start of the useful body; every downstream frequency-offset ramp uses
 the same reference.
+
+Signals are plain complex arrays whose last axis is time and whose leading
+axis, when present, indexes trials; a prefix-extended row holds N + Ng
+samples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,65 +51,43 @@ class OfdmParams:
             raise ValueError(f"symbol_power must be > 0, got {self.symbol_power}")
 
 
-@dataclass
-class TimeSignal:
-    """A baseband sample stream, tagged with its cyclic-prefix state.
-
-    cp_len is the number of prefix samples at the front when cp_present,
-    and 0 otherwise; phase ramps are referenced to sample index cp_len.
-    """
-
-    samples: np.ndarray
-    cp_present: bool
-    cp_len: int = field(default=0)
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D vector")
-        if not self.cp_present and self.cp_len != 0:
-            raise ValueError("cp_len must be 0 once the prefix is removed")
-
-    @property
-    def body(self) -> np.ndarray:
-        """The prefix-free portion of the signal."""
-        return self.samples[self.cp_len:]
-
-
-def draw_symbols(params: OfdmParams, rng: np.random.Generator) -> np.ndarray:
-    """Draw one OFDM symbol of i.i.d. uniform constellation points.
+def draw_symbols(params: OfdmParams, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Draw a (trials, N) block of i.i.d. uniform constellation points.
 
     Points are scaled so the constellation's average power equals
     params.symbol_power (exact per point for QPSK).
     """
     table = CONSTELLATIONS[params.constellation] * np.sqrt(params.symbol_power)
-    idx = rng.integers(0, table.size, params.n_subcarriers)
+    idx = rng.integers(0, table.size, (trials, params.n_subcarriers))
     return table[idx]
 
 
-def modulate(symbols, params: OfdmParams) -> TimeSignal:
-    """Inverse-transform a data vector and insert the cyclic prefix."""
+def modulate(symbols, params: OfdmParams) -> np.ndarray:
+    """Inverse-transform each row of data symbols and insert the cyclic prefix.
+
+    Returns samples of shape (..., N + cp_len), the prefix first.
+    """
     symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.shape != (params.n_subcarriers,):
+    if symbols.ndim == 0 or symbols.shape[-1] != params.n_subcarriers:
         raise ValueError(
-            f"expected {params.n_subcarriers} data symbols, got shape {symbols.shape}"
+            f"expected {params.n_subcarriers} data symbols per row, got shape {symbols.shape}"
         )
     body = idft(symbols)
-    if params.cp_len:
-        samples = np.concatenate([body[-params.cp_len:], body])
-    else:
-        samples = body
-    return TimeSignal(samples, cp_present=True, cp_len=params.cp_len)
+    return np.concatenate([body[..., body.shape[-1] - params.cp_len:], body], axis=-1)
 
 
-def remove_cp(sig: TimeSignal, params: OfdmParams) -> TimeSignal:
-    """Strip the cyclic prefix, keeping the last n_subcarriers samples."""
-    if not sig.cp_present:
-        raise ValueError("cyclic prefix already removed")
+def require_extended(samples, params: OfdmParams) -> np.ndarray:
+    """Check that the last axis holds one prefix-extended symbol, N + cp_len samples."""
+    samples = np.asarray(samples, dtype=np.complex128)
     expected = params.n_subcarriers + params.cp_len
-    if sig.samples.size != expected:
+    if samples.ndim == 0 or samples.shape[-1] != expected:
         raise ValueError(
-            f"expected {expected} samples (N={params.n_subcarriers} + "
-            f"Ng={params.cp_len}), got {sig.samples.size}"
+            f"expected {expected} samples per row (N={params.n_subcarriers} + "
+            f"Ng={params.cp_len}), got shape {samples.shape}"
         )
-    return TimeSignal(sig.samples[params.cp_len:], cp_present=False, cp_len=0)
+    return samples
+
+
+def remove_cp(samples, params: OfdmParams) -> np.ndarray:
+    """Strip the cyclic prefix, keeping the last n_subcarriers samples of each row."""
+    return require_extended(samples, params)[..., params.cp_len:]

@@ -1,4 +1,4 @@
-"""End-to-end simulation of one transmission period.
+"""End-to-end simulation of transmission periods, a block of trials at once.
 
 A trial sends one OFDM symbol over the direct link and over one or more
 two-hop amplify-and-forward relay branches, each impaired by its own
@@ -27,8 +27,9 @@ from .channel import (
     apply_channel,
     draw_channel,
     frequency_response,
+    linear_convolve,
 )
-from .ofdm import OfdmParams, TimeSignal, draw_symbols, modulate
+from .ofdm import OfdmParams, draw_symbols, modulate, remove_cp
 from .transforms import cfo_spectrum, dft
 
 _GAIN_MODES = ("fixed", "general", "upa", "upa_asymptotic")
@@ -96,71 +97,63 @@ def gain_factor(cfg: RelayGainConfig, hop1_gain_var: float, relay_noise_var: flo
     return float(1.0 / np.sqrt(hop1_gain_var))
 
 
-@dataclass
-class BranchRealization:
-    """One relay branch's drawn channels and fixed impairments."""
-
-    hop1: np.ndarray
-    hop2: np.ndarray
-    cfo: float
-    rho: float
-    relay_noise_var: float  # per sample, received at the relay and amplified
-    dest_noise_var: float   # per sample, added at the destination
-
-
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Accumulated signal and interference-plus-noise powers of one trial."""
+    """Signal and interference-plus-noise powers per trial.
 
-    signal_power: float
-    residual_power: float
+    Arrays of shape (trials,) for a block, floats for `simulate_trial`.
+    """
+
+    signal_power: np.ndarray | float
+    residual_power: np.ndarray | float
     subcarrier_count: int
 
 
 def simulate_direct(
-    x: TimeSignal,
+    x,
     taps,
     cfo: float,
     noise_var: float,
     rng: np.random.Generator,
-) -> TimeSignal:
+    params: OfdmParams,
+) -> np.ndarray:
     """Direct source-to-destination link: channel, CFO ramp, then AWGN."""
-    taps = np.asarray(taps, dtype=np.complex128)
-    if x.cp_len < taps.size:
+    n_taps = np.shape(taps)[-1]
+    if params.cp_len < n_taps:
         raise ValueError(
-            f"inter-symbol interference: direct channel has {taps.size} taps but the "
-            f"cyclic prefix holds {x.cp_len} samples"
+            f"inter-symbol interference: direct channel has {n_taps} taps but the "
+            f"cyclic prefix holds {params.cp_len} samples"
         )
-    n = x.samples.size - x.cp_len
-    y = apply_cfo(apply_channel(x, taps), cfo, n)
+    y = apply_cfo(apply_channel(x, taps, params), cfo, params)
     return add_awgn(y, noise_var, rng)
 
 
 def simulate_relay_branch(
-    x: TimeSignal, branch: BranchRealization, rng: np.random.Generator
-) -> TimeSignal:
+    x,
+    hop1,
+    hop2,
+    path: RelayPath,
+    rng: np.random.Generator,
+    params: OfdmParams,
+) -> np.ndarray:
     """Amplify-and-forward branch: both hops cascade, one CFO ramp.
 
     The forwarded waveform is rho times the CFO-rotated cascade of both
     hop channels; the relay's own received noise arrives amplified by rho
     but neither convolved with the second hop nor rotated, and the
-    destination adds its own noise last.
+    destination adds its own noise last.  `path` supplies the offset, the
+    gain and the noise variances; the hop taps are given realizations.
     """
-    l1, l2 = np.size(branch.hop1), np.size(branch.hop2)
-    if x.cp_len < l1 + l2:
+    l1, l2 = np.shape(hop1)[-1], np.shape(hop2)[-1]
+    if params.cp_len < l1 + l2:
         raise ValueError(
             f"inter-symbol interference: relay hops have {l1}+{l2} taps but the "
-            f"cyclic prefix holds {x.cp_len} samples"
+            f"cyclic prefix holds {params.cp_len} samples"
         )
-    n = x.samples.size - x.cp_len
-    cascade = np.convolve(
-        np.asarray(branch.hop1, dtype=np.complex128),
-        np.asarray(branch.hop2, dtype=np.complex128),
-    )
-    y = apply_cfo(apply_channel(x, cascade), branch.cfo, n)
-    y = TimeSignal(branch.rho * y.samples, y.cp_present, y.cp_len)
-    y = add_awgn(y, branch.rho ** 2 * branch.relay_noise_var, rng)
-    return add_awgn(y, branch.dest_noise_var, rng)
+    cascade = linear_convolve(hop1, hop2, l1 + l2 - 1)
+    y = path.rho * apply_cfo(apply_channel(x, cascade, params), path.cfo, params)
+    y = add_awgn(y, path.rho ** 2 * path.relay_noise_var, rng)
+    return add_awgn(y, path.dest_noise_var, rng)
 
 
 def branch_gain(hops, cfo: float, n: int, scale: float = 1.0) -> np.ndarray:
@@ -175,38 +168,30 @@ def branch_gain(hops, cfo: float, n: int, scale: float = 1.0) -> np.ndarray:
     return g
 
 
-def derotate_branch(sig: TimeSignal, gain: np.ndarray) -> np.ndarray:
-    """Remove the prefix, transform, and co-phase one branch.
+def derotate_branch(samples, gain: np.ndarray, params: OfdmParams) -> np.ndarray:
+    """Remove the prefix, transform, and co-phase one branch, row by row.
 
     Bins where the genie gain is exactly zero have no defined phase; they
     are derotated by 0 and reported through a warning, which keeps the
     statistics unbiased (the event has probability zero under continuous
     fading).
     """
-    n = gain.size
-    if not sig.cp_present or sig.samples.size != n + sig.cp_len:
-        raise ValueError("expected an aligned prefix-extended branch signal")
-    zero_bins = np.flatnonzero(gain == 0)
-    if zero_bins.size:
+    body = remove_cp(samples, params)
+    if gain.shape[-1] != body.shape[-1]:
+        raise ValueError("expected one genie gain per subcarrier")
+    magnitude = np.abs(gain)
+    nonzero = magnitude > 0
+    if not nonzero.all():
+        zero_bins = np.flatnonzero(~nonzero.all(axis=tuple(range(gain.ndim - 1))))
         warnings.warn(
             f"genie gain is exactly zero at bins {zero_bins.tolist()}; "
             "derotation phase set to 0 there",
             stacklevel=2,
         )
-    spectrum = dft(sig.samples[sig.cp_len:])
-    return spectrum * np.exp(-1j * np.angle(gain))
-
-
-def receive_egc(signals, gains) -> np.ndarray:
-    """Equal-gain combine: sum of the co-phased branch spectra."""
-    signals = list(signals)
-    gains = list(gains)
-    if not signals or len(signals) != len(gains):
-        raise ValueError("need one genie gain vector per branch signal")
-    combined = np.zeros(gains[0].size, dtype=np.complex128)
-    for sig, gain in zip(signals, gains):
-        combined += derotate_branch(sig, gain)
-    return combined
+    # exp(-j arg g) = conj(g)/|g|, and 1 where g = 0
+    derotation = np.ones(gain.shape, dtype=np.complex128)
+    np.divide(np.conj(gain), magnitude, out=derotation, where=nonzero)
+    return dft(body) * derotation
 
 
 def decompose_trial(branch_spectra, gains, symbols) -> TrialOutcome:
@@ -214,20 +199,16 @@ def decompose_trial(branch_spectra, gains, symbols) -> TrialOutcome:
 
     Per branch b and bin k the coherent signal term is |g_b[k]| X[k]; the
     residual is everything else (inter-carrier leakage plus noise).  Both
-    squared magnitudes are summed over branches and bins.
+    squared magnitudes are summed over bins and then over branches, one
+    branch at a time, giving one value per trial row.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
-    branch_spectra = list(branch_spectra)
-    gains = list(gains)
-    if len(branch_spectra) != len(gains):
-        raise ValueError("need one genie gain vector per branch spectrum")
-    signal_power = 0.0
-    residual_power = 0.0
-    for spectrum, gain in zip(branch_spectra, gains):
+    signal_power = residual_power = 0.0
+    for spectrum, gain in zip(branch_spectra, gains, strict=True):
         coherent = np.abs(gain) * symbols
-        signal_power += float(np.sum(np.abs(coherent) ** 2))
-        residual_power += float(np.sum(np.abs(spectrum - coherent) ** 2))
-    return TrialOutcome(signal_power, residual_power, symbols.size)
+        signal_power = signal_power + np.sum(np.abs(coherent) ** 2, axis=-1)
+        residual_power = residual_power + np.sum(np.abs(spectrum - coherent) ** 2, axis=-1)
+    return TrialOutcome(signal_power, residual_power, symbols.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -247,8 +228,49 @@ class RelayPath:
     hop2_profile: PowerDelayProfile
     cfo: float
     rho: float
-    relay_noise_var: float  # per sample
-    dest_noise_var: float   # per sample
+    relay_noise_var: float  # per sample, received at the relay and amplified
+    dest_noise_var: float   # per sample, added at the destination
+
+
+def simulate_block(
+    params: OfdmParams,
+    direct: DirectPath,
+    relays,
+    rng: np.random.Generator,
+    trials: int,
+) -> TrialOutcome:
+    """Run `trials` transmission periods at once and decompose their spectra.
+
+    Every stage works on (trials, N + cp_len) arrays.  Draw order is fixed:
+    symbol indices (trials, N), direct taps, each relay's hop1 then hop2
+    taps (each real block then imaginary block), then per path in order
+    (direct, relay 1..M) the noise, relay noise before destination noise.
+    Branches are received and reduced one at a time; only the (trials, N)
+    genie gains are held for every branch at once.
+    """
+    n = params.n_subcarriers
+    relays = list(relays)
+    symbols = draw_symbols(params, rng, trials)
+    tx = modulate(symbols, params)
+
+    direct_taps = draw_channel(direct.profile, rng, trials)
+    hop_taps = [
+        (draw_channel(r.hop1_profile, rng, trials), draw_channel(r.hop2_profile, rng, trials))
+        for r in relays
+    ]
+    gains = [branch_gain([direct_taps], direct.cfo, n)] + [
+        branch_gain([h1, h2], spec.cfo, n, scale=spec.rho)
+        for (h1, h2), spec in zip(hop_taps, relays)
+    ]
+
+    def received():
+        # lazily: one branch's samples alive at a time, noise drawn in path order
+        yield simulate_direct(tx, direct_taps, direct.cfo, direct.noise_var, rng, params)
+        for (h1, h2), spec in zip(hop_taps, relays):
+            yield simulate_relay_branch(tx, h1, h2, spec, rng, params)
+
+    spectra = (derotate_branch(y, g, params) for y, g in zip(received(), gains))
+    return decompose_trial(spectra, gains, symbols)
 
 
 def simulate_trial(
@@ -257,29 +279,8 @@ def simulate_trial(
     relays,
     rng: np.random.Generator,
 ) -> TrialOutcome:
-    """Run one full transmission period and decompose the received spectra.
-
-    Draw order is fixed (symbols, direct taps, each branch's hop taps,
-    then per-path noise) so a trial is a pure function of its generator.
-    """
-    n = params.n_subcarriers
-    relays = list(relays)
-    symbols = draw_symbols(params, rng)
-    tx = modulate(symbols, params)
-
-    direct_taps = draw_channel(direct.profile, rng)
-    hop_taps = [
-        (draw_channel(r.hop1_profile, rng), draw_channel(r.hop2_profile, rng)) for r in relays
-    ]
-
-    received = [simulate_direct(tx, direct_taps, direct.cfo, direct.noise_var, rng)]
-    gains = [branch_gain([direct_taps], direct.cfo, n)]
-    for (h1, h2), spec in zip(hop_taps, relays):
-        branch = BranchRealization(
-            h1, h2, spec.cfo, spec.rho, spec.relay_noise_var, spec.dest_noise_var
-        )
-        received.append(simulate_relay_branch(tx, branch, rng))
-        gains.append(branch_gain([h1, h2], spec.cfo, n, scale=spec.rho))
-
-    spectra = [derotate_branch(sig, gain) for sig, gain in zip(received, gains)]
-    return decompose_trial(spectra, gains, symbols)
+    """Run one full transmission period: `simulate_block` with one trial."""
+    block = simulate_block(params, direct, relays, rng, 1)
+    return TrialOutcome(
+        float(block.signal_power[0]), float(block.residual_power[0]), block.subcarrier_count
+    )

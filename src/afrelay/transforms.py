@@ -1,4 +1,4 @@
-"""DFT/IDFT kernels, cyclic convolution, and the CFO leakage coefficients.
+"""DFT/IDFT kernels and the CFO leakage coefficients.
 
 Conventions: the forward transform is un-normalized and the inverse carries
 the 1/N factor.  Under this pairing the transform of the unit-magnitude
@@ -30,60 +30,25 @@ def require_fractional_cfo(eps: float, name: str = "eps") -> float:
     return eps
 
 
-def _as_vector(x, name: str) -> np.ndarray:
+def _as_signal(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D complex vector, got shape {arr.shape}")
+    if arr.ndim == 0 or arr.size == 0:
+        raise ValueError(f"{name} must be a non-empty complex array, got shape {arr.shape}")
     return arr
-
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
 
 
 def dft(x) -> np.ndarray:
     """Un-normalized forward transform Y[k] = sum_n x[n] exp(-j2*pi*k*n/N).
 
-    Power-of-two lengths take the FFT fast path; any other length falls
-    back to the direct O(N^2) sum.
+    Taken along the last axis, so a (trials, N) block transforms row by
+    row; any length N is exact.
     """
-    x = _as_vector(x, "x")
-    n = x.size
-    if _is_pow2(n):
-        return np.fft.fft(x)
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
+    return np.fft.fft(_as_signal(x, "x"), axis=-1)
 
 
 def idft(spectrum) -> np.ndarray:
-    """Inverse of `dft`: x[n] = (1/N) sum_k Y[k] exp(j2*pi*k*n/N)."""
-    spectrum = _as_vector(spectrum, "spectrum")
-    n = spectrum.size
-    if _is_pow2(n):
-        return np.fft.ifft(spectrum)
-    k = np.arange(n)
-    return (np.exp(2j * np.pi * np.outer(k, k) / n) @ spectrum) / n
-
-
-def _fit_length(x, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=np.complex128)
-    m = min(x.size, n)
-    out[:m] = x[:m]
-    return out
-
-
-def circular_convolve(a, b, n: int) -> np.ndarray:
-    """Length-n cyclic convolution out[m] = sum_r a[r] b[(m-r) mod n].
-
-    Inputs are zero-padded or truncated to length n.  Evaluated by the
-    direct sum so transform-domain identities can be checked against it.
-    """
-    if n <= 0:
-        raise ValueError(f"cyclic length must be positive, got {n}")
-    a = _fit_length(_as_vector(a, "a"), n)
-    b = _fit_length(_as_vector(b, "b"), n)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return b[idx] @ a
+    """Inverse of `dft` along the last axis: x[n] = (1/N) sum_k Y[k] exp(j2*pi*k*n/N)."""
+    return np.fft.ifft(_as_signal(spectrum, "spectrum"), axis=-1)
 
 
 def dirichlet_gain(eps: float, n: int) -> float:

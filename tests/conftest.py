@@ -1,9 +1,9 @@
 """Shared reference routes for the oracle tests.
 
 These helpers deliberately avoid the code paths they are used to check:
-`dft_direct` is a plain double loop, and `ici_reference` assembles a
-received spectrum from the closed-form leakage coefficients instead of
-running the waveform pipeline.
+`dft_direct` is a plain double loop, `circular_convolve` a direct cyclic
+sum, and `ici_reference` assembles a received spectrum from the
+closed-form leakage coefficients instead of running the waveform pipeline.
 """
 import numpy as np
 
@@ -21,6 +21,30 @@ def dft_direct(x):
             acc += x[m] * np.exp(-2j * np.pi * k * m / n)
         out[k] = acc
     return out
+
+
+def _fit_length(x, n):
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"expected a non-empty 1-D vector, got shape {x.shape}")
+    out = np.zeros(n, dtype=np.complex128)
+    m = min(x.size, n)
+    out[:m] = x[:m]
+    return out
+
+
+def circular_convolve(a, b, n):
+    """Length-n cyclic convolution out[m] = sum_r a[r] b[(m-r) mod n].
+
+    Inputs are 1-D, zero-padded or truncated to length n.  Evaluated by the
+    direct sum so transform-domain identities can be checked against it.
+    """
+    if n <= 0:
+        raise ValueError(f"cyclic length must be positive, got {n}")
+    a = _fit_length(a, n)
+    b = _fit_length(b, n)
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return b[idx] @ a
 
 
 def leakage_vector(eps, n):

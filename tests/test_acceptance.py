@@ -19,7 +19,7 @@ from afrelay.analysis import (
     single_relay_topology,
     upa_asymptotic_stats,
 )
-from afrelay.channel import frequency_response
+from afrelay.channel import frequency_response, uniform_profile
 from afrelay.harness import (
     PRESETS,
     PointAssignment,
@@ -29,7 +29,13 @@ from afrelay.harness import (
     write_csv,
 )
 from afrelay.ofdm import OfdmParams, draw_symbols, modulate
-from afrelay.relay import BranchRealization, gain_factor, RelayGainConfig, simulate_direct, simulate_relay_branch
+from afrelay.relay import (
+    RelayGainConfig,
+    RelayPath,
+    gain_factor,
+    simulate_direct,
+    simulate_relay_branch,
+)
 from afrelay.transforms import cfo_spectrum, dirichlet_gain
 from conftest import cgauss, ici_reference
 
@@ -58,24 +64,24 @@ def test_c1_pipeline_oracle():
     worst = 0.0
     start = time.perf_counter()
     for _ in range(100):
-        sym = draw_symbols(params, rng)
+        sym = draw_symbols(params, rng, 1)
         tx = modulate(sym, params)
         h_direct = cgauss(rng, 4, var=1.0 / 4)
         h_hop1 = cgauss(rng, 4, var=1.0 / 4)
         h_hop2 = cgauss(rng, 4, var=4.0 / 4)
         eps1, eps2 = rng.uniform(-0.5, 0.5, 2)
 
-        y_direct = simulate_direct(tx, h_direct, eps1, 0.0, rng)
-        branch = BranchRealization(h_hop1, h_hop2, eps2, rho, 0.0, 0.0)
-        y_relay = simulate_relay_branch(tx, branch, rng)
+        y_direct = simulate_direct(tx, h_direct, eps1, 0.0, rng, params)
+        path = RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), eps2, rho, 0.0, 0.0)
+        y_relay = simulate_relay_branch(tx, h_hop1, h_hop2, path, rng, params)
 
-        ref_direct = ici_reference(sym, frequency_response(h_direct, 64), eps1)
+        ref_direct = ici_reference(sym[0], frequency_response(h_direct, 64), eps1)
         ref_relay = ici_reference(
-            sym, frequency_response(h_hop1, 64) * frequency_response(h_hop2, 64),
+            sym[0], frequency_response(h_hop1, 64) * frequency_response(h_hop2, 64),
             eps2, scale=rho,
         )
         for signal, reference in ((y_direct, ref_direct), (y_relay, ref_relay)):
-            spectrum = np.fft.fft(signal.samples[16:])
+            spectrum = np.fft.fft(signal[0, 16:])
             rel = np.abs(spectrum - reference) / np.abs(reference)
             worst = max(worst, float(rel.max()))
     elapsed = time.perf_counter() - start

@@ -13,11 +13,12 @@ from afrelay.channel import (
     exponential_profile,
     flat_profile,
     frequency_response,
+    linear_convolve,
     uniform_profile,
 )
-from afrelay.ofdm import OfdmParams, TimeSignal, draw_symbols, modulate, remove_cp
-from afrelay.transforms import circular_convolve, dft
-from conftest import cgauss, ici_reference
+from afrelay.ofdm import OfdmParams, draw_symbols, modulate, remove_cp
+from afrelay.transforms import dft
+from conftest import cgauss, circular_convolve, ici_reference
 
 
 # ------------------------------------------------------------------- profiles
@@ -49,7 +50,7 @@ def test_profile_validation():
 def test_flat_fading_tap_power_converges():
     rng = np.random.default_rng(10)
     profile = flat_profile(1.0)
-    taps = np.array([draw_channel(profile, rng)[0] for _ in range(100_000)])
+    taps = draw_channel(profile, rng, 100_000)[:, 0]
     assert np.mean(np.abs(taps) ** 2) == pytest.approx(1.0, rel=0.01)
     assert abs(np.mean(taps)) < 0.01  # zero mean
     # Rayleigh magnitude: mean |h| = sqrt(pi)/2 for unit tap power
@@ -58,7 +59,8 @@ def test_flat_fading_tap_power_converges():
 
 def test_zero_power_profile_draws_zero_channel():
     profile = PowerDelayProfile(np.zeros(3))
-    taps = draw_channel(profile, np.random.default_rng(0))
+    taps = draw_channel(profile, np.random.default_rng(0), 2)
+    assert taps.shape == (2, 3)
     assert np.all(taps == 0)
 
 
@@ -113,24 +115,39 @@ def test_response_rejects_more_taps_than_bins():
         frequency_response(np.ones(17), 16)
 
 
+# ------------------------------------------------------------- linear_convolve
+
+@pytest.mark.parametrize("n_taps", [2, 6])  # fewer and more taps than rows
+def test_linear_convolve_matches_numpy_row_by_row(n_taps):
+    rng = np.random.default_rng(19)
+    x, taps = cgauss(rng, (3, 20)), cgauss(rng, (3, n_taps))
+    full = linear_convolve(x, taps, 19 + n_taps)
+    truncated = linear_convolve(x, taps, 20)
+    for row, (a, b) in enumerate(zip(x, taps)):
+        reference = np.convolve(a, b)
+        assert np.max(np.abs(full[row] - reference)) < 1e-12
+        assert np.max(np.abs(truncated[row] - reference[:20])) < 1e-12
+
+
 # --------------------------------------------------------------- apply_channel
 
 def _modulated(params, seed):
-    return modulate(draw_symbols(params, np.random.default_rng(seed)), params)
+    return modulate(draw_symbols(params, np.random.default_rng(seed), 1), params)
 
 
 def test_unit_tap_channel_is_identity():
     params = OfdmParams(n_subcarriers=16, cp_len=4)
     sig = _modulated(params, 1)
-    out = apply_channel(sig, np.array([1.0]))
-    assert np.allclose(out.samples, sig.samples, atol=1e-15)
+    out = apply_channel(sig, np.array([1.0]), params)
+    assert np.allclose(out, sig, atol=1e-15)
 
 
 def test_delay_channel_cyclically_shifts_body():
     params = OfdmParams(n_subcarriers=16, cp_len=4)
     sig = _modulated(params, 2)
-    delayed = remove_cp(apply_channel(sig, np.array([0.0, 1.0])), params)
-    assert np.max(np.abs(delayed.samples - np.roll(sig.body, 1))) < 1e-14
+    delayed = remove_cp(apply_channel(sig, np.array([0.0, 1.0]), params), params)
+    body = remove_cp(sig, params)
+    assert np.max(np.abs(delayed - np.roll(body, 1, axis=-1))) < 1e-14
 
 
 def test_prefix_makes_linear_convolution_circular():
@@ -138,17 +155,17 @@ def test_prefix_makes_linear_convolution_circular():
     rng = np.random.default_rng(14)
     sig = _modulated(params, 3)
     taps = cgauss(rng, 5)
-    linear_route = remove_cp(apply_channel(sig, taps), params).samples
-    circular_route = circular_convolve(sig.body, taps, 64)
+    linear_route = remove_cp(apply_channel(sig, taps, params), params)[0]
+    circular_route = circular_convolve(remove_cp(sig, params)[0], taps, 64)
     assert np.max(np.abs(linear_route - circular_route)) < 1e-12
 
 
 def test_noise_free_zero_cfo_pipeline_factorizes_per_bin():
     params = OfdmParams(n_subcarriers=64, cp_len=16)
     rng = np.random.default_rng(15)
-    sym = draw_symbols(params, rng)
+    sym = draw_symbols(params, rng, 1)
     taps = cgauss(rng, 4)
-    received = dft(remove_cp(apply_channel(modulate(sym, params), taps), params).samples)
+    received = dft(remove_cp(apply_channel(modulate(sym, params), taps, params), params))
     expected = frequency_response(taps, 64) * sym
     assert np.max(np.abs(received - expected)) / np.max(np.abs(expected)) < 1e-10
 
@@ -157,13 +174,14 @@ def test_channel_memory_longer_than_prefix_is_rejected():
     params = OfdmParams(n_subcarriers=16, cp_len=2)
     sig = _modulated(params, 4)
     with pytest.raises(ValueError, match="memory 3.*prefix length 2"):
-        apply_channel(sig, np.ones(4))
+        apply_channel(sig, np.ones(4), params)
 
 
 def test_channel_requires_prefix_extended_input():
-    stripped = TimeSignal(np.ones(16, dtype=complex), cp_present=False)
+    params = OfdmParams(n_subcarriers=16, cp_len=4)
+    stripped = np.ones((1, 16), dtype=complex)  # 16 body samples, no prefix
     with pytest.raises(ValueError):
-        apply_channel(stripped, np.ones(1))
+        apply_channel(stripped, np.ones(1), params)
 
 
 # ------------------------------------------------------------------- apply_cfo
@@ -171,23 +189,23 @@ def test_channel_requires_prefix_extended_input():
 def test_zero_offset_is_identity():
     params = OfdmParams(n_subcarriers=16, cp_len=4)
     sig = _modulated(params, 5)
-    out = apply_cfo(sig, 0.0, 16)
-    assert np.array_equal(out.samples, sig.samples)
+    out = apply_cfo(sig, 0.0, params)
+    assert np.array_equal(out, sig)
 
 
 def test_ramp_preserves_sample_magnitudes():
     params = OfdmParams(n_subcarriers=64, cp_len=16)
     sig = _modulated(params, 6)
-    out = apply_cfo(sig, 0.37, 64)
-    assert np.max(np.abs(np.abs(out.samples) - np.abs(sig.samples))) < 1e-15
+    out = apply_cfo(sig, 0.37, params)
+    assert np.max(np.abs(np.abs(out) - np.abs(sig))) < 1e-15
 
 
 def test_ramp_preserves_total_energy():
     params = OfdmParams(n_subcarriers=64, cp_len=16)
     sig = _modulated(params, 7)
-    out = apply_cfo(sig, -0.41, 64)
-    before = np.sum(np.abs(sig.samples) ** 2)
-    after = np.sum(np.abs(out.samples) ** 2)
+    out = apply_cfo(sig, -0.41, params)
+    before = np.sum(np.abs(sig) ** 2)
+    after = np.sum(np.abs(out) ** 2)
     assert abs(after - before) / before < 1e-13
 
 
@@ -195,25 +213,25 @@ def test_single_link_spectrum_matches_closed_form():
     # noise-free pipeline vs the dominant-plus-leakage construction
     params = OfdmParams(n_subcarriers=64, cp_len=16)
     rng = np.random.default_rng(16)
-    sym = draw_symbols(params, rng)
+    sym = draw_symbols(params, rng, 1)
     taps = cgauss(rng, 4)
     eps = 0.3
-    received = apply_cfo(apply_channel(modulate(sym, params), taps), eps, 64)
-    spectrum = dft(remove_cp(received, params).samples)
-    reference = ici_reference(sym, frequency_response(taps, 64), eps)
+    received = apply_cfo(apply_channel(modulate(sym, params), taps, params), eps, params)
+    spectrum = dft(remove_cp(received, params))[0]
+    reference = ici_reference(sym[0], frequency_response(taps, 64), eps)
     assert np.max(np.abs(spectrum - reference)) / np.max(np.abs(reference)) < 1e-9
 
 
 def test_ramp_reference_point_is_body_start():
     # on a prefix-free body the ramp starts at phase 0
-    body = TimeSignal(np.ones(8, dtype=complex), cp_present=False)
-    out = apply_cfo(body, 0.25, 8)
+    body = np.ones((1, 8), dtype=complex)
+    out = apply_cfo(body, 0.25, OfdmParams(n_subcarriers=8, cp_len=0))
     expected = np.exp(2j * np.pi * 0.25 * np.arange(8) / 8)
-    assert np.max(np.abs(out.samples - expected)) < 1e-15
+    assert np.max(np.abs(out - expected)) < 1e-15
     # with a prefix the same phases appear shifted to the body samples
-    extended = TimeSignal(np.ones(10, dtype=complex), cp_present=True, cp_len=2)
-    out2 = apply_cfo(extended, 0.25, 8)
-    assert np.max(np.abs(out2.samples[2:] - expected)) < 1e-15
+    extended = np.ones((1, 10), dtype=complex)
+    out2 = apply_cfo(extended, 0.25, OfdmParams(n_subcarriers=8, cp_len=2))
+    assert np.max(np.abs(out2[:, 2:] - expected)) < 1e-15
 
 
 # -------------------------------------------------------------------- add_awgn
@@ -222,30 +240,27 @@ def test_zero_variance_noise_is_identity():
     params = OfdmParams(n_subcarriers=16, cp_len=4)
     sig = _modulated(params, 8)
     out = add_awgn(sig, 0.0, np.random.default_rng(0))
-    assert np.array_equal(out.samples, sig.samples)
+    assert np.array_equal(out, sig)
 
 
 def test_noise_sample_variance_converges():
     rng = np.random.default_rng(17)
     m = 1_000_000
-    silent = TimeSignal(np.zeros(m, dtype=complex), cp_present=False)
-    noisy = add_awgn(silent, 0.25, rng)
-    assert np.mean(np.abs(noisy.samples) ** 2) == pytest.approx(0.25, rel=0.01)
+    noisy = add_awgn(np.zeros(m, dtype=complex), 0.25, rng)
+    assert np.mean(np.abs(noisy) ** 2) == pytest.approx(0.25, rel=0.01)
 
 
 def test_noise_is_circularly_symmetric():
     rng = np.random.default_rng(18)
     m = 1_000_000
-    silent = TimeSignal(np.zeros(m, dtype=complex), cp_present=False)
-    noisy = add_awgn(silent, 0.5, rng)
-    assert np.var(noisy.samples.real) == pytest.approx(0.25, rel=0.02)
-    assert np.var(noisy.samples.imag) == pytest.approx(0.25, rel=0.02)
+    noisy = add_awgn(np.zeros(m, dtype=complex), 0.5, rng)
+    assert np.var(noisy.real) == pytest.approx(0.25, rel=0.02)
+    assert np.var(noisy.imag) == pytest.approx(0.25, rel=0.02)
 
 
 def test_negative_variance_rejected():
-    sig = TimeSignal(np.ones(4, dtype=complex), cp_present=False)
     with pytest.raises(ValueError):
-        add_awgn(sig, -0.1, np.random.default_rng(0))
+        add_awgn(np.ones((1, 4), dtype=complex), -0.1, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------ properties
@@ -257,10 +272,10 @@ def test_prefix_circularity_property(seed, n_taps):
     # removal equals cyclic convolution of the body
     params = OfdmParams(n_subcarriers=64, cp_len=16)
     rng = np.random.default_rng(seed)
-    sig = modulate(draw_symbols(params, rng), params)
+    sig = modulate(draw_symbols(params, rng, 1), params)
     taps = cgauss(rng, n_taps)
-    linear_route = remove_cp(apply_channel(sig, taps), params).samples
-    circular_route = circular_convolve(sig.body, taps, 64)
+    linear_route = remove_cp(apply_channel(sig, taps, params), params)[0]
+    circular_route = circular_convolve(remove_cp(sig, params)[0], taps, 64)
     assert np.max(np.abs(linear_route - circular_route)) < 1e-12
 
 
@@ -268,8 +283,8 @@ def test_prefix_circularity_property(seed, n_taps):
 @given(st.integers(0, 2 ** 32 - 1), st.floats(-0.499, 0.499))
 def test_cfo_energy_neutral_property(seed, eps):
     params = OfdmParams(n_subcarriers=64, cp_len=16)
-    sig = modulate(draw_symbols(params, np.random.default_rng(seed)), params)
-    out = apply_cfo(sig, eps, 64)
-    before = np.sum(np.abs(sig.samples) ** 2)
-    after = np.sum(np.abs(out.samples) ** 2)
+    sig = modulate(draw_symbols(params, np.random.default_rng(seed), 1), params)
+    out = apply_cfo(sig, eps, params)
+    before = np.sum(np.abs(sig) ** 2)
+    after = np.sum(np.abs(out) ** 2)
     assert abs(after - before) / before < 1e-13

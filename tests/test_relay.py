@@ -6,7 +6,6 @@ import pytest
 from afrelay.channel import flat_profile, frequency_response, uniform_profile
 from afrelay.ofdm import OfdmParams, draw_symbols, modulate
 from afrelay.relay import (
-    BranchRealization,
     DirectPath,
     RelayGainConfig,
     RelayPath,
@@ -14,7 +13,7 @@ from afrelay.relay import (
     decompose_trial,
     derotate_branch,
     gain_factor,
-    receive_egc,
+    simulate_block,
     simulate_direct,
     simulate_relay_branch,
     simulate_trial,
@@ -26,7 +25,7 @@ PARAMS = OfdmParams(n_subcarriers=64, cp_len=16)
 
 def _tx(seed, params=PARAMS):
     rng = np.random.default_rng(seed)
-    sym = draw_symbols(params, rng)
+    sym = draw_symbols(params, rng, 1)
     return sym, modulate(sym, params)
 
 
@@ -74,8 +73,8 @@ def test_gain_config_validation():
 
 def test_direct_link_trivial_passthrough():
     _, tx = _tx(1)
-    out = simulate_direct(tx, np.array([1.0]), 0.0, 0.0, np.random.default_rng(0))
-    assert np.allclose(out.samples, tx.samples, atol=1e-15)
+    out = simulate_direct(tx, np.array([1.0]), 0.0, 0.0, np.random.default_rng(0), PARAMS)
+    assert np.allclose(out, tx, atol=1e-15)
 
 
 def test_direct_link_matches_closed_form_spectrum():
@@ -83,37 +82,40 @@ def test_direct_link_matches_closed_form_spectrum():
     rng = np.random.default_rng(3)
     taps = cgauss(rng, 4, var=1.0 / 4)
     eps = -0.27
-    out = simulate_direct(tx, taps, eps, 0.0, rng)
-    spectrum = np.fft.fft(out.samples[16:])
-    reference = ici_reference(sym, frequency_response(taps, 64), eps)
+    out = simulate_direct(tx, taps, eps, 0.0, rng, PARAMS)
+    spectrum = np.fft.fft(out[0, 16:])
+    reference = ici_reference(sym[0], frequency_response(taps, 64), eps)
     assert np.max(np.abs(spectrum - reference)) / np.max(np.abs(reference)) < 1e-9
 
 
 def test_direct_link_with_unimodular_impairments_preserves_energy():
     _, tx = _tx(4)
-    out = simulate_direct(tx, np.array([1.0]), 0.31, 0.0, np.random.default_rng(0))
-    assert np.sum(np.abs(out.samples) ** 2) == pytest.approx(
-        np.sum(np.abs(tx.samples) ** 2), rel=1e-13
-    )
+    out = simulate_direct(tx, np.array([1.0]), 0.31, 0.0, np.random.default_rng(0), PARAMS)
+    assert np.sum(np.abs(out) ** 2) == pytest.approx(np.sum(np.abs(tx) ** 2), rel=1e-13)
 
 
 def test_direct_link_isi_precondition():
     _, tx = _tx(5)
     with pytest.raises(ValueError, match="17 taps.*16 samples"):
-        simulate_direct(tx, np.ones(17), 0.0, 0.0, np.random.default_rng(0))
+        simulate_direct(tx, np.ones(17), 0.0, 0.0, np.random.default_rng(0), PARAMS)
 
 
 # ---------------------------------------------------------------- relay branch
 
-def _branch(h1, h2, cfo=0.0, rho=1.0, relay_nv=0.0, dest_nv=0.0):
-    return BranchRealization(h1, h2, cfo, rho, relay_nv, dest_nv)
+def _relay(tx, h1, h2, rng, cfo=0.0, rho=1.0, relay_nv=0.0, dest_nv=0.0):
+    """simulate_relay_branch with the given realizations; the path's
+    profiles only record the tap counts."""
+    path = RelayPath(
+        uniform_profile(np.shape(h1)[-1]), uniform_profile(np.shape(h2)[-1]),
+        cfo, rho, relay_nv, dest_nv,
+    )
+    return simulate_relay_branch(tx, h1, h2, path, rng, PARAMS)
 
 
 def test_relay_branch_trivial_passthrough():
     _, tx = _tx(6)
-    branch = _branch(np.array([1.0]), np.array([1.0]))
-    out = simulate_relay_branch(tx, branch, np.random.default_rng(0))
-    assert np.allclose(out.samples, tx.samples, atol=1e-15)
+    out = _relay(tx, np.array([1.0]), np.array([1.0]), np.random.default_rng(0))
+    assert np.allclose(out, tx, atol=1e-15)
 
 
 def test_relay_branch_matches_closed_form_spectrum():
@@ -122,10 +124,10 @@ def test_relay_branch_matches_closed_form_spectrum():
     h1 = cgauss(rng, 4, var=1.0 / 4)
     h2 = cgauss(rng, 4, var=1.0)
     eps, rho = 0.42, 1.3
-    out = simulate_relay_branch(tx, _branch(h1, h2, cfo=eps, rho=rho), rng)
-    spectrum = np.fft.fft(out.samples[16:])
+    out = _relay(tx, h1, h2, rng, cfo=eps, rho=rho)
+    spectrum = np.fft.fft(out[0, 16:])
     cascade_resp = frequency_response(h1, 64) * frequency_response(h2, 64)
-    reference = ici_reference(sym, cascade_resp, eps, scale=rho)
+    reference = ici_reference(sym[0], cascade_resp, eps, scale=rho)
     assert np.max(np.abs(spectrum - reference)) / np.max(np.abs(reference)) < 1e-9
 
 
@@ -133,15 +135,15 @@ def test_relay_branch_linear_in_gain():
     _, tx = _tx(9)
     rng = np.random.default_rng(10)
     h1, h2 = cgauss(rng, 3, 1 / 3), cgauss(rng, 2, 1 / 2)
-    one = simulate_relay_branch(tx, _branch(h1, h2, cfo=0.2, rho=1.0), np.random.default_rng(0))
-    two = simulate_relay_branch(tx, _branch(h1, h2, cfo=0.2, rho=2.0), np.random.default_rng(0))
-    assert np.array_equal(two.samples, 2.0 * one.samples)
+    one = _relay(tx, h1, h2, np.random.default_rng(0), cfo=0.2, rho=1.0)
+    two = _relay(tx, h1, h2, np.random.default_rng(0), cfo=0.2, rho=2.0)
+    assert np.array_equal(two, 2.0 * one)
 
 
 def test_relay_branch_isi_precondition():
     _, tx = _tx(11)
     with pytest.raises(ValueError, match="9\\+8 taps.*16 samples"):
-        simulate_relay_branch(tx, _branch(np.ones(9), np.ones(8)), np.random.default_rng(0))
+        _relay(tx, np.ones(9), np.ones(8), np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------- combining
@@ -149,20 +151,20 @@ def test_relay_branch_isi_precondition():
 def test_single_branch_real_channel_needs_no_derotation():
     sym, tx = _tx(12)
     taps = np.array([0.7])  # real positive channel, zero offset
-    received = simulate_direct(tx, taps, 0.0, 0.0, np.random.default_rng(0))
+    received = simulate_direct(tx, taps, 0.0, 0.0, np.random.default_rng(0), PARAMS)
     gain = branch_gain([taps], 0.0, 64)
     assert np.allclose(np.angle(gain), 0.0, atol=1e-15)
-    combined = receive_egc([received], [gain])
+    combined = derotate_branch(received, gain, PARAMS)
     assert np.max(np.abs(combined - 0.7 * sym)) < 1e-12
 
 
 def test_two_ideal_branches_combine_coherently():
     sym, tx = _tx(13)
     unit = np.array([1.0])
-    y1 = simulate_direct(tx, unit, 0.0, 0.0, np.random.default_rng(0))
-    y2 = simulate_relay_branch(tx, _branch(unit, unit), np.random.default_rng(0))
+    y1 = simulate_direct(tx, unit, 0.0, 0.0, np.random.default_rng(0), PARAMS)
+    y2 = _relay(tx, unit, unit, np.random.default_rng(0))
     gains = [branch_gain([unit], 0.0, 64), branch_gain([unit, unit], 0.0, 64)]
-    combined = receive_egc([y1, y2], gains)
+    combined = derotate_branch(y1, gains[0], PARAMS) + derotate_branch(y2, gains[1], PARAMS)
     assert np.max(np.abs(combined - 2.0 * sym)) < 1e-12
 
 
@@ -173,14 +175,16 @@ def test_combined_metric_matches_closed_form_assembly():
     h0 = cgauss(rng, 4, 1 / 4)
     h1, h2 = cgauss(rng, 4, 1 / 4), cgauss(rng, 4, 1.0)
     e1, e2, rho = 0.17, -0.33, 0.9
-    y1 = simulate_direct(tx, h0, e1, 0.0, rng)
-    y2 = simulate_relay_branch(tx, _branch(h1, h2, cfo=e2, rho=rho), rng)
+    y1 = simulate_direct(tx, h0, e1, 0.0, rng, PARAMS)
+    y2 = _relay(tx, h1, h2, rng, cfo=e2, rho=rho)
     g1 = branch_gain([h0], e1, 64)
     g2 = branch_gain([h1, h2], e2, 64, scale=rho)
-    combined = receive_egc([y1, y2], [g1, g2])
+    combined = (derotate_branch(y1, g1, PARAMS) + derotate_branch(y2, g2, PARAMS))[0]
 
-    ref1 = ici_reference(sym, frequency_response(h0, 64), e1)
-    ref2 = ici_reference(sym, frequency_response(h1, 64) * frequency_response(h2, 64), e2, scale=rho)
+    ref1 = ici_reference(sym[0], frequency_response(h0, 64), e1)
+    ref2 = ici_reference(
+        sym[0], frequency_response(h1, 64) * frequency_response(h2, 64), e2, scale=rho
+    )
     reference = ref1 * np.exp(-1j * np.angle(g1)) + ref2 * np.exp(-1j * np.angle(g2))
     assert np.max(np.abs(combined - reference)) / np.max(np.abs(reference)) < 1e-9
 
@@ -191,25 +195,28 @@ def test_derotation_makes_dominant_coefficient_real_nonnegative():
         sym, tx = _tx(rng.integers(1 << 31))
         h0 = cgauss(rng, 4, 1 / 4)
         eps = rng.uniform(-0.5, 0.5)
-        y = simulate_direct(tx, h0, eps, 0.0, rng)
+        y = simulate_direct(tx, h0, eps, 0.0, rng, PARAMS)
         gain = branch_gain([h0], eps, 64)
         derotated_gain = gain * np.exp(-1j * np.angle(gain))
         assert np.all(derotated_gain.real >= 0)
         assert np.max(np.abs(derotated_gain.imag)) < 1e-12 * np.max(np.abs(gain))
-        assert derotate_branch(y, gain).shape == (64,)
+        assert derotate_branch(y, gain, PARAMS).shape == (1, 64)
 
 
 def test_combining_is_linear_in_branches():
+    # the two-branch decomposition is the sum of the one-branch ones
     sym, tx = _tx(17)
     rng = np.random.default_rng(18)
     h0, h1, h2 = cgauss(rng, 2, 0.5), cgauss(rng, 3, 1 / 3), cgauss(rng, 2, 2.0)
-    y1 = simulate_direct(tx, h0, 0.1, 0.0, rng)
-    y2 = simulate_relay_branch(tx, _branch(h1, h2, cfo=-0.2, rho=1.1), rng)
+    y1 = simulate_direct(tx, h0, 0.1, 0.0, rng, PARAMS)
+    y2 = _relay(tx, h1, h2, rng, cfo=-0.2, rho=1.1)
     g1 = branch_gain([h0], 0.1, 64)
     g2 = branch_gain([h1, h2], -0.2, 64, scale=1.1)
-    combined = receive_egc([y1, y2], [g1, g2])
-    separate = derotate_branch(y1, g1) + derotate_branch(y2, g2)
-    assert np.array_equal(combined, separate)
+    s1, s2 = derotate_branch(y1, g1, PARAMS), derotate_branch(y2, g2, PARAMS)
+    combined = decompose_trial([s1, s2], [g1, g2], sym)
+    first, second = decompose_trial([s1], [g1], sym), decompose_trial([s2], [g2], sym)
+    assert np.array_equal(combined.signal_power, first.signal_power + second.signal_power)
+    assert np.array_equal(combined.residual_power, first.residual_power + second.residual_power)
 
 
 def test_zero_genie_gain_is_flagged():
@@ -217,16 +224,8 @@ def test_zero_genie_gain_is_flagged():
     gain = branch_gain([np.array([1.0])], 0.0, 64)
     gain[5] = 0.0
     with pytest.warns(UserWarning, match=r"zero at bins \[5\]"):
-        spectrum = derotate_branch(tx, gain)
+        spectrum = derotate_branch(tx, gain, PARAMS)
     assert np.isfinite(spectrum).all()
-
-
-def test_receive_egc_validates_inputs():
-    sym, tx = _tx(20)
-    with pytest.raises(ValueError):
-        receive_egc([], [])
-    with pytest.raises(ValueError):
-        receive_egc([tx], [])
 
 
 # --------------------------------------------------------------- decomposition
@@ -236,10 +235,10 @@ def test_no_offset_no_noise_leaves_zero_residual():
     rng = np.random.default_rng(22)
     h0 = cgauss(rng, 4, 1 / 4)
     h1, h2 = cgauss(rng, 4, 1 / 4), cgauss(rng, 4, 1.0)
-    y1 = simulate_direct(tx, h0, 0.0, 0.0, rng)
-    y2 = simulate_relay_branch(tx, _branch(h1, h2), rng)
+    y1 = simulate_direct(tx, h0, 0.0, 0.0, rng, PARAMS)
+    y2 = _relay(tx, h1, h2, rng)
     gains = [branch_gain([h0], 0.0, 64), branch_gain([h1, h2], 0.0, 64)]
-    spectra = [derotate_branch(y, g) for y, g in zip([y1, y2], gains)]
+    spectra = [derotate_branch(y, g, PARAMS) for y, g in zip([y1, y2], gains)]
     outcome = decompose_trial(spectra, gains, sym)
     assert outcome.residual_power < 1e-18
     assert outcome.subcarrier_count == 64
@@ -250,10 +249,10 @@ def test_scaling_symbols_by_two_quadruples_signal_power():
     rng = np.random.default_rng(24)
     h0 = cgauss(rng, 4, 1 / 4)
     gain = branch_gain([h0], 0.1, 64)
-    spectrum = derotate_branch(simulate_direct(tx, h0, 0.1, 0.0, rng), gain)
+    spectrum = derotate_branch(simulate_direct(tx, h0, 0.1, 0.0, rng, PARAMS), gain, PARAMS)
     base = decompose_trial([spectrum], [gain], sym)
     scaled = decompose_trial([2.0 * spectrum], [gain], 2.0 * sym)
-    assert scaled.signal_power == 4.0 * base.signal_power
+    assert np.array_equal(scaled.signal_power, 4.0 * base.signal_power)
 
 
 def test_noise_only_signal_power_converges_to_coherent_power():
@@ -264,10 +263,9 @@ def test_noise_only_signal_power_converges_to_coherent_power():
     relays = [RelayPath(flat_profile(1.0), flat_profile(4.0), 0.0, 1.0, 0.1 / 64, 0.1 / 64)]
     total = 0.0
     trials = 4000
-    for t in range(trials):
-        rng = np.random.default_rng([99, t])
-        outcome = simulate_trial(params, direct, relays, rng)
-        total += outcome.signal_power
+    for b in range(10):
+        rng = np.random.default_rng([99, b])
+        total += np.sum(simulate_block(params, direct, relays, rng, trials // 10).signal_power)
     per_bin = total / (trials * 64)
     assert per_bin == pytest.approx(1.0 + 4.0, rel=0.05)
 
@@ -298,3 +296,44 @@ def test_trial_supports_multiple_relay_branches():
     ]
     outcome = simulate_trial(params, direct, relays, np.random.default_rng(5))
     assert outcome.signal_power > 0 and outcome.residual_power > 0
+
+
+# ----------------------------------------------------------------- block engine
+
+GOLDEN_PATHS = {
+    "selective_one_relay": (
+        DirectPath(uniform_profile(4, 1.0), 0.1, 0.1 / 64),
+        [RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), 0.2, 0.8,
+                   0.1 / 64, 0.1 / 64)],
+    ),
+    "two_relays": (
+        DirectPath(flat_profile(1.0), 0.05, 0.001),
+        [
+            RelayPath(flat_profile(1.0), flat_profile(2.0), 0.1, 1.0, 0.001, 0.001),
+            RelayPath(uniform_profile(2, 1.0), uniform_profile(2, 1.0), -0.2, 0.7, 0.001, 0.001),
+        ],
+    ),
+}
+
+# (signal_power, residual_power) of one trial on default_rng([20260808, seed]),
+# recorded from the per-trial engine that simulate_block replaced (one
+# np.convolve and one transform call per trial and stage).
+GOLDEN_POWERS = {
+    ("selective_one_relay", 0): (266.44075474629824, 43.11661249662061),
+    ("selective_one_relay", 1): (61.392447978054804, 23.846206062344955),
+    ("selective_one_relay", 2): (143.529427285345, 36.19525752737174),
+    ("two_relays", 0): (107.39739482555294, 25.258647734657686),
+    ("two_relays", 1): (8.103038144888485, 19.366449268299323),
+    ("two_relays", 2): (145.07796492214442, 25.606398094585796),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(GOLDEN_POWERS))
+def test_one_trial_block_reproduces_per_trial_engine(name, seed):
+    direct, relays = GOLDEN_PATHS[name]
+    rng = np.random.default_rng([20260808, seed])
+    block = simulate_block(PARAMS, direct, relays, rng, 1)
+    signal, residual = GOLDEN_POWERS[(name, seed)]
+    assert block.signal_power.shape == block.residual_power.shape == (1,)
+    assert block.signal_power[0] == pytest.approx(signal, rel=1e-12)
+    assert block.residual_power[0] == pytest.approx(residual, rel=1e-12)

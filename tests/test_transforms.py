@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from afrelay.transforms import (
     cfo_spectrum,
-    circular_convolve,
     dft,
     dirichlet_gain,
     dirichlet_gain_derivative,
     idft,
     require_fractional_cfo,
 )
-from conftest import cgauss, dft_direct, leakage_vector
+from conftest import cgauss, circular_convolve, dft_direct, leakage_vector
 
 # frozen from a 40-digit evaluation of the closed forms
 F64_AT_HALF = 0.6366836927259823
@@ -47,7 +46,7 @@ def test_dft_matches_direct_double_loop():
     assert err < 1e-10
 
 
-def test_dft_arbitrary_length_uses_direct_sum_path():
+def test_dft_arbitrary_length_matches_direct_sum():
     rng = np.random.default_rng(2)
     x = cgauss(rng, 12)  # not a power of two
     ref = dft_direct(x)
@@ -82,11 +81,21 @@ def test_parseval_under_scaled_inverse():
 
 
 @pytest.mark.parametrize("func", [dft, idft])
-def test_transform_rejects_empty_and_matrix_input(func):
+def test_transform_rejects_empty_and_scalar_input(func):
     with pytest.raises(ValueError):
         func(np.array([], dtype=complex))
     with pytest.raises(ValueError):
-        func(np.zeros((4, 4), dtype=complex))
+        func(np.zeros((4, 0), dtype=complex))
+    with pytest.raises(ValueError):
+        func(np.complex128(1.0))
+
+
+@pytest.mark.parametrize("func", [dft, idft])
+def test_transform_acts_on_each_row_of_a_block(func):
+    rng = np.random.default_rng(8)
+    block = cgauss(rng, (5, 12))
+    rows = np.array([func(row) for row in block])
+    assert np.array_equal(func(block), rows)
 
 
 @settings(max_examples=25, deadline=None)
