@@ -1,20 +1,7 @@
 """OFDM amplify-and-forward relay link simulator with closed-form SNR
 cross-validation under per-link carrier frequency offsets."""
 
-from .analysis import (
-    BranchStats,
-    DirectStats,
-    LinkStats,
-    SensitivityPair,
-    SnrBreakdown,
-    TopologyStats,
-    analytical_snr,
-    analytical_snr_upa,
-    multi_relay_snr,
-    sensitivities,
-    single_relay_topology,
-    upa_asymptotic_stats,
-)
+from .analysis import LinkStats, SnrBreakdown, analytical_snr
 from .channel import (
     PowerDelayProfile,
     add_awgn,

@@ -1,252 +1,89 @@
-"""Closed-form SNR, CFO sensitivities, and the multi-relay generalization.
+"""Closed-form SNR and its exact CFO sensitivities over M + 1 branches.
 
 With per-link average channel powers, per-bin noise variances, and
-deterministic fractional offsets, the post-combining SNR of the single
-relay topology is
+deterministic fractional offsets, the post-combining SNR of a direct link
+plus M relay branches is
 
-    SNR = [f^2(e1) s_H1 s_X + rho^2 f^2(e2) s_H2 s_H3 s_X]
-          / [(1-f^2(e1)) s_H1 s_X + rho^2 (1-f^2(e2)) s_H2 s_H3 s_X
-             + s_Z1 + rho^2 s_Z2 + s_Z3]
+    SNR = sum_b f^2(e_b) a_b / sum_b [(1 - f^2(e_b)) a_b + s_b]
 
-where f is the Dirichlet gain, e1/e2 the direct/relay offsets, s_H* the
-channel powers, s_Z* the noise variances, and rho the relay gain.  The
-numerator collects each branch's coherent power and the denominator the
-inter-carrier leakage plus noise, branch by branch.
+where f is the Dirichlet gain, e_b the offset of branch b, a_b its
+coherent weight and s_b its noise.  Branch 0 is the direct link, with
+a_0 = s_H1 s_X and s_0 = s_Z1; branch b >= 1 is relay b, with
+a_b = rho_b^2 s_H2,b s_H3,b s_X and s_b = s_Z3,b + rho_b^2 s_Z2,b (the
+relay's own noise arrives amplified by its gain rho_b).  The numerator
+collects each branch's coherent power and the denominator the
+inter-carrier leakage plus noise, branch by branch.  M = 1 is the
+single-relay topology and M = 0 the point-to-point link.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .transforms import dirichlet_gain, dirichlet_gain_derivative
-
-SENSITIVITY_VARIANTS = ("chain_rule", "simplified")
 
 
 @dataclass(frozen=True)
 class LinkStats:
-    """Statistical description of a single-relay topology."""
+    """Statistical description of a direct link plus M relay branches.
 
-    direct_gain_var: float      # average direct-link channel power
-    hop1_gain_var: float        # source -> relay
-    hop2_gain_var: float        # relay -> destination
-    symbol_power: float
-    direct_noise_var: float     # per bin, direct link
-    relay_noise_var: float      # per bin, received at the relay (amplified by rho^2)
-    dest_noise_var: float       # per bin, destination side of the relay branch
-    cfo_direct: float
-    cfo_relay: float
-    rho: float
-    n_subcarriers: int
-
-    def __post_init__(self):
-        for name in ("direct_gain_var", "hop1_gain_var", "hop2_gain_var", "symbol_power"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("direct_noise_var", "relay_noise_var", "dest_noise_var"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.rho <= 0:
-            raise ValueError("rho must be > 0")
-        for name in ("cfo_direct", "cfo_relay"):
-            if abs(getattr(self, name)) > 0.5:
-                raise ValueError(f"{name} must lie in [-0.5, 0.5]")
-
-
-@dataclass(frozen=True)
-class DirectStats:
-    """Direct link of a multi-relay topology."""
-
-    gain_var: float
-    cfo: float
-    noise_var: float
-
-
-@dataclass(frozen=True)
-class BranchStats:
-    """One relay branch of a multi-relay topology.
-
-    relay_noise_var is the branch's relay-input noise (scaled by rho^2 at
-    the destination); dest_noise_var arrives unscaled.
+    The three sequences are indexed by branch, direct link first.
     """
 
-    hop1_gain_var: float
-    hop2_gain_var: float
-    cfo: float
-    rho: float
-    relay_noise_var: float
-    dest_noise_var: float
-
-
-@dataclass(frozen=True)
-class TopologyStats:
-    """A direct link plus any number of relay branches."""
-
-    direct: DirectStats
-    branches: tuple
-    symbol_power: float
     n_subcarriers: int
+    branch_powers: tuple    # coherent weight a_b of each branch
+    cfos: tuple             # fractional offset e_b of each branch
+    noise_vars: tuple       # per-bin noise s_b arriving on each branch
+
+    def __post_init__(self):
+        if self.n_subcarriers < 2:
+            raise ValueError(f"subcarrier count must be >= 2, got {self.n_subcarriers}")
+        if not len(self.branch_powers) == len(self.cfos) == len(self.noise_vars) >= 1:
+            raise ValueError("branch_powers, cfos and noise_vars need one entry per branch")
+        if not all(a > 0 for a in self.branch_powers):
+            raise ValueError("branch_powers must be > 0")
+        if not all(s >= 0 for s in self.noise_vars):
+            raise ValueError("noise_vars must be >= 0")
+        if not all(abs(e) <= 0.5 for e in self.cfos):
+            raise ValueError("cfos must lie in [-0.5, 0.5]")
 
 
 @dataclass(frozen=True)
 class SnrBreakdown:
-    """Closed-form SNR with its numerator and denominator exposed."""
+    """Closed-form SNR with its numerator, denominator and slopes exposed.
+
+    slopes[b] is the signed exact derivative dSNR/de_b; it is None at the
+    den = 0 sentinel.
+    """
 
     num: float
     den: float
     snr_linear: float
     snr_db: float
-
-    @classmethod
-    def from_ratio(cls, num: float, den: float) -> "SnrBreakdown":
-        # den == 0 only in the noise-free zero-offset degenerate case; the
-        # sentinel is a deliberate infinity, not an overflow.
-        if den == 0.0:
-            return cls(num, den, math.inf, math.inf)
-        lin = num / den
-        db = 10.0 * math.log10(lin) if lin > 0 else -math.inf
-        return cls(num, den, lin, db)
-
-
-@dataclass(frozen=True)
-class SensitivityPair:
-    """Absolute SNR slopes against each offset, |dSNR/de1| and |dSNR/de2|."""
-
-    lambda1: float
-    lambda2: float
-    variant: str
-
-
-def _branch_weights(stats: LinkStats):
-    a_direct = stats.direct_gain_var * stats.symbol_power
-    a_relay = stats.rho ** 2 * stats.hop1_gain_var * stats.hop2_gain_var * stats.symbol_power
-    return a_direct, a_relay
+    slopes: tuple | None
 
 
 def analytical_snr(stats: LinkStats) -> SnrBreakdown:
-    """Closed-form SNR of the single-relay topology."""
-    f1 = dirichlet_gain(stats.cfo_direct, stats.n_subcarriers)
-    f2 = dirichlet_gain(stats.cfo_relay, stats.n_subcarriers)
-    a_direct, a_relay = _branch_weights(stats)
-    num = f1 ** 2 * a_direct + f2 ** 2 * a_relay
-    den = (
-        (1.0 - f1 ** 2) * a_direct
-        + (1.0 - f2 ** 2) * a_relay
-        + stats.direct_noise_var
-        + stats.rho ** 2 * stats.relay_noise_var
-        + stats.dest_noise_var
-    )
-    return SnrBreakdown.from_ratio(num, den)
+    """Closed-form SNR of the topology and its slope against each offset.
 
+    Differentiating the ratio gives, per branch,
 
-def upa_asymptotic_stats(stats: LinkStats) -> LinkStats:
-    """The same link with rho pinned at its high-power uniform-allocation
-    limit 1/sqrt(hop1_gain_var)."""
-    if stats.hop1_gain_var <= 0:
-        raise ValueError("asymptotic uniform allocation undefined for zero first-hop power")
-    return replace(stats, rho=1.0 / math.sqrt(stats.hop1_gain_var))
-
-
-def analytical_snr_upa(stats: LinkStats) -> SnrBreakdown:
-    """Closed-form SNR in the high-power uniform-allocation limit.
-
-    Written out with rho^2 = 1/hop1_gain_var already substituted: the
-    relay branch weight collapses to hop2_gain_var * symbol_power and the
-    amplified relay noise to relay_noise_var / hop1_gain_var.  stats.rho
-    is ignored.
+        dSNR/de_b = 2 f(e_b) f'(e_b) a_b (num + den) / den^2.
     """
-    if stats.hop1_gain_var <= 0:
-        raise ValueError("asymptotic uniform allocation undefined for zero first-hop power")
-    f1 = dirichlet_gain(stats.cfo_direct, stats.n_subcarriers)
-    f2 = dirichlet_gain(stats.cfo_relay, stats.n_subcarriers)
-    a_direct = stats.direct_gain_var * stats.symbol_power
-    a_relay = stats.hop2_gain_var * stats.symbol_power
-    num = f1 ** 2 * a_direct + f2 ** 2 * a_relay
-    den = (
-        (1.0 - f1 ** 2) * a_direct
-        + (1.0 - f2 ** 2) * a_relay
-        + stats.direct_noise_var
-        + stats.relay_noise_var / stats.hop1_gain_var
-        + stats.dest_noise_var
-    )
-    return SnrBreakdown.from_ratio(num, den)
-
-
-def sensitivities(stats: LinkStats, variant: str = "chain_rule") -> SensitivityPair:
-    """Absolute partial derivatives of the closed-form SNR.
-
-    chain_rule is the exact differentiation of the SNR expression,
-
-        lambda_i = 2 f(e_i) |f'(e_i)| a_i (num + den) / den^2,
-
-    where a_i is the branch weight.  simplified drops the f(e_i) factor,
-    reporting the slope in terms of |f'| alone; both conventions
-    circulate, but only chain_rule matches finite differences of
-    `analytical_snr`.
-    """
-    if variant not in SENSITIVITY_VARIANTS:
-        raise ValueError(
-            f"unknown variant {variant!r}, expected one of {SENSITIVITY_VARIANTS}"
-        )
     n = stats.n_subcarriers
-    f1 = dirichlet_gain(stats.cfo_direct, n)
-    f2 = dirichlet_gain(stats.cfo_relay, n)
-    d1 = abs(dirichlet_gain_derivative(stats.cfo_direct, n))
-    d2 = abs(dirichlet_gain_derivative(stats.cfo_relay, n))
-    a_direct, a_relay = _branch_weights(stats)
-    breakdown = analytical_snr(stats)
-    num, den = breakdown.num, breakdown.den
+    gains = [dirichlet_gain(eps, n) for eps in stats.cfos]
+    num = den = 0.0
+    for f, a, s in zip(gains, stats.branch_powers, stats.noise_vars):
+        num += f ** 2 * a
+        den += (1.0 - f ** 2) * a + s
+    # den == 0 only in the noise-free zero-offset degenerate case; the
+    # sentinel is a deliberate infinity, not an overflow.
     if den == 0.0:
-        raise ValueError("sensitivities undefined at infinite SNR (den = 0)")
-    if variant == "chain_rule":
-        lam1 = 2.0 * f1 * d1 * a_direct * (num + den) / den ** 2
-        lam2 = 2.0 * f2 * d2 * a_relay * (num + den) / den ** 2
-    else:
-        lam1 = 2.0 * d1 * a_direct * (num + den) / den ** 2
-        lam2 = 2.0 * d2 * a_relay * (num + den) / den ** 2
-    return SensitivityPair(lam1, lam2, variant)
-
-
-def multi_relay_snr(topo: TopologyStats) -> SnrBreakdown:
-    """Closed-form SNR with M relay branches (M may be zero).
-
-    Each branch contributes rho^2 f^2 hop1 hop2 s_X coherently and
-    rho^2 (1-f^2) hop1 hop2 s_X leakage, plus dest_noise_var and
-    rho^2 relay_noise_var of noise, all summed with the direct link's
-    contributions.
-    """
-    sx = topo.symbol_power
-    n = topo.n_subcarriers
-    f0 = dirichlet_gain(topo.direct.cfo, n)
-    num = f0 ** 2 * topo.direct.gain_var * sx
-    den = (1.0 - f0 ** 2) * topo.direct.gain_var * sx + topo.direct.noise_var
-    for b in topo.branches:
-        fi = dirichlet_gain(b.cfo, n)
-        weight = b.rho ** 2 * b.hop1_gain_var * b.hop2_gain_var * sx
-        num += fi ** 2 * weight
-        den += (1.0 - fi ** 2) * weight
-        den += b.dest_noise_var + b.rho ** 2 * b.relay_noise_var
-    return SnrBreakdown.from_ratio(num, den)
-
-
-def single_relay_topology(stats: LinkStats) -> TopologyStats:
-    """View a LinkStats as the M = 1 multi-relay topology.
-
-    The relay branch's amplified noise maps to relay_noise_var and the
-    unscaled branch noise to dest_noise_var.
-    """
-    return TopologyStats(
-        direct=DirectStats(stats.direct_gain_var, stats.cfo_direct, stats.direct_noise_var),
-        branches=(
-            BranchStats(
-                stats.hop1_gain_var,
-                stats.hop2_gain_var,
-                stats.cfo_relay,
-                stats.rho,
-                stats.relay_noise_var,
-                stats.dest_noise_var,
-            ),
-        ),
-        symbol_power=stats.symbol_power,
-        n_subcarriers=stats.n_subcarriers,
+        return SnrBreakdown(num, den, math.inf, math.inf, None)
+    lin = num / den
+    db = 10.0 * math.log10(lin) if lin > 0 else -math.inf
+    slopes = tuple(
+        2.0 * f * dirichlet_gain_derivative(eps, n) * a * (num + den) / den ** 2
+        for f, eps, a in zip(gains, stats.cfos, stats.branch_powers)
     )
+    return SnrBreakdown(num, den, lin, db, slopes)

@@ -5,6 +5,9 @@ profiles, noise variances, relay gain rule) plus a CFO sweep: which offset
 axis moves, the grid it moves over, and the noise scalings at which the
 sweep repeats.  `run_sweep` evaluates the closed-form SNR and/or the
 Monte-Carlo estimate at every point and returns rows ready for `write_csv`.
+`point_inputs` is the one builder that turns a config and a sweep point
+into both sides' inputs: the closed form's `LinkStats` and the
+simulator's direct and relay paths.
 
 Noise convention: configured noise variances are per received frequency
 bin, the same quantities the closed-form SNR consumes.  The simulator
@@ -32,17 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    BranchStats,
-    DirectStats,
-    LinkStats,
-    SensitivityPair,
-    SnrBreakdown,
-    TopologyStats,
-    analytical_snr,
-    multi_relay_snr,
-    sensitivities,
-)
+from .analysis import LinkStats, analytical_snr
 from .channel import PowerDelayProfile, exponential_profile, flat_profile, uniform_profile
 from .ofdm import OfdmParams
 from .relay import DirectPath, RelayGainConfig, RelayPath, gain_factor, simulate_block
@@ -99,6 +92,16 @@ class ExperimentConfig:
     master_seed: int
     mode: str
     workers: int = 1
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.trials < 1:
+            raise ConfigValueError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ConfigValueError("master_seed must be a 64-bit unsigned integer")
+        if self.workers < 1:
+            raise ConfigValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -197,6 +200,8 @@ PRESET_INFO = {
 # config parsing
 
 def _check_keys(raw: dict, allowed, context: str) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigValueError(f"{context} must be an object, got {raw!r}")
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
         raise ConfigKeyError(
@@ -213,7 +218,13 @@ def _require(raw: dict, key: str, context: str):
 def _as_number(value, key: str, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigValueError(f"{context}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # JSON admits NaN and Infinity
+        raise ConfigValueError(f"{context}.{key} must be finite, got {value!r}")
+    return number
 
 
 def _as_int(value, key: str, context: str) -> int:
@@ -251,8 +262,6 @@ def _parse_profile(raw, context: str) -> PowerDelayProfile:
 
 
 def _parse_gain(raw, context: str) -> RelayGainConfig:
-    if not isinstance(raw, dict):
-        raise ConfigValueError(f"{context} must be an object, got {raw!r}")
     allowed = {"mode", "rho", "total_power", "source_power", "relay_power"}
     _check_keys(raw, allowed, context)
     kwargs = {}
@@ -274,8 +283,6 @@ def _parse_cfo(value, key: str, context: str) -> float:
 
 
 def _parse_relay(raw, context: str) -> RelaySpec:
-    if not isinstance(raw, dict):
-        raise ConfigValueError(f"{context} must be an object, got {raw!r}")
     allowed = {"hop1_profile", "hop2_profile", "cfo", "gain", "relay_noise_var", "dest_noise_var"}
     _check_keys(raw, allowed, context)
     relay_nv = _as_number(_require(raw, "relay_noise_var", context), "relay_noise_var", context)
@@ -294,8 +301,6 @@ def _parse_relay(raw, context: str) -> RelaySpec:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and fully validate an ExperimentConfig from plain data."""
-    if not isinstance(raw, dict):
-        raise ConfigValueError(f"config root must be an object, got {type(raw).__name__}")
     allowed = {
         "ofdm", "direct", "relays", "sweep", "noise_scales",
         "trials", "master_seed", "mode", "workers",
@@ -344,19 +349,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if any(s <= 0 for s in scales):
         raise ConfigValueError("noise_scales must be > 0")
 
-    trials = _as_int(_require(raw, "trials", "config"), "trials", "config")
-    if trials < 1:
-        raise ConfigValueError(f"trials must be >= 1, got {trials}")
-    master_seed = _as_int(_require(raw, "master_seed", "config"), "master_seed", "config")
-    if not 0 <= master_seed < 2 ** 64:
-        raise ConfigValueError("master_seed must be a 64-bit unsigned integer")
-    mode = raw.get("mode", "both")
-    if mode not in MODES:
-        raise ConfigValueError(f"mode must be one of {MODES}, got {mode!r}")
-    workers = _as_int(raw.get("workers", 1), "workers", "config")
-    if workers < 1:
-        raise ConfigValueError(f"workers must be >= 1, got {workers}")
-
     # inter-symbol interference conditions, checked at load time
     if ofdm.cp_len < direct_profile.n_taps:
         raise ConfigValueError(
@@ -381,10 +373,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         sweep_axis=axis,
         sweep_grid=grid,
         noise_scales=scales,
-        trials=trials,
-        master_seed=master_seed,
-        mode=mode,
-        workers=workers,
+        trials=_as_int(_require(raw, "trials", "config"), "trials", "config"),
+        master_seed=_as_int(_require(raw, "master_seed", "config"), "master_seed", "config"),
+        mode=raw.get("mode", "both"),
+        workers=_as_int(raw.get("workers", 1), "workers", "config"),
     )
 
 
@@ -435,98 +427,31 @@ def config_digest(cfg: ExperimentConfig) -> str:
 # --------------------------------------------------------------------------
 # point evaluation
 
-def resolve_gains(cfg: ExperimentConfig, noise_scale: float = 1.0) -> tuple:
-    """Per-relay amplification factors at the given noise scaling."""
-    return tuple(
-        gain_factor(s.gain, s.hop1_profile.total_power, s.relay_noise_var * noise_scale)
-        for s in cfg.relays
-    )
+def point_inputs(cfg: ExperimentConfig, point: PointAssignment):
+    """Closed-form statistics and simulator paths of one sweep point.
 
-
-def point_link_stats(cfg: ExperimentConfig, point: PointAssignment):
-    """LinkStats of a single-relay point, or None for multi-relay configs."""
-    if len(cfg.relays) != 1:
-        return None
-    spec = cfg.relays[0]
-    (rho,) = resolve_gains(cfg, point.noise_scale)
-    return LinkStats(
-        direct_gain_var=cfg.direct_profile.total_power,
-        hop1_gain_var=spec.hop1_profile.total_power,
-        hop2_gain_var=spec.hop2_profile.total_power,
-        symbol_power=cfg.ofdm.symbol_power,
-        direct_noise_var=cfg.direct_noise_var * point.noise_scale,
-        relay_noise_var=spec.relay_noise_var * point.noise_scale,
-        dest_noise_var=spec.dest_noise_var * point.noise_scale,
-        cfo_direct=point.direct_cfo,
-        cfo_relay=point.relay_cfos[0],
-        rho=rho,
-        n_subcarriers=cfg.ofdm.n_subcarriers,
-    )
-
-
-def point_topology_stats(cfg: ExperimentConfig, point: PointAssignment) -> TopologyStats:
-    rhos = resolve_gains(cfg, point.noise_scale)
-    branches = tuple(
-        BranchStats(
-            hop1_gain_var=s.hop1_profile.total_power,
-            hop2_gain_var=s.hop2_profile.total_power,
-            cfo=eps,
-            rho=rho,
-            relay_noise_var=s.relay_noise_var * point.noise_scale,
-            dest_noise_var=s.dest_noise_var * point.noise_scale,
-        )
-        for s, eps, rho in zip(cfg.relays, point.relay_cfos, rhos)
-    )
-    return TopologyStats(
-        direct=DirectStats(
-            cfg.direct_profile.total_power,
-            point.direct_cfo,
-            cfg.direct_noise_var * point.noise_scale,
-        ),
-        branches=branches,
-        symbol_power=cfg.ofdm.symbol_power,
-        n_subcarriers=cfg.ofdm.n_subcarriers,
-    )
-
-
-def point_analytical(cfg: ExperimentConfig, point: PointAssignment) -> SnrBreakdown:
-    """Closed-form SNR at one sweep point."""
-    stats = point_link_stats(cfg, point)
-    if stats is not None:
-        return analytical_snr(stats)
-    return multi_relay_snr(point_topology_stats(cfg, point))
-
-
-def point_sensitivities(cfg: ExperimentConfig, point: PointAssignment):
-    """Chain-rule sensitivities at one single-relay point, None otherwise."""
-    stats = point_link_stats(cfg, point)
-    if stats is None:
-        return None
-    try:
-        return sensitivities(stats, "chain_rule")
-    except ValueError:
-        return None  # infinite-SNR point
-
-
-def _simulation_paths(cfg: ExperimentConfig, point: PointAssignment):
+    Returns (LinkStats, DirectPath, list of RelayPath).  Each relay gain is
+    resolved once, at the point's noise scaling; LinkStats carries per-bin
+    noise and the paths per-sample noise (var * scale / N).
+    """
     n = cfg.ofdm.n_subcarriers
+    sx = cfg.ofdm.symbol_power
     scale = point.noise_scale
-    rhos = resolve_gains(cfg, scale)
-    direct = DirectPath(
-        cfg.direct_profile, point.direct_cfo, cfg.direct_noise_var * scale / n
-    )
-    relays = [
-        RelayPath(
-            s.hop1_profile,
-            s.hop2_profile,
-            eps,
-            rho,
-            s.relay_noise_var * scale / n,
-            s.dest_noise_var * scale / n,
-        )
-        for s, eps, rho in zip(cfg.relays, point.relay_cfos, rhos)
-    ]
-    return direct, relays
+    powers = [cfg.direct_profile.total_power * sx]
+    noise = [cfg.direct_noise_var * scale]
+    direct = DirectPath(cfg.direct_profile, point.direct_cfo, cfg.direct_noise_var * scale / n)
+    relays = []
+    for s, eps in zip(cfg.relays, point.relay_cfos):
+        hop1 = s.hop1_profile.total_power
+        relay_nv, dest_nv = s.relay_noise_var * scale, s.dest_noise_var * scale
+        rho = gain_factor(s.gain, hop1, relay_nv)
+        powers.append(rho ** 2 * hop1 * s.hop2_profile.total_power * sx)
+        noise.append(dest_nv + rho ** 2 * relay_nv)
+        relays.append(RelayPath(
+            s.hop1_profile, s.hop2_profile, eps, rho, relay_nv / n, dest_nv / n
+        ))
+    stats = LinkStats(n, tuple(powers), (point.direct_cfo, *point.relay_cfos), tuple(noise))
+    return stats, direct, relays
 
 
 def block_size(params: OfdmParams) -> int:
@@ -537,8 +462,7 @@ def block_size(params: OfdmParams) -> int:
 
 def _simulate_blocks(task):
     """Per-trial (signal, residual) powers of blocks [first, stop) of one point."""
-    cfg, point, first, stop = task
-    direct, relays = _simulation_paths(cfg, point)
+    cfg, direct, relays, first, stop = task
     size = block_size(cfg.ofdm)
     sig, res = [], []
     for b in range(first, stop):
@@ -551,11 +475,13 @@ def _simulate_blocks(task):
 
 
 def _block_tasks(cfg: ExperimentConfig, point: PointAssignment) -> list:
-    """Split one point's blocks into at most `workers` contiguous ranges."""
+    """Split one point's blocks into at most `workers` contiguous ranges,
+    each carrying the point's simulator paths."""
+    _, direct, relays = point_inputs(cfg, point)
     blocks = -(-cfg.trials // block_size(cfg.ofdm))
     parts = min(cfg.workers, blocks)
     edges = [i * blocks // parts for i in range(parts + 1)]
-    return [(cfg, point, a, b) for a, b in zip(edges, edges[1:])]
+    return [(cfg, direct, relays, a, b) for a, b in zip(edges, edges[1:])]
 
 
 def _empirical_results(cfg: ExperimentConfig, points):
@@ -619,9 +545,8 @@ def run_point(cfg: ExperimentConfig, point: PointAssignment):
     Returns (EmpiricalSnr or None, SnrBreakdown); the empirical half runs
     only when the config mode asks for simulation.
     """
-    breakdown = point_analytical(cfg, point)
     (empirical,) = _empirical_results(cfg, [point])
-    return empirical, breakdown
+    return empirical, analytical_snr(point_inputs(cfg, point)[0])
 
 
 # --------------------------------------------------------------------------
@@ -645,24 +570,29 @@ def sweep_points(cfg: ExperimentConfig) -> list:
 def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     """Evaluate every sweep point and return the result table.
 
-    When the mode omits a side, the corresponding columns are left empty
-    (None).  `on_row` is called with each finished SweepRow, for progress
-    reporting.
+    lambda1 is |dSNR/de_1|, the slope against the direct-link offset, and
+    lambda2 is |sum_b dSNR/de_b| over the relay branches, the slope when
+    every relay offset moves together (|dSNR/de_2| with one relay).  When
+    the mode omits a side, the corresponding columns are left empty
+    (None), as are the slopes at an infinite SNR.  `on_row` is called with
+    each finished SweepRow, for progress reporting.
     """
     points = sweep_points(cfg)
     rows = []
     with closing(_empirical_results(cfg, points)) as empirical_results:
         for point, empirical in zip(points, empirical_results):
-            breakdown = point_analytical(cfg, point)
-            lams = point_sensitivities(cfg, point) if cfg.mode != "simulate" else None
+            analytical = slopes = None
+            if cfg.mode != "simulate":
+                analytical = analytical_snr(point_inputs(cfg, point)[0])
+                slopes = analytical.slopes
             row = SweepRow(
                 eps1=point.direct_cfo,
                 eps2=point.relay_cfos[0],
-                analytical_db=breakdown.snr_db if cfg.mode != "simulate" else None,
+                analytical_db=analytical.snr_db if analytical is not None else None,
                 empirical_db=empirical.snr_db if empirical is not None else None,
                 stderr_db=empirical.stderr_db if empirical is not None else None,
-                lambda1=lams.lambda1 if isinstance(lams, SensitivityPair) else None,
-                lambda2=lams.lambda2 if isinstance(lams, SensitivityPair) else None,
+                lambda1=abs(slopes[0]) if slopes is not None else None,
+                lambda2=abs(sum(slopes[1:])) if slopes is not None else None,
                 trials=cfg.trials if empirical is not None else 0,
                 seed=cfg.master_seed,
             )
@@ -697,22 +627,6 @@ def write_csv(rows, path) -> None:
 
 def with_overrides(cfg: ExperimentConfig, *, mode=None, trials=None,
                    master_seed=None, workers=None) -> ExperimentConfig:
-    """Copy a config with CLI-style overrides applied."""
-    updates = {}
-    if mode is not None:
-        if mode not in MODES:
-            raise ConfigValueError(f"mode must be one of {MODES}, got {mode!r}")
-        updates["mode"] = mode
-    if trials is not None:
-        if trials < 1:
-            raise ConfigValueError(f"trials must be >= 1, got {trials}")
-        updates["trials"] = trials
-    if master_seed is not None:
-        if not 0 <= master_seed < 2 ** 64:
-            raise ConfigValueError("master_seed must be a 64-bit unsigned integer")
-        updates["master_seed"] = master_seed
-    if workers is not None:
-        if workers < 1:
-            raise ConfigValueError(f"workers must be >= 1, got {workers}")
-        updates["workers"] = workers
-    return replace(cfg, **updates) if updates else cfg
+    """Copy a config with the CLI-style overrides that are not None applied."""
+    updates = dict(mode=mode, trials=trials, master_seed=master_seed, workers=workers)
+    return replace(cfg, **{k: v for k, v in updates.items() if v is not None})

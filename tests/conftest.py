@@ -2,9 +2,13 @@
 
 These helpers deliberately avoid the code paths they are used to check:
 `dft_direct` is a plain double loop, `circular_convolve` a direct cyclic
-sum, and `ici_reference` assembles a received spectrum from the
-closed-form leakage coefficients instead of running the waveform pipeline.
+sum, `ici_reference` assembles a received spectrum from the closed-form
+leakage coefficients instead of running the waveform pipeline, and
+`paper_snr`/`paper_snr_upa` write the paper's single-relay SNR out term
+by term with the `math` module alone.
 """
+import math
+
 import numpy as np
 
 from afrelay.transforms import cfo_spectrum
@@ -71,3 +75,56 @@ def ici_reference(symbols, freq_resp, eps, scale=1.0):
 def cgauss(rng, shape, var=1.0):
     """Circularly-symmetric complex Gaussian samples of the given variance."""
     return np.sqrt(var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _dirichlet_gain(eps, n):
+    e = abs(eps)
+    if e == 0.0:
+        return 1.0
+    return math.sin(math.pi * e) / (n * math.sin(math.pi * e / n))
+
+
+def paper_snr(*, direct_gain_var, hop1_gain_var, hop2_gain_var, symbol_power,
+              direct_noise_var, relay_noise_var, dest_noise_var, cfo_direct,
+              cfo_relay, rho, n_subcarriers):
+    """The paper's single-relay closed form as (num, den, num / den):
+
+        num = f^2(e1) s_H1 s_X + rho^2 f^2(e2) s_H2 s_H3 s_X
+        den = (1-f^2(e1)) s_H1 s_X + rho^2 (1-f^2(e2)) s_H2 s_H3 s_X
+              + s_Z1 + rho^2 s_Z2 + s_Z3
+    """
+    f1 = _dirichlet_gain(cfo_direct, n_subcarriers)
+    f2 = _dirichlet_gain(cfo_relay, n_subcarriers)
+    a_direct = direct_gain_var * symbol_power
+    a_relay = rho ** 2 * hop1_gain_var * hop2_gain_var * symbol_power
+    num = f1 ** 2 * a_direct + f2 ** 2 * a_relay
+    den = (
+        (1.0 - f1 ** 2) * a_direct
+        + (1.0 - f2 ** 2) * a_relay
+        + direct_noise_var
+        + rho ** 2 * relay_noise_var
+        + dest_noise_var
+    )
+    return num, den, num / den
+
+
+def paper_snr_upa(*, direct_gain_var, hop1_gain_var, hop2_gain_var, symbol_power,
+                  direct_noise_var, relay_noise_var, dest_noise_var, cfo_direct,
+                  cfo_relay, rho, n_subcarriers):
+    """`paper_snr` in the high-power uniform-allocation limit, written with
+    rho^2 = 1/hop1_gain_var already substituted: the relay branch weight
+    collapses to hop2_gain_var * symbol_power and the amplified relay noise
+    to relay_noise_var / hop1_gain_var.  rho is ignored."""
+    f1 = _dirichlet_gain(cfo_direct, n_subcarriers)
+    f2 = _dirichlet_gain(cfo_relay, n_subcarriers)
+    a_direct = direct_gain_var * symbol_power
+    a_relay = hop2_gain_var * symbol_power
+    num = f1 ** 2 * a_direct + f2 ** 2 * a_relay
+    den = (
+        (1.0 - f1 ** 2) * a_direct
+        + (1.0 - f2 ** 2) * a_relay
+        + direct_noise_var
+        + relay_noise_var / hop1_gain_var
+        + dest_noise_var
+    )
+    return num, den, num / den

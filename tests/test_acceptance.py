@@ -7,18 +7,10 @@ import copy
 import functools
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
-from afrelay.analysis import (
-    analytical_snr,
-    analytical_snr_upa,
-    multi_relay_snr,
-    sensitivities,
-    single_relay_topology,
-    upa_asymptotic_stats,
-)
+from afrelay.analysis import LinkStats, analytical_snr
 from afrelay.channel import frequency_response, uniform_profile
 from afrelay.harness import (
     PRESETS,
@@ -37,9 +29,9 @@ from afrelay.relay import (
     simulate_relay_branch,
 )
 from afrelay.transforms import cfo_spectrum, dirichlet_gain
-from conftest import cgauss, ici_reference
+from conftest import cgauss, ici_reference, paper_snr, paper_snr_upa
 
-from test_analysis import BASE, random_stats
+from test_analysis import BASE, lambdas, random_stats, single_relay, upa_limit
 
 
 def criterion(label):
@@ -138,7 +130,7 @@ def test_c4_maximality_monotonicity_evenness():
     surface = np.array(
         [
             [
-                analytical_snr(replace(BASE, cfo_direct=e1, cfo_relay=e2)).snr_linear
+                analytical_snr(single_relay(BASE, cfo_direct=e1, cfo_relay=e2)).snr_linear
                 for e2 in grid
             ]
             for e1 in grid
@@ -149,14 +141,14 @@ def test_c4_maximality_monotonicity_evenness():
     assert np.sum(surface == surface.max()) == 1, "maximum is not unique"
 
     axis = np.linspace(0.0, 0.45, 10)
-    down1 = [analytical_snr(replace(BASE, cfo_direct=e)).snr_linear for e in axis]
-    down2 = [analytical_snr(replace(BASE, cfo_relay=e)).snr_linear for e in axis]
+    down1 = [analytical_snr(single_relay(BASE, cfo_direct=e)).snr_linear for e in axis]
+    down2 = [analytical_snr(single_relay(BASE, cfo_relay=e)).snr_linear for e in axis]
     assert np.all(np.diff(down1) < 0) and np.all(np.diff(down2) < 0), "not strictly decreasing"
 
     for e1, e2 in ((0.23, 0.37), (0.05, 0.41)):
-        ref = analytical_snr(replace(BASE, cfo_direct=e1, cfo_relay=e2)).snr_linear
-        assert analytical_snr(replace(BASE, cfo_direct=-e1, cfo_relay=e2)).snr_linear == ref
-        assert analytical_snr(replace(BASE, cfo_direct=e1, cfo_relay=-e2)).snr_linear == ref
+        ref = analytical_snr(single_relay(BASE, cfo_direct=e1, cfo_relay=e2)).snr_linear
+        assert analytical_snr(single_relay(BASE, cfo_direct=-e1, cfo_relay=e2)).snr_linear == ref
+        assert analytical_snr(single_relay(BASE, cfo_direct=e1, cfo_relay=-e2)).snr_linear == ref
     return "unique peak at (0,0) on a 21x21 grid, strictly decreasing on each axis, even (exact)"
 
 
@@ -166,23 +158,21 @@ def test_c5_sensitivities():
     worst = 0.0
     for _ in range(50):
         stats = random_stats(rng)
-        pair = sensitivities(stats, "chain_rule")
+        pair = lambdas(single_relay(stats))
         h = 1e-6
-        for attr, lam in (("cfo_direct", pair.lambda1), ("cfo_relay", pair.lambda2)):
-            base_val = getattr(stats, attr)
-            up = analytical_snr(replace(stats, **{attr: base_val + h})).snr_linear
-            down = analytical_snr(replace(stats, **{attr: base_val - h})).snr_linear
+        for attr, lam in zip(("cfo_direct", "cfo_relay"), pair):
+            base_val = stats[attr]
+            up = analytical_snr(single_relay(stats, **{attr: base_val + h})).snr_linear
+            down = analytical_snr(single_relay(stats, **{attr: base_val - h})).snr_linear
             fd = abs(up - down) / (2 * h)
             worst = max(worst, abs(lam - fd) / fd)
     assert worst < 1e-6, f"worst relative error vs finite differences {worst:.2e} >= 1e-6"
 
-    stats = upa_asymptotic_stats(replace(BASE, cfo_direct=0.2, cfo_relay=0.2))
-    for variant in ("chain_rule", "simplified"):
-        pair = sensitivities(stats, variant)
-        assert pair.lambda2 / pair.lambda1 == 4.0, f"{variant} ratio != 4 exactly"
+    lambda1, lambda2 = lambdas(single_relay(upa_limit(BASE, cfo_direct=0.2, cfo_relay=0.2)))
+    assert lambda2 / lambda1 == 4.0, "ratio != 4 exactly"
     return (
         f"50 random stats, worst FD relative error {worst:.2e} (< 1e-6); "
-        "relay/direct slope ratio exactly 4 under asymptotic UPA, both variants"
+        "relay/direct slope ratio exactly 4 under asymptotic UPA"
     )
 
 
@@ -191,11 +181,11 @@ def test_c6_high_snr_degradation_trend():
     scales = (1.0, 0.1, 0.01)
     analytic_gaps = []
     for t in scales:
-        stats = replace(
+        stats = dict(
             BASE, direct_noise_var=0.1 * t, relay_noise_var=0.1 * t, dest_noise_var=0.1 * t
         )
-        at_zero = analytical_snr(stats).snr_db
-        at_point = analytical_snr(replace(stats, cfo_direct=0.2, cfo_relay=0.2)).snr_db
+        at_zero = analytical_snr(single_relay(stats)).snr_db
+        at_point = analytical_snr(single_relay(stats, cfo_direct=0.2, cfo_relay=0.2)).snr_db
         analytic_gaps.append(at_zero - at_point)
     assert analytic_gaps[0] <= analytic_gaps[1] <= analytic_gaps[2], (
         f"analytic gaps not non-decreasing: {analytic_gaps}"
@@ -230,17 +220,14 @@ def test_c7_multi_relay_reduction():
     worst = 0.0
     for _ in range(100):
         stats = random_stats(rng)
-        lhs = multi_relay_snr(single_relay_topology(stats)).snr_linear
-        rhs = analytical_snr(stats).snr_linear
+        lhs = analytical_snr(single_relay(stats)).snr_linear
+        _, _, rhs = paper_snr(**stats)
         worst = max(worst, abs(lhs - rhs) / rhs)
     assert worst < 1e-12, f"worst M=1 reduction error {worst:.2e} >= 1e-12"
 
-    from afrelay.analysis import DirectStats, TopologyStats
-
-    topo = TopologyStats(DirectStats(2.0, 0.3, 0.4), (), symbol_power=1.5, n_subcarriers=64)
     f = dirichlet_gain(0.3, 64)
     expected = (f ** 2 * 2.0 * 1.5) / ((1 - f ** 2) * 2.0 * 1.5 + 0.4)
-    got = multi_relay_snr(topo).snr_linear
+    got = analytical_snr(LinkStats(64, (2.0 * 1.5,), (0.3,), (0.4,))).snr_linear
     assert abs(got - expected) / expected < 1e-14, "M=0 does not reduce to point-to-point"
     return f"M=1 equals the single-relay form (worst {worst:.2e} < 1e-12); M=0 is point-to-point"
 
@@ -255,8 +242,8 @@ def test_c8_upa_limit_and_substitution():
     worst = 0.0
     for _ in range(100):
         stats = random_stats(rng)
-        lhs = analytical_snr_upa(stats).snr_linear
-        rhs = analytical_snr(upa_asymptotic_stats(stats)).snr_linear
+        _, _, lhs = paper_snr_upa(**stats)
+        rhs = analytical_snr(single_relay(upa_limit(stats))).snr_linear
         worst = max(worst, abs(lhs - rhs) / rhs)
     assert worst < 1e-12, f"worst substitution error {worst:.2e} >= 1e-12"
     return f"|rho - limit| = {err:.2e} (< 1e-6); substitution error {worst:.2e} (< 1e-12)"

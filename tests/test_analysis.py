@@ -1,24 +1,17 @@
 """Closed-form SNR expressions, sensitivities, and reductions."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from afrelay.analysis import (
-    BranchStats,
-    DirectStats,
-    LinkStats,
-    TopologyStats,
-    analytical_snr,
-    analytical_snr_upa,
-    multi_relay_snr,
-    sensitivities,
-    single_relay_topology,
-    upa_asymptotic_stats,
-)
+from afrelay.analysis import LinkStats, analytical_snr
+from afrelay.relay import RelayGainConfig, gain_factor
+from afrelay.transforms import dirichlet_gain
+from conftest import paper_snr, paper_snr_upa
 
-BASE = LinkStats(
+# Single-relay topologies are written in the paper's per-link quantities and
+# mapped to the two-branch LinkStats by `single_relay`.
+BASE = dict(
     direct_gain_var=1.0,
     hop1_gain_var=1.0,
     hop2_gain_var=4.0,
@@ -39,9 +32,38 @@ NUM_HALF_OFFSET = 4.40536612458319
 DEN_HALF_OFFSET = 0.894633875416807
 
 
-def random_stats(rng, n=64, eps_lo=0.05, eps_hi=0.4):
-    sign = lambda: rng.choice([-1.0, 1.0])
+def single_relay(fields, **updates) -> LinkStats:
+    """LinkStats of the single-relay topology given in BASE's fields:
+    branch 0 the direct link, branch 1 the relay."""
+    f = {**fields, **updates}
+    rho_sq = f["rho"] ** 2
     return LinkStats(
+        n_subcarriers=f["n_subcarriers"],
+        branch_powers=(
+            f["direct_gain_var"] * f["symbol_power"],
+            rho_sq * f["hop1_gain_var"] * f["hop2_gain_var"] * f["symbol_power"],
+        ),
+        cfos=(f["cfo_direct"], f["cfo_relay"]),
+        noise_vars=(f["direct_noise_var"], f["dest_noise_var"] + rho_sq * f["relay_noise_var"]),
+    )
+
+
+def upa_limit(fields, **updates) -> dict:
+    """The same fields with rho at its high-power uniform-allocation limit."""
+    f = {**fields, **updates}
+    rho = gain_factor(RelayGainConfig(mode="upa_asymptotic"), f["hop1_gain_var"], 0.0)
+    return {**f, "rho": rho}
+
+
+def lambdas(stats: LinkStats):
+    """Absolute slopes against the direct and the relay offset."""
+    slopes = analytical_snr(stats).slopes
+    return abs(slopes[0]), abs(slopes[1])
+
+
+def random_stats(rng, n=64, eps_lo=0.05, eps_hi=0.4) -> dict:
+    sign = lambda: rng.choice([-1.0, 1.0])
+    return dict(
         direct_gain_var=rng.uniform(0.3, 3.0),
         hop1_gain_var=rng.uniform(0.3, 3.0),
         hop2_gain_var=rng.uniform(0.3, 6.0),
@@ -59,7 +81,7 @@ def random_stats(rng, n=64, eps_lo=0.05, eps_hi=0.4):
 # ------------------------------------------------------------- single relay SNR
 
 def test_snr_hand_value_at_zero_offsets():
-    out = analytical_snr(BASE)
+    out = analytical_snr(single_relay(BASE))
     assert out.num == pytest.approx(5.0, abs=1e-15)
     assert out.den == pytest.approx(0.3, abs=1e-15)
     assert out.snr_linear == pytest.approx(5.0 / 0.3, rel=1e-14)
@@ -67,54 +89,66 @@ def test_snr_hand_value_at_zero_offsets():
 
 
 def test_snr_hand_value_at_half_offset():
-    out = analytical_snr(replace(BASE, cfo_direct=0.5))
+    out = analytical_snr(single_relay(BASE, cfo_direct=0.5))
     assert out.num == pytest.approx(NUM_HALF_OFFSET, rel=1e-13)
     assert out.den == pytest.approx(DEN_HALF_OFFSET, rel=1e-13)
     assert out.snr_linear == pytest.approx(SNR_HALF_OFFSET, rel=1e-13)
 
 
 def test_snr_maximized_only_at_zero_offsets():
-    best = analytical_snr(BASE).snr_linear
+    best = analytical_snr(single_relay(BASE)).snr_linear
     rng = np.random.default_rng(0)
     for _ in range(100):
         e1, e2 = rng.uniform(-0.45, 0.45, 2)
         if e1 == 0.0 and e2 == 0.0:
             continue
-        value = analytical_snr(replace(BASE, cfo_direct=e1, cfo_relay=e2)).snr_linear
+        value = analytical_snr(single_relay(BASE, cfo_direct=e1, cfo_relay=e2)).snr_linear
         assert value < best
 
 
 def test_snr_decreases_along_each_axis():
     grid = np.linspace(0.0, 0.45, 10)
-    along_direct = [analytical_snr(replace(BASE, cfo_direct=e)).snr_linear for e in grid]
-    along_relay = [analytical_snr(replace(BASE, cfo_relay=e)).snr_linear for e in grid]
+    along_direct = [analytical_snr(single_relay(BASE, cfo_direct=e)).snr_linear for e in grid]
+    along_relay = [analytical_snr(single_relay(BASE, cfo_relay=e)).snr_linear for e in grid]
     assert np.all(np.diff(along_direct) < 0)
     assert np.all(np.diff(along_relay) < 0)
 
 
 def test_snr_even_in_each_offset():
-    stats = replace(BASE, cfo_direct=0.23, cfo_relay=0.37)
-    ref = analytical_snr(stats).snr_linear
-    assert analytical_snr(replace(stats, cfo_direct=-0.23)).snr_linear == ref
-    assert analytical_snr(replace(stats, cfo_relay=-0.37)).snr_linear == ref
+    stats = dict(BASE, cfo_direct=0.23, cfo_relay=0.37)
+    ref = analytical_snr(single_relay(stats)).snr_linear
+    assert analytical_snr(single_relay(stats, cfo_direct=-0.23)).snr_linear == ref
+    assert analytical_snr(single_relay(stats, cfo_relay=-0.37)).snr_linear == ref
 
 
 def test_noise_free_zero_offset_returns_infinity_sentinel():
-    stats = replace(BASE, direct_noise_var=0.0, relay_noise_var=0.0, dest_noise_var=0.0)
+    stats = single_relay(BASE, direct_noise_var=0.0, relay_noise_var=0.0, dest_noise_var=0.0)
     out = analytical_snr(stats)
     assert out.den == 0.0
     assert math.isinf(out.snr_linear) and math.isinf(out.snr_db)
+    assert out.slopes is None
 
 
 def test_stats_validation():
     with pytest.raises(ValueError):
-        replace(BASE, direct_gain_var=0.0)
+        single_relay(BASE, direct_gain_var=0.0)
     with pytest.raises(ValueError):
-        replace(BASE, direct_noise_var=-0.1)
+        single_relay(BASE, direct_noise_var=-0.1)
     with pytest.raises(ValueError):
-        replace(BASE, cfo_direct=0.6)
+        single_relay(BASE, cfo_direct=0.6)
     with pytest.raises(ValueError):
-        replace(BASE, rho=0.0)
+        single_relay(BASE, rho=0.0)
+
+
+def test_stats_need_one_entry_per_branch_and_two_subcarriers():
+    with pytest.raises(ValueError, match="one entry per branch"):
+        LinkStats(64, (1.0, 4.0), (0.0,), (0.1, 0.2))
+    with pytest.raises(ValueError, match="one entry per branch"):
+        LinkStats(64, (), (), ())
+    with pytest.raises(ValueError, match="subcarrier"):
+        LinkStats(1, (1.0,), (0.0,), (0.1,))
+    with pytest.raises(ValueError):
+        LinkStats(64, (1.0, math.nan), (0.0, 0.1), (0.1, 0.1))
 
 
 def test_degradation_grows_as_noise_shrinks():
@@ -122,14 +156,14 @@ def test_degradation_grows_as_noise_shrinks():
     # as every noise variance scales down
     gaps = []
     for t in (1.0, 0.1, 0.01):
-        scaled = replace(
+        scaled = dict(
             BASE,
             direct_noise_var=0.1 * t,
             relay_noise_var=0.1 * t,
             dest_noise_var=0.1 * t,
         )
-        at_zero = analytical_snr(scaled).snr_db
-        at_offset = analytical_snr(replace(scaled, cfo_direct=0.2, cfo_relay=0.2)).snr_db
+        at_zero = analytical_snr(single_relay(scaled)).snr_db
+        at_offset = analytical_snr(single_relay(scaled, cfo_direct=0.2, cfo_relay=0.2)).snr_db
         gaps.append(at_zero - at_offset)
     assert gaps[0] <= gaps[1] <= gaps[2]
 
@@ -140,113 +174,84 @@ def test_upa_form_equals_substituted_general_form():
     rng = np.random.default_rng(1)
     for _ in range(100):
         stats = random_stats(rng)
-        via_upa = analytical_snr_upa(stats)
-        via_substitution = analytical_snr(upa_asymptotic_stats(stats))
-        assert via_upa.snr_linear == pytest.approx(via_substitution.snr_linear, rel=1e-12)
+        _, _, via_upa = paper_snr_upa(**stats)
+        via_substitution = analytical_snr(single_relay(upa_limit(stats)))
+        assert via_upa == pytest.approx(via_substitution.snr_linear, rel=1e-12)
 
 
 def test_upa_zero_offset_reduction():
-    stats = replace(
+    stats = dict(
         BASE, direct_noise_var=0.1, relay_noise_var=0.2, dest_noise_var=0.3
     )  # hop1_gain_var = 1, so the amplified relay noise stays 0.2
-    out = analytical_snr_upa(stats)
+    out = analytical_snr(single_relay(upa_limit(stats)))
     assert out.snr_linear == pytest.approx((1.0 + 4.0) / (0.1 + 0.2 + 0.3), rel=1e-14)
 
 
 def test_upa_relay_branch_dominates_numerator_by_power_ratio():
-    stats = replace(BASE, cfo_direct=0.3, cfo_relay=0.3)
-    out = analytical_snr_upa(stats)
+    out = analytical_snr(single_relay(upa_limit(BASE, cfo_direct=0.3, cfo_relay=0.3)))
     f_sq = out.num / (1.0 + 4.0)  # common squared gain factor at equal offsets
     assert out.num == pytest.approx(f_sq * 1.0 + 4.0 * f_sq, rel=1e-14)
 
 
 def test_upa_pins_rho_at_inverse_root_first_hop_power():
-    stats = replace(BASE, hop1_gain_var=2.0, rho=17.0)  # rho is ignored by the limit form
-    pinned = upa_asymptotic_stats(stats)
-    assert pinned.rho == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-    assert analytical_snr_upa(stats).snr_linear == pytest.approx(
-        analytical_snr(pinned).snr_linear, rel=1e-12
+    stats = dict(BASE, hop1_gain_var=2.0, rho=17.0)  # rho is ignored by the limit form
+    pinned = upa_limit(stats)
+    assert pinned["rho"] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+    assert paper_snr_upa(**stats)[2] == pytest.approx(
+        analytical_snr(single_relay(pinned)).snr_linear, rel=1e-12
     )
 
 
 # ---------------------------------------------------------------- sensitivities
 
 def finite_difference_slopes(stats, h=1e-6):
-    d1 = (
-        analytical_snr(replace(stats, cfo_direct=stats.cfo_direct + h)).snr_linear
-        - analytical_snr(replace(stats, cfo_direct=stats.cfo_direct - h)).snr_linear
-    ) / (2 * h)
-    d2 = (
-        analytical_snr(replace(stats, cfo_relay=stats.cfo_relay + h)).snr_linear
-        - analytical_snr(replace(stats, cfo_relay=stats.cfo_relay - h)).snr_linear
-    ) / (2 * h)
+    def snr(**updates):
+        return analytical_snr(single_relay(stats, **updates)).snr_linear
+
+    d1 = (snr(cfo_direct=stats["cfo_direct"] + h) - snr(cfo_direct=stats["cfo_direct"] - h)) / (2 * h)
+    d2 = (snr(cfo_relay=stats["cfo_relay"] + h) - snr(cfo_relay=stats["cfo_relay"] - h)) / (2 * h)
     return abs(d1), abs(d2)
 
 
-@pytest.mark.parametrize("variant", ["chain_rule", "simplified"])
-def test_sensitivities_vanish_at_zero_offsets(variant):
-    pair = sensitivities(BASE, variant)
-    assert pair.lambda1 == 0.0 and pair.lambda2 == 0.0
+def test_sensitivities_vanish_at_zero_offsets():
+    lambda1, lambda2 = lambdas(single_relay(BASE))
+    assert lambda1 == 0.0 and lambda2 == 0.0
 
 
 def test_chain_rule_matches_finite_differences_at_fixed_point():
-    stats = replace(BASE, cfo_direct=0.2, cfo_relay=0.1)
-    pair = sensitivities(stats, "chain_rule")
+    stats = dict(BASE, cfo_direct=0.2, cfo_relay=0.1)
+    lambda1, lambda2 = lambdas(single_relay(stats))
     fd1, fd2 = finite_difference_slopes(stats)
-    assert abs(pair.lambda1 - fd1) / fd1 < 1e-6
-    assert abs(pair.lambda2 - fd2) / fd2 < 1e-6
+    assert abs(lambda1 - fd1) / fd1 < 1e-6
+    assert abs(lambda2 - fd2) / fd2 < 1e-6
 
 
 def test_chain_rule_matches_finite_differences_on_random_stats():
     rng = np.random.default_rng(2)
     for _ in range(50):
         stats = random_stats(rng)
-        pair = sensitivities(stats, "chain_rule")
+        lambda1, lambda2 = lambdas(single_relay(stats))
         fd1, fd2 = finite_difference_slopes(stats)
-        assert abs(pair.lambda1 - fd1) / fd1 < 1e-6
-        assert abs(pair.lambda2 - fd2) / fd2 < 1e-6
+        assert abs(lambda1 - fd1) / fd1 < 1e-6
+        assert abs(lambda2 - fd2) / fd2 < 1e-6
 
 
-@pytest.mark.parametrize("variant", ["chain_rule", "simplified"])
-def test_sensitivity_ratio_is_exactly_the_power_ratio(variant):
+def test_slopes_carry_the_sign_of_the_offset():
+    slopes = analytical_snr(single_relay(BASE, cfo_direct=0.2, cfo_relay=-0.1)).slopes
+    assert slopes[0] < 0.0 < slopes[1]
+
+
+def test_sensitivity_ratio_is_exactly_the_power_ratio():
     # equal offsets, high-power uniform allocation, second hop at 4x the
     # direct link's power: the relay slope is exactly 4x the direct slope
-    stats = upa_asymptotic_stats(replace(BASE, cfo_direct=0.2, cfo_relay=0.2))
-    pair = sensitivities(stats, variant)
-    assert pair.lambda2 / pair.lambda1 == 4.0
-
-
-def test_simplified_variant_drops_the_gain_factor():
-    stats = replace(BASE, cfo_direct=0.3, cfo_relay=0.2)
-    chain = sensitivities(stats, "chain_rule")
-    simplified = sensitivities(stats, "simplified")
-    from afrelay.transforms import dirichlet_gain
-
-    assert chain.lambda1 == pytest.approx(
-        simplified.lambda1 * dirichlet_gain(0.3, 64), rel=1e-14
-    )
-    assert chain.lambda2 == pytest.approx(
-        simplified.lambda2 * dirichlet_gain(0.2, 64), rel=1e-14
-    )
-
-
-def test_unknown_variant_rejected():
-    with pytest.raises(ValueError):
-        sensitivities(BASE, "exact")
+    lambda1, lambda2 = lambdas(single_relay(upa_limit(BASE, cfo_direct=0.2, cfo_relay=0.2)))
+    assert lambda2 / lambda1 == 4.0
 
 
 # ------------------------------------------------------------------ multi relay
 
 def test_empty_branch_list_reduces_to_point_to_point():
-    topo = TopologyStats(
-        direct=DirectStats(gain_var=2.0, cfo=0.3, noise_var=0.4),
-        branches=(),
-        symbol_power=1.5,
-        n_subcarriers=64,
-    )
-    out = multi_relay_snr(topo)
-    from afrelay.transforms import dirichlet_gain
-
+    out = analytical_snr(LinkStats(64, (2.0 * 1.5,), (0.3,), (0.4,)))
     f = dirichlet_gain(0.3, 64)
     expected = (f ** 2 * 2.0 * 1.5) / ((1 - f ** 2) * 2.0 * 1.5 + 0.4)
     assert out.snr_linear == pytest.approx(expected, rel=1e-14)
@@ -256,25 +261,22 @@ def test_single_branch_reduces_to_single_relay_formula():
     rng = np.random.default_rng(3)
     for _ in range(100):
         stats = random_stats(rng)
-        direct_form = analytical_snr(stats)
-        topo_form = multi_relay_snr(single_relay_topology(stats))
-        assert topo_form.snr_linear == pytest.approx(direct_form.snr_linear, rel=1e-12)
-        assert topo_form.num == pytest.approx(direct_form.num, rel=1e-12)
-        assert topo_form.den == pytest.approx(direct_form.den, rel=1e-12)
+        num, den, snr = paper_snr(**stats)
+        out = analytical_snr(single_relay(stats))
+        assert out.snr_linear == pytest.approx(snr, rel=1e-12)
+        assert out.num == pytest.approx(num, rel=1e-12)
+        assert out.den == pytest.approx(den, rel=1e-12)
 
 
 def test_duplicate_branch_doubles_branch_contributions():
-    branch = BranchStats(
-        hop1_gain_var=1.0,
-        hop2_gain_var=4.0,
-        cfo=0.25,
-        rho=0.9,
-        relay_noise_var=0.1,
-        dest_noise_var=0.2,
-    )
-    direct = DirectStats(gain_var=1.0, cfo=0.1, noise_var=0.1)
-    one = multi_relay_snr(TopologyStats(direct, (branch,), 1.0, 64))
-    two = multi_relay_snr(TopologyStats(direct, (branch, branch), 1.0, 64))
-    none = multi_relay_snr(TopologyStats(direct, (), 1.0, 64))
+    # direct link and one relay branch: rho = 0.9, hops 1 and 4, offset 0.25,
+    # relay noise 0.1 amplified by rho^2, destination noise 0.2
+    relay = (0.9 ** 2 * 1.0 * 4.0, 0.25, 0.2 + 0.9 ** 2 * 0.1)
+
+    def with_relays(m):
+        branches = [(1.0, 0.1, 0.1)] + [relay] * m
+        return analytical_snr(LinkStats(64, *(tuple(col) for col in zip(*branches))))
+
+    none, one, two = with_relays(0), with_relays(1), with_relays(2)
     assert two.num - none.num == pytest.approx(2.0 * (one.num - none.num), rel=1e-14)
     assert two.den - none.den == pytest.approx(2.0 * (one.den - none.den), rel=1e-14)

@@ -87,6 +87,10 @@ def test_config_errors_exit_with_config_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
     assert "surprise" in capsys.readouterr().err
 
+    bad.write_text(json.dumps({**SMALL, "ofdm": 5}))
+    assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+    assert "ofdm must be an object" in capsys.readouterr().err
+
 
 def test_runtime_errors_exit_with_runtime_code(config_path, tmp_path, capsys):
     rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path)])

@@ -3,6 +3,8 @@ import copy
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,8 @@ TINY = {
     "master_seed": 777,
     "mode": "both",
 }
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def tiny_config(**updates):
@@ -142,8 +146,29 @@ def test_value_invariants_reported_with_key_names():
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("section", ["ofdm", "direct", "sweep"])
+def test_non_object_section_rejected(section):
+    raw = copy.deepcopy(TINY)
+    raw[section] = 5
+    with pytest.raises(ConfigValueError, match=f"{section} must be an object"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('"noise_var": 0.1', '"noise_var": NaN', "direct.noise_var"),
+    ('"noise_scales": [1.0]', '"noise_scales": [Infinity]', "config.noise_scales[0]"),
+    ('"noise_var": 0.1', '"noise_var": 1' + "0" * 400, "direct.noise_var"),
+], ids=["nan", "infinity", "huge_integer"])
+def test_non_finite_numbers_rejected_with_key_names(tmp_path, old, new, key):
+    # Python's json reads NaN, Infinity and integers beyond the float range
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(TINY).replace(old, new))
+    with pytest.raises(ConfigValueError, match=re.escape(f"{key} must be finite")):
+        load_config(path)
+
+
 def test_presets_all_valid():
-    for name in PRESETS:
+    for name in [*PRESETS, EXAMPLES / "cfo_surface.json"]:
         cfg = load_config(name)
         assert cfg.trials >= 1
 
@@ -223,6 +248,34 @@ def test_stderr_shrinks_like_inverse_root_trials():
         stderr[trials] = emp.stderr_db
     assert stderr[500] / stderr[2000] == pytest.approx(2.0, rel=0.2)
     assert stderr[2000] / stderr[8000] == pytest.approx(2.0, rel=0.2)
+
+
+def test_multi_relay_sensitivities_match_finite_differences():
+    # two relays at offsets of opposite signs, swept on the direct offset;
+    # lambda2 is the slope when both relay offsets shift together
+    raw = copy.deepcopy(TINY)
+    raw["relays"] = [copy.deepcopy(raw["relays"][0]), copy.deepcopy(raw["relays"][0])]
+    raw["relays"][0]["cfo"] = 0.2
+    raw["relays"][1]["cfo"] = -0.35
+    raw["relays"][1]["hop2_profile"] = {"kind": "uniform", "n_taps": 2, "power": 2.0}
+    raw["sweep"] = {"axis": "eps1", "grid": [-0.3, 0.1, 0.25]}
+    raw["mode"] = "analytical"
+    h = 1e-6
+
+    def snr(raw, eps1=0.0, shift=0.0):
+        shifted = copy.deepcopy(raw)
+        shifted["sweep"]["grid"] = [g + eps1 for g in raw["sweep"]["grid"]]
+        for relay in shifted["relays"]:
+            relay["cfo"] += shift
+        return np.array([10.0 ** (r.analytical_db / 10.0)
+                         for r in run_sweep(config_from_dict(shifted))])
+
+    rows = run_sweep(config_from_dict(raw))
+    fd1 = np.abs(snr(raw, eps1=h) - snr(raw, eps1=-h)) / (2 * h)
+    fd2 = np.abs(snr(raw, shift=h) - snr(raw, shift=-h)) / (2 * h)
+    for row, d1, d2 in zip(rows, fd1, fd2):
+        assert abs(row.lambda1 - d1) / d1 < 1e-6
+        assert abs(row.lambda2 - d2) / d2 < 1e-6
 
 
 def test_multi_relay_point_matches_multi_branch_closed_form():
