@@ -28,7 +28,7 @@ from .harness import (
     load_config,
     run_point,
     run_sweep,
-    sweep_points,
+    sweep_offsets,
     write_csv,
 )
 from .ofdm import OfdmParams, draw_symbols, modulate, remove_cp

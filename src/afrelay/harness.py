@@ -5,9 +5,10 @@ profiles, noise variances, relay gain rule) plus a CFO sweep: which offset
 axis moves, the grid it moves over, and the noise scalings at which the
 sweep repeats.  `run_sweep` evaluates the closed-form SNR and/or the
 Monte-Carlo estimate at every point and returns rows ready for `write_csv`.
-`point_inputs` is the one builder that turns a config and a sweep point
-into both sides' inputs: the closed form's `LinkStats` and the
-simulator's direct and relay paths.
+`point_inputs` is the one builder that turns a config and P sweep points
+into both sides' inputs: the closed form's `LinkStats` with a leading
+point axis, evaluated once per sweep, and, only when the mode simulates,
+each point's direct and relay paths.
 
 Noise convention: configured noise variances are per received frequency
 bin, the same quantities the closed-form SNR consumes.  The simulator
@@ -29,7 +30,7 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from itertools import islice
+from itertools import islice, repeat
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -233,32 +234,36 @@ def _as_int(value, key: str, context: str) -> int:
     return value
 
 
+# Keys of each profile kind; `power` is the profile's total power.
+PROFILE_KEYS = {
+    "flat": {"kind", "power"},
+    "uniform": {"kind", "n_taps", "power"},
+    "exponential": {"kind", "n_taps", "power", "decay"},
+}
+
+
 def _parse_profile(raw, context: str) -> PowerDelayProfile:
     if not isinstance(raw, dict):
         raise ConfigValueError(f"{context} must be an object, got {raw!r}")
     kind = _require(raw, "kind", context)
+    if kind not in list(PROFILE_KEYS):  # a list compares unhashable values too
+        raise ConfigValueError(f"{context}.kind must be one of {list(PROFILE_KEYS)}, got {kind!r}")
+    _check_keys(raw, PROFILE_KEYS[kind], context)
+    power = _as_number(_require(raw, "power", context), "power", context)
+    # every link is a closed-form branch, whose coherent power must be > 0
+    if power <= 0:
+        raise ConfigValueError(f"{context}: total power must be > 0, got {power!r}")
     try:
         if kind == "flat":
-            _check_keys(raw, {"kind", "power"}, context)
-            return flat_profile(_as_number(_require(raw, "power", context), "power", context))
+            return flat_profile(power)
+        n_taps = _as_int(_require(raw, "n_taps", context), "n_taps", context)
         if kind == "uniform":
-            _check_keys(raw, {"kind", "n_taps", "power"}, context)
-            return uniform_profile(
-                _as_int(_require(raw, "n_taps", context), "n_taps", context),
-                _as_number(_require(raw, "power", context), "power", context),
-            )
-        if kind == "exponential":
-            _check_keys(raw, {"kind", "n_taps", "power", "decay"}, context)
-            return exponential_profile(
-                _as_int(_require(raw, "n_taps", context), "n_taps", context),
-                _as_number(_require(raw, "power", context), "power", context),
-                _as_number(raw.get("decay", 1.0), "decay", context),
-            )
+            return uniform_profile(n_taps, power)
+        return exponential_profile(
+            n_taps, power, _as_number(raw.get("decay", 1.0), "decay", context)
+        )
     except ValueError as exc:
         raise ConfigValueError(f"{context}: {exc}") from exc
-    raise ConfigValueError(
-        f"{context}.kind must be one of ['flat', 'uniform', 'exponential'], got {kind!r}"
-    )
 
 
 def _parse_gain(raw, context: str) -> RelayGainConfig:
@@ -427,31 +432,41 @@ def config_digest(cfg: ExperimentConfig) -> str:
 # --------------------------------------------------------------------------
 # point evaluation
 
-def point_inputs(cfg: ExperimentConfig, point: PointAssignment):
-    """Closed-form statistics and simulator paths of one sweep point.
+def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
+    """Closed-form statistics of P points, given as `sweep_offsets` returns
+    them, and their simulator paths when the mode simulates.
 
-    Returns (LinkStats, DirectPath, list of RelayPath).  Each relay gain is
-    resolved once, at the point's noise scaling; LinkStats carries per-bin
-    noise and the paths per-sample noise (var * scale / N).
+    Returns (LinkStats with a leading point axis, [(DirectPath, [RelayPath])]
+    per point or None).  Each relay gain is resolved once per noise scaling;
+    LinkStats carries per-bin noise, the paths per-sample noise (var * scale / N).
     """
-    n = cfg.ofdm.n_subcarriers
-    sx = cfg.ofdm.symbol_power
-    scale = point.noise_scale
-    powers = [cfg.direct_profile.total_power * sx]
-    noise = [cfg.direct_noise_var * scale]
-    direct = DirectPath(cfg.direct_profile, point.direct_cfo, cfg.direct_noise_var * scale / n)
-    relays = []
-    for s, eps in zip(cfg.relays, point.relay_cfos):
-        hop1 = s.hop1_profile.total_power
-        relay_nv, dest_nv = s.relay_noise_var * scale, s.dest_noise_var * scale
-        rho = gain_factor(s.gain, hop1, relay_nv)
-        powers.append(rho ** 2 * hop1 * s.hop2_profile.total_power * sx)
-        noise.append(dest_nv + rho ** 2 * relay_nv)
-        relays.append(RelayPath(
-            s.hop1_profile, s.hop2_profile, eps, rho, relay_nv / n, dest_nv / n
+    n, sx = cfg.ofdm.n_subcarriers, cfg.ofdm.symbol_power
+    levels, level_of = np.unique(scales, return_inverse=True)
+    levels = levels.tolist()
+    gains, branches = [], []  # per noise scaling: relay gains, (power, noise) per branch
+    for scale in levels:
+        rhos = [gain_factor(s.gain, s.hop1_profile.total_power, s.relay_noise_var * scale)
+                for s in cfg.relays]
+        gains.append(rhos)
+        branches.append([(cfg.direct_profile.total_power * sx, cfg.direct_noise_var * scale)] + [
+            (rho ** 2 * s.hop1_profile.total_power * s.hop2_profile.total_power * sx,
+             s.dest_noise_var * scale + rho ** 2 * (s.relay_noise_var * scale))
+            for s, rho in zip(cfg.relays, rhos)
+        ])
+    branches = np.array(branches)[level_of]
+    stats = LinkStats(n, branches[..., 0], cfos, branches[..., 1])
+    if cfg.mode == "analytical":
+        return stats, None
+    paths = []
+    for eps, level in zip(cfos.tolist(), level_of.tolist()):
+        scale = levels[level]
+        paths.append((
+            DirectPath(cfg.direct_profile, eps[0], cfg.direct_noise_var * scale / n),
+            [RelayPath(s.hop1_profile, s.hop2_profile, e, rho,
+                       s.relay_noise_var * scale / n, s.dest_noise_var * scale / n)
+             for s, e, rho in zip(cfg.relays, eps[1:], gains[level])],
         ))
-    stats = LinkStats(n, tuple(powers), (point.direct_cfo, *point.relay_cfos), tuple(noise))
-    return stats, direct, relays
+    return stats, paths
 
 
 def block_size(params: OfdmParams) -> int:
@@ -474,37 +489,31 @@ def _simulate_blocks(task):
     return np.concatenate(sig), np.concatenate(res)
 
 
-def _block_tasks(cfg: ExperimentConfig, point: PointAssignment) -> list:
-    """Split one point's blocks into at most `workers` contiguous ranges,
-    each carrying the point's simulator paths."""
-    _, direct, relays = point_inputs(cfg, point)
+def _empirical_results(cfg: ExperimentConfig, paths):
+    """Yield the EmpiricalSnr of each point's simulator paths in order, or
+    None without end when paths is None.
+
+    Each point's blocks split into at most `workers` contiguous ranges.
+    With workers > 1 one process pool serves every point: all ranges are
+    submitted up front and each point's per-trial powers are reassembled
+    in trial order, so the result does not depend on workers.
+    """
+    if paths is None:
+        yield from repeat(None)
+        return
     blocks = -(-cfg.trials // block_size(cfg.ofdm))
     parts = min(cfg.workers, blocks)
     edges = [i * blocks // parts for i in range(parts + 1)]
-    return [(cfg, direct, relays, a, b) for a, b in zip(edges, edges[1:])]
-
-
-def _empirical_results(cfg: ExperimentConfig, points):
-    """Yield the EmpiricalSnr of each point in order, or None per point
-    when the mode does not simulate.
-
-    With workers > 1 one process pool serves every point: all block ranges
-    are submitted up front and each point's per-trial powers are
-    reassembled in trial order, so the result does not depend on workers.
-    """
-    if cfg.mode not in ("simulate", "both"):
-        yield from (None for _ in points)
-        return
-    tasks = [_block_tasks(cfg, point) for point in points]
-    flat = [task for point_tasks in tasks for task in point_tasks]
+    tasks = [(cfg, direct, relays, a, b)
+             for direct, relays in paths for a, b in zip(edges, edges[1:])]
     pool = None
-    if cfg.workers > 1 and len(flat) > 1:
-        pool = ProcessPoolExecutor(max_workers=min(cfg.workers, len(flat)),
+    if cfg.workers > 1 and len(tasks) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks)),
                                    mp_context=multiprocessing.get_context("spawn"))
     try:
-        results = (pool.map if pool else map)(_simulate_blocks, flat)
-        for point_tasks in tasks:
-            sig, res = zip(*islice(results, len(point_tasks)))
+        results = (pool.map if pool else map)(_simulate_blocks, tasks)
+        for _ in paths:
+            sig, res = zip(*islice(results, parts))
             yield _aggregate_trials(np.concatenate(sig), np.concatenate(res), cfg)
     finally:
         if pool is not None:
@@ -545,54 +554,63 @@ def run_point(cfg: ExperimentConfig, point: PointAssignment):
     Returns (EmpiricalSnr or None, SnrBreakdown); the empirical half runs
     only when the config mode asks for simulation.
     """
-    (empirical,) = _empirical_results(cfg, [point])
-    return empirical, analytical_snr(point_inputs(cfg, point)[0])
+    cfos = np.array([(point.direct_cfo, *point.relay_cfos)])
+    stats, paths = point_inputs(cfg, cfos, np.array([point.noise_scale]))
+    with closing(_empirical_results(cfg, paths)) as empirical:
+        return next(empirical), analytical_snr(stats.point(0))
 
 
 # --------------------------------------------------------------------------
 # sweeps
 
-def sweep_points(cfg: ExperimentConfig) -> list:
-    """Point assignments in output order: noise scales outer, grid inner."""
-    configured = tuple(s.cfo for s in cfg.relays)
-    points = []
-    for scale in cfg.noise_scales:
-        for g in cfg.sweep_grid:
-            if cfg.sweep_axis == "eps1":
-                points.append(PointAssignment(g, configured, scale))
-            elif cfg.sweep_axis == "eps2":
-                points.append(PointAssignment(cfg.direct_cfo, (g,) * len(cfg.relays), scale))
-            else:  # both_equal
-                points.append(PointAssignment(g, (g,) * len(cfg.relays), scale))
-    return points
+def sweep_offsets(cfg: ExperimentConfig):
+    """Offsets, a (P, M + 1) array with the direct link first, and noise
+    scalings of the P sweep points in output order: noise scales outer,
+    grid inner."""
+    grid = np.array(cfg.sweep_grid)[:, None]
+    configured = [cfg.direct_cfo, *(s.cfo for s in cfg.relays)]
+    moved = [cfg.sweep_axis != "eps2"] + [cfg.sweep_axis != "eps1"] * len(cfg.relays)
+    cfos = np.where(moved, grid, configured)
+    return np.tile(cfos, (len(cfg.noise_scales), 1)), np.repeat(cfg.noise_scales, grid.size)
 
 
 def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
-    """Evaluate every sweep point and return the result table.
+    """Evaluate every sweep point, the closed form once over all of them,
+    and return the result table.
 
     lambda1 is |dSNR/de_1|, the slope against the direct-link offset, and
     lambda2 is |sum_b dSNR/de_b| over the relay branches, the slope when
     every relay offset moves together (|dSNR/de_2| with one relay).  When
     the mode omits a side, the corresponding columns are left empty
     (None), as are the slopes at an infinite SNR.  `on_row` is called with
-    each finished SweepRow, for progress reporting.
+    each finished SweepRow in order, for progress reporting.
     """
-    points = sweep_points(cfg)
+    cfos, scales = sweep_offsets(cfg)
+    stats, paths = point_inputs(cfg, cfos, scales)
+    analytical = lambda1 = lambda2 = repeat(None)
+    if cfg.mode != "simulate":
+        snr = analytical_snr(stats)
+        analytical = snr.snr_db.tolist()
+        # relay slopes added in branch order, as `sum` does at one point
+        lambda1, lambda2 = (np.where(snr.den == 0.0, None, np.abs(slope)).tolist()
+                            for slope in (snr.slopes[:, 0], sum(snr.slopes.T[1:])))
+    # each noise scaling repeats the grid's offsets; repeating the list lets
+    # the rows share its float objects rather than hold one copy per row
+    grid = len(cfg.sweep_grid)
+    direct, relay = (cfos[:grid, b].tolist() * len(cfg.noise_scales) for b in (0, 1))
     rows = []
-    with closing(_empirical_results(cfg, points)) as empirical_results:
-        for point, empirical in zip(points, empirical_results):
-            analytical = slopes = None
-            if cfg.mode != "simulate":
-                analytical = analytical_snr(point_inputs(cfg, point)[0])
-                slopes = analytical.slopes
+    with closing(_empirical_results(cfg, paths)) as empirical_results:
+        for eps1, eps2, db, l1, l2, empirical in zip(
+            direct, relay, analytical, lambda1, lambda2, empirical_results
+        ):
             row = SweepRow(
-                eps1=point.direct_cfo,
-                eps2=point.relay_cfos[0],
-                analytical_db=analytical.snr_db if analytical is not None else None,
+                eps1=eps1,
+                eps2=eps2,
+                analytical_db=db,
                 empirical_db=empirical.snr_db if empirical is not None else None,
                 stderr_db=empirical.stderr_db if empirical is not None else None,
-                lambda1=abs(slopes[0]) if slopes is not None else None,
-                lambda2=abs(sum(slopes[1:])) if slopes is not None else None,
+                lambda1=l1,
+                lambda2=l2,
                 trials=cfg.trials if empirical is not None else 0,
                 seed=cfg.master_seed,
             )

@@ -51,35 +51,41 @@ def idft(spectrum) -> np.ndarray:
     return np.fft.ifft(_as_signal(spectrum, "spectrum"), axis=-1)
 
 
-def dirichlet_gain(eps: float, n: int) -> float:
+def dirichlet_gain(eps, n: int) -> float | np.ndarray:
     """Amplitude kept on the intended subcarrier under a fractional CFO.
 
     f(eps) = sin(pi*eps) / (n sin(pi*eps/n)); f(0) = 1, even in eps,
     strictly decreasing in |eps| on [0, 0.5].  Computed on |eps| so the
-    even symmetry is exact.
+    even symmetry is exact.  Elementwise; a scalar offset is evaluated as
+    a one-element array, so it agrees bitwise with array elements, and
+    gives a float.
     """
     if n < 2:
         raise ValueError(f"subcarrier count must be >= 2, got {n}")
-    e = abs(float(eps))
-    if np.pi * e / n < _SINGULAR_ARG:
-        return 1.0
-    return float(np.sin(np.pi * e) / (n * np.sin(np.pi * e / n)))
+    e = np.abs(np.atleast_1d(np.asarray(eps, dtype=np.float64)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.where(np.pi * e / n < _SINGULAR_ARG, 1.0,
+                        np.sin(np.pi * e) / (n * np.sin(np.pi * e / n)))
+    return float(gain[0]) if np.ndim(eps) == 0 else gain
 
 
-def dirichlet_gain_derivative(eps: float, n: int) -> float:
+def dirichlet_gain_derivative(eps, n: int) -> float | np.ndarray:
     """Analytic derivative of `dirichlet_gain` with respect to eps.
 
     Near the removable singularity at eps = 0 the leading-order expansion
     -(pi^2 eps / 3)(1 - 1/n^2) is used, which gives exactly 0 at eps = 0.
+    Elementwise, like `dirichlet_gain`.
     """
     if n < 2:
         raise ValueError(f"subcarrier count must be >= 2, got {n}")
-    e = float(eps)
-    if abs(np.pi * e / n) < _SINGULAR_ARG:
-        return -(np.pi ** 2) * e * (1.0 - 1.0 / n ** 2) / 3.0
+    e = np.atleast_1d(np.asarray(eps, dtype=np.float64))
     s, c = np.sin(np.pi * e), np.cos(np.pi * e)
     sn, cn = np.sin(np.pi * e / n), np.cos(np.pi * e / n)
-    return float(np.pi * (n * c * sn - s * cn) / (n * sn) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(np.abs(np.pi * e / n) < _SINGULAR_ARG,
+                         -(np.pi ** 2) * e * (1.0 - 1.0 / n ** 2) / 3.0,
+                         np.pi * (n * c * sn - s * cn) / (n * sn) ** 2)
+    return float(slope[0]) if np.ndim(eps) == 0 else slope
 
 
 def cfo_spectrum(eps: float, k: int, n: int) -> complex:

@@ -280,3 +280,79 @@ def test_duplicate_branch_doubles_branch_contributions():
     none, one, two = with_relays(0), with_relays(1), with_relays(2)
     assert two.num - none.num == pytest.approx(2.0 * (one.num - none.num), rel=1e-14)
     assert two.den - none.den == pytest.approx(2.0 * (one.den - none.den), rel=1e-14)
+
+
+# ------------------------------------------------------------ point axis
+
+def random_branches(rng, points, branches):
+    """Random (points, branches) stats with offsets covering the edges."""
+    eps = rng.uniform(-0.5, 0.5, (points, branches))
+    eps[0, :] = 0.0
+    eps[1, ::2] = 0.5
+    return LinkStats(
+        64,
+        rng.uniform(0.1, 5.0, (points, branches)),
+        eps,
+        rng.uniform(0.0, 0.5, (points, branches)),
+    )
+
+
+def test_point_axis_equals_one_point_evaluations():
+    stats = random_branches(np.random.default_rng(4), 40, 3)
+    batch = analytical_snr(stats)
+    assert batch.slopes.shape == (40, 3)
+    for i in range(40):
+        one = analytical_snr(stats.point(i))
+        assert type(one.snr_db) is float and type(one.slopes) is tuple
+        assert (one.num, one.den, one.snr_linear, one.snr_db) == (
+            batch.num[i], batch.den[i], batch.snr_linear[i], batch.snr_db[i])
+        assert one.slopes == tuple(batch.slopes[i])
+
+
+@pytest.mark.parametrize("branches", [1, 2, 8, 11, 17])
+def test_branches_are_summed_in_branch_order(branches):
+    # one addition after another in branch order, bitwise, for any branch
+    # count (a pairwise sum would round differently from 8 terms on)
+    stats = random_branches(np.random.default_rng(branches), 30, branches)
+    out = analytical_snr(stats)
+    for i in range(30):
+        num = den = 0.0
+        for a, e, s in zip(stats.branch_powers[i], stats.cfos[i], stats.noise_vars[i]):
+            f = dirichlet_gain(e, 64)
+            num += f * f * a
+            den += (1.0 - f * f) * a + s
+        assert (out.num[i], out.den[i]) == (num, den)
+
+
+def test_point_axis_sentinel_is_per_point():
+    rng = np.random.default_rng(5)
+    stats = random_branches(rng, 6, 3)
+    silent = LinkStats(64, stats.branch_powers, stats.cfos, np.zeros((6, 3)))
+    out = analytical_snr(silent)
+    assert out.den[0] == 0.0 and out.snr_linear[0] == out.snr_db[0] == math.inf
+    assert np.all(np.isnan(out.slopes[0]))
+    assert np.all(np.isfinite(out.snr_db[1:])) and np.all(np.isfinite(out.slopes[1:]))
+    assert analytical_snr(silent.point(0)).slopes is None
+
+
+def test_point_axis_stats_validation():
+    stats = random_branches(np.random.default_rng(6), 4, 2)
+    good = (stats.branch_powers, stats.cfos, stats.noise_vars)
+    for field, bad, message in [
+        (0, -1.0, "branch_powers must be > 0"),
+        (0, math.nan, "branch_powers must be > 0"),
+        (2, -0.1, "noise_vars must be >= 0"),
+        (2, math.nan, "noise_vars must be >= 0"),
+        (1, 0.6, r"cfos must lie in \[-0.5, 0.5\]"),
+        (1, math.nan, r"cfos must lie in \[-0.5, 0.5\]"),
+    ]:
+        fields = [np.array(f) for f in good]
+        fields[field][3, 1] = bad
+        with pytest.raises(ValueError, match=message):
+            LinkStats(64, *fields)
+    with pytest.raises(ValueError, match="one entry per branch"):
+        LinkStats(64, stats.branch_powers, stats.cfos[:, :1], stats.noise_vars)
+    with pytest.raises(ValueError, match="one entry per branch"):
+        LinkStats(64, *(np.zeros((4, 0)),) * 3)
+    with pytest.raises(ValueError, match="one entry per branch"):
+        LinkStats(64, *(f[None] for f in good))

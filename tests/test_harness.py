@@ -22,10 +22,12 @@ from afrelay.harness import (
     load_config,
     run_point,
     run_sweep,
-    sweep_points,
+    sweep_offsets,
     with_overrides,
     write_csv,
 )
+from afrelay.relay import gain_factor
+from conftest import paper_snr
 
 TINY = {
     "ofdm": {"n_subcarriers": 64, "cp_len": 16, "constellation": "qpsk", "symbol_power": 1.0},
@@ -143,6 +145,26 @@ def test_value_invariants_reported_with_key_names():
     raw = copy.deepcopy(TINY)
     raw["sweep"]["axis"] = "eps3"
     with pytest.raises(ConfigValueError, match="eps3"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("where", [
+    ("direct", "profile"), ("relays", 0, "hop1_profile"), ("relays", 0, "hop2_profile"),
+], ids=["direct", "hop1", "hop2"])
+@pytest.mark.parametrize("profile", [
+    {"kind": "flat", "power": 0.0},
+    {"kind": "uniform", "n_taps": 3, "power": 0.0},
+    {"kind": "exponential", "n_taps": 2, "power": 0.0},
+], ids=["flat", "uniform", "exponential"])
+def test_zero_power_profile_rejected(where, profile):
+    # every link is a closed-form branch, which needs a positive power
+    raw = copy.deepcopy(TINY)
+    *parents, key = where
+    section = raw
+    for name in parents:
+        section = section[name]
+    section[key] = profile
+    with pytest.raises(ConfigValueError, match="total power must be > 0"):
         config_from_dict(raw)
 
 
@@ -290,6 +312,115 @@ def test_multi_relay_point_matches_multi_branch_closed_form():
     assert gap < max(0.3, 3.0 * empirical.stderr_db)
 
 
+# ------------------------------------------------- one closed form per sweep
+
+def three_relay_raw(axis):
+    """Three relays with mixed gain modes and profiles, swept on `axis`
+    over several noise scalings, analytical only."""
+    raw = copy.deepcopy(TINY)
+    relay = raw["relays"][0]
+    raw["relays"] = [
+        {**relay, "cfo": 0.15, "gain": {"mode": "fixed", "rho": 0.7}},
+        {**relay, "cfo": -0.3, "relay_noise_var": 0.05,
+         "hop2_profile": {"kind": "uniform", "n_taps": 2, "power": 2.0},
+         "gain": {"mode": "general", "source_power": 1.5, "relay_power": 2.5}},
+        {**relay, "cfo": 0.42, "dest_noise_var": 0.3,
+         "hop1_profile": {"kind": "exponential", "n_taps": 3, "power": 0.8, "decay": 2.0},
+         "gain": {"mode": "upa_asymptotic"}},
+    ]
+    raw["direct"]["cfo"] = -0.05
+    raw["sweep"] = {"axis": axis, "grid": [-0.45, -0.2, 0.0, 0.1, 0.33, 0.45]}
+    raw["noise_scales"] = [1.0, 0.1, 1e-3]
+    raw["mode"] = "analytical"
+    return raw
+
+
+def sweep_points(cfg):
+    """Every sweep point as the PointAssignment `run_point` takes."""
+    cfos, scales = sweep_offsets(cfg)
+    return [PointAssignment(eps[0], tuple(eps[1:]), scale)
+            for eps, scale in zip(cfos.tolist(), scales.tolist())]
+
+
+def one_point_columns(cfg, point):
+    """analytical_db, lambda1 and lambda2 of one point evaluated alone."""
+    _, snr = run_point(cfg, point)
+    if snr.slopes is None:
+        return snr.snr_db, None, None
+    return snr.snr_db, abs(snr.slopes[0]), abs(sum(snr.slopes[1:]))
+
+
+@pytest.mark.parametrize("axis", ["eps1", "eps2", "both_equal"])
+def test_sweep_rows_equal_one_point_evaluations(axis, monkeypatch):
+    calls = []
+
+    def counting_gain_factor(*args):
+        calls.append(args)
+        return gain_factor(*args)
+
+    monkeypatch.setattr(harness, "gain_factor", counting_gain_factor)
+    cfg = config_from_dict(three_relay_raw(axis))
+    rows = run_sweep(cfg)
+    assert len(calls) == len(cfg.noise_scales) * len(cfg.relays)  # once per scale and relay
+    points = sweep_points(cfg)
+    assert len(rows) == len(points) == 18
+    for row, point in zip(rows, points):
+        assert (row.eps1, row.eps2) == (point.direct_cfo, point.relay_cfos[0])
+        assert (row.analytical_db, row.lambda1, row.lambda2) == one_point_columns(cfg, point)
+
+
+@pytest.mark.parametrize("axis", ["eps1", "eps2", "both_equal"])
+def test_single_relay_sweep_matches_paper_formula(axis):
+    raw = three_relay_raw(axis)
+    raw["relays"] = raw["relays"][1:2]  # the general-gain relay
+    cfg = config_from_dict(raw)
+    (spec,) = cfg.relays
+    for row, point in zip(run_sweep(cfg), sweep_points(cfg)):
+        scale = point.noise_scale
+        _, _, snr = paper_snr(
+            direct_gain_var=cfg.direct_profile.total_power,
+            hop1_gain_var=spec.hop1_profile.total_power,
+            hop2_gain_var=spec.hop2_profile.total_power,
+            symbol_power=cfg.ofdm.symbol_power,
+            direct_noise_var=cfg.direct_noise_var * scale,
+            relay_noise_var=spec.relay_noise_var * scale,
+            dest_noise_var=spec.dest_noise_var * scale,
+            cfo_direct=point.direct_cfo,
+            cfo_relay=point.relay_cfos[0],
+            rho=gain_factor(spec.gain, spec.hop1_profile.total_power,
+                            spec.relay_noise_var * scale),
+            n_subcarriers=cfg.ofdm.n_subcarriers,
+        )
+        assert row.analytical_db == pytest.approx(10.0 * math.log10(snr), rel=1e-12)
+
+
+def test_noise_free_sweep_is_infinite_only_at_zero_offsets():
+    raw = three_relay_raw("both_equal")
+    raw["direct"]["noise_var"] = 0.0
+    for relay in raw["relays"]:
+        relay["relay_noise_var"] = relay["dest_noise_var"] = 0.0
+    cfg = config_from_dict(raw)
+    rows = run_sweep(cfg)
+    for row, point in zip(rows, sweep_points(cfg)):
+        if row.eps1 == 0.0:
+            assert row.analytical_db == math.inf
+            assert row.lambda1 is None and row.lambda2 is None
+        else:
+            assert math.isfinite(row.analytical_db)
+            assert row.lambda1 > 0.0 and row.lambda2 > 0.0
+        assert (row.analytical_db, row.lambda1, row.lambda2) == one_point_columns(cfg, point)
+    assert sum(row.analytical_db == math.inf for row in rows) == len(cfg.noise_scales)
+
+
+def test_analytical_sweep_builds_no_simulator_paths(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulator path built for an analytical sweep")
+
+    monkeypatch.setattr(harness, "DirectPath", refuse)
+    monkeypatch.setattr(harness, "RelayPath", refuse)
+    assert len(run_sweep(config_from_dict(three_relay_raw("eps2")))) == 18
+
+
 # ------------------------------------------------------------------- run_sweep
 
 def test_analytical_sweep_is_fast_and_has_empty_empirical_columns():
@@ -322,9 +453,9 @@ def test_sweep_rows_ordered_noise_scale_outer_grid_inner():
     raw["noise_scales"] = [1.0, 0.1]
     raw["mode"] = "analytical"
     cfg = config_from_dict(raw)
-    points = sweep_points(cfg)
-    assert [p.noise_scale for p in points] == [1.0, 1.0, 0.1, 0.1]
-    assert [p.relay_cfos[0] for p in points] == [0.0, 0.2, 0.0, 0.2]
+    cfos, scales = sweep_offsets(cfg)
+    assert scales.tolist() == [1.0, 1.0, 0.1, 0.1]
+    assert cfos[:, 1].tolist() == [0.0, 0.2, 0.0, 0.2]
 
 
 def test_simulate_mode_leaves_analytical_columns_empty():

@@ -218,6 +218,40 @@ def test_derivative_finite_difference_property(eps, n):
     assert abs(exact - approx) / abs(approx) < 1e-6
 
 
+# ---------------------------------------------------- elementwise over arrays
+
+def offsets(n):
+    """Offsets in [-0.5, 0.5] weighted towards the edge cases: inside the
+    singular band |eps| < 1e-9 n / pi, exactly 0, and exactly +-0.5."""
+    band = 1e-9 * n / np.pi
+    return st.one_of(
+        st.floats(-0.5, 0.5),
+        st.floats(-band, band),
+        st.sampled_from([0.0, -0.0, 0.5, -0.5, band, -band]),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 7, 12, 64, 100, 1000]).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(offsets(n), min_size=1, max_size=20))))
+def test_array_call_equals_scalar_calls_bitwise(case):
+    n, eps = case
+    arr = np.array(eps)
+    gains = dirichlet_gain(arr, n)
+    slopes = dirichlet_gain_derivative(arr, n)
+    assert gains.shape == slopes.shape == arr.shape
+    for i, e in enumerate(eps):
+        g, d = dirichlet_gain(e, n), dirichlet_gain_derivative(e, n)
+        assert type(g) is float and type(d) is float
+        assert gains[i] == g and slopes[i] == d
+        assert dirichlet_gain(-e, n) == g
+        assert dirichlet_gain_derivative(-e, n) == -d
+    # a (points, branches) block is the same elementwise map
+    block = np.array([eps, [-e for e in eps]])
+    assert np.array_equal(dirichlet_gain(block, n), np.array([gains, gains]))
+    assert np.array_equal(dirichlet_gain_derivative(block, n), np.array([slopes, -slopes]))
+
+
 # ------------------------------------------------------------- leakage spectrum
 
 def test_leakage_no_offset_no_leakage():
