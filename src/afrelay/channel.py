@@ -118,7 +118,10 @@ def apply_channel(samples, taps, params: OfdmParams) -> np.ndarray:
 
     Linear convolution truncated to the input length; provided the cyclic
     prefix covers the channel memory, the prefix-free body then equals the
-    cyclic convolution of the body with the zero-padded taps.
+    cyclic convolution of the body with the zero-padded taps.  A memory
+    beyond the prefix is rejected, since that identity fails there; links
+    are held to the stricter `require_isi_free` by the config loader and
+    the engine.
     """
     samples = require_extended(samples, params)
     taps = np.asarray(taps, dtype=np.complex128)
@@ -142,6 +145,43 @@ def apply_cfo(samples, eps: float, params: OfdmParams) -> np.ndarray:
     return samples * np.exp(2j * np.pi * eps * offsets / params.n_subcarriers)
 
 
+def require_isi_free(cp_len: int, hop_taps, link: str) -> None:
+    """The inter-symbol interference rule for a link of one or more hops.
+
+    The cyclic prefix must hold at least as many samples as the link's hops
+    have taps in total: cp_len >= L for the direct link and cp_len >= L1+L2
+    for a relay.  The rule is conservative: the true channel memory is
+    L - 1 and L1 + L2 - 2 samples.  `link` names the link in the message.
+    """
+    need = sum(hop_taps)
+    if cp_len < need:
+        raise ValueError(
+            f"inter-symbol interference: {link} has {'+'.join(map(str, hop_taps))} taps "
+            f"but the cyclic prefix holds {cp_len} samples; the rule is cp_len >= {need}"
+        )
+
+
+def standard_noise(shape, rng: np.random.Generator) -> np.ndarray:
+    """Unit-variance circularly-symmetric complex normals of `shape`.
+
+    Not yet scaled to a variance: one real block then one imaginary block
+    of standard normals.
+    """
+    noise = np.empty(shape, dtype=np.complex128)
+    noise.real = rng.standard_normal(shape)
+    noise.imag = rng.standard_normal(shape)
+    return noise
+
+
+def add_noise(samples, noise: np.ndarray, noise_var: float) -> np.ndarray:
+    """Add `standard_noise` scaled to variance noise_var per sample."""
+    if noise_var < 0:
+        raise ValueError(f"noise variance must be >= 0, got {noise_var}")
+    out = noise * np.sqrt(noise_var / 2.0)
+    out += samples
+    return out
+
+
 def add_awgn(samples, noise_var: float, rng: np.random.Generator) -> np.ndarray:
     """Add circularly-symmetric white Gaussian noise, variance per sample.
 
@@ -149,12 +189,5 @@ def add_awgn(samples, noise_var: float, rng: np.random.Generator) -> np.ndarray:
     drawn, even at noise_var = 0, so random streams stay aligned across
     runs that differ only in noise level.
     """
-    if noise_var < 0:
-        raise ValueError(f"noise variance must be >= 0, got {noise_var}")
     samples = np.asarray(samples, dtype=np.complex128)
-    noise = np.empty(samples.shape, dtype=np.complex128)
-    noise.real = rng.standard_normal(samples.shape)
-    noise.imag = rng.standard_normal(samples.shape)
-    noise *= np.sqrt(noise_var / 2.0)
-    noise += samples
-    return noise
+    return add_noise(samples, standard_noise(samples.shape, rng), noise_var)

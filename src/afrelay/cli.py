@@ -27,6 +27,9 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
+# Rows printed to stdout; the CSV holds them all.
+SUMMARY_ROWS = 20
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,10 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_summary(cfg, rows, elapsed: float) -> None:
+def _print_summary(cfg, rows, elapsed: float, out) -> None:
+    """Print the run's digest line and its first SUMMARY_ROWS rows."""
     print(f"config digest {config_digest(cfg)}  seed {cfg.master_seed}  "
           f"mode {cfg.mode}  wall time {elapsed:.2f} s")
-    for row in rows:
+    for row in rows[:SUMMARY_ROWS]:
         parts = [f"eps1={row.eps1:+.3f} eps2={row.eps2:+.3f}"]
         if row.analytical_db is not None:
             parts.append(f"analytical {row.analytical_db:8.3f} dB")
@@ -68,6 +72,8 @@ def _print_summary(cfg, rows, elapsed: float) -> None:
         if row.analytical_db is not None and row.empirical_db is not None:
             parts.append(f"gap {abs(row.empirical_db - row.analytical_db):6.3f} dB")
         print("  " + "  ".join(parts))
+    if len(rows) > SUMMARY_ROWS:
+        print(f"  ... {len(rows) - SUMMARY_ROWS} more rows in {out}")
 
 
 def _run_sweep_command(args, mode_override=None) -> int:
@@ -83,7 +89,7 @@ def _run_sweep_command(args, mode_override=None) -> int:
     rows = run_sweep(cfg)
     elapsed = time.perf_counter() - start
     write_csv(rows, args.out)
-    _print_summary(cfg, rows, elapsed)
+    _print_summary(cfg, rows, elapsed, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 

@@ -8,7 +8,8 @@ Monte-Carlo estimate at every point and returns rows ready for `write_csv`.
 `point_inputs` is the one builder that turns a config and P sweep points
 into both sides' inputs: the closed form's `LinkStats` with a leading
 point axis, evaluated once per sweep, and, only when the mode simulates,
-each point's direct and relay paths.
+the direct and relay paths with one offset, gain and noise variance per
+point, simulated once per sweep.
 
 Noise convention: configured noise variances are per received frequency
 bin, the same quantities the closed-form SNR consumes.  The simulator
@@ -19,8 +20,12 @@ Reproducibility: trials run in blocks of B = max(1, 8192 // (N + cp_len))
 (102 at N=64, 7 at N=1024), a size fixed by the numerology alone.  Block b
 covers trials [bB, (b+1)B), the last one possibly short, and draws from
 numpy's default_rng([master_seed, b]) in the order `simulate_block`
-documents.  Workers receive whole blocks and per-trial powers are reduced
-in trial order, so the result is bitwise independent of `workers`.
+documents.  The stream has no point index: every point of a sweep uses the
+same block streams (common random numbers), so the points' empirical
+columns are correlated.  Each block is drawn once per sweep and simulated
+at every point in one `simulate_block` call.  A pool task is a contiguous
+range of blocks covering every point; each point's per-trial powers are
+reduced in trial order, so the result is bitwise independent of `workers`.
 """
 from __future__ import annotations
 
@@ -29,15 +34,21 @@ import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
-from itertools import islice, repeat
+from itertools import repeat
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import LinkStats, analytical_snr
-from .channel import PowerDelayProfile, exponential_profile, flat_profile, uniform_profile
+from .channel import (
+    PowerDelayProfile,
+    exponential_profile,
+    flat_profile,
+    require_isi_free,
+    uniform_profile,
+)
 from .ofdm import OfdmParams
 from .relay import DirectPath, RelayGainConfig, RelayPath, gain_factor, simulate_block
 from .transforms import require_fractional_cfo
@@ -354,20 +365,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if any(s <= 0 for s in scales):
         raise ConfigValueError("noise_scales must be > 0")
 
-    # inter-symbol interference conditions, checked at load time
-    if ofdm.cp_len < direct_profile.n_taps:
-        raise ConfigValueError(
-            f"inter-symbol interference condition violated: cyclic prefix cp_len="
-            f"{ofdm.cp_len} is shorter than the direct channel's {direct_profile.n_taps} taps"
-        )
-    for i, spec in enumerate(relays):
-        need = spec.hop1_profile.n_taps + spec.hop2_profile.n_taps
-        if ofdm.cp_len < need:
-            raise ConfigValueError(
-                f"inter-symbol interference condition violated: cyclic prefix cp_len="
-                f"{ofdm.cp_len} is shorter than relays[{i}]'s combined "
-                f"{spec.hop1_profile.n_taps}+{spec.hop2_profile.n_taps} hop taps"
-            )
+    # the engine's inter-symbol interference rule, checked at load time
+    links = [("the direct channel", [direct_profile.n_taps])] + [
+        (f"relays[{i}]", [spec.hop1_profile.n_taps, spec.hop2_profile.n_taps])
+        for i, spec in enumerate(relays)
+    ]
+    for link, hop_taps in links:
+        try:
+            require_isi_free(ofdm.cp_len, hop_taps, link)
+        except ValueError as exc:
+            raise ConfigValueError(str(exc)) from exc
 
     return ExperimentConfig(
         ofdm=ofdm,
@@ -436,9 +443,10 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
     """Closed-form statistics of P points, given as `sweep_offsets` returns
     them, and their simulator paths when the mode simulates.
 
-    Returns (LinkStats with a leading point axis, [(DirectPath, [RelayPath])]
-    per point or None).  Each relay gain is resolved once per noise scaling;
-    LinkStats carries per-bin noise, the paths per-sample noise (var * scale / N).
+    Returns (LinkStats with a leading point axis, (DirectPath, [RelayPath])
+    whose offsets, gains and noise variances hold one value per point, or
+    None).  Each relay gain is resolved once per noise scaling; LinkStats
+    carries per-bin noise, the paths per-sample noise (var * scale / N).
     """
     n, sx = cfg.ofdm.n_subcarriers, cfg.ofdm.symbol_power
     levels, level_of = np.unique(scales, return_inverse=True)
@@ -457,16 +465,12 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
     stats = LinkStats(n, branches[..., 0], cfos, branches[..., 1])
     if cfg.mode == "analytical":
         return stats, None
-    paths = []
-    for eps, level in zip(cfos.tolist(), level_of.tolist()):
-        scale = levels[level]
-        paths.append((
-            DirectPath(cfg.direct_profile, eps[0], cfg.direct_noise_var * scale / n),
-            [RelayPath(s.hop1_profile, s.hop2_profile, e, rho,
-                       s.relay_noise_var * scale / n, s.dest_noise_var * scale / n)
-             for s, e, rho in zip(cfg.relays, eps[1:], gains[level])],
-        ))
-    return stats, paths
+    rhos = np.array(gains)[level_of]
+    direct = DirectPath(cfg.direct_profile, cfos[:, 0], cfg.direct_noise_var * scales / n)
+    relays = [RelayPath(s.hop1_profile, s.hop2_profile, cfos[:, i + 1], rhos[:, i],
+                        s.relay_noise_var * scales / n, s.dest_noise_var * scales / n)
+              for i, s in enumerate(cfg.relays)]
+    return stats, (direct, relays)
 
 
 def block_size(params: OfdmParams) -> int:
@@ -476,7 +480,8 @@ def block_size(params: OfdmParams) -> int:
 
 
 def _simulate_blocks(task):
-    """Per-trial (signal, residual) powers of blocks [first, stop) of one point."""
+    """Per-trial (signal, residual) powers, each (P, trials), of blocks
+    [first, stop) at every point."""
     cfg, direct, relays, first, stop = task
     size = block_size(cfg.ofdm)
     sig, res = [], []
@@ -486,38 +491,36 @@ def _simulate_blocks(task):
         outcome = simulate_block(cfg.ofdm, direct, relays, rng, trials)
         sig.append(outcome.signal_power)
         res.append(outcome.residual_power)
-    return np.concatenate(sig), np.concatenate(res)
+    return np.concatenate(sig, axis=-1), np.concatenate(res, axis=-1)
 
 
 def _empirical_results(cfg: ExperimentConfig, paths):
-    """Yield the EmpiricalSnr of each point's simulator paths in order, or
+    """The EmpiricalSnr of each point of the simulator paths, in order, or
     None without end when paths is None.
 
-    Each point's blocks split into at most `workers` contiguous ranges.
-    With workers > 1 one process pool serves every point: all ranges are
-    submitted up front and each point's per-trial powers are reassembled
-    in trial order, so the result does not depend on workers.
+    The blocks split into at most `workers` contiguous ranges, each
+    covering every point.  With workers > 1 one process pool runs the
+    ranges; each point's per-trial powers are reassembled in trial order,
+    so the result does not depend on workers.
     """
     if paths is None:
-        yield from repeat(None)
-        return
+        return repeat(None)
+    direct, relays = paths
     blocks = -(-cfg.trials // block_size(cfg.ofdm))
     parts = min(cfg.workers, blocks)
     edges = [i * blocks // parts for i in range(parts + 1)]
-    tasks = [(cfg, direct, relays, a, b)
-             for direct, relays in paths for a, b in zip(edges, edges[1:])]
+    tasks = [(cfg, direct, relays, a, b) for a, b in zip(edges, edges[1:])]
     pool = None
-    if cfg.workers > 1 and len(tasks) > 1:
-        pool = ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks)),
+    if parts > 1:
+        pool = ProcessPoolExecutor(max_workers=parts,
                                    mp_context=multiprocessing.get_context("spawn"))
     try:
-        results = (pool.map if pool else map)(_simulate_blocks, tasks)
-        for _ in paths:
-            sig, res = zip(*islice(results, parts))
-            yield _aggregate_trials(np.concatenate(sig), np.concatenate(res), cfg)
+        results = list((pool.map if pool else map)(_simulate_blocks, tasks))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    sig, res = (np.concatenate(part, axis=-1) for part in zip(*results))
+    return [_aggregate_trials(point_sig, point_res, cfg) for point_sig, point_res in zip(sig, res)]
 
 
 def _aggregate_trials(sig: np.ndarray, res: np.ndarray, cfg: ExperimentConfig) -> EmpiricalSnr:
@@ -556,8 +559,7 @@ def run_point(cfg: ExperimentConfig, point: PointAssignment):
     """
     cfos = np.array([(point.direct_cfo, *point.relay_cfos)])
     stats, paths = point_inputs(cfg, cfos, np.array([point.noise_scale]))
-    with closing(_empirical_results(cfg, paths)) as empirical:
-        return next(empirical), analytical_snr(stats.point(0))
+    return next(iter(_empirical_results(cfg, paths))), analytical_snr(stats.point(0))
 
 
 # --------------------------------------------------------------------------
@@ -583,7 +585,9 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     every relay offset moves together (|dSNR/de_2| with one relay).  When
     the mode omits a side, the corresponding columns are left empty
     (None), as are the slopes at an infinite SNR.  `on_row` is called with
-    each finished SweepRow in order, for progress reporting.
+    each finished SweepRow in order, for progress reporting; when the mode
+    simulates, every point finishes with the last trial block, so all rows
+    arrive after it.
     """
     cfos, scales = sweep_offsets(cfg)
     stats, paths = point_inputs(cfg, cfos, scales)
@@ -599,46 +603,49 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     grid = len(cfg.sweep_grid)
     direct, relay = (cfos[:grid, b].tolist() * len(cfg.noise_scales) for b in (0, 1))
     rows = []
-    with closing(_empirical_results(cfg, paths)) as empirical_results:
-        for eps1, eps2, db, l1, l2, empirical in zip(
-            direct, relay, analytical, lambda1, lambda2, empirical_results
-        ):
-            row = SweepRow(
-                eps1=eps1,
-                eps2=eps2,
-                analytical_db=db,
-                empirical_db=empirical.snr_db if empirical is not None else None,
-                stderr_db=empirical.stderr_db if empirical is not None else None,
-                lambda1=l1,
-                lambda2=l2,
-                trials=cfg.trials if empirical is not None else 0,
-                seed=cfg.master_seed,
-            )
-            rows.append(row)
-            if on_row is not None:
-                on_row(row)
+    for eps1, eps2, db, l1, l2, empirical in zip(
+        direct, relay, analytical, lambda1, lambda2, _empirical_results(cfg, paths)
+    ):
+        row = SweepRow(
+            eps1=eps1,
+            eps2=eps2,
+            analytical_db=db,
+            empirical_db=empirical.snr_db if empirical is not None else None,
+            stderr_db=empirical.stderr_db if empirical is not None else None,
+            lambda1=l1,
+            lambda2=l2,
+            trials=cfg.trials if empirical is not None else 0,
+            seed=cfg.master_seed,
+        )
+        rows.append(row)
+        if on_row is not None:
+            on_row(row)
     return rows
 
 
-def _format_field(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+_row_fields = attrgetter(*CSV_HEADER.split(","))
+
+
+def _line_format(types: tuple) -> str:
+    """The format string of a CSV line whose fields have these types:
+    9 significant digits for a float, empty for None, str() otherwise."""
+    fields = ("" if t is type(None) else f"{{{i}:.9g}}" if issubclass(t, float) else f"{{{i}}}"
+              for i, t in enumerate(types))
+    return ",".join(fields) + "\n"
 
 
 def write_csv(rows, path) -> None:
-    """Write sweep rows as UTF-8 CSV with the fixed column set."""
+    """Write sweep rows as UTF-8 CSV with the fixed column set, one
+    format call per row."""
+    formats = {}  # line format per tuple of field types
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
-            for r in rows:
-                fields = (
-                    r.eps1, r.eps2, r.analytical_db, r.empirical_db,
-                    r.stderr_db, r.lambda1, r.lambda2, r.trials, r.seed,
-                )
-                fh.write(",".join(_format_field(v) for v in fields) + "\n")
+            for fields in map(_row_fields, rows):
+                types = tuple(map(type, fields))
+                if types not in formats:
+                    formats[types] = _line_format(types)
+                fh.write(formats[types].format(*fields))
     except OSError as exc:
         raise RuntimeError(f"cannot write CSV to {path}: {exc}") from exc
 

@@ -22,12 +22,14 @@ import numpy as np
 
 from .channel import (
     PowerDelayProfile,
-    add_awgn,
+    add_noise,
     apply_cfo,
     apply_channel,
     draw_channel,
     frequency_response,
     linear_convolve,
+    require_isi_free,
+    standard_noise,
 )
 from .ofdm import OfdmParams, draw_symbols, modulate, remove_cp
 from .transforms import cfo_spectrum, dft
@@ -101,12 +103,53 @@ def gain_factor(cfg: RelayGainConfig, hop1_gain_var: float, relay_noise_var: flo
 class TrialOutcome:
     """Signal and interference-plus-noise powers per trial.
 
-    Arrays of shape (trials,) for a block, floats for `simulate_trial`.
+    Arrays of shape (trials,) for a one-point block, (P, trials) for a
+    block of P points, floats for `simulate_trial`.
     """
 
     signal_power: np.ndarray | float
     residual_power: np.ndarray | float
     subcarrier_count: int
+
+
+def _points(value, shape: tuple) -> list:
+    """A per-point path field as Python floats, one per point; a float
+    field is shared by every point."""
+    return np.broadcast_to(np.asarray(value, dtype=np.float64), shape or (1,)).tolist()
+
+
+def _received(x, hops, cfos, rhos, noise_vars, rng, params):
+    """One branch's received samples at each point, one point at a time.
+
+    `hops` holds the branch's tap realizations: one array for the direct
+    link, hop 1 and hop 2 for a relay, whose cascade is applied as one
+    channel.  The channel output is computed once, and each noise source's
+    normals are drawn once, in order, before the first point; all points
+    share them.  Point p then applies its CFO ramp, its gain rhos[p] (rhos
+    is None for the unamplified direct link) and, per noise source, its
+    variance noise_vars[source][p].  Consume every point of one branch
+    before the next branch draws.
+    """
+    counts = [np.shape(h)[-1] for h in hops]
+    require_isi_free(params.cp_len, counts, "the direct channel" if len(hops) == 1 else "the relay")
+    taps = hops[0] if len(hops) == 1 else linear_convolve(*hops, sum(counts) - 1)
+    faded = apply_channel(x, taps, params)
+    noises = [standard_noise(faded.shape, rng) for _ in noise_vars]
+    for p, cfo in enumerate(cfos):
+        y = apply_cfo(faded, cfo, params)
+        if rhos is not None:
+            y *= rhos[p]
+        for noise, variances in zip(noises, noise_vars):
+            y = add_noise(y, noise, variances[p])
+        yield y
+
+
+def _relay_points(path: RelayPath, shape: tuple = ()) -> tuple:
+    """Offsets, gains and noise variances per point of a relay branch: the
+    relay's own noise arrives amplified by rho, the destination's after it."""
+    rhos = _points(path.rho, shape)
+    relay = [rho ** 2 * var for rho, var in zip(rhos, _points(path.relay_noise_var, shape))]
+    return _points(path.cfo, shape), rhos, [relay, _points(path.dest_noise_var, shape)]
 
 
 def simulate_direct(
@@ -118,14 +161,7 @@ def simulate_direct(
     params: OfdmParams,
 ) -> np.ndarray:
     """Direct source-to-destination link: channel, CFO ramp, then AWGN."""
-    n_taps = np.shape(taps)[-1]
-    if params.cp_len < n_taps:
-        raise ValueError(
-            f"inter-symbol interference: direct channel has {n_taps} taps but the "
-            f"cyclic prefix holds {params.cp_len} samples"
-        )
-    y = apply_cfo(apply_channel(x, taps, params), cfo, params)
-    return add_awgn(y, noise_var, rng)
+    return next(_received(x, [taps], [cfo], None, [[noise_var]], rng, params))
 
 
 def simulate_relay_branch(
@@ -144,16 +180,7 @@ def simulate_relay_branch(
     destination adds its own noise last.  `path` supplies the offset, the
     gain and the noise variances; the hop taps are given realizations.
     """
-    l1, l2 = np.shape(hop1)[-1], np.shape(hop2)[-1]
-    if params.cp_len < l1 + l2:
-        raise ValueError(
-            f"inter-symbol interference: relay hops have {l1}+{l2} taps but the "
-            f"cyclic prefix holds {params.cp_len} samples"
-        )
-    cascade = linear_convolve(hop1, hop2, l1 + l2 - 1)
-    y = path.rho * apply_cfo(apply_channel(x, cascade, params), path.cfo, params)
-    y = add_awgn(y, path.rho ** 2 * path.relay_noise_var, rng)
-    return add_awgn(y, path.dest_noise_var, rng)
+    return next(_received(x, [hop1, hop2], *_relay_points(path), rng, params))
 
 
 def branch_gain(hops, cfo: float, n: int, scale: float = 1.0) -> np.ndarray:
@@ -162,9 +189,14 @@ def branch_gain(hops, cfo: float, n: int, scale: float = 1.0) -> np.ndarray:
     This is the quantity the genie-aided receiver is granted; its argument
     is the derotation phase and its magnitude the coherent signal weight.
     """
+    return _genie_gain([frequency_response(taps, n) for taps in hops], cfo, n, scale)
+
+
+def _genie_gain(responses, cfo: float, n: int, scale: float) -> np.ndarray:
+    """`branch_gain` from the hops' frequency responses, in hop order."""
     g = np.full(n, scale * cfo_spectrum(cfo, 0, n), dtype=np.complex128)
-    for taps in hops:
-        g = g * frequency_response(taps, n)
+    for response in responses:
+        g = g * response
     return g
 
 
@@ -213,23 +245,31 @@ def decompose_trial(branch_spectra, gains, symbols) -> TrialOutcome:
 
 @dataclass(frozen=True)
 class DirectPath:
-    """Statistical description of the direct link for trial simulation."""
+    """Statistical description of the direct link for trial simulation.
+
+    `cfo` and `noise_var` are one point's floats, or sequences of P values,
+    one per sweep point.
+    """
 
     profile: PowerDelayProfile
-    cfo: float
-    noise_var: float  # per sample
+    cfo: float | np.ndarray
+    noise_var: float | np.ndarray  # per sample
 
 
 @dataclass(frozen=True)
 class RelayPath:
-    """Statistical description of one relay branch for trial simulation."""
+    """Statistical description of one relay branch for trial simulation.
+
+    Every field but the two profiles is one point's float, or a sequence
+    of P values, one per sweep point.
+    """
 
     hop1_profile: PowerDelayProfile
     hop2_profile: PowerDelayProfile
-    cfo: float
-    rho: float
-    relay_noise_var: float  # per sample, received at the relay and amplified
-    dest_noise_var: float   # per sample, added at the destination
+    cfo: float | np.ndarray
+    rho: float | np.ndarray
+    relay_noise_var: float | np.ndarray  # per sample, received at the relay and amplified
+    dest_noise_var: float | np.ndarray   # per sample, added at the destination
 
 
 def simulate_block(
@@ -239,38 +279,50 @@ def simulate_block(
     rng: np.random.Generator,
     trials: int,
 ) -> TrialOutcome:
-    """Run `trials` transmission periods at once and decompose their spectra.
+    """Run `trials` transmission periods at every point and decompose their spectra.
 
-    Every stage works on (trials, N + cp_len) arrays.  Draw order is fixed:
-    symbol indices (trials, N), direct taps, each relay's hop1 then hop2
-    taps (each real block then imaginary block), then per path in order
-    (direct, relay 1..M) the noise, relay noise before destination noise.
-    Branches are received and reduced one at a time; only the (trials, N)
-    genie gains are held for every branch at once.
+    The paths' offsets, gains and noise variances are floats for one
+    point, giving (trials,) powers, or sequences of P values, giving
+    (P, trials) powers; every point receives the same draws.  Draw order
+    is fixed: symbol indices (trials, N), direct taps, each relay's hop1
+    then hop2 taps (each real block then imaginary block), then per path
+    in order (direct, relay 1..M) the noise, relay noise before
+    destination noise.  Symbols, taps, channel outputs, hop responses and
+    noise are computed once for all points.  Branches are the outer loop
+    and points the inner one, so one branch's noise and one point's
+    samples are alive at a time; each point adds its branches' powers in
+    branch order.
     """
     n = params.n_subcarriers
     relays = list(relays)
+    fields = [direct.cfo, direct.noise_var] + [
+        v for r in relays for v in (r.cfo, r.rho, r.relay_noise_var, r.dest_noise_var)
+    ]
+    shape = np.broadcast_shapes(*map(np.shape, fields))
     symbols = draw_symbols(params, rng, trials)
     tx = modulate(symbols, params)
 
     direct_taps = draw_channel(direct.profile, rng, trials)
     hop_taps = [
-        (draw_channel(r.hop1_profile, rng, trials), draw_channel(r.hop2_profile, rng, trials))
+        [draw_channel(r.hop1_profile, rng, trials), draw_channel(r.hop2_profile, rng, trials)]
         for r in relays
     ]
-    gains = [branch_gain([direct_taps], direct.cfo, n)] + [
-        branch_gain([h1, h2], spec.cfo, n, scale=spec.rho)
-        for (h1, h2), spec in zip(hop_taps, relays)
-    ]
+    branches = [([direct_taps], _points(direct.cfo, shape), None,
+                 [_points(direct.noise_var, shape)])]
+    branches += [(hops, *_relay_points(r, shape)) for hops, r in zip(hop_taps, relays)]
 
-    def received():
-        # lazily: one branch's samples alive at a time, noise drawn in path order
-        yield simulate_direct(tx, direct_taps, direct.cfo, direct.noise_var, rng, params)
-        for (h1, h2), spec in zip(hop_taps, relays):
-            yield simulate_relay_branch(tx, h1, h2, spec, rng, params)
-
-    spectra = (derotate_branch(y, g, params) for y, g in zip(received(), gains))
-    return decompose_trial(spectra, gains, symbols)
+    signal = np.zeros((len(branches[0][1]), trials))
+    residual = np.zeros_like(signal)
+    for hops, cfos, rhos, noise_vars in branches:
+        responses = [frequency_response(taps, n) for taps in hops]
+        received = _received(tx, hops, cfos, rhos, noise_vars, rng, params)
+        for p, y in enumerate(received):
+            gain = _genie_gain(responses, cfos[p], n, 1.0 if rhos is None else rhos[p])
+            outcome = decompose_trial([derotate_branch(y, gain, params)], [gain], symbols)
+            signal[p] += outcome.signal_power
+            residual[p] += outcome.residual_power
+    shape += (trials,)
+    return TrialOutcome(signal.reshape(shape), residual.reshape(shape), n)
 
 
 def simulate_trial(
@@ -279,8 +331,9 @@ def simulate_trial(
     relays,
     rng: np.random.Generator,
 ) -> TrialOutcome:
-    """Run one full transmission period: `simulate_block` with one trial."""
+    """Run one full transmission period at one point: `simulate_block`
+    with one trial."""
     block = simulate_block(params, direct, relays, rng, 1)
     return TrialOutcome(
-        float(block.signal_power[0]), float(block.residual_power[0]), block.subcarrier_count
+        block.signal_power.item(), block.residual_power.item(), block.subcarrier_count
     )

@@ -18,6 +18,7 @@ from afrelay.harness import (
     config_from_dict,
     run_point,
     run_sweep,
+    with_overrides,
     write_csv,
 )
 from afrelay.ofdm import OfdmParams, draw_symbols, modulate
@@ -122,6 +123,38 @@ def test_c3_monte_carlo_vs_closed_form():
         f"40 points x 2000 trials, worst gap {worst_gap:.3f} dB at {worst_case} "
         f"(bound max(0.3, 3*stderr)), {elapsed:.0f} s"
     )
+
+
+# Replicate-seed calibration: R independent master seeds at one preset
+# point.  If the estimator is unbiased and its stderr calibrated, the
+# z-scores z_r = (empirical - analytical) / stderr are i.i.d. N(0, 1), so
+# their mean is N(0, 1/R) and (R - 1) s^2 is chi-square with R - 1 degrees
+# of freedom.  Each check is two-sided at a 5e-5 false-failure chance, so
+# a correct engine fails the test with probability at most 1e-4:
+#   |mean z| <= 4.0556 / sqrt(40) = 0.641   (4.0556 = normal quantile 1 - 2.5e-5)
+#   0.574 <= s <= 1.481                     (sqrt of chi2_39 quantiles
+#                                            12.868 and 85.498, over 39)
+CALIBRATION_SEEDS = range(1, 41)
+CALIBRATION_MEAN_BOUND = 0.641
+CALIBRATION_SD_BOUNDS = (0.574, 1.481)
+
+
+@criterion("criterion 3 (replicate-seed calibration of the Monte-Carlo stderr)")
+def test_c3_replicate_seed_calibration():
+    start = time.perf_counter()
+    cfg = config_from_dict({**PRESETS["fig4_selective"], "trials": 1000})
+    point = PointAssignment(0.0, (0.3,), 0.1)
+    z = []
+    for seed in CALIBRATION_SEEDS:
+        empirical, breakdown = run_point(with_overrides(cfg, master_seed=seed), point)
+        z.append((empirical.snr_db - breakdown.snr_db) / empirical.stderr_db)
+    mean, sd = float(np.mean(z)), float(np.std(z, ddof=1))
+    elapsed = time.perf_counter() - start
+    assert abs(mean) <= CALIBRATION_MEAN_BOUND, f"mean z {mean:+.3f} beyond +/-0.641"
+    lo, hi = CALIBRATION_SD_BOUNDS
+    assert lo <= sd <= hi, f"sd of z {sd:.3f} outside [{lo}, {hi}]"
+    return (f"{len(z)} seeds x 1000 trials at fig4_selective eps2=0.3, noise scale 0.1: "
+            f"mean z {mean:+.3f} (|.| <= 0.641), sd {sd:.3f} (in [{lo}, {hi}]), {elapsed:.1f} s")
 
 
 @criterion("criterion 4 (SNR maximal at the origin, monotone, even)")

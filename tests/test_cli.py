@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from afrelay.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from afrelay.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, SUMMARY_ROWS, main
 
 SMALL = {
     "ofdm": {"n_subcarriers": 64, "cp_len": 16, "constellation": "qpsk", "symbol_power": 1.0},
@@ -75,6 +75,22 @@ def test_analyze_writes_surface(config_path, tmp_path):
         fields = line.split(",")
         assert fields[2] != "" and fields[5] != ""  # analytical_db, lambda1
         assert fields[3] == ""  # empirical empty
+
+
+def test_analyze_summary_is_bounded_on_a_large_surface(tmp_path, capsys):
+    # a 1,000-point surface prints a fixed number of rows, not one per row
+    raw = {**SMALL, "sweep": {"axis": "both_equal",
+                              "grid": [-0.45 + 0.9 * i / 999 for i in range(1000)]}}
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "surface.csv"
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) <= 25
+    assert lines[0].startswith("config digest")
+    assert lines[-2] == f"  ... {1000 - SUMMARY_ROWS} more rows in {out}"
+    assert lines[-1] == f"wrote 1000 rows to {out}"
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1001
 
 
 def test_config_errors_exit_with_config_code(tmp_path, capsys):

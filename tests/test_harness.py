@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afrelay import harness
+from afrelay import harness, relay
 from afrelay.harness import (
     PRESETS,
     ConfigError,
@@ -26,6 +26,7 @@ from afrelay.harness import (
     with_overrides,
     write_csv,
 )
+from afrelay.ofdm import draw_symbols
 from afrelay.relay import gain_factor
 from conftest import paper_snr
 
@@ -259,6 +260,30 @@ def test_block_stream_is_independent_of_worker_count(monkeypatch):
     assert empirical[1] == empirical[2] == empirical[3]  # bitwise-identical floats
     assert empirical[1].trials == 357
     assert rows[1] == rows[2] == rows[3]
+
+
+def test_sweep_draws_each_block_once(monkeypatch):
+    # every point shares the block streams, so a sweep of P points draws
+    # each block once rather than P times, and each point's empirical
+    # columns are still those of the point run alone
+    draws = []
+
+    def counting_draw_symbols(params, rng, trials):
+        draws.append(trials)
+        return draw_symbols(params, rng, trials)
+
+    raw = copy.deepcopy(TINY)
+    raw["trials"] = 357  # three full 102-trial blocks and a short one
+    raw["sweep"]["grid"] = [0.0, 0.2, 0.4]
+    raw["noise_scales"] = [1.0, 0.1]
+    cfg = config_from_dict(raw)
+    monkeypatch.setattr(relay, "draw_symbols", counting_draw_symbols)
+    rows = run_sweep(cfg)
+    assert len(rows) == 6
+    assert draws == [102, 102, 102, 51]
+    for row, point in zip(rows, sweep_points(cfg)):
+        empirical, _ = run_point(cfg, point)
+        assert (row.empirical_db, row.stderr_db) == (empirical.snr_db, empirical.stderr_db)
 
 
 def test_stderr_shrinks_like_inverse_root_trials():

@@ -337,3 +337,72 @@ def test_one_trial_block_reproduces_per_trial_engine(name, seed):
     assert block.signal_power.shape == block.residual_power.shape == (1,)
     assert block.signal_power[0] == pytest.approx(signal, rel=1e-12)
     assert block.residual_power[0] == pytest.approx(residual, rel=1e-12)
+
+
+# ----------------------------------------------------------- points of a block
+
+def _point_paths(direct, relays, cfos, scales, gains=1.0):
+    """P-point paths from one-point ones: offsets (P, M + 1), and each
+    point's noise variances scaled by its entry of `scales`, its relay
+    gains by its entry of `gains`."""
+    cfos, scales = np.asarray(cfos), np.asarray(scales)
+    gains = np.broadcast_to(gains, scales.shape)
+    return (
+        DirectPath(direct.profile, cfos[:, 0], direct.noise_var * scales),
+        [RelayPath(r.hop1_profile, r.hop2_profile, cfos[:, i + 1], r.rho * gains,
+                   r.relay_noise_var * scales, r.dest_noise_var * scales)
+         for i, r in enumerate(relays)],
+    )
+
+
+def _one_point(direct, relays, p):
+    return (
+        DirectPath(direct.profile, direct.cfo[p].item(), direct.noise_var[p].item()),
+        [RelayPath(r.hop1_profile, r.hop2_profile, r.cfo[p].item(), r.rho[p].item(),
+                   r.relay_noise_var[p].item(), r.dest_noise_var[p].item()) for r in relays],
+    )
+
+
+POINT_PATHS = {
+    "flat": (
+        DirectPath(flat_profile(1.0), 0.0, 0.1 / 64),
+        [RelayPath(flat_profile(1.0), flat_profile(4.0), 0.0, 0.8, 0.1 / 64, 0.1 / 64)],
+    ),
+    "selective_two_relays": (
+        DirectPath(uniform_profile(4, 1.0), 0.0, 0.1 / 64),
+        [
+            RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), 0.0, 0.8,
+                      0.1 / 64, 0.1 / 64),
+            RelayPath(uniform_profile(2, 1.0), uniform_profile(3, 2.0), 0.0, 1.3,
+                      0.05 / 64, 0.2 / 64),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 7, 357])
+@pytest.mark.parametrize("name", sorted(POINT_PATHS))
+def test_block_of_points_equals_one_point_blocks(name, trials):
+    direct, relays = POINT_PATHS[name]
+    cfos = [[0.0] + [0.0] * len(relays), [0.1, -0.2, 0.3][:len(relays) + 1],
+            [-0.45] + [0.45] * len(relays), [0.2] + [0.2] * len(relays)]
+    scales = [1.0, 1.0, 0.1, 0.0]  # the last point is noise-free
+    points = _point_paths(direct, relays, cfos, scales, gains=[1.0, 1.2, 0.7, 1.0])
+    block = simulate_block(PARAMS, *points, np.random.default_rng([5, 3]), trials)
+    assert block.signal_power.shape == block.residual_power.shape == (4, trials)
+    for p in range(4):
+        alone = simulate_block(PARAMS, *_one_point(*points, p), np.random.default_rng([5, 3]),
+                               trials)
+        assert np.array_equal(block.signal_power[p], alone.signal_power)
+        assert np.array_equal(block.residual_power[p], alone.residual_power)
+
+
+def test_block_of_points_consumes_the_stream_of_one_point():
+    # every point shares the block's draws: the stream ends where one
+    # point's block leaves it
+    direct, relays = POINT_PATHS["selective_two_relays"]
+    points = _point_paths(direct, relays, np.zeros((3, 3)), [1.0, 0.5, 0.1])
+    shared, alone = np.random.default_rng(9), np.random.default_rng(9)
+    simulate_block(PARAMS, *points, shared, 11)
+    simulate_block(PARAMS, *_one_point(*points, 2), alone, 11)
+    assert shared.bit_generator.state == alone.bit_generator.state
