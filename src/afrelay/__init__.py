@@ -4,7 +4,6 @@ cross-validation under per-link carrier frequency offsets."""
 from .analysis import LinkStats, SnrBreakdown, analytical_snr
 from .channel import (
     PowerDelayProfile,
-    add_awgn,
     apply_cfo,
     apply_channel,
     draw_channel,
@@ -37,14 +36,8 @@ from .relay import (
     RelayGainConfig,
     RelayPath,
     TrialOutcome,
-    branch_gain,
-    decompose_trial,
-    derotate_branch,
     gain_factor,
     simulate_block,
-    simulate_direct,
-    simulate_relay_branch,
-    simulate_trial,
 )
 from .transforms import (
     cfo_spectrum,

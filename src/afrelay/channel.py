@@ -1,4 +1,4 @@
-"""Random multipath channels, channel application, CFO ramps, and AWGN.
+"""Random multipath channels, channel application, CFO ramps, and noise.
 
 Channels are block fading: one tap realization per OFDM symbol, taps drawn
 as independent circularly-symmetric complex Gaussians (Rayleigh-magnitude
@@ -162,10 +162,11 @@ def require_isi_free(cp_len: int, hop_taps, link: str) -> None:
 
 
 def standard_noise(shape, rng: np.random.Generator) -> np.ndarray:
-    """Unit-variance circularly-symmetric complex normals of `shape`.
+    """Circularly-symmetric complex normals of `shape`, not yet scaled.
 
-    Not yet scaled to a variance: one real block then one imaginary block
-    of standard normals.
+    One real block then one imaginary block of standard normals.  A path's
+    noise is drawn even at noise_var = 0, so random streams stay aligned
+    across runs that differ only in noise level.
     """
     noise = np.empty(shape, dtype=np.complex128)
     noise.real = rng.standard_normal(shape)
@@ -181,13 +182,3 @@ def add_noise(samples, noise: np.ndarray, noise_var: float) -> np.ndarray:
     out += samples
     return out
 
-
-def add_awgn(samples, noise_var: float, rng: np.random.Generator) -> np.ndarray:
-    """Add circularly-symmetric white Gaussian noise, variance per sample.
-
-    One real block then one imaginary block of the samples' shape are
-    drawn, even at noise_var = 0, so random streams stay aligned across
-    runs that differ only in noise level.
-    """
-    samples = np.asarray(samples, dtype=np.complex128)
-    return add_noise(samples, standard_noise(samples.shape, rng), noise_var)

@@ -253,7 +253,7 @@ PROFILE_KEYS = {
 }
 
 
-def _parse_profile(raw, context: str) -> PowerDelayProfile:
+def _parse_profile(raw, context: str, cp_len: int) -> PowerDelayProfile:
     if not isinstance(raw, dict):
         raise ConfigValueError(f"{context} must be an object, got {raw!r}")
     kind = _require(raw, "kind", context)
@@ -268,6 +268,8 @@ def _parse_profile(raw, context: str) -> PowerDelayProfile:
         if kind == "flat":
             return flat_profile(power)
         n_taps = _as_int(_require(raw, "n_taps", context), "n_taps", context)
+        # no hop may outgrow the prefix; checked before n_taps sizes an array
+        require_isi_free(cp_len, [n_taps], "n_taps")
         if kind == "uniform":
             return uniform_profile(n_taps, power)
         return exponential_profile(
@@ -298,7 +300,7 @@ def _parse_cfo(value, key: str, context: str) -> float:
         raise ConfigValueError(str(exc)) from exc
 
 
-def _parse_relay(raw, context: str) -> RelaySpec:
+def _parse_relay(raw, context: str, cp_len: int) -> RelaySpec:
     allowed = {"hop1_profile", "hop2_profile", "cfo", "gain", "relay_noise_var", "dest_noise_var"}
     _check_keys(raw, allowed, context)
     relay_nv = _as_number(_require(raw, "relay_noise_var", context), "relay_noise_var", context)
@@ -306,8 +308,10 @@ def _parse_relay(raw, context: str) -> RelaySpec:
     if relay_nv < 0 or dest_nv < 0:
         raise ConfigValueError(f"{context}: noise variances must be >= 0")
     return RelaySpec(
-        hop1_profile=_parse_profile(_require(raw, "hop1_profile", context), f"{context}.hop1_profile"),
-        hop2_profile=_parse_profile(_require(raw, "hop2_profile", context), f"{context}.hop2_profile"),
+        hop1_profile=_parse_profile(
+            _require(raw, "hop1_profile", context), f"{context}.hop1_profile", cp_len),
+        hop2_profile=_parse_profile(
+            _require(raw, "hop2_profile", context), f"{context}.hop2_profile", cp_len),
         cfo=_parse_cfo(raw.get("cfo", 0.0), "cfo", context),
         gain=_parse_gain(_require(raw, "gain", context), f"{context}.gain"),
         relay_noise_var=relay_nv,
@@ -337,7 +341,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     direct_raw = _require(raw, "direct", "config")
     _check_keys(direct_raw, {"profile", "cfo", "noise_var"}, "direct")
-    direct_profile = _parse_profile(_require(direct_raw, "profile", "direct"), "direct.profile")
+    direct_profile = _parse_profile(
+        _require(direct_raw, "profile", "direct"), "direct.profile", ofdm.cp_len)
     direct_cfo = _parse_cfo(direct_raw.get("cfo", 0.0), "cfo", "direct")
     direct_noise = _as_number(_require(direct_raw, "noise_var", "direct"), "noise_var", "direct")
     if direct_noise < 0:
@@ -346,7 +351,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     relays_raw = _require(raw, "relays", "config")
     if not isinstance(relays_raw, list) or not relays_raw:
         raise ConfigValueError("relays must be a non-empty list of relay branches")
-    relays = tuple(_parse_relay(r, f"relays[{i}]") for i, r in enumerate(relays_raw))
+    relays = tuple(_parse_relay(r, f"relays[{i}]", ofdm.cp_len) for i, r in enumerate(relays_raw))
 
     sweep_raw = _require(raw, "sweep", "config")
     _check_keys(sweep_raw, {"axis", "grid"}, "sweep")

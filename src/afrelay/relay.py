@@ -5,6 +5,8 @@ two-hop amplify-and-forward relay branches, each impaired by its own
 multipath channel(s), fractional CFO, and noise.  The destination removes
 the prefix, transforms each branch, co-phases it using genie knowledge of
 the true dominant-term coefficient, and combines with equal gain.
+`simulate_block` is the one simulator entry point: it runs a block of
+trials at one sweep point or at many on the same draws.
 
 The per-trial outcome splits every branch spectrum into its coherent
 signal term and the interference-plus-noise remainder.  The split is done
@@ -101,15 +103,11 @@ def gain_factor(cfg: RelayGainConfig, hop1_gain_var: float, relay_noise_var: flo
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Signal and interference-plus-noise powers per trial.
+    """Signal and interference-plus-noise powers per trial: arrays of
+    shape (trials,) for a one-point block, (P, trials) for P points."""
 
-    Arrays of shape (trials,) for a one-point block, (P, trials) for a
-    block of P points, floats for `simulate_trial`.
-    """
-
-    signal_power: np.ndarray | float
-    residual_power: np.ndarray | float
-    subcarrier_count: int
+    signal_power: np.ndarray
+    residual_power: np.ndarray
 
 
 def _points(value, shape: tuple) -> list:
@@ -144,73 +142,18 @@ def _received(x, hops, cfos, rhos, noise_vars, rng, params):
         yield y
 
 
-def _relay_points(path: RelayPath, shape: tuple = ()) -> tuple:
-    """Offsets, gains and noise variances per point of a relay branch: the
-    relay's own noise arrives amplified by rho, the destination's after it."""
-    rhos = _points(path.rho, shape)
-    relay = [rho ** 2 * var for rho, var in zip(rhos, _points(path.relay_noise_var, shape))]
-    return _points(path.cfo, shape), rhos, [relay, _points(path.dest_noise_var, shape)]
+def _branch_powers(samples, gain: np.ndarray, symbols: np.ndarray, params: OfdmParams) -> tuple:
+    """Co-phase one branch with its genie gain and split it, row by row.
 
-
-def simulate_direct(
-    x,
-    taps,
-    cfo: float,
-    noise_var: float,
-    rng: np.random.Generator,
-    params: OfdmParams,
-) -> np.ndarray:
-    """Direct source-to-destination link: channel, CFO ramp, then AWGN."""
-    return next(_received(x, [taps], [cfo], None, [[noise_var]], rng, params))
-
-
-def simulate_relay_branch(
-    x,
-    hop1,
-    hop2,
-    path: RelayPath,
-    rng: np.random.Generator,
-    params: OfdmParams,
-) -> np.ndarray:
-    """Amplify-and-forward branch: both hops cascade, one CFO ramp.
-
-    The forwarded waveform is rho times the CFO-rotated cascade of both
-    hop channels; the relay's own received noise arrives amplified by rho
-    but neither convolved with the second hop nor rotated, and the
-    destination adds its own noise last.  `path` supplies the offset, the
-    gain and the noise variances; the hop taps are given realizations.
-    """
-    return next(_received(x, [hop1, hop2], *_relay_points(path), rng, params))
-
-
-def branch_gain(hops, cfo: float, n: int, scale: float = 1.0) -> np.ndarray:
-    """True dominant-term coefficient per bin: scale * C(cfo,0) * prod H_i[k].
-
-    This is the quantity the genie-aided receiver is granted; its argument
-    is the derotation phase and its magnitude the coherent signal weight.
-    """
-    return _genie_gain([frequency_response(taps, n) for taps in hops], cfo, n, scale)
-
-
-def _genie_gain(responses, cfo: float, n: int, scale: float) -> np.ndarray:
-    """`branch_gain` from the hops' frequency responses, in hop order."""
-    g = np.full(n, scale * cfo_spectrum(cfo, 0, n), dtype=np.complex128)
-    for response in responses:
-        g = g * response
-    return g
-
-
-def derotate_branch(samples, gain: np.ndarray, params: OfdmParams) -> np.ndarray:
-    """Remove the prefix, transform, and co-phase one branch, row by row.
-
-    Bins where the genie gain is exactly zero have no defined phase; they
-    are derotated by 0 and reported through a warning, which keeps the
+    The prefix is removed, the body transformed and each bin derotated by
+    exp(-j arg g) = conj(g)/|g|.  Per bin the coherent signal term is
+    |g[k]| X[k]; the residual is everything else (inter-carrier leakage
+    plus noise).  Returns both squared magnitudes summed over bins.  Bins
+    where the genie gain is exactly zero have no defined phase; they are
+    derotated by 0 and reported through a warning, which keeps the
     statistics unbiased (the event has probability zero under continuous
     fading).
     """
-    body = remove_cp(samples, params)
-    if gain.shape[-1] != body.shape[-1]:
-        raise ValueError("expected one genie gain per subcarrier")
     magnitude = np.abs(gain)
     nonzero = magnitude > 0
     if not nonzero.all():
@@ -220,27 +163,16 @@ def derotate_branch(samples, gain: np.ndarray, params: OfdmParams) -> np.ndarray
             "derotation phase set to 0 there",
             stacklevel=2,
         )
-    # exp(-j arg g) = conj(g)/|g|, and 1 where g = 0
     derotation = np.ones(gain.shape, dtype=np.complex128)
     np.divide(np.conj(gain), magnitude, out=derotation, where=nonzero)
-    return dft(body) * derotation
-
-
-def decompose_trial(branch_spectra, gains, symbols) -> TrialOutcome:
-    """Split derotated branch spectra into signal and residual powers.
-
-    Per branch b and bin k the coherent signal term is |g_b[k]| X[k]; the
-    residual is everything else (inter-carrier leakage plus noise).  Both
-    squared magnitudes are summed over bins and then over branches, one
-    branch at a time, giving one value per trial row.
-    """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    signal_power = residual_power = 0.0
-    for spectrum, gain in zip(branch_spectra, gains, strict=True):
-        coherent = np.abs(gain) * symbols
-        signal_power = signal_power + np.sum(np.abs(coherent) ** 2, axis=-1)
-        residual_power = residual_power + np.sum(np.abs(spectrum - coherent) ** 2, axis=-1)
-    return TrialOutcome(signal_power, residual_power, symbols.shape[-1])
+    spectrum = dft(remove_cp(samples, params)) * derotation
+    # freed before the sums: kept alive through them, this (trials, N)
+    # block made glibc trim and refault the heap top, 2.5x the minor page
+    # faults of a fig3_flat sweep
+    del derotation
+    coherent = magnitude * symbols
+    return (np.sum(np.abs(coherent) ** 2, axis=-1),
+            np.sum(np.abs(spectrum - coherent) ** 2, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -288,7 +220,13 @@ def simulate_block(
     then hop2 taps (each real block then imaginary block), then per path
     in order (direct, relay 1..M) the noise, relay noise before
     destination noise.  Symbols, taps, channel outputs, hop responses and
-    noise are computed once for all points.  Branches are the outer loop
+    noise are computed once for all points.
+
+    A relay forwards rho times the CFO-rotated cascade of both hops; its
+    own received noise arrives amplified by rho but neither convolved with
+    the second hop nor rotated, and the destination adds its noise last.
+    The genie gain of a branch is rho * C(cfo, 0) * prod H_i per bin, in
+    hop order (rho = 1 on the direct link).  Branches are the outer loop
     and points the inner one, so one branch's noise and one point's
     samples are alive at a time; each point adds its branches' powers in
     branch order.
@@ -309,7 +247,11 @@ def simulate_block(
     ]
     branches = [([direct_taps], _points(direct.cfo, shape), None,
                  [_points(direct.noise_var, shape)])]
-    branches += [(hops, *_relay_points(r, shape)) for hops, r in zip(hop_taps, relays)]
+    for hops, r in zip(hop_taps, relays):
+        rhos = _points(r.rho, shape)
+        amplified = [rho ** 2 * var for rho, var in zip(rhos, _points(r.relay_noise_var, shape))]
+        branches.append((hops, _points(r.cfo, shape), rhos,
+                         [amplified, _points(r.dest_noise_var, shape)]))
 
     signal = np.zeros((len(branches[0][1]), trials))
     residual = np.zeros_like(signal)
@@ -317,23 +259,12 @@ def simulate_block(
         responses = [frequency_response(taps, n) for taps in hops]
         received = _received(tx, hops, cfos, rhos, noise_vars, rng, params)
         for p, y in enumerate(received):
-            gain = _genie_gain(responses, cfos[p], n, 1.0 if rhos is None else rhos[p])
-            outcome = decompose_trial([derotate_branch(y, gain, params)], [gain], symbols)
-            signal[p] += outcome.signal_power
-            residual[p] += outcome.residual_power
+            scale = 1.0 if rhos is None else rhos[p]
+            gain = np.full(n, scale * cfo_spectrum(cfos[p], 0, n), dtype=np.complex128)
+            for response in responses:
+                gain = gain * response
+            branch_signal, branch_residual = _branch_powers(y, gain, symbols, params)
+            signal[p] += branch_signal
+            residual[p] += branch_residual
     shape += (trials,)
-    return TrialOutcome(signal.reshape(shape), residual.reshape(shape), n)
-
-
-def simulate_trial(
-    params: OfdmParams,
-    direct: DirectPath,
-    relays,
-    rng: np.random.Generator,
-) -> TrialOutcome:
-    """Run one full transmission period at one point: `simulate_block`
-    with one trial."""
-    block = simulate_block(params, direct, relays, rng, 1)
-    return TrialOutcome(
-        block.signal_power.item(), block.residual_power.item(), block.subcarrier_count
-    )
+    return TrialOutcome(signal.reshape(shape), residual.reshape(shape))

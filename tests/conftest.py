@@ -3,14 +3,16 @@
 These helpers deliberately avoid the code paths they are used to check:
 `dft_direct` is a plain double loop, `circular_convolve` a direct cyclic
 sum, `ici_reference` assembles a received spectrum from the closed-form
-leakage coefficients instead of running the waveform pipeline, and
-`paper_snr`/`paper_snr_upa` write the paper's single-relay SNR out term
-by term with the `math` module alone.
+leakage coefficients instead of running the waveform pipeline,
+`oracle_powers` rebuilds the simulator's per-trial powers from those
+spectra, and `paper_snr`/`paper_snr_upa` write the paper's single-relay
+SNR out term by term with the `math` module alone.
 """
 import math
 
 import numpy as np
 
+from afrelay.ofdm import CONSTELLATIONS
 from afrelay.transforms import cfo_spectrum
 
 
@@ -70,6 +72,51 @@ def ici_reference(symbols, freq_resp, eps, scale=1.0):
     for r in range(1, n):
         total = total + coeffs[r] * prod[(k - r) % n]
     return scale * total
+
+
+def oracle_powers(params, direct, relays, rng, trials):
+    """(signal, residual) powers per trial of `simulate_block` at one point,
+    rebuilt without the waveform pipeline.
+
+    Replays the documented draw order on `rng`: symbol indices, the direct
+    taps, each relay's hop1 then hop2 taps, then per path the noise (relay
+    noise before destination noise), each tap or noise block real part
+    first.  Each branch spectrum is `ici_reference` of the symbols and the
+    hops' response product, scaled by the branch gain rho, plus the
+    transform of each noise source's prefix-free body scaled by its
+    standard deviation; the relay noise is amplified by rho but neither
+    convolved nor rotated.  Each bin is derotated by conj(g)/|g| for the
+    genie gain g = rho C(eps, 0) prod H, and the signal |g||X| and the
+    residual are summed over bins and branches.
+    """
+    n, cp = params.n_subcarriers, params.cp_len
+    table = CONSTELLATIONS[params.constellation] * np.sqrt(params.symbol_power)
+    symbols = table[rng.integers(0, table.size, (trials, n))]
+
+    def complex_normals(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def taps(profile):
+        return np.sqrt(profile.tap_powers / 2.0) * complex_normals((trials, profile.n_taps))
+
+    hops = [[taps(direct.profile)]] + [[taps(r.hop1_profile), taps(r.hop2_profile)] for r in relays]
+    branches = [(direct.cfo, 1.0, [(1.0, direct.noise_var)])] + [
+        (r.cfo, r.rho, [(r.rho, r.relay_noise_var), (1.0, r.dest_noise_var)]) for r in relays
+    ]
+    signal, residual = np.zeros(trials), np.zeros(trials)
+    for branch_hops, (eps, rho, sources) in zip(hops, branches):
+        response = np.prod([np.fft.fft(h, n, axis=-1) for h in branch_hops], axis=0)
+        spectra = np.array([ici_reference(symbols[t], response[t], eps, scale=rho)
+                            for t in range(trials)])
+        for amplitude, var in sources:
+            body = complex_normals((trials, n + cp))[:, cp:]
+            spectra = spectra + amplitude * np.sqrt(var / 2.0) * np.fft.fft(body, axis=-1)
+        gain = rho * cfo_spectrum(eps, 0, n) * response
+        coherent = np.abs(gain) * symbols
+        signal += np.sum(np.abs(coherent) ** 2, axis=-1)
+        derotated = spectra * np.conj(gain) / np.abs(gain)
+        residual += np.sum(np.abs(derotated - coherent) ** 2, axis=-1)
+    return signal, residual
 
 
 def cgauss(rng, shape, var=1.0):

@@ -11,7 +11,14 @@ import time
 import numpy as np
 
 from afrelay.analysis import LinkStats, analytical_snr
-from afrelay.channel import frequency_response, uniform_profile
+from afrelay.channel import (
+    add_noise,
+    apply_cfo,
+    apply_channel,
+    frequency_response,
+    linear_convolve,
+    standard_noise,
+)
 from afrelay.harness import (
     PRESETS,
     PointAssignment,
@@ -22,13 +29,7 @@ from afrelay.harness import (
     write_csv,
 )
 from afrelay.ofdm import OfdmParams, draw_symbols, modulate
-from afrelay.relay import (
-    RelayGainConfig,
-    RelayPath,
-    gain_factor,
-    simulate_direct,
-    simulate_relay_branch,
-)
+from afrelay.relay import RelayGainConfig, gain_factor
 from afrelay.transforms import cfo_spectrum, dirichlet_gain
 from conftest import cgauss, ici_reference, paper_snr, paper_snr_upa
 
@@ -64,9 +65,13 @@ def test_c1_pipeline_oracle():
         h_hop2 = cgauss(rng, 4, var=4.0 / 4)
         eps1, eps2 = rng.uniform(-0.5, 0.5, 2)
 
-        y_direct = simulate_direct(tx, h_direct, eps1, 0.0, rng, params)
-        path = RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), eps2, rho, 0.0, 0.0)
-        y_relay = simulate_relay_branch(tx, h_hop1, h_hop2, path, rng, params)
+        # each noise source draws its normals at variance 0, as the engine does
+        y_direct = apply_cfo(apply_channel(tx, h_direct, params), eps1, params)
+        y_direct = add_noise(y_direct, standard_noise(y_direct.shape, rng), 0.0)
+        cascade = linear_convolve(h_hop1, h_hop2, 7)
+        y_relay = rho * apply_cfo(apply_channel(tx, cascade, params), eps2, params)
+        for _ in range(2):  # relay noise, then destination noise
+            y_relay = add_noise(y_relay, standard_noise(y_relay.shape, rng), 0.0)
 
         ref_direct = ici_reference(sym[0], frequency_response(h_direct, 64), eps1)
         ref_relay = ici_reference(

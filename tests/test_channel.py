@@ -1,4 +1,4 @@
-"""Channel draw statistics, convolution/prefix circularity, CFO ramp, AWGN."""
+"""Channel draw statistics, convolution/prefix circularity, CFO ramp, noise."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from afrelay.channel import (
     PowerDelayProfile,
-    add_awgn,
+    add_noise,
     apply_cfo,
     apply_channel,
     draw_channel,
@@ -14,6 +14,7 @@ from afrelay.channel import (
     flat_profile,
     frequency_response,
     linear_convolve,
+    standard_noise,
     uniform_profile,
 )
 from afrelay.ofdm import OfdmParams, draw_symbols, modulate, remove_cp
@@ -234,33 +235,37 @@ def test_ramp_reference_point_is_body_start():
     assert np.max(np.abs(out2[:, 2:] - expected)) < 1e-15
 
 
-# -------------------------------------------------------------------- add_awgn
+# ---------------------------------------------------------------------- noise
+
+def _noisy(samples, noise_var, rng):
+    return add_noise(samples, standard_noise(np.shape(samples), rng), noise_var)
+
 
 def test_zero_variance_noise_is_identity():
     params = OfdmParams(n_subcarriers=16, cp_len=4)
     sig = _modulated(params, 8)
-    out = add_awgn(sig, 0.0, np.random.default_rng(0))
+    out = _noisy(sig, 0.0, np.random.default_rng(0))
     assert np.array_equal(out, sig)
 
 
 def test_noise_sample_variance_converges():
     rng = np.random.default_rng(17)
     m = 1_000_000
-    noisy = add_awgn(np.zeros(m, dtype=complex), 0.25, rng)
+    noisy = _noisy(np.zeros(m, dtype=complex), 0.25, rng)
     assert np.mean(np.abs(noisy) ** 2) == pytest.approx(0.25, rel=0.01)
 
 
 def test_noise_is_circularly_symmetric():
     rng = np.random.default_rng(18)
     m = 1_000_000
-    noisy = add_awgn(np.zeros(m, dtype=complex), 0.5, rng)
+    noisy = _noisy(np.zeros(m, dtype=complex), 0.5, rng)
     assert np.var(noisy.real) == pytest.approx(0.25, rel=0.02)
     assert np.var(noisy.imag) == pytest.approx(0.25, rel=0.02)
 
 
 def test_negative_variance_rejected():
     with pytest.raises(ValueError):
-        add_awgn(np.ones((1, 4), dtype=complex), -0.1, np.random.default_rng(0))
+        _noisy(np.ones((1, 4), dtype=complex), -0.1, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------ properties

@@ -112,6 +112,11 @@ def test_config_errors_exit_with_config_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
     assert "direct.profile: total power must be > 0" in capsys.readouterr().err
 
+    huge = {**SMALL["direct"], "profile": {"kind": "uniform", "n_taps": 10 ** 15, "power": 1.0}}
+    bad.write_text(json.dumps({**SMALL, "direct": huge}))
+    assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+    assert "n_taps" in capsys.readouterr().err
+
 
 def test_runtime_errors_exit_with_runtime_code(config_path, tmp_path, capsys):
     rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path)])

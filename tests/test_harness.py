@@ -169,6 +169,21 @@ def test_zero_power_profile_rejected(where, profile):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("where", [("direct", "profile"), ("relays", 0, "hop2_profile")],
+                         ids=["direct", "hop2"])
+@pytest.mark.parametrize("kind", ["uniform", "exponential"])
+def test_oversized_tap_count_rejected_before_allocation(where, kind):
+    # 10**15 taps would need petabytes: the count alone breaks the ISI rule
+    raw = copy.deepcopy(TINY)
+    *parents, key = where
+    section = raw
+    for name in parents:
+        section = section[name]
+    section[key] = {"kind": kind, "n_taps": 10 ** 15, "power": 1.0}
+    with pytest.raises(ConfigValueError, match=f"{key}: .*n_taps has {10 ** 15} taps"):
+        config_from_dict(raw)
+
+
 @pytest.mark.parametrize("section", ["ofdm", "direct", "sweep"])
 def test_non_object_section_rejected(section):
     raw = copy.deepcopy(TINY)

@@ -1,26 +1,34 @@
-"""Relay gain rules, branch simulation against the closed-form spectrum
-construction, combining, and the trial decomposition."""
+"""Relay gain rules and the block engine `simulate_block`: its trials
+against an independent per-trial oracle and exact cases, its warnings and
+preconditions, and its bitwise invariants across points."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from afrelay.channel import flat_profile, frequency_response, uniform_profile
+from afrelay.channel import (
+    PowerDelayProfile,
+    apply_cfo,
+    apply_channel,
+    draw_channel,
+    flat_profile,
+    uniform_profile,
+)
 from afrelay.ofdm import OfdmParams, draw_symbols, modulate
 from afrelay.relay import (
     DirectPath,
     RelayGainConfig,
     RelayPath,
-    branch_gain,
-    decompose_trial,
-    derotate_branch,
     gain_factor,
     simulate_block,
-    simulate_direct,
-    simulate_relay_branch,
-    simulate_trial,
 )
-from conftest import cgauss, ici_reference
+from conftest import oracle_powers
 
 PARAMS = OfdmParams(n_subcarriers=64, cp_len=16)
+FLAT = flat_profile(1.0)
+# a direct link whose taps are all zero: its genie gain is zero at every
+# bin and, without noise, it adds nothing to either power
+MUTED = PowerDelayProfile(np.array([0.0]))
 
 
 def _tx(seed, params=PARAMS):
@@ -29,6 +37,21 @@ def _tx(seed, params=PARAMS):
     return sym, modulate(sym, params)
 
 
+def _draws(seed, profiles, trials):
+    """The symbols and tap realizations a block draws first from
+    default_rng(seed): symbols, then one tap block per profile in order."""
+    rng = np.random.default_rng(seed)
+    return draw_symbols(PARAMS, rng, trials), [draw_channel(p, rng, trials) for p in profiles]
+
+
+def _oracle_error(direct, relays, seed, trials, params=PARAMS):
+    """Worst relative error of a block's powers against `oracle_powers`."""
+    block = simulate_block(params, direct, relays, np.random.default_rng(seed), trials)
+    reference = oracle_powers(params, direct, relays, np.random.default_rng(seed), trials)
+    return max(
+        float(np.max(np.abs(got - want) / want))
+        for got, want in zip((block.signal_power, block.residual_power), reference)
+    )
 # ------------------------------------------------------------------ gain factor
 
 def test_gain_factor_unit_case():
@@ -72,187 +95,152 @@ def test_gain_config_validation():
 # ----------------------------------------------------------------- direct link
 
 def test_direct_link_trivial_passthrough():
-    _, tx = _tx(1)
-    out = simulate_direct(tx, np.array([1.0]), 0.0, 0.0, np.random.default_rng(0), PARAMS)
-    assert np.allclose(out, tx, atol=1e-15)
+    # flat fading, no offset, no noise: the received bins are h X[k]
+    block = simulate_block(PARAMS, DirectPath(FLAT, 0.0, 0.0), [], np.random.default_rng(1), 5)
+    sym, (h,) = _draws(1, [FLAT], 5)
+    expected = np.abs(h[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
+    assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
+    assert np.all(block.residual_power < 1e-24 * block.signal_power)
 
 
 def test_direct_link_matches_closed_form_spectrum():
-    sym, tx = _tx(2)
-    rng = np.random.default_rng(3)
-    taps = cgauss(rng, 4, var=1.0 / 4)
-    eps = -0.27
-    out = simulate_direct(tx, taps, eps, 0.0, rng, PARAMS)
-    spectrum = np.fft.fft(out[0, 16:])
-    reference = ici_reference(sym[0], frequency_response(taps, 64), eps)
-    assert np.max(np.abs(spectrum - reference)) / np.max(np.abs(reference)) < 1e-9
+    direct = DirectPath(uniform_profile(4, 1.0), -0.27, 0.0)
+    assert _oracle_error(direct, [], 3, 4) < 1e-9
 
 
 def test_direct_link_with_unimodular_impairments_preserves_energy():
     _, tx = _tx(4)
-    out = simulate_direct(tx, np.array([1.0]), 0.31, 0.0, np.random.default_rng(0), PARAMS)
+    out = apply_cfo(apply_channel(tx, np.array([1.0]), PARAMS), 0.31, PARAMS)
     assert np.sum(np.abs(out) ** 2) == pytest.approx(np.sum(np.abs(tx) ** 2), rel=1e-13)
 
 
 def test_direct_link_isi_precondition():
-    _, tx = _tx(5)
+    direct = DirectPath(uniform_profile(17), 0.0, 0.0)
     with pytest.raises(ValueError, match="17 taps.*16 samples"):
-        simulate_direct(tx, np.ones(17), 0.0, 0.0, np.random.default_rng(0), PARAMS)
+        simulate_block(PARAMS, direct, [], np.random.default_rng(0), 1)
 
 
 # ---------------------------------------------------------------- relay branch
 
-def _relay(tx, h1, h2, rng, cfo=0.0, rho=1.0, relay_nv=0.0, dest_nv=0.0):
-    """simulate_relay_branch with the given realizations; the path's
-    profiles only record the tap counts."""
-    path = RelayPath(
-        uniform_profile(np.shape(h1)[-1]), uniform_profile(np.shape(h2)[-1]),
-        cfo, rho, relay_nv, dest_nv,
-    )
-    return simulate_relay_branch(tx, h1, h2, path, rng, PARAMS)
-
-
 def test_relay_branch_trivial_passthrough():
-    _, tx = _tx(6)
-    out = _relay(tx, np.array([1.0]), np.array([1.0]), np.random.default_rng(0))
-    assert np.allclose(out, tx, atol=1e-15)
+    # the relay alone, flat hops, no offset, no noise: its bins are
+    # rho h1 h2 X[k]
+    relay = RelayPath(FLAT, flat_profile(4.0), 0.0, 0.8, 0.0, 0.0)
+    with pytest.warns(UserWarning, match="genie gain is exactly zero"):
+        block = simulate_block(PARAMS, DirectPath(MUTED, 0.0, 0.0), [relay],
+                               np.random.default_rng(6), 5)
+    sym, (_, h1, h2) = _draws(6, [MUTED, FLAT, flat_profile(4.0)], 5)
+    expected = 0.8 ** 2 * np.abs(h1[:, 0] * h2[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
+    assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
+    assert np.all(block.residual_power < 1e-24 * block.signal_power)
 
 
 def test_relay_branch_matches_closed_form_spectrum():
-    sym, tx = _tx(7)
-    rng = np.random.default_rng(8)
-    h1 = cgauss(rng, 4, var=1.0 / 4)
-    h2 = cgauss(rng, 4, var=1.0)
-    eps, rho = 0.42, 1.3
-    out = _relay(tx, h1, h2, rng, cfo=eps, rho=rho)
-    spectrum = np.fft.fft(out[0, 16:])
-    cascade_resp = frequency_response(h1, 64) * frequency_response(h2, 64)
-    reference = ici_reference(sym[0], cascade_resp, eps, scale=rho)
-    assert np.max(np.abs(spectrum - reference)) / np.max(np.abs(reference)) < 1e-9
+    direct = DirectPath(FLAT, 0.0, 0.0)
+    relay = RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), 0.42, 1.3, 0.0, 0.0)
+    assert _oracle_error(direct, [relay], 8, 4) < 1e-9
 
 
 def test_relay_branch_linear_in_gain():
-    _, tx = _tx(9)
-    rng = np.random.default_rng(10)
-    h1, h2 = cgauss(rng, 3, 1 / 3), cgauss(rng, 2, 1 / 2)
-    one = _relay(tx, h1, h2, np.random.default_rng(0), cfo=0.2, rho=1.0)
-    two = _relay(tx, h1, h2, np.random.default_rng(0), cfo=0.2, rho=2.0)
-    assert np.array_equal(two, 2.0 * one)
+    # doubling rho doubles every sample, bin and genie gain exactly
+    relay = RelayPath(uniform_profile(3), uniform_profile(2), 0.2, [1.0, 2.0], 0.0, 0.0)
+    with pytest.warns(UserWarning, match="genie gain is exactly zero"):
+        block = simulate_block(PARAMS, DirectPath(MUTED, 0.0, 0.0), [relay],
+                               np.random.default_rng(10), 5)
+    assert np.array_equal(block.signal_power[1], 4.0 * block.signal_power[0])
+    assert np.array_equal(block.residual_power[1], 4.0 * block.residual_power[0])
 
 
 def test_relay_branch_isi_precondition():
-    _, tx = _tx(11)
+    relay = RelayPath(uniform_profile(9), uniform_profile(8), 0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="9\\+8 taps.*16 samples"):
-        _relay(tx, np.ones(9), np.ones(8), np.random.default_rng(0))
+        simulate_block(PARAMS, DirectPath(FLAT, 0.0, 0.0), [relay], np.random.default_rng(0), 1)
 
 
 # ------------------------------------------------------------------- combining
 
-def test_single_branch_real_channel_needs_no_derotation():
-    sym, tx = _tx(12)
-    taps = np.array([0.7])  # real positive channel, zero offset
-    received = simulate_direct(tx, taps, 0.0, 0.0, np.random.default_rng(0), PARAMS)
-    gain = branch_gain([taps], 0.0, 64)
-    assert np.allclose(np.angle(gain), 0.0, atol=1e-15)
-    combined = derotate_branch(received, gain, PARAMS)
-    assert np.max(np.abs(combined - 0.7 * sym)) < 1e-12
-
-
 def test_two_ideal_branches_combine_coherently():
-    sym, tx = _tx(13)
-    unit = np.array([1.0])
-    y1 = simulate_direct(tx, unit, 0.0, 0.0, np.random.default_rng(0), PARAMS)
-    y2 = _relay(tx, unit, unit, np.random.default_rng(0))
-    gains = [branch_gain([unit], 0.0, 64), branch_gain([unit, unit], 0.0, 64)]
-    combined = derotate_branch(y1, gains[0], PARAMS) + derotate_branch(y2, gains[1], PARAMS)
-    assert np.max(np.abs(combined - 2.0 * sym)) < 1e-12
+    # co-phased, each branch adds its coherent power and no residual
+    relay = RelayPath(FLAT, FLAT, 0.0, 1.0, 0.0, 0.0)
+    block = simulate_block(PARAMS, DirectPath(FLAT, 0.0, 0.0), [relay],
+                           np.random.default_rng(13), 5)
+    sym, (h0, h1, h2) = _draws(13, [FLAT, FLAT, FLAT], 5)
+    gains = np.abs(h0[:, 0]) ** 2 + np.abs(h1[:, 0] * h2[:, 0]) ** 2
+    assert np.allclose(block.signal_power, gains * np.sum(np.abs(sym) ** 2, axis=-1),
+                       rtol=1e-12, atol=0)
+    assert np.all(block.residual_power < 1e-24 * block.signal_power)
 
 
 def test_combined_metric_matches_closed_form_assembly():
-    # full noise-free chain vs the spectrum assembled from the closed form
-    sym, tx = _tx(14)
-    rng = np.random.default_rng(15)
-    h0 = cgauss(rng, 4, 1 / 4)
-    h1, h2 = cgauss(rng, 4, 1 / 4), cgauss(rng, 4, 1.0)
-    e1, e2, rho = 0.17, -0.33, 0.9
-    y1 = simulate_direct(tx, h0, e1, 0.0, rng, PARAMS)
-    y2 = _relay(tx, h1, h2, rng, cfo=e2, rho=rho)
-    g1 = branch_gain([h0], e1, 64)
-    g2 = branch_gain([h1, h2], e2, 64, scale=rho)
-    combined = (derotate_branch(y1, g1, PARAMS) + derotate_branch(y2, g2, PARAMS))[0]
-
-    ref1 = ici_reference(sym[0], frequency_response(h0, 64), e1)
-    ref2 = ici_reference(
-        sym[0], frequency_response(h1, 64) * frequency_response(h2, 64), e2, scale=rho
-    )
-    reference = ref1 * np.exp(-1j * np.angle(g1)) + ref2 * np.exp(-1j * np.angle(g2))
-    assert np.max(np.abs(combined - reference)) / np.max(np.abs(reference)) < 1e-9
+    # full noisy chain vs the spectra assembled from the closed form
+    direct = DirectPath(uniform_profile(4, 1.0), 0.17, 0.05)
+    relay = RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), -0.33, 0.9, 0.05, 0.02)
+    assert _oracle_error(direct, [relay], 15, 4) < 1e-9
 
 
-def test_derotation_makes_dominant_coefficient_real_nonnegative():
-    rng = np.random.default_rng(16)
-    for _ in range(10):
-        sym, tx = _tx(rng.integers(1 << 31))
-        h0 = cgauss(rng, 4, 1 / 4)
-        eps = rng.uniform(-0.5, 0.5)
-        y = simulate_direct(tx, h0, eps, 0.0, rng, PARAMS)
-        gain = branch_gain([h0], eps, 64)
-        derotated_gain = gain * np.exp(-1j * np.angle(gain))
-        assert np.all(derotated_gain.real >= 0)
-        assert np.max(np.abs(derotated_gain.imag)) < 1e-12 * np.max(np.abs(gain))
-        assert derotate_branch(y, gain, PARAMS).shape == (1, 64)
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([48, 64, 80, 96]),
+       st.sampled_from(["qpsk", "qam16"]), st.integers(1, 16))
+@example(0, 96, "qam16", 16)
+@example(1, 48, "qpsk", 16)
+def test_block_matches_per_trial_oracle(seed, n, constellation, m):
+    # every trial of a block, for any subcarrier count, constellation and
+    # 1 to 16 relays with 1 to 4 taps per hop
+    rng = np.random.default_rng(seed)
+    params = OfdmParams(n_subcarriers=n, cp_len=8, constellation=constellation,
+                        symbol_power=rng.uniform(0.5, 2.0))
+
+    def profile():
+        return uniform_profile(int(rng.integers(1, 5)), rng.uniform(0.25, 4.0))
+
+    direct = DirectPath(profile(), rng.uniform(-0.5, 0.5), rng.uniform(0.0, 0.1))
+    relays = [
+        RelayPath(profile(), profile(), rng.uniform(-0.5, 0.5), rng.uniform(0.3, 2.0),
+                  rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.1))
+        for _ in range(m)
+    ]
+    assert _oracle_error(direct, relays, [seed, 1], 2, params) < 1e-9
 
 
 def test_combining_is_linear_in_branches():
-    # the two-branch decomposition is the sum of the one-branch ones
-    sym, tx = _tx(17)
-    rng = np.random.default_rng(18)
-    h0, h1, h2 = cgauss(rng, 2, 0.5), cgauss(rng, 3, 1 / 3), cgauss(rng, 2, 2.0)
-    y1 = simulate_direct(tx, h0, 0.1, 0.0, rng, PARAMS)
-    y2 = _relay(tx, h1, h2, rng, cfo=-0.2, rho=1.1)
-    g1 = branch_gain([h0], 0.1, 64)
-    g2 = branch_gain([h1, h2], -0.2, 64, scale=1.1)
-    s1, s2 = derotate_branch(y1, g1, PARAMS), derotate_branch(y2, g2, PARAMS)
-    combined = decompose_trial([s1, s2], [g1, g2], sym)
-    first, second = decompose_trial([s1], [g1], sym), decompose_trial([s2], [g2], sym)
-    assert np.array_equal(combined.signal_power, first.signal_power + second.signal_power)
-    assert np.array_equal(combined.residual_power, first.residual_power + second.residual_power)
+    # a relay at rho = 0 adds nothing, so with the direct link muted the
+    # two-relay point is exactly the sum of the one-relay points
+    relays = [
+        RelayPath(uniform_profile(3), uniform_profile(2), -0.2, [1.1, 0.0, 1.1], 0.0, 0.0),
+        RelayPath(uniform_profile(2), FLAT, 0.3, [0.0, 0.9, 0.9], 0.0, 0.0),
+    ]
+    with pytest.warns(UserWarning, match="genie gain is exactly zero"):
+        block = simulate_block(PARAMS, DirectPath(MUTED, 0.1, 0.0), relays,
+                               np.random.default_rng(18), 5)
+    for power in (block.signal_power, block.residual_power):
+        assert np.array_equal(power[2], power[0] + power[1])
 
 
 def test_zero_genie_gain_is_flagged():
-    sym, tx = _tx(19)
-    gain = branch_gain([np.array([1.0])], 0.0, 64)
-    gain[5] = 0.0
-    with pytest.warns(UserWarning, match=r"zero at bins \[5\]"):
-        spectrum = derotate_branch(tx, gain, PARAMS)
-    assert np.isfinite(spectrum).all()
+    direct = DirectPath(MUTED, 0.1, 0.01)
+    relay = RelayPath(FLAT, FLAT, 0.2, 1.0, 0.01, 0.01)
+    with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
+        block = simulate_block(PARAMS, direct, [relay], np.random.default_rng(19), 3)
+    assert np.isfinite(block.signal_power).all() and np.isfinite(block.residual_power).all()
 
 
 # --------------------------------------------------------------- decomposition
 
 def test_no_offset_no_noise_leaves_zero_residual():
-    sym, tx = _tx(21)
-    rng = np.random.default_rng(22)
-    h0 = cgauss(rng, 4, 1 / 4)
-    h1, h2 = cgauss(rng, 4, 1 / 4), cgauss(rng, 4, 1.0)
-    y1 = simulate_direct(tx, h0, 0.0, 0.0, rng, PARAMS)
-    y2 = _relay(tx, h1, h2, rng)
-    gains = [branch_gain([h0], 0.0, 64), branch_gain([h1, h2], 0.0, 64)]
-    spectra = [derotate_branch(y, g, PARAMS) for y, g in zip([y1, y2], gains)]
-    outcome = decompose_trial(spectra, gains, sym)
-    assert outcome.residual_power < 1e-18
-    assert outcome.subcarrier_count == 64
+    direct = DirectPath(uniform_profile(4, 1.0), 0.0, 0.0)
+    relays = [RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), 0.0, 1.0, 0.0, 0.0)]
+    outcome = simulate_block(PARAMS, direct, relays, np.random.default_rng(22), 1)
+    assert outcome.residual_power[0] < 1e-18
 
 
 def test_scaling_symbols_by_two_quadruples_signal_power():
-    sym, tx = _tx(23)
-    rng = np.random.default_rng(24)
-    h0 = cgauss(rng, 4, 1 / 4)
-    gain = branch_gain([h0], 0.1, 64)
-    spectrum = derotate_branch(simulate_direct(tx, h0, 0.1, 0.0, rng, PARAMS), gain, PARAMS)
-    base = decompose_trial([spectrum], [gain], sym)
-    scaled = decompose_trial([2.0 * spectrum], [gain], 2.0 * sym)
+    # symbol_power 4 doubles every symbol, sample and bin exactly
+    direct = DirectPath(uniform_profile(4, 1.0), 0.1, 0.0)
+    base = simulate_block(PARAMS, direct, [], np.random.default_rng(24), 5)
+    scaled = simulate_block(OfdmParams(n_subcarriers=64, cp_len=16, symbol_power=4.0),
+                            direct, [], np.random.default_rng(24), 5)
     assert np.array_equal(scaled.signal_power, 4.0 * base.signal_power)
+    assert np.array_equal(scaled.residual_power, 4.0 * base.residual_power)
 
 
 def test_noise_only_signal_power_converges_to_coherent_power():
@@ -270,21 +258,16 @@ def test_noise_only_signal_power_converges_to_coherent_power():
     assert per_bin == pytest.approx(1.0 + 4.0, rel=0.05)
 
 
-def test_decompose_requires_matching_lengths():
-    sym = np.ones(8, dtype=complex)
-    with pytest.raises(ValueError):
-        decompose_trial([np.ones(8)], [], sym)
-
-
 # ----------------------------------------------------------------- whole trial
 
 def test_trial_is_deterministic_given_the_stream():
     params = OfdmParams(n_subcarriers=64, cp_len=16)
     direct = DirectPath(uniform_profile(4, 1.0), 0.1, 0.001)
     relays = [RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), 0.2, 0.8, 0.001, 0.001)]
-    a = simulate_trial(params, direct, relays, np.random.default_rng([7, 1]))
-    b = simulate_trial(params, direct, relays, np.random.default_rng([7, 1]))
-    assert a == b
+    a = simulate_block(params, direct, relays, np.random.default_rng([7, 1]), 1)
+    b = simulate_block(params, direct, relays, np.random.default_rng([7, 1]), 1)
+    assert np.array_equal(a.signal_power, b.signal_power)
+    assert np.array_equal(a.residual_power, b.residual_power)
 
 
 def test_trial_supports_multiple_relay_branches():
@@ -294,8 +277,8 @@ def test_trial_supports_multiple_relay_branches():
         RelayPath(flat_profile(1.0), flat_profile(2.0), 0.1, 1.0, 0.001, 0.001),
         RelayPath(uniform_profile(2, 1.0), uniform_profile(2, 1.0), -0.2, 0.7, 0.001, 0.001),
     ]
-    outcome = simulate_trial(params, direct, relays, np.random.default_rng(5))
-    assert outcome.signal_power > 0 and outcome.residual_power > 0
+    outcome = simulate_block(params, direct, relays, np.random.default_rng(5), 1)
+    assert outcome.signal_power[0] > 0 and outcome.residual_power[0] > 0
 
 
 # ----------------------------------------------------------------- block engine
