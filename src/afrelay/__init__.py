@@ -18,14 +18,11 @@ from .harness import (
     ConfigKeyError,
     ConfigParseError,
     ConfigValueError,
-    EmpiricalSnr,
     ExperimentConfig,
-    PointAssignment,
     RelaySpec,
     SweepRow,
     config_from_dict,
     load_config,
-    run_point,
     run_sweep,
     sweep_offsets,
     write_csv,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import dirichlet_gain, dirichlet_gain_derivative
+from .transforms import FCFO_BOUND, dirichlet_gain, dirichlet_gain_derivative
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,8 @@ class LinkStats:
             raise ValueError("branch_powers must be > 0")
         if not np.all(np.asarray(self.noise_vars) >= 0):
             raise ValueError("noise_vars must be >= 0")
-        if not np.all(np.abs(self.cfos) <= 0.5):
-            raise ValueError("cfos must lie in [-0.5, 0.5]")
-
-    def point(self, i: int) -> LinkStats:
-        """Point i of stats with a leading point axis."""
-        return LinkStats(self.n_subcarriers, self.branch_powers[i], self.cfos[i], self.noise_vars[i])
+        if not np.all(np.abs(self.cfos) <= FCFO_BOUND):
+            raise ValueError(f"cfos must lie in [-{FCFO_BOUND}, {FCFO_BOUND}]")
 
 
 @dataclass(frozen=True)

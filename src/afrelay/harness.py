@@ -35,7 +35,7 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -114,26 +114,6 @@ class ExperimentConfig:
             raise ConfigValueError("master_seed must be a 64-bit unsigned integer")
         if self.workers < 1:
             raise ConfigValueError(f"workers must be >= 1, got {self.workers}")
-
-
-@dataclass(frozen=True)
-class PointAssignment:
-    """Concrete offsets and noise scaling for one sweep point."""
-
-    direct_cfo: float
-    relay_cfos: tuple
-    noise_scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class EmpiricalSnr:
-    """Monte-Carlo SNR estimate with a delta-method standard error in dB."""
-
-    snr_linear: float
-    snr_db: float
-    stderr_db: float
-    trials: int
-    master_seed: int
 
 
 @dataclass(frozen=True)
@@ -265,11 +245,13 @@ def _parse_profile(raw, context: str, cp_len: int) -> PowerDelayProfile:
     if power <= 0:
         raise ConfigValueError(f"{context}: total power must be > 0, got {power!r}")
     try:
+        n_taps = 1 if kind == "flat" else _as_int(
+            _require(raw, "n_taps", context), "n_taps", context)
+        # no hop may outgrow the prefix (a flat profile is one tap); checked
+        # before n_taps sizes an array
+        require_isi_free(cp_len, [n_taps], "a flat profile" if kind == "flat" else "n_taps")
         if kind == "flat":
             return flat_profile(power)
-        n_taps = _as_int(_require(raw, "n_taps", context), "n_taps", context)
-        # no hop may outgrow the prefix; checked before n_taps sizes an array
-        require_isi_free(cp_len, [n_taps], "n_taps")
         if kind == "uniform":
             return uniform_profile(n_taps, power)
         return exponential_profile(
@@ -307,11 +289,16 @@ def _parse_relay(raw, context: str, cp_len: int) -> RelaySpec:
     dest_nv = _as_number(_require(raw, "dest_noise_var", context), "dest_noise_var", context)
     if relay_nv < 0 or dest_nv < 0:
         raise ConfigValueError(f"{context}: noise variances must be >= 0")
+    hop1, hop2 = (_parse_profile(_require(raw, key, context), f"{context}.{key}", cp_len)
+                  for key in ("hop1_profile", "hop2_profile"))
+    # the inter-symbol interference rule for the cascade of both hops
+    try:
+        require_isi_free(cp_len, [hop1.n_taps, hop2.n_taps], context)
+    except ValueError as exc:
+        raise ConfigValueError(str(exc)) from exc
     return RelaySpec(
-        hop1_profile=_parse_profile(
-            _require(raw, "hop1_profile", context), f"{context}.hop1_profile", cp_len),
-        hop2_profile=_parse_profile(
-            _require(raw, "hop2_profile", context), f"{context}.hop2_profile", cp_len),
+        hop1_profile=hop1,
+        hop2_profile=hop2,
         cfo=_parse_cfo(raw.get("cfo", 0.0), "cfo", context),
         gain=_parse_gain(_require(raw, "gain", context), f"{context}.gain"),
         relay_noise_var=relay_nv,
@@ -370,17 +357,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if any(s <= 0 for s in scales):
         raise ConfigValueError("noise_scales must be > 0")
 
-    # the engine's inter-symbol interference rule, checked at load time
-    links = [("the direct channel", [direct_profile.n_taps])] + [
-        (f"relays[{i}]", [spec.hop1_profile.n_taps, spec.hop2_profile.n_taps])
-        for i, spec in enumerate(relays)
-    ]
-    for link, hop_taps in links:
-        try:
-            require_isi_free(ofdm.cp_len, hop_taps, link)
-        except ValueError as exc:
-            raise ConfigValueError(str(exc)) from exc
-
     return ExperimentConfig(
         ofdm=ofdm,
         direct_profile=direct_profile,
@@ -414,30 +390,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
-    """Short stable hash of the experiment (excludes execution details)."""
-    payload = {
-        "ofdm": [cfg.ofdm.n_subcarriers, cfg.ofdm.cp_len, cfg.ofdm.constellation,
-                 cfg.ofdm.symbol_power],
-        "direct": [cfg.direct_profile.tap_powers.tolist(), cfg.direct_cfo, cfg.direct_noise_var],
-        "relays": [
-            [
-                s.hop1_profile.tap_powers.tolist(),
-                s.hop2_profile.tap_powers.tolist(),
-                s.cfo,
-                [s.gain.mode, s.gain.rho, s.gain.total_power, s.gain.source_power,
-                 s.gain.relay_power],
-                s.relay_noise_var,
-                s.dest_noise_var,
-            ]
-            for s in cfg.relays
-        ],
-        "sweep": [cfg.sweep_axis, list(cfg.sweep_grid)],
-        "noise_scales": list(cfg.noise_scales),
-        "trials": cfg.trials,
-        "master_seed": cfg.master_seed,
-        "mode": cfg.mode,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
+    """Short stable hash of the experiment: every config field but the
+    execution detail `workers`."""
+    payload = asdict(cfg)
+    del payload["workers"]
+    blob = json.dumps(payload, sort_keys=True, default=np.ndarray.tolist).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -500,8 +457,8 @@ def _simulate_blocks(task):
 
 
 def _empirical_results(cfg: ExperimentConfig, paths):
-    """The EmpiricalSnr of each point of the simulator paths, in order, or
-    None without end when paths is None.
+    """The (snr_db, stderr_db) of each point of the simulator paths, in
+    order, or (None, None) without end when paths is None.
 
     The blocks split into at most `workers` contiguous ranges, each
     covering every point.  With workers > 1 one process pool runs the
@@ -509,7 +466,7 @@ def _empirical_results(cfg: ExperimentConfig, paths):
     so the result does not depend on workers.
     """
     if paths is None:
-        return repeat(None)
+        return repeat((None, None))
     direct, relays = paths
     blocks = -(-cfg.trials // block_size(cfg.ofdm))
     parts = min(cfg.workers, blocks)
@@ -525,11 +482,11 @@ def _empirical_results(cfg: ExperimentConfig, paths):
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     sig, res = (np.concatenate(part, axis=-1) for part in zip(*results))
-    return [_aggregate_trials(point_sig, point_res, cfg) for point_sig, point_res in zip(sig, res)]
+    return [_aggregate_trials(point_sig, point_res) for point_sig, point_res in zip(sig, res)]
 
 
-def _aggregate_trials(sig: np.ndarray, res: np.ndarray, cfg: ExperimentConfig) -> EmpiricalSnr:
-    """Ratio-of-sums estimate with a delta-method standard error in dB.
+def _aggregate_trials(sig: np.ndarray, res: np.ndarray) -> tuple:
+    """Ratio-of-sums estimate in dB and its delta-method standard error in dB.
 
     The ratio of summed powers estimates the ratio of expectations; the
     per-trial (signal, residual) pairs give its log-domain variance.
@@ -541,7 +498,7 @@ def _aggregate_trials(sig: np.ndarray, res: np.ndarray, cfg: ExperimentConfig) -
     # transform round trip, not a real impairment (the weakest modelled
     # impairments sit many orders above); report the infinity sentinel.
     if total_res <= total_sig * 1e-24:
-        return EmpiricalSnr(math.inf, math.inf, 0.0, trials, cfg.master_seed)
+        return math.inf, 0.0
     lin = total_sig / total_res
     db = 10.0 * math.log10(lin) if lin > 0 else -math.inf
     if trials > 1 and lin > 0:
@@ -553,18 +510,7 @@ def _aggregate_trials(sig: np.ndarray, res: np.ndarray, cfg: ExperimentConfig) -
         stderr_db = 10.0 / math.log(10.0) * math.sqrt(max(var_log, 0.0))
     else:
         stderr_db = math.nan
-    return EmpiricalSnr(lin, db, stderr_db, trials, cfg.master_seed)
-
-
-def run_point(cfg: ExperimentConfig, point: PointAssignment):
-    """Evaluate one sweep point.
-
-    Returns (EmpiricalSnr or None, SnrBreakdown); the empirical half runs
-    only when the config mode asks for simulation.
-    """
-    cfos = np.array([(point.direct_cfo, *point.relay_cfos)])
-    stats, paths = point_inputs(cfg, cfos, np.array([point.noise_scale]))
-    return next(iter(_empirical_results(cfg, paths))), analytical_snr(stats.point(0))
+    return db, stderr_db
 
 
 # --------------------------------------------------------------------------
@@ -607,19 +553,20 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     # the rows share its float objects rather than hold one copy per row
     grid = len(cfg.sweep_grid)
     direct, relay = (cfos[:grid, b].tolist() * len(cfg.noise_scales) for b in (0, 1))
+    trials = cfg.trials if paths is not None else 0
     rows = []
-    for eps1, eps2, db, l1, l2, empirical in zip(
+    for eps1, eps2, db, l1, l2, (empirical_db, stderr_db) in zip(
         direct, relay, analytical, lambda1, lambda2, _empirical_results(cfg, paths)
     ):
         row = SweepRow(
             eps1=eps1,
             eps2=eps2,
             analytical_db=db,
-            empirical_db=empirical.snr_db if empirical is not None else None,
-            stderr_db=empirical.stderr_db if empirical is not None else None,
+            empirical_db=empirical_db,
+            stderr_db=stderr_db,
             lambda1=l1,
             lambda2=l2,
-            trials=cfg.trials if empirical is not None else 0,
+            trials=trials,
             seed=cfg.master_seed,
         )
         rows.append(row)

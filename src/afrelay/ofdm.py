@@ -42,7 +42,7 @@ class OfdmParams:
             raise ValueError(
                 f"cp_len must satisfy 0 <= cp_len < n_subcarriers, got {self.cp_len}"
             )
-        if self.constellation not in CONSTELLATIONS:
+        if self.constellation not in list(CONSTELLATIONS):  # a list compares unhashable values too
             raise ValueError(
                 f"unknown constellation {self.constellation!r}, "
                 f"expected one of {sorted(CONSTELLATIONS)}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 # Largest fractional frequency offset (in subcarrier spacings) after
-# integer-offset correction.
+# integer-offset correction; the interval [-FCFO_BOUND, FCFO_BOUND] is closed.
 FCFO_BOUND = 0.5
 
 # Below this the singular-denominator argument of the Dirichlet kernel is
@@ -20,11 +20,11 @@ _SINGULAR_ARG = 1e-9
 
 
 def require_fractional_cfo(eps: float, name: str = "eps") -> float:
-    """Validate a fractional CFO value, |eps| < 0.5 subcarrier spacings."""
+    """Validate a fractional CFO value, |eps| <= 0.5 subcarrier spacings."""
     eps = float(eps)
-    if not np.isfinite(eps) or abs(eps) >= FCFO_BOUND:
+    if not np.isfinite(eps) or abs(eps) > FCFO_BOUND:
         raise ValueError(
-            f"{name}={eps!r} is not a fractional CFO: require |{name}| < {FCFO_BOUND} "
+            f"{name}={eps!r} is not a fractional CFO: require |{name}| <= {FCFO_BOUND} "
             "(integer offsets are assumed already corrected)"
         )
     return eps

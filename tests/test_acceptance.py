@@ -21,9 +21,7 @@ from afrelay.channel import (
 )
 from afrelay.harness import (
     PRESETS,
-    PointAssignment,
     config_from_dict,
-    run_point,
     run_sweep,
     with_overrides,
     write_csv,
@@ -147,12 +145,12 @@ CALIBRATION_SD_BOUNDS = (0.574, 1.481)
 @criterion("criterion 3 (replicate-seed calibration of the Monte-Carlo stderr)")
 def test_c3_replicate_seed_calibration():
     start = time.perf_counter()
-    cfg = config_from_dict({**PRESETS["fig4_selective"], "trials": 1000})
-    point = PointAssignment(0.0, (0.3,), 0.1)
+    cfg = config_from_dict({**PRESETS["fig4_selective"], "trials": 1000,
+                            "sweep": {"axis": "eps2", "grid": [0.3]}, "noise_scales": [0.1]})
     z = []
     for seed in CALIBRATION_SEEDS:
-        empirical, breakdown = run_point(with_overrides(cfg, master_seed=seed), point)
-        z.append((empirical.snr_db - breakdown.snr_db) / empirical.stderr_db)
+        (row,) = run_sweep(with_overrides(cfg, master_seed=seed))
+        z.append((row.empirical_db - row.analytical_db) / row.stderr_db)
     mean, sd = float(np.mean(z)), float(np.std(z, ddof=1))
     elapsed = time.perf_counter() - start
     assert abs(mean) <= CALIBRATION_MEAN_BOUND, f"mean z {mean:+.3f} beyond +/-0.641"
@@ -232,13 +230,13 @@ def test_c6_high_snr_degradation_trend():
     raw = copy.deepcopy(PRESETS["fig3_flat"])
     raw["relays"][0]["gain"] = {"mode": "fixed", "rho": 1.0}
     raw["trials"] = 2000
-    cfg = config_from_dict(raw)
+    raw["sweep"] = {"axis": "both_equal", "grid": [0.0, 0.2]}
+    raw["noise_scales"] = list(scales)
+    rows = run_sweep(config_from_dict(raw))  # per scale: offsets 0, then 0.2 on both links
     simulated = []
-    for t in scales:
-        emp_zero, _ = run_point(cfg, PointAssignment(0.0, (0.0,), t))
-        emp_point, _ = run_point(cfg, PointAssignment(0.2, (0.2,), t))
-        gap = emp_zero.snr_db - emp_point.snr_db
-        spread = math.hypot(emp_zero.stderr_db, emp_point.stderr_db)
+    for at_zero, at_point in zip(rows[::2], rows[1::2]):
+        gap = at_zero.empirical_db - at_point.empirical_db
+        spread = math.hypot(at_zero.stderr_db, at_point.stderr_db)
         simulated.append((gap, spread))
     for (g_lo, s_lo), (g_hi, s_hi) in zip(simulated, simulated[1:]):
         slack = 2.0 * math.hypot(s_lo, s_hi)

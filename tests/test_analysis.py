@@ -302,7 +302,8 @@ def test_point_axis_equals_one_point_evaluations():
     batch = analytical_snr(stats)
     assert batch.slopes.shape == (40, 3)
     for i in range(40):
-        one = analytical_snr(stats.point(i))
+        one = analytical_snr(LinkStats(64, stats.branch_powers[i], stats.cfos[i],
+                                       stats.noise_vars[i]))
         assert type(one.snr_db) is float and type(one.slopes) is tuple
         assert (one.num, one.den, one.snr_linear, one.snr_db) == (
             batch.num[i], batch.den[i], batch.snr_linear[i], batch.snr_db[i])
@@ -332,7 +333,8 @@ def test_point_axis_sentinel_is_per_point():
     assert out.den[0] == 0.0 and out.snr_linear[0] == out.snr_db[0] == math.inf
     assert np.all(np.isnan(out.slopes[0]))
     assert np.all(np.isfinite(out.snr_db[1:])) and np.all(np.isfinite(out.slopes[1:]))
-    assert analytical_snr(silent.point(0)).slopes is None
+    assert analytical_snr(LinkStats(64, silent.branch_powers[0], silent.cfos[0],
+                                    silent.noise_vars[0])).slopes is None
 
 
 def test_point_axis_stats_validation():

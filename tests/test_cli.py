@@ -117,6 +117,13 @@ def test_config_errors_exit_with_config_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
     assert "n_taps" in capsys.readouterr().err
 
+    # an unhashable value where a name belongs
+    bad.write_text(json.dumps({**SMALL, "ofdm": {**SMALL["ofdm"], "constellation": ["qpsk"]}}))
+    out = tmp_path / "bad.csv"
+    assert main(["simulate", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: ofdm: unknown constellation ['qpsk']" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_runtime_errors_exit_with_runtime_code(config_path, tmp_path, capsys):
     rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path)])

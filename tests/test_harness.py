@@ -4,23 +4,27 @@ import csv
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from afrelay import harness, relay
+from afrelay.analysis import LinkStats, analytical_snr
 from afrelay.harness import (
     PRESETS,
     ConfigError,
     ConfigKeyError,
     ConfigParseError,
     ConfigValueError,
-    PointAssignment,
+    ExperimentConfig,
     config_digest,
     config_from_dict,
     load_config,
-    run_point,
+    point_inputs,
     run_sweep,
     sweep_offsets,
     with_overrides,
@@ -57,6 +61,15 @@ def tiny_config(**updates):
     raw = copy.deepcopy(TINY)
     raw.update(updates)
     return config_from_dict(raw)
+
+
+def one_point_config(cfg, eps, scale=1.0):
+    """cfg swept over one point: offsets eps (direct link first) held in
+    the cfo fields, a one-offset grid on the direct offset and one noise
+    scale."""
+    relays = tuple(replace(spec, cfo=e) for spec, e in zip(cfg.relays, eps[1:], strict=True))
+    return replace(cfg, direct_cfo=eps[0], relays=relays, sweep_axis="eps1",
+                   sweep_grid=(eps[0],), noise_scales=(scale,))
 
 
 # -------------------------------------------------------------------- loading
@@ -97,6 +110,15 @@ def test_out_of_range_offset_rejected():
         config_from_dict(raw)
 
 
+def test_offsets_at_half_a_subcarrier_are_accepted():
+    # [-0.5, 0.5] is closed: both edges load, simulate, and the closed form
+    # is even across them
+    low, high = run_sweep(tiny_config(sweep={"axis": "eps2", "grid": [-0.5, 0.5]}))
+    assert low.analytical_db == high.analytical_db
+    assert math.isfinite(low.empirical_db) and math.isfinite(high.empirical_db)
+    assert low.trials == high.trials == TINY["trials"]
+
+
 def test_prefix_shorter_than_relay_memory_rejected():
     raw = copy.deepcopy(TINY)
     raw["ofdm"]["cp_len"] = 6
@@ -104,6 +126,76 @@ def test_prefix_shorter_than_relay_memory_rejected():
     raw["relays"][0]["hop2_profile"] = {"kind": "uniform", "n_taps": 4, "power": 4.0}
     with pytest.raises(ConfigValueError, match="inter-symbol interference"):
         config_from_dict(raw)
+
+
+FLAT = {"kind": "flat", "power": 1.0}
+
+
+def taps(n):
+    return {"kind": "uniform", "n_taps": n, "power": 1.0}
+
+
+@pytest.mark.parametrize("cp_len, direct, hop1, hop2, accepted", [
+    (0, FLAT, FLAT, FLAT, False),      # a flat link is one tap: cp_len >= 1
+    (1, FLAT, FLAT, FLAT, False),      # a relay of two flat hops: cp_len >= 2
+    (2, FLAT, FLAT, FLAT, True),
+    (5, taps(5), taps(2), taps(3), True),
+    (5, taps(6), taps(2), taps(3), False),
+    (5, taps(5), taps(3), taps(3), False),
+    (5, taps(5), FLAT, taps(4), True),
+    (5, taps(5), FLAT, taps(5), False),
+])
+def test_isi_rule_bounds_each_link_by_its_total_taps(cp_len, direct, hop1, hop2, accepted):
+    # the rule is cp_len >= L on the direct link and cp_len >= L1 + L2 on a relay
+    raw = copy.deepcopy(TINY)
+    raw["ofdm"]["cp_len"] = cp_len
+    raw["direct"]["profile"] = direct
+    raw["relays"][0].update(hop1_profile=hop1, hop2_profile=hop2)
+    if accepted:
+        config_from_dict(raw)
+    else:
+        with pytest.raises(ConfigValueError, match="inter-symbol interference"):
+            config_from_dict(raw)
+
+
+def value_paths(value, path=()):
+    """The path of every object member and list element inside value."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from value_paths(child, path + (key,))
+
+
+PRESET_PATHS = [(name, path) for name in sorted(PRESETS) for path in value_paths(PRESETS[name])]
+
+# Any value json.loads can return: NaN, infinities and unbounded integers
+# included; schema words make the type checks behind them reachable.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["flat", "uniform", "exponential", "qpsk", "qam16", "fixed", "eps1"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRESET_PATHS), JSON_VALUES)
+@example(("fig3_flat", ("ofdm", "constellation")), ["qpsk"])
+def test_any_json_value_gives_a_config_or_a_config_error(target, value):
+    # one member or element of a valid preset replaced by arbitrary JSON:
+    # loading returns a config or raises ConfigError, never anything else
+    name, (*parents, key) = target
+    raw = copy.deepcopy(PRESETS[name])
+    section = raw
+    for step in parents:
+        section = section[step]
+    section[key] = value
+    try:
+        assert isinstance(config_from_dict(raw), ExperimentConfig)
+    except ConfigError:
+        pass
 
 
 def test_unknown_keys_rejected_at_every_level():
@@ -217,9 +309,19 @@ def test_digest_ignores_workers_but_tracks_experiment_fields():
     c = tiny_config(master_seed=778)
     assert config_digest(a) == config_digest(b)
     assert config_digest(a) != config_digest(c)
+    # nested fields count too, down to a relay's gain and a profile's taps
+    relay = TINY["relays"][0]
+    for changed in (
+        tiny_config(ofdm={**TINY["ofdm"], "constellation": "qam16"}),
+        tiny_config(relays=[{**relay, "gain": {"mode": "upa", "total_power": 3.0}}]),
+        tiny_config(relays=[{**relay, "hop2_profile": {"kind": "uniform", "n_taps": 2,
+                                                       "power": 4.0}}]),
+        tiny_config(noise_scales=[1.0, 0.1]),
+    ):
+        assert config_digest(changed) != config_digest(a)
 
 
-# ------------------------------------------------------------------ run_point
+# ------------------------------------------------------------ one-point sweeps
 
 def test_degenerate_point_returns_infinite_sentinel_on_both_sides():
     raw = copy.deepcopy(TINY)
@@ -227,52 +329,55 @@ def test_degenerate_point_returns_infinite_sentinel_on_both_sides():
     raw["relays"][0]["relay_noise_var"] = 0.0
     raw["relays"][0]["dest_noise_var"] = 0.0
     raw["relays"][0]["gain"] = {"mode": "fixed", "rho": 1.0}
-    cfg = config_from_dict(raw)
-    empirical, breakdown = run_point(cfg, PointAssignment(0.0, (0.0,), 1.0))
-    assert math.isinf(breakdown.snr_db)
-    assert math.isinf(empirical.snr_db)
-    assert empirical.stderr_db == 0.0
+    (row,) = run_sweep(one_point_config(config_from_dict(raw), (0.0, 0.0)))
+    assert math.isinf(row.analytical_db)
+    assert math.isinf(row.empirical_db)
+    assert row.stderr_db == 0.0
 
 
 def test_monte_carlo_tracks_closed_form():
     cfg = with_overrides(load_config("fig3_flat"), trials=2000)
-    empirical, breakdown = run_point(cfg, PointAssignment(0.0, (0.2,), 1.0))
-    gap = abs(empirical.snr_db - breakdown.snr_db)
-    assert gap < max(0.3, 3.0 * empirical.stderr_db)
+    (row,) = run_sweep(one_point_config(cfg, (0.0, 0.2)))
+    gap = abs(row.empirical_db - row.analytical_db)
+    assert gap < max(0.3, 3.0 * row.stderr_db)
 
 
 def test_identical_results_across_worker_counts():
-    serial = tiny_config(workers=1)
-    parallel = tiny_config(workers=8)
-    point = PointAssignment(0.1, (0.2,), 1.0)
-    emp1, _ = run_point(serial, point)
-    emp8, _ = run_point(parallel, point)
-    assert emp1 == emp8  # bitwise-identical floats
+    serial = one_point_config(tiny_config(workers=1), (0.1, 0.2))
+    parallel = one_point_config(tiny_config(workers=8), (0.1, 0.2))
+    assert run_sweep(serial) == run_sweep(parallel)  # bitwise-identical floats
 
 
 def test_block_stream_is_independent_of_worker_count(monkeypatch):
     # 357 trials at N=64 are three full 102-trial blocks and a short one
-    starts = []
+    starts, reduced = [], []
 
     class CountingPool(harness.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             starts.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
+    def recording_aggregate(sig, res):
+        reduced.append((sig.shape, res.shape))
+        return aggregate(sig, res)
+
+    aggregate = harness._aggregate_trials
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(harness, "_aggregate_trials", recording_aggregate)
     raw = copy.deepcopy(TINY)
     raw["trials"] = 357
-    point = PointAssignment(0.1, (0.2,), 1.0)
     empirical, rows = {}, {}
     for workers in (1, 2, 3):
         cfg = config_from_dict({**raw, "workers": workers})
         assert harness.block_size(cfg.ofdm) == 102
-        empirical[workers], _ = run_point(cfg, point)
+        (empirical[workers],) = run_sweep(one_point_config(cfg, (0.1, 0.2)))
         before = len(starts)
         rows[workers] = run_sweep(cfg)
         assert len(starts) - before <= 1
     assert starts == [2, 2, 3, 3]  # workers=1 never starts a pool
     assert empirical[1] == empirical[2] == empirical[3]  # bitwise-identical floats
+    # every point of every run reduced all 357 per-trial power pairs
+    assert reduced == [((357,), (357,))] * 9
     assert empirical[1].trials == 357
     assert rows[1] == rows[2] == rows[3]
 
@@ -296,18 +401,17 @@ def test_sweep_draws_each_block_once(monkeypatch):
     rows = run_sweep(cfg)
     assert len(rows) == 6
     assert draws == [102, 102, 102, 51]
-    for row, point in zip(rows, sweep_points(cfg)):
-        empirical, _ = run_point(cfg, point)
-        assert (row.empirical_db, row.stderr_db) == (empirical.snr_db, empirical.stderr_db)
+    for row, eps, scale in zip(rows, *sweep_offsets(cfg)):
+        (alone,) = run_sweep(one_point_config(cfg, eps.tolist(), scale))
+        assert (row.empirical_db, row.stderr_db) == (alone.empirical_db, alone.stderr_db)
 
 
 def test_stderr_shrinks_like_inverse_root_trials():
-    cfg = load_config("fig3_flat")
-    point = PointAssignment(0.0, (0.2,), 1.0)
+    cfg = one_point_config(load_config("fig3_flat"), (0.0, 0.2))
     stderr = {}
     for trials in (500, 2000, 8000):
-        emp, _ = run_point(with_overrides(cfg, trials=trials), point)
-        stderr[trials] = emp.stderr_db
+        (row,) = run_sweep(with_overrides(cfg, trials=trials))
+        stderr[trials] = row.stderr_db
     assert stderr[500] / stderr[2000] == pytest.approx(2.0, rel=0.2)
     assert stderr[2000] / stderr[8000] == pytest.approx(2.0, rel=0.2)
 
@@ -346,10 +450,9 @@ def test_multi_relay_point_matches_multi_branch_closed_form():
     raw["relays"][1]["hop2_profile"] = {"kind": "uniform", "n_taps": 2, "power": 2.0}
     raw["relays"][1]["cfo"] = 0.1
     raw["trials"] = 2000
-    cfg = config_from_dict(raw)
-    empirical, breakdown = run_point(cfg, PointAssignment(0.05, (0.2, 0.1), 1.0))
-    gap = abs(empirical.snr_db - breakdown.snr_db)
-    assert gap < max(0.3, 3.0 * empirical.stderr_db)
+    (row,) = run_sweep(one_point_config(config_from_dict(raw), (0.05, 0.2, 0.1)))
+    gap = abs(row.empirical_db - row.analytical_db)
+    assert gap < max(0.3, 3.0 * row.stderr_db)
 
 
 # ------------------------------------------------- one closed form per sweep
@@ -375,16 +478,13 @@ def three_relay_raw(axis):
     return raw
 
 
-def sweep_points(cfg):
-    """Every sweep point as the PointAssignment `run_point` takes."""
+def one_point_columns(cfg, i):
+    """analytical_db, lambda1 and lambda2 of sweep point i evaluated alone,
+    from its own one-point inputs and the closed form's one-point form."""
     cfos, scales = sweep_offsets(cfg)
-    return [PointAssignment(eps[0], tuple(eps[1:]), scale)
-            for eps, scale in zip(cfos.tolist(), scales.tolist())]
-
-
-def one_point_columns(cfg, point):
-    """analytical_db, lambda1 and lambda2 of one point evaluated alone."""
-    _, snr = run_point(cfg, point)
+    stats, _ = point_inputs(cfg, cfos[i:i + 1], scales[i:i + 1])
+    snr = analytical_snr(LinkStats(stats.n_subcarriers, stats.branch_powers[0], stats.cfos[0],
+                                   stats.noise_vars[0]))
     if snr.slopes is None:
         return snr.snr_db, None, None
     return snr.snr_db, abs(snr.slopes[0]), abs(sum(snr.slopes[1:]))
@@ -402,11 +502,11 @@ def test_sweep_rows_equal_one_point_evaluations(axis, monkeypatch):
     cfg = config_from_dict(three_relay_raw(axis))
     rows = run_sweep(cfg)
     assert len(calls) == len(cfg.noise_scales) * len(cfg.relays)  # once per scale and relay
-    points = sweep_points(cfg)
-    assert len(rows) == len(points) == 18
-    for row, point in zip(rows, points):
-        assert (row.eps1, row.eps2) == (point.direct_cfo, point.relay_cfos[0])
-        assert (row.analytical_db, row.lambda1, row.lambda2) == one_point_columns(cfg, point)
+    cfos, _ = sweep_offsets(cfg)
+    assert len(rows) == len(cfos) == 18
+    for i, row in enumerate(rows):
+        assert (row.eps1, row.eps2) == (cfos[i, 0], cfos[i, 1])
+        assert (row.analytical_db, row.lambda1, row.lambda2) == one_point_columns(cfg, i)
 
 
 @pytest.mark.parametrize("axis", ["eps1", "eps2", "both_equal"])
@@ -415,8 +515,7 @@ def test_single_relay_sweep_matches_paper_formula(axis):
     raw["relays"] = raw["relays"][1:2]  # the general-gain relay
     cfg = config_from_dict(raw)
     (spec,) = cfg.relays
-    for row, point in zip(run_sweep(cfg), sweep_points(cfg)):
-        scale = point.noise_scale
+    for row, eps, scale in zip(run_sweep(cfg), *sweep_offsets(cfg)):
         _, _, snr = paper_snr(
             direct_gain_var=cfg.direct_profile.total_power,
             hop1_gain_var=spec.hop1_profile.total_power,
@@ -425,8 +524,8 @@ def test_single_relay_sweep_matches_paper_formula(axis):
             direct_noise_var=cfg.direct_noise_var * scale,
             relay_noise_var=spec.relay_noise_var * scale,
             dest_noise_var=spec.dest_noise_var * scale,
-            cfo_direct=point.direct_cfo,
-            cfo_relay=point.relay_cfos[0],
+            cfo_direct=eps[0],
+            cfo_relay=eps[1],
             rho=gain_factor(spec.gain, spec.hop1_profile.total_power,
                             spec.relay_noise_var * scale),
             n_subcarriers=cfg.ofdm.n_subcarriers,
@@ -441,14 +540,14 @@ def test_noise_free_sweep_is_infinite_only_at_zero_offsets():
         relay["relay_noise_var"] = relay["dest_noise_var"] = 0.0
     cfg = config_from_dict(raw)
     rows = run_sweep(cfg)
-    for row, point in zip(rows, sweep_points(cfg)):
+    for i, row in enumerate(rows):
         if row.eps1 == 0.0:
             assert row.analytical_db == math.inf
             assert row.lambda1 is None and row.lambda2 is None
         else:
             assert math.isfinite(row.analytical_db)
             assert row.lambda1 > 0.0 and row.lambda2 > 0.0
-        assert (row.analytical_db, row.lambda1, row.lambda2) == one_point_columns(cfg, point)
+        assert (row.analytical_db, row.lambda1, row.lambda2) == one_point_columns(cfg, i)
     assert sum(row.analytical_db == math.inf for row in rows) == len(cfg.noise_scales)
 
 

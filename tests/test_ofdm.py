@@ -16,6 +16,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         OfdmParams(constellation="qam64")
     with pytest.raises(ValueError):
+        OfdmParams(constellation=["qpsk"])  # unhashable
+    with pytest.raises(ValueError):
         OfdmParams(symbol_power=0.0)
 
 

@@ -297,8 +297,10 @@ def test_energy_identity_over_offset_grid():
 # ----------------------------------------------------------------- validation
 
 def test_fractional_cfo_bound_enforced():
+    # the closed interval [-0.5, 0.5], the one LinkStats accepts
     assert require_fractional_cfo(0.49) == 0.49
-    with pytest.raises(ValueError, match="0.5"):
-        require_fractional_cfo(0.6)
-    with pytest.raises(ValueError, match="0.5"):
-        require_fractional_cfo(-0.5)
+    assert require_fractional_cfo(0.5) == 0.5
+    assert require_fractional_cfo(-0.5) == -0.5
+    for eps in (0.6, np.nextafter(0.5, 1), -np.nextafter(0.5, 1), np.nan, np.inf):
+        with pytest.raises(ValueError, match="0.5"):
+            require_fractional_cfo(eps)
