@@ -64,7 +64,8 @@ def exponential_profile(n_taps: int, power: float = 1.0, decay: float = 1.0) -> 
         raise ValueError(f"n_taps must be >= 1, got {n_taps}")
     if decay <= 0:
         raise ValueError(f"decay must be > 0, got {decay}")
-    shape = np.exp(-np.arange(n_taps) / decay)
+    with np.errstate(over="ignore"):  # a subnormal decay sends -l/decay to -inf, exp to 0
+        shape = np.exp(-np.arange(n_taps) / decay)
     return PowerDelayProfile(power * shape / shape.sum())
 
 

@@ -443,16 +443,18 @@ def block_size(params: OfdmParams) -> int:
 
 def _simulate_blocks(task):
     """Per-trial (signal, residual) powers, each (P, trials), of blocks
-    [first, stop) at every point."""
+    [first, stop) at every point; an error is re-raised naming the range."""
     cfg, direct, relays, first, stop = task
     size = block_size(cfg.ofdm)
     sig, res = [], []
-    for b in range(first, stop):
-        trials = min(size, cfg.trials - b * size)
-        rng = np.random.default_rng([cfg.master_seed, b])
-        outcome = simulate_block(cfg.ofdm, direct, relays, rng, trials)
-        sig.append(outcome.signal_power)
-        res.append(outcome.residual_power)
+    try:
+        for b in range(first, stop):
+            rng = np.random.default_rng([cfg.master_seed, b])
+            outcome = simulate_block(cfg.ofdm, direct, relays, rng, min(size, cfg.trials - b * size))
+            sig.append(outcome.signal_power)
+            res.append(outcome.residual_power)
+    except Exception as exc:
+        raise RuntimeError(f"blocks [{first}, {stop}): {exc}") from exc
     return np.concatenate(sig, axis=-1), np.concatenate(res, axis=-1)
 
 
@@ -494,9 +496,9 @@ def _aggregate_trials(sig: np.ndarray, res: np.ndarray) -> tuple:
     trials = sig.size
     total_sig = float(np.sum(sig))
     total_res = float(np.sum(res))
-    # A residual below ~1e-24 of the signal is rounding dust from the
-    # transform round trip, not a real impairment (the weakest modelled
-    # impairments sit many orders above); report the infinity sentinel.
+    # A residual below ~1e-24 of the signal is rounding dust, the norm of
+    # s - idft(HX), not a real impairment (the weakest modelled impairments
+    # sit many orders above); report the infinity sentinel.
     if total_res <= total_sig * 1e-24:
         return math.inf, 0.0
     lin = total_sig / total_res

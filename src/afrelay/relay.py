@@ -8,12 +8,19 @@ the true dominant-term coefficient, and combines with equal gain.
 `simulate_block` is the one simulator entry point: it runs a block of
 trials at one sweep point or at many on the same draws.
 
-The per-trial outcome splits every branch spectrum into its coherent
-signal term and the interference-plus-noise remainder.  The split is done
-branch by branch (not on the combined metric): the closed-form SNR tracks
-the per-branch second moments, and the combined metric's signal power
-would retain a cross term between branch magnitudes that the closed form
-does not contain.
+The per-trial outcome splits every branch spectrum Y into its coherent
+signal term |g| X, for the genie gain g = rho C(eps, 0) H, and the
+remainder, branch by branch (not on the combined metric): the closed-form
+SNR tracks the per-branch second moments, and the combined metric's signal
+power would retain a cross term between branch magnitudes that the closed
+form does not contain.  Derotation has unit modulus (phase 0 where g is
+0), so the remainder's power is ||Y - gX||^2, by Parseval
+N ||y - rho c v||^2 over the received body y, with c = C(eps, 0) and
+v = idft(HX).  With s the body of the channel output, e = s - v its
+rounding dust and W = r - c for the CFO ramp r, y - rho c v is
+rho (W s + c e) plus the scaled noise, so a point only reduces per-branch
+arrays computed once per block: no point runs a ramp, a transform or a
+derotation.
 """
 from __future__ import annotations
 
@@ -24,8 +31,6 @@ import numpy as np
 
 from .channel import (
     PowerDelayProfile,
-    add_noise,
-    apply_cfo,
     apply_channel,
     draw_channel,
     frequency_response,
@@ -34,9 +39,13 @@ from .channel import (
     standard_noise,
 )
 from .ofdm import OfdmParams, draw_symbols, modulate, remove_cp
-from .transforms import cfo_spectrum, dft
+from .transforms import dirichlet_gain, idft
 
 _GAIN_MODES = ("fixed", "general", "upa", "upa_asymptotic")
+
+# Products per chunk of points in `simulate_block`'s reductions: 128 KiB,
+# so its memory does not grow with the number of points.
+POINT_CHUNK_ELEMENTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -110,71 +119,6 @@ class TrialOutcome:
     residual_power: np.ndarray
 
 
-def _points(value, shape: tuple) -> list:
-    """A per-point path field as Python floats, one per point; a float
-    field is shared by every point."""
-    return np.broadcast_to(np.asarray(value, dtype=np.float64), shape or (1,)).tolist()
-
-
-def _received(x, hops, cfos, rhos, noise_vars, rng, params):
-    """One branch's received samples at each point, one point at a time.
-
-    `hops` holds the branch's tap realizations: one array for the direct
-    link, hop 1 and hop 2 for a relay, whose cascade is applied as one
-    channel.  The channel output is computed once, and each noise source's
-    normals are drawn once, in order, before the first point; all points
-    share them.  Point p then applies its CFO ramp, its gain rhos[p] (rhos
-    is None for the unamplified direct link) and, per noise source, its
-    variance noise_vars[source][p].  Consume every point of one branch
-    before the next branch draws.
-    """
-    counts = [np.shape(h)[-1] for h in hops]
-    require_isi_free(params.cp_len, counts, "the direct channel" if len(hops) == 1 else "the relay")
-    taps = hops[0] if len(hops) == 1 else linear_convolve(*hops, sum(counts) - 1)
-    faded = apply_channel(x, taps, params)
-    noises = [standard_noise(faded.shape, rng) for _ in noise_vars]
-    for p, cfo in enumerate(cfos):
-        y = apply_cfo(faded, cfo, params)
-        if rhos is not None:
-            y *= rhos[p]
-        for noise, variances in zip(noises, noise_vars):
-            y = add_noise(y, noise, variances[p])
-        yield y
-
-
-def _branch_powers(samples, gain: np.ndarray, symbols: np.ndarray, params: OfdmParams) -> tuple:
-    """Co-phase one branch with its genie gain and split it, row by row.
-
-    The prefix is removed, the body transformed and each bin derotated by
-    exp(-j arg g) = conj(g)/|g|.  Per bin the coherent signal term is
-    |g[k]| X[k]; the residual is everything else (inter-carrier leakage
-    plus noise).  Returns both squared magnitudes summed over bins.  Bins
-    where the genie gain is exactly zero have no defined phase; they are
-    derotated by 0 and reported through a warning, which keeps the
-    statistics unbiased (the event has probability zero under continuous
-    fading).
-    """
-    magnitude = np.abs(gain)
-    nonzero = magnitude > 0
-    if not nonzero.all():
-        zero_bins = np.flatnonzero(~nonzero.all(axis=tuple(range(gain.ndim - 1))))
-        warnings.warn(
-            f"genie gain is exactly zero at bins {zero_bins.tolist()}; "
-            "derotation phase set to 0 there",
-            stacklevel=2,
-        )
-    derotation = np.ones(gain.shape, dtype=np.complex128)
-    np.divide(np.conj(gain), magnitude, out=derotation, where=nonzero)
-    spectrum = dft(remove_cp(samples, params)) * derotation
-    # freed before the sums: kept alive through them, this (trials, N)
-    # block made glibc trim and refault the heap top, 2.5x the minor page
-    # faults of a fig3_flat sweep
-    del derotation
-    coherent = magnitude * symbols
-    return (np.sum(np.abs(coherent) ** 2, axis=-1),
-            np.sum(np.abs(spectrum - coherent) ** 2, axis=-1))
-
-
 @dataclass(frozen=True)
 class DirectPath:
     """Statistical description of the direct link for trial simulation.
@@ -204,6 +148,42 @@ class RelayPath:
     dest_noise_var: float | np.ndarray   # per sample, added at the destination
 
 
+def _reduce(weights, data) -> np.ndarray:
+    """Row sums of weights[p] * data[t], a (P, trials) array, over chunks
+    of about POINT_CHUNK_ELEMENTS products.  Each is one last-axis
+    `np.sum`, so no sum depends on the chunking or on the other points."""
+    step = max(1, POINT_CHUNK_ELEMENTS // data.size)
+    return np.concatenate([np.sum(weights[first:first + step, None] * data, axis=-1)
+                           for first in range(0, len(weights), step)])
+
+
+def _gram_terms(vectors, alphas) -> tuple:
+    """Weights (P, K) and data (trials, K) whose row products sum to
+    ||sum_j alphas[j] vectors[j]||^2: each Gram entry sum conj(x_j) x_k,
+    k >= j, against alpha_j conj(alpha_k), twice off the diagonal."""
+    weights, data = [], []
+    for j, (x, alpha) in enumerate(zip(vectors, alphas)):
+        conj_x = np.conj(x)
+        for y, beta in zip(vectors[j:], alphas[j:]):
+            pair = (1.0 if y is x else 2.0) * alpha * np.conj(beta)
+            gram = np.sum(conj_x * y, axis=-1)
+            weights += [pair.real, pair.imag]
+            data += [gram.real, gram.imag]
+    return np.stack(weights, axis=-1), np.stack(data, axis=-1)
+
+
+def _ramp_terms(s, w, rho, vectors, alphas):
+    """(weights (P, K), data (trials, K)) blocks whose row products sum to
+    ||rho w (.) s||^2 + 2 Re <rho w (.) s, sum_j alphas[j] vectors[j]>:
+    |w|^2 against |s|^2, then per vector 2 rho conj(alpha_j) w against
+    conj(s) x_j, complex numbers viewed as (re, im) pairs."""
+    conj_s = np.conj(s)
+    yield rho[:, None] ** 2 * (w.real ** 2 + w.imag ** 2), s.real ** 2 + s.imag ** 2
+    for x, alpha in zip(vectors, alphas):
+        q = (2.0 * rho * np.conj(alpha))[:, None] * w
+        yield q.view(np.float64), (conj_s * x).view(np.float64)
+
+
 def simulate_block(
     params: OfdmParams,
     direct: DirectPath,
@@ -218,18 +198,17 @@ def simulate_block(
     (P, trials) powers; every point receives the same draws.  Draw order
     is fixed: symbol indices (trials, N), direct taps, each relay's hop1
     then hop2 taps (each real block then imaginary block), then per path
-    in order (direct, relay 1..M) the noise, relay noise before
-    destination noise.  Symbols, taps, channel outputs, hop responses and
-    noise are computed once for all points.
+    in order (direct, relay 1..M) the noise at (trials, N + cp_len),
+    relay noise before destination noise, of which the body is used.
 
     A relay forwards rho times the CFO-rotated cascade of both hops; its
     own received noise arrives amplified by rho but neither convolved with
     the second hop nor rotated, and the destination adds its noise last.
     The genie gain of a branch is rho * C(cfo, 0) * prod H_i per bin, in
-    hop order (rho = 1 on the direct link).  Branches are the outer loop
-    and points the inner one, so one branch's noise and one point's
-    samples are alive at a time; each point adds its branches' powers in
-    branch order.
+    hop order (rho = 1 on the direct link).  A point's signal is
+    (rho |C(cfo, 0)|)^2 ||HX||^2; its residual is N times the Gram terms of
+    the dust and noise plus, at a nonzero offset (W != 0), the ramp terms
+    of s.  Each point adds its branches' powers in branch order.
     """
     n = params.n_subcarriers
     relays = list(relays)
@@ -237,34 +216,52 @@ def simulate_block(
         v for r in relays for v in (r.cfo, r.rho, r.relay_noise_var, r.dest_noise_var)
     ]
     shape = np.broadcast_shapes(*map(np.shape, fields))
+
+    def points(values):  # (len(values), P)
+        return np.stack(np.broadcast_arrays(*values, np.empty(shape or (1,))))[:-1]
+
     symbols = draw_symbols(params, rng, trials)
     tx = modulate(symbols, params)
-
-    direct_taps = draw_channel(direct.profile, rng, trials)
-    hop_taps = [
+    hops = [[draw_channel(direct.profile, rng, trials)]] + [
         [draw_channel(r.hop1_profile, rng, trials), draw_channel(r.hop2_profile, rng, trials)]
         for r in relays
     ]
-    branches = [([direct_taps], _points(direct.cfo, shape), None,
-                 [_points(direct.noise_var, shape)])]
-    for hops, r in zip(hop_taps, relays):
-        rhos = _points(r.rho, shape)
-        amplified = [rho ** 2 * var for rho, var in zip(rhos, _points(r.relay_noise_var, shape))]
-        branches.append((hops, _points(r.cfo, shape), rhos,
-                         [amplified, _points(r.dest_noise_var, shape)]))
-
-    signal = np.zeros((len(branches[0][1]), trials))
-    residual = np.zeros_like(signal)
-    for hops, cfos, rhos, noise_vars in branches:
-        responses = [frequency_response(taps, n) for taps in hops]
-        received = _received(tx, hops, cfos, rhos, noise_vars, rng, params)
-        for p, y in enumerate(received):
-            scale = 1.0 if rhos is None else rhos[p]
-            gain = np.full(n, scale * cfo_spectrum(cfos[p], 0, n), dtype=np.complex128)
-            for response in responses:
-                gain = gain * response
-            branch_signal, branch_residual = _branch_powers(y, gain, symbols, params)
-            signal[p] += branch_signal
-            residual[p] += branch_residual
-    shape += (trials,)
-    return TrialOutcome(signal.reshape(shape), residual.reshape(shape))
+    cfo = points([direct.cfo] + [r.cfo for r in relays])
+    rho = points([1.0] + [r.rho for r in relays])
+    noise_vars = [points([direct.noise_var])] + [
+        points([r.relay_noise_var, r.dest_noise_var]) * [g ** 2, np.ones_like(g)]
+        for g, r in zip(rho[1:], relays)
+    ]
+    offsets = np.unique(cfo)  # per distinct offset: |C(cfo, 0)|, C(cfo, 0) and W
+    gain = dirichlet_gain(offsets, n)
+    coefficient = gain * np.exp(1j * np.pi * offsets * (1.0 - 1.0 / n))
+    w = np.exp(2j * np.pi / n * offsets[:, None] * np.arange(n)) - coefficient[:, None]
+    signal, residual = np.zeros((2,) + rho.shape[1:] + (trials,))
+    for b, (index, variances) in enumerate(zip(np.searchsorted(offsets, cfo), noise_vars)):
+        if np.any(variances < 0):
+            raise ValueError("noise variances must be >= 0")
+        counts = [h.shape[-1] for h in hops[b]]
+        require_isi_free(params.cp_len, counts, "the relay" if b else "the direct channel")
+        taps = hops[b][0] if b == 0 else linear_convolve(*hops[b], sum(counts) - 1)
+        body = remove_cp(apply_channel(tx, taps, params), params)
+        spectrum = frequency_response(hops[b][0], n)  # H, then HX
+        for h in hops[b][1:]:
+            spectrum *= frequency_response(h, n)
+        magnitude = rho[b] * gain[index]  # |genie gain / H|
+        if not (spectrum.all() and magnitude.all()):
+            zero = np.flatnonzero(np.any(spectrum == 0, axis=0) | np.any(magnitude == 0))
+            warnings.warn(f"genie gain is exactly zero at bins {zero.tolist()}; "
+                          "derotation phase set to 0 there", stacklevel=2)
+        spectrum *= symbols
+        signal += magnitude[:, None] ** 2 * np.sum(spectrum.real ** 2 + spectrum.imag ** 2, -1)
+        dust = idft(spectrum)
+        np.subtract(body, dust, out=dust)
+        vectors = [dust] + [remove_cp(standard_noise(tx.shape, rng), params) for _ in variances]
+        alphas = [rho[b] * coefficient[index]] + list(np.sqrt(variances / 2.0))
+        residual += n * _reduce(*_gram_terms(vectors, alphas))
+        moving = np.flatnonzero(offsets[index] != 0)
+        if moving.size:
+            blocks = _ramp_terms(body, w[index[moving]], rho[b, moving], vectors,
+                                 [alpha[moving] for alpha in alphas])
+            residual[moving] += n * sum(_reduce(*block) for block in blocks)
+    return TrialOutcome(signal.reshape(shape + (trials,)), residual.reshape(shape + (trials,)))

@@ -46,6 +46,12 @@ def test_profile_validation():
         exponential_profile(4, 1.0, decay=0.0)
 
 
+def test_subnormal_decay_puts_all_power_on_tap_zero():
+    # -l/decay overflows to -inf there; the shape must still come out
+    # without a RuntimeWarning (an error under this suite's settings)
+    assert exponential_profile(3, 2.0, decay=5e-324).tap_powers.tolist() == [2.0, 0.0, 0.0]
+
+
 # ----------------------------------------------------------------- draw_channel
 
 def test_flat_fading_tap_power_converges():

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from afrelay import harness
 from afrelay.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, SUMMARY_ROWS, main
 
 SMALL = {
@@ -129,6 +130,21 @@ def test_runtime_errors_exit_with_runtime_code(config_path, tmp_path, capsys):
     rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path)])
     assert rc == EXIT_RUNTIME
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_block_failure_names_its_block_range(config_path, tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("engine failed")
+
+    monkeypatch.setattr(harness, "simulate_block", broken)
+    out = tmp_path / "out.csv"
+    rc = main(["simulate", "--config", str(config_path), "--workers", "1", "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    assert "runtime error: blocks [0, 1): engine failed" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(RuntimeError, match=r"blocks \[0, 1\)") as failure:
+        harness.run_sweep(harness.load_config(config_path))
+    assert isinstance(failure.value.__cause__, ValueError)
 
 
 def test_module_entry_point_runs(config_path, tmp_path):

@@ -183,6 +183,8 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(PRESET_PATHS), JSON_VALUES)
 @example(("fig3_flat", ("ofdm", "constellation")), ["qpsk"])
+@example(("fig3_flat", ("direct", "profile")),
+         {"kind": "exponential", "n_taps": 3, "power": 1.0, "decay": 5e-324})
 def test_any_json_value_gives_a_config_or_a_config_error(target, value):
     # one member or element of a valid preset replaced by arbitrary JSON:
     # loading returns a config or raises ConfigError, never anything else

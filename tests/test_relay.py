@@ -16,6 +16,7 @@ from afrelay.channel import (
 )
 from afrelay.ofdm import OfdmParams, draw_symbols, modulate
 from afrelay.relay import (
+    POINT_CHUNK_ELEMENTS,
     DirectPath,
     RelayGainConfig,
     RelayPath,
@@ -151,6 +152,12 @@ def test_relay_branch_linear_in_gain():
     assert np.array_equal(block.residual_power[1], 4.0 * block.residual_power[0])
 
 
+def test_negative_noise_variance_rejected():
+    relay = RelayPath(FLAT, FLAT, 0.0, 1.0, [0.01, -0.01], 0.0)
+    with pytest.raises(ValueError, match="noise variances must be >= 0"):
+        simulate_block(PARAMS, DirectPath(FLAT, 0.0, 0.0), [relay], np.random.default_rng(0), 1)
+
+
 def test_relay_branch_isi_precondition():
     relay = RelayPath(uniform_profile(9), uniform_profile(8), 0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="9\\+8 taps.*16 samples"):
@@ -180,12 +187,14 @@ def test_combined_metric_matches_closed_form_assembly():
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([48, 64, 80, 96]),
-       st.sampled_from(["qpsk", "qam16"]), st.integers(1, 16))
-@example(0, 96, "qam16", 16)
-@example(1, 48, "qpsk", 16)
-def test_block_matches_per_trial_oracle(seed, n, constellation, m):
+       st.sampled_from(["qpsk", "qam16"]), st.integers(1, 16), st.sampled_from([None, 0.5]))
+@example(0, 96, "qam16", 16, None)
+@example(1, 48, "qpsk", 16, None)
+@example(2, 64, "qpsk", 3, 0.5)
+def test_block_matches_per_trial_oracle(seed, n, constellation, m, edge):
     # every trial of a block, for any subcarrier count, constellation and
-    # 1 to 16 relays with 1 to 4 taps per hop
+    # 1 to 16 relays with 1 to 4 taps per hop; given an edge, the offsets
+    # alternate between exactly +edge and -edge
     rng = np.random.default_rng(seed)
     params = OfdmParams(n_subcarriers=n, cp_len=8, constellation=constellation,
                         symbol_power=rng.uniform(0.5, 2.0))
@@ -193,11 +202,14 @@ def test_block_matches_per_trial_oracle(seed, n, constellation, m):
     def profile():
         return uniform_profile(int(rng.integers(1, 5)), rng.uniform(0.25, 4.0))
 
-    direct = DirectPath(profile(), rng.uniform(-0.5, 0.5), rng.uniform(0.0, 0.1))
+    def offset(branch):
+        return rng.uniform(-0.5, 0.5) if edge is None else edge * (-1.0) ** branch
+
+    direct = DirectPath(profile(), offset(0), rng.uniform(0.0, 0.1))
     relays = [
-        RelayPath(profile(), profile(), rng.uniform(-0.5, 0.5), rng.uniform(0.3, 2.0),
+        RelayPath(profile(), profile(), offset(i + 1), rng.uniform(0.3, 2.0),
                   rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.1))
-        for _ in range(m)
+        for i in range(m)
     ]
     assert _oracle_error(direct, relays, [seed, 1], 2, params) < 1e-9
 
@@ -222,6 +234,10 @@ def test_zero_genie_gain_is_flagged():
     with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
         block = simulate_block(PARAMS, direct, [relay], np.random.default_rng(19), 3)
     assert np.isfinite(block.signal_power).all() and np.isfinite(block.residual_power).all()
+    # a relay point at rho = 0 has a zero genie gain at every bin
+    silent = RelayPath(FLAT, FLAT, 0.2, [1.0, 0.0], 0.01, 0.01)
+    with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
+        simulate_block(PARAMS, DirectPath(FLAT, 0.1, 0.01), [silent], np.random.default_rng(19), 3)
 
 
 # --------------------------------------------------------------- decomposition
@@ -363,17 +379,29 @@ POINT_PATHS = {
 }
 
 
-@pytest.mark.parametrize("trials", [1, 7, 357])
-@pytest.mark.parametrize("name", sorted(POINT_PATHS))
-def test_block_of_points_equals_one_point_blocks(name, trials):
+POINT_CASES = [pytest.param(name, trials, 4, id=f"{name}-{trials}")
+               for name in sorted(POINT_PATHS) for trials in (1, 7, 357)]
+# 40 points of 7 trials: each branch's reductions take several chunks
+POINT_CASES.append(pytest.param("selective_two_relays", 7, 40, id="selective_two_relays-7-40"))
+
+
+@pytest.mark.parametrize("name, trials, count", POINT_CASES)
+def test_block_of_points_equals_one_point_blocks(name, trials, count):
     direct, relays = POINT_PATHS[name]
     cfos = [[0.0] + [0.0] * len(relays), [0.1, -0.2, 0.3][:len(relays) + 1],
             [-0.45] + [0.45] * len(relays), [0.2] + [0.2] * len(relays)]
-    scales = [1.0, 1.0, 0.1, 0.0]  # the last point is noise-free
-    points = _point_paths(direct, relays, cfos, scales, gains=[1.0, 1.2, 0.7, 1.0])
+    scales = [1.0, 1.0, 0.1, 0.0]  # the fourth point is noise-free
+    gains = [1.0, 1.2, 0.7, 1.0]
+    rng = np.random.default_rng(count)
+    cfos += rng.uniform(-0.5, 0.5, (count - 4, len(relays) + 1)).tolist()
+    scales += rng.choice([1.0, 0.1, 0.0], count - 4).tolist()
+    gains += rng.uniform(0.5, 1.5, count - 4).tolist()
+    if count > 4:
+        assert count * trials * PARAMS.n_subcarriers > POINT_CHUNK_ELEMENTS
+    points = _point_paths(direct, relays, cfos, scales, gains)
     block = simulate_block(PARAMS, *points, np.random.default_rng([5, 3]), trials)
-    assert block.signal_power.shape == block.residual_power.shape == (4, trials)
-    for p in range(4):
+    assert block.signal_power.shape == block.residual_power.shape == (count, trials)
+    for p in range(count):
         alone = simulate_block(PARAMS, *_one_point(*points, p), np.random.default_rng([5, 3]),
                                trials)
         assert np.array_equal(block.signal_power[p], alone.signal_power)
@@ -389,3 +417,30 @@ def test_block_of_points_consumes_the_stream_of_one_point():
     simulate_block(PARAMS, *points, shared, 11)
     simulate_block(PARAMS, *_one_point(*points, 2), alone, 11)
     assert shared.bit_generator.state == alone.bit_generator.state
+
+
+def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
+    # every transform runs once per block and branch, none per point
+    calls = []
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), **k:
+                            calls.append(1) or _f(*a, **k))
+    direct, relays = POINT_PATHS["selective_two_relays"]
+    counts = []
+    for count in (1, 40):
+        cfos = np.linspace(-0.5, 0.5, count)[:, None] * [1.0, -1.0, 0.5]
+        calls.clear()
+        simulate_block(PARAMS, *_point_paths(direct, relays, cfos, np.ones(count)),
+                       np.random.default_rng(4), 7)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 1 + 5 + 3  # modulation, hop responses, one per branch
+
+
+def test_noise_free_zero_offset_point_stays_at_dust_beside_noisy_points():
+    # the infinity sentinel needs residual <= 1e-24 signal at such a point
+    direct, relays = POINT_PATHS["selective_two_relays"]
+    cfos = [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [0.5, -0.5, 0.5]]
+    points = _point_paths(direct, relays, cfos, [0.0, 1.0, 1.0, 0.1])
+    block = simulate_block(PARAMS, *points, np.random.default_rng(12), 102)
+    assert np.all(block.residual_power[0] < 1e-24 * block.signal_power[0])
+    assert np.all(block.residual_power[1:] > 1e-6 * block.signal_power[1:])
