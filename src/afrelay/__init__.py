@@ -29,9 +29,8 @@ from .harness import (
 )
 from .ofdm import OfdmParams, draw_symbols, modulate, remove_cp
 from .relay import (
-    DirectPath,
+    Branch,
     RelayGainConfig,
-    RelayPath,
     TrialOutcome,
     gain_factor,
     simulate_block,

@@ -117,20 +117,13 @@ def linear_convolve(x, taps, length: int) -> np.ndarray:
 def apply_channel(samples, taps, params: OfdmParams) -> np.ndarray:
     """Convolve prefix-extended rows with their channel taps.
 
-    Linear convolution truncated to the input length; provided the cyclic
-    prefix covers the channel memory, the prefix-free body then equals the
-    cyclic convolution of the body with the zero-padded taps.  A memory
-    beyond the prefix is rejected, since that identity fails there; links
-    are held to the stricter `require_isi_free` by the config loader and
-    the engine.
+    Linear convolution truncated to the input length; under
+    `require_isi_free` the prefix-free body then equals the cyclic
+    convolution of the body with the zero-padded taps.
     """
     samples = require_extended(samples, params)
     taps = np.asarray(taps, dtype=np.complex128)
-    if taps.shape[-1] - 1 > params.cp_len:
-        raise ValueError(
-            f"inter-symbol interference: channel memory {taps.shape[-1] - 1} exceeds "
-            f"cyclic prefix length {params.cp_len}"
-        )
+    require_isi_free(params.cp_len, [taps.shape[-1]], "the channel")
     return linear_convolve(samples, taps, samples.shape[-1])
 
 
@@ -149,16 +142,17 @@ def apply_cfo(samples, eps: float, params: OfdmParams) -> np.ndarray:
 def require_isi_free(cp_len: int, hop_taps, link: str) -> None:
     """The inter-symbol interference rule for a link of one or more hops.
 
-    The cyclic prefix must hold at least as many samples as the link's hops
-    have taps in total: cp_len >= L for the direct link and cp_len >= L1+L2
-    for a relay.  The rule is conservative: the true channel memory is
-    L - 1 and L1 + L2 - 2 samples.  `link` names the link in the message.
+    The cyclic prefix must cover the link's channel memory, the sum of
+    L - 1 over its hops: L - 1 samples on the direct link, L1 + L2 - 2 on a
+    relay.  A relay's convolved cascade of L1 + L2 - 1 taps has the same
+    memory, so its hops and its cascade get the same answer.  `link` names
+    the link in the message.
     """
-    need = sum(hop_taps)
-    if cp_len < need:
+    memory = sum(hop_taps) - len(hop_taps)
+    if memory > cp_len:
         raise ValueError(
-            f"inter-symbol interference: {link} has {'+'.join(map(str, hop_taps))} taps "
-            f"but the cyclic prefix holds {cp_len} samples; the rule is cp_len >= {need}"
+            f"inter-symbol interference: {link} has {'+'.join(map(str, hop_taps))} taps, "
+            f"memory {memory} beyond the cyclic prefix length {cp_len}"
         )
 
 

@@ -6,10 +6,11 @@ axis moves, the grid it moves over, and the noise scalings at which the
 sweep repeats.  `run_sweep` evaluates the closed-form SNR and/or the
 Monte-Carlo estimate at every point and returns rows ready for `write_csv`.
 `point_inputs` is the one builder that turns a config and P sweep points
-into both sides' inputs: the closed form's `LinkStats` with a leading
-point axis, evaluated once per sweep, and, only when the mode simulates,
-the direct and relay paths with one offset, gain and noise variance per
-point, simulated once per sweep.
+into both sides' inputs, one branch at a time, direct link first: the
+closed form's `LinkStats` with a leading point axis, evaluated once per
+sweep, and, only when the mode simulates, the simulator's `Branch` list
+with one offset, gain and noise variance per point, simulated once per
+sweep.
 
 Noise convention: configured noise variances are per received frequency
 bin, the same quantities the closed-form SNR consumes.  The simulator
@@ -50,7 +51,7 @@ from .channel import (
     uniform_profile,
 )
 from .ofdm import OfdmParams
-from .relay import DirectPath, RelayGainConfig, RelayPath, gain_factor, simulate_block
+from .relay import Branch, RelayGainConfig, gain_factor, simulate_block
 from .transforms import require_fractional_cfo
 
 SWEEP_AXES = ("eps1", "eps2", "both_equal")
@@ -245,13 +246,11 @@ def _parse_profile(raw, context: str, cp_len: int) -> PowerDelayProfile:
     if power <= 0:
         raise ConfigValueError(f"{context}: total power must be > 0, got {power!r}")
     try:
-        n_taps = 1 if kind == "flat" else _as_int(
-            _require(raw, "n_taps", context), "n_taps", context)
-        # no hop may outgrow the prefix (a flat profile is one tap); checked
-        # before n_taps sizes an array
-        require_isi_free(cp_len, [n_taps], "a flat profile" if kind == "flat" else "n_taps")
-        if kind == "flat":
+        if kind == "flat":  # one tap, no memory
             return flat_profile(power)
+        n_taps = _as_int(_require(raw, "n_taps", context), "n_taps", context)
+        # no hop may outgrow the prefix; checked before n_taps sizes an array
+        require_isi_free(cp_len, [n_taps], "n_taps")
         if kind == "uniform":
             return uniform_profile(n_taps, power)
         return exponential_profile(
@@ -403,36 +402,35 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
     """Closed-form statistics of P points, given as `sweep_offsets` returns
-    them, and their simulator paths when the mode simulates.
+    them, and their simulator branches when the mode simulates.
 
-    Returns (LinkStats with a leading point axis, (DirectPath, [RelayPath])
-    whose offsets, gains and noise variances hold one value per point, or
-    None).  Each relay gain is resolved once per noise scaling; LinkStats
-    carries per-bin noise, the paths per-sample noise (var * scale / N).
+    Returns (LinkStats with a leading point axis, [Branch] whose offsets,
+    gains and noise variances hold one value per point, or None), both
+    from one table over the branches, direct link first (one hop, gain
+    1): a_b = rho^2 prod P_hop s_X and s_b = the last noise plus rho^2
+    times the earlier ones.  Each relay gain is resolved once per noise
+    scaling; LinkStats carries per-bin noise, the branches per-sample
+    noise (var * scale / N).
     """
     n, sx = cfg.ofdm.n_subcarriers, cfg.ofdm.symbol_power
     levels, level_of = np.unique(scales, return_inverse=True)
-    levels = levels.tolist()
-    gains, branches = [], []  # per noise scaling: relay gains, (power, noise) per branch
-    for scale in levels:
-        rhos = [gain_factor(s.gain, s.hop1_profile.total_power, s.relay_noise_var * scale)
-                for s in cfg.relays]
-        gains.append(rhos)
-        branches.append([(cfg.direct_profile.total_power * sx, cfg.direct_noise_var * scale)] + [
-            (rho ** 2 * s.hop1_profile.total_power * s.hop2_profile.total_power * sx,
-             s.dest_noise_var * scale + rho ** 2 * (s.relay_noise_var * scale))
-            for s, rho in zip(cfg.relays, rhos)
-        ])
-    branches = np.array(branches)[level_of]
-    stats = LinkStats(n, branches[..., 0], cfos, branches[..., 1])
+    links = [((cfg.direct_profile,), (cfg.direct_noise_var,), None)] + [
+        ((s.hop1_profile, s.hop2_profile), (s.relay_noise_var, s.dest_noise_var), s.gain)
+        for s in cfg.relays
+    ]
+    table = []  # (rho, a_b, s_b) per branch and noise scaling
+    for hops, noise_vars, gain in links:
+        for scale in levels.tolist():
+            noise = [v * scale for v in noise_vars]
+            rho = 1.0 if gain is None else gain_factor(gain, hops[0].total_power, noise[0])
+            table.append((rho, math.prod([rho ** 2, *(h.total_power for h in hops), sx]),
+                          noise[-1] + rho ** 2 * sum(noise[:-1])))
+    rho, a, s = np.array(table).reshape(len(links), len(levels), 3)[:, level_of].T
+    stats = LinkStats(n, a, cfos, s)
     if cfg.mode == "analytical":
         return stats, None
-    rhos = np.array(gains)[level_of]
-    direct = DirectPath(cfg.direct_profile, cfos[:, 0], cfg.direct_noise_var * scales / n)
-    relays = [RelayPath(s.hop1_profile, s.hop2_profile, cfos[:, i + 1], rhos[:, i],
-                        s.relay_noise_var * scales / n, s.dest_noise_var * scales / n)
-              for i, s in enumerate(cfg.relays)]
-    return stats, (direct, relays)
+    return stats, [Branch(hops, cfos[:, b], rho[:, b], tuple(v * scales / n for v in noise_vars))
+                   for b, (hops, noise_vars, _) in enumerate(links)]
 
 
 def block_size(params: OfdmParams) -> int:
@@ -444,13 +442,13 @@ def block_size(params: OfdmParams) -> int:
 def _simulate_blocks(task):
     """Per-trial (signal, residual) powers, each (P, trials), of blocks
     [first, stop) at every point; an error is re-raised naming the range."""
-    cfg, direct, relays, first, stop = task
+    cfg, branches, first, stop = task
     size = block_size(cfg.ofdm)
     sig, res = [], []
     try:
         for b in range(first, stop):
             rng = np.random.default_rng([cfg.master_seed, b])
-            outcome = simulate_block(cfg.ofdm, direct, relays, rng, min(size, cfg.trials - b * size))
+            outcome = simulate_block(cfg.ofdm, branches, rng, min(size, cfg.trials - b * size))
             sig.append(outcome.signal_power)
             res.append(outcome.residual_power)
     except Exception as exc:
@@ -458,22 +456,21 @@ def _simulate_blocks(task):
     return np.concatenate(sig, axis=-1), np.concatenate(res, axis=-1)
 
 
-def _empirical_results(cfg: ExperimentConfig, paths):
-    """The (snr_db, stderr_db) of each point of the simulator paths, in
-    order, or (None, None) without end when paths is None.
+def _empirical_results(cfg: ExperimentConfig, branches):
+    """The (snr_db, stderr_db) of each point of the simulator branches, in
+    order, or (None, None) without end when branches is None.
 
     The blocks split into at most `workers` contiguous ranges, each
     covering every point.  With workers > 1 one process pool runs the
     ranges; each point's per-trial powers are reassembled in trial order,
     so the result does not depend on workers.
     """
-    if paths is None:
+    if branches is None:
         return repeat((None, None))
-    direct, relays = paths
     blocks = -(-cfg.trials // block_size(cfg.ofdm))
     parts = min(cfg.workers, blocks)
     edges = [i * blocks // parts for i in range(parts + 1)]
-    tasks = [(cfg, direct, relays, a, b) for a, b in zip(edges, edges[1:])]
+    tasks = [(cfg, branches, a, b) for a, b in zip(edges, edges[1:])]
     pool = None
     if parts > 1:
         pool = ProcessPoolExecutor(max_workers=parts,
@@ -491,7 +488,9 @@ def _aggregate_trials(sig: np.ndarray, res: np.ndarray) -> tuple:
     """Ratio-of-sums estimate in dB and its delta-method standard error in dB.
 
     The ratio of summed powers estimates the ratio of expectations; the
-    per-trial (signal, residual) pairs give its log-domain variance.
+    per-trial (signal, residual) pairs give its log-domain variance,
+    vs/ms^2 + vr/mr^2 - 2 cov/(ms mr), in one pass as the variance of
+    sig/ms - res/mr.
     """
     trials = sig.size
     total_sig = float(np.sum(sig))
@@ -505,11 +504,8 @@ def _aggregate_trials(sig: np.ndarray, res: np.ndarray) -> tuple:
     db = 10.0 * math.log10(lin) if lin > 0 else -math.inf
     if trials > 1 and lin > 0:
         ms, mr = total_sig / trials, total_res / trials
-        vs = float(np.var(sig, ddof=1)) / trials
-        vr = float(np.var(res, ddof=1)) / trials
-        cov = float(np.cov(sig, res, ddof=1)[0, 1]) / trials
-        var_log = vs / ms ** 2 + vr / mr ** 2 - 2.0 * cov / (ms * mr)
-        stderr_db = 10.0 / math.log(10.0) * math.sqrt(max(var_log, 0.0))
+        var_log = float(np.var(sig / ms - res / mr, ddof=1)) / trials
+        stderr_db = 10.0 / math.log(10.0) * math.sqrt(var_log)
     else:
         stderr_db = math.nan
     return db, stderr_db
@@ -543,7 +539,7 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     arrive after it.
     """
     cfos, scales = sweep_offsets(cfg)
-    stats, paths = point_inputs(cfg, cfos, scales)
+    stats, branches = point_inputs(cfg, cfos, scales)
     analytical = lambda1 = lambda2 = repeat(None)
     if cfg.mode != "simulate":
         snr = analytical_snr(stats)
@@ -555,10 +551,10 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     # the rows share its float objects rather than hold one copy per row
     grid = len(cfg.sweep_grid)
     direct, relay = (cfos[:grid, b].tolist() * len(cfg.noise_scales) for b in (0, 1))
-    trials = cfg.trials if paths is not None else 0
+    trials = cfg.trials if branches is not None else 0
     rows = []
     for eps1, eps2, db, l1, l2, (empirical_db, stderr_db) in zip(
-        direct, relay, analytical, lambda1, lambda2, _empirical_results(cfg, paths)
+        direct, relay, analytical, lambda1, lambda2, _empirical_results(cfg, branches)
     ):
         row = SweepRow(
             eps1=eps1,

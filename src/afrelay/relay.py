@@ -1,8 +1,9 @@
 """End-to-end simulation of transmission periods, a block of trials at once.
 
-A trial sends one OFDM symbol over the direct link and over one or more
-two-hop amplify-and-forward relay branches, each impaired by its own
-multipath channel(s), fractional CFO, and noise.  The destination removes
+A trial sends one OFDM symbol over M + 1 branches: branch 0 is the direct
+link, one hop, and each other branch a two-hop amplify-and-forward relay;
+a `Branch` describes either.  Each hop has its own multipath channel and
+noise, and each branch its own fractional CFO.  The destination removes
 the prefix, transforms each branch, co-phases it using genie knowledge of
 the true dominant-term coefficient, and combines with equal gain.
 `simulate_block` is the one simulator entry point: it runs a block of
@@ -30,12 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    PowerDelayProfile,
     apply_channel,
     draw_channel,
     frequency_response,
     linear_convolve,
-    require_isi_free,
     standard_noise,
 )
 from .ofdm import OfdmParams, draw_symbols, modulate, remove_cp
@@ -120,32 +119,26 @@ class TrialOutcome:
 
 
 @dataclass(frozen=True)
-class DirectPath:
-    """Statistical description of the direct link for trial simulation.
+class Branch:
+    """One branch of the combiner for trial simulation: the direct link,
+    one hop, or a relay, two hops.
 
-    `cfo` and `noise_var` are one point's floats, or sequences of P values,
-    one per sweep point.
+    `hops` holds one profile per hop in order and `noise_vars` one
+    per-sample variance per hop, of the noise received at the end of that
+    hop; every noise but the last arrives amplified by `rho` (1 on the
+    direct link).  `cfo`, `rho` and each noise variance are one point's
+    float, or a sequence of P values, one per sweep point.
     """
 
-    profile: PowerDelayProfile
-    cfo: float | np.ndarray
-    noise_var: float | np.ndarray  # per sample
-
-
-@dataclass(frozen=True)
-class RelayPath:
-    """Statistical description of one relay branch for trial simulation.
-
-    Every field but the two profiles is one point's float, or a sequence
-    of P values, one per sweep point.
-    """
-
-    hop1_profile: PowerDelayProfile
-    hop2_profile: PowerDelayProfile
+    hops: tuple
     cfo: float | np.ndarray
     rho: float | np.ndarray
-    relay_noise_var: float | np.ndarray  # per sample, received at the relay and amplified
-    dest_noise_var: float | np.ndarray   # per sample, added at the destination
+    noise_vars: tuple
+
+    def __post_init__(self):
+        if len(self.hops) not in (1, 2) or len(self.noise_vars) != len(self.hops):
+            raise ValueError(f"a branch needs one or two hops and one noise variance per hop, "
+                             f"got {len(self.hops)} and {len(self.noise_vars)}")
 
 
 def _reduce(weights, data) -> np.ndarray:
@@ -186,35 +179,31 @@ def _ramp_terms(s, w, rho, vectors, alphas):
 
 def simulate_block(
     params: OfdmParams,
-    direct: DirectPath,
-    relays,
+    branches,
     rng: np.random.Generator,
     trials: int,
 ) -> TrialOutcome:
     """Run `trials` transmission periods at every point and decompose their spectra.
 
-    The paths' offsets, gains and noise variances are floats for one
-    point, giving (trials,) powers, or sequences of P values, giving
-    (P, trials) powers; every point receives the same draws.  Draw order
-    is fixed: symbol indices (trials, N), direct taps, each relay's hop1
-    then hop2 taps (each real block then imaginary block), then per path
-    in order (direct, relay 1..M) the noise at (trials, N + cp_len),
-    relay noise before destination noise, of which the body is used.
+    The branches, direct link first, hold floats for one point, giving
+    (trials,) powers, or sequences of P values, giving (P, trials) powers;
+    every point receives the same draws.  Draw order is fixed: symbol
+    indices (trials, N), each branch's taps hop by hop (each real block
+    then imaginary block), then per branch and hop the noise at
+    (trials, N + cp_len), of which the body is used.
 
-    A relay forwards rho times the CFO-rotated cascade of both hops; its
-    own received noise arrives amplified by rho but neither convolved with
-    the second hop nor rotated, and the destination adds its noise last.
-    The genie gain of a branch is rho * C(cfo, 0) * prod H_i per bin, in
-    hop order (rho = 1 on the direct link).  A point's signal is
-    (rho |C(cfo, 0)|)^2 ||HX||^2; its residual is N times the Gram terms of
-    the dust and noise plus, at a nonzero offset (W != 0), the ramp terms
-    of s.  Each point adds its branches' powers in branch order.
+    A branch applies the CFO-rotated cascade of its hops, scaled by rho;
+    a noise received before the last hop arrives amplified by rho but
+    neither convolved with the later hop nor rotated, and the last noise is
+    added as is.  The genie gain of a branch is rho * C(cfo, 0) * prod H_i
+    per bin, in hop order.  A point's signal is (rho |C(cfo, 0)|)^2
+    ||HX||^2; its residual is N times the Gram terms of the dust and noise
+    plus, at a nonzero offset (W != 0), the ramp terms of s.  Each point
+    adds its branches' powers in branch order.
     """
     n = params.n_subcarriers
-    relays = list(relays)
-    fields = [direct.cfo, direct.noise_var] + [
-        v for r in relays for v in (r.cfo, r.rho, r.relay_noise_var, r.dest_noise_var)
-    ]
+    branches = list(branches)
+    fields = [v for br in branches for v in (br.cfo, br.rho, *br.noise_vars)]
     shape = np.broadcast_shapes(*map(np.shape, fields))
 
     def points(values):  # (len(values), P)
@@ -222,31 +211,24 @@ def simulate_block(
 
     symbols = draw_symbols(params, rng, trials)
     tx = modulate(symbols, params)
-    hops = [[draw_channel(direct.profile, rng, trials)]] + [
-        [draw_channel(r.hop1_profile, rng, trials), draw_channel(r.hop2_profile, rng, trials)]
-        for r in relays
-    ]
-    cfo = points([direct.cfo] + [r.cfo for r in relays])
-    rho = points([1.0] + [r.rho for r in relays])
-    noise_vars = [points([direct.noise_var])] + [
-        points([r.relay_noise_var, r.dest_noise_var]) * [g ** 2, np.ones_like(g)]
-        for g, r in zip(rho[1:], relays)
-    ]
+    hops = [[draw_channel(profile, rng, trials) for profile in br.hops] for br in branches]
+    cfo = points([br.cfo for br in branches])
+    rho = points([br.rho for br in branches])
     offsets = np.unique(cfo)  # per distinct offset: |C(cfo, 0)|, C(cfo, 0) and W
     gain = dirichlet_gain(offsets, n)
     coefficient = gain * np.exp(1j * np.pi * offsets * (1.0 - 1.0 / n))
     w = np.exp(2j * np.pi / n * offsets[:, None] * np.arange(n)) - coefficient[:, None]
     signal, residual = np.zeros((2,) + rho.shape[1:] + (trials,))
-    for b, (index, variances) in enumerate(zip(np.searchsorted(offsets, cfo), noise_vars)):
+    for b, index in enumerate(np.searchsorted(offsets, cfo)):
+        variances = points(branches[b].noise_vars)
         if np.any(variances < 0):
             raise ValueError("noise variances must be >= 0")
-        counts = [h.shape[-1] for h in hops[b]]
-        require_isi_free(params.cp_len, counts, "the relay" if b else "the direct channel")
-        taps = hops[b][0] if b == 0 else linear_convolve(*hops[b], sum(counts) - 1)
-        body = remove_cp(apply_channel(tx, taps, params), params)
-        spectrum = frequency_response(hops[b][0], n)  # H, then HX
+        variances[:-1] *= rho[b] ** 2
+        taps, spectrum = hops[b][0], frequency_response(hops[b][0], n)  # H, then HX
         for h in hops[b][1:]:
+            taps = linear_convolve(taps, h, taps.shape[-1] + h.shape[-1] - 1)
             spectrum *= frequency_response(h, n)
+        body = remove_cp(apply_channel(tx, taps, params), params)
         magnitude = rho[b] * gain[index]  # |genie gain / H|
         if not (spectrum.all() and magnitude.all()):
             zero = np.flatnonzero(np.any(spectrum == 0, axis=0) | np.any(magnitude == 0))

@@ -74,20 +74,20 @@ def ici_reference(symbols, freq_resp, eps, scale=1.0):
     return scale * total
 
 
-def oracle_powers(params, direct, relays, rng, trials):
+def oracle_powers(params, branches, rng, trials):
     """(signal, residual) powers per trial of `simulate_block` at one point,
     rebuilt without the waveform pipeline.
 
-    Replays the documented draw order on `rng`: symbol indices, the direct
-    taps, each relay's hop1 then hop2 taps, then per path the noise (relay
-    noise before destination noise), each tap or noise block real part
-    first.  Each branch spectrum is `ici_reference` of the symbols and the
-    hops' response product, scaled by the branch gain rho, plus the
-    transform of each noise source's prefix-free body scaled by its
-    standard deviation; the relay noise is amplified by rho but neither
-    convolved nor rotated.  Each bin is derotated by conj(g)/|g| for the
-    genie gain g = rho C(eps, 0) prod H, and the signal |g||X| and the
-    residual are summed over bins and branches.
+    Replays the documented draw order on `rng`: symbol indices, each
+    branch's taps hop by hop, then per branch the noise of each hop in hop
+    order, each tap or noise block real part first.  Each branch spectrum
+    is `ici_reference` of the symbols and the hops' response product,
+    scaled by the branch gain rho, plus the transform of each noise
+    source's prefix-free body scaled by its standard deviation; a noise
+    received before the last hop is amplified by rho but neither convolved
+    nor rotated.  Each bin is derotated by conj(g)/|g| for the genie gain
+    g = rho C(eps, 0) prod H, and the signal |g||X| and the residual are
+    summed over bins and branches.
     """
     n, cp = params.n_subcarriers, params.cp_len
     table = CONSTELLATIONS[params.constellation] * np.sqrt(params.symbol_power)
@@ -99,16 +99,15 @@ def oracle_powers(params, direct, relays, rng, trials):
     def taps(profile):
         return np.sqrt(profile.tap_powers / 2.0) * complex_normals((trials, profile.n_taps))
 
-    hops = [[taps(direct.profile)]] + [[taps(r.hop1_profile), taps(r.hop2_profile)] for r in relays]
-    branches = [(direct.cfo, 1.0, [(1.0, direct.noise_var)])] + [
-        (r.cfo, r.rho, [(r.rho, r.relay_noise_var), (1.0, r.dest_noise_var)]) for r in relays
-    ]
+    hops = [[taps(profile) for profile in branch.hops] for branch in branches]
     signal, residual = np.zeros(trials), np.zeros(trials)
-    for branch_hops, (eps, rho, sources) in zip(hops, branches):
+    for branch_hops, branch in zip(hops, branches):
+        eps, rho = branch.cfo, branch.rho
         response = np.prod([np.fft.fft(h, n, axis=-1) for h in branch_hops], axis=0)
         spectra = np.array([ici_reference(symbols[t], response[t], eps, scale=rho)
                             for t in range(trials)])
-        for amplitude, var in sources:
+        amplitudes = [rho] * (len(branch.noise_vars) - 1) + [1.0]
+        for amplitude, var in zip(amplitudes, branch.noise_vars):
             body = complex_normals((trials, n + cp))[:, cp:]
             spectra = spectra + amplitude * np.sqrt(var / 2.0) * np.fft.fft(body, axis=-1)
         gain = rho * cfo_spectrum(eps, 0, n) * response

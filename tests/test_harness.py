@@ -120,8 +120,9 @@ def test_offsets_at_half_a_subcarrier_are_accepted():
 
 
 def test_prefix_shorter_than_relay_memory_rejected():
+    # two 4-tap hops have memory 3 + 3 = 6
     raw = copy.deepcopy(TINY)
-    raw["ofdm"]["cp_len"] = 6
+    raw["ofdm"]["cp_len"] = 5
     raw["relays"][0]["hop1_profile"] = {"kind": "uniform", "n_taps": 4, "power": 1.0}
     raw["relays"][0]["hop2_profile"] = {"kind": "uniform", "n_taps": 4, "power": 4.0}
     with pytest.raises(ConfigValueError, match="inter-symbol interference"):
@@ -136,17 +137,20 @@ def taps(n):
 
 
 @pytest.mark.parametrize("cp_len, direct, hop1, hop2, accepted", [
-    (0, FLAT, FLAT, FLAT, False),      # a flat link is one tap: cp_len >= 1
-    (1, FLAT, FLAT, FLAT, False),      # a relay of two flat hops: cp_len >= 2
-    (2, FLAT, FLAT, FLAT, True),
-    (5, taps(5), taps(2), taps(3), True),
-    (5, taps(6), taps(2), taps(3), False),
-    (5, taps(5), taps(3), taps(3), False),
-    (5, taps(5), FLAT, taps(4), True),
-    (5, taps(5), FLAT, taps(5), False),
+    (0, FLAT, FLAT, taps(2), False),   # the relay at memory 1
+    (1, taps(3), FLAT, FLAT, False),   # the direct link at memory 2
+    (2, taps(3), taps(2), taps(2), True),
+    (5, taps(6), taps(3), taps(4), True),
+    (5, taps(7), taps(3), taps(4), False),
+    (5, taps(6), taps(3), taps(5), False),
+    (5, taps(6), FLAT, taps(6), True),
+    (5, taps(6), FLAT, taps(7), False),
+    (0, FLAT, FLAT, FLAT, True),       # flat links have no memory
 ])
 def test_isi_rule_bounds_each_link_by_its_total_taps(cp_len, direct, hop1, hop2, accepted):
-    # the rule is cp_len >= L on the direct link and cp_len >= L1 + L2 on a relay
+    # the rule bounds each link's memory, L - 1 on the direct link and
+    # L1 + L2 - 2 on a relay, by cp_len; each link is tried at memory
+    # cp_len and cp_len + 1
     raw = copy.deepcopy(TINY)
     raw["ofdm"]["cp_len"] = cp_len
     raw["direct"]["profile"] = direct
@@ -418,6 +422,22 @@ def test_stderr_shrinks_like_inverse_root_trials():
     assert stderr[2000] / stderr[8000] == pytest.approx(2.0, rel=0.2)
 
 
+@pytest.mark.parametrize("trials", [2, 3, 102, 2000])
+def test_one_pass_stderr_matches_three_term_delta_method(trials):
+    # var(sig/ms - res/mr) is vs/ms^2 + vr/mr^2 - 2 cov/(ms mr), written out
+    rng = np.random.default_rng(trials)
+    common = rng.exponential(1.0, trials)
+    sig = 50.0 * (common + rng.exponential(0.5, trials))
+    res = 3.0 * (common + rng.exponential(2.0, trials))
+    ms, mr = np.mean(sig), np.mean(res)
+    vs, vr = np.var(sig, ddof=1), np.var(res, ddof=1)
+    cov = np.cov(sig, res, ddof=1)[0, 1]
+    var_log = (vs / ms ** 2 + vr / mr ** 2 - 2.0 * cov / (ms * mr)) / trials
+    db, stderr_db = harness._aggregate_trials(sig, res)
+    assert db == pytest.approx(10.0 * math.log10(np.sum(sig) / np.sum(res)), rel=1e-12)
+    assert stderr_db == pytest.approx(10.0 / math.log(10.0) * math.sqrt(var_log), rel=1e-12)
+
+
 def test_multi_relay_sensitivities_match_finite_differences():
     # two relays at offsets of opposite signs, swept on the direct offset;
     # lambda2 is the slope when both relay offsets shift together
@@ -555,10 +575,9 @@ def test_noise_free_sweep_is_infinite_only_at_zero_offsets():
 
 def test_analytical_sweep_builds_no_simulator_paths(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("simulator path built for an analytical sweep")
+        raise AssertionError("simulator branch built for an analytical sweep")
 
-    monkeypatch.setattr(harness, "DirectPath", refuse)
-    monkeypatch.setattr(harness, "RelayPath", refuse)
+    monkeypatch.setattr(harness, "Branch", refuse)
     assert len(run_sweep(config_from_dict(three_relay_raw("eps2")))) == 18
 
 

@@ -17,9 +17,8 @@ from afrelay.channel import (
 from afrelay.ofdm import OfdmParams, draw_symbols, modulate
 from afrelay.relay import (
     POINT_CHUNK_ELEMENTS,
-    DirectPath,
+    Branch,
     RelayGainConfig,
-    RelayPath,
     gain_factor,
     simulate_block,
 )
@@ -45,10 +44,10 @@ def _draws(seed, profiles, trials):
     return draw_symbols(PARAMS, rng, trials), [draw_channel(p, rng, trials) for p in profiles]
 
 
-def _oracle_error(direct, relays, seed, trials, params=PARAMS):
+def _oracle_error(branches, seed, trials, params=PARAMS):
     """Worst relative error of a block's powers against `oracle_powers`."""
-    block = simulate_block(params, direct, relays, np.random.default_rng(seed), trials)
-    reference = oracle_powers(params, direct, relays, np.random.default_rng(seed), trials)
+    block = simulate_block(params, branches, np.random.default_rng(seed), trials)
+    reference = oracle_powers(params, branches, np.random.default_rng(seed), trials)
     return max(
         float(np.max(np.abs(got - want) / want))
         for got, want in zip((block.signal_power, block.residual_power), reference)
@@ -93,11 +92,24 @@ def test_gain_config_validation():
         RelayGainConfig(mode="general", source_power=1.0)
 
 
+# --------------------------------------------------------------------- branch
+
+@pytest.mark.parametrize("hops, noise_vars", [
+    ([], []),
+    ([FLAT, FLAT, FLAT], [0.0, 0.0, 0.0]),
+    ([FLAT, FLAT], [0.0]),
+    ([FLAT], [0.0, 0.0]),
+])
+def test_branch_needs_one_or_two_hops_and_a_noise_per_hop(hops, noise_vars):
+    with pytest.raises(ValueError, match="one or two hops and one noise variance per hop"):
+        Branch(hops, 0.0, 1.0, noise_vars)
+
+
 # ----------------------------------------------------------------- direct link
 
 def test_direct_link_trivial_passthrough():
     # flat fading, no offset, no noise: the received bins are h X[k]
-    block = simulate_block(PARAMS, DirectPath(FLAT, 0.0, 0.0), [], np.random.default_rng(1), 5)
+    block = simulate_block(PARAMS, [Branch([FLAT], 0.0, 1.0, [0.0])], np.random.default_rng(1), 5)
     sym, (h,) = _draws(1, [FLAT], 5)
     expected = np.abs(h[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
     assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
@@ -105,8 +117,8 @@ def test_direct_link_trivial_passthrough():
 
 
 def test_direct_link_matches_closed_form_spectrum():
-    direct = DirectPath(uniform_profile(4, 1.0), -0.27, 0.0)
-    assert _oracle_error(direct, [], 3, 4) < 1e-9
+    direct = Branch([uniform_profile(4, 1.0)], -0.27, 1.0, [0.0])
+    assert _oracle_error([direct], 3, 4) < 1e-9
 
 
 def test_direct_link_with_unimodular_impairments_preserves_energy():
@@ -116,9 +128,10 @@ def test_direct_link_with_unimodular_impairments_preserves_energy():
 
 
 def test_direct_link_isi_precondition():
-    direct = DirectPath(uniform_profile(17), 0.0, 0.0)
-    with pytest.raises(ValueError, match="17 taps.*16 samples"):
-        simulate_block(PARAMS, direct, [], np.random.default_rng(0), 1)
+    # 18 taps have memory 17, one beyond the prefix
+    direct = Branch([uniform_profile(18)], 0.0, 1.0, [0.0])
+    with pytest.raises(ValueError, match="has 18 taps, memory 17 .*prefix length 16"):
+        simulate_block(PARAMS, [direct], np.random.default_rng(0), 1)
 
 
 # ---------------------------------------------------------------- relay branch
@@ -126,9 +139,9 @@ def test_direct_link_isi_precondition():
 def test_relay_branch_trivial_passthrough():
     # the relay alone, flat hops, no offset, no noise: its bins are
     # rho h1 h2 X[k]
-    relay = RelayPath(FLAT, flat_profile(4.0), 0.0, 0.8, 0.0, 0.0)
+    relay = Branch([FLAT, flat_profile(4.0)], 0.0, 0.8, [0.0, 0.0])
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = simulate_block(PARAMS, DirectPath(MUTED, 0.0, 0.0), [relay],
+        block = simulate_block(PARAMS, [Branch([MUTED], 0.0, 1.0, [0.0]), relay],
                                np.random.default_rng(6), 5)
     sym, (_, h1, h2) = _draws(6, [MUTED, FLAT, flat_profile(4.0)], 5)
     expected = 0.8 ** 2 * np.abs(h1[:, 0] * h2[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
@@ -137,39 +150,59 @@ def test_relay_branch_trivial_passthrough():
 
 
 def test_relay_branch_matches_closed_form_spectrum():
-    direct = DirectPath(FLAT, 0.0, 0.0)
-    relay = RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), 0.42, 1.3, 0.0, 0.0)
-    assert _oracle_error(direct, [relay], 8, 4) < 1e-9
+    direct = Branch([FLAT], 0.0, 1.0, [0.0])
+    relay = Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], 0.42, 1.3, [0.0, 0.0])
+    assert _oracle_error([direct, relay], 8, 4) < 1e-9
 
 
 def test_relay_branch_linear_in_gain():
     # doubling rho doubles every sample, bin and genie gain exactly
-    relay = RelayPath(uniform_profile(3), uniform_profile(2), 0.2, [1.0, 2.0], 0.0, 0.0)
+    relay = Branch([uniform_profile(3), uniform_profile(2)], 0.2, [1.0, 2.0], [0.0, 0.0])
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = simulate_block(PARAMS, DirectPath(MUTED, 0.0, 0.0), [relay],
+        block = simulate_block(PARAMS, [Branch([MUTED], 0.0, 1.0, [0.0]), relay],
                                np.random.default_rng(10), 5)
     assert np.array_equal(block.signal_power[1], 4.0 * block.signal_power[0])
     assert np.array_equal(block.residual_power[1], 4.0 * block.residual_power[0])
 
 
 def test_negative_noise_variance_rejected():
-    relay = RelayPath(FLAT, FLAT, 0.0, 1.0, [0.01, -0.01], 0.0)
+    relay = Branch([FLAT, FLAT], 0.0, 1.0, [[0.01, -0.01], 0.0])
     with pytest.raises(ValueError, match="noise variances must be >= 0"):
-        simulate_block(PARAMS, DirectPath(FLAT, 0.0, 0.0), [relay], np.random.default_rng(0), 1)
+        simulate_block(PARAMS, [Branch([FLAT], 0.0, 1.0, [0.0]), relay],
+                       np.random.default_rng(0), 1)
 
 
 def test_relay_branch_isi_precondition():
-    relay = RelayPath(uniform_profile(9), uniform_profile(8), 0.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="9\\+8 taps.*16 samples"):
-        simulate_block(PARAMS, DirectPath(FLAT, 0.0, 0.0), [relay], np.random.default_rng(0), 1)
+    # hops of 9 + 10 or 1 + 18 taps cascade to 18 taps, memory 17, one
+    # beyond the prefix
+    for taps in ([9, 10], [1, 18]):
+        relay = Branch([uniform_profile(n) for n in taps], 0.0, 1.0, [0.0, 0.0])
+        with pytest.raises(ValueError, match="has 18 taps, memory 17 .*prefix length 16"):
+            simulate_block(PARAMS, [Branch([FLAT], 0.0, 1.0, [0.0]), relay],
+                           np.random.default_rng(0), 1)
+
+
+# ------------------------------------------------------ memory at the prefix
+
+@pytest.mark.parametrize("branches", [
+    [Branch([uniform_profile(17)], 0.23, 1.0, [0.01])],
+    [Branch([FLAT], 0.0, 1.0, [0.01]),
+     Branch([uniform_profile(9), uniform_profile(9)], 0.23, 0.9, [0.01, 0.02])],
+    [Branch([FLAT], 0.0, 1.0, [0.01]),
+     Branch([FLAT, uniform_profile(17)], 0.23, 0.9, [0.01, 0.02])],
+], ids=["direct_17", "relay_9_9", "relay_1_17"])
+def test_memory_equal_to_prefix_matches_oracle(branches):
+    # memory 16 = PARAMS.cp_len, the most the prefix covers; one tap more is
+    # rejected by the isi_precondition tests above
+    assert _oracle_error(branches, 31, 3) < 1e-9
 
 
 # ------------------------------------------------------------------- combining
 
 def test_two_ideal_branches_combine_coherently():
     # co-phased, each branch adds its coherent power and no residual
-    relay = RelayPath(FLAT, FLAT, 0.0, 1.0, 0.0, 0.0)
-    block = simulate_block(PARAMS, DirectPath(FLAT, 0.0, 0.0), [relay],
+    relay = Branch([FLAT, FLAT], 0.0, 1.0, [0.0, 0.0])
+    block = simulate_block(PARAMS, [Branch([FLAT], 0.0, 1.0, [0.0]), relay],
                            np.random.default_rng(13), 5)
     sym, (h0, h1, h2) = _draws(13, [FLAT, FLAT, FLAT], 5)
     gains = np.abs(h0[:, 0]) ** 2 + np.abs(h1[:, 0] * h2[:, 0]) ** 2
@@ -180,9 +213,9 @@ def test_two_ideal_branches_combine_coherently():
 
 def test_combined_metric_matches_closed_form_assembly():
     # full noisy chain vs the spectra assembled from the closed form
-    direct = DirectPath(uniform_profile(4, 1.0), 0.17, 0.05)
-    relay = RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), -0.33, 0.9, 0.05, 0.02)
-    assert _oracle_error(direct, [relay], 15, 4) < 1e-9
+    direct = Branch([uniform_profile(4, 1.0)], 0.17, 1.0, [0.05])
+    relay = Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], -0.33, 0.9, [0.05, 0.02])
+    assert _oracle_error([direct, relay], 15, 4) < 1e-9
 
 
 @settings(max_examples=20, deadline=None)
@@ -205,56 +238,56 @@ def test_block_matches_per_trial_oracle(seed, n, constellation, m, edge):
     def offset(branch):
         return rng.uniform(-0.5, 0.5) if edge is None else edge * (-1.0) ** branch
 
-    direct = DirectPath(profile(), offset(0), rng.uniform(0.0, 0.1))
-    relays = [
-        RelayPath(profile(), profile(), offset(i + 1), rng.uniform(0.3, 2.0),
-                  rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.1))
+    branches = [Branch([profile()], offset(0), 1.0, [rng.uniform(0.0, 0.1)])] + [
+        Branch([profile(), profile()], offset(i + 1), rng.uniform(0.3, 2.0),
+               [rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.1)])
         for i in range(m)
     ]
-    assert _oracle_error(direct, relays, [seed, 1], 2, params) < 1e-9
+    assert _oracle_error(branches, [seed, 1], 2, params) < 1e-9
 
 
 def test_combining_is_linear_in_branches():
     # a relay at rho = 0 adds nothing, so with the direct link muted the
     # two-relay point is exactly the sum of the one-relay points
-    relays = [
-        RelayPath(uniform_profile(3), uniform_profile(2), -0.2, [1.1, 0.0, 1.1], 0.0, 0.0),
-        RelayPath(uniform_profile(2), FLAT, 0.3, [0.0, 0.9, 0.9], 0.0, 0.0),
+    branches = [
+        Branch([MUTED], 0.1, 1.0, [0.0]),
+        Branch([uniform_profile(3), uniform_profile(2)], -0.2, [1.1, 0.0, 1.1], [0.0, 0.0]),
+        Branch([uniform_profile(2), FLAT], 0.3, [0.0, 0.9, 0.9], [0.0, 0.0]),
     ]
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = simulate_block(PARAMS, DirectPath(MUTED, 0.1, 0.0), relays,
-                               np.random.default_rng(18), 5)
+        block = simulate_block(PARAMS, branches, np.random.default_rng(18), 5)
     for power in (block.signal_power, block.residual_power):
         assert np.array_equal(power[2], power[0] + power[1])
 
 
 def test_zero_genie_gain_is_flagged():
-    direct = DirectPath(MUTED, 0.1, 0.01)
-    relay = RelayPath(FLAT, FLAT, 0.2, 1.0, 0.01, 0.01)
+    direct = Branch([MUTED], 0.1, 1.0, [0.01])
+    relay = Branch([FLAT, FLAT], 0.2, 1.0, [0.01, 0.01])
     with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
-        block = simulate_block(PARAMS, direct, [relay], np.random.default_rng(19), 3)
+        block = simulate_block(PARAMS, [direct, relay], np.random.default_rng(19), 3)
     assert np.isfinite(block.signal_power).all() and np.isfinite(block.residual_power).all()
     # a relay point at rho = 0 has a zero genie gain at every bin
-    silent = RelayPath(FLAT, FLAT, 0.2, [1.0, 0.0], 0.01, 0.01)
+    silent = Branch([FLAT, FLAT], 0.2, [1.0, 0.0], [0.01, 0.01])
     with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
-        simulate_block(PARAMS, DirectPath(FLAT, 0.1, 0.01), [silent], np.random.default_rng(19), 3)
+        simulate_block(PARAMS, [Branch([FLAT], 0.1, 1.0, [0.01]), silent],
+                       np.random.default_rng(19), 3)
 
 
 # --------------------------------------------------------------- decomposition
 
 def test_no_offset_no_noise_leaves_zero_residual():
-    direct = DirectPath(uniform_profile(4, 1.0), 0.0, 0.0)
-    relays = [RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), 0.0, 1.0, 0.0, 0.0)]
-    outcome = simulate_block(PARAMS, direct, relays, np.random.default_rng(22), 1)
+    branches = [Branch([uniform_profile(4, 1.0)], 0.0, 1.0, [0.0]),
+                Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], 0.0, 1.0, [0.0, 0.0])]
+    outcome = simulate_block(PARAMS, branches, np.random.default_rng(22), 1)
     assert outcome.residual_power[0] < 1e-18
 
 
 def test_scaling_symbols_by_two_quadruples_signal_power():
     # symbol_power 4 doubles every symbol, sample and bin exactly
-    direct = DirectPath(uniform_profile(4, 1.0), 0.1, 0.0)
-    base = simulate_block(PARAMS, direct, [], np.random.default_rng(24), 5)
+    direct = Branch([uniform_profile(4, 1.0)], 0.1, 1.0, [0.0])
+    base = simulate_block(PARAMS, [direct], np.random.default_rng(24), 5)
     scaled = simulate_block(OfdmParams(n_subcarriers=64, cp_len=16, symbol_power=4.0),
-                            direct, [], np.random.default_rng(24), 5)
+                            [direct], np.random.default_rng(24), 5)
     assert np.array_equal(scaled.signal_power, 4.0 * base.signal_power)
     assert np.array_equal(scaled.residual_power, 4.0 * base.residual_power)
 
@@ -263,13 +296,13 @@ def test_noise_only_signal_power_converges_to_coherent_power():
     # with zero offsets the per-bin signal power must average to
     # direct_power + rho^2 * hop1_power * hop2_power (symbol power 1)
     params = OfdmParams(n_subcarriers=64, cp_len=16)
-    direct = DirectPath(flat_profile(1.0), 0.0, 0.1 / 64)
-    relays = [RelayPath(flat_profile(1.0), flat_profile(4.0), 0.0, 1.0, 0.1 / 64, 0.1 / 64)]
+    branches = [Branch([flat_profile(1.0)], 0.0, 1.0, [0.1 / 64]),
+                Branch([flat_profile(1.0), flat_profile(4.0)], 0.0, 1.0, [0.1 / 64, 0.1 / 64])]
     total = 0.0
     trials = 4000
     for b in range(10):
         rng = np.random.default_rng([99, b])
-        total += np.sum(simulate_block(params, direct, relays, rng, trials // 10).signal_power)
+        total += np.sum(simulate_block(params, branches, rng, trials // 10).signal_power)
     per_bin = total / (trials * 64)
     assert per_bin == pytest.approx(1.0 + 4.0, rel=0.05)
 
@@ -278,40 +311,39 @@ def test_noise_only_signal_power_converges_to_coherent_power():
 
 def test_trial_is_deterministic_given_the_stream():
     params = OfdmParams(n_subcarriers=64, cp_len=16)
-    direct = DirectPath(uniform_profile(4, 1.0), 0.1, 0.001)
-    relays = [RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), 0.2, 0.8, 0.001, 0.001)]
-    a = simulate_block(params, direct, relays, np.random.default_rng([7, 1]), 1)
-    b = simulate_block(params, direct, relays, np.random.default_rng([7, 1]), 1)
+    branches = [Branch([uniform_profile(4, 1.0)], 0.1, 1.0, [0.001]),
+                Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], 0.2, 0.8,
+                       [0.001, 0.001])]
+    a = simulate_block(params, branches, np.random.default_rng([7, 1]), 1)
+    b = simulate_block(params, branches, np.random.default_rng([7, 1]), 1)
     assert np.array_equal(a.signal_power, b.signal_power)
     assert np.array_equal(a.residual_power, b.residual_power)
 
 
 def test_trial_supports_multiple_relay_branches():
     params = OfdmParams(n_subcarriers=64, cp_len=16)
-    direct = DirectPath(flat_profile(1.0), 0.05, 0.001)
-    relays = [
-        RelayPath(flat_profile(1.0), flat_profile(2.0), 0.1, 1.0, 0.001, 0.001),
-        RelayPath(uniform_profile(2, 1.0), uniform_profile(2, 1.0), -0.2, 0.7, 0.001, 0.001),
+    branches = [
+        Branch([flat_profile(1.0)], 0.05, 1.0, [0.001]),
+        Branch([flat_profile(1.0), flat_profile(2.0)], 0.1, 1.0, [0.001, 0.001]),
+        Branch([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], -0.2, 0.7, [0.001, 0.001]),
     ]
-    outcome = simulate_block(params, direct, relays, np.random.default_rng(5), 1)
+    outcome = simulate_block(params, branches, np.random.default_rng(5), 1)
     assert outcome.signal_power[0] > 0 and outcome.residual_power[0] > 0
 
 
 # ----------------------------------------------------------------- block engine
 
-GOLDEN_PATHS = {
-    "selective_one_relay": (
-        DirectPath(uniform_profile(4, 1.0), 0.1, 0.1 / 64),
-        [RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), 0.2, 0.8,
-                   0.1 / 64, 0.1 / 64)],
-    ),
-    "two_relays": (
-        DirectPath(flat_profile(1.0), 0.05, 0.001),
-        [
-            RelayPath(flat_profile(1.0), flat_profile(2.0), 0.1, 1.0, 0.001, 0.001),
-            RelayPath(uniform_profile(2, 1.0), uniform_profile(2, 1.0), -0.2, 0.7, 0.001, 0.001),
-        ],
-    ),
+GOLDEN_BRANCHES = {
+    "selective_one_relay": [
+        Branch([uniform_profile(4, 1.0)], 0.1, 1.0, [0.1 / 64]),
+        Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], 0.2, 0.8,
+               [0.1 / 64, 0.1 / 64]),
+    ],
+    "two_relays": [
+        Branch([flat_profile(1.0)], 0.05, 1.0, [0.001]),
+        Branch([flat_profile(1.0), flat_profile(2.0)], 0.1, 1.0, [0.001, 0.001]),
+        Branch([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], -0.2, 0.7, [0.001, 0.001]),
+    ],
 }
 
 # (signal_power, residual_power) of one trial on default_rng([20260808, seed]),
@@ -329,9 +361,8 @@ GOLDEN_POWERS = {
 
 @pytest.mark.parametrize("name, seed", sorted(GOLDEN_POWERS))
 def test_one_trial_block_reproduces_per_trial_engine(name, seed):
-    direct, relays = GOLDEN_PATHS[name]
     rng = np.random.default_rng([20260808, seed])
-    block = simulate_block(PARAMS, direct, relays, rng, 1)
+    block = simulate_block(PARAMS, GOLDEN_BRANCHES[name], rng, 1)
     signal, residual = GOLDEN_POWERS[(name, seed)]
     assert block.signal_power.shape == block.residual_power.shape == (1,)
     assert block.signal_power[0] == pytest.approx(signal, rel=1e-12)
@@ -340,69 +371,62 @@ def test_one_trial_block_reproduces_per_trial_engine(name, seed):
 
 # ----------------------------------------------------------- points of a block
 
-def _point_paths(direct, relays, cfos, scales, gains=1.0):
-    """P-point paths from one-point ones: offsets (P, M + 1), and each
+def _point_branches(branches, cfos, scales, gains=1.0):
+    """P-point branches from one-point ones: offsets (P, M + 1), and each
     point's noise variances scaled by its entry of `scales`, its relay
-    gains by its entry of `gains`."""
+    gains by its entry of `gains` (the direct link keeps gain 1)."""
     cfos, scales = np.asarray(cfos), np.asarray(scales)
     gains = np.broadcast_to(gains, scales.shape)
-    return (
-        DirectPath(direct.profile, cfos[:, 0], direct.noise_var * scales),
-        [RelayPath(r.hop1_profile, r.hop2_profile, cfos[:, i + 1], r.rho * gains,
-                   r.relay_noise_var * scales, r.dest_noise_var * scales)
-         for i, r in enumerate(relays)],
-    )
+    return [Branch(br.hops, cfos[:, b], br.rho * (gains if b else np.ones(scales.shape)),
+                   [v * scales for v in br.noise_vars])
+            for b, br in enumerate(branches)]
 
 
-def _one_point(direct, relays, p):
-    return (
-        DirectPath(direct.profile, direct.cfo[p].item(), direct.noise_var[p].item()),
-        [RelayPath(r.hop1_profile, r.hop2_profile, r.cfo[p].item(), r.rho[p].item(),
-                   r.relay_noise_var[p].item(), r.dest_noise_var[p].item()) for r in relays],
-    )
+def _one_point(branches, p):
+    return [Branch(br.hops, br.cfo[p].item(), br.rho[p].item(),
+                   [v[p].item() for v in br.noise_vars]) for br in branches]
 
 
-POINT_PATHS = {
-    "flat": (
-        DirectPath(flat_profile(1.0), 0.0, 0.1 / 64),
-        [RelayPath(flat_profile(1.0), flat_profile(4.0), 0.0, 0.8, 0.1 / 64, 0.1 / 64)],
-    ),
-    "selective_two_relays": (
-        DirectPath(uniform_profile(4, 1.0), 0.0, 0.1 / 64),
-        [
-            RelayPath(uniform_profile(4, 1.0), uniform_profile(4, 4.0), 0.0, 0.8,
-                      0.1 / 64, 0.1 / 64),
-            RelayPath(uniform_profile(2, 1.0), uniform_profile(3, 2.0), 0.0, 1.3,
-                      0.05 / 64, 0.2 / 64),
-        ],
-    ),
+POINT_BRANCHES = {
+    "flat": [
+        Branch([flat_profile(1.0)], 0.0, 1.0, [0.1 / 64]),
+        Branch([flat_profile(1.0), flat_profile(4.0)], 0.0, 0.8, [0.1 / 64, 0.1 / 64]),
+    ],
+    "selective_two_relays": [
+        Branch([uniform_profile(4, 1.0)], 0.0, 1.0, [0.1 / 64]),
+        Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], 0.0, 0.8,
+               [0.1 / 64, 0.1 / 64]),
+        Branch([uniform_profile(2, 1.0), uniform_profile(3, 2.0)], 0.0, 1.3,
+               [0.05 / 64, 0.2 / 64]),
+    ],
 }
 
 
 POINT_CASES = [pytest.param(name, trials, 4, id=f"{name}-{trials}")
-               for name in sorted(POINT_PATHS) for trials in (1, 7, 357)]
+               for name in sorted(POINT_BRANCHES) for trials in (1, 7, 357)]
 # 40 points of 7 trials: each branch's reductions take several chunks
 POINT_CASES.append(pytest.param("selective_two_relays", 7, 40, id="selective_two_relays-7-40"))
 
 
 @pytest.mark.parametrize("name, trials, count", POINT_CASES)
 def test_block_of_points_equals_one_point_blocks(name, trials, count):
-    direct, relays = POINT_PATHS[name]
-    cfos = [[0.0] + [0.0] * len(relays), [0.1, -0.2, 0.3][:len(relays) + 1],
-            [-0.45] + [0.45] * len(relays), [0.2] + [0.2] * len(relays)]
+    branches = POINT_BRANCHES[name]
+    relays = len(branches) - 1
+    cfos = [[0.0] + [0.0] * relays, [0.1, -0.2, 0.3][:relays + 1],
+            [-0.45] + [0.45] * relays, [0.2] + [0.2] * relays]
     scales = [1.0, 1.0, 0.1, 0.0]  # the fourth point is noise-free
     gains = [1.0, 1.2, 0.7, 1.0]
     rng = np.random.default_rng(count)
-    cfos += rng.uniform(-0.5, 0.5, (count - 4, len(relays) + 1)).tolist()
+    cfos += rng.uniform(-0.5, 0.5, (count - 4, relays + 1)).tolist()
     scales += rng.choice([1.0, 0.1, 0.0], count - 4).tolist()
     gains += rng.uniform(0.5, 1.5, count - 4).tolist()
     if count > 4:
         assert count * trials * PARAMS.n_subcarriers > POINT_CHUNK_ELEMENTS
-    points = _point_paths(direct, relays, cfos, scales, gains)
-    block = simulate_block(PARAMS, *points, np.random.default_rng([5, 3]), trials)
+    points = _point_branches(branches, cfos, scales, gains)
+    block = simulate_block(PARAMS, points, np.random.default_rng([5, 3]), trials)
     assert block.signal_power.shape == block.residual_power.shape == (count, trials)
     for p in range(count):
-        alone = simulate_block(PARAMS, *_one_point(*points, p), np.random.default_rng([5, 3]),
+        alone = simulate_block(PARAMS, _one_point(points, p), np.random.default_rng([5, 3]),
                                trials)
         assert np.array_equal(block.signal_power[p], alone.signal_power)
         assert np.array_equal(block.residual_power[p], alone.residual_power)
@@ -411,11 +435,11 @@ def test_block_of_points_equals_one_point_blocks(name, trials, count):
 def test_block_of_points_consumes_the_stream_of_one_point():
     # every point shares the block's draws: the stream ends where one
     # point's block leaves it
-    direct, relays = POINT_PATHS["selective_two_relays"]
-    points = _point_paths(direct, relays, np.zeros((3, 3)), [1.0, 0.5, 0.1])
+    points = _point_branches(POINT_BRANCHES["selective_two_relays"], np.zeros((3, 3)),
+                             [1.0, 0.5, 0.1])
     shared, alone = np.random.default_rng(9), np.random.default_rng(9)
-    simulate_block(PARAMS, *points, shared, 11)
-    simulate_block(PARAMS, *_one_point(*points, 2), alone, 11)
+    simulate_block(PARAMS, points, shared, 11)
+    simulate_block(PARAMS, _one_point(points, 2), alone, 11)
     assert shared.bit_generator.state == alone.bit_generator.state
 
 
@@ -425,12 +449,12 @@ def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), **k:
                             calls.append(1) or _f(*a, **k))
-    direct, relays = POINT_PATHS["selective_two_relays"]
     counts = []
     for count in (1, 40):
         cfos = np.linspace(-0.5, 0.5, count)[:, None] * [1.0, -1.0, 0.5]
         calls.clear()
-        simulate_block(PARAMS, *_point_paths(direct, relays, cfos, np.ones(count)),
+        simulate_block(PARAMS, _point_branches(POINT_BRANCHES["selective_two_relays"], cfos,
+                                               np.ones(count)),
                        np.random.default_rng(4), 7)
         counts.append(len(calls))
     assert counts[0] == counts[1] == 1 + 5 + 3  # modulation, hop responses, one per branch
@@ -438,9 +462,8 @@ def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
 
 def test_noise_free_zero_offset_point_stays_at_dust_beside_noisy_points():
     # the infinity sentinel needs residual <= 1e-24 signal at such a point
-    direct, relays = POINT_PATHS["selective_two_relays"]
     cfos = [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [0.5, -0.5, 0.5]]
-    points = _point_paths(direct, relays, cfos, [0.0, 1.0, 1.0, 0.1])
-    block = simulate_block(PARAMS, *points, np.random.default_rng(12), 102)
+    points = _point_branches(POINT_BRANCHES["selective_two_relays"], cfos, [0.0, 1.0, 1.0, 0.1])
+    block = simulate_block(PARAMS, points, np.random.default_rng(12), 102)
     assert np.all(block.residual_power[0] < 1e-24 * block.signal_power[0])
     assert np.all(block.residual_power[1:] > 1e-6 * block.signal_power[1:])
