@@ -19,7 +19,7 @@ from .harness import (
     ConfigParseError,
     ConfigValueError,
     ExperimentConfig,
-    RelaySpec,
+    LinkSpec,
     SweepRow,
     config_from_dict,
     load_config,

@@ -168,12 +168,3 @@ def standard_noise(shape, rng: np.random.Generator) -> np.ndarray:
     noise.imag = rng.standard_normal(shape)
     return noise
 
-
-def add_noise(samples, noise: np.ndarray, noise_var: float) -> np.ndarray:
-    """Add `standard_noise` scaled to variance noise_var per sample."""
-    if noise_var < 0:
-        raise ValueError(f"noise variance must be >= 0, got {noise_var}")
-    out = noise * np.sqrt(noise_var / 2.0)
-    out += samples
-    return out
-

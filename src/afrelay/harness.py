@@ -1,16 +1,16 @@
 """Experiment configuration, seeded Monte-Carlo sweeps, and CSV output.
 
-A config describes one topology (OFDM numerology, per-link power delay
-profiles, noise variances, relay gain rule) plus a CFO sweep: which offset
-axis moves, the grid it moves over, and the noise scalings at which the
-sweep repeats.  `run_sweep` evaluates the closed-form SNR and/or the
-Monte-Carlo estimate at every point and returns rows ready for `write_csv`.
-`point_inputs` is the one builder that turns a config and P sweep points
-into both sides' inputs, one branch at a time, direct link first: the
-closed form's `LinkStats` with a leading point axis, evaluated once per
-sweep, and, only when the mode simulates, the simulator's `Branch` list
-with one offset, gain and noise variance per point, simulated once per
-sweep.
+A config describes one topology, the OFDM numerology and `links`, one
+`LinkSpec` per link, direct link first, each read by `_parse_link`; plus a
+CFO sweep: which offset axis moves, the grid it moves over, and the noise
+scalings at which the sweep repeats.  `run_sweep` evaluates the
+closed-form SNR and/or the Monte-Carlo estimate at every point and returns
+rows ready for `write_csv`.  `point_inputs` is the one builder that turns
+a config and P sweep points into both sides' inputs, in one loop over
+`links`: the closed form's `LinkStats` with a leading point axis,
+evaluated once per sweep, and, only when the mode simulates, the
+simulator's `Branch` list with one offset, gain and noise variance per
+point, simulated once per sweep.
 
 Noise convention: configured noise variances are per received frequency
 bin, the same quantities the closed-form SNR consumes.  The simulator
@@ -80,24 +80,21 @@ class ConfigValueError(ConfigError):
 
 
 @dataclass(frozen=True)
-class RelaySpec:
-    """Config-level description of one relay branch."""
+class LinkSpec:
+    """Config-level description of one link: the direct link, one hop and
+    gain None, or a relay, two hops and a gain rule.  `noise_vars` holds
+    the per-bin variance of the noise received at the end of each hop."""
 
-    hop1_profile: PowerDelayProfile
-    hop2_profile: PowerDelayProfile
+    hops: tuple
+    noise_vars: tuple
     cfo: float
-    gain: RelayGainConfig
-    relay_noise_var: float
-    dest_noise_var: float
+    gain: RelayGainConfig | None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     ofdm: OfdmParams
-    direct_profile: PowerDelayProfile
-    direct_cfo: float
-    direct_noise_var: float
-    relays: tuple
+    links: tuple  # LinkSpec per link, direct link first
     sweep_axis: str
     sweep_grid: tuple
     noise_scales: tuple
@@ -281,27 +278,27 @@ def _parse_cfo(value, key: str, context: str) -> float:
         raise ConfigValueError(str(exc)) from exc
 
 
-def _parse_relay(raw, context: str, cp_len: int) -> RelaySpec:
-    allowed = {"hop1_profile", "hop2_profile", "cfo", "gain", "relay_noise_var", "dest_noise_var"}
-    _check_keys(raw, allowed, context)
-    relay_nv = _as_number(_require(raw, "relay_noise_var", context), "relay_noise_var", context)
-    dest_nv = _as_number(_require(raw, "dest_noise_var", context), "dest_noise_var", context)
-    if relay_nv < 0 or dest_nv < 0:
-        raise ConfigValueError(f"{context}: noise variances must be >= 0")
-    hop1, hop2 = (_parse_profile(_require(raw, key, context), f"{context}.{key}", cp_len)
-                  for key in ("hop1_profile", "hop2_profile"))
-    # the inter-symbol interference rule for the cascade of both hops
+def _parse_link(raw, context: str, cp_len: int, hop_keys, noise_keys, gain: bool) -> LinkSpec:
+    """One link from its config object: `hop_keys` name its profiles and
+    `noise_keys` the noise at the end of each hop, in hop order; a relay
+    (`gain` true) also names its gain rule."""
+    _check_keys(raw, {*hop_keys, *noise_keys, "cfo"} | ({"gain"} if gain else set()), context)
+    noise_vars = tuple(_as_number(_require(raw, key, context), key, context) for key in noise_keys)
+    for key, var in zip(noise_keys, noise_vars):
+        if var < 0:
+            raise ConfigValueError(f"{context}.{key} must be >= 0, got {var!r}")
+    hops = tuple(_parse_profile(_require(raw, key, context), f"{context}.{key}", cp_len)
+                 for key in hop_keys)
+    # the inter-symbol interference rule for the cascade of the link's hops
     try:
-        require_isi_free(cp_len, [hop1.n_taps, hop2.n_taps], context)
+        require_isi_free(cp_len, [hop.n_taps for hop in hops], context)
     except ValueError as exc:
         raise ConfigValueError(str(exc)) from exc
-    return RelaySpec(
-        hop1_profile=hop1,
-        hop2_profile=hop2,
+    return LinkSpec(
+        hops=hops,
+        noise_vars=noise_vars,
         cfo=_parse_cfo(raw.get("cfo", 0.0), "cfo", context),
-        gain=_parse_gain(_require(raw, "gain", context), f"{context}.gain"),
-        relay_noise_var=relay_nv,
-        dest_noise_var=dest_nv,
+        gain=_parse_gain(_require(raw, "gain", context), f"{context}.gain") if gain else None,
     )
 
 
@@ -325,19 +322,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigValueError(f"ofdm: {exc}") from exc
 
-    direct_raw = _require(raw, "direct", "config")
-    _check_keys(direct_raw, {"profile", "cfo", "noise_var"}, "direct")
-    direct_profile = _parse_profile(
-        _require(direct_raw, "profile", "direct"), "direct.profile", ofdm.cp_len)
-    direct_cfo = _parse_cfo(direct_raw.get("cfo", 0.0), "cfo", "direct")
-    direct_noise = _as_number(_require(direct_raw, "noise_var", "direct"), "noise_var", "direct")
-    if direct_noise < 0:
-        raise ConfigValueError("direct.noise_var must be >= 0")
-
+    direct = _parse_link(_require(raw, "direct", "config"), "direct", ofdm.cp_len,
+                         ("profile",), ("noise_var",), gain=False)
     relays_raw = _require(raw, "relays", "config")
     if not isinstance(relays_raw, list) or not relays_raw:
         raise ConfigValueError("relays must be a non-empty list of relay branches")
-    relays = tuple(_parse_relay(r, f"relays[{i}]", ofdm.cp_len) for i, r in enumerate(relays_raw))
+    relays = [_parse_link(r, f"relays[{i}]", ofdm.cp_len, ("hop1_profile", "hop2_profile"),
+                          ("relay_noise_var", "dest_noise_var"), gain=True)
+              for i, r in enumerate(relays_raw)]
 
     sweep_raw = _require(raw, "sweep", "config")
     _check_keys(sweep_raw, {"axis", "grid"}, "sweep")
@@ -358,10 +350,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         ofdm=ofdm,
-        direct_profile=direct_profile,
-        direct_cfo=direct_cfo,
-        direct_noise_var=direct_noise,
-        relays=relays,
+        links=(direct, *relays),
         sweep_axis=axis,
         sweep_grid=grid,
         noise_scales=scales,
@@ -406,31 +395,29 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
 
     Returns (LinkStats with a leading point axis, [Branch] whose offsets,
     gains and noise variances hold one value per point, or None), both
-    from one table over the branches, direct link first (one hop, gain
-    1): a_b = rho^2 prod P_hop s_X and s_b = the last noise plus rho^2
-    times the earlier ones.  Each relay gain is resolved once per noise
-    scaling; LinkStats carries per-bin noise, the branches per-sample
-    noise (var * scale / N).
+    from one loop over `cfg.links`, one branch per link, direct link first
+    (gain 1): a_b = rho^2 prod P_hop s_X and s_b = the last noise plus
+    rho^2 times the earlier ones.  Each relay gain is resolved once per
+    noise scaling; LinkStats carries per-bin noise, the branches
+    per-sample noise (var * scale / N).
     """
     n, sx = cfg.ofdm.n_subcarriers, cfg.ofdm.symbol_power
     levels, level_of = np.unique(scales, return_inverse=True)
-    links = [((cfg.direct_profile,), (cfg.direct_noise_var,), None)] + [
-        ((s.hop1_profile, s.hop2_profile), (s.relay_noise_var, s.dest_noise_var), s.gain)
-        for s in cfg.relays
-    ]
-    table = []  # (rho, a_b, s_b) per branch and noise scaling
-    for hops, noise_vars, gain in links:
+    table = []  # (rho, a_b, s_b) per link and noise scaling
+    for link in cfg.links:
         for scale in levels.tolist():
-            noise = [v * scale for v in noise_vars]
-            rho = 1.0 if gain is None else gain_factor(gain, hops[0].total_power, noise[0])
-            table.append((rho, math.prod([rho ** 2, *(h.total_power for h in hops), sx]),
+            noise = [v * scale for v in link.noise_vars]
+            rho = 1.0 if link.gain is None else gain_factor(
+                link.gain, link.hops[0].total_power, noise[0])
+            table.append((rho, math.prod([rho ** 2, *(h.total_power for h in link.hops), sx]),
                           noise[-1] + rho ** 2 * sum(noise[:-1])))
-    rho, a, s = np.array(table).reshape(len(links), len(levels), 3)[:, level_of].T
+    rho, a, s = np.array(table).reshape(len(cfg.links), len(levels), 3)[:, level_of].T
     stats = LinkStats(n, a, cfos, s)
     if cfg.mode == "analytical":
         return stats, None
-    return stats, [Branch(hops, cfos[:, b], rho[:, b], tuple(v * scales / n for v in noise_vars))
-                   for b, (hops, noise_vars, _) in enumerate(links)]
+    return stats, [Branch(link.hops, cfos[:, b], rho[:, b],
+                          tuple(v * scales / n for v in link.noise_vars))
+                   for b, link in enumerate(cfg.links)]
 
 
 def block_size(params: OfdmParams) -> int:
@@ -519,8 +506,8 @@ def sweep_offsets(cfg: ExperimentConfig):
     scalings of the P sweep points in output order: noise scales outer,
     grid inner."""
     grid = np.array(cfg.sweep_grid)[:, None]
-    configured = [cfg.direct_cfo, *(s.cfo for s in cfg.relays)]
-    moved = [cfg.sweep_axis != "eps2"] + [cfg.sweep_axis != "eps1"] * len(cfg.relays)
+    configured = [link.cfo for link in cfg.links]
+    moved = [cfg.sweep_axis != "eps2"] + [cfg.sweep_axis != "eps1"] * (len(configured) - 1)
     cfos = np.where(moved, grid, configured)
     return np.tile(cfos, (len(cfg.noise_scales), 1)), np.repeat(cfg.noise_scales, grid.size)
 

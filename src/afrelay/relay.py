@@ -139,6 +139,8 @@ class Branch:
         if len(self.hops) not in (1, 2) or len(self.noise_vars) != len(self.hops):
             raise ValueError(f"a branch needs one or two hops and one noise variance per hop, "
                              f"got {len(self.hops)} and {len(self.noise_vars)}")
+        if any(np.any(np.asarray(v) < 0) for v in self.noise_vars):
+            raise ValueError("noise variances must be >= 0")
 
 
 def _reduce(weights, data) -> np.ndarray:
@@ -221,8 +223,6 @@ def simulate_block(
     signal, residual = np.zeros((2,) + rho.shape[1:] + (trials,))
     for b, index in enumerate(np.searchsorted(offsets, cfo)):
         variances = points(branches[b].noise_vars)
-        if np.any(variances < 0):
-            raise ValueError("noise variances must be >= 0")
         variances[:-1] *= rho[b] ** 2
         taps, spectrum = hops[b][0], frequency_response(hops[b][0], n)  # H, then HX
         for h in hops[b][1:]:

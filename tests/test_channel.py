@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from afrelay.channel import (
     PowerDelayProfile,
-    add_noise,
     apply_cfo,
     apply_channel,
     draw_channel,
@@ -243,35 +242,16 @@ def test_ramp_reference_point_is_body_start():
 
 # ---------------------------------------------------------------------- noise
 
-def _noisy(samples, noise_var, rng):
-    return add_noise(samples, standard_noise(np.shape(samples), rng), noise_var)
-
-
-def test_zero_variance_noise_is_identity():
-    params = OfdmParams(n_subcarriers=16, cp_len=4)
-    sig = _modulated(params, 8)
-    out = _noisy(sig, 0.0, np.random.default_rng(0))
-    assert np.array_equal(out, sig)
-
-
 def test_noise_sample_variance_converges():
-    rng = np.random.default_rng(17)
-    m = 1_000_000
-    noisy = _noisy(np.zeros(m, dtype=complex), 0.25, rng)
-    assert np.mean(np.abs(noisy) ** 2) == pytest.approx(0.25, rel=0.01)
+    # unscaled: unit variance on each part, 2 per complex sample
+    noise = standard_noise(1_000_000, np.random.default_rng(17))
+    assert np.mean(np.abs(noise) ** 2) == pytest.approx(2.0, rel=0.01)
 
 
 def test_noise_is_circularly_symmetric():
-    rng = np.random.default_rng(18)
-    m = 1_000_000
-    noisy = _noisy(np.zeros(m, dtype=complex), 0.5, rng)
-    assert np.var(noisy.real) == pytest.approx(0.25, rel=0.02)
-    assert np.var(noisy.imag) == pytest.approx(0.25, rel=0.02)
-
-
-def test_negative_variance_rejected():
-    with pytest.raises(ValueError):
-        _noisy(np.ones((1, 4), dtype=complex), -0.1, np.random.default_rng(0))
+    noise = standard_noise(1_000_000, np.random.default_rng(18))
+    assert np.var(noise.real) == pytest.approx(1.0, rel=0.02)
+    assert np.var(noise.imag) == pytest.approx(1.0, rel=0.02)
 
 
 # ------------------------------------------------------------------ properties

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from afrelay import harness, relay
 from afrelay.analysis import LinkStats, analytical_snr
+from afrelay.cli import EXIT_CONFIG, main
 from afrelay.harness import (
     PRESETS,
     ConfigError,
@@ -67,28 +68,26 @@ def one_point_config(cfg, eps, scale=1.0):
     """cfg swept over one point: offsets eps (direct link first) held in
     the cfo fields, a one-offset grid on the direct offset and one noise
     scale."""
-    relays = tuple(replace(spec, cfo=e) for spec, e in zip(cfg.relays, eps[1:], strict=True))
-    return replace(cfg, direct_cfo=eps[0], relays=relays, sweep_axis="eps1",
-                   sweep_grid=(eps[0],), noise_scales=(scale,))
+    links = tuple(replace(link, cfo=e) for link, e in zip(cfg.links, eps, strict=True))
+    return replace(cfg, links=links, sweep_axis="eps1", sweep_grid=(eps[0],),
+                   noise_scales=(scale,))
 
 
 # -------------------------------------------------------------------- loading
 
 def test_flat_preset_loads_with_expected_power_relations():
     cfg = load_config("fig3_flat")
-    assert cfg.direct_profile.n_taps == 1
-    spec = cfg.relays[0]
-    assert spec.hop1_profile.n_taps == spec.hop2_profile.n_taps == 1
+    direct, relay = cfg.links
+    assert [hop.n_taps for hop in direct.hops + relay.hops] == [1, 1, 1]
+    assert direct.gain is None and relay.gain is not None
     # relay second hop at 4x the direct link's power, equal noise everywhere
-    assert spec.hop2_profile.total_power == 4.0 * cfg.direct_profile.total_power
-    assert cfg.direct_noise_var == spec.relay_noise_var == spec.dest_noise_var
+    assert relay.hops[1].total_power == 4.0 * direct.hops[0].total_power
+    assert direct.noise_vars == (0.1,) and relay.noise_vars == (0.1, 0.1)
 
 
 def test_selective_preset_loads_with_four_tap_profiles():
     cfg = load_config("fig4_selective")
-    assert cfg.direct_profile.n_taps == 4
-    assert cfg.relays[0].hop1_profile.n_taps == 4
-    assert cfg.relays[0].hop2_profile.n_taps == 4
+    assert [hop.n_taps for link in cfg.links for hop in link.hops] == [4, 4, 4]
     assert cfg.ofdm.cp_len >= 8  # load-time interference condition holds
 
 
@@ -290,6 +289,28 @@ def test_non_object_section_rejected(section):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("where", [
+    ("direct", "noise_var"), ("relays", 0, "relay_noise_var"), ("relays", 1, "dest_noise_var"),
+], ids=["direct", "relay0_relay_noise", "relay1_dest_noise"])
+def test_negative_noise_variance_rejected_with_key_name(where, tmp_path, capsys):
+    raw = copy.deepcopy(TINY)
+    raw["relays"].append(copy.deepcopy(raw["relays"][0]))
+    *parents, key = where
+    section = raw
+    for name in parents:
+        section = section[name]
+    section[key] = -0.1
+    context = "".join(f"[{name}]" if isinstance(name, int) else name for name in parents)
+    message = f"{context}.{key} must be >= 0"
+    with pytest.raises(ConfigValueError, match=re.escape(message)):
+        config_from_dict(raw)
+    path = tmp_path / "negative_noise.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("old, new, key", [
     ('"noise_var": 0.1', '"noise_var": NaN', "direct.noise_var"),
     ('"noise_scales": [1.0]', '"noise_scales": [Infinity]', "config.noise_scales[0]"),
@@ -315,14 +336,19 @@ def test_digest_ignores_workers_but_tracks_experiment_fields():
     c = tiny_config(master_seed=778)
     assert config_digest(a) == config_digest(b)
     assert config_digest(a) != config_digest(c)
-    # nested fields count too, down to a relay's gain and a profile's taps
-    relay = TINY["relays"][0]
+    # nested fields count too, down to a relay's gain, a profile's taps,
+    # every field of the direct link and the number of relays
+    direct, relay = TINY["direct"], TINY["relays"][0]
     for changed in (
         tiny_config(ofdm={**TINY["ofdm"], "constellation": "qam16"}),
         tiny_config(relays=[{**relay, "gain": {"mode": "upa", "total_power": 3.0}}]),
         tiny_config(relays=[{**relay, "hop2_profile": {"kind": "uniform", "n_taps": 2,
                                                        "power": 4.0}}]),
         tiny_config(noise_scales=[1.0, 0.1]),
+        tiny_config(direct={**direct, "cfo": 0.1}),
+        tiny_config(direct={**direct, "noise_var": 0.2}),
+        tiny_config(direct={**direct, "profile": {"kind": "flat", "power": 2.0}}),
+        tiny_config(relays=[relay, relay]),
     ):
         assert config_digest(changed) != config_digest(a)
 
@@ -523,7 +549,7 @@ def test_sweep_rows_equal_one_point_evaluations(axis, monkeypatch):
     monkeypatch.setattr(harness, "gain_factor", counting_gain_factor)
     cfg = config_from_dict(three_relay_raw(axis))
     rows = run_sweep(cfg)
-    assert len(calls) == len(cfg.noise_scales) * len(cfg.relays)  # once per scale and relay
+    assert len(calls) == len(cfg.noise_scales) * (len(cfg.links) - 1)  # per scale and relay
     cfos, _ = sweep_offsets(cfg)
     assert len(rows) == len(cfos) == 18
     for i, row in enumerate(rows):
@@ -536,20 +562,21 @@ def test_single_relay_sweep_matches_paper_formula(axis):
     raw = three_relay_raw(axis)
     raw["relays"] = raw["relays"][1:2]  # the general-gain relay
     cfg = config_from_dict(raw)
-    (spec,) = cfg.relays
+    direct, relay = cfg.links
+    (direct_hop,), (hop1, hop2) = direct.hops, relay.hops
+    (direct_noise,), (relay_noise, dest_noise) = direct.noise_vars, relay.noise_vars
     for row, eps, scale in zip(run_sweep(cfg), *sweep_offsets(cfg)):
         _, _, snr = paper_snr(
-            direct_gain_var=cfg.direct_profile.total_power,
-            hop1_gain_var=spec.hop1_profile.total_power,
-            hop2_gain_var=spec.hop2_profile.total_power,
+            direct_gain_var=direct_hop.total_power,
+            hop1_gain_var=hop1.total_power,
+            hop2_gain_var=hop2.total_power,
             symbol_power=cfg.ofdm.symbol_power,
-            direct_noise_var=cfg.direct_noise_var * scale,
-            relay_noise_var=spec.relay_noise_var * scale,
-            dest_noise_var=spec.dest_noise_var * scale,
+            direct_noise_var=direct_noise * scale,
+            relay_noise_var=relay_noise * scale,
+            dest_noise_var=dest_noise * scale,
             cfo_direct=eps[0],
             cfo_relay=eps[1],
-            rho=gain_factor(spec.gain, spec.hop1_profile.total_power,
-                            spec.relay_noise_var * scale),
+            rho=gain_factor(relay.gain, hop1.total_power, relay_noise * scale),
             n_subcarriers=cfg.ofdm.n_subcarriers,
         )
         assert row.analytical_db == pytest.approx(10.0 * math.log10(snr), rel=1e-12)
