@@ -4,13 +4,10 @@ cross-validation under per-link carrier frequency offsets."""
 from .analysis import LinkStats, SnrBreakdown, analytical_snr
 from .channel import (
     PowerDelayProfile,
-    apply_cfo,
-    apply_channel,
     draw_channel,
     exponential_profile,
     flat_profile,
     frequency_response,
-    linear_convolve,
     uniform_profile,
 )
 from .harness import (
@@ -27,7 +24,7 @@ from .harness import (
     sweep_offsets,
     write_csv,
 )
-from .ofdm import OfdmParams, draw_symbols, modulate, remove_cp
+from .ofdm import OfdmParams, draw_symbols
 from .relay import (
     Branch,
     RelayGainConfig,
@@ -36,7 +33,6 @@ from .relay import (
     simulate_block,
 )
 from .transforms import (
-    cfo_spectrum,
     dft,
     dirichlet_gain,
     dirichlet_gain_derivative,

@@ -1,19 +1,17 @@
-"""Random multipath channels, channel application, CFO ramps, and noise.
+"""Random multipath channels, their frequency response, the ISI rule, and noise.
 
 Channels are block fading: one tap realization per OFDM symbol, taps drawn
 as independent circularly-symmetric complex Gaussians (Rayleigh-magnitude
 fading) with per-tap variances given by a power delay profile.  The
-stage functions work on whole blocks of trials: the leading axis indexes
-trials and the last axis holds taps or samples.
+functions work on whole blocks of trials: the leading axis indexes trials
+and the last axis holds taps, bins or samples.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ofdm import OfdmParams, require_extended
 from .transforms import dft
 
 
@@ -87,56 +85,6 @@ def frequency_response(taps, n: int) -> np.ndarray:
     padded = np.zeros(taps.shape[:-1] + (n,), dtype=np.complex128)
     padded[..., : taps.shape[-1]] = taps
     return dft(padded)
-
-
-def linear_convolve(x, taps, length: int) -> np.ndarray:
-    """Row-wise linear convolution of x with taps, truncated to `length` samples.
-
-    With fewer taps than rows, each tap is one vectorized shift-and-add
-    across all rows; otherwise each row is one `np.convolve`.  Both are the
-    same time-domain sum and agree to rounding.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    taps = np.asarray(taps, dtype=np.complex128)
-    rows = np.broadcast_shapes(x.shape[:-1], taps.shape[:-1])
-    out = np.zeros(rows + (length,), dtype=np.complex128)
-    n_taps = min(taps.shape[-1], length)
-    if n_taps <= math.prod(rows):
-        for lag in range(n_taps):
-            m = min(x.shape[-1], length - lag)
-            out[..., lag:lag + m] += taps[..., lag:lag + 1] * x[..., :m]
-        return out
-    x = np.broadcast_to(x, rows + x.shape[-1:])
-    taps = np.broadcast_to(taps, rows + taps.shape[-1:])
-    for row in np.ndindex(rows):
-        full = np.convolve(x[row], taps[row])[:length]
-        out[row][: full.size] = full
-    return out
-
-
-def apply_channel(samples, taps, params: OfdmParams) -> np.ndarray:
-    """Convolve prefix-extended rows with their channel taps.
-
-    Linear convolution truncated to the input length; under
-    `require_isi_free` the prefix-free body then equals the cyclic
-    convolution of the body with the zero-padded taps.
-    """
-    samples = require_extended(samples, params)
-    taps = np.asarray(taps, dtype=np.complex128)
-    require_isi_free(params.cp_len, [taps.shape[-1]], "the channel")
-    return linear_convolve(samples, taps, samples.shape[-1])
-
-
-def apply_cfo(samples, eps: float, params: OfdmParams) -> np.ndarray:
-    """Multiply each row by the frequency-offset ramp exp(j2*pi*eps*n'/N).
-
-    The sample index n' is referenced to the start of the prefix-free body
-    (n' = 0 at the first body sample), matching the symbol synthesis
-    convention.
-    """
-    samples = require_extended(samples, params)
-    offsets = np.arange(samples.shape[-1]) - params.cp_len
-    return samples * np.exp(2j * np.pi * eps * offsets / params.n_subcarriers)
 
 
 def require_isi_free(cp_len: int, hop_taps, link: str) -> None:

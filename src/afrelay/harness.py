@@ -482,9 +482,10 @@ def _aggregate_trials(sig: np.ndarray, res: np.ndarray) -> tuple:
     trials = sig.size
     total_sig = float(np.sum(sig))
     total_res = float(np.sum(res))
-    # A residual below ~1e-24 of the signal is rounding dust, the norm of
-    # s - idft(HX), not a real impairment (the weakest modelled impairments
-    # sit many orders above); report the infinity sentinel.
+    # A noise-free point at zero offset has a residual of exactly 0, since
+    # the engine applies the channel per bin; any residual up to 1e-24 of
+    # the signal is no modelled impairment either (the weakest sit many
+    # orders above).  Report the infinity sentinel.
     if total_res <= total_sig * 1e-24:
         return math.inf, 0.0
     lin = total_sig / total_res

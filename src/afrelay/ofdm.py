@@ -1,22 +1,18 @@
-"""OFDM symbol construction and deconstruction.
+"""OFDM numerology and symbol draws.
 
-One symbol is synthesized as x[n] = (1/N) sum_k X[k] exp[j2*pi*k(n-Ng)/N]
-for 0 <= n <= N+Ng-1, i.e. the inverse transform of the data vector with
-its last Ng samples copied in front as a cyclic prefix.  Sample n = Ng is
-the start of the useful body; every downstream frequency-offset ramp uses
-the same reference.
-
-Signals are plain complex arrays whose last axis is time and whose leading
-axis, when present, indexes trials; a prefix-extended row holds N + Ng
-samples.
+`OfdmParams` fixes the subcarrier count N, the cyclic-prefix length Ng,
+the constellation and the symbol power; `draw_symbols` draws a block of
+data symbols X[k].  The engine never synthesizes the time-domain symbol:
+with a prefix that covers the channel memory, the inverse transform with
+its prefix, the channel convolution and prefix removal reduce to the
+per-bin product H[k]X[k] (the time-domain pipeline runs as a test oracle,
+`tests/waveform.py`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .transforms import idft
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128) / np.sqrt(2.0)
 _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
@@ -60,34 +56,3 @@ def draw_symbols(params: OfdmParams, rng: np.random.Generator, trials: int) -> n
     table = CONSTELLATIONS[params.constellation] * np.sqrt(params.symbol_power)
     idx = rng.integers(0, table.size, (trials, params.n_subcarriers))
     return table[idx]
-
-
-def modulate(symbols, params: OfdmParams) -> np.ndarray:
-    """Inverse-transform each row of data symbols and insert the cyclic prefix.
-
-    Returns samples of shape (..., N + cp_len), the prefix first.
-    """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.ndim == 0 or symbols.shape[-1] != params.n_subcarriers:
-        raise ValueError(
-            f"expected {params.n_subcarriers} data symbols per row, got shape {symbols.shape}"
-        )
-    body = idft(symbols)
-    return np.concatenate([body[..., body.shape[-1] - params.cp_len:], body], axis=-1)
-
-
-def require_extended(samples, params: OfdmParams) -> np.ndarray:
-    """Check that the last axis holds one prefix-extended symbol, N + cp_len samples."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    expected = params.n_subcarriers + params.cp_len
-    if samples.ndim == 0 or samples.shape[-1] != expected:
-        raise ValueError(
-            f"expected {expected} samples per row (N={params.n_subcarriers} + "
-            f"Ng={params.cp_len}), got shape {samples.shape}"
-        )
-    return samples
-
-
-def remove_cp(samples, params: OfdmParams) -> np.ndarray:
-    """Strip the cyclic prefix, keeping the last n_subcarriers samples of each row."""
-    return require_extended(samples, params)[..., params.cp_len:]

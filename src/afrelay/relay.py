@@ -9,6 +9,12 @@ the true dominant-term coefficient, and combines with equal gain.
 `simulate_block` is the one simulator entry point: it runs a block of
 trials at one sweep point or at many on the same draws.
 
+The channel is applied per frequency bin: a cyclic prefix that covers the
+channel memory (`channel.require_isi_free`) turns the linear convolution of
+the prefix-extended symbol into the per-bin product H[k]X[k], so the body
+of a branch's channel output is exactly v = idft(HX) and no time-domain
+waveform is built (`tests/waveform.py` builds it, as an oracle).
+
 The per-trial outcome splits every branch spectrum Y into its coherent
 signal term |g| X, for the genie gain g = rho C(eps, 0) H, and the
 remainder, branch by branch (not on the combined metric): the closed-form
@@ -16,12 +22,10 @@ SNR tracks the per-branch second moments, and the combined metric's signal
 power would retain a cross term between branch magnitudes that the closed
 form does not contain.  Derotation has unit modulus (phase 0 where g is
 0), so the remainder's power is ||Y - gX||^2, by Parseval
-N ||y - rho c v||^2 over the received body y, with c = C(eps, 0) and
-v = idft(HX).  With s the body of the channel output, e = s - v its
-rounding dust and W = r - c for the CFO ramp r, y - rho c v is
-rho (W s + c e) plus the scaled noise, so a point only reduces per-branch
-arrays computed once per block: no point runs a ramp, a transform or a
-derotation.
+N ||y - rho c v||^2 over the received body y, with c = C(eps, 0).  With
+W = r - c for the CFO ramp r, y - rho c v is rho W v plus the scaled
+noise, so a point only reduces per-branch arrays computed once per block:
+no point runs a ramp, a transform or a derotation.
 """
 from __future__ import annotations
 
@@ -30,14 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    apply_channel,
-    draw_channel,
-    frequency_response,
-    linear_convolve,
-    standard_noise,
-)
-from .ofdm import OfdmParams, draw_symbols, modulate, remove_cp
+from .channel import draw_channel, frequency_response, require_isi_free, standard_noise
+from .ofdm import OfdmParams, draw_symbols
 from .transforms import dirichlet_gain, idft
 
 _GAIN_MODES = ("fixed", "general", "upa", "upa_asymptotic")
@@ -197,11 +195,12 @@ def simulate_block(
     A branch applies the CFO-rotated cascade of its hops, scaled by rho;
     a noise received before the last hop arrives amplified by rho but
     neither convolved with the later hop nor rotated, and the last noise is
-    added as is.  The genie gain of a branch is rho * C(cfo, 0) * prod H_i
-    per bin, in hop order.  A point's signal is (rho |C(cfo, 0)|)^2
-    ||HX||^2; its residual is N times the Gram terms of the dust and noise
-    plus, at a nonzero offset (W != 0), the ramp terms of s.  Each point
-    adds its branches' powers in branch order.
+    added as is.  Every branch's channel memory must fit in the prefix
+    (`ValueError` otherwise).  The genie gain of a branch is
+    rho * C(cfo, 0) * prod H_i per bin, in hop order.  A point's signal is
+    (rho |C(cfo, 0)|)^2 ||HX||^2; its residual is N times the Gram terms of
+    the noise plus, at a nonzero offset (W != 0), the ramp terms of
+    v = idft(HX).  Each point adds its branches' powers in branch order.
     """
     n = params.n_subcarriers
     branches = list(branches)
@@ -211,8 +210,10 @@ def simulate_block(
     def points(values):  # (len(values), P)
         return np.stack(np.broadcast_arrays(*values, np.empty(shape or (1,))))[:-1]
 
+    for br in branches:  # the hop cascade's L1 + ... - (hops - 1) taps
+        require_isi_free(params.cp_len, [sum(p.n_taps for p in br.hops) - len(br.hops) + 1],
+                         "the channel")
     symbols = draw_symbols(params, rng, trials)
-    tx = modulate(symbols, params)
     hops = [[draw_channel(profile, rng, trials) for profile in br.hops] for br in branches]
     cfo = points([br.cfo for br in branches])
     rho = points([br.rho for br in branches])
@@ -224,11 +225,9 @@ def simulate_block(
     for b, index in enumerate(np.searchsorted(offsets, cfo)):
         variances = points(branches[b].noise_vars)
         variances[:-1] *= rho[b] ** 2
-        taps, spectrum = hops[b][0], frequency_response(hops[b][0], n)  # H, then HX
+        spectrum = frequency_response(hops[b][0], n)  # H, then HX
         for h in hops[b][1:]:
-            taps = linear_convolve(taps, h, taps.shape[-1] + h.shape[-1] - 1)
             spectrum *= frequency_response(h, n)
-        body = remove_cp(apply_channel(tx, taps, params), params)
         magnitude = rho[b] * gain[index]  # |genie gain / H|
         if not (spectrum.all() and magnitude.all()):
             zero = np.flatnonzero(np.any(spectrum == 0, axis=0) | np.any(magnitude == 0))
@@ -236,10 +235,10 @@ def simulate_block(
                           "derotation phase set to 0 there", stacklevel=2)
         spectrum *= symbols
         signal += magnitude[:, None] ** 2 * np.sum(spectrum.real ** 2 + spectrum.imag ** 2, -1)
-        dust = idft(spectrum)
-        np.subtract(body, dust, out=dust)
-        vectors = [dust] + [remove_cp(standard_noise(tx.shape, rng), params) for _ in variances]
-        alphas = [rho[b] * coefficient[index]] + list(np.sqrt(variances / 2.0))
+        body = idft(spectrum)
+        vectors = [standard_noise((trials, n + params.cp_len), rng)[:, params.cp_len:]
+                   for _ in variances]
+        alphas = list(np.sqrt(variances / 2.0))
         residual += n * _reduce(*_gram_terms(vectors, alphas))
         moving = np.flatnonzero(offsets[index] != 0)
         if moving.size:

@@ -1,10 +1,10 @@
-"""DFT/IDFT kernels and the CFO leakage coefficients.
+"""DFT/IDFT kernels and the CFO attenuation of the intended subcarrier.
 
 Conventions: the forward transform is un-normalized and the inverse carries
 the 1/N factor.  Under this pairing the transform of the unit-magnitude
-frequency-offset ramp (1/N)exp(j2*pi*eps*n/N) is exactly the leakage
-coefficient returned by `cfo_spectrum`, and `dirichlet_gain` is the
-magnitude of its bin-0 value.
+frequency-offset ramp (1/N)exp(j2*pi*eps*n/N) is the leakage coefficient
+C(eps, k), and `dirichlet_gain` is |C(eps, 0)|.  The full coefficient
+series is written out in the test oracle (`tests/waveform.py`).
 """
 from __future__ import annotations
 
@@ -86,24 +86,3 @@ def dirichlet_gain_derivative(eps, n: int) -> float | np.ndarray:
                          -(np.pi ** 2) * e * (1.0 - 1.0 / n ** 2) / 3.0,
                          np.pi * (n * c * sn - s * cn) / (n * sn) ** 2)
     return float(slope[0]) if np.ndim(eps) == 0 else slope
-
-
-def cfo_spectrum(eps: float, k: int, n: int) -> complex:
-    """Leakage coefficient of a fractional CFO onto bin k.
-
-    Equals the `dft` of the ramp (1/n)exp(j2*pi*eps*t/n) at bin k:
-
-        C(eps, k) = sin[pi(eps-k)] / (n sin[pi(eps-k)/n])
-                    * exp[j pi (eps-k)(1 - 1/n)]
-
-    with the removable singularity at eps = k evaluated by its limit.
-    |C(eps, 0)| equals `dirichlet_gain(eps, n)` and sum_k |C(eps, k)|^2 = 1.
-    """
-    if not 0 <= k < n:
-        raise ValueError(f"bin index k={k} out of range [0, {n})")
-    theta = np.pi * (eps - k)
-    if abs(theta / n) < _SINGULAR_ARG:
-        mag = 1.0
-    else:
-        mag = np.sin(theta) / (n * np.sin(theta / n))
-    return complex(mag * np.exp(1j * theta * (1.0 - 1.0 / n)))

@@ -5,15 +5,15 @@ These helpers deliberately avoid the code paths they are used to check:
 sum, `ici_reference` assembles a received spectrum from the closed-form
 leakage coefficients instead of running the waveform pipeline,
 `oracle_powers` rebuilds the simulator's per-trial powers from those
-spectra, and `paper_snr`/`paper_snr_upa` write the paper's single-relay
-SNR out term by term with the `math` module alone.
+spectra (`waveform.waveform_powers` rebuilds them from the time-domain
+pipeline instead), and `paper_snr`/`paper_snr_upa` write the paper's
+single-relay SNR out term by term with the `math` module alone.
 """
 import math
 
 import numpy as np
 
-from afrelay.ofdm import CONSTELLATIONS
-from afrelay.transforms import cfo_spectrum
+from waveform import cfo_spectrum, replay_draws, split_powers
 
 
 def dft_direct(x):
@@ -78,43 +78,30 @@ def oracle_powers(params, branches, rng, trials):
     """(signal, residual) powers per trial of `simulate_block` at one point,
     rebuilt without the waveform pipeline.
 
-    Replays the documented draw order on `rng`: symbol indices, each
-    branch's taps hop by hop, then per branch the noise of each hop in hop
-    order, each tap or noise block real part first.  Each branch spectrum
-    is `ici_reference` of the symbols and the hops' response product,
-    scaled by the branch gain rho, plus the transform of each noise
-    source's prefix-free body scaled by its standard deviation; a noise
-    received before the last hop is amplified by rho but neither convolved
-    nor rotated.  Each bin is derotated by conj(g)/|g| for the genie gain
-    g = rho C(eps, 0) prod H, and the signal |g||X| and the residual are
-    summed over bins and branches.
+    Replays the documented draw order on `rng` (`replay_draws`).  Each
+    branch spectrum is `ici_reference` of the symbols and the hops'
+    response product, scaled by the branch gain rho, plus the transform of
+    each noise source's prefix-free body scaled by its standard deviation;
+    a noise received before the last hop is amplified by rho but neither
+    convolved nor rotated.  `split_powers` derotates each bin by the genie
+    gain g = rho C(eps, 0) prod H and splits off the signal |g||X|; powers
+    add over branches.
     """
     n, cp = params.n_subcarriers, params.cp_len
-    table = CONSTELLATIONS[params.constellation] * np.sqrt(params.symbol_power)
-    symbols = table[rng.integers(0, table.size, (trials, n))]
-
-    def complex_normals(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    def taps(profile):
-        return np.sqrt(profile.tap_powers / 2.0) * complex_normals((trials, profile.n_taps))
-
-    hops = [[taps(profile) for profile in branch.hops] for branch in branches]
+    symbols, taps, noise = replay_draws(params, branches, rng, trials)
     signal, residual = np.zeros(trials), np.zeros(trials)
-    for branch_hops, branch in zip(hops, branches):
+    for branch_taps, branch_noise, branch in zip(taps, noise, branches):
         eps, rho = branch.cfo, branch.rho
-        response = np.prod([np.fft.fft(h, n, axis=-1) for h in branch_hops], axis=0)
+        response = np.prod([np.fft.fft(h, n, axis=-1) for h in branch_taps], axis=0)
         spectra = np.array([ici_reference(symbols[t], response[t], eps, scale=rho)
                             for t in range(trials)])
         amplitudes = [rho] * (len(branch.noise_vars) - 1) + [1.0]
-        for amplitude, var in zip(amplitudes, branch.noise_vars):
-            body = complex_normals((trials, n + cp))[:, cp:]
-            spectra = spectra + amplitude * np.sqrt(var / 2.0) * np.fft.fft(body, axis=-1)
-        gain = rho * cfo_spectrum(eps, 0, n) * response
-        coherent = np.abs(gain) * symbols
-        signal += np.sum(np.abs(coherent) ** 2, axis=-1)
-        derotated = spectra * np.conj(gain) / np.abs(gain)
-        residual += np.sum(np.abs(derotated - coherent) ** 2, axis=-1)
+        for amplitude, var, z in zip(amplitudes, branch.noise_vars, branch_noise):
+            spectra = spectra + amplitude * np.sqrt(var / 2.0) * np.fft.fft(z[:, cp:], axis=-1)
+        branch_signal, branch_residual = split_powers(
+            spectra, rho * cfo_spectrum(eps, 0, n) * response, symbols)
+        signal += branch_signal
+        residual += branch_residual
     return signal, residual
 
 

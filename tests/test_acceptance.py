@@ -11,13 +11,7 @@ import time
 import numpy as np
 
 from afrelay.analysis import LinkStats, analytical_snr
-from afrelay.channel import (
-    apply_cfo,
-    apply_channel,
-    frequency_response,
-    linear_convolve,
-    standard_noise,
-)
+from afrelay.channel import frequency_response, standard_noise
 from afrelay.harness import (
     PRESETS,
     config_from_dict,
@@ -25,10 +19,11 @@ from afrelay.harness import (
     with_overrides,
     write_csv,
 )
-from afrelay.ofdm import OfdmParams, draw_symbols, modulate
+from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.relay import RelayGainConfig, gain_factor
-from afrelay.transforms import cfo_spectrum, dirichlet_gain
+from afrelay.transforms import dirichlet_gain
 from conftest import cgauss, ici_reference, paper_snr, paper_snr_upa
+from waveform import apply_cfo, apply_channel, cfo_spectrum, linear_convolve, modulate
 
 from test_analysis import BASE, lambdas, random_stats, single_relay, upa_limit
 

@@ -1,4 +1,5 @@
-"""Channel draw statistics, convolution/prefix circularity, CFO ramp, noise."""
+"""Channel draw statistics and response, noise, and the time-domain oracle's
+convolution/prefix circularity and CFO ramp."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,19 +7,17 @@ from hypothesis import strategies as st
 
 from afrelay.channel import (
     PowerDelayProfile,
-    apply_cfo,
-    apply_channel,
     draw_channel,
     exponential_profile,
     flat_profile,
     frequency_response,
-    linear_convolve,
     standard_noise,
     uniform_profile,
 )
-from afrelay.ofdm import OfdmParams, draw_symbols, modulate, remove_cp
+from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.transforms import dft
 from conftest import cgauss, circular_convolve, ici_reference
+from waveform import apply_cfo, apply_channel, linear_convolve, modulate, remove_cp
 
 
 # ------------------------------------------------------------------- profiles

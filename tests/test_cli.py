@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
+import copy
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,18 @@ SMALL = {
     "master_seed": 3,
     "mode": "both",
 }
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _two_relays():
+    """fig3_flat with a second relay at offset 0.2 and fixed gain 0.7,
+    swept along eps1: the two-relay config the CI workflow runs."""
+    raw = copy.deepcopy(harness.PRESETS["fig3_flat"])
+    raw["relays"].append(dict(raw["relays"][0], cfo=0.2, gain={"mode": "fixed", "rho": 0.7}))
+    raw["sweep"]["axis"] = "eps1"
+    return raw
 
 
 @pytest.fixture
@@ -158,3 +173,39 @@ def test_module_entry_point_runs(config_path, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("name", ["fig4_selective", "two_relays"])
+def test_simulate_reproduces_the_golden_csv(name, tmp_path):
+    # the random stream and everything after it, pinned at 204 trials
+    # (two blocks at N=64); rel 1e-7 allows 9th-digit rounding across numpy
+    # builds, so only a change to the stream or the model moves these files
+    config = name
+    if name == "two_relays":
+        config = tmp_path / "two_relays.json"
+        config.write_text(json.dumps(_two_relays()))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(config), "--trials", "204",
+                 "--out", str(out)]) == EXIT_OK
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    golden_header, *golden_rows = (DATA / f"{name}_trials204.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert header == golden_header
+    assert len(rows) == len(golden_rows)
+    for row, golden in zip(rows, golden_rows):
+        assert [float(v) for v in row.split(",")] == pytest.approx(
+            [float(v) for v in golden.split(",")], rel=1e-7, abs=0)
+
+
+def test_one_trial_writes_nan_stderr(tmp_path):
+    # one trial has no sample variance: stderr_db is nan, the estimate finite
+    out = tmp_path / "one.csv"
+    assert main(["simulate", "--config", "fig3_flat", "--trials", "1",
+                 "--out", str(out)]) == EXIT_OK
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    columns = header.split(",")
+    for row in rows:
+        record = dict(zip(columns, row.split(",")))
+        assert record["stderr_db"] == "nan"
+        assert math.isfinite(float(record["empirical_db"]))
+        assert record["trials"] == "1"

@@ -1,9 +1,11 @@
-"""Symbol draw, modulation, and cyclic-prefix handling."""
+"""Symbol draw, and the time-domain oracle's modulation and cyclic-prefix
+handling."""
 import numpy as np
 import pytest
 
-from afrelay.ofdm import CONSTELLATIONS, OfdmParams, draw_symbols, modulate, remove_cp
+from afrelay.ofdm import CONSTELLATIONS, OfdmParams, draw_symbols
 from afrelay.transforms import dft
+from waveform import modulate, remove_cp
 
 
 def test_params_validation():

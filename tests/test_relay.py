@@ -1,20 +1,16 @@
 """Relay gain rules and the block engine `simulate_block`: its trials
-against an independent per-trial oracle and exact cases, its warnings and
-preconditions, and its bitwise invariants across points."""
+against two independent per-trial oracles (the closed-form spectrum and
+the time-domain waveform) and exact cases, its warnings and preconditions,
+and its bitwise invariants across points."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from afrelay.channel import (
-    PowerDelayProfile,
-    apply_cfo,
-    apply_channel,
-    draw_channel,
-    flat_profile,
-    uniform_profile,
-)
-from afrelay.ofdm import OfdmParams, draw_symbols, modulate
+from afrelay.channel import PowerDelayProfile, draw_channel, flat_profile, uniform_profile
+from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.relay import (
     POINT_CHUNK_ELEMENTS,
     Branch,
@@ -23,6 +19,7 @@ from afrelay.relay import (
     simulate_block,
 )
 from conftest import oracle_powers
+from waveform import apply_cfo, apply_channel, modulate, waveform_powers
 
 PARAMS = OfdmParams(n_subcarriers=64, cp_len=16)
 FLAT = flat_profile(1.0)
@@ -45,12 +42,14 @@ def _draws(seed, profiles, trials):
 
 
 def _oracle_error(branches, seed, trials, params=PARAMS):
-    """Worst relative error of a block's powers against `oracle_powers`."""
+    """Worst relative error of a block's powers against both oracles,
+    `oracle_powers` and the time-domain `waveform_powers`."""
     block = simulate_block(params, branches, np.random.default_rng(seed), trials)
-    reference = oracle_powers(params, branches, np.random.default_rng(seed), trials)
     return max(
         float(np.max(np.abs(got - want) / want))
-        for got, want in zip((block.signal_power, block.residual_power), reference)
+        for oracle in (oracle_powers, waveform_powers)
+        for got, want in zip((block.signal_power, block.residual_power),
+                             oracle(params, branches, np.random.default_rng(seed), trials))
     )
 # ------------------------------------------------------------------ gain factor
 
@@ -113,7 +112,7 @@ def test_direct_link_trivial_passthrough():
     sym, (h,) = _draws(1, [FLAT], 5)
     expected = np.abs(h[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
     assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
-    assert np.all(block.residual_power < 1e-24 * block.signal_power)
+    assert np.all(block.residual_power == 0)
 
 
 def test_direct_link_matches_closed_form_spectrum():
@@ -146,7 +145,7 @@ def test_relay_branch_trivial_passthrough():
     sym, (_, h1, h2) = _draws(6, [MUTED, FLAT, flat_profile(4.0)], 5)
     expected = 0.8 ** 2 * np.abs(h1[:, 0] * h2[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
     assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
-    assert np.all(block.residual_power < 1e-24 * block.signal_power)
+    assert np.all(block.residual_power == 0)
 
 
 def test_relay_branch_matches_closed_form_spectrum():
@@ -206,7 +205,7 @@ def test_two_ideal_branches_combine_coherently():
     gains = np.abs(h0[:, 0]) ** 2 + np.abs(h1[:, 0] * h2[:, 0]) ** 2
     assert np.allclose(block.signal_power, gains * np.sum(np.abs(sym) ** 2, axis=-1),
                        rtol=1e-12, atol=0)
-    assert np.all(block.residual_power < 1e-24 * block.signal_power)
+    assert np.all(block.residual_power == 0)
 
 
 def test_combined_metric_matches_closed_form_assembly():
@@ -218,14 +217,17 @@ def test_combined_metric_matches_closed_form_assembly():
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([48, 64, 80, 96]),
-       st.sampled_from(["qpsk", "qam16"]), st.integers(1, 16), st.sampled_from([None, 0.5]))
-@example(0, 96, "qam16", 16, None)
-@example(1, 48, "qpsk", 16, None)
-@example(2, 64, "qpsk", 3, 0.5)
-def test_block_matches_per_trial_oracle(seed, n, constellation, m, edge):
+       st.sampled_from(["qpsk", "qam16"]), st.integers(1, 16), st.sampled_from([None, 0.5]),
+       st.booleans())
+@example(0, 96, "qam16", 16, None, False)
+@example(1, 48, "qpsk", 16, None, True)
+@example(2, 64, "qpsk", 3, 0.5, False)
+@example(3, 80, "qam16", 1, 0.5, True)
+def test_block_matches_per_trial_oracle(seed, n, constellation, m, edge, at_bound):
     # every trial of a block, for any subcarrier count, constellation and
     # 1 to 16 relays with 1 to 4 taps per hop; given an edge, the offsets
-    # alternate between exactly +edge and -edge
+    # alternate between exactly +edge and -edge; at_bound puts one branch's
+    # channel memory, the sum of L - 1 over its hops, exactly at cp_len
     rng = np.random.default_rng(seed)
     params = OfdmParams(n_subcarriers=n, cp_len=8, constellation=constellation,
                         symbol_power=rng.uniform(0.5, 2.0))
@@ -241,6 +243,12 @@ def test_block_matches_per_trial_oracle(seed, n, constellation, m, edge):
                [rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.1)])
         for i in range(m)
     ]
+    if at_bound:
+        b = int(rng.integers(0, m + 1))
+        first = int(rng.integers(1, params.cp_len + 2))
+        taps = [params.cp_len + 1] if b == 0 else [first, params.cp_len + 2 - first]
+        branches[b] = dataclasses.replace(
+            branches[b], hops=[uniform_profile(k, rng.uniform(0.25, 4.0)) for k in taps])
     assert _oracle_error(branches, [seed, 1], 2, params) < 1e-9
 
 
@@ -277,7 +285,7 @@ def test_no_offset_no_noise_leaves_zero_residual():
     branches = [Branch([uniform_profile(4, 1.0)], 0.0, 1.0, [0.0]),
                 Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], 0.0, 1.0, [0.0, 0.0])]
     outcome = simulate_block(PARAMS, branches, np.random.default_rng(22), 1)
-    assert outcome.residual_power[0] < 1e-18
+    assert outcome.residual_power[0] == 0
 
 
 def test_scaling_symbols_by_two_quadruples_signal_power():
@@ -455,13 +463,13 @@ def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
                                                np.ones(count)),
                        np.random.default_rng(4), 7)
         counts.append(len(calls))
-    assert counts[0] == counts[1] == 1 + 5 + 3  # modulation, hop responses, one per branch
+    assert counts[0] == counts[1] == 5 + 3  # hop responses, one inverse per branch
 
 
-def test_noise_free_zero_offset_point_stays_at_dust_beside_noisy_points():
-    # the infinity sentinel needs residual <= 1e-24 signal at such a point
+def test_noise_free_zero_offset_point_has_zero_residual_beside_noisy_points():
+    # the infinity sentinel reports such a point, whose residual is exactly 0
     cfos = [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [0.5, -0.5, 0.5]]
     points = _point_branches(POINT_BRANCHES["selective_two_relays"], cfos, [0.0, 1.0, 1.0, 0.1])
     block = simulate_block(PARAMS, points, np.random.default_rng(12), 102)
-    assert np.all(block.residual_power[0] < 1e-24 * block.signal_power[0])
+    assert np.all(block.residual_power[0] == 0)
     assert np.all(block.residual_power[1:] > 1e-6 * block.signal_power[1:])

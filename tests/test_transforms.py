@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afrelay.transforms import (
-    cfo_spectrum,
     dft,
     dirichlet_gain,
     dirichlet_gain_derivative,
@@ -14,6 +13,7 @@ from afrelay.transforms import (
     require_fractional_cfo,
 )
 from conftest import cgauss, circular_convolve, dft_direct, leakage_vector
+from waveform import cfo_spectrum
 
 # frozen from a 40-digit evaluation of the closed forms
 F64_AT_HALF = 0.6366836927259823
