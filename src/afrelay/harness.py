@@ -24,9 +24,12 @@ numpy's default_rng([master_seed, b]) in the order `simulate_block`
 documents.  The stream has no point index: every point of a sweep uses the
 same block streams (common random numbers), so the points' empirical
 columns are correlated.  Each block is drawn once per sweep and simulated
-at every point in one `simulate_block` call.  A pool task is a contiguous
-range of blocks covering every point; each point's per-trial powers are
-reduced in trial order, so the result is bitwise independent of `workers`.
+at every point; a `simulate_block` call covers up to two consecutive
+blocks of a range (PASS_SAMPLES), each from its own generator, so the
+stream and B do not depend on how blocks share calls.  A pool task is a
+contiguous range of blocks covering every point; each point's per-trial
+powers are reduced in trial order, so the result is bitwise independent
+of `workers`.
 """
 from __future__ import annotations
 
@@ -59,8 +62,10 @@ MODES = ("analytical", "simulate", "both")
 
 CSV_HEADER = "eps1,eps2,analytical_db,empirical_db,stderr_db,lambda1,lambda2,trials,seed"
 
-# Target samples per (trials, N + cp_len) array of one random-stream block.
+# Target samples per (trials, N + cp_len) array of one random-stream block,
+# and at most per array of one `simulate_block` call of whole blocks.
 BLOCK_SAMPLES = 8192
+PASS_SAMPLES = 2 * BLOCK_SAMPLES
 
 
 class ConfigError(Exception):
@@ -428,14 +433,20 @@ def block_size(params: OfdmParams) -> int:
 
 def _simulate_blocks(task):
     """Per-trial (signal, residual) powers, each (P, trials), of blocks
-    [first, stop) at every point; an error is re-raised naming the range."""
+    [first, stop) at every point; an error is re-raised naming the range.
+
+    Consecutive blocks share a `simulate_block` call, as many whole blocks
+    as fit in PASS_SAMPLES samples per row array and at least one."""
     cfg, branches, first, stop = task
     size = block_size(cfg.ofdm)
+    step = max(1, PASS_SAMPLES // (size * (cfg.ofdm.n_subcarriers + cfg.ofdm.cp_len)))
     sig, res = [], []
     try:
-        for b in range(first, stop):
-            rng = np.random.default_rng([cfg.master_seed, b])
-            outcome = simulate_block(cfg.ofdm, branches, rng, min(size, cfg.trials - b * size))
+        for start in range(first, stop, step):
+            blocks = range(start, min(start + step, stop))
+            outcome = simulate_block(cfg.ofdm, branches,
+                                     [np.random.default_rng([cfg.master_seed, b]) for b in blocks],
+                                     [min(size, cfg.trials - b * size) for b in blocks])
             sig.append(outcome.signal_power)
             res.append(outcome.residual_power)
     except Exception as exc:

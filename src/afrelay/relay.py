@@ -6,8 +6,9 @@ a `Branch` describes either.  Each hop has its own multipath channel and
 noise, and each branch its own fractional CFO.  The destination removes
 the prefix, transforms each branch, co-phases it using genie knowledge of
 the true dominant-term coefficient, and combines with equal gain.
-`simulate_block` is the one simulator entry point: it runs a block of
-trials at one sweep point or at many on the same draws.
+`simulate_block` is the one simulator entry point: it runs one or more
+random-stream blocks of trials at one sweep point or at many on the same
+draws.
 
 The channel is applied per frequency bin: a cyclic prefix that covers the
 channel memory (`channel.require_isi_free`) turns the linear convolution of
@@ -24,8 +25,12 @@ form does not contain.  Derotation has unit modulus (phase 0 where g is
 0), so the remainder's power is ||Y - gX||^2, by Parseval
 N ||y - rho c v||^2 over the received body y, with c = C(eps, 0).  With
 W = r - c for the CFO ramp r, y - rho c v is rho W v plus the scaled
-noise, so a point only reduces per-branch arrays computed once per block:
-no point runs a ramp, a transform or a derotation.
+noise.  Its energy expands into the Gram terms of the noise bodies,
+reduced once per branch, and the terms of z = W v, reduced once per branch
+and distinct nonzero offset; a point only combines those sums with its own
+rho and noise amplitudes, so no point runs a ramp, a transform or a
+derotation, and a branch at zero offset on every point runs no transform
+back to the time domain.
 """
 from __future__ import annotations
 
@@ -39,10 +44,6 @@ from .ofdm import OfdmParams, draw_symbols
 from .transforms import dirichlet_gain, idft
 
 _GAIN_MODES = ("fixed", "general", "upa", "upa_asymptotic")
-
-# Products per chunk of points in `simulate_block`'s reductions: 128 KiB,
-# so its memory does not grow with the number of points.
-POINT_CHUNK_ELEMENTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -141,56 +142,26 @@ class Branch:
             raise ValueError("noise variances must be >= 0")
 
 
-def _reduce(weights, data) -> np.ndarray:
-    """Row sums of weights[p] * data[t], a (P, trials) array, over chunks
-    of about POINT_CHUNK_ELEMENTS products.  Each is one last-axis
-    `np.sum`, so no sum depends on the chunking or on the other points."""
-    step = max(1, POINT_CHUNK_ELEMENTS // data.size)
-    return np.concatenate([np.sum(weights[first:first + step, None] * data, axis=-1)
-                           for first in range(0, len(weights), step)])
-
-
-def _gram_terms(vectors, alphas) -> tuple:
-    """Weights (P, K) and data (trials, K) whose row products sum to
-    ||sum_j alphas[j] vectors[j]||^2: each Gram entry sum conj(x_j) x_k,
-    k >= j, against alpha_j conj(alpha_k), twice off the diagonal."""
-    weights, data = [], []
-    for j, (x, alpha) in enumerate(zip(vectors, alphas)):
-        conj_x = np.conj(x)
-        for y, beta in zip(vectors[j:], alphas[j:]):
-            pair = (1.0 if y is x else 2.0) * alpha * np.conj(beta)
-            gram = np.sum(conj_x * y, axis=-1)
-            weights += [pair.real, pair.imag]
-            data += [gram.real, gram.imag]
-    return np.stack(weights, axis=-1), np.stack(data, axis=-1)
-
-
-def _ramp_terms(s, w, rho, vectors, alphas):
-    """(weights (P, K), data (trials, K)) blocks whose row products sum to
-    ||rho w (.) s||^2 + 2 Re <rho w (.) s, sum_j alphas[j] vectors[j]>:
-    |w|^2 against |s|^2, then per vector 2 rho conj(alpha_j) w against
-    conj(s) x_j, complex numbers viewed as (re, im) pairs."""
-    conj_s = np.conj(s)
-    yield rho[:, None] ** 2 * (w.real ** 2 + w.imag ** 2), s.real ** 2 + s.imag ** 2
-    for x, alpha in zip(vectors, alphas):
-        q = (2.0 * rho * np.conj(alpha))[:, None] * w
-        yield q.view(np.float64), (conj_s * x).view(np.float64)
-
-
 def simulate_block(
     params: OfdmParams,
     branches,
-    rng: np.random.Generator,
-    trials: int,
+    rngs,
+    trials,
 ) -> TrialOutcome:
-    """Run `trials` transmission periods at every point and decompose their spectra.
+    """Run the trials of one or more stream blocks at every point and
+    decompose their spectra.
 
-    The branches, direct link first, hold floats for one point, giving
+    `rngs` holds one generator per stream block and `trials` that block's
+    trial count, in block order; one generator with an int is one block.
+    The blocks' trials are stacked along the trial axis in block order,
+    and each row's powers are those of its block simulated alone.  The
+    branches, direct link first, hold floats for one point, giving
     (trials,) powers, or sequences of P values, giving (P, trials) powers;
-    every point receives the same draws.  Draw order is fixed: symbol
-    indices (trials, N), each branch's taps hop by hop (each real block
-    then imaginary block), then per branch and hop the noise at
-    (trials, N + cp_len), of which the body is used.
+    every point receives the same draws.  Every generator draws the
+    sequence of its block alone: symbol indices (trials, N), each branch's
+    taps hop by hop (each real block then imaginary block), then per branch
+    and hop the noise at (trials, N + cp_len), of which the body is used.
+    Each draw is made from every block in block order before the next.
 
     A branch applies the CFO-rotated cascade of its hops, scaled by rho;
     a noise received before the last hop arrives amplified by rho but
@@ -198,11 +169,16 @@ def simulate_block(
     added as is.  Every branch's channel memory must fit in the prefix
     (`ValueError` otherwise).  The genie gain of a branch is
     rho * C(cfo, 0) * prod H_i per bin, in hop order.  A point's signal is
-    (rho |C(cfo, 0)|)^2 ||HX||^2; its residual is N times the Gram terms of
-    the noise plus, at a nonzero offset (W != 0), the ramp terms of
-    v = idft(HX).  Each point adds its branches' powers in branch order.
+    (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is N times the Gram terms of
+    the noise bodies n_j at the point's amplitudes a_j, reduced once per
+    branch, plus, at a nonzero offset u, rho^2 ||z_u||^2 + 2 rho sum_j a_j
+    Re <z_u, n_j> for z_u = W_u v and v = idft(HX), reduced once per branch
+    and distinct offset.  Each point adds its branches' powers in branch
+    order.
     """
-    n = params.n_subcarriers
+    if isinstance(rngs, np.random.Generator):
+        rngs, trials = [rngs], [trials]
+    n, cp = params.n_subcarriers, params.cp_len
     branches = list(branches)
     fields = [v for br in branches for v in (br.cfo, br.rho, *br.noise_vars)]
     shape = np.broadcast_shapes(*map(np.shape, fields))
@@ -210,18 +186,21 @@ def simulate_block(
     def points(values):  # (len(values), P)
         return np.stack(np.broadcast_arrays(*values, np.empty(shape or (1,))))[:-1]
 
+    def draw(sample):  # one draw per block, stacked along the trial axis
+        return np.concatenate([sample(rng, count) for rng, count in zip(rngs, trials)])
+
     for br in branches:  # the hop cascade's L1 + ... - (hops - 1) taps
-        require_isi_free(params.cp_len, [sum(p.n_taps for p in br.hops) - len(br.hops) + 1],
-                         "the channel")
-    symbols = draw_symbols(params, rng, trials)
-    hops = [[draw_channel(profile, rng, trials) for profile in br.hops] for br in branches]
+        require_isi_free(cp, [sum(p.n_taps for p in br.hops) - len(br.hops) + 1], "the channel")
+    symbols = draw(lambda rng, count: draw_symbols(params, rng, count))
+    hops = [[draw(lambda rng, count: draw_channel(profile, rng, count)) for profile in br.hops]
+            for br in branches]
     cfo = points([br.cfo for br in branches])
     rho = points([br.rho for br in branches])
     offsets = np.unique(cfo)  # per distinct offset: |C(cfo, 0)|, C(cfo, 0) and W
     gain = dirichlet_gain(offsets, n)
     coefficient = gain * np.exp(1j * np.pi * offsets * (1.0 - 1.0 / n))
     w = np.exp(2j * np.pi / n * offsets[:, None] * np.arange(n)) - coefficient[:, None]
-    signal, residual = np.zeros((2,) + rho.shape[1:] + (trials,))
+    signal, residual = np.zeros((2,) + rho.shape[1:] + (len(symbols),))
     for b, index in enumerate(np.searchsorted(offsets, cfo)):
         variances = points(branches[b].noise_vars)
         variances[:-1] *= rho[b] ** 2
@@ -235,14 +214,22 @@ def simulate_block(
                           "derotation phase set to 0 there", stacklevel=2)
         spectrum *= symbols
         signal += magnitude[:, None] ** 2 * np.sum(spectrum.real ** 2 + spectrum.imag ** 2, -1)
-        body = idft(spectrum)
-        vectors = [standard_noise((trials, n + params.cp_len), rng)[:, params.cp_len:]
-                   for _ in variances]
-        alphas = list(np.sqrt(variances / 2.0))
-        residual += n * _reduce(*_gram_terms(vectors, alphas))
-        moving = np.flatnonzero(offsets[index] != 0)
-        if moving.size:
-            blocks = _ramp_terms(body, w[index[moving]], rho[b, moving], vectors,
-                                 [alpha[moving] for alpha in alphas])
-            residual[moving] += n * sum(_reduce(*block) for block in blocks)
-    return TrialOutcome(signal.reshape(shape + (trials,)), residual.reshape(shape + (trials,)))
+        noise = [draw(lambda rng, count: standard_noise((count, n + cp), rng)[:, cp:])
+                 .view(np.float64) for _ in variances]  # (re, im) pairs
+        alphas = np.sqrt(variances / 2.0)[:, :, None]
+        power = 0.0
+        for j, x in enumerate(noise):  # a_j^2 ||n_j||^2 + 2 a_j a_k Re <n_j, n_k>
+            power = power + alphas[j] ** 2 * np.sum(x * x, -1)
+            for k in range(j + 1, len(noise)):
+                power = power + 2.0 * alphas[j] * alphas[k] * np.sum(x * noise[k], -1)
+        moving = np.unique(index[offsets[index] != 0])
+        body = idft(spectrum) if moving.size else None
+        for u in moving:  # W is exactly 0 at a zero offset
+            z = (w[u] * body).view(np.float64)
+            at = np.flatnonzero(index == u)
+            ramp = 2.0 * rho[b, at, None] * sum(alpha[at] * np.sum(z * x, -1)
+                                                for alpha, x in zip(alphas, noise))
+            power[at] += rho[b, at, None] ** 2 * np.sum(z * z, -1) + ramp
+        residual += n * power
+    return TrialOutcome(signal.reshape(shape + (len(symbols),)),
+                        residual.reshape(shape + (len(symbols),)))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from afrelay.channel import PowerDelayProfile, draw_channel, flat_profile, uniform_profile
 from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.relay import (
-    POINT_CHUNK_ELEMENTS,
     Branch,
     RelayGainConfig,
     gain_factor,
@@ -410,7 +409,7 @@ POINT_BRANCHES = {
 
 POINT_CASES = [pytest.param(name, trials, 4, id=f"{name}-{trials}")
                for name in sorted(POINT_BRANCHES) for trials in (1, 7, 357)]
-# 40 points of 7 trials: each branch's reductions take several chunks
+# 40 points of 7 trials: many distinct offsets per branch, each reduced once
 POINT_CASES.append(pytest.param("selective_two_relays", 7, 40, id="selective_two_relays-7-40"))
 
 
@@ -426,8 +425,6 @@ def test_block_of_points_equals_one_point_blocks(name, trials, count):
     cfos += rng.uniform(-0.5, 0.5, (count - 4, relays + 1)).tolist()
     scales += rng.choice([1.0, 0.1, 0.0], count - 4).tolist()
     gains += rng.uniform(0.5, 1.5, count - 4).tolist()
-    if count > 4:
-        assert count * trials * PARAMS.n_subcarriers > POINT_CHUNK_ELEMENTS
     points = _point_branches(branches, cfos, scales, gains)
     block = simulate_block(PARAMS, points, np.random.default_rng([5, 3]), trials)
     assert block.signal_power.shape == block.residual_power.shape == (count, trials)
@@ -450,20 +447,49 @@ def test_block_of_points_consumes_the_stream_of_one_point():
 
 
 def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
-    # every transform runs once per block and branch, none per point
+    # every transform runs once per block and branch, none per point, and a
+    # branch at zero offset on every point runs no inverse transform
     calls = []
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), **k:
                             calls.append(1) or _f(*a, **k))
-    counts = []
-    for count in (1, 40):
-        cfos = np.linspace(-0.5, 0.5, count)[:, None] * [1.0, -1.0, 0.5]
-        calls.clear()
-        simulate_block(PARAMS, _point_branches(POINT_BRANCHES["selective_two_relays"], cfos,
-                                               np.ones(count)),
-                       np.random.default_rng(4), 7)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == 5 + 3  # hop responses, one inverse per branch
+    for direct, inverses in ((1.0, 3), (0.0, 2)):
+        counts = []
+        for count in (1, 40):
+            cfos = np.linspace(-0.5, 0.5, count)[:, None] * [direct, -1.0, 0.5]
+            calls.clear()
+            simulate_block(PARAMS, _point_branches(POINT_BRANCHES["selective_two_relays"], cfos,
+                                                   np.ones(count)),
+                           np.random.default_rng(4), 7)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 5 + inverses  # hop responses, then the inverses
+
+
+@pytest.mark.parametrize("name, trials, count", [
+    pytest.param("flat", (102, 51), 4, id="flat-102+51"),
+    pytest.param("selective_two_relays", (102, 51), 4, id="selective_two_relays-102+51"),
+    pytest.param("selective_two_relays", (7, 3), 40, id="selective_two_relays-7+3-40"),
+])
+def test_call_over_consecutive_blocks_equals_one_block_calls(name, trials, count):
+    # a call over the generators of blocks b and b + 1 gives each block's
+    # rows as its one-block call does, and leaves each generator where that
+    # call leaves it; the second block is short
+    branches = POINT_BRANCHES[name]
+    rng = np.random.default_rng(count)
+    cfos = rng.uniform(-0.5, 0.5, (count, len(branches)))
+    cfos[::2, 0] = 0.0  # the direct link at zero offset on every other point
+    points = _point_branches(branches, cfos, rng.choice([1.0, 0.1, 0.0], count),
+                             rng.uniform(0.5, 1.5, count))
+    shared = [np.random.default_rng([5, b]) for b in (3, 4)]
+    block = simulate_block(PARAMS, points, shared, list(trials))
+    alone = [np.random.default_rng([5, b]) for b in (3, 4)]
+    parts = [simulate_block(PARAMS, points, stream, size) for stream, size in zip(alone, trials)]
+    assert block.signal_power.shape == (count, sum(trials))
+    assert np.array_equal(block.signal_power,
+                          np.concatenate([part.signal_power for part in parts], axis=-1))
+    assert np.array_equal(block.residual_power,
+                          np.concatenate([part.residual_power for part in parts], axis=-1))
+    assert [g.bit_generator.state for g in shared] == [g.bit_generator.state for g in alone]
 
 
 def test_noise_free_zero_offset_point_has_zero_residual_beside_noisy_points():
