@@ -13,7 +13,8 @@ a_b = rho_b^2 s_H2,b s_H3,b s_X and s_b = s_Z3,b + rho_b^2 s_Z2,b (the
 relay's own noise arrives amplified by its gain rho_b).  The numerator
 collects each branch's coherent power and the denominator the
 inter-carrier leakage plus noise, branch by branch.  M = 1 is the
-single-relay topology and M = 0 the point-to-point link.
+single-relay topology and M = 0 the point-to-point link.  Every quantity
+carries a leading axis of P points, so a sweep is one evaluation.
 """
 from __future__ import annotations
 
@@ -26,24 +27,23 @@ from .transforms import FCFO_BOUND, dirichlet_gain, dirichlet_gain_derivative
 
 @dataclass(frozen=True)
 class LinkStats:
-    """Statistical description of a direct link plus M relay branches.
-
-    The three sequences are indexed by branch, direct link first; as
-    (P, M + 1) arrays their leading axis runs over P points.
-    """
+    """Statistical description of a direct link plus M relay branches at
+    P points: each field is a (P, M + 1) array, one row per point and one
+    column per branch, direct link first."""
 
     n_subcarriers: int
-    branch_powers: tuple | np.ndarray   # coherent weight a_b of each branch
-    cfos: tuple | np.ndarray            # fractional offset e_b of each branch
-    noise_vars: tuple | np.ndarray      # per-bin noise s_b arriving on each branch
+    branch_powers: np.ndarray   # coherent weight a_b of each branch
+    cfos: np.ndarray            # fractional offset e_b of each branch
+    noise_vars: np.ndarray      # per-bin noise s_b arriving on each branch
 
     def __post_init__(self):
         if self.n_subcarriers < 2:
             raise ValueError(f"subcarrier count must be >= 2, got {self.n_subcarriers}")
         shapes = {np.shape(v) for v in (self.branch_powers, self.cfos, self.noise_vars)}
         shape = shapes.pop()
-        if shapes or len(shape) not in (1, 2) or shape[-1] < 1:
-            raise ValueError("branch_powers, cfos and noise_vars need one entry per branch")
+        if shapes or len(shape) != 2 or shape[-1] < 1:
+            raise ValueError("branch_powers, cfos and noise_vars must be (P, M + 1) arrays, "
+                             "one entry per branch and point")
         if not np.all(np.asarray(self.branch_powers) > 0):
             raise ValueError("branch_powers must be > 0")
         if not np.all(np.asarray(self.noise_vars) >= 0):
@@ -54,18 +54,15 @@ class LinkStats:
 
 @dataclass(frozen=True)
 class SnrBreakdown:
-    """Closed-form SNR with its numerator, denominator and slopes exposed.
+    """Closed-form SNR of P points with its numerator and denominator, (P,)
+    arrays, and (P, M + 1) slopes whose [p, b] entry is the signed exact
+    derivative dSNR/de_b, NaN at the den = 0 sentinel."""
 
-    slopes[..., b] is the signed exact derivative dSNR/de_b.  One-point
-    stats give floats and a slopes tuple, None at the den = 0 sentinel;
-    stats with a point axis give arrays, with NaN slopes at the sentinel.
-    """
-
-    num: float | np.ndarray
-    den: float | np.ndarray
-    snr_linear: float | np.ndarray
-    snr_db: float | np.ndarray
-    slopes: tuple | np.ndarray | None
+    num: np.ndarray
+    den: np.ndarray
+    snr_linear: np.ndarray
+    snr_db: np.ndarray
+    slopes: np.ndarray
 
 
 def analytical_snr(stats: LinkStats) -> SnrBreakdown:
@@ -77,8 +74,7 @@ def analytical_snr(stats: LinkStats) -> SnrBreakdown:
         dSNR/de_b = 2 f(e_b) f'(e_b) a_b (num + den) / den^2.
     """
     n = stats.n_subcarriers
-    # one-point stats are one row, so both shapes agree bitwise
-    eps, a, s = (np.atleast_2d(np.asarray(v, dtype=np.float64))
+    eps, a, s = (np.asarray(v, dtype=np.float64)
                  for v in (stats.cfos, stats.branch_powers, stats.noise_vars))
     f = dirichlet_gain(eps, n)
     # `sum` adds the branch columns in branch order; np.sum adds 8 or more
@@ -94,7 +90,4 @@ def analytical_snr(stats: LinkStats) -> SnrBreakdown:
         slopes = (2.0 * f * dirichlet_gain_derivative(eps, n) * a * (num + den)[:, None]
                   / (den ** 2)[:, None])
     slopes[sentinel] = np.nan
-    if np.ndim(stats.cfos) == 2:
-        return SnrBreakdown(num, den, lin, db, slopes)
-    return SnrBreakdown(float(num[0]), float(den[0]), float(lin[0]), float(db[0]),
-                        None if sentinel[0] else tuple(slopes[0].tolist()))
+    return SnrBreakdown(num, den, lin, db, slopes)

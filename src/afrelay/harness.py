@@ -404,18 +404,28 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
     (gain 1): a_b = rho^2 prod P_hop s_X and s_b = the last noise plus
     rho^2 times the earlier ones.  Each relay gain is resolved once per
     noise scaling; LinkStats carries per-bin noise, the branches
-    per-sample noise (var * scale / N).
+    per-sample noise (var * scale / N).  Finite config values whose a_b
+    leaves (0, inf) or whose s_b overflows raise ConfigValueError.
     """
     n, sx = cfg.ofdm.n_subcarriers, cfg.ofdm.symbol_power
     levels, level_of = np.unique(scales, return_inverse=True)
     table = []  # (rho, a_b, s_b) per link and noise scaling
-    for link in cfg.links:
+    for i, link in enumerate(cfg.links):
+        context = f"relays[{i - 1}]" if i else "direct"
         for scale in levels.tolist():
             noise = [v * scale for v in link.noise_vars]
             rho = 1.0 if link.gain is None else gain_factor(
                 link.gain, link.hops[0].total_power, noise[0])
-            table.append((rho, math.prod([rho ** 2, *(h.total_power for h in link.hops), sx]),
-                          noise[-1] + rho ** 2 * sum(noise[:-1])))
+            try:
+                rho_sq = rho ** 2
+            except OverflowError:
+                rho_sq = math.inf
+            a = math.prod([rho_sq, *(h.total_power for h in link.hops), sx])
+            s = noise[-1] + rho_sq * sum(noise[:-1])
+            if not (0.0 < a < math.inf and math.isfinite(s)):
+                raise ConfigValueError(f"{context}: coherent power {a!r} and noise {s!r} at noise "
+                                       f"scale {scale!r} leave the range 0 < a < inf, s finite")
+            table.append((rho, a, s))
     rho, a, s = np.array(table).reshape(len(cfg.links), len(levels), 3)[:, level_of].T
     stats = LinkStats(n, a, cfos, s)
     if cfg.mode == "analytical":
@@ -543,7 +553,7 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     if cfg.mode != "simulate":
         snr = analytical_snr(stats)
         analytical = snr.snr_db.tolist()
-        # relay slopes added in branch order, as `sum` does at one point
+        # each point's relay slopes added left to right in branch order
         lambda1, lambda2 = (np.where(snr.den == 0.0, None, np.abs(slope)).tolist()
                             for slope in (snr.slopes[:, 0], sum(snr.slopes.T[1:])))
     # each noise scaling repeats the grid's offsets; repeating the list lets

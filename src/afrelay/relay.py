@@ -7,8 +7,7 @@ noise, and each branch its own fractional CFO.  The destination removes
 the prefix, transforms each branch, co-phases it using genie knowledge of
 the true dominant-term coefficient, and combines with equal gain.
 `simulate_block` is the one simulator entry point: it runs one or more
-random-stream blocks of trials at one sweep point or at many on the same
-draws.
+random-stream blocks of trials at P sweep points on the same draws.
 
 The channel is applied per frequency bin: a cyclic prefix that covers the
 channel memory (`channel.require_isi_free`) turns the linear convolution of
@@ -41,7 +40,7 @@ import numpy as np
 
 from .channel import draw_channel, frequency_response, require_isi_free, standard_noise
 from .ofdm import OfdmParams, draw_symbols
-from .transforms import dirichlet_gain, idft
+from .transforms import FCFO_BOUND, dirichlet_gain, idft
 
 _GAIN_MODES = ("fixed", "general", "upa", "upa_asymptotic")
 
@@ -110,8 +109,8 @@ def gain_factor(cfg: RelayGainConfig, hop1_gain_var: float, relay_noise_var: flo
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Signal and interference-plus-noise powers per trial: arrays of
-    shape (trials,) for a one-point block, (P, trials) for P points."""
+    """Signal and interference-plus-noise powers per point and trial:
+    (P, trials) arrays."""
 
     signal_power: np.ndarray
     residual_power: np.ndarray
@@ -125,43 +124,42 @@ class Branch:
     `hops` holds one profile per hop in order and `noise_vars` one
     per-sample variance per hop, of the noise received at the end of that
     hop; every noise but the last arrives amplified by `rho` (1 on the
-    direct link).  `cfo`, `rho` and each noise variance are one point's
-    float, or a sequence of P values, one per sweep point.
+    direct link).  `cfo`, `rho` and each noise variance are (P,) arrays,
+    one value per sweep point.
     """
 
     hops: tuple
-    cfo: float | np.ndarray
-    rho: float | np.ndarray
+    cfo: np.ndarray
+    rho: np.ndarray
     noise_vars: tuple
 
     def __post_init__(self):
         if len(self.hops) not in (1, 2) or len(self.noise_vars) != len(self.hops):
             raise ValueError(f"a branch needs one or two hops and one noise variance per hop, "
                              f"got {len(self.hops)} and {len(self.noise_vars)}")
-        if any(np.any(np.asarray(v) < 0) for v in self.noise_vars):
+        shapes = [np.shape(v) for v in (self.cfo, self.rho, *self.noise_vars)]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"cfo, rho and noise_vars must be 1-D arrays of one length, "
+                             f"one value per point, got shapes {shapes}")
+        if not np.all(np.abs(self.cfo) <= FCFO_BOUND):
+            raise ValueError(f"cfo must lie in [-{FCFO_BOUND}, {FCFO_BOUND}]")
+        if not all(np.all(np.asarray(v) >= 0) for v in self.noise_vars):
             raise ValueError("noise variances must be >= 0")
 
 
-def simulate_block(
-    params: OfdmParams,
-    branches,
-    rngs,
-    trials,
-) -> TrialOutcome:
+def simulate_block(params: OfdmParams, branches: list, rngs: list, trials: list) -> TrialOutcome:
     """Run the trials of one or more stream blocks at every point and
     decompose their spectra.
 
     `rngs` holds one generator per stream block and `trials` that block's
-    trial count, in block order; one generator with an int is one block.
-    The blocks' trials are stacked along the trial axis in block order,
-    and each row's powers are those of its block simulated alone.  The
-    branches, direct link first, hold floats for one point, giving
-    (trials,) powers, or sequences of P values, giving (P, trials) powers;
-    every point receives the same draws.  Every generator draws the
-    sequence of its block alone: symbol indices (trials, N), each branch's
-    taps hop by hop (each real block then imaginary block), then per branch
-    and hop the noise at (trials, N + cp_len), of which the body is used.
-    Each draw is made from every block in block order before the next.
+    trial count, in block order.  The branches, direct link first, hold P
+    values per field; every point receives the same draws.  The (P, trials)
+    powers stack the blocks' trials in block order, each row's powers those
+    of its block simulated alone.  Every generator draws the sequence of
+    its block alone: symbol indices (trials, N), each branch's taps hop by
+    hop (each real block then imaginary block), then per branch and hop
+    the noise at (trials, N + cp_len), of which the body is used.  Each
+    draw is made from every block in block order before the next.
 
     A branch applies the CFO-rotated cascade of its hops, scaled by rho;
     a noise received before the last hop arrives amplified by rho but
@@ -176,15 +174,7 @@ def simulate_block(
     and distinct offset.  Each point adds its branches' powers in branch
     order.
     """
-    if isinstance(rngs, np.random.Generator):
-        rngs, trials = [rngs], [trials]
     n, cp = params.n_subcarriers, params.cp_len
-    branches = list(branches)
-    fields = [v for br in branches for v in (br.cfo, br.rho, *br.noise_vars)]
-    shape = np.broadcast_shapes(*map(np.shape, fields))
-
-    def points(values):  # (len(values), P)
-        return np.stack(np.broadcast_arrays(*values, np.empty(shape or (1,))))[:-1]
 
     def draw(sample):  # one draw per block, stacked along the trial axis
         return np.concatenate([sample(rng, count) for rng, count in zip(rngs, trials)])
@@ -194,15 +184,15 @@ def simulate_block(
     symbols = draw(lambda rng, count: draw_symbols(params, rng, count))
     hops = [[draw(lambda rng, count: draw_channel(profile, rng, count)) for profile in br.hops]
             for br in branches]
-    cfo = points([br.cfo for br in branches])
-    rho = points([br.rho for br in branches])
+    cfo = np.array([br.cfo for br in branches], dtype=np.float64)  # (M + 1, P)
+    rho = np.array([br.rho for br in branches], dtype=np.float64)
     offsets = np.unique(cfo)  # per distinct offset: |C(cfo, 0)|, C(cfo, 0) and W
     gain = dirichlet_gain(offsets, n)
     coefficient = gain * np.exp(1j * np.pi * offsets * (1.0 - 1.0 / n))
     w = np.exp(2j * np.pi / n * offsets[:, None] * np.arange(n)) - coefficient[:, None]
-    signal, residual = np.zeros((2,) + rho.shape[1:] + (len(symbols),))
+    signal, residual = np.zeros((2, rho.shape[1], len(symbols)))
     for b, index in enumerate(np.searchsorted(offsets, cfo)):
-        variances = points(branches[b].noise_vars)
+        variances = np.array(branches[b].noise_vars, dtype=np.float64)  # (hops, P)
         variances[:-1] *= rho[b] ** 2
         spectrum = frequency_response(hops[b][0], n)  # H, then HX
         for h in hops[b][1:]:
@@ -231,5 +221,4 @@ def simulate_block(
                                                 for alpha, x in zip(alphas, noise))
             power[at] += rho[b, at, None] ** 2 * np.sum(z * z, -1) + ramp
         residual += n * power
-    return TrialOutcome(signal.reshape(shape + (len(symbols),)),
-                        residual.reshape(shape + (len(symbols),)))
+    return TrialOutcome(signal, residual)

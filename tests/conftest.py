@@ -8,7 +8,9 @@ leakage coefficients instead of running the waveform pipeline,
 spectra (`waveform.waveform_powers` rebuilds them from the time-domain
 pipeline instead), and `paper_snr`/`paper_snr_upa` write the paper's
 single-relay SNR out term by term with the `math` module alone.
+`one_point` reads one point of a batched result.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -76,7 +78,8 @@ def ici_reference(symbols, freq_resp, eps, scale=1.0):
 
 def oracle_powers(params, branches, rng, trials):
     """(signal, residual) powers per trial of `simulate_block` at one point,
-    rebuilt without the waveform pipeline.
+    the first of the branches' fields, rebuilt without the waveform
+    pipeline.
 
     Replays the documented draw order on `rng` (`replay_draws`).  Each
     branch spectrum is `ici_reference` of the symbols and the hops'
@@ -91,18 +94,25 @@ def oracle_powers(params, branches, rng, trials):
     symbols, taps, noise = replay_draws(params, branches, rng, trials)
     signal, residual = np.zeros(trials), np.zeros(trials)
     for branch_taps, branch_noise, branch in zip(taps, noise, branches):
-        eps, rho = branch.cfo, branch.rho
+        eps, rho = branch.cfo[0], branch.rho[0]
         response = np.prod([np.fft.fft(h, n, axis=-1) for h in branch_taps], axis=0)
         spectra = np.array([ici_reference(symbols[t], response[t], eps, scale=rho)
                             for t in range(trials)])
         amplitudes = [rho] * (len(branch.noise_vars) - 1) + [1.0]
         for amplitude, var, z in zip(amplitudes, branch.noise_vars, branch_noise):
-            spectra = spectra + amplitude * np.sqrt(var / 2.0) * np.fft.fft(z[:, cp:], axis=-1)
+            spectra = spectra + amplitude * np.sqrt(var[0] / 2.0) * np.fft.fft(z[:, cp:], axis=-1)
         branch_signal, branch_residual = split_powers(
             spectra, rho * cfo_spectrum(eps, 0, n) * response, symbols)
         signal += branch_signal
         residual += branch_residual
     return signal, residual
+
+
+def one_point(result, p=0):
+    """Point p of a batched `SnrBreakdown` or `TrialOutcome`: the same
+    dataclass holding row p of each field."""
+    return dataclasses.replace(result, **{field.name: getattr(result, field.name)[p]
+                                          for field in dataclasses.fields(result)})
 
 
 def cgauss(rng, shape, var=1.0):

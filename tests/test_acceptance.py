@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from afrelay.analysis import LinkStats, analytical_snr
+from afrelay.analysis import LinkStats
 from afrelay.channel import frequency_response, standard_noise
 from afrelay.harness import (
     PRESETS,
@@ -25,7 +25,7 @@ from afrelay.transforms import dirichlet_gain
 from conftest import cgauss, ici_reference, paper_snr, paper_snr_upa
 from waveform import apply_cfo, apply_channel, cfo_spectrum, linear_convolve, modulate
 
-from test_analysis import BASE, lambdas, random_stats, single_relay, upa_limit
+from test_analysis import BASE, closed_form, lambdas, random_stats, single_relay, upa_limit
 
 
 def criterion(label):
@@ -161,7 +161,7 @@ def test_c4_maximality_monotonicity_evenness():
     surface = np.array(
         [
             [
-                analytical_snr(single_relay(BASE, cfo_direct=e1, cfo_relay=e2)).snr_linear
+                closed_form(single_relay(BASE, cfo_direct=e1, cfo_relay=e2)).snr_linear
                 for e2 in grid
             ]
             for e1 in grid
@@ -172,14 +172,14 @@ def test_c4_maximality_monotonicity_evenness():
     assert np.sum(surface == surface.max()) == 1, "maximum is not unique"
 
     axis = np.linspace(0.0, 0.45, 10)
-    down1 = [analytical_snr(single_relay(BASE, cfo_direct=e)).snr_linear for e in axis]
-    down2 = [analytical_snr(single_relay(BASE, cfo_relay=e)).snr_linear for e in axis]
+    down1 = [closed_form(single_relay(BASE, cfo_direct=e)).snr_linear for e in axis]
+    down2 = [closed_form(single_relay(BASE, cfo_relay=e)).snr_linear for e in axis]
     assert np.all(np.diff(down1) < 0) and np.all(np.diff(down2) < 0), "not strictly decreasing"
 
     for e1, e2 in ((0.23, 0.37), (0.05, 0.41)):
-        ref = analytical_snr(single_relay(BASE, cfo_direct=e1, cfo_relay=e2)).snr_linear
-        assert analytical_snr(single_relay(BASE, cfo_direct=-e1, cfo_relay=e2)).snr_linear == ref
-        assert analytical_snr(single_relay(BASE, cfo_direct=e1, cfo_relay=-e2)).snr_linear == ref
+        ref = closed_form(single_relay(BASE, cfo_direct=e1, cfo_relay=e2)).snr_linear
+        assert closed_form(single_relay(BASE, cfo_direct=-e1, cfo_relay=e2)).snr_linear == ref
+        assert closed_form(single_relay(BASE, cfo_direct=e1, cfo_relay=-e2)).snr_linear == ref
     return "unique peak at (0,0) on a 21x21 grid, strictly decreasing on each axis, even (exact)"
 
 
@@ -193,8 +193,8 @@ def test_c5_sensitivities():
         h = 1e-6
         for attr, lam in zip(("cfo_direct", "cfo_relay"), pair):
             base_val = stats[attr]
-            up = analytical_snr(single_relay(stats, **{attr: base_val + h})).snr_linear
-            down = analytical_snr(single_relay(stats, **{attr: base_val - h})).snr_linear
+            up = closed_form(single_relay(stats, **{attr: base_val + h})).snr_linear
+            down = closed_form(single_relay(stats, **{attr: base_val - h})).snr_linear
             fd = abs(up - down) / (2 * h)
             worst = max(worst, abs(lam - fd) / fd)
     assert worst < 1e-6, f"worst relative error vs finite differences {worst:.2e} >= 1e-6"
@@ -215,8 +215,8 @@ def test_c6_high_snr_degradation_trend():
         stats = dict(
             BASE, direct_noise_var=0.1 * t, relay_noise_var=0.1 * t, dest_noise_var=0.1 * t
         )
-        at_zero = analytical_snr(single_relay(stats)).snr_db
-        at_point = analytical_snr(single_relay(stats, cfo_direct=0.2, cfo_relay=0.2)).snr_db
+        at_zero = closed_form(single_relay(stats)).snr_db
+        at_point = closed_form(single_relay(stats, cfo_direct=0.2, cfo_relay=0.2)).snr_db
         analytic_gaps.append(at_zero - at_point)
     assert analytic_gaps[0] <= analytic_gaps[1] <= analytic_gaps[2], (
         f"analytic gaps not non-decreasing: {analytic_gaps}"
@@ -251,14 +251,14 @@ def test_c7_multi_relay_reduction():
     worst = 0.0
     for _ in range(100):
         stats = random_stats(rng)
-        lhs = analytical_snr(single_relay(stats)).snr_linear
+        lhs = closed_form(single_relay(stats)).snr_linear
         _, _, rhs = paper_snr(**stats)
         worst = max(worst, abs(lhs - rhs) / rhs)
     assert worst < 1e-12, f"worst M=1 reduction error {worst:.2e} >= 1e-12"
 
     f = dirichlet_gain(0.3, 64)
     expected = (f ** 2 * 2.0 * 1.5) / ((1 - f ** 2) * 2.0 * 1.5 + 0.4)
-    got = analytical_snr(LinkStats(64, (2.0 * 1.5,), (0.3,), (0.4,))).snr_linear
+    got = closed_form(LinkStats(64, [[2.0 * 1.5]], [[0.3]], [[0.4]])).snr_linear
     assert abs(got - expected) / expected < 1e-14, "M=0 does not reduce to point-to-point"
     return f"M=1 equals the single-relay form (worst {worst:.2e} < 1e-12); M=0 is point-to-point"
 
@@ -274,7 +274,7 @@ def test_c8_upa_limit_and_substitution():
     for _ in range(100):
         stats = random_stats(rng)
         _, _, lhs = paper_snr_upa(**stats)
-        rhs = analytical_snr(single_relay(upa_limit(stats))).snr_linear
+        rhs = closed_form(single_relay(upa_limit(stats))).snr_linear
         worst = max(worst, abs(lhs - rhs) / rhs)
     assert worst < 1e-12, f"worst substitution error {worst:.2e} >= 1e-12"
     return f"|rho - limit| = {err:.2e} (< 1e-6); substitution error {worst:.2e} (< 1e-12)"

@@ -7,7 +7,7 @@ import pytest
 from afrelay.analysis import LinkStats, analytical_snr
 from afrelay.relay import RelayGainConfig, gain_factor
 from afrelay.transforms import dirichlet_gain
-from conftest import paper_snr, paper_snr_upa
+from conftest import one_point, paper_snr, paper_snr_upa
 
 # Single-relay topologies are written in the paper's per-link quantities and
 # mapped to the two-branch LinkStats by `single_relay`.
@@ -33,19 +33,24 @@ DEN_HALF_OFFSET = 0.894633875416807
 
 
 def single_relay(fields, **updates) -> LinkStats:
-    """LinkStats of the single-relay topology given in BASE's fields:
-    branch 0 the direct link, branch 1 the relay."""
+    """One-point LinkStats of the single-relay topology given in BASE's
+    fields: branch 0 the direct link, branch 1 the relay."""
     f = {**fields, **updates}
     rho_sq = f["rho"] ** 2
     return LinkStats(
         n_subcarriers=f["n_subcarriers"],
-        branch_powers=(
+        branch_powers=[[
             f["direct_gain_var"] * f["symbol_power"],
             rho_sq * f["hop1_gain_var"] * f["hop2_gain_var"] * f["symbol_power"],
-        ),
-        cfos=(f["cfo_direct"], f["cfo_relay"]),
-        noise_vars=(f["direct_noise_var"], f["dest_noise_var"] + rho_sq * f["relay_noise_var"]),
+        ]],
+        cfos=[[f["cfo_direct"], f["cfo_relay"]]],
+        noise_vars=[[f["direct_noise_var"], f["dest_noise_var"] + rho_sq * f["relay_noise_var"]]],
     )
+
+
+def closed_form(stats: LinkStats):
+    """`analytical_snr` of one-point stats, read at that point."""
+    return one_point(analytical_snr(stats))
 
 
 def upa_limit(fields, **updates) -> dict:
@@ -57,7 +62,7 @@ def upa_limit(fields, **updates) -> dict:
 
 def lambdas(stats: LinkStats):
     """Absolute slopes against the direct and the relay offset."""
-    slopes = analytical_snr(stats).slopes
+    slopes = closed_form(stats).slopes
     return abs(slopes[0]), abs(slopes[1])
 
 
@@ -81,7 +86,7 @@ def random_stats(rng, n=64, eps_lo=0.05, eps_hi=0.4) -> dict:
 # ------------------------------------------------------------- single relay SNR
 
 def test_snr_hand_value_at_zero_offsets():
-    out = analytical_snr(single_relay(BASE))
+    out = closed_form(single_relay(BASE))
     assert out.num == pytest.approx(5.0, abs=1e-15)
     assert out.den == pytest.approx(0.3, abs=1e-15)
     assert out.snr_linear == pytest.approx(5.0 / 0.3, rel=1e-14)
@@ -89,44 +94,44 @@ def test_snr_hand_value_at_zero_offsets():
 
 
 def test_snr_hand_value_at_half_offset():
-    out = analytical_snr(single_relay(BASE, cfo_direct=0.5))
+    out = closed_form(single_relay(BASE, cfo_direct=0.5))
     assert out.num == pytest.approx(NUM_HALF_OFFSET, rel=1e-13)
     assert out.den == pytest.approx(DEN_HALF_OFFSET, rel=1e-13)
     assert out.snr_linear == pytest.approx(SNR_HALF_OFFSET, rel=1e-13)
 
 
 def test_snr_maximized_only_at_zero_offsets():
-    best = analytical_snr(single_relay(BASE)).snr_linear
+    best = closed_form(single_relay(BASE)).snr_linear
     rng = np.random.default_rng(0)
     for _ in range(100):
         e1, e2 = rng.uniform(-0.45, 0.45, 2)
         if e1 == 0.0 and e2 == 0.0:
             continue
-        value = analytical_snr(single_relay(BASE, cfo_direct=e1, cfo_relay=e2)).snr_linear
+        value = closed_form(single_relay(BASE, cfo_direct=e1, cfo_relay=e2)).snr_linear
         assert value < best
 
 
 def test_snr_decreases_along_each_axis():
     grid = np.linspace(0.0, 0.45, 10)
-    along_direct = [analytical_snr(single_relay(BASE, cfo_direct=e)).snr_linear for e in grid]
-    along_relay = [analytical_snr(single_relay(BASE, cfo_relay=e)).snr_linear for e in grid]
+    along_direct = [closed_form(single_relay(BASE, cfo_direct=e)).snr_linear for e in grid]
+    along_relay = [closed_form(single_relay(BASE, cfo_relay=e)).snr_linear for e in grid]
     assert np.all(np.diff(along_direct) < 0)
     assert np.all(np.diff(along_relay) < 0)
 
 
 def test_snr_even_in_each_offset():
     stats = dict(BASE, cfo_direct=0.23, cfo_relay=0.37)
-    ref = analytical_snr(single_relay(stats)).snr_linear
-    assert analytical_snr(single_relay(stats, cfo_direct=-0.23)).snr_linear == ref
-    assert analytical_snr(single_relay(stats, cfo_relay=-0.37)).snr_linear == ref
+    ref = closed_form(single_relay(stats)).snr_linear
+    assert closed_form(single_relay(stats, cfo_direct=-0.23)).snr_linear == ref
+    assert closed_form(single_relay(stats, cfo_relay=-0.37)).snr_linear == ref
 
 
 def test_noise_free_zero_offset_returns_infinity_sentinel():
     stats = single_relay(BASE, direct_noise_var=0.0, relay_noise_var=0.0, dest_noise_var=0.0)
-    out = analytical_snr(stats)
+    out = closed_form(stats)
     assert out.den == 0.0
     assert math.isinf(out.snr_linear) and math.isinf(out.snr_db)
-    assert out.slopes is None
+    assert np.all(np.isnan(out.slopes))
 
 
 def test_stats_validation():
@@ -142,13 +147,13 @@ def test_stats_validation():
 
 def test_stats_need_one_entry_per_branch_and_two_subcarriers():
     with pytest.raises(ValueError, match="one entry per branch"):
-        LinkStats(64, (1.0, 4.0), (0.0,), (0.1, 0.2))
+        LinkStats(64, [[1.0, 4.0]], [[0.0]], [[0.1, 0.2]])
     with pytest.raises(ValueError, match="one entry per branch"):
-        LinkStats(64, (), (), ())
+        LinkStats(64, [[]], [[]], [[]])
     with pytest.raises(ValueError, match="subcarrier"):
-        LinkStats(1, (1.0,), (0.0,), (0.1,))
+        LinkStats(1, [[1.0]], [[0.0]], [[0.1]])
     with pytest.raises(ValueError):
-        LinkStats(64, (1.0, math.nan), (0.0, 0.1), (0.1, 0.1))
+        LinkStats(64, [[1.0, math.nan]], [[0.0, 0.1]], [[0.1, 0.1]])
 
 
 def test_degradation_grows_as_noise_shrinks():
@@ -162,8 +167,8 @@ def test_degradation_grows_as_noise_shrinks():
             relay_noise_var=0.1 * t,
             dest_noise_var=0.1 * t,
         )
-        at_zero = analytical_snr(single_relay(scaled)).snr_db
-        at_offset = analytical_snr(single_relay(scaled, cfo_direct=0.2, cfo_relay=0.2)).snr_db
+        at_zero = closed_form(single_relay(scaled)).snr_db
+        at_offset = closed_form(single_relay(scaled, cfo_direct=0.2, cfo_relay=0.2)).snr_db
         gaps.append(at_zero - at_offset)
     assert gaps[0] <= gaps[1] <= gaps[2]
 
@@ -175,7 +180,7 @@ def test_upa_form_equals_substituted_general_form():
     for _ in range(100):
         stats = random_stats(rng)
         _, _, via_upa = paper_snr_upa(**stats)
-        via_substitution = analytical_snr(single_relay(upa_limit(stats)))
+        via_substitution = closed_form(single_relay(upa_limit(stats)))
         assert via_upa == pytest.approx(via_substitution.snr_linear, rel=1e-12)
 
 
@@ -183,12 +188,12 @@ def test_upa_zero_offset_reduction():
     stats = dict(
         BASE, direct_noise_var=0.1, relay_noise_var=0.2, dest_noise_var=0.3
     )  # hop1_gain_var = 1, so the amplified relay noise stays 0.2
-    out = analytical_snr(single_relay(upa_limit(stats)))
+    out = closed_form(single_relay(upa_limit(stats)))
     assert out.snr_linear == pytest.approx((1.0 + 4.0) / (0.1 + 0.2 + 0.3), rel=1e-14)
 
 
 def test_upa_relay_branch_dominates_numerator_by_power_ratio():
-    out = analytical_snr(single_relay(upa_limit(BASE, cfo_direct=0.3, cfo_relay=0.3)))
+    out = closed_form(single_relay(upa_limit(BASE, cfo_direct=0.3, cfo_relay=0.3)))
     f_sq = out.num / (1.0 + 4.0)  # common squared gain factor at equal offsets
     assert out.num == pytest.approx(f_sq * 1.0 + 4.0 * f_sq, rel=1e-14)
 
@@ -198,7 +203,7 @@ def test_upa_pins_rho_at_inverse_root_first_hop_power():
     pinned = upa_limit(stats)
     assert pinned["rho"] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
     assert paper_snr_upa(**stats)[2] == pytest.approx(
-        analytical_snr(single_relay(pinned)).snr_linear, rel=1e-12
+        closed_form(single_relay(pinned)).snr_linear, rel=1e-12
     )
 
 
@@ -206,7 +211,7 @@ def test_upa_pins_rho_at_inverse_root_first_hop_power():
 
 def finite_difference_slopes(stats, h=1e-6):
     def snr(**updates):
-        return analytical_snr(single_relay(stats, **updates)).snr_linear
+        return closed_form(single_relay(stats, **updates)).snr_linear
 
     d1 = (snr(cfo_direct=stats["cfo_direct"] + h) - snr(cfo_direct=stats["cfo_direct"] - h)) / (2 * h)
     d2 = (snr(cfo_relay=stats["cfo_relay"] + h) - snr(cfo_relay=stats["cfo_relay"] - h)) / (2 * h)
@@ -237,7 +242,7 @@ def test_chain_rule_matches_finite_differences_on_random_stats():
 
 
 def test_slopes_carry_the_sign_of_the_offset():
-    slopes = analytical_snr(single_relay(BASE, cfo_direct=0.2, cfo_relay=-0.1)).slopes
+    slopes = closed_form(single_relay(BASE, cfo_direct=0.2, cfo_relay=-0.1)).slopes
     assert slopes[0] < 0.0 < slopes[1]
 
 
@@ -251,8 +256,8 @@ def test_sensitivity_ratio_is_exactly_the_power_ratio():
 # ------------------------------------------------------------------ multi relay
 
 def test_empty_branch_list_reduces_to_point_to_point():
-    out = analytical_snr(LinkStats(64, (2.0 * 1.5,), (0.3,), (0.4,)))
-    f = dirichlet_gain(0.3, 64)
+    out = closed_form(LinkStats(64, [[2.0 * 1.5]], [[0.3]], [[0.4]]))
+    f = dirichlet_gain(np.array([0.3]), 64)[0]
     expected = (f ** 2 * 2.0 * 1.5) / ((1 - f ** 2) * 2.0 * 1.5 + 0.4)
     assert out.snr_linear == pytest.approx(expected, rel=1e-14)
 
@@ -262,7 +267,7 @@ def test_single_branch_reduces_to_single_relay_formula():
     for _ in range(100):
         stats = random_stats(rng)
         num, den, snr = paper_snr(**stats)
-        out = analytical_snr(single_relay(stats))
+        out = closed_form(single_relay(stats))
         assert out.snr_linear == pytest.approx(snr, rel=1e-12)
         assert out.num == pytest.approx(num, rel=1e-12)
         assert out.den == pytest.approx(den, rel=1e-12)
@@ -275,7 +280,7 @@ def test_duplicate_branch_doubles_branch_contributions():
 
     def with_relays(m):
         branches = [(1.0, 0.1, 0.1)] + [relay] * m
-        return analytical_snr(LinkStats(64, *(tuple(col) for col in zip(*branches))))
+        return closed_form(LinkStats(64, *([list(col)] for col in zip(*branches))))
 
     none, one, two = with_relays(0), with_relays(1), with_relays(2)
     assert two.num - none.num == pytest.approx(2.0 * (one.num - none.num), rel=1e-14)
@@ -302,12 +307,11 @@ def test_point_axis_equals_one_point_evaluations():
     batch = analytical_snr(stats)
     assert batch.slopes.shape == (40, 3)
     for i in range(40):
-        one = analytical_snr(LinkStats(64, stats.branch_powers[i], stats.cfos[i],
-                                       stats.noise_vars[i]))
-        assert type(one.snr_db) is float and type(one.slopes) is tuple
+        one = closed_form(LinkStats(64, stats.branch_powers[i:i + 1], stats.cfos[i:i + 1],
+                                    stats.noise_vars[i:i + 1]))
         assert (one.num, one.den, one.snr_linear, one.snr_db) == (
             batch.num[i], batch.den[i], batch.snr_linear[i], batch.snr_db[i])
-        assert one.slopes == tuple(batch.slopes[i])
+        assert np.array_equal(one.slopes, batch.slopes[i])
 
 
 @pytest.mark.parametrize("branches", [1, 2, 8, 11, 17])
@@ -333,8 +337,8 @@ def test_point_axis_sentinel_is_per_point():
     assert out.den[0] == 0.0 and out.snr_linear[0] == out.snr_db[0] == math.inf
     assert np.all(np.isnan(out.slopes[0]))
     assert np.all(np.isfinite(out.snr_db[1:])) and np.all(np.isfinite(out.slopes[1:]))
-    assert analytical_snr(LinkStats(64, silent.branch_powers[0], silent.cfos[0],
-                                    silent.noise_vars[0])).slopes is None
+    assert np.all(np.isnan(closed_form(LinkStats(64, silent.branch_powers[:1], silent.cfos[:1],
+                                                 silent.noise_vars[:1])).slopes))
 
 
 def test_point_axis_stats_validation():

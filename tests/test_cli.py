@@ -114,7 +114,7 @@ def test_config_errors_exit_with_config_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(missing)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
-    bad = tmp_path / "bad.json"
+    bad, out = tmp_path / "bad.json", tmp_path / "bad.csv"
     bad.write_text(json.dumps({**SMALL, "surprise": 1}))
     assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
     assert "surprise" in capsys.readouterr().err
@@ -133,9 +133,26 @@ def test_config_errors_exit_with_config_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
     assert "n_taps" in capsys.readouterr().err
 
+    # finite values whose branch power overflows or underflows: the relay's
+    # a_b = rho^2 * 1 * 4 * s_X, and rho^2 overflowing on its own
+    overflow = {**SMALL, "ofdm": {**SMALL["ofdm"], "symbol_power": 1e308}}
+    weak = {**SMALL["relays"][0], "hop1_profile": {"kind": "flat", "power": 1e-10}}
+    underflow = {**SMALL, "ofdm": {**SMALL["ofdm"], "symbol_power": 5e-324}, "relays": [weak]}
+    tiny = {**SMALL["relays"][0], "hop1_profile": {"kind": "flat", "power": 5e-324},
+            "gain": {"mode": "upa_asymptotic"}}
+    for raw in (overflow, underflow, {**SMALL, "relays": [tiny]}):
+        for mode in ("analytical", "simulate"):
+            bad.write_text(json.dumps({**raw, "mode": mode}))
+            assert main(["simulate", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+            assert "config error: relays[0]: coherent power" in capsys.readouterr().err
+            assert not out.exists()
+    loud = {**SMALL["direct"], "profile": {"kind": "flat", "power": 2.0}}
+    bad.write_text(json.dumps({**overflow, "direct": loud}))  # the direct link overflows first
+    assert main(["simulate", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: direct: coherent power inf" in capsys.readouterr().err
+
     # an unhashable value where a name belongs
     bad.write_text(json.dumps({**SMALL, "ofdm": {**SMALL["ofdm"], "constellation": ["qpsk"]}}))
-    out = tmp_path / "bad.csv"
     assert main(["simulate", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
     assert "config error: ofdm: unknown constellation ['qpsk']" in capsys.readouterr().err
     assert not out.exists()

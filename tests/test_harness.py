@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afrelay import harness, relay
-from afrelay.analysis import LinkStats, analytical_snr
+from afrelay.analysis import analytical_snr
 from afrelay.cli import EXIT_CONFIG, main
 from afrelay.harness import (
     PRESETS,
@@ -33,7 +33,7 @@ from afrelay.harness import (
 )
 from afrelay.ofdm import draw_symbols
 from afrelay.relay import gain_factor
-from conftest import paper_snr
+from conftest import one_point, paper_snr
 
 TINY = {
     "ofdm": {"n_subcarriers": 64, "cp_len": 16, "constellation": "qpsk", "symbol_power": 1.0},
@@ -528,12 +528,11 @@ def three_relay_raw(axis):
 
 def one_point_columns(cfg, i):
     """analytical_db, lambda1 and lambda2 of sweep point i evaluated alone,
-    from its own one-point inputs and the closed form's one-point form."""
+    from its own one-point inputs."""
     cfos, scales = sweep_offsets(cfg)
     stats, _ = point_inputs(cfg, cfos[i:i + 1], scales[i:i + 1])
-    snr = analytical_snr(LinkStats(stats.n_subcarriers, stats.branch_powers[0], stats.cfos[0],
-                                   stats.noise_vars[0]))
-    if snr.slopes is None:
+    snr = one_point(analytical_snr(stats))
+    if snr.den == 0.0:
         return snr.snr_db, None, None
     return snr.snr_db, abs(snr.slopes[0]), abs(sum(snr.slopes[1:]))
 

@@ -17,7 +17,7 @@ from afrelay.relay import (
     gain_factor,
     simulate_block,
 )
-from conftest import oracle_powers
+from conftest import one_point, oracle_powers
 from waveform import apply_cfo, apply_channel, modulate, waveform_powers
 
 PARAMS = OfdmParams(n_subcarriers=64, cp_len=16)
@@ -43,7 +43,7 @@ def _draws(seed, profiles, trials):
 def _oracle_error(branches, seed, trials, params=PARAMS):
     """Worst relative error of a block's powers against both oracles,
     `oracle_powers` and the time-domain `waveform_powers`."""
-    block = simulate_block(params, branches, np.random.default_rng(seed), trials)
+    block = simulate_block(params, branches, [np.random.default_rng(seed)], [trials])
     return max(
         float(np.max(np.abs(got - want) / want))
         for oracle in (oracle_powers, waveform_powers)
@@ -94,20 +94,21 @@ def test_gain_config_validation():
 
 @pytest.mark.parametrize("hops, noise_vars", [
     ([], []),
-    ([FLAT, FLAT, FLAT], [0.0, 0.0, 0.0]),
-    ([FLAT, FLAT], [0.0]),
-    ([FLAT], [0.0, 0.0]),
+    ([FLAT, FLAT, FLAT], [[0.0], [0.0], [0.0]]),
+    ([FLAT, FLAT], [[0.0]]),
+    ([FLAT], [[0.0], [0.0]]),
 ])
 def test_branch_needs_one_or_two_hops_and_a_noise_per_hop(hops, noise_vars):
     with pytest.raises(ValueError, match="one or two hops and one noise variance per hop"):
-        Branch(hops, 0.0, 1.0, noise_vars)
+        Branch(hops, [0.0], [1.0], noise_vars)
 
 
 # ----------------------------------------------------------------- direct link
 
 def test_direct_link_trivial_passthrough():
     # flat fading, no offset, no noise: the received bins are h X[k]
-    block = simulate_block(PARAMS, [Branch([FLAT], 0.0, 1.0, [0.0])], np.random.default_rng(1), 5)
+    block = simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [[0.0]])],
+                           [np.random.default_rng(1)], [5])
     sym, (h,) = _draws(1, [FLAT], 5)
     expected = np.abs(h[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
     assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
@@ -115,7 +116,7 @@ def test_direct_link_trivial_passthrough():
 
 
 def test_direct_link_matches_closed_form_spectrum():
-    direct = Branch([uniform_profile(4, 1.0)], -0.27, 1.0, [0.0])
+    direct = Branch([uniform_profile(4, 1.0)], [-0.27], [1.0], [[0.0]])
     assert _oracle_error([direct], 3, 4) < 1e-9
 
 
@@ -127,9 +128,9 @@ def test_direct_link_with_unimodular_impairments_preserves_energy():
 
 def test_direct_link_isi_precondition():
     # 18 taps have memory 17, one beyond the prefix
-    direct = Branch([uniform_profile(18)], 0.0, 1.0, [0.0])
+    direct = Branch([uniform_profile(18)], [0.0], [1.0], [[0.0]])
     with pytest.raises(ValueError, match="has 18 taps, memory 17 .*prefix length 16"):
-        simulate_block(PARAMS, [direct], np.random.default_rng(0), 1)
+        simulate_block(PARAMS, [direct], [np.random.default_rng(0)], [1])
 
 
 # ---------------------------------------------------------------- relay branch
@@ -137,10 +138,10 @@ def test_direct_link_isi_precondition():
 def test_relay_branch_trivial_passthrough():
     # the relay alone, flat hops, no offset, no noise: its bins are
     # rho h1 h2 X[k]
-    relay = Branch([FLAT, flat_profile(4.0)], 0.0, 0.8, [0.0, 0.0])
+    relay = Branch([FLAT, flat_profile(4.0)], [0.0], [0.8], [[0.0], [0.0]])
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = simulate_block(PARAMS, [Branch([MUTED], 0.0, 1.0, [0.0]), relay],
-                               np.random.default_rng(6), 5)
+        block = simulate_block(PARAMS, [Branch([MUTED], [0.0], [1.0], [[0.0]]), relay],
+                               [np.random.default_rng(6)], [5])
     sym, (_, h1, h2) = _draws(6, [MUTED, FLAT, flat_profile(4.0)], 5)
     expected = 0.8 ** 2 * np.abs(h1[:, 0] * h2[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
     assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
@@ -148,44 +149,62 @@ def test_relay_branch_trivial_passthrough():
 
 
 def test_relay_branch_matches_closed_form_spectrum():
-    direct = Branch([FLAT], 0.0, 1.0, [0.0])
-    relay = Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], 0.42, 1.3, [0.0, 0.0])
+    direct = Branch([FLAT], [0.0], [1.0], [[0.0]])
+    relay = Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.42], [1.3],
+                   [[0.0], [0.0]])
     assert _oracle_error([direct, relay], 8, 4) < 1e-9
 
 
 def test_relay_branch_linear_in_gain():
     # doubling rho doubles every sample, bin and genie gain exactly
-    relay = Branch([uniform_profile(3), uniform_profile(2)], 0.2, [1.0, 2.0], [0.0, 0.0])
+    relay = Branch([uniform_profile(3), uniform_profile(2)], [0.2, 0.2], [1.0, 2.0],
+                   [[0.0, 0.0], [0.0, 0.0]])
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = simulate_block(PARAMS, [Branch([MUTED], 0.0, 1.0, [0.0]), relay],
-                               np.random.default_rng(10), 5)
+        block = simulate_block(PARAMS, [Branch([MUTED], [0.0, 0.0], [1.0, 1.0], [[0.0, 0.0]]),
+                                        relay],
+                               [np.random.default_rng(10)], [5])
     assert np.array_equal(block.signal_power[1], 4.0 * block.signal_power[0])
     assert np.array_equal(block.residual_power[1], 4.0 * block.residual_power[0])
 
 
+@pytest.mark.parametrize("cfo, noise_vars, message", [
+    ([0.6], [[0.01]], r"cfo must lie in \[-0.5, 0.5\]"),
+    ([np.nan], [[0.01]], r"cfo must lie in \[-0.5, 0.5\]"),
+    ([0.1], [[np.nan]], "noise variances must be >= 0"),
+    (0.1, [[0.01]], r"1-D arrays of one length, one value per point, got shapes \[\(\), "),
+    ([0.1, 0.2], [[0.01]], r"got shapes \[\(2,\), \(1,\), \(1,\)\]"),
+], ids=["offset_0.6", "nan_offset", "nan_noise", "scalar_offset", "unequal_lengths"])
+def test_branch_rejects_what_the_closed_form_rejects(cfo, noise_vars, message):
+    # the engine checks its offsets and noise as LinkStats does, and takes
+    # only (P,) fields; NaN fails both checks
+    rho = [1.0] * len(noise_vars[0])
+    with pytest.raises(ValueError, match=message):
+        Branch([FLAT], cfo, rho, noise_vars)
+
+
 def test_negative_noise_variance_rejected():
     with pytest.raises(ValueError, match="noise variances must be >= 0"):
-        Branch([FLAT, FLAT], 0.0, 1.0, [[0.01, -0.01], 0.0])
+        Branch([FLAT, FLAT], [0.0, 0.0], [1.0, 1.0], [[0.01, -0.01], [0.0, 0.0]])
 
 
 def test_relay_branch_isi_precondition():
     # hops of 9 + 10 or 1 + 18 taps cascade to 18 taps, memory 17, one
     # beyond the prefix
     for taps in ([9, 10], [1, 18]):
-        relay = Branch([uniform_profile(n) for n in taps], 0.0, 1.0, [0.0, 0.0])
+        relay = Branch([uniform_profile(n) for n in taps], [0.0], [1.0], [[0.0], [0.0]])
         with pytest.raises(ValueError, match="has 18 taps, memory 17 .*prefix length 16"):
-            simulate_block(PARAMS, [Branch([FLAT], 0.0, 1.0, [0.0]), relay],
-                           np.random.default_rng(0), 1)
+            simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [[0.0]]), relay],
+                           [np.random.default_rng(0)], [1])
 
 
 # ------------------------------------------------------ memory at the prefix
 
 @pytest.mark.parametrize("branches", [
-    [Branch([uniform_profile(17)], 0.23, 1.0, [0.01])],
-    [Branch([FLAT], 0.0, 1.0, [0.01]),
-     Branch([uniform_profile(9), uniform_profile(9)], 0.23, 0.9, [0.01, 0.02])],
-    [Branch([FLAT], 0.0, 1.0, [0.01]),
-     Branch([FLAT, uniform_profile(17)], 0.23, 0.9, [0.01, 0.02])],
+    [Branch([uniform_profile(17)], [0.23], [1.0], [[0.01]])],
+    [Branch([FLAT], [0.0], [1.0], [[0.01]]),
+     Branch([uniform_profile(9), uniform_profile(9)], [0.23], [0.9], [[0.01], [0.02]])],
+    [Branch([FLAT], [0.0], [1.0], [[0.01]]),
+     Branch([FLAT, uniform_profile(17)], [0.23], [0.9], [[0.01], [0.02]])],
 ], ids=["direct_17", "relay_9_9", "relay_1_17"])
 def test_memory_equal_to_prefix_matches_oracle(branches):
     # memory 16 = PARAMS.cp_len, the most the prefix covers; one tap more is
@@ -197,9 +216,9 @@ def test_memory_equal_to_prefix_matches_oracle(branches):
 
 def test_two_ideal_branches_combine_coherently():
     # co-phased, each branch adds its coherent power and no residual
-    relay = Branch([FLAT, FLAT], 0.0, 1.0, [0.0, 0.0])
-    block = simulate_block(PARAMS, [Branch([FLAT], 0.0, 1.0, [0.0]), relay],
-                           np.random.default_rng(13), 5)
+    relay = Branch([FLAT, FLAT], [0.0], [1.0], [[0.0], [0.0]])
+    block = simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [[0.0]]), relay],
+                           [np.random.default_rng(13)], [5])
     sym, (h0, h1, h2) = _draws(13, [FLAT, FLAT, FLAT], 5)
     gains = np.abs(h0[:, 0]) ** 2 + np.abs(h1[:, 0] * h2[:, 0]) ** 2
     assert np.allclose(block.signal_power, gains * np.sum(np.abs(sym) ** 2, axis=-1),
@@ -209,8 +228,9 @@ def test_two_ideal_branches_combine_coherently():
 
 def test_combined_metric_matches_closed_form_assembly():
     # full noisy chain vs the spectra assembled from the closed form
-    direct = Branch([uniform_profile(4, 1.0)], 0.17, 1.0, [0.05])
-    relay = Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], -0.33, 0.9, [0.05, 0.02])
+    direct = Branch([uniform_profile(4, 1.0)], [0.17], [1.0], [[0.05]])
+    relay = Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [-0.33], [0.9],
+                   [[0.05], [0.02]])
     assert _oracle_error([direct, relay], 15, 4) < 1e-9
 
 
@@ -237,9 +257,9 @@ def test_block_matches_per_trial_oracle(seed, n, constellation, m, edge, at_boun
     def offset(branch):
         return rng.uniform(-0.5, 0.5) if edge is None else edge * (-1.0) ** branch
 
-    branches = [Branch([profile()], offset(0), 1.0, [rng.uniform(0.0, 0.1)])] + [
-        Branch([profile(), profile()], offset(i + 1), rng.uniform(0.3, 2.0),
-               [rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.1)])
+    branches = [Branch([profile()], [offset(0)], [1.0], [[rng.uniform(0.0, 0.1)]])] + [
+        Branch([profile(), profile()], [offset(i + 1)], [rng.uniform(0.3, 2.0)],
+               [[rng.uniform(0.0, 0.1)], [rng.uniform(0.0, 0.1)]])
         for i in range(m)
     ]
     if at_bound:
@@ -255,44 +275,46 @@ def test_combining_is_linear_in_branches():
     # a relay at rho = 0 adds nothing, so with the direct link muted the
     # two-relay point is exactly the sum of the one-relay points
     branches = [
-        Branch([MUTED], 0.1, 1.0, [0.0]),
-        Branch([uniform_profile(3), uniform_profile(2)], -0.2, [1.1, 0.0, 1.1], [0.0, 0.0]),
-        Branch([uniform_profile(2), FLAT], 0.3, [0.0, 0.9, 0.9], [0.0, 0.0]),
+        Branch([MUTED], [0.1] * 3, [1.0] * 3, [[0.0] * 3]),
+        Branch([uniform_profile(3), uniform_profile(2)], [-0.2] * 3, [1.1, 0.0, 1.1],
+               [[0.0] * 3] * 2),
+        Branch([uniform_profile(2), FLAT], [0.3] * 3, [0.0, 0.9, 0.9], [[0.0] * 3] * 2),
     ]
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = simulate_block(PARAMS, branches, np.random.default_rng(18), 5)
+        block = simulate_block(PARAMS, branches, [np.random.default_rng(18)], [5])
     for power in (block.signal_power, block.residual_power):
         assert np.array_equal(power[2], power[0] + power[1])
 
 
 def test_zero_genie_gain_is_flagged():
-    direct = Branch([MUTED], 0.1, 1.0, [0.01])
-    relay = Branch([FLAT, FLAT], 0.2, 1.0, [0.01, 0.01])
+    direct = Branch([MUTED], [0.1], [1.0], [[0.01]])
+    relay = Branch([FLAT, FLAT], [0.2], [1.0], [[0.01], [0.01]])
     with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
-        block = simulate_block(PARAMS, [direct, relay], np.random.default_rng(19), 3)
+        block = simulate_block(PARAMS, [direct, relay], [np.random.default_rng(19)], [3])
     assert np.isfinite(block.signal_power).all() and np.isfinite(block.residual_power).all()
     # a relay point at rho = 0 has a zero genie gain at every bin
-    silent = Branch([FLAT, FLAT], 0.2, [1.0, 0.0], [0.01, 0.01])
+    silent = Branch([FLAT, FLAT], [0.2, 0.2], [1.0, 0.0], [[0.01, 0.01], [0.01, 0.01]])
     with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
-        simulate_block(PARAMS, [Branch([FLAT], 0.1, 1.0, [0.01]), silent],
-                       np.random.default_rng(19), 3)
+        simulate_block(PARAMS, [Branch([FLAT], [0.1, 0.1], [1.0, 1.0], [[0.01, 0.01]]), silent],
+                       [np.random.default_rng(19)], [3])
 
 
 # --------------------------------------------------------------- decomposition
 
 def test_no_offset_no_noise_leaves_zero_residual():
-    branches = [Branch([uniform_profile(4, 1.0)], 0.0, 1.0, [0.0]),
-                Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], 0.0, 1.0, [0.0, 0.0])]
-    outcome = simulate_block(PARAMS, branches, np.random.default_rng(22), 1)
+    branches = [Branch([uniform_profile(4, 1.0)], [0.0], [1.0], [[0.0]]),
+                Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [1.0],
+                       [[0.0], [0.0]])]
+    outcome = one_point(simulate_block(PARAMS, branches, [np.random.default_rng(22)], [1]))
     assert outcome.residual_power[0] == 0
 
 
 def test_scaling_symbols_by_two_quadruples_signal_power():
     # symbol_power 4 doubles every symbol, sample and bin exactly
-    direct = Branch([uniform_profile(4, 1.0)], 0.1, 1.0, [0.0])
-    base = simulate_block(PARAMS, [direct], np.random.default_rng(24), 5)
+    direct = Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [[0.0]])
+    base = simulate_block(PARAMS, [direct], [np.random.default_rng(24)], [5])
     scaled = simulate_block(OfdmParams(n_subcarriers=64, cp_len=16, symbol_power=4.0),
-                            [direct], np.random.default_rng(24), 5)
+                            [direct], [np.random.default_rng(24)], [5])
     assert np.array_equal(scaled.signal_power, 4.0 * base.signal_power)
     assert np.array_equal(scaled.residual_power, 4.0 * base.residual_power)
 
@@ -301,13 +323,14 @@ def test_noise_only_signal_power_converges_to_coherent_power():
     # with zero offsets the per-bin signal power must average to
     # direct_power + rho^2 * hop1_power * hop2_power (symbol power 1)
     params = OfdmParams(n_subcarriers=64, cp_len=16)
-    branches = [Branch([flat_profile(1.0)], 0.0, 1.0, [0.1 / 64]),
-                Branch([flat_profile(1.0), flat_profile(4.0)], 0.0, 1.0, [0.1 / 64, 0.1 / 64])]
+    branches = [Branch([flat_profile(1.0)], [0.0], [1.0], [[0.1 / 64]]),
+                Branch([flat_profile(1.0), flat_profile(4.0)], [0.0], [1.0],
+                       [[0.1 / 64], [0.1 / 64]])]
     total = 0.0
     trials = 4000
     for b in range(10):
         rng = np.random.default_rng([99, b])
-        total += np.sum(simulate_block(params, branches, rng, trials // 10).signal_power)
+        total += np.sum(simulate_block(params, branches, [rng], [trials // 10]).signal_power)
     per_bin = total / (trials * 64)
     assert per_bin == pytest.approx(1.0 + 4.0, rel=0.05)
 
@@ -316,11 +339,11 @@ def test_noise_only_signal_power_converges_to_coherent_power():
 
 def test_trial_is_deterministic_given_the_stream():
     params = OfdmParams(n_subcarriers=64, cp_len=16)
-    branches = [Branch([uniform_profile(4, 1.0)], 0.1, 1.0, [0.001]),
-                Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], 0.2, 0.8,
-                       [0.001, 0.001])]
-    a = simulate_block(params, branches, np.random.default_rng([7, 1]), 1)
-    b = simulate_block(params, branches, np.random.default_rng([7, 1]), 1)
+    branches = [Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [[0.001]]),
+                Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.2], [0.8],
+                       [[0.001], [0.001]])]
+    a = simulate_block(params, branches, [np.random.default_rng([7, 1])], [1])
+    b = simulate_block(params, branches, [np.random.default_rng([7, 1])], [1])
     assert np.array_equal(a.signal_power, b.signal_power)
     assert np.array_equal(a.residual_power, b.residual_power)
 
@@ -328,11 +351,12 @@ def test_trial_is_deterministic_given_the_stream():
 def test_trial_supports_multiple_relay_branches():
     params = OfdmParams(n_subcarriers=64, cp_len=16)
     branches = [
-        Branch([flat_profile(1.0)], 0.05, 1.0, [0.001]),
-        Branch([flat_profile(1.0), flat_profile(2.0)], 0.1, 1.0, [0.001, 0.001]),
-        Branch([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], -0.2, 0.7, [0.001, 0.001]),
+        Branch([flat_profile(1.0)], [0.05], [1.0], [[0.001]]),
+        Branch([flat_profile(1.0), flat_profile(2.0)], [0.1], [1.0], [[0.001], [0.001]]),
+        Branch([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], [-0.2], [0.7],
+               [[0.001], [0.001]]),
     ]
-    outcome = simulate_block(params, branches, np.random.default_rng(5), 1)
+    outcome = one_point(simulate_block(params, branches, [np.random.default_rng(5)], [1]))
     assert outcome.signal_power[0] > 0 and outcome.residual_power[0] > 0
 
 
@@ -340,14 +364,15 @@ def test_trial_supports_multiple_relay_branches():
 
 GOLDEN_BRANCHES = {
     "selective_one_relay": [
-        Branch([uniform_profile(4, 1.0)], 0.1, 1.0, [0.1 / 64]),
-        Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], 0.2, 0.8,
-               [0.1 / 64, 0.1 / 64]),
+        Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [[0.1 / 64]]),
+        Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.2], [0.8],
+               [[0.1 / 64], [0.1 / 64]]),
     ],
     "two_relays": [
-        Branch([flat_profile(1.0)], 0.05, 1.0, [0.001]),
-        Branch([flat_profile(1.0), flat_profile(2.0)], 0.1, 1.0, [0.001, 0.001]),
-        Branch([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], -0.2, 0.7, [0.001, 0.001]),
+        Branch([flat_profile(1.0)], [0.05], [1.0], [[0.001]]),
+        Branch([flat_profile(1.0), flat_profile(2.0)], [0.1], [1.0], [[0.001], [0.001]]),
+        Branch([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], [-0.2], [0.7],
+               [[0.001], [0.001]]),
     ],
 }
 
@@ -367,7 +392,7 @@ GOLDEN_POWERS = {
 @pytest.mark.parametrize("name, seed", sorted(GOLDEN_POWERS))
 def test_one_trial_block_reproduces_per_trial_engine(name, seed):
     rng = np.random.default_rng([20260808, seed])
-    block = simulate_block(PARAMS, GOLDEN_BRANCHES[name], rng, 1)
+    block = one_point(simulate_block(PARAMS, GOLDEN_BRANCHES[name], [rng], [1]))
     signal, residual = GOLDEN_POWERS[(name, seed)]
     assert block.signal_power.shape == block.residual_power.shape == (1,)
     assert block.signal_power[0] == pytest.approx(signal, rel=1e-12)
@@ -388,21 +413,21 @@ def _point_branches(branches, cfos, scales, gains=1.0):
 
 
 def _one_point(branches, p):
-    return [Branch(br.hops, br.cfo[p].item(), br.rho[p].item(),
-                   [v[p].item() for v in br.noise_vars]) for br in branches]
+    return [Branch(br.hops, br.cfo[p:p + 1], br.rho[p:p + 1],
+                   [v[p:p + 1] for v in br.noise_vars]) for br in branches]
 
 
 POINT_BRANCHES = {
     "flat": [
-        Branch([flat_profile(1.0)], 0.0, 1.0, [0.1 / 64]),
-        Branch([flat_profile(1.0), flat_profile(4.0)], 0.0, 0.8, [0.1 / 64, 0.1 / 64]),
+        Branch([flat_profile(1.0)], [0.0], [1.0], [[0.1 / 64]]),
+        Branch([flat_profile(1.0), flat_profile(4.0)], [0.0], [0.8], [[0.1 / 64], [0.1 / 64]]),
     ],
     "selective_two_relays": [
-        Branch([uniform_profile(4, 1.0)], 0.0, 1.0, [0.1 / 64]),
-        Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], 0.0, 0.8,
-               [0.1 / 64, 0.1 / 64]),
-        Branch([uniform_profile(2, 1.0), uniform_profile(3, 2.0)], 0.0, 1.3,
-               [0.05 / 64, 0.2 / 64]),
+        Branch([uniform_profile(4, 1.0)], [0.0], [1.0], [[0.1 / 64]]),
+        Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [0.8],
+               [[0.1 / 64], [0.1 / 64]]),
+        Branch([uniform_profile(2, 1.0), uniform_profile(3, 2.0)], [0.0], [1.3],
+               [[0.05 / 64], [0.2 / 64]]),
     ],
 }
 
@@ -426,11 +451,11 @@ def test_block_of_points_equals_one_point_blocks(name, trials, count):
     scales += rng.choice([1.0, 0.1, 0.0], count - 4).tolist()
     gains += rng.uniform(0.5, 1.5, count - 4).tolist()
     points = _point_branches(branches, cfos, scales, gains)
-    block = simulate_block(PARAMS, points, np.random.default_rng([5, 3]), trials)
+    block = simulate_block(PARAMS, points, [np.random.default_rng([5, 3])], [trials])
     assert block.signal_power.shape == block.residual_power.shape == (count, trials)
     for p in range(count):
-        alone = simulate_block(PARAMS, _one_point(points, p), np.random.default_rng([5, 3]),
-                               trials)
+        alone = one_point(simulate_block(PARAMS, _one_point(points, p),
+                                         [np.random.default_rng([5, 3])], [trials]))
         assert np.array_equal(block.signal_power[p], alone.signal_power)
         assert np.array_equal(block.residual_power[p], alone.residual_power)
 
@@ -441,8 +466,8 @@ def test_block_of_points_consumes_the_stream_of_one_point():
     points = _point_branches(POINT_BRANCHES["selective_two_relays"], np.zeros((3, 3)),
                              [1.0, 0.5, 0.1])
     shared, alone = np.random.default_rng(9), np.random.default_rng(9)
-    simulate_block(PARAMS, points, shared, 11)
-    simulate_block(PARAMS, _one_point(points, 2), alone, 11)
+    simulate_block(PARAMS, points, [shared], [11])
+    simulate_block(PARAMS, _one_point(points, 2), [alone], [11])
     assert shared.bit_generator.state == alone.bit_generator.state
 
 
@@ -460,7 +485,7 @@ def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
             calls.clear()
             simulate_block(PARAMS, _point_branches(POINT_BRANCHES["selective_two_relays"], cfos,
                                                    np.ones(count)),
-                           np.random.default_rng(4), 7)
+                           [np.random.default_rng(4)], [7])
             counts.append(len(calls))
         assert counts[0] == counts[1] == 5 + inverses  # hop responses, then the inverses
 
@@ -483,7 +508,8 @@ def test_call_over_consecutive_blocks_equals_one_block_calls(name, trials, count
     shared = [np.random.default_rng([5, b]) for b in (3, 4)]
     block = simulate_block(PARAMS, points, shared, list(trials))
     alone = [np.random.default_rng([5, b]) for b in (3, 4)]
-    parts = [simulate_block(PARAMS, points, stream, size) for stream, size in zip(alone, trials)]
+    parts = [simulate_block(PARAMS, points, [stream], [size])
+             for stream, size in zip(alone, trials)]
     assert block.signal_power.shape == (count, sum(trials))
     assert np.array_equal(block.signal_power,
                           np.concatenate([part.signal_power for part in parts], axis=-1))
@@ -496,6 +522,6 @@ def test_noise_free_zero_offset_point_has_zero_residual_beside_noisy_points():
     # the infinity sentinel reports such a point, whose residual is exactly 0
     cfos = [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [0.5, -0.5, 0.5]]
     points = _point_branches(POINT_BRANCHES["selective_two_relays"], cfos, [0.0, 1.0, 1.0, 0.1])
-    block = simulate_block(PARAMS, points, np.random.default_rng(12), 102)
+    block = simulate_block(PARAMS, points, [np.random.default_rng(12)], [102])
     assert np.all(block.residual_power[0] == 0)
     assert np.all(block.residual_power[1:] > 1e-6 * block.signal_power[1:])

@@ -159,7 +159,8 @@ def split_powers(spectrum, gain, symbols):
 
 def waveform_powers(params, branches, rng, trials):
     """(signal, residual) powers per trial of `simulate_block` at one point,
-    rebuilt by running the waveform sample by sample.
+    the first of the branches' fields, rebuilt by running the waveform
+    sample by sample.
 
     Per branch the modulated symbol passes each hop's linear convolution in
     turn, the CFO ramp of the branch offset, and the gain rho; a noise
@@ -176,13 +177,14 @@ def waveform_powers(params, branches, rng, trials):
         rx = tx
         for h in branch_taps:
             rx = apply_channel(rx, h, params)
-        rx = branch.rho * apply_cfo(rx, branch.cfo, params)
-        amplitudes = [branch.rho] * (len(branch_noise) - 1) + [1.0]
+        eps, rho = branch.cfo[0], branch.rho[0]
+        rx = rho * apply_cfo(rx, eps, params)
+        amplitudes = [rho] * (len(branch_noise) - 1) + [1.0]
         for amplitude, var, z in zip(amplitudes, branch.noise_vars, branch_noise):
-            rx = rx + amplitude * np.sqrt(var / 2.0) * z
+            rx = rx + amplitude * np.sqrt(var[0] / 2.0) * z
         spectrum = np.fft.fft(remove_cp(rx, params), axis=-1)
         response = np.prod([np.fft.fft(h, n, axis=-1) for h in branch_taps], axis=0)
-        gain = branch.rho * cfo_spectrum(branch.cfo, 0, n) * response
+        gain = rho * cfo_spectrum(eps, 0, n) * response
         branch_signal, branch_residual = split_powers(spectrum, gain, symbols)
         signal += branch_signal
         residual += branch_residual
