@@ -87,7 +87,9 @@ def analytical_snr(stats: LinkStats) -> SnrBreakdown:
     with np.errstate(divide="ignore", invalid="ignore"):
         lin = np.where(sentinel, np.inf, num / den)
         db = np.where(lin > 0, 10.0 * np.log10(lin), -np.inf)
-        slopes = (2.0 * f * dirichlet_gain_derivative(eps, n) * a * (num + den)[:, None]
-                  / (den ** 2)[:, None])
+        # den divides twice rather than once squared, which overflows
+        # for den beyond about 1e154 while the slope is finite
+        slopes = (2.0 * f * dirichlet_gain_derivative(eps, n) * a / den[:, None]
+                  * ((num + den) / den)[:, None])
     slopes[sentinel] = np.nan
     return SnrBreakdown(num, den, lin, db, slopes)

@@ -13,9 +13,11 @@ simulator's `Branch` list with one offset, gain and noise variance per
 point, simulated once per sweep.
 
 Noise convention: configured noise variances are per received frequency
-bin, the same quantities the closed-form SNR consumes.  The simulator
-injects time-domain noise at variance var/N per sample, which the
-un-normalized transform maps back to var per bin.
+bin, the same quantities the closed-form SNR consumes.  Each branch's
+noise s_b (the destination's noise plus rho^2 times the relay's) is
+formed once, in `point_inputs`; the simulator injects one time-domain
+noise body per branch at variance s_b/N per sample, which the
+un-normalized transform maps back to s_b per bin.
 
 Reproducibility: trials run in blocks of B = max(1, 8192 // (N + cp_len))
 (102 at N=64, 7 at N=1024), a size fixed by the numerology alone.  Block b
@@ -402,10 +404,12 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
     gains and noise variances hold one value per point, or None), both
     from one loop over `cfg.links`, one branch per link, direct link first
     (gain 1): a_b = rho^2 prod P_hop s_X and s_b = the last noise plus
-    rho^2 times the earlier ones.  Each relay gain is resolved once per
-    noise scaling; LinkStats carries per-bin noise, the branches
-    per-sample noise (var * scale / N).  Finite config values whose a_b
-    leaves (0, inf) or whose s_b overflows raise ConfigValueError.
+    rho^2 times the earlier ones, the relay's noise arriving amplified by
+    its gain.  This is the one place that rule is applied: LinkStats
+    carries s_b per bin and each branch the same s_b / N per sample, the
+    variance of its one noise body.  Each relay gain is resolved once per
+    noise scaling.  Finite config values whose a_b leaves (0, inf) or whose
+    s_b overflows raise ConfigValueError.
     """
     n, sx = cfg.ofdm.n_subcarriers, cfg.ofdm.symbol_power
     levels, level_of = np.unique(scales, return_inverse=True)
@@ -430,8 +434,7 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
     stats = LinkStats(n, a, cfos, s)
     if cfg.mode == "analytical":
         return stats, None
-    return stats, [Branch(link.hops, cfos[:, b], rho[:, b],
-                          tuple(v * scales / n for v in link.noise_vars))
+    return stats, [Branch(link.hops, cfos[:, b], rho[:, b], s[:, b] / n)
                    for b, link in enumerate(cfg.links)]
 
 

@@ -2,10 +2,13 @@
 
 A trial sends one OFDM symbol over M + 1 branches: branch 0 is the direct
 link, one hop, and each other branch a two-hop amplify-and-forward relay;
-a `Branch` describes either.  Each hop has its own multipath channel and
-noise, and each branch its own fractional CFO.  The destination removes
-the prefix, transforms each branch, co-phases it using genie knowledge of
-the true dominant-term coefficient, and combines with equal gain.
+a `Branch` describes either.  Each hop has its own multipath channel, and
+each branch its own fractional CFO and one noise: the relay's noise is
+neither convolved with the later hop nor rotated, so with the
+destination's it is one Gaussian of the closed form's variance s_b.  The
+destination removes the prefix, transforms each branch, co-phases it
+using genie knowledge of the true dominant-term coefficient, and combines
+with equal gain.
 `simulate_block` is the one simulator entry point: it runs one or more
 random-stream blocks of trials at P sweep points on the same draws.
 
@@ -23,13 +26,13 @@ power would retain a cross term between branch magnitudes that the closed
 form does not contain.  Derotation has unit modulus (phase 0 where g is
 0), so the remainder's power is ||Y - gX||^2, by Parseval
 N ||y - rho c v||^2 over the received body y, with c = C(eps, 0).  With
-W = r - c for the CFO ramp r, y - rho c v is rho W v plus the scaled
-noise.  Its energy expands into the Gram terms of the noise bodies,
-reduced once per branch, and the terms of z = W v, reduced once per branch
-and distinct nonzero offset; a point only combines those sums with its own
-rho and noise amplitudes, so no point runs a ramp, a transform or a
-derotation, and a branch at zero offset on every point runs no transform
-back to the time domain.
+W = r - c for the CFO ramp r, y - rho c v is rho W v plus the branch's one
+noise body n, of the variance s_b / N that the closed form sees.  Its
+energy expands into ||n||^2, reduced once per branch, and the terms of
+z = W v, reduced once per branch and distinct nonzero offset; a point only
+combines those sums with its own rho and noise amplitude, so no point runs
+a ramp, a transform or a derotation, and a branch at zero offset on every
+point runs no transform back to the time domain.
 """
 from __future__ import annotations
 
@@ -121,29 +124,28 @@ class Branch:
     """One branch of the combiner for trial simulation: the direct link,
     one hop, or a relay, two hops.
 
-    `hops` holds one profile per hop in order and `noise_vars` one
-    per-sample variance per hop, of the noise received at the end of that
-    hop; every noise but the last arrives amplified by `rho` (1 on the
-    direct link).  `cfo`, `rho` and each noise variance are (P,) arrays,
-    one value per sweep point.
+    `hops` holds one profile per hop in order.  `noise_var` is the
+    per-sample variance of the one noise the branch's received body
+    carries, every hop's noise as it arrives at the destination
+    (`harness.point_inputs` sets it to the closed form's s_b / N).  `cfo`,
+    `rho` and `noise_var` are (P,) arrays, one value per sweep point.
     """
 
     hops: tuple
     cfo: np.ndarray
     rho: np.ndarray
-    noise_vars: tuple
+    noise_var: np.ndarray
 
     def __post_init__(self):
-        if len(self.hops) not in (1, 2) or len(self.noise_vars) != len(self.hops):
-            raise ValueError(f"a branch needs one or two hops and one noise variance per hop, "
-                             f"got {len(self.hops)} and {len(self.noise_vars)}")
-        shapes = [np.shape(v) for v in (self.cfo, self.rho, *self.noise_vars)]
+        if len(self.hops) not in (1, 2):
+            raise ValueError(f"a branch needs one or two hops, got {len(self.hops)}")
+        shapes = [np.shape(v) for v in (self.cfo, self.rho, self.noise_var)]
         if len(set(shapes)) != 1 or len(shapes[0]) != 1:
-            raise ValueError(f"cfo, rho and noise_vars must be 1-D arrays of one length, "
+            raise ValueError(f"cfo, rho and noise_var must be 1-D arrays of one length, "
                              f"one value per point, got shapes {shapes}")
         if not np.all(np.abs(self.cfo) <= FCFO_BOUND):
             raise ValueError(f"cfo must lie in [-{FCFO_BOUND}, {FCFO_BOUND}]")
-        if not all(np.all(np.asarray(v) >= 0) for v in self.noise_vars):
+        if not np.all(np.asarray(self.noise_var) >= 0):
             raise ValueError("noise variances must be >= 0")
 
 
@@ -157,22 +159,20 @@ def simulate_block(params: OfdmParams, branches: list, rngs: list, trials: list)
     powers stack the blocks' trials in block order, each row's powers those
     of its block simulated alone.  Every generator draws the sequence of
     its block alone: symbol indices (trials, N), each branch's taps hop by
-    hop (each real block then imaginary block), then per branch and hop
-    the noise at (trials, N + cp_len), of which the body is used.  Each
-    draw is made from every block in block order before the next.
+    hop (each real block then imaginary block), then per branch one noise
+    body at (trials, N).  Each draw is made from every block in block order
+    before the next.
 
-    A branch applies the CFO-rotated cascade of its hops, scaled by rho;
-    a noise received before the last hop arrives amplified by rho but
-    neither convolved with the later hop nor rotated, and the last noise is
-    added as is.  Every branch's channel memory must fit in the prefix
-    (`ValueError` otherwise).  The genie gain of a branch is
+    A branch applies the CFO-rotated cascade of its hops, scaled by rho,
+    and adds its noise body at variance `noise_var` per sample, neither
+    convolved nor rotated.  Every branch's channel memory must fit in the
+    prefix (`ValueError` otherwise).  The genie gain of a branch is
     rho * C(cfo, 0) * prod H_i per bin, in hop order.  A point's signal is
-    (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is N times the Gram terms of
-    the noise bodies n_j at the point's amplitudes a_j, reduced once per
-    branch, plus, at a nonzero offset u, rho^2 ||z_u||^2 + 2 rho sum_j a_j
-    Re <z_u, n_j> for z_u = W_u v and v = idft(HX), reduced once per branch
-    and distinct offset.  Each point adds its branches' powers in branch
-    order.
+    (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is N a^2 ||n||^2 for the
+    noise body n at the point's amplitude a, reduced once per branch, plus,
+    at a nonzero offset u, N (rho^2 ||z_u||^2 + 2 rho a Re <z_u, n>) for
+    z_u = W_u v and v = idft(HX), reduced once per branch and distinct
+    offset.  Each point adds its branches' powers in branch order.
     """
     n, cp = params.n_subcarriers, params.cp_len
 
@@ -186,14 +186,13 @@ def simulate_block(params: OfdmParams, branches: list, rngs: list, trials: list)
             for br in branches]
     cfo = np.array([br.cfo for br in branches], dtype=np.float64)  # (M + 1, P)
     rho = np.array([br.rho for br in branches], dtype=np.float64)
+    alpha = np.sqrt(np.array([br.noise_var for br in branches], dtype=np.float64) / 2.0)
     offsets = np.unique(cfo)  # per distinct offset: |C(cfo, 0)|, C(cfo, 0) and W
     gain = dirichlet_gain(offsets, n)
     coefficient = gain * np.exp(1j * np.pi * offsets * (1.0 - 1.0 / n))
     w = np.exp(2j * np.pi / n * offsets[:, None] * np.arange(n)) - coefficient[:, None]
     signal, residual = np.zeros((2, rho.shape[1], len(symbols)))
     for b, index in enumerate(np.searchsorted(offsets, cfo)):
-        variances = np.array(branches[b].noise_vars, dtype=np.float64)  # (hops, P)
-        variances[:-1] *= rho[b] ** 2
         spectrum = frequency_response(hops[b][0], n)  # H, then HX
         for h in hops[b][1:]:
             spectrum *= frequency_response(h, n)
@@ -204,21 +203,14 @@ def simulate_block(params: OfdmParams, branches: list, rngs: list, trials: list)
                           "derotation phase set to 0 there", stacklevel=2)
         spectrum *= symbols
         signal += magnitude[:, None] ** 2 * np.sum(spectrum.real ** 2 + spectrum.imag ** 2, -1)
-        noise = [draw(lambda rng, count: standard_noise((count, n + cp), rng)[:, cp:])
-                 .view(np.float64) for _ in variances]  # (re, im) pairs
-        alphas = np.sqrt(variances / 2.0)[:, :, None]
-        power = 0.0
-        for j, x in enumerate(noise):  # a_j^2 ||n_j||^2 + 2 a_j a_k Re <n_j, n_k>
-            power = power + alphas[j] ** 2 * np.sum(x * x, -1)
-            for k in range(j + 1, len(noise)):
-                power = power + 2.0 * alphas[j] * alphas[k] * np.sum(x * noise[k], -1)
+        noise = draw(lambda rng, count: standard_noise((count, n), rng)).view(np.float64)
+        power = alpha[b, :, None] ** 2 * np.sum(noise * noise, -1)  # (re, im) pairs
         moving = np.unique(index[offsets[index] != 0])
         body = idft(spectrum) if moving.size else None
         for u in moving:  # W is exactly 0 at a zero offset
             z = (w[u] * body).view(np.float64)
             at = np.flatnonzero(index == u)
-            ramp = 2.0 * rho[b, at, None] * sum(alpha[at] * np.sum(z * x, -1)
-                                                for alpha, x in zip(alphas, noise))
-            power[at] += rho[b, at, None] ** 2 * np.sum(z * z, -1) + ramp
+            r, a = rho[b, at, None], alpha[b, at, None]
+            power[at] += r ** 2 * np.sum(z * z, -1) + 2.0 * r * a * np.sum(z * noise, -1)
         residual += n * power
     return TrialOutcome(signal, residual)

@@ -84,23 +84,20 @@ def oracle_powers(params, branches, rng, trials):
     Replays the documented draw order on `rng` (`replay_draws`).  Each
     branch spectrum is `ici_reference` of the symbols and the hops'
     response product, scaled by the branch gain rho, plus the transform of
-    each noise source's prefix-free body scaled by its standard deviation;
-    a noise received before the last hop is amplified by rho but neither
+    the branch's noise body scaled by its standard deviation, neither
     convolved nor rotated.  `split_powers` derotates each bin by the genie
     gain g = rho C(eps, 0) prod H and splits off the signal |g||X|; powers
     add over branches.
     """
-    n, cp = params.n_subcarriers, params.cp_len
+    n = params.n_subcarriers
     symbols, taps, noise = replay_draws(params, branches, rng, trials)
     signal, residual = np.zeros(trials), np.zeros(trials)
-    for branch_taps, branch_noise, branch in zip(taps, noise, branches):
+    for branch_taps, z, branch in zip(taps, noise, branches):
         eps, rho = branch.cfo[0], branch.rho[0]
         response = np.prod([np.fft.fft(h, n, axis=-1) for h in branch_taps], axis=0)
         spectra = np.array([ici_reference(symbols[t], response[t], eps, scale=rho)
                             for t in range(trials)])
-        amplitudes = [rho] * (len(branch.noise_vars) - 1) + [1.0]
-        for amplitude, var, z in zip(amplitudes, branch.noise_vars, branch_noise):
-            spectra = spectra + amplitude * np.sqrt(var[0] / 2.0) * np.fft.fft(z[:, cp:], axis=-1)
+        spectra = spectra + np.sqrt(branch.noise_var[0] / 2.0) * np.fft.fft(z, axis=-1)
         branch_signal, branch_residual = split_powers(
             spectra, rho * cfo_spectrum(eps, 0, n) * response, symbols)
         signal += branch_signal

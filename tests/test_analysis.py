@@ -241,6 +241,17 @@ def test_chain_rule_matches_finite_differences_on_random_stats():
         assert abs(lambda2 - fd2) / fd2 < 1e-6
 
 
+def test_slopes_stay_finite_at_the_largest_accepted_powers():
+    # the SNR and its slopes are invariant when every power and noise scales
+    # together; at 1e306 den^2 would overflow although each slope is finite
+    stats = dict(BASE, cfo_direct=0.2, cfo_relay=0.4)
+    base = closed_form(single_relay(stats)).slopes
+    huge = closed_form(single_relay(stats, **{k: stats[k] * 1e306 for k in (
+        "symbol_power", "direct_noise_var", "relay_noise_var", "dest_noise_var")})).slopes
+    assert np.all(np.isfinite(huge))
+    assert huge == pytest.approx(base, rel=1e-12)
+
+
 def test_slopes_carry_the_sign_of_the_offset():
     slopes = closed_form(single_relay(BASE, cfo_direct=0.2, cfo_relay=-0.1)).slopes
     assert slopes[0] < 0.0 < slopes[1]

@@ -2,6 +2,7 @@
 against two independent per-trial oracles (the closed-form spectrum and
 the time-domain waveform) and exact cases, its warnings and preconditions,
 and its bitwise invariants across points."""
+import copy
 import dataclasses
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afrelay.channel import PowerDelayProfile, draw_channel, flat_profile, uniform_profile
+from afrelay.harness import PRESETS, config_from_dict, point_inputs, sweep_offsets
 from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.relay import (
     Branch,
@@ -92,22 +94,17 @@ def test_gain_config_validation():
 
 # --------------------------------------------------------------------- branch
 
-@pytest.mark.parametrize("hops, noise_vars", [
-    ([], []),
-    ([FLAT, FLAT, FLAT], [[0.0], [0.0], [0.0]]),
-    ([FLAT, FLAT], [[0.0]]),
-    ([FLAT], [[0.0], [0.0]]),
-])
-def test_branch_needs_one_or_two_hops_and_a_noise_per_hop(hops, noise_vars):
-    with pytest.raises(ValueError, match="one or two hops and one noise variance per hop"):
-        Branch(hops, [0.0], [1.0], noise_vars)
+@pytest.mark.parametrize("hops", [[], [FLAT, FLAT, FLAT]], ids=["0_hops", "3_hops"])
+def test_branch_needs_one_or_two_hops(hops):
+    with pytest.raises(ValueError, match="one or two hops"):
+        Branch(hops, [0.0], [1.0], [0.0])
 
 
 # ----------------------------------------------------------------- direct link
 
 def test_direct_link_trivial_passthrough():
     # flat fading, no offset, no noise: the received bins are h X[k]
-    block = simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [[0.0]])],
+    block = simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [0.0])],
                            [np.random.default_rng(1)], [5])
     sym, (h,) = _draws(1, [FLAT], 5)
     expected = np.abs(h[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
@@ -116,7 +113,7 @@ def test_direct_link_trivial_passthrough():
 
 
 def test_direct_link_matches_closed_form_spectrum():
-    direct = Branch([uniform_profile(4, 1.0)], [-0.27], [1.0], [[0.0]])
+    direct = Branch([uniform_profile(4, 1.0)], [-0.27], [1.0], [0.0])
     assert _oracle_error([direct], 3, 4) < 1e-9
 
 
@@ -128,7 +125,7 @@ def test_direct_link_with_unimodular_impairments_preserves_energy():
 
 def test_direct_link_isi_precondition():
     # 18 taps have memory 17, one beyond the prefix
-    direct = Branch([uniform_profile(18)], [0.0], [1.0], [[0.0]])
+    direct = Branch([uniform_profile(18)], [0.0], [1.0], [0.0])
     with pytest.raises(ValueError, match="has 18 taps, memory 17 .*prefix length 16"):
         simulate_block(PARAMS, [direct], [np.random.default_rng(0)], [1])
 
@@ -138,9 +135,9 @@ def test_direct_link_isi_precondition():
 def test_relay_branch_trivial_passthrough():
     # the relay alone, flat hops, no offset, no noise: its bins are
     # rho h1 h2 X[k]
-    relay = Branch([FLAT, flat_profile(4.0)], [0.0], [0.8], [[0.0], [0.0]])
+    relay = Branch([FLAT, flat_profile(4.0)], [0.0], [0.8], [0.0])
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = simulate_block(PARAMS, [Branch([MUTED], [0.0], [1.0], [[0.0]]), relay],
+        block = simulate_block(PARAMS, [Branch([MUTED], [0.0], [1.0], [0.0]), relay],
                                [np.random.default_rng(6)], [5])
     sym, (_, h1, h2) = _draws(6, [MUTED, FLAT, flat_profile(4.0)], 5)
     expected = 0.8 ** 2 * np.abs(h1[:, 0] * h2[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
@@ -149,62 +146,60 @@ def test_relay_branch_trivial_passthrough():
 
 
 def test_relay_branch_matches_closed_form_spectrum():
-    direct = Branch([FLAT], [0.0], [1.0], [[0.0]])
-    relay = Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.42], [1.3],
-                   [[0.0], [0.0]])
+    direct = Branch([FLAT], [0.0], [1.0], [0.0])
+    relay = Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.42], [1.3], [0.0])
     assert _oracle_error([direct, relay], 8, 4) < 1e-9
 
 
 def test_relay_branch_linear_in_gain():
     # doubling rho doubles every sample, bin and genie gain exactly
-    relay = Branch([uniform_profile(3), uniform_profile(2)], [0.2, 0.2], [1.0, 2.0],
-                   [[0.0, 0.0], [0.0, 0.0]])
+    relay = Branch([uniform_profile(3), uniform_profile(2)], [0.2, 0.2], [1.0, 2.0], [0.0, 0.0])
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = simulate_block(PARAMS, [Branch([MUTED], [0.0, 0.0], [1.0, 1.0], [[0.0, 0.0]]),
+        block = simulate_block(PARAMS, [Branch([MUTED], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]),
                                         relay],
                                [np.random.default_rng(10)], [5])
     assert np.array_equal(block.signal_power[1], 4.0 * block.signal_power[0])
     assert np.array_equal(block.residual_power[1], 4.0 * block.residual_power[0])
 
 
-@pytest.mark.parametrize("cfo, noise_vars, message", [
-    ([0.6], [[0.01]], r"cfo must lie in \[-0.5, 0.5\]"),
-    ([np.nan], [[0.01]], r"cfo must lie in \[-0.5, 0.5\]"),
-    ([0.1], [[np.nan]], "noise variances must be >= 0"),
-    (0.1, [[0.01]], r"1-D arrays of one length, one value per point, got shapes \[\(\), "),
-    ([0.1, 0.2], [[0.01]], r"got shapes \[\(2,\), \(1,\), \(1,\)\]"),
+@pytest.mark.parametrize("cfo, noise_var, message", [
+    ([0.6], [0.01], r"cfo must lie in \[-0.5, 0.5\]"),
+    ([np.nan], [0.01], r"cfo must lie in \[-0.5, 0.5\]"),
+    ([0.1], [np.nan], "noise variances must be >= 0"),
+    (0.1, [0.01], r"1-D arrays of one length, one value per point, got shapes \[\(\), "),
+    ([0.1, 0.2], [0.01], r"got shapes \[\(2,\), \(1,\), \(1,\)\]"),
 ], ids=["offset_0.6", "nan_offset", "nan_noise", "scalar_offset", "unequal_lengths"])
-def test_branch_rejects_what_the_closed_form_rejects(cfo, noise_vars, message):
+def test_branch_rejects_what_the_closed_form_rejects(cfo, noise_var, message):
     # the engine checks its offsets and noise as LinkStats does, and takes
     # only (P,) fields; NaN fails both checks
-    rho = [1.0] * len(noise_vars[0])
+    rho = [1.0] * len(noise_var)
     with pytest.raises(ValueError, match=message):
-        Branch([FLAT], cfo, rho, noise_vars)
+        Branch([FLAT], cfo, rho, noise_var)
 
 
 def test_negative_noise_variance_rejected():
     with pytest.raises(ValueError, match="noise variances must be >= 0"):
-        Branch([FLAT, FLAT], [0.0, 0.0], [1.0, 1.0], [[0.01, -0.01], [0.0, 0.0]])
+        Branch([FLAT, FLAT], [0.0, 0.0], [1.0, 1.0], [0.01, -0.01])
 
 
 def test_relay_branch_isi_precondition():
     # hops of 9 + 10 or 1 + 18 taps cascade to 18 taps, memory 17, one
     # beyond the prefix
     for taps in ([9, 10], [1, 18]):
-        relay = Branch([uniform_profile(n) for n in taps], [0.0], [1.0], [[0.0], [0.0]])
+        relay = Branch([uniform_profile(n) for n in taps], [0.0], [1.0], [0.0])
         with pytest.raises(ValueError, match="has 18 taps, memory 17 .*prefix length 16"):
-            simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [[0.0]]), relay],
+            simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [0.0]), relay],
                            [np.random.default_rng(0)], [1])
 
 
 # ------------------------------------------------------ memory at the prefix
 
 @pytest.mark.parametrize("branches", [
-    [Branch([uniform_profile(17)], [0.23], [1.0], [[0.01]])],
-    [Branch([FLAT], [0.0], [1.0], [[0.01]]),
-     Branch([uniform_profile(9), uniform_profile(9)], [0.23], [0.9], [[0.01], [0.02]])],
-    [Branch([FLAT], [0.0], [1.0], [[0.01]]),
-     Branch([FLAT, uniform_profile(17)], [0.23], [0.9], [[0.01], [0.02]])],
+    [Branch([uniform_profile(17)], [0.23], [1.0], [0.01])],
+    [Branch([FLAT], [0.0], [1.0], [0.01]),
+     Branch([uniform_profile(9), uniform_profile(9)], [0.23], [0.9], [0.02 + 0.9 ** 2 * 0.01])],
+    [Branch([FLAT], [0.0], [1.0], [0.01]),
+     Branch([FLAT, uniform_profile(17)], [0.23], [0.9], [0.02 + 0.9 ** 2 * 0.01])],
 ], ids=["direct_17", "relay_9_9", "relay_1_17"])
 def test_memory_equal_to_prefix_matches_oracle(branches):
     # memory 16 = PARAMS.cp_len, the most the prefix covers; one tap more is
@@ -216,8 +211,8 @@ def test_memory_equal_to_prefix_matches_oracle(branches):
 
 def test_two_ideal_branches_combine_coherently():
     # co-phased, each branch adds its coherent power and no residual
-    relay = Branch([FLAT, FLAT], [0.0], [1.0], [[0.0], [0.0]])
-    block = simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [[0.0]]), relay],
+    relay = Branch([FLAT, FLAT], [0.0], [1.0], [0.0])
+    block = simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [0.0]), relay],
                            [np.random.default_rng(13)], [5])
     sym, (h0, h1, h2) = _draws(13, [FLAT, FLAT, FLAT], 5)
     gains = np.abs(h0[:, 0]) ** 2 + np.abs(h1[:, 0] * h2[:, 0]) ** 2
@@ -228,9 +223,9 @@ def test_two_ideal_branches_combine_coherently():
 
 def test_combined_metric_matches_closed_form_assembly():
     # full noisy chain vs the spectra assembled from the closed form
-    direct = Branch([uniform_profile(4, 1.0)], [0.17], [1.0], [[0.05]])
+    direct = Branch([uniform_profile(4, 1.0)], [0.17], [1.0], [0.05])
     relay = Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [-0.33], [0.9],
-                   [[0.05], [0.02]])
+                   [0.02 + 0.9 ** 2 * 0.05])
     assert _oracle_error([direct, relay], 15, 4) < 1e-9
 
 
@@ -257,11 +252,13 @@ def test_block_matches_per_trial_oracle(seed, n, constellation, m, edge, at_boun
     def offset(branch):
         return rng.uniform(-0.5, 0.5) if edge is None else edge * (-1.0) ** branch
 
-    branches = [Branch([profile()], [offset(0)], [1.0], [[rng.uniform(0.0, 0.1)]])] + [
-        Branch([profile(), profile()], [offset(i + 1)], [rng.uniform(0.3, 2.0)],
-               [[rng.uniform(0.0, 0.1)], [rng.uniform(0.0, 0.1)]])
-        for i in range(m)
-    ]
+    def relay(i):  # the relay's noise, then the destination's, as rho^2 s_Z2 + s_Z3
+        hops, cfo, rho = [profile(), profile()], offset(i + 1), rng.uniform(0.3, 2.0)
+        return Branch(hops, [cfo], [rho], [rng.uniform(0.0, 0.1) * rho ** 2
+                                           + rng.uniform(0.0, 0.1)])
+
+    branches = [Branch([profile()], [offset(0)], [1.0], [rng.uniform(0.0, 0.1)])] + [
+        relay(i) for i in range(m)]
     if at_bound:
         b = int(rng.integers(0, m + 1))
         first = int(rng.integers(1, params.cp_len + 2))
@@ -275,10 +272,9 @@ def test_combining_is_linear_in_branches():
     # a relay at rho = 0 adds nothing, so with the direct link muted the
     # two-relay point is exactly the sum of the one-relay points
     branches = [
-        Branch([MUTED], [0.1] * 3, [1.0] * 3, [[0.0] * 3]),
-        Branch([uniform_profile(3), uniform_profile(2)], [-0.2] * 3, [1.1, 0.0, 1.1],
-               [[0.0] * 3] * 2),
-        Branch([uniform_profile(2), FLAT], [0.3] * 3, [0.0, 0.9, 0.9], [[0.0] * 3] * 2),
+        Branch([MUTED], [0.1] * 3, [1.0] * 3, [0.0] * 3),
+        Branch([uniform_profile(3), uniform_profile(2)], [-0.2] * 3, [1.1, 0.0, 1.1], [0.0] * 3),
+        Branch([uniform_profile(2), FLAT], [0.3] * 3, [0.0, 0.9, 0.9], [0.0] * 3),
     ]
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
         block = simulate_block(PARAMS, branches, [np.random.default_rng(18)], [5])
@@ -287,31 +283,30 @@ def test_combining_is_linear_in_branches():
 
 
 def test_zero_genie_gain_is_flagged():
-    direct = Branch([MUTED], [0.1], [1.0], [[0.01]])
-    relay = Branch([FLAT, FLAT], [0.2], [1.0], [[0.01], [0.01]])
+    direct = Branch([MUTED], [0.1], [1.0], [0.01])
+    relay = Branch([FLAT, FLAT], [0.2], [1.0], [0.02])
     with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
         block = simulate_block(PARAMS, [direct, relay], [np.random.default_rng(19)], [3])
     assert np.isfinite(block.signal_power).all() and np.isfinite(block.residual_power).all()
     # a relay point at rho = 0 has a zero genie gain at every bin
-    silent = Branch([FLAT, FLAT], [0.2, 0.2], [1.0, 0.0], [[0.01, 0.01], [0.01, 0.01]])
+    silent = Branch([FLAT, FLAT], [0.2, 0.2], [1.0, 0.0], [0.02, 0.01])
     with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
-        simulate_block(PARAMS, [Branch([FLAT], [0.1, 0.1], [1.0, 1.0], [[0.01, 0.01]]), silent],
+        simulate_block(PARAMS, [Branch([FLAT], [0.1, 0.1], [1.0, 1.0], [0.01, 0.01]), silent],
                        [np.random.default_rng(19)], [3])
 
 
 # --------------------------------------------------------------- decomposition
 
 def test_no_offset_no_noise_leaves_zero_residual():
-    branches = [Branch([uniform_profile(4, 1.0)], [0.0], [1.0], [[0.0]]),
-                Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [1.0],
-                       [[0.0], [0.0]])]
+    branches = [Branch([uniform_profile(4, 1.0)], [0.0], [1.0], [0.0]),
+                Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [1.0], [0.0])]
     outcome = one_point(simulate_block(PARAMS, branches, [np.random.default_rng(22)], [1]))
     assert outcome.residual_power[0] == 0
 
 
 def test_scaling_symbols_by_two_quadruples_signal_power():
     # symbol_power 4 doubles every symbol, sample and bin exactly
-    direct = Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [[0.0]])
+    direct = Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [0.0])
     base = simulate_block(PARAMS, [direct], [np.random.default_rng(24)], [5])
     scaled = simulate_block(OfdmParams(n_subcarriers=64, cp_len=16, symbol_power=4.0),
                             [direct], [np.random.default_rng(24)], [5])
@@ -323,9 +318,8 @@ def test_noise_only_signal_power_converges_to_coherent_power():
     # with zero offsets the per-bin signal power must average to
     # direct_power + rho^2 * hop1_power * hop2_power (symbol power 1)
     params = OfdmParams(n_subcarriers=64, cp_len=16)
-    branches = [Branch([flat_profile(1.0)], [0.0], [1.0], [[0.1 / 64]]),
-                Branch([flat_profile(1.0), flat_profile(4.0)], [0.0], [1.0],
-                       [[0.1 / 64], [0.1 / 64]])]
+    branches = [Branch([flat_profile(1.0)], [0.0], [1.0], [0.1 / 64]),
+                Branch([flat_profile(1.0), flat_profile(4.0)], [0.0], [1.0], [0.2 / 64])]
     total = 0.0
     trials = 4000
     for b in range(10):
@@ -335,13 +329,36 @@ def test_noise_only_signal_power_converges_to_coherent_power():
     assert per_bin == pytest.approx(1.0 + 4.0, rel=0.05)
 
 
+def test_noise_only_residual_converges_to_the_closed_form_noise():
+    # point_inputs alone decides that a relay's noise arrives amplified by
+    # its gain; with zero offsets the residual per bin must average to
+    # sum_b s_b of the same points' LinkStats, the noise the closed form sees
+    raw = copy.deepcopy(PRESETS["fig3_flat"])
+    raw["relays"][0].update(relay_noise_var=0.3, dest_noise_var=0.05,
+                            gain={"mode": "fixed", "rho": 1.7})
+    raw["relays"].append(dict(raw["relays"][0], relay_noise_var=0.02, dest_noise_var=0.2,
+                              gain={"mode": "general", "source_power": 1.0, "relay_power": 3.0}))
+    raw["sweep"]["grid"] = [0.0]
+    cfg = config_from_dict(raw)
+    stats, branches = point_inputs(cfg, *sweep_offsets(cfg))
+    assert not np.any(stats.cfos) and np.all([br.rho != 1.0 for br in branches[1:]])
+    total = 0.0
+    trials = 4000
+    for b in range(10):
+        rng = np.random.default_rng([99, b])
+        outcome = simulate_block(cfg.ofdm, branches, [rng], [trials // 10])
+        total = total + np.sum(outcome.residual_power, axis=-1)
+    per_bin = total / (trials * cfg.ofdm.n_subcarriers)
+    assert per_bin == pytest.approx(np.sum(stats.noise_vars, axis=-1), rel=0.01)
+
+
 # ----------------------------------------------------------------- whole trial
 
 def test_trial_is_deterministic_given_the_stream():
     params = OfdmParams(n_subcarriers=64, cp_len=16)
-    branches = [Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [[0.001]]),
+    branches = [Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [0.001]),
                 Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.2], [0.8],
-                       [[0.001], [0.001]])]
+                       [(1 + 0.8 ** 2) * 0.001])]
     a = simulate_block(params, branches, [np.random.default_rng([7, 1])], [1])
     b = simulate_block(params, branches, [np.random.default_rng([7, 1])], [1])
     assert np.array_equal(a.signal_power, b.signal_power)
@@ -351,10 +368,10 @@ def test_trial_is_deterministic_given_the_stream():
 def test_trial_supports_multiple_relay_branches():
     params = OfdmParams(n_subcarriers=64, cp_len=16)
     branches = [
-        Branch([flat_profile(1.0)], [0.05], [1.0], [[0.001]]),
-        Branch([flat_profile(1.0), flat_profile(2.0)], [0.1], [1.0], [[0.001], [0.001]]),
+        Branch([flat_profile(1.0)], [0.05], [1.0], [0.001]),
+        Branch([flat_profile(1.0), flat_profile(2.0)], [0.1], [1.0], [0.002]),
         Branch([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], [-0.2], [0.7],
-               [[0.001], [0.001]]),
+               [(1 + 0.7 ** 2) * 0.001]),
     ]
     outcome = one_point(simulate_block(params, branches, [np.random.default_rng(5)], [1]))
     assert outcome.signal_power[0] > 0 and outcome.residual_power[0] > 0
@@ -364,28 +381,31 @@ def test_trial_supports_multiple_relay_branches():
 
 GOLDEN_BRANCHES = {
     "selective_one_relay": [
-        Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [[0.1 / 64]]),
+        Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [0.1 / 64]),
         Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.2], [0.8],
-               [[0.1 / 64], [0.1 / 64]]),
+               [(1 + 0.8 ** 2) * 0.1 / 64]),
     ],
     "two_relays": [
-        Branch([flat_profile(1.0)], [0.05], [1.0], [[0.001]]),
-        Branch([flat_profile(1.0), flat_profile(2.0)], [0.1], [1.0], [[0.001], [0.001]]),
+        Branch([flat_profile(1.0)], [0.05], [1.0], [0.001]),
+        Branch([flat_profile(1.0), flat_profile(2.0)], [0.1], [1.0], [0.002]),
         Branch([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], [-0.2], [0.7],
-               [[0.001], [0.001]]),
+               [(1 + 0.7 ** 2) * 0.001]),
     ],
 }
 
-# (signal_power, residual_power) of one trial on default_rng([20260808, seed]),
-# recorded from the per-trial engine that simulate_block replaced (one
-# np.convolve and one transform call per trial and stage).
+# (signal_power, residual_power) of one trial on default_rng([20260808, seed]).
+# The signals were recorded from the per-trial engine that simulate_block
+# replaced (one np.convolve and one transform call per trial and stage);
+# symbols and taps are drawn first, so no change to the noise moves them.
+# The residuals were recorded from `waveform.waveform_powers` on the stream
+# with one body-only noise per branch.
 GOLDEN_POWERS = {
-    ("selective_one_relay", 0): (266.44075474629824, 43.11661249662061),
-    ("selective_one_relay", 1): (61.392447978054804, 23.846206062344955),
-    ("selective_one_relay", 2): (143.529427285345, 36.19525752737174),
-    ("two_relays", 0): (107.39739482555294, 25.258647734657686),
-    ("two_relays", 1): (8.103038144888485, 19.366449268299323),
-    ("two_relays", 2): (145.07796492214442, 25.606398094585796),
+    ("selective_one_relay", 0): (266.44075474629824, 42.066902747072874),
+    ("selective_one_relay", 1): (61.392447978054804, 28.757980504880905),
+    ("selective_one_relay", 2): (143.529427285345, 30.22908346888549),
+    ("two_relays", 0): (107.39739482555294, 26.404279887250667),
+    ("two_relays", 1): (8.103038144888485, 20.69358556637117),
+    ("two_relays", 2): (145.07796492214442, 23.86128693579512),
 }
 
 
@@ -403,31 +423,31 @@ def test_one_trial_block_reproduces_per_trial_engine(name, seed):
 
 def _point_branches(branches, cfos, scales, gains=1.0):
     """P-point branches from one-point ones: offsets (P, M + 1), and each
-    point's noise variances scaled by its entry of `scales`, its relay
+    point's noise variance scaled by its entry of `scales`, its relay
     gains by its entry of `gains` (the direct link keeps gain 1)."""
     cfos, scales = np.asarray(cfos), np.asarray(scales)
     gains = np.broadcast_to(gains, scales.shape)
     return [Branch(br.hops, cfos[:, b], br.rho * (gains if b else np.ones(scales.shape)),
-                   [v * scales for v in br.noise_vars])
+                   br.noise_var * scales)
             for b, br in enumerate(branches)]
 
 
 def _one_point(branches, p):
-    return [Branch(br.hops, br.cfo[p:p + 1], br.rho[p:p + 1],
-                   [v[p:p + 1] for v in br.noise_vars]) for br in branches]
+    return [Branch(br.hops, br.cfo[p:p + 1], br.rho[p:p + 1], br.noise_var[p:p + 1])
+            for br in branches]
 
 
 POINT_BRANCHES = {
     "flat": [
-        Branch([flat_profile(1.0)], [0.0], [1.0], [[0.1 / 64]]),
-        Branch([flat_profile(1.0), flat_profile(4.0)], [0.0], [0.8], [[0.1 / 64], [0.1 / 64]]),
+        Branch([flat_profile(1.0)], [0.0], [1.0], [0.1 / 64]),
+        Branch([flat_profile(1.0), flat_profile(4.0)], [0.0], [0.8], [(1 + 0.8 ** 2) * 0.1 / 64]),
     ],
     "selective_two_relays": [
-        Branch([uniform_profile(4, 1.0)], [0.0], [1.0], [[0.1 / 64]]),
+        Branch([uniform_profile(4, 1.0)], [0.0], [1.0], [0.1 / 64]),
         Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [0.8],
-               [[0.1 / 64], [0.1 / 64]]),
+               [(1 + 0.8 ** 2) * 0.1 / 64]),
         Branch([uniform_profile(2, 1.0), uniform_profile(3, 2.0)], [0.0], [1.3],
-               [[0.05 / 64], [0.2 / 64]]),
+               [(0.2 + 1.3 ** 2 * 0.05) / 64]),
     ],
 }
 

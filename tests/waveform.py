@@ -4,9 +4,9 @@
 is exact when the cyclic prefix covers the channel memory.  This module
 builds the waveform that identity stands for, sample by sample: modulate
 (inverse transform, prefix insertion), linear convolution hop by hop, the
-CFO ramp, noise, prefix removal, transform and derotation.  It shares no
-arithmetic with the engine: its transforms are numpy's and its leakage
-coefficient is the closed form `cfo_spectrum`.
+CFO ramp, prefix removal, one noise body per branch, transform and
+derotation.  It shares no arithmetic with the engine: its transforms are
+numpy's and its leakage coefficient is the closed form `cfo_spectrum`.
 
 Signals are plain complex arrays whose last axis is time and whose leading
 axis, when present, indexes trials; a prefix-extended row holds N + Ng
@@ -131,10 +131,10 @@ def apply_cfo(samples, eps: float, params: OfdmParams) -> np.ndarray:
 def replay_draws(params, branches, rng, trials):
     """The draws of one `simulate_block` call at one point, replayed on
     `rng` in the documented order: symbols (trials, N), each branch's taps
-    hop by hop, then each branch's noise hop by hop at (trials, N + cp_len),
-    every tap or noise block real part first.  Returns (symbols, taps,
-    noise) with taps[b][i] and noise[b][i] those of branch b's hop i."""
-    n, cp = params.n_subcarriers, params.cp_len
+    hop by hop, then each branch's one noise body at (trials, N), every
+    tap or noise block real part first.  Returns (symbols, taps, noise)
+    with taps[b][i] those of branch b's hop i and noise[b] its noise."""
+    n = params.n_subcarriers
     table = CONSTELLATIONS[params.constellation] * np.sqrt(params.symbol_power)
     symbols = table[rng.integers(0, table.size, (trials, n))]
 
@@ -143,7 +143,7 @@ def replay_draws(params, branches, rng, trials):
 
     taps = [[np.sqrt(p.tap_powers / 2.0) * complex_normals((trials, p.n_taps)) for p in br.hops]
             for br in branches]
-    noise = [[complex_normals((trials, n + cp)) for _ in br.noise_vars] for br in branches]
+    noise = [complex_normals((trials, n)) for _ in branches]
     return symbols, taps, noise
 
 
@@ -163,9 +163,9 @@ def waveform_powers(params, branches, rng, trials):
     sample by sample.
 
     Per branch the modulated symbol passes each hop's linear convolution in
-    turn, the CFO ramp of the branch offset, and the gain rho; a noise
-    received before the last hop is amplified by rho but neither convolved
-    nor rotated.  The destination removes the prefix, transforms, and
+    turn, the CFO ramp of the branch offset, and the gain rho.  The
+    destination removes the prefix, adds the branch's noise body at its
+    per-sample variance, neither convolved nor rotated, transforms, and
     splits each bin by `split_powers` with the genie gain
     g = rho C(eps, 0) prod H; powers add over branches.
     """
@@ -173,16 +173,14 @@ def waveform_powers(params, branches, rng, trials):
     symbols, taps, noise = replay_draws(params, branches, rng, trials)
     tx = modulate(symbols, params)
     signal, residual = np.zeros(trials), np.zeros(trials)
-    for branch, branch_taps, branch_noise in zip(branches, taps, noise):
+    for branch, branch_taps, z in zip(branches, taps, noise):
         rx = tx
         for h in branch_taps:
             rx = apply_channel(rx, h, params)
         eps, rho = branch.cfo[0], branch.rho[0]
         rx = rho * apply_cfo(rx, eps, params)
-        amplitudes = [rho] * (len(branch_noise) - 1) + [1.0]
-        for amplitude, var, z in zip(amplitudes, branch.noise_vars, branch_noise):
-            rx = rx + amplitude * np.sqrt(var[0] / 2.0) * z
-        spectrum = np.fft.fft(remove_cp(rx, params), axis=-1)
+        body = remove_cp(rx, params) + np.sqrt(branch.noise_var[0] / 2.0) * z
+        spectrum = np.fft.fft(body, axis=-1)
         response = np.prod([np.fft.fft(h, n, axis=-1) for h in branch_taps], axis=0)
         gain = rho * cfo_spectrum(eps, 0, n) * response
         branch_signal, branch_residual = split_powers(spectrum, gain, symbols)
