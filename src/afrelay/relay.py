@@ -9,8 +9,8 @@ destination's it is one Gaussian of the closed form's variance s_b.  The
 destination removes the prefix, transforms each branch, co-phases it
 using genie knowledge of the true dominant-term coefficient, and combines
 with equal gain.
-`simulate_block` is the one simulator entry point: it runs one or more
-random-stream blocks of trials at P sweep points on the same draws.
+`simulate_block` is the one simulator entry point: it runs one
+random-stream block of trials at P sweep points on the same draws.
 
 The channel is applied per frequency bin: a cyclic prefix that covers the
 channel memory (`channel.require_isi_free`) turns the linear convolution of
@@ -149,19 +149,15 @@ class Branch:
             raise ValueError("noise variances must be >= 0")
 
 
-def simulate_block(params: OfdmParams, branches: list, rngs: list, trials: list) -> TrialOutcome:
-    """Run the trials of one or more stream blocks at every point and
-    decompose their spectra.
+def simulate_block(params: OfdmParams, branches: list, rng: np.random.Generator,
+                   trials: int) -> TrialOutcome:
+    """Run one stream block of `trials` trials at every point and decompose
+    their spectra.
 
-    `rngs` holds one generator per stream block and `trials` that block's
-    trial count, in block order.  The branches, direct link first, hold P
-    values per field; every point receives the same draws.  The (P, trials)
-    powers stack the blocks' trials in block order, each row's powers those
-    of its block simulated alone.  Every generator draws the sequence of
-    its block alone: symbol indices (trials, N), each branch's taps hop by
-    hop (each real block then imaginary block), then per branch one noise
-    body at (trials, N).  Each draw is made from every block in block order
-    before the next.
+    The branches, direct link first, hold P values per field; every point
+    receives the same draws.  `rng` draws, in order: symbol indices
+    (trials, N), each branch's taps hop by hop (each real block then
+    imaginary block), then per branch one noise body at (trials, N).
 
     A branch applies the CFO-rotated cascade of its hops, scaled by rho,
     and adds its noise body at variance `noise_var` per sample, neither
@@ -172,18 +168,14 @@ def simulate_block(params: OfdmParams, branches: list, rngs: list, trials: list)
     noise body n at the point's amplitude a, reduced once per branch, plus,
     at a nonzero offset u, N (rho^2 ||z_u||^2 + 2 rho a Re <z_u, n>) for
     z_u = W_u v and v = idft(HX), reduced once per branch and distinct
-    offset.  Each point adds its branches' powers in branch order.
+    offset.  Each point adds its branches' powers in branch order.  A sum
+    that overflows raises `FloatingPointError` rather than returning `inf`.
     """
     n, cp = params.n_subcarriers, params.cp_len
-
-    def draw(sample):  # one draw per block, stacked along the trial axis
-        return np.concatenate([sample(rng, count) for rng, count in zip(rngs, trials)])
-
     for br in branches:  # the hop cascade's L1 + ... - (hops - 1) taps
         require_isi_free(cp, [sum(p.n_taps for p in br.hops) - len(br.hops) + 1], "the channel")
-    symbols = draw(lambda rng, count: draw_symbols(params, rng, count))
-    hops = [[draw(lambda rng, count: draw_channel(profile, rng, count)) for profile in br.hops]
-            for br in branches]
+    symbols = draw_symbols(params, rng, trials)
+    hops = [[draw_channel(profile, rng, trials) for profile in br.hops] for br in branches]
     cfo = np.array([br.cfo for br in branches], dtype=np.float64)  # (M + 1, P)
     rho = np.array([br.rho for br in branches], dtype=np.float64)
     alpha = np.sqrt(np.array([br.noise_var for br in branches], dtype=np.float64) / 2.0)
@@ -191,26 +183,27 @@ def simulate_block(params: OfdmParams, branches: list, rngs: list, trials: list)
     gain = dirichlet_gain(offsets, n)
     coefficient = gain * np.exp(1j * np.pi * offsets * (1.0 - 1.0 / n))
     w = np.exp(2j * np.pi / n * offsets[:, None] * np.arange(n)) - coefficient[:, None]
-    signal, residual = np.zeros((2, rho.shape[1], len(symbols)))
-    for b, index in enumerate(np.searchsorted(offsets, cfo)):
-        spectrum = frequency_response(hops[b][0], n)  # H, then HX
-        for h in hops[b][1:]:
-            spectrum *= frequency_response(h, n)
-        magnitude = rho[b] * gain[index]  # |genie gain / H|
-        if not (spectrum.all() and magnitude.all()):
-            zero = np.flatnonzero(np.any(spectrum == 0, axis=0) | np.any(magnitude == 0))
-            warnings.warn(f"genie gain is exactly zero at bins {zero.tolist()}; "
-                          "derotation phase set to 0 there", stacklevel=2)
-        spectrum *= symbols
-        signal += magnitude[:, None] ** 2 * np.sum(spectrum.real ** 2 + spectrum.imag ** 2, -1)
-        noise = draw(lambda rng, count: standard_noise((count, n), rng)).view(np.float64)
-        power = alpha[b, :, None] ** 2 * np.sum(noise * noise, -1)  # (re, im) pairs
-        moving = np.unique(index[offsets[index] != 0])
-        body = idft(spectrum) if moving.size else None
-        for u in moving:  # W is exactly 0 at a zero offset
-            z = (w[u] * body).view(np.float64)
-            at = np.flatnonzero(index == u)
-            r, a = rho[b, at, None], alpha[b, at, None]
-            power[at] += r ** 2 * np.sum(z * z, -1) + 2.0 * r * a * np.sum(z * noise, -1)
-        residual += n * power
+    signal, residual = np.zeros((2, rho.shape[1], trials))
+    with np.errstate(over="raise"):  # a sum beyond the float range is an error
+        for b, index in enumerate(np.searchsorted(offsets, cfo)):
+            spectrum = frequency_response(hops[b][0], n)  # H, then HX
+            for h in hops[b][1:]:
+                spectrum *= frequency_response(h, n)
+            magnitude = rho[b] * gain[index]  # |genie gain / H|
+            if not (spectrum.all() and magnitude.all()):
+                zero = np.flatnonzero(np.any(spectrum == 0, axis=0) | np.any(magnitude == 0))
+                warnings.warn(f"genie gain is exactly zero at bins {zero.tolist()}; "
+                              "derotation phase set to 0 there", stacklevel=2)
+            spectrum *= symbols
+            signal += magnitude[:, None] ** 2 * np.sum(spectrum.real ** 2 + spectrum.imag ** 2, -1)
+            noise = standard_noise((trials, n), rng).view(np.float64)
+            power = alpha[b, :, None] ** 2 * np.sum(noise * noise, -1)  # (re, im) pairs
+            moving = np.unique(index[offsets[index] != 0])
+            body = idft(spectrum) if moving.size else None
+            for u in moving:  # W is exactly 0 at a zero offset
+                z = (w[u] * body).view(np.float64)
+                at = np.flatnonzero(index == u)
+                r, a = rho[b, at, None], alpha[b, at, None]
+                power[at] += r ** 2 * np.sum(z * z, -1) + 2.0 * r * a * np.sum(z * noise, -1)
+            residual += n * power
     return TrialOutcome(signal, residual)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,26 @@ def test_block_failure_names_its_block_range(config_path, tmp_path, capsys, monk
     assert isinstance(failure.value.__cause__, ValueError)
 
 
+@pytest.mark.parametrize("symbol_power", [1e306, 1e303])
+def test_overflowed_power_sums_exit_with_runtime_code(symbol_power, tmp_path, capsys):
+    # at 1e306 a per-trial sum overflows in the engine, at 1e303 only the
+    # totals of the 2000 trials do: either ends the run instead of writing
+    # inf, without a numpy warning; the closed form stays finite
+    raw = copy.deepcopy(harness.PRESETS["fig3_flat"])
+    raw["ofdm"]["symbol_power"] = symbol_power
+    config, out = tmp_path / "large.json", tmp_path / "large.csv"
+    config.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["simulate", "--config", str(config), "--mode", "simulate", "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    assert "overflow" in capsys.readouterr().err
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert main(["simulate", "--config", str(config), "--mode", "analytical",
+                 "--out", str(out)]) == EXIT_OK
+
+
 def test_module_entry_point_runs(config_path, tmp_path):
     out = tmp_path / "module.csv"
     proc = subprocess.run(
@@ -195,7 +216,7 @@ def test_module_entry_point_runs(config_path, tmp_path):
 @pytest.mark.parametrize("name", ["fig4_selective", "two_relays"])
 def test_simulate_reproduces_the_golden_csv(name, tmp_path):
     # the random stream and everything after it, pinned at 204 trials
-    # (two blocks at N=64); rel 1e-7 allows 9th-digit rounding across numpy
+    # (one block at N=64); rel 1e-7 allows 9th-digit rounding across numpy
     # builds, so only a change to the stream or the model moves these files
     config = name
     if name == "two_relays":

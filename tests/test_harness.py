@@ -31,7 +31,7 @@ from afrelay.harness import (
     with_overrides,
     write_csv,
 )
-from afrelay.ofdm import draw_symbols
+from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.relay import gain_factor
 from conftest import one_point, paper_snr
 
@@ -381,7 +381,7 @@ def test_identical_results_across_worker_counts():
 
 
 def test_block_stream_is_independent_of_worker_count(monkeypatch):
-    # 357 trials at N=64 are three full 102-trial blocks and a short one
+    # 714 trials at N=64 are three full 204-trial blocks and a short one
     starts, reduced = [], []
 
     class CountingPool(harness.ProcessPoolExecutor):
@@ -397,45 +397,68 @@ def test_block_stream_is_independent_of_worker_count(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(harness, "_aggregate_trials", recording_aggregate)
     raw = copy.deepcopy(TINY)
-    raw["trials"] = 357
+    raw["trials"] = 714
     empirical, rows = {}, {}
     for workers in (1, 2, 3):
         cfg = config_from_dict({**raw, "workers": workers})
-        assert harness.block_size(cfg.ofdm) == 102
+        assert harness.block_size(cfg.ofdm) == 204
         (empirical[workers],) = run_sweep(one_point_config(cfg, (0.1, 0.2)))
         before = len(starts)
         rows[workers] = run_sweep(cfg)
         assert len(starts) - before <= 1
     assert starts == [2, 2, 3, 3]  # workers=1 never starts a pool
     assert empirical[1] == empirical[2] == empirical[3]  # bitwise-identical floats
-    # every point of every run reduced all 357 per-trial power pairs
-    assert reduced == [((357,), (357,))] * 9
-    assert empirical[1].trials == 357
+    # every point of every run reduced all 714 per-trial power pairs
+    assert reduced == [((714,), (714,))] * 9
+    assert empirical[1].trials == 714
     assert rows[1] == rows[2] == rows[3]
 
 
 def test_sweep_draws_each_block_once(monkeypatch):
     # every point shares the block streams, so a sweep of P points draws
-    # each block once rather than P times, and each point's empirical
-    # columns are still those of the point run alone
-    draws = []
+    # each block once rather than P times, in one engine call on the
+    # block's own generator, and each point's empirical columns are still
+    # those of the point run alone
+    draws, calls = [], []
 
     def counting_draw_symbols(params, rng, trials):
         draws.append(trials)
         return draw_symbols(params, rng, trials)
 
+    def counting_simulate_block(params, branches, rng, trials):
+        calls.append((type(rng), trials))
+        return simulate_block(params, branches, rng, trials)
+
     raw = copy.deepcopy(TINY)
-    raw["trials"] = 357  # three full 102-trial blocks and a short one
+    raw["trials"] = 714  # three full 204-trial blocks and a short one
     raw["sweep"]["grid"] = [0.0, 0.2, 0.4]
     raw["noise_scales"] = [1.0, 0.1]
     cfg = config_from_dict(raw)
+    simulate_block = harness.simulate_block
     monkeypatch.setattr(relay, "draw_symbols", counting_draw_symbols)
+    monkeypatch.setattr(harness, "simulate_block", counting_simulate_block)
     rows = run_sweep(cfg)
     assert len(rows) == 6
-    assert draws == [102, 102, 102, 51]
+    assert draws == [204, 204, 204, 102]
+    assert calls == [(np.random.Generator, 204)] * 3 + [(np.random.Generator, 102)]
     for row, eps, scale in zip(rows, *sweep_offsets(cfg)):
         (alone,) = run_sweep(one_point_config(cfg, eps.tolist(), scale))
         assert (row.empirical_db, row.stderr_db) == (alone.empirical_db, alone.stderr_db)
+
+
+def test_block_size_follows_the_transmitted_symbol_length():
+    sizes = {(n, cp): harness.block_size(OfdmParams(n_subcarriers=n, cp_len=cp))
+             for n, cp in ((64, 16), (1024, 64), (16384, 1))}
+    assert sizes == {(64, 16): 204, (1024, 64): 15, (16384, 1): 1}
+
+
+def test_tiny_noise_zero_offset_point_is_finite():
+    # only a residual of exactly 0 is the infinity sentinel: at noise scale
+    # 1e-26 the zero-offset point's SNR is near 272 dB, finite on both sides
+    cfg = with_overrides(load_config("fig3_flat"), trials=408)
+    (row,) = run_sweep(one_point_config(cfg, (0.0, 0.0), 1e-26))
+    assert math.isfinite(row.analytical_db) and math.isfinite(row.empirical_db)
+    assert abs(row.empirical_db - row.analytical_db) < max(0.3, 3.0 * row.stderr_db)
 
 
 def test_stderr_shrinks_like_inverse_root_trials():

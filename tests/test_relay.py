@@ -45,7 +45,7 @@ def _draws(seed, profiles, trials):
 def _oracle_error(branches, seed, trials, params=PARAMS):
     """Worst relative error of a block's powers against both oracles,
     `oracle_powers` and the time-domain `waveform_powers`."""
-    block = simulate_block(params, branches, [np.random.default_rng(seed)], [trials])
+    block = simulate_block(params, branches, np.random.default_rng(seed), trials)
     return max(
         float(np.max(np.abs(got - want) / want))
         for oracle in (oracle_powers, waveform_powers)
@@ -105,7 +105,7 @@ def test_branch_needs_one_or_two_hops(hops):
 def test_direct_link_trivial_passthrough():
     # flat fading, no offset, no noise: the received bins are h X[k]
     block = simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [0.0])],
-                           [np.random.default_rng(1)], [5])
+                           np.random.default_rng(1), 5)
     sym, (h,) = _draws(1, [FLAT], 5)
     expected = np.abs(h[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
     assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
@@ -127,7 +127,7 @@ def test_direct_link_isi_precondition():
     # 18 taps have memory 17, one beyond the prefix
     direct = Branch([uniform_profile(18)], [0.0], [1.0], [0.0])
     with pytest.raises(ValueError, match="has 18 taps, memory 17 .*prefix length 16"):
-        simulate_block(PARAMS, [direct], [np.random.default_rng(0)], [1])
+        simulate_block(PARAMS, [direct], np.random.default_rng(0), 1)
 
 
 # ---------------------------------------------------------------- relay branch
@@ -138,7 +138,7 @@ def test_relay_branch_trivial_passthrough():
     relay = Branch([FLAT, flat_profile(4.0)], [0.0], [0.8], [0.0])
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
         block = simulate_block(PARAMS, [Branch([MUTED], [0.0], [1.0], [0.0]), relay],
-                               [np.random.default_rng(6)], [5])
+                               np.random.default_rng(6), 5)
     sym, (_, h1, h2) = _draws(6, [MUTED, FLAT, flat_profile(4.0)], 5)
     expected = 0.8 ** 2 * np.abs(h1[:, 0] * h2[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
     assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
@@ -157,7 +157,7 @@ def test_relay_branch_linear_in_gain():
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
         block = simulate_block(PARAMS, [Branch([MUTED], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]),
                                         relay],
-                               [np.random.default_rng(10)], [5])
+                               np.random.default_rng(10), 5)
     assert np.array_equal(block.signal_power[1], 4.0 * block.signal_power[0])
     assert np.array_equal(block.residual_power[1], 4.0 * block.residual_power[0])
 
@@ -189,7 +189,7 @@ def test_relay_branch_isi_precondition():
         relay = Branch([uniform_profile(n) for n in taps], [0.0], [1.0], [0.0])
         with pytest.raises(ValueError, match="has 18 taps, memory 17 .*prefix length 16"):
             simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [0.0]), relay],
-                           [np.random.default_rng(0)], [1])
+                           np.random.default_rng(0), 1)
 
 
 # ------------------------------------------------------ memory at the prefix
@@ -213,7 +213,7 @@ def test_two_ideal_branches_combine_coherently():
     # co-phased, each branch adds its coherent power and no residual
     relay = Branch([FLAT, FLAT], [0.0], [1.0], [0.0])
     block = simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [0.0]), relay],
-                           [np.random.default_rng(13)], [5])
+                           np.random.default_rng(13), 5)
     sym, (h0, h1, h2) = _draws(13, [FLAT, FLAT, FLAT], 5)
     gains = np.abs(h0[:, 0]) ** 2 + np.abs(h1[:, 0] * h2[:, 0]) ** 2
     assert np.allclose(block.signal_power, gains * np.sum(np.abs(sym) ** 2, axis=-1),
@@ -277,7 +277,7 @@ def test_combining_is_linear_in_branches():
         Branch([uniform_profile(2), FLAT], [0.3] * 3, [0.0, 0.9, 0.9], [0.0] * 3),
     ]
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = simulate_block(PARAMS, branches, [np.random.default_rng(18)], [5])
+        block = simulate_block(PARAMS, branches, np.random.default_rng(18), 5)
     for power in (block.signal_power, block.residual_power):
         assert np.array_equal(power[2], power[0] + power[1])
 
@@ -286,13 +286,13 @@ def test_zero_genie_gain_is_flagged():
     direct = Branch([MUTED], [0.1], [1.0], [0.01])
     relay = Branch([FLAT, FLAT], [0.2], [1.0], [0.02])
     with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
-        block = simulate_block(PARAMS, [direct, relay], [np.random.default_rng(19)], [3])
+        block = simulate_block(PARAMS, [direct, relay], np.random.default_rng(19), 3)
     assert np.isfinite(block.signal_power).all() and np.isfinite(block.residual_power).all()
     # a relay point at rho = 0 has a zero genie gain at every bin
     silent = Branch([FLAT, FLAT], [0.2, 0.2], [1.0, 0.0], [0.02, 0.01])
     with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
         simulate_block(PARAMS, [Branch([FLAT], [0.1, 0.1], [1.0, 1.0], [0.01, 0.01]), silent],
-                       [np.random.default_rng(19)], [3])
+                       np.random.default_rng(19), 3)
 
 
 # --------------------------------------------------------------- decomposition
@@ -300,16 +300,16 @@ def test_zero_genie_gain_is_flagged():
 def test_no_offset_no_noise_leaves_zero_residual():
     branches = [Branch([uniform_profile(4, 1.0)], [0.0], [1.0], [0.0]),
                 Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [1.0], [0.0])]
-    outcome = one_point(simulate_block(PARAMS, branches, [np.random.default_rng(22)], [1]))
+    outcome = one_point(simulate_block(PARAMS, branches, np.random.default_rng(22), 1))
     assert outcome.residual_power[0] == 0
 
 
 def test_scaling_symbols_by_two_quadruples_signal_power():
     # symbol_power 4 doubles every symbol, sample and bin exactly
     direct = Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [0.0])
-    base = simulate_block(PARAMS, [direct], [np.random.default_rng(24)], [5])
+    base = simulate_block(PARAMS, [direct], np.random.default_rng(24), 5)
     scaled = simulate_block(OfdmParams(n_subcarriers=64, cp_len=16, symbol_power=4.0),
-                            [direct], [np.random.default_rng(24)], [5])
+                            [direct], np.random.default_rng(24), 5)
     assert np.array_equal(scaled.signal_power, 4.0 * base.signal_power)
     assert np.array_equal(scaled.residual_power, 4.0 * base.residual_power)
 
@@ -324,7 +324,7 @@ def test_noise_only_signal_power_converges_to_coherent_power():
     trials = 4000
     for b in range(10):
         rng = np.random.default_rng([99, b])
-        total += np.sum(simulate_block(params, branches, [rng], [trials // 10]).signal_power)
+        total += np.sum(simulate_block(params, branches, rng, trials // 10).signal_power)
     per_bin = total / (trials * 64)
     assert per_bin == pytest.approx(1.0 + 4.0, rel=0.05)
 
@@ -346,7 +346,7 @@ def test_noise_only_residual_converges_to_the_closed_form_noise():
     trials = 4000
     for b in range(10):
         rng = np.random.default_rng([99, b])
-        outcome = simulate_block(cfg.ofdm, branches, [rng], [trials // 10])
+        outcome = simulate_block(cfg.ofdm, branches, rng, trials // 10)
         total = total + np.sum(outcome.residual_power, axis=-1)
     per_bin = total / (trials * cfg.ofdm.n_subcarriers)
     assert per_bin == pytest.approx(np.sum(stats.noise_vars, axis=-1), rel=0.01)
@@ -359,8 +359,8 @@ def test_trial_is_deterministic_given_the_stream():
     branches = [Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [0.001]),
                 Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.2], [0.8],
                        [(1 + 0.8 ** 2) * 0.001])]
-    a = simulate_block(params, branches, [np.random.default_rng([7, 1])], [1])
-    b = simulate_block(params, branches, [np.random.default_rng([7, 1])], [1])
+    a = simulate_block(params, branches, np.random.default_rng([7, 1]), 1)
+    b = simulate_block(params, branches, np.random.default_rng([7, 1]), 1)
     assert np.array_equal(a.signal_power, b.signal_power)
     assert np.array_equal(a.residual_power, b.residual_power)
 
@@ -373,7 +373,7 @@ def test_trial_supports_multiple_relay_branches():
         Branch([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], [-0.2], [0.7],
                [(1 + 0.7 ** 2) * 0.001]),
     ]
-    outcome = one_point(simulate_block(params, branches, [np.random.default_rng(5)], [1]))
+    outcome = one_point(simulate_block(params, branches, np.random.default_rng(5), 1))
     assert outcome.signal_power[0] > 0 and outcome.residual_power[0] > 0
 
 
@@ -412,7 +412,7 @@ GOLDEN_POWERS = {
 @pytest.mark.parametrize("name, seed", sorted(GOLDEN_POWERS))
 def test_one_trial_block_reproduces_per_trial_engine(name, seed):
     rng = np.random.default_rng([20260808, seed])
-    block = one_point(simulate_block(PARAMS, GOLDEN_BRANCHES[name], [rng], [1]))
+    block = one_point(simulate_block(PARAMS, GOLDEN_BRANCHES[name], rng, 1))
     signal, residual = GOLDEN_POWERS[(name, seed)]
     assert block.signal_power.shape == block.residual_power.shape == (1,)
     assert block.signal_power[0] == pytest.approx(signal, rel=1e-12)
@@ -471,11 +471,11 @@ def test_block_of_points_equals_one_point_blocks(name, trials, count):
     scales += rng.choice([1.0, 0.1, 0.0], count - 4).tolist()
     gains += rng.uniform(0.5, 1.5, count - 4).tolist()
     points = _point_branches(branches, cfos, scales, gains)
-    block = simulate_block(PARAMS, points, [np.random.default_rng([5, 3])], [trials])
+    block = simulate_block(PARAMS, points, np.random.default_rng([5, 3]), trials)
     assert block.signal_power.shape == block.residual_power.shape == (count, trials)
     for p in range(count):
         alone = one_point(simulate_block(PARAMS, _one_point(points, p),
-                                         [np.random.default_rng([5, 3])], [trials]))
+                                         np.random.default_rng([5, 3]), trials))
         assert np.array_equal(block.signal_power[p], alone.signal_power)
         assert np.array_equal(block.residual_power[p], alone.residual_power)
 
@@ -486,8 +486,8 @@ def test_block_of_points_consumes_the_stream_of_one_point():
     points = _point_branches(POINT_BRANCHES["selective_two_relays"], np.zeros((3, 3)),
                              [1.0, 0.5, 0.1])
     shared, alone = np.random.default_rng(9), np.random.default_rng(9)
-    simulate_block(PARAMS, points, [shared], [11])
-    simulate_block(PARAMS, _one_point(points, 2), [alone], [11])
+    simulate_block(PARAMS, points, shared, 11)
+    simulate_block(PARAMS, _one_point(points, 2), alone, 11)
     assert shared.bit_generator.state == alone.bit_generator.state
 
 
@@ -505,43 +505,15 @@ def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
             calls.clear()
             simulate_block(PARAMS, _point_branches(POINT_BRANCHES["selective_two_relays"], cfos,
                                                    np.ones(count)),
-                           [np.random.default_rng(4)], [7])
+                           np.random.default_rng(4), 7)
             counts.append(len(calls))
         assert counts[0] == counts[1] == 5 + inverses  # hop responses, then the inverses
-
-
-@pytest.mark.parametrize("name, trials, count", [
-    pytest.param("flat", (102, 51), 4, id="flat-102+51"),
-    pytest.param("selective_two_relays", (102, 51), 4, id="selective_two_relays-102+51"),
-    pytest.param("selective_two_relays", (7, 3), 40, id="selective_two_relays-7+3-40"),
-])
-def test_call_over_consecutive_blocks_equals_one_block_calls(name, trials, count):
-    # a call over the generators of blocks b and b + 1 gives each block's
-    # rows as its one-block call does, and leaves each generator where that
-    # call leaves it; the second block is short
-    branches = POINT_BRANCHES[name]
-    rng = np.random.default_rng(count)
-    cfos = rng.uniform(-0.5, 0.5, (count, len(branches)))
-    cfos[::2, 0] = 0.0  # the direct link at zero offset on every other point
-    points = _point_branches(branches, cfos, rng.choice([1.0, 0.1, 0.0], count),
-                             rng.uniform(0.5, 1.5, count))
-    shared = [np.random.default_rng([5, b]) for b in (3, 4)]
-    block = simulate_block(PARAMS, points, shared, list(trials))
-    alone = [np.random.default_rng([5, b]) for b in (3, 4)]
-    parts = [simulate_block(PARAMS, points, [stream], [size])
-             for stream, size in zip(alone, trials)]
-    assert block.signal_power.shape == (count, sum(trials))
-    assert np.array_equal(block.signal_power,
-                          np.concatenate([part.signal_power for part in parts], axis=-1))
-    assert np.array_equal(block.residual_power,
-                          np.concatenate([part.residual_power for part in parts], axis=-1))
-    assert [g.bit_generator.state for g in shared] == [g.bit_generator.state for g in alone]
 
 
 def test_noise_free_zero_offset_point_has_zero_residual_beside_noisy_points():
     # the infinity sentinel reports such a point, whose residual is exactly 0
     cfos = [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [0.5, -0.5, 0.5]]
     points = _point_branches(POINT_BRANCHES["selective_two_relays"], cfos, [0.0, 1.0, 1.0, 0.1])
-    block = simulate_block(PARAMS, points, [np.random.default_rng(12)], [102])
+    block = simulate_block(PARAMS, points, np.random.default_rng(12), 102)
     assert np.all(block.residual_power[0] == 0)
     assert np.all(block.residual_power[1:] > 1e-6 * block.signal_power[1:])
