@@ -1,4 +1,4 @@
-"""Random multipath channels, their frequency response, the ISI rule, and noise.
+"""Random multipath channels, their frequency response and the ISI rule.
 
 Channels are block fading: one tap realization per OFDM symbol, taps drawn
 as independent circularly-symmetric complex Gaussians (Rayleigh-magnitude
@@ -102,17 +102,4 @@ def require_isi_free(cp_len: int, hop_taps, link: str) -> None:
             f"inter-symbol interference: {link} has {'+'.join(map(str, hop_taps))} taps, "
             f"memory {memory} beyond the cyclic prefix length {cp_len}"
         )
-
-
-def standard_noise(shape, rng: np.random.Generator) -> np.ndarray:
-    """Circularly-symmetric complex normals of `shape`, not yet scaled.
-
-    One real block then one imaginary block of standard normals.  A path's
-    noise is drawn even at noise_var = 0, so random streams stay aligned
-    across runs that differ only in noise level.
-    """
-    noise = np.empty(shape, dtype=np.complex128)
-    noise.real = rng.standard_normal(shape)
-    noise.imag = rng.standard_normal(shape)
-    return noise
 

@@ -15,9 +15,10 @@ point, simulated once per sweep.
 Noise convention: configured noise variances are per received frequency
 bin, the same quantities the closed-form SNR consumes.  Each branch's
 noise s_b (the destination's noise plus rho^2 times the relay's) is
-formed once, in `point_inputs`; the simulator injects one time-domain
-noise body per branch at variance s_b/N per sample, which the
-un-normalized transform maps back to s_b per bin.
+formed once, in `point_inputs`; a simulator branch carries it as the
+variance s_b/N per time-domain sample, which the un-normalized transform
+maps back to s_b per bin.  The engine draws no noise: it adds the noise's
+exact conditional mean, N s_b, to each trial's residual.
 
 Reproducibility: trials run in blocks of B = max(1, 16384 // (N + cp_len))
 (204 at N=64, 15 at N=1024), a size fixed by the numerology alone.  Block
@@ -486,10 +487,13 @@ def _empirical_results(cfg: ExperimentConfig, branches):
     for b, outcome in enumerate(chain.from_iterable(results)):  # trials [bB, (b+1)B)
         at = slice(b * size, (b + 1) * size)
         sig[:, at], res[:, at] = outcome.signal_power, outcome.residual_power
-    return [_aggregate_trials(point_sig, point_res) for point_sig, point_res in zip(sig, res)]
+    return [_aggregate_trials(point_sig, point_res,
+                              f"row {p} (eps1={branches[0].cfo[p]:.9g}, "
+                              f"eps2={branches[1].cfo[p]:.9g})")
+            for p, (point_sig, point_res) in enumerate(zip(sig, res))]
 
 
-def _aggregate_trials(sig: np.ndarray, res: np.ndarray) -> tuple:
+def _aggregate_trials(sig: np.ndarray, res: np.ndarray, point: str) -> tuple:
     """Ratio-of-sums estimate in dB and its delta-method standard error in dB.
 
     The ratio of summed powers estimates the ratio of expectations; the
@@ -497,11 +501,15 @@ def _aggregate_trials(sig: np.ndarray, res: np.ndarray) -> tuple:
     vs/ms^2 + vr/mr^2 - 2 cov/(ms mr), in one pass as the variance of
     sig/ms - res/mr.  A residual total of exactly 0, the closed form's
     den == 0, is the infinity sentinel (inf, 0); a total that overflows
-    raises `FloatingPointError`.
+    raises `FloatingPointError` naming `point` and the total.
     """
     trials = sig.size
-    with np.errstate(over="raise"):
+    with np.errstate(over="ignore"):  # the per-trial powers are finite: inf is overflow
         total_sig, total_res = float(np.sum(sig)), float(np.sum(res))
+    for name, total in (("signal", total_sig), ("residual", total_res)):
+        if math.isinf(total):
+            raise FloatingPointError(f"{point}: the {name} power total of {trials} trials "
+                                     "overflows the float range")
     if total_res == 0.0:
         return math.inf, 0.0
     lin = total_sig / total_res

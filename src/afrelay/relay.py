@@ -5,10 +5,10 @@ link, one hop, and each other branch a two-hop amplify-and-forward relay;
 a `Branch` describes either.  Each hop has its own multipath channel, and
 each branch its own fractional CFO and one noise: the relay's noise is
 neither convolved with the later hop nor rotated, so with the
-destination's it is one Gaussian of the closed form's variance s_b.  The
-destination removes the prefix, transforms each branch, co-phases it
-using genie knowledge of the true dominant-term coefficient, and combines
-with equal gain.
+destination's it is one Gaussian of the closed form's variance s_b per
+bin.  The destination removes the prefix, transforms each branch,
+co-phases it using genie knowledge of the true dominant-term coefficient,
+and combines with equal gain.
 `simulate_block` is the one simulator entry point: it runs one
 random-stream block of trials at P sweep points on the same draws.
 
@@ -26,13 +26,16 @@ power would retain a cross term between branch magnitudes that the closed
 form does not contain.  Derotation has unit modulus (phase 0 where g is
 0), so the remainder's power is ||Y - gX||^2, by Parseval
 N ||y - rho c v||^2 over the received body y, with c = C(eps, 0).  With
-W = r - c for the CFO ramp r, y - rho c v is rho W v plus the branch's one
-noise body n, of the variance s_b / N that the closed form sees.  Its
-energy expands into ||n||^2, reduced once per branch, and the terms of
-z = W v, reduced once per branch and distinct nonzero offset; a point only
-combines those sums with its own rho and noise amplitude, so no point runs
-a ramp, a transform or a derotation, and a branch at zero offset on every
-point runs no transform back to the time domain.
+W = r - c for the CFO ramp r, y - rho c v is rho W v plus the branch's
+noise body n, of variance s_b / N per sample.  Given the trial's symbols
+and channels, N ||rho W v + n||^2 has the exact mean N (s_b + rho^2 ||z||^2)
+for z = W v, since the cross term with n has mean 0.  The engine uses that
+conditional mean (conditional Monte Carlo) and draws no noise; the
+leakage ||z||^2, the CFO's cost, stays drawn, so the simulator does not
+recompute the closed form.  ||z||^2 is reduced once per branch and
+distinct nonzero offset; a point only adds s_b and its own rho, so no point
+runs a ramp, a transform or a derotation, and a branch at zero offset on
+every point runs no transform back to the time domain.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import draw_channel, frequency_response, require_isi_free, standard_noise
+from .channel import draw_channel, frequency_response, require_isi_free
 from .ofdm import OfdmParams, draw_symbols
 from .transforms import FCFO_BOUND, dirichlet_gain, idft
 
@@ -127,7 +130,8 @@ class Branch:
     `hops` holds one profile per hop in order.  `noise_var` is the
     per-sample variance of the one noise the branch's received body
     carries, every hop's noise as it arrives at the destination
-    (`harness.point_inputs` sets it to the closed form's s_b / N).  `cfo`,
+    (`harness.point_inputs` sets it to the closed form's s_b / N); the
+    engine adds its mean and draws none.  `cfo`,
     `rho` and `noise_var` are (P,) arrays, one value per sweep point.
     """
 
@@ -156,17 +160,16 @@ def simulate_block(params: OfdmParams, branches: list, rng: np.random.Generator,
 
     The branches, direct link first, hold P values per field; every point
     receives the same draws.  `rng` draws, in order: symbol indices
-    (trials, N), each branch's taps hop by hop (each real block then
-    imaginary block), then per branch one noise body at (trials, N).
+    (trials, N), then each branch's taps hop by hop (each real block then
+    imaginary block), and nothing else.
 
-    A branch applies the CFO-rotated cascade of its hops, scaled by rho,
-    and adds its noise body at variance `noise_var` per sample, neither
-    convolved nor rotated.  Every branch's channel memory must fit in the
+    A branch applies the CFO-rotated cascade of its hops, scaled by rho;
+    its noise, of variance `noise_var` per sample, enters by its
+    conditional mean.  Every branch's channel memory must fit in the
     prefix (`ValueError` otherwise).  The genie gain of a branch is
     rho * C(cfo, 0) * prod H_i per bin, in hop order.  A point's signal is
-    (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is N a^2 ||n||^2 for the
-    noise body n at the point's amplitude a, reduced once per branch, plus,
-    at a nonzero offset u, N (rho^2 ||z_u||^2 + 2 rho a Re <z_u, n>) for
+    (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is N s_b for
+    s_b = N noise_var plus, at a nonzero offset u, N rho^2 ||z_u||^2 for
     z_u = W_u v and v = idft(HX), reduced once per branch and distinct
     offset.  Each point adds its branches' powers in branch order.  A sum
     that overflows raises `FloatingPointError` rather than returning `inf`.
@@ -178,7 +181,7 @@ def simulate_block(params: OfdmParams, branches: list, rng: np.random.Generator,
     hops = [[draw_channel(profile, rng, trials) for profile in br.hops] for br in branches]
     cfo = np.array([br.cfo for br in branches], dtype=np.float64)  # (M + 1, P)
     rho = np.array([br.rho for br in branches], dtype=np.float64)
-    alpha = np.sqrt(np.array([br.noise_var for br in branches], dtype=np.float64) / 2.0)
+    s = n * np.array([br.noise_var for br in branches], dtype=np.float64)  # s_b per point
     offsets = np.unique(cfo)  # per distinct offset: |C(cfo, 0)|, C(cfo, 0) and W
     gain = dirichlet_gain(offsets, n)
     coefficient = gain * np.exp(1j * np.pi * offsets * (1.0 - 1.0 / n))
@@ -196,14 +199,12 @@ def simulate_block(params: OfdmParams, branches: list, rng: np.random.Generator,
                               "derotation phase set to 0 there", stacklevel=2)
             spectrum *= symbols
             signal += magnitude[:, None] ** 2 * np.sum(spectrum.real ** 2 + spectrum.imag ** 2, -1)
-            noise = standard_noise((trials, n), rng).view(np.float64)
-            power = alpha[b, :, None] ** 2 * np.sum(noise * noise, -1)  # (re, im) pairs
+            power = np.repeat(s[b, :, None], trials, -1)  # residual / N: the noise's mean
             moving = np.unique(index[offsets[index] != 0])
             body = idft(spectrum) if moving.size else None
             for u in moving:  # W is exactly 0 at a zero offset
-                z = (w[u] * body).view(np.float64)
+                z = (w[u] * body).view(np.float64)  # (re, im) pairs
                 at = np.flatnonzero(index == u)
-                r, a = rho[b, at, None], alpha[b, at, None]
-                power[at] += r ** 2 * np.sum(z * z, -1) + 2.0 * r * a * np.sum(z * noise, -1)
+                power[at] += rho[b, at, None] ** 2 * np.sum(z * z, -1)
             residual += n * power
     return TrialOutcome(signal, residual)

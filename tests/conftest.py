@@ -7,7 +7,8 @@ leakage coefficients instead of running the waveform pipeline,
 `oracle_powers` rebuilds the simulator's per-trial powers from those
 spectra (`waveform.waveform_powers` rebuilds them from the time-domain
 pipeline instead), and `paper_snr`/`paper_snr_upa` write the paper's
-single-relay SNR out term by term with the `math` module alone.
+single-relay SNR out term by term with the `math` module alone, and
+`paper_gain` its Dirichlet gain.
 `one_point` reads one point of a batched result.
 """
 import dataclasses
@@ -117,7 +118,8 @@ def cgauss(rng, shape, var=1.0):
     return np.sqrt(var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _dirichlet_gain(eps, n):
+def paper_gain(eps, n):
+    """The Dirichlet gain f_N(eps) = |C(eps, 0)| of `paper_snr`, with `math`."""
     e = abs(eps)
     if e == 0.0:
         return 1.0
@@ -133,8 +135,8 @@ def paper_snr(*, direct_gain_var, hop1_gain_var, hop2_gain_var, symbol_power,
         den = (1-f^2(e1)) s_H1 s_X + rho^2 (1-f^2(e2)) s_H2 s_H3 s_X
               + s_Z1 + rho^2 s_Z2 + s_Z3
     """
-    f1 = _dirichlet_gain(cfo_direct, n_subcarriers)
-    f2 = _dirichlet_gain(cfo_relay, n_subcarriers)
+    f1 = paper_gain(cfo_direct, n_subcarriers)
+    f2 = paper_gain(cfo_relay, n_subcarriers)
     a_direct = direct_gain_var * symbol_power
     a_relay = rho ** 2 * hop1_gain_var * hop2_gain_var * symbol_power
     num = f1 ** 2 * a_direct + f2 ** 2 * a_relay
@@ -155,8 +157,8 @@ def paper_snr_upa(*, direct_gain_var, hop1_gain_var, hop2_gain_var, symbol_power
     rho^2 = 1/hop1_gain_var already substituted: the relay branch weight
     collapses to hop2_gain_var * symbol_power and the amplified relay noise
     to relay_noise_var / hop1_gain_var.  rho is ignored."""
-    f1 = _dirichlet_gain(cfo_direct, n_subcarriers)
-    f2 = _dirichlet_gain(cfo_relay, n_subcarriers)
+    f1 = paper_gain(cfo_direct, n_subcarriers)
+    f2 = paper_gain(cfo_relay, n_subcarriers)
     a_direct = direct_gain_var * symbol_power
     a_relay = hop2_gain_var * symbol_power
     num = f1 ** 2 * a_direct + f2 ** 2 * a_relay

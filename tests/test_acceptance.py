@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from afrelay.analysis import LinkStats
-from afrelay.channel import frequency_response, standard_noise
+from afrelay.channel import frequency_response
 from afrelay.harness import (
     PRESETS,
     config_from_dict,
@@ -23,7 +23,14 @@ from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.relay import RelayGainConfig, gain_factor
 from afrelay.transforms import dirichlet_gain
 from conftest import cgauss, ici_reference, paper_snr, paper_snr_upa
-from waveform import apply_cfo, apply_channel, cfo_spectrum, linear_convolve, modulate
+from waveform import (
+    apply_cfo,
+    apply_channel,
+    cfo_spectrum,
+    linear_convolve,
+    modulate,
+    standard_noise,
+)
 
 from test_analysis import BASE, closed_form, lambdas, random_stats, single_relay, upa_limit
 
@@ -57,8 +64,8 @@ def test_c1_pipeline_oracle():
         h_hop2 = cgauss(rng, 4, var=4.0 / 4)
         eps1, eps2 = rng.uniform(-0.5, 0.5, 2)
 
-        # each noise source draws its normals, as the engine does; at variance
-        # 0 they add nothing, so the draws are discarded
+        # each noise source draws its normals, as the waveform oracle does; at
+        # variance 0 they add nothing, so the draws are discarded
         y_direct = apply_cfo(apply_channel(tx, h_direct, params), eps1, params)
         standard_noise(y_direct.shape, rng)
         cascade = linear_convolve(h_hop1, h_hop2, 7)

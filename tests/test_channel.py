@@ -11,13 +11,19 @@ from afrelay.channel import (
     exponential_profile,
     flat_profile,
     frequency_response,
-    standard_noise,
     uniform_profile,
 )
 from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.transforms import dft
 from conftest import cgauss, circular_convolve, ici_reference
-from waveform import apply_cfo, apply_channel, linear_convolve, modulate, remove_cp
+from waveform import (
+    apply_cfo,
+    apply_channel,
+    linear_convolve,
+    modulate,
+    remove_cp,
+    standard_noise,
+)
 
 
 # ------------------------------------------------------------------- profiles

@@ -389,9 +389,9 @@ def test_block_stream_is_independent_of_worker_count(monkeypatch):
             starts.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    def recording_aggregate(sig, res):
+    def recording_aggregate(sig, res, point):
         reduced.append((sig.shape, res.shape))
-        return aggregate(sig, res)
+        return aggregate(sig, res, point)
 
     aggregate = harness._aggregate_trials
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
@@ -482,7 +482,7 @@ def test_one_pass_stderr_matches_three_term_delta_method(trials):
     vs, vr = np.var(sig, ddof=1), np.var(res, ddof=1)
     cov = np.cov(sig, res, ddof=1)[0, 1]
     var_log = (vs / ms ** 2 + vr / mr ** 2 - 2.0 * cov / (ms * mr)) / trials
-    db, stderr_db = harness._aggregate_trials(sig, res)
+    db, stderr_db = harness._aggregate_trials(sig, res, "row 0")
     assert db == pytest.approx(10.0 * math.log10(np.sum(sig) / np.sum(res)), rel=1e-12)
     assert stderr_db == pytest.approx(10.0 / math.log(10.0) * math.sqrt(var_log), rel=1e-12)
 

@@ -4,13 +4,21 @@ the time-domain waveform) and exact cases, its warnings and preconditions,
 and its bitwise invariants across points."""
 import copy
 import dataclasses
+import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from afrelay.channel import PowerDelayProfile, draw_channel, flat_profile, uniform_profile
+from afrelay.channel import (
+    PowerDelayProfile,
+    draw_channel,
+    exponential_profile,
+    flat_profile,
+    uniform_profile,
+)
 from afrelay.harness import PRESETS, config_from_dict, point_inputs, sweep_offsets
 from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.relay import (
@@ -19,7 +27,7 @@ from afrelay.relay import (
     gain_factor,
     simulate_block,
 )
-from conftest import one_point, oracle_powers
+from conftest import one_point, oracle_powers, paper_gain
 from waveform import apply_cfo, apply_channel, modulate, waveform_powers
 
 PARAMS = OfdmParams(n_subcarriers=64, cp_len=16)
@@ -44,14 +52,19 @@ def _draws(seed, profiles, trials):
 
 def _oracle_error(branches, seed, trials, params=PARAMS):
     """Worst relative error of a block's powers against both oracles,
-    `oracle_powers` and the time-domain `waveform_powers`."""
+    `oracle_powers` and the time-domain `waveform_powers`.  The oracles run
+    without noise, and their residual gains the noise's conditional mean
+    N sum_b s_b, s_b = N noise_var, that the engine adds in place of a draw."""
+    n = params.n_subcarriers
     block = simulate_block(params, branches, np.random.default_rng(seed), trials)
-    return max(
-        float(np.max(np.abs(got - want) / want))
-        for oracle in (oracle_powers, waveform_powers)
-        for got, want in zip((block.signal_power, block.residual_power),
-                             oracle(params, branches, np.random.default_rng(seed), trials))
-    )
+    silent = [dataclasses.replace(br, noise_var=np.zeros_like(br.noise_var)) for br in branches]
+    noise = n * sum(n * br.noise_var[0] for br in branches)
+    errors = []
+    for oracle in (oracle_powers, waveform_powers):
+        signal, residual = oracle(params, silent, np.random.default_rng(seed), trials)
+        for got, want in ((block.signal_power, signal), (block.residual_power, residual + noise)):
+            errors.append(float(np.max(np.abs(got - want) / want)))
+    return max(errors)
 # ------------------------------------------------------------------ gain factor
 
 def test_gain_factor_unit_case():
@@ -329,10 +342,9 @@ def test_noise_only_signal_power_converges_to_coherent_power():
     assert per_bin == pytest.approx(1.0 + 4.0, rel=0.05)
 
 
-def test_noise_only_residual_converges_to_the_closed_form_noise():
-    # point_inputs alone decides that a relay's noise arrives amplified by
-    # its gain; with zero offsets the residual per bin must average to
-    # sum_b s_b of the same points' LinkStats, the noise the closed form sees
+def _zero_offset_inputs():
+    """fig3_flat with two relays of unequal noise and gain rules, at zero
+    offsets: its LinkStats and simulator branches at two noise scales."""
     raw = copy.deepcopy(PRESETS["fig3_flat"])
     raw["relays"][0].update(relay_noise_var=0.3, dest_noise_var=0.05,
                             gain={"mode": "fixed", "rho": 1.7})
@@ -342,14 +354,36 @@ def test_noise_only_residual_converges_to_the_closed_form_noise():
     cfg = config_from_dict(raw)
     stats, branches = point_inputs(cfg, *sweep_offsets(cfg))
     assert not np.any(stats.cfos) and np.all([br.rho != 1.0 for br in branches[1:]])
-    total = 0.0
+    return cfg, stats, branches
+
+
+def test_noise_only_residual_converges_to_the_closed_form_noise():
+    # point_inputs alone decides that a relay's noise arrives amplified by
+    # its gain, and the per-sample variance s_b / N; with zero offsets the
+    # waveform oracle's residual per bin, from drawn noise, must average to
+    # sum_b s_b of the same points' LinkStats, the noise the closed form sees
+    cfg, stats, branches = _zero_offset_inputs()
     trials = 4000
-    for b in range(10):
-        rng = np.random.default_rng([99, b])
-        outcome = simulate_block(cfg.ofdm, branches, rng, trials // 10)
-        total = total + np.sum(outcome.residual_power, axis=-1)
-    per_bin = total / (trials * cfg.ofdm.n_subcarriers)
-    assert per_bin == pytest.approx(np.sum(stats.noise_vars, axis=-1), rel=0.01)
+    for p, expected in enumerate(np.sum(stats.noise_vars, axis=-1)):
+        total = 0.0
+        for b in range(10):
+            rng = np.random.default_rng([99, b])
+            total += np.sum(waveform_powers(cfg.ofdm, _one_point(branches, p), rng,
+                                            trials // 10)[1])
+        assert total / (trials * cfg.ofdm.n_subcarriers) == pytest.approx(expected, rel=0.01)
+
+
+def test_zero_offset_residual_is_the_noise_mean():
+    # the engine draws no noise: at zero offsets each trial's residual is
+    # exactly N sum_b s_b, s_b = N noise_var, added in branch order
+    cfg, stats, branches = _zero_offset_inputs()
+    n = cfg.ofdm.n_subcarriers
+    outcome = simulate_block(cfg.ofdm, branches, np.random.default_rng(3), 5)
+    expected = 0.0
+    for br in branches:
+        expected = expected + n * (n * br.noise_var)
+    assert np.array_equal(outcome.residual_power, np.repeat(expected[:, None], 5, axis=1))
+    assert expected == pytest.approx(n * np.sum(stats.noise_vars, axis=-1), rel=1e-15)
 
 
 # ----------------------------------------------------------------- whole trial
@@ -397,15 +431,15 @@ GOLDEN_BRANCHES = {
 # The signals were recorded from the per-trial engine that simulate_block
 # replaced (one np.convolve and one transform call per trial and stage);
 # symbols and taps are drawn first, so no change to the noise moves them.
-# The residuals were recorded from `waveform.waveform_powers` on the stream
-# with one body-only noise per branch.
+# The residuals were recorded from `waveform.waveform_powers` run without
+# noise, plus the noise's conditional mean N sum_b s_b.
 GOLDEN_POWERS = {
-    ("selective_one_relay", 0): (266.44075474629824, 42.066902747072874),
-    ("selective_one_relay", 1): (61.392447978054804, 28.757980504880905),
-    ("selective_one_relay", 2): (143.529427285345, 30.22908346888549),
-    ("two_relays", 0): (107.39739482555294, 26.404279887250667),
-    ("two_relays", 1): (8.103038144888485, 20.69358556637117),
-    ("two_relays", 2): (145.07796492214442, 23.86128693579512),
+    ("selective_one_relay", 0): (266.44075474629824, 47.863871049220904),
+    ("selective_one_relay", 1): (61.392447978054804, 22.506947647178574),
+    ("selective_one_relay", 2): (143.529427285345, 30.906972838971434),
+    ("two_relays", 0): (107.39739482555294, 26.161996476953156),
+    ("two_relays", 1): (8.103038144888485, 19.189574153764482),
+    ("two_relays", 2): (145.07796492214442, 23.248632738617445),
 }
 
 
@@ -491,6 +525,20 @@ def test_block_of_points_consumes_the_stream_of_one_point():
     assert shared.bit_generator.state == alone.bit_generator.state
 
 
+def test_block_draws_the_symbols_and_taps_only():
+    # the engine integrates the noise out: at any noise variance the stream
+    # ends after the symbols and each branch's taps, hop by hop
+    points = _point_branches(POINT_BRANCHES["selective_two_relays"],
+                             [[0.0, 0.3, -0.2], [0.1, 0.0, 0.5]], [1.0, 0.0])
+    engine, replay = np.random.default_rng(9), np.random.default_rng(9)
+    simulate_block(PARAMS, points, engine, 11)
+    draw_symbols(PARAMS, replay, 11)
+    for br in points:
+        for profile in br.hops:
+            draw_channel(profile, replay, 11)
+    assert engine.bit_generator.state == replay.bit_generator.state
+
+
 def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
     # every transform runs once per block and branch, none per point, and a
     # branch at zero offset on every point runs no inverse transform
@@ -517,3 +565,42 @@ def test_noise_free_zero_offset_point_has_zero_residual_beside_noisy_points():
     block = simulate_block(PARAMS, points, np.random.default_rng(12), 102)
     assert np.all(block.residual_power[0] == 0)
     assert np.all(block.residual_power[1:] > 1e-6 * block.signal_power[1:])
+
+
+# ------------------------------------------------------ per-branch moments
+
+# Each branch alone has exact per-term expectations at offset eps:
+#   E[signal]/N = f^2(eps) a_b  and  E[residual/N - s_b] = (1 - f^2(eps)) a_b,
+# a_b = rho^2 prod P_hop s_X, the leakage term being the CFO's cost.  Over
+# the 3 x 2 cases below, 5 signal and 4 leakage means (the leakage at eps = 0
+# is exactly 0) give 54 z-scores; each is bounded two-sided at a 1e-4 / 54
+# false-failure chance (Bonferroni, as c3's calibration), so a correct
+# engine fails the test with probability at most 1e-4.
+MOMENT_OFFSETS = [0.0, 0.1, 0.3, -0.49, 0.5]
+MOMENT_Z_BOUND = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 54))
+MOMENT_HOPS = {
+    "one_hop": (1.0, [exponential_profile(3, 1.3)]),
+    "two_hops": (0.8, [uniform_profile(4, 1.0), uniform_profile(3, 4.0)]),
+}
+
+
+@pytest.mark.parametrize("hops", sorted(MOMENT_HOPS))
+@pytest.mark.parametrize("n", [64, 60, 127])
+def test_each_branch_term_has_its_exact_expectation(n, hops):
+    params = OfdmParams(n_subcarriers=n, cp_len=8, constellation="qam16", symbol_power=1.5)
+    rho, profiles = MOMENT_HOPS[hops]
+    points = len(MOMENT_OFFSETS)
+    branch = Branch(profiles, MOMENT_OFFSETS, [rho] * points, [0.03] * points)
+    blocks = [simulate_block(params, [branch], np.random.default_rng([61, b]), 204)
+              for b in range(10)]
+    signal = np.concatenate([block.signal_power for block in blocks], axis=-1) / n
+    noise = n * (n * branch.noise_var[0])  # the residual's noise part, N s_b
+    leakage = (np.concatenate([block.residual_power for block in blocks], axis=-1) - noise) / n
+    a = rho ** 2 * math.prod(p.total_power for p in profiles) * params.symbol_power
+    assert np.all(leakage[0] == 0)
+    for eps, sig, leak in zip(MOMENT_OFFSETS, signal, leakage):
+        f2 = paper_gain(eps, n) ** 2
+        terms = [(sig, f2 * a)] + ([(leak, (1.0 - f2) * a)] if eps else [])
+        for values, expected in terms:
+            z = (values.mean() - expected) / (values.std(ddof=1) / math.sqrt(values.size))
+            assert abs(z) <= MOMENT_Z_BOUND, f"eps {eps}: mean {values.mean()} vs {expected}"

@@ -4,9 +4,10 @@
 is exact when the cyclic prefix covers the channel memory.  This module
 builds the waveform that identity stands for, sample by sample: modulate
 (inverse transform, prefix insertion), linear convolution hop by hop, the
-CFO ramp, prefix removal, one noise body per branch, transform and
+CFO ramp, prefix removal, one drawn noise body per branch, transform and
 derotation.  It shares no arithmetic with the engine: its transforms are
-numpy's and its leakage coefficient is the closed form `cfo_spectrum`.
+numpy's, its leakage coefficient is the closed form `cfo_spectrum`, and it
+draws the noise that the engine replaces by its conditional mean.
 
 Signals are plain complex arrays whose last axis is time and whose leading
 axis, when present, indexes trials; a prefix-extended row holds N + Ng
@@ -128,22 +129,29 @@ def apply_cfo(samples, eps: float, params: OfdmParams) -> np.ndarray:
     return samples * np.exp(2j * np.pi * eps * offsets / params.n_subcarriers)
 
 
+def standard_noise(shape, rng: np.random.Generator) -> np.ndarray:
+    """Circularly-symmetric complex normals of `shape`, not yet scaled:
+    one real block then one imaginary block of standard normals."""
+    noise = np.empty(shape, dtype=np.complex128)
+    noise.real = rng.standard_normal(shape)
+    noise.imag = rng.standard_normal(shape)
+    return noise
+
+
 def replay_draws(params, branches, rng, trials):
     """The draws of one `simulate_block` call at one point, replayed on
-    `rng` in the documented order: symbols (trials, N), each branch's taps
-    hop by hop, then each branch's one noise body at (trials, N), every
-    tap or noise block real part first.  Returns (symbols, taps, noise)
-    with taps[b][i] those of branch b's hop i and noise[b] its noise."""
+    `rng` in the documented order, symbols (trials, N) then each branch's
+    taps hop by hop, followed by draws of the oracles' own: each branch's
+    one noise body at (trials, N), which the engine integrates out and does
+    not draw.  Every tap or noise block is drawn real part first.  Returns
+    (symbols, taps, noise) with taps[b][i] those of branch b's hop i and
+    noise[b] its noise, drawn even at noise_var 0."""
     n = params.n_subcarriers
     table = CONSTELLATIONS[params.constellation] * np.sqrt(params.symbol_power)
     symbols = table[rng.integers(0, table.size, (trials, n))]
-
-    def complex_normals(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    taps = [[np.sqrt(p.tap_powers / 2.0) * complex_normals((trials, p.n_taps)) for p in br.hops]
-            for br in branches]
-    noise = [complex_normals((trials, n)) for _ in branches]
+    taps = [[np.sqrt(p.tap_powers / 2.0) * standard_noise((trials, p.n_taps), rng)
+             for p in br.hops] for br in branches]
+    noise = [standard_noise((trials, n), rng) for _ in branches]
     return symbols, taps, noise
 
 
