@@ -26,7 +26,6 @@ from .harness import (
 )
 from .ofdm import OfdmParams, draw_symbols
 from .relay import (
-    Branch,
     RelayGainConfig,
     TrialOutcome,
     gain_factor,

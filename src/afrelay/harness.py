@@ -7,18 +7,17 @@ scalings at which the sweep repeats.  `run_sweep` evaluates the
 closed-form SNR and/or the Monte-Carlo estimate at every point and returns
 rows ready for `write_csv`.  `point_inputs` is the one builder that turns
 a config and P sweep points into both sides' inputs, in one loop over
-`links`: the closed form's `LinkStats` with a leading point axis,
-evaluated once per sweep, and, only when the mode simulates, the
-simulator's `Branch` list with one offset, gain and noise variance per
-point, simulated once per sweep.
+`links`: the closed form's `LinkStats` with a leading point axis and the
+relay gains in the same (P, M + 1) layout.  The closed form evaluates the
+stats once per sweep; when the mode simulates, the engine reads the same
+stats object, with the gains and each link's hops, once per block.
 
 Noise convention: configured noise variances are per received frequency
 bin, the same quantities the closed-form SNR consumes.  Each branch's
 noise s_b (the destination's noise plus rho^2 times the relay's) is
-formed once, in `point_inputs`; a simulator branch carries it as the
-variance s_b/N per time-domain sample, which the un-normalized transform
-maps back to s_b per bin.  The engine draws no noise: it adds the noise's
-exact conditional mean, N s_b, to each trial's residual.
+formed once, in `point_inputs`, and both sides read it per bin from the
+one `LinkStats`.  The engine draws no noise: it adds the noise's exact
+conditional mean, N s_b, to each trial's residual.
 
 Reproducibility: trials run in blocks of B = max(1, 16384 // (N + cp_len))
 (204 at N=64, 15 at N=1024), a size fixed by the numerology alone.  Block
@@ -55,7 +54,7 @@ from .channel import (
     uniform_profile,
 )
 from .ofdm import OfdmParams
-from .relay import Branch, RelayGainConfig, gain_factor, simulate_block
+from .relay import RelayGainConfig, gain_factor, simulate_block
 from .transforms import require_fractional_cfo
 
 SWEEP_AXES = ("eps1", "eps2", "both_equal")
@@ -398,19 +397,17 @@ def config_digest(cfg: ExperimentConfig) -> str:
 # point evaluation
 
 def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
-    """Closed-form statistics of P points, given as `sweep_offsets` returns
-    them, and their simulator branches when the mode simulates.
+    """The point table of P points, given as `sweep_offsets` returns them,
+    that both the closed form and the engine read.
 
-    Returns (LinkStats with a leading point axis, [Branch] whose offsets,
-    gains and noise variances hold one value per point, or None), both
-    from one loop over `cfg.links`, one branch per link, direct link first
-    (gain 1): a_b = rho^2 prod P_hop s_X and s_b = the last noise plus
-    rho^2 times the earlier ones, the relay's noise arriving amplified by
-    its gain.  This is the one place that rule is applied: LinkStats
-    carries s_b per bin and each branch the same s_b / N per sample, the
-    variance of its one noise body.  Each relay gain is resolved once per
-    noise scaling.  Finite config values whose a_b leaves (0, inf) or whose
-    s_b overflows raise ConfigValueError.
+    Returns (LinkStats with a leading point axis, rho), rho the (P, M + 1)
+    gain of each point and branch, both from one loop over `cfg.links`, one
+    branch per link, direct link first (gain 1): a_b = rho^2 prod P_hop s_X
+    and s_b = the last noise plus rho^2 times the earlier ones, the relay's
+    noise arriving amplified by its gain.  This is the one place that rule
+    is applied.  Each relay gain is resolved once per noise scaling.  Finite
+    config values whose a_b leaves (0, inf) or whose s_b overflows raise
+    ConfigValueError.
     """
     n, sx = cfg.ofdm.n_subcarriers, cfg.ofdm.symbol_power
     levels, level_of = np.unique(scales, return_inverse=True)
@@ -432,11 +429,7 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
                                        f"scale {scale!r} leave the range 0 < a < inf, s finite")
             table.append((rho, a, s))
     rho, a, s = np.array(table).reshape(len(cfg.links), len(levels), 3)[:, level_of].T
-    stats = LinkStats(n, a, cfos, s)
-    if cfg.mode == "analytical":
-        return stats, None
-    return stats, [Branch(link.hops, cfos[:, b], rho[:, b], s[:, b] / n)
-                   for b, link in enumerate(cfg.links)]
+    return LinkStats(n, a, cfos, s), rho
 
 
 def block_size(params: OfdmParams) -> int:
@@ -449,31 +442,32 @@ def _simulate_blocks(task):
     """The `TrialOutcome` of each block of [first, stop) in order, one
     `simulate_block` call per block on its own generator; an error is
     re-raised naming the range."""
-    cfg, branches, first, stop = task
-    size = block_size(cfg.ofdm)
+    cfg, rho, stats, first, stop = task
+    size, hops = block_size(cfg.ofdm), [link.hops for link in cfg.links]
     try:
-        return [simulate_block(cfg.ofdm, branches, np.random.default_rng([cfg.master_seed, b]),
+        return [simulate_block(cfg.ofdm, hops, rho, stats,
+                               np.random.default_rng([cfg.master_seed, b]),
                                min(size, cfg.trials - b * size)) for b in range(first, stop)]
     except Exception as exc:
         raise RuntimeError(f"blocks [{first}, {stop}): {exc}") from exc
 
 
-def _empirical_results(cfg: ExperimentConfig, branches):
-    """The (snr_db, stderr_db) of each point of the simulator branches, in
-    order, or (None, None) without end when branches is None.
+def _empirical_results(cfg: ExperimentConfig, rho, stats):
+    """The (snr_db, stderr_db) of each point of the table, in order, or
+    (None, None) without end when the mode does not simulate.
 
     The blocks split into at most `workers` contiguous ranges, each
     covering every point.  With workers > 1 one process pool runs the
     ranges; each point's per-trial powers are reassembled in trial order,
     so the result does not depend on workers.
     """
-    if branches is None:
+    if cfg.mode == "analytical":
         return repeat((None, None))
     size = block_size(cfg.ofdm)
     blocks = -(-cfg.trials // size)
     parts = min(cfg.workers, blocks)
     edges = [i * blocks // parts for i in range(parts + 1)]
-    tasks = [(cfg, branches, a, b) for a, b in zip(edges, edges[1:])]
+    tasks = [(cfg, rho, stats, a, b) for a, b in zip(edges, edges[1:])]
     pool = None
     if parts > 1:
         pool = ProcessPoolExecutor(max_workers=parts,
@@ -483,13 +477,13 @@ def _empirical_results(cfg: ExperimentConfig, branches):
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    sig, res = np.empty((2, len(branches[0].cfo), cfg.trials))
+    sig, res = np.empty((2, len(rho), cfg.trials))
     for b, outcome in enumerate(chain.from_iterable(results)):  # trials [bB, (b+1)B)
         at = slice(b * size, (b + 1) * size)
         sig[:, at], res[:, at] = outcome.signal_power, outcome.residual_power
     return [_aggregate_trials(point_sig, point_res,
-                              f"row {p} (eps1={branches[0].cfo[p]:.9g}, "
-                              f"eps2={branches[1].cfo[p]:.9g})")
+                              f"row {p} (eps1={stats.cfos[p, 0]:.9g}, "
+                              f"eps2={stats.cfos[p, 1]:.9g})")
             for p, (point_sig, point_res) in enumerate(zip(sig, res))]
 
 
@@ -551,7 +545,7 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     arrive after it.
     """
     cfos, scales = sweep_offsets(cfg)
-    stats, branches = point_inputs(cfg, cfos, scales)
+    stats, rho = point_inputs(cfg, cfos, scales)
     analytical = lambda1 = lambda2 = repeat(None)
     if cfg.mode != "simulate":
         snr = analytical_snr(stats)
@@ -563,10 +557,10 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     # the rows share its float objects rather than hold one copy per row
     grid = len(cfg.sweep_grid)
     direct, relay = (cfos[:grid, b].tolist() * len(cfg.noise_scales) for b in (0, 1))
-    trials = cfg.trials if branches is not None else 0
+    trials = cfg.trials if cfg.mode != "analytical" else 0
     rows = []
     for eps1, eps2, db, l1, l2, (empirical_db, stderr_db) in zip(
-        direct, relay, analytical, lambda1, lambda2, _empirical_results(cfg, branches)
+        direct, relay, analytical, lambda1, lambda2, _empirical_results(cfg, rho, stats)
     ):
         row = SweepRow(
             eps1=eps1,

@@ -1,16 +1,16 @@
 """End-to-end simulation of transmission periods, a block of trials at once.
 
 A trial sends one OFDM symbol over M + 1 branches: branch 0 is the direct
-link, one hop, and each other branch a two-hop amplify-and-forward relay;
-a `Branch` describes either.  Each hop has its own multipath channel, and
-each branch its own fractional CFO and one noise: the relay's noise is
-neither convolved with the later hop nor rotated, so with the
-destination's it is one Gaussian of the closed form's variance s_b per
-bin.  The destination removes the prefix, transforms each branch,
-co-phases it using genie knowledge of the true dominant-term coefficient,
-and combines with equal gain.
+link, one hop, and each other branch a two-hop amplify-and-forward relay.
+Each hop has its own multipath channel, and each branch its own gain rho,
+fractional CFO and one noise: the relay's noise is neither convolved with
+the later hop nor rotated, so with the destination's it is one Gaussian of
+the closed form's variance s_b per bin.  The destination removes the
+prefix, transforms each branch, co-phases it using genie knowledge of the
+true dominant-term coefficient, and combines with equal gain.
 `simulate_block` is the one simulator entry point: it runs one
-random-stream block of trials at P sweep points on the same draws.
+random-stream block of trials at P sweep points on the same draws, reading
+their offsets and s_b from the closed form's own `LinkStats`.
 
 The channel is applied per frequency bin: a cyclic prefix that covers the
 channel memory (`channel.require_isi_free`) turns the linear convolution of
@@ -44,9 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import LinkStats
 from .channel import draw_channel, frequency_response, require_isi_free
 from .ofdm import OfdmParams, draw_symbols
-from .transforms import FCFO_BOUND, dirichlet_gain, idft
+from .transforms import dirichlet_gain, idft
 
 _GAIN_MODES = ("fixed", "general", "upa", "upa_asymptotic")
 
@@ -122,89 +123,69 @@ class TrialOutcome:
     residual_power: np.ndarray
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One branch of the combiner for trial simulation: the direct link,
-    one hop, or a relay, two hops.
-
-    `hops` holds one profile per hop in order.  `noise_var` is the
-    per-sample variance of the one noise the branch's received body
-    carries, every hop's noise as it arrives at the destination
-    (`harness.point_inputs` sets it to the closed form's s_b / N); the
-    engine adds its mean and draws none.  `cfo`,
-    `rho` and `noise_var` are (P,) arrays, one value per sweep point.
-    """
-
-    hops: tuple
-    cfo: np.ndarray
-    rho: np.ndarray
-    noise_var: np.ndarray
-
-    def __post_init__(self):
-        if len(self.hops) not in (1, 2):
-            raise ValueError(f"a branch needs one or two hops, got {len(self.hops)}")
-        shapes = [np.shape(v) for v in (self.cfo, self.rho, self.noise_var)]
-        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
-            raise ValueError(f"cfo, rho and noise_var must be 1-D arrays of one length, "
-                             f"one value per point, got shapes {shapes}")
-        if not np.all(np.abs(self.cfo) <= FCFO_BOUND):
-            raise ValueError(f"cfo must lie in [-{FCFO_BOUND}, {FCFO_BOUND}]")
-        if not np.all(np.asarray(self.noise_var) >= 0):
-            raise ValueError("noise variances must be >= 0")
-
-
-def simulate_block(params: OfdmParams, branches: list, rng: np.random.Generator,
-                   trials: int) -> TrialOutcome:
+def simulate_block(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkStats,
+                   rng: np.random.Generator, trials: int) -> TrialOutcome:
     """Run one stream block of `trials` trials at every point and decompose
     their spectra.
 
-    The branches, direct link first, hold P values per field; every point
-    receives the same draws.  `rng` draws, in order: symbol indices
-    (trials, N), then each branch's taps hop by hop (each real block then
-    imaginary block), and nothing else.
+    `hops` holds each branch's hop profiles, direct link first; `rho` is
+    the (P, M + 1) gain of each point and branch; `stats` is the closed
+    form's table of the same points, of which the engine reads the offsets
+    and the per-bin noise s_b.  Every point receives the same draws.  `rng`
+    draws, in order: symbol indices (trials, N), then each branch's taps
+    hop by hop (each real block then imaginary block), and nothing else.
 
     A branch applies the CFO-rotated cascade of its hops, scaled by rho;
-    its noise, of variance `noise_var` per sample, enters by its
-    conditional mean.  Every branch's channel memory must fit in the
-    prefix (`ValueError` otherwise).  The genie gain of a branch is
-    rho * C(cfo, 0) * prod H_i per bin, in hop order.  A point's signal is
-    (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is N s_b for
-    s_b = N noise_var plus, at a nonzero offset u, N rho^2 ||z_u||^2 for
-    z_u = W_u v and v = idft(HX), reduced once per branch and distinct
-    offset.  Each point adds its branches' powers in branch order.  A sum
-    that overflows raises `FloatingPointError` rather than returning `inf`.
+    its noise enters by its conditional mean.  Every branch's channel
+    memory must fit in the prefix (`ValueError` otherwise).  The genie
+    gain of a branch is rho * C(cfo, 0) * prod H_i per bin, in hop order.
+    A point's signal is (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is
+    N s_b plus, at a nonzero offset u, N rho^2 ||z_u||^2 for z_u = W_u v
+    and v = idft(HX), reduced once per branch and distinct offset.  Each
+    point adds its branches' powers in branch order.  A sum that overflows
+    raises `FloatingPointError` naming the branch, `direct` or
+    `relays[i]`, rather than returning `inf`.
     """
     n, cp = params.n_subcarriers, params.cp_len
-    for br in branches:  # the hop cascade's L1 + ... - (hops - 1) taps
-        require_isi_free(cp, [sum(p.n_taps for p in br.hops) - len(br.hops) + 1], "the channel")
+    shape = np.shape(stats.cfos)  # (P, M + 1)
+    if (len(hops), np.shape(rho), stats.n_subcarriers) != (shape[1], shape, n):
+        raise ValueError(f"need {shape[1]} hop lists, rho of shape {shape} and stats at N = {n}; "
+                         f"got {len(hops)}, {np.shape(rho)} and N = {stats.n_subcarriers}")
+    for link in hops:  # the hop cascade's L1 + ... - (hops - 1) taps
+        if len(link) not in (1, 2):
+            raise ValueError(f"a branch needs one or two hops, got {len(link)}")
+        require_isi_free(cp, [sum(p.n_taps for p in link) - len(link) + 1], "the channel")
     symbols = draw_symbols(params, rng, trials)
-    hops = [[draw_channel(profile, rng, trials) for profile in br.hops] for br in branches]
-    cfo = np.array([br.cfo for br in branches], dtype=np.float64)  # (M + 1, P)
-    rho = np.array([br.rho for br in branches], dtype=np.float64)
-    s = n * np.array([br.noise_var for br in branches], dtype=np.float64)  # s_b per point
+    taps = [[draw_channel(profile, rng, trials) for profile in link] for link in hops]
+    cfo, rho, s = (np.asarray(v, dtype=np.float64) for v in (stats.cfos, rho, stats.noise_vars))
     offsets = np.unique(cfo)  # per distinct offset: |C(cfo, 0)|, C(cfo, 0) and W
     gain = dirichlet_gain(offsets, n)
     coefficient = gain * np.exp(1j * np.pi * offsets * (1.0 - 1.0 / n))
     w = np.exp(2j * np.pi / n * offsets[:, None] * np.arange(n)) - coefficient[:, None]
-    signal, residual = np.zeros((2, rho.shape[1], trials))
+    signal, residual = np.zeros((2, shape[0], trials))
     with np.errstate(over="raise"):  # a sum beyond the float range is an error
-        for b, index in enumerate(np.searchsorted(offsets, cfo)):
-            spectrum = frequency_response(hops[b][0], n)  # H, then HX
-            for h in hops[b][1:]:
-                spectrum *= frequency_response(h, n)
-            magnitude = rho[b] * gain[index]  # |genie gain / H|
-            if not (spectrum.all() and magnitude.all()):
-                zero = np.flatnonzero(np.any(spectrum == 0, axis=0) | np.any(magnitude == 0))
-                warnings.warn(f"genie gain is exactly zero at bins {zero.tolist()}; "
-                              "derotation phase set to 0 there", stacklevel=2)
-            spectrum *= symbols
-            signal += magnitude[:, None] ** 2 * np.sum(spectrum.real ** 2 + spectrum.imag ** 2, -1)
-            power = np.repeat(s[b, :, None], trials, -1)  # residual / N: the noise's mean
-            moving = np.unique(index[offsets[index] != 0])
-            body = idft(spectrum) if moving.size else None
-            for u in moving:  # W is exactly 0 at a zero offset
-                z = (w[u] * body).view(np.float64)  # (re, im) pairs
-                at = np.flatnonzero(index == u)
-                power[at] += rho[b, at, None] ** 2 * np.sum(z * z, -1)
-            residual += n * power
+        for b, index in enumerate(np.searchsorted(offsets, cfo).T):
+            try:
+                spectrum = frequency_response(taps[b][0], n)  # H, then HX
+                for h in taps[b][1:]:
+                    spectrum *= frequency_response(h, n)
+                magnitude = rho[:, b] * gain[index]  # |genie gain / H|
+                if not (spectrum.all() and magnitude.all()):
+                    zero = np.flatnonzero(np.any(spectrum == 0, axis=0) | np.any(magnitude == 0))
+                    warnings.warn(f"genie gain is exactly zero at bins {zero.tolist()}; "
+                                  "derotation phase set to 0 there", stacklevel=2)
+                spectrum *= symbols
+                signal += (magnitude[:, None] ** 2
+                           * np.sum(spectrum.real ** 2 + spectrum.imag ** 2, -1))
+                power = np.repeat(s[:, b, None], trials, -1)  # residual / N: the noise's mean
+                moving = np.unique(index[offsets[index] != 0])
+                body = idft(spectrum) if moving.size else None
+                for u in moving:  # W is exactly 0 at a zero offset
+                    z = (w[u] * body).view(np.float64)  # (re, im) pairs
+                    at = np.flatnonzero(index == u)
+                    power[at] += rho[at, b, None] ** 2 * np.sum(z * z, -1)
+                residual += n * power
+            except FloatingPointError as exc:  # named as the config names the link
+                name = f"relays[{b - 1}]" if b else "direct"
+                raise FloatingPointError(f"{name}: {exc}") from exc
     return TrialOutcome(signal, residual)

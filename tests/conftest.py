@@ -9,13 +9,15 @@ spectra (`waveform.waveform_powers` rebuilds them from the time-domain
 pipeline instead), and `paper_snr`/`paper_snr_upa` write the paper's
 single-relay SNR out term by term with the `math` module alone, and
 `paper_gain` its Dirichlet gain.
-`one_point` reads one point of a batched result.
+`one_point` reads one point of a batched result, and `engine_inputs`
+builds the engine's point table from per-branch values.
 """
 import dataclasses
 import math
 
 import numpy as np
 
+from afrelay.analysis import LinkStats
 from waveform import cfo_spectrum, replay_draws, split_powers
 
 
@@ -77,30 +79,29 @@ def ici_reference(symbols, freq_resp, eps, scale=1.0):
     return scale * total
 
 
-def oracle_powers(params, branches, rng, trials):
+def oracle_powers(params, hops, rho, stats, rng, trials):
     """(signal, residual) powers per trial of `simulate_block` at one point,
-    the first of the branches' fields, rebuilt without the waveform
-    pipeline.
+    point 0 of its arguments, rebuilt without the waveform pipeline.
 
     Replays the documented draw order on `rng` (`replay_draws`).  Each
     branch spectrum is `ici_reference` of the symbols and the hops'
     response product, scaled by the branch gain rho, plus the transform of
-    the branch's noise body scaled by its standard deviation, neither
-    convolved nor rotated.  `split_powers` derotates each bin by the genie
+    the branch's noise body at s_b / N per sample, neither convolved nor
+    rotated.  `split_powers` derotates each bin by the genie
     gain g = rho C(eps, 0) prod H and splits off the signal |g||X|; powers
     add over branches.
     """
     n = params.n_subcarriers
-    symbols, taps, noise = replay_draws(params, branches, rng, trials)
+    symbols, taps, noise = replay_draws(params, hops, rng, trials)
     signal, residual = np.zeros(trials), np.zeros(trials)
-    for branch_taps, z, branch in zip(taps, noise, branches):
-        eps, rho = branch.cfo[0], branch.rho[0]
+    for branch_taps, z, eps, branch_rho, s in zip(taps, noise, stats.cfos[0], rho[0],
+                                                   stats.noise_vars[0]):
         response = np.prod([np.fft.fft(h, n, axis=-1) for h in branch_taps], axis=0)
-        spectra = np.array([ici_reference(symbols[t], response[t], eps, scale=rho)
+        spectra = np.array([ici_reference(symbols[t], response[t], eps, scale=branch_rho)
                             for t in range(trials)])
-        spectra = spectra + np.sqrt(branch.noise_var[0] / 2.0) * np.fft.fft(z, axis=-1)
+        spectra = spectra + np.sqrt(s / n / 2.0) * np.fft.fft(z, axis=-1)
         branch_signal, branch_residual = split_powers(
-            spectra, rho * cfo_spectrum(eps, 0, n) * response, symbols)
+            spectra, branch_rho * cfo_spectrum(eps, 0, n) * response, symbols)
         signal += branch_signal
         residual += branch_residual
     return signal, residual
@@ -111,6 +112,18 @@ def one_point(result, p=0):
     dataclass holding row p of each field."""
     return dataclasses.replace(result, **{field.name: getattr(result, field.name)[p]
                                           for field in dataclasses.fields(result)})
+
+
+def engine_inputs(branches, n=64):
+    """`simulate_block`'s (hops, rho, stats) at N = n from per-branch
+    values, direct link first: each branch is (hops, cfos, rhos, noise),
+    the last three holding one value per point, noise the closed form's
+    s_b per bin.  The engine reads no branch power, so the stats carry
+    placeholder ones there (a muted branch has none > 0)."""
+    hops = [tuple(branch[0]) for branch in branches]
+    cfo, rho, noise = (np.array([branch[i] for branch in branches], dtype=np.float64).T
+                       for i in (1, 2, 3))
+    return hops, rho, LinkStats(n, np.ones_like(rho), cfo, noise)
 
 
 def cgauss(rng, shape, var=1.0):

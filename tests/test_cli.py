@@ -197,6 +197,8 @@ def test_overflowed_power_sums_exit_with_runtime_code(symbol_power, tmp_path, ca
     assert "overflow" in err
     if symbol_power == 1e303:  # the totals name the first point and the total
         assert "row 0 (eps1=0, eps2=0): the signal power total of 2000 trials" in err
+    else:  # the engine names the branch whose power overflowed
+        assert "blocks [0, 10): direct: overflow" in err
     assert not out.exists()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert main(["simulate", "--config", str(config), "--mode", "analytical",

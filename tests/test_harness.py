@@ -425,9 +425,9 @@ def test_sweep_draws_each_block_once(monkeypatch):
         draws.append(trials)
         return draw_symbols(params, rng, trials)
 
-    def counting_simulate_block(params, branches, rng, trials):
+    def counting_simulate_block(params, hops, rho, stats, rng, trials):
         calls.append((type(rng), trials))
-        return simulate_block(params, branches, rng, trials)
+        return simulate_block(params, hops, rho, stats, rng, trials)
 
     raw = copy.deepcopy(TINY)
     raw["trials"] = 714  # three full 204-trial blocks and a short one
@@ -624,10 +624,34 @@ def test_noise_free_sweep_is_infinite_only_at_zero_offsets():
 
 def test_analytical_sweep_builds_no_simulator_paths(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("simulator branch built for an analytical sweep")
+        raise AssertionError("simulator run for an analytical sweep")
 
-    monkeypatch.setattr(harness, "Branch", refuse)
+    monkeypatch.setattr(harness, "simulate_block", refuse)
     assert len(run_sweep(config_from_dict(three_relay_raw("eps2")))) == 18
+
+
+def test_engine_reads_the_closed_form_table(monkeypatch):
+    # one point table for both sides: every engine call gets the very
+    # LinkStats object the closed form evaluates, with rho in its layout
+    seen = {"analytical": [], "engine": []}
+
+    def closed_form(stats):
+        seen["analytical"].append(stats)
+        return analytical_snr(stats)
+
+    def engine(params, hops, rho, stats, rng, trials):
+        seen["engine"].append(stats)
+        assert rho.shape == stats.cfos.shape and len(hops) == stats.cfos.shape[1]
+        return simulate_block(params, hops, rho, stats, rng, trials)
+
+    simulate_block = harness.simulate_block
+    monkeypatch.setattr(harness, "analytical_snr", closed_form)
+    monkeypatch.setattr(harness, "simulate_block", engine)
+    raw = three_relay_raw("eps2")
+    raw.update(mode="both", trials=408)
+    run_sweep(config_from_dict(raw))
+    (stats,) = seen["analytical"]
+    assert len(seen["engine"]) == 2 and all(s is stats for s in seen["engine"])
 
 
 # ------------------------------------------------------------------- run_sweep

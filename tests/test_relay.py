@@ -5,6 +5,7 @@ and its bitwise invariants across points."""
 import copy
 import dataclasses
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from afrelay.analysis import LinkStats
 from afrelay.channel import (
     PowerDelayProfile,
     draw_channel,
@@ -21,13 +23,8 @@ from afrelay.channel import (
 )
 from afrelay.harness import PRESETS, config_from_dict, point_inputs, sweep_offsets
 from afrelay.ofdm import OfdmParams, draw_symbols
-from afrelay.relay import (
-    Branch,
-    RelayGainConfig,
-    gain_factor,
-    simulate_block,
-)
-from conftest import one_point, oracle_powers, paper_gain
+from afrelay.relay import RelayGainConfig, gain_factor, simulate_block
+from conftest import engine_inputs, one_point, oracle_powers, paper_gain
 from waveform import apply_cfo, apply_channel, modulate, waveform_powers
 
 PARAMS = OfdmParams(n_subcarriers=64, cp_len=16)
@@ -50,18 +47,26 @@ def _draws(seed, profiles, trials):
     return draw_symbols(PARAMS, rng, trials), [draw_channel(p, rng, trials) for p in profiles]
 
 
+def _simulate(branches, seed, trials, params=PARAMS):
+    """`simulate_block` on the table of per-branch values (`engine_inputs`)
+    and default_rng(seed)."""
+    table = engine_inputs(branches, params.n_subcarriers)
+    return simulate_block(params, *table, np.random.default_rng(seed), trials)
+
+
 def _oracle_error(branches, seed, trials, params=PARAMS):
     """Worst relative error of a block's powers against both oracles,
     `oracle_powers` and the time-domain `waveform_powers`.  The oracles run
     without noise, and their residual gains the noise's conditional mean
-    N sum_b s_b, s_b = N noise_var, that the engine adds in place of a draw."""
+    N sum_b s_b that the engine adds in place of a draw."""
     n = params.n_subcarriers
-    block = simulate_block(params, branches, np.random.default_rng(seed), trials)
-    silent = [dataclasses.replace(br, noise_var=np.zeros_like(br.noise_var)) for br in branches]
-    noise = n * sum(n * br.noise_var[0] for br in branches)
+    hops, rho, stats = engine_inputs(branches, n)
+    block = simulate_block(params, hops, rho, stats, np.random.default_rng(seed), trials)
+    silent = dataclasses.replace(stats, noise_vars=np.zeros_like(stats.noise_vars))
+    noise = n * sum(stats.noise_vars[0])
     errors = []
     for oracle in (oracle_powers, waveform_powers):
-        signal, residual = oracle(params, silent, np.random.default_rng(seed), trials)
+        signal, residual = oracle(params, hops, rho, silent, np.random.default_rng(seed), trials)
         for got, want in ((block.signal_power, signal), (block.residual_power, residual + noise)):
             errors.append(float(np.max(np.abs(got - want) / want)))
     return max(errors)
@@ -110,15 +115,30 @@ def test_gain_config_validation():
 @pytest.mark.parametrize("hops", [[], [FLAT, FLAT, FLAT]], ids=["0_hops", "3_hops"])
 def test_branch_needs_one_or_two_hops(hops):
     with pytest.raises(ValueError, match="one or two hops"):
-        Branch(hops, [0.0], [1.0], [0.0])
+        _simulate([(hops, [0.0], [1.0], [0.0])], 0, 1)
+
+
+@pytest.mark.parametrize("hops, rho, n, message", [
+    ([(FLAT,)] * 3, [[1.0, 1.0]], 64, r"got 3, \(1, 2\) and N = 64"),
+    ([(FLAT,)], [[1.0, 1.0]], 64, r"got 1, \(1, 2\) and N = 64"),
+    ([(FLAT,)] * 2, [[1.0, 1.0]] * 2, 64, r"got 2, \(2, 2\) and N = 64"),
+    ([(FLAT,)] * 2, [1.0, 1.0], 64, r"got 2, \(2,\) and N = 64"),
+    ([(FLAT,)] * 2, [[1.0, 1.0]], 60, r"got 2, \(1, 2\) and N = 60"),
+], ids=["extra_hops", "missing_hops", "rho_points", "rho_1d", "stats_n"])
+def test_engine_rejects_a_table_that_does_not_fit(hops, rho, n, message):
+    # one hop list per branch, rho in the stats' (P, M + 1) layout, and the
+    # stats' subcarrier count that of the numerology
+    stats = LinkStats(n, [[1.0, 1.0]], [[0.0, 0.1]], [[0.1, 0.1]])
+    need = r"need 2 hop lists, rho of shape \(1, 2\) and stats at N = 64; "
+    with pytest.raises(ValueError, match=need + message):
+        simulate_block(PARAMS, hops, np.array(rho), stats, np.random.default_rng(0), 1)
 
 
 # ----------------------------------------------------------------- direct link
 
 def test_direct_link_trivial_passthrough():
     # flat fading, no offset, no noise: the received bins are h X[k]
-    block = simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [0.0])],
-                           np.random.default_rng(1), 5)
+    block = _simulate([([FLAT], [0.0], [1.0], [0.0])], 1, 5)
     sym, (h,) = _draws(1, [FLAT], 5)
     expected = np.abs(h[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
     assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
@@ -126,7 +146,7 @@ def test_direct_link_trivial_passthrough():
 
 
 def test_direct_link_matches_closed_form_spectrum():
-    direct = Branch([uniform_profile(4, 1.0)], [-0.27], [1.0], [0.0])
+    direct = ([uniform_profile(4, 1.0)], [-0.27], [1.0], [0.0])
     assert _oracle_error([direct], 3, 4) < 1e-9
 
 
@@ -138,9 +158,9 @@ def test_direct_link_with_unimodular_impairments_preserves_energy():
 
 def test_direct_link_isi_precondition():
     # 18 taps have memory 17, one beyond the prefix
-    direct = Branch([uniform_profile(18)], [0.0], [1.0], [0.0])
+    direct = ([uniform_profile(18)], [0.0], [1.0], [0.0])
     with pytest.raises(ValueError, match="has 18 taps, memory 17 .*prefix length 16"):
-        simulate_block(PARAMS, [direct], np.random.default_rng(0), 1)
+        _simulate([direct], 0, 1)
 
 
 # ---------------------------------------------------------------- relay branch
@@ -148,10 +168,9 @@ def test_direct_link_isi_precondition():
 def test_relay_branch_trivial_passthrough():
     # the relay alone, flat hops, no offset, no noise: its bins are
     # rho h1 h2 X[k]
-    relay = Branch([FLAT, flat_profile(4.0)], [0.0], [0.8], [0.0])
+    relay = ([FLAT, flat_profile(4.0)], [0.0], [0.8], [0.0])
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = simulate_block(PARAMS, [Branch([MUTED], [0.0], [1.0], [0.0]), relay],
-                               np.random.default_rng(6), 5)
+        block = _simulate([([MUTED], [0.0], [1.0], [0.0]), relay], 6, 5)
     sym, (_, h1, h2) = _draws(6, [MUTED, FLAT, flat_profile(4.0)], 5)
     expected = 0.8 ** 2 * np.abs(h1[:, 0] * h2[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
     assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
@@ -159,60 +178,67 @@ def test_relay_branch_trivial_passthrough():
 
 
 def test_relay_branch_matches_closed_form_spectrum():
-    direct = Branch([FLAT], [0.0], [1.0], [0.0])
-    relay = Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.42], [1.3], [0.0])
+    direct = ([FLAT], [0.0], [1.0], [0.0])
+    relay = ([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.42], [1.3], [0.0])
     assert _oracle_error([direct, relay], 8, 4) < 1e-9
 
 
 def test_relay_branch_linear_in_gain():
     # doubling rho doubles every sample, bin and genie gain exactly
-    relay = Branch([uniform_profile(3), uniform_profile(2)], [0.2, 0.2], [1.0, 2.0], [0.0, 0.0])
+    relay = ([uniform_profile(3), uniform_profile(2)], [0.2, 0.2], [1.0, 2.0], [0.0, 0.0])
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = simulate_block(PARAMS, [Branch([MUTED], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]),
-                                        relay],
-                               np.random.default_rng(10), 5)
+        block = _simulate([([MUTED], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]), relay], 10, 5)
     assert np.array_equal(block.signal_power[1], 4.0 * block.signal_power[0])
     assert np.array_equal(block.residual_power[1], 4.0 * block.residual_power[0])
 
 
-@pytest.mark.parametrize("cfo, noise_var, message", [
-    ([0.6], [0.01], r"cfo must lie in \[-0.5, 0.5\]"),
-    ([np.nan], [0.01], r"cfo must lie in \[-0.5, 0.5\]"),
-    ([0.1], [np.nan], "noise variances must be >= 0"),
-    (0.1, [0.01], r"1-D arrays of one length, one value per point, got shapes \[\(\), "),
-    ([0.1, 0.2], [0.01], r"got shapes \[\(2,\), \(1,\), \(1,\)\]"),
+@pytest.mark.parametrize("cfo, noise, message", [
+    ([0.6], [0.01], r"cfos must lie in \[-0.5, 0.5\]"),
+    ([np.nan], [0.01], r"cfos must lie in \[-0.5, 0.5\]"),
+    ([0.1], [np.nan], "noise_vars must be >= 0"),
+    (0.1, [0.01], r"must be \(P, M \+ 1\) arrays"),
+    ([0.1, 0.2], [0.01], r"must be \(P, M \+ 1\) arrays"),
 ], ids=["offset_0.6", "nan_offset", "nan_noise", "scalar_offset", "unequal_lengths"])
-def test_branch_rejects_what_the_closed_form_rejects(cfo, noise_var, message):
-    # the engine checks its offsets and noise as LinkStats does, and takes
-    # only (P,) fields; NaN fails both checks
-    rho = [1.0] * len(noise_var)
+def test_branch_rejects_what_the_closed_form_rejects(cfo, noise, message):
+    # the engine reads its offsets and noise from the closed form's
+    # LinkStats, whose checks they pass on the way from per-branch values;
+    # NaN fails both checks, and a branch's values are one per point
     with pytest.raises(ValueError, match=message):
-        Branch([FLAT], cfo, rho, noise_var)
+        engine_inputs([([FLAT], cfo, [1.0] * len(noise), noise)])
 
 
 def test_negative_noise_variance_rejected():
-    with pytest.raises(ValueError, match="noise variances must be >= 0"):
-        Branch([FLAT, FLAT], [0.0, 0.0], [1.0, 1.0], [0.01, -0.01])
+    with pytest.raises(ValueError, match="noise_vars must be >= 0"):
+        engine_inputs([([FLAT], [0.0, 0.0], [1.0, 1.0], [0.01, -0.01])])
 
 
 def test_relay_branch_isi_precondition():
     # hops of 9 + 10 or 1 + 18 taps cascade to 18 taps, memory 17, one
     # beyond the prefix
     for taps in ([9, 10], [1, 18]):
-        relay = Branch([uniform_profile(n) for n in taps], [0.0], [1.0], [0.0])
+        relay = ([uniform_profile(n) for n in taps], [0.0], [1.0], [0.0])
         with pytest.raises(ValueError, match="has 18 taps, memory 17 .*prefix length 16"):
-            simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [0.0]), relay],
-                           np.random.default_rng(0), 1)
+            _simulate([([FLAT], [0.0], [1.0], [0.0]), relay], 0, 1)
+
+
+@pytest.mark.parametrize("b, name", [(0, "direct"), (2, "relays[1]")])
+def test_overflow_names_its_branch(b, name):
+    # a power beyond the float range raises, naming the branch as the
+    # config names its link
+    branches = [([FLAT], [0.1], [1.0], [0.01])] + [([FLAT, FLAT], [0.2], [1.0], [0.01])] * 2
+    branches[b] = (branches[b][0], [0.2], [1e160], [0.01])
+    with pytest.raises(FloatingPointError, match=re.escape(name) + ": overflow"):
+        _simulate(branches, 0, 3)
 
 
 # ------------------------------------------------------ memory at the prefix
 
 @pytest.mark.parametrize("branches", [
-    [Branch([uniform_profile(17)], [0.23], [1.0], [0.01])],
-    [Branch([FLAT], [0.0], [1.0], [0.01]),
-     Branch([uniform_profile(9), uniform_profile(9)], [0.23], [0.9], [0.02 + 0.9 ** 2 * 0.01])],
-    [Branch([FLAT], [0.0], [1.0], [0.01]),
-     Branch([FLAT, uniform_profile(17)], [0.23], [0.9], [0.02 + 0.9 ** 2 * 0.01])],
+    [([uniform_profile(17)], [0.23], [1.0], [0.01])],
+    [([FLAT], [0.0], [1.0], [0.01]),
+     ([uniform_profile(9), uniform_profile(9)], [0.23], [0.9], [0.02 + 0.9 ** 2 * 0.01])],
+    [([FLAT], [0.0], [1.0], [0.01]),
+     ([FLAT, uniform_profile(17)], [0.23], [0.9], [0.02 + 0.9 ** 2 * 0.01])],
 ], ids=["direct_17", "relay_9_9", "relay_1_17"])
 def test_memory_equal_to_prefix_matches_oracle(branches):
     # memory 16 = PARAMS.cp_len, the most the prefix covers; one tap more is
@@ -224,9 +250,8 @@ def test_memory_equal_to_prefix_matches_oracle(branches):
 
 def test_two_ideal_branches_combine_coherently():
     # co-phased, each branch adds its coherent power and no residual
-    relay = Branch([FLAT, FLAT], [0.0], [1.0], [0.0])
-    block = simulate_block(PARAMS, [Branch([FLAT], [0.0], [1.0], [0.0]), relay],
-                           np.random.default_rng(13), 5)
+    relay = ([FLAT, FLAT], [0.0], [1.0], [0.0])
+    block = _simulate([([FLAT], [0.0], [1.0], [0.0]), relay], 13, 5)
     sym, (h0, h1, h2) = _draws(13, [FLAT, FLAT, FLAT], 5)
     gains = np.abs(h0[:, 0]) ** 2 + np.abs(h1[:, 0] * h2[:, 0]) ** 2
     assert np.allclose(block.signal_power, gains * np.sum(np.abs(sym) ** 2, axis=-1),
@@ -236,9 +261,9 @@ def test_two_ideal_branches_combine_coherently():
 
 def test_combined_metric_matches_closed_form_assembly():
     # full noisy chain vs the spectra assembled from the closed form
-    direct = Branch([uniform_profile(4, 1.0)], [0.17], [1.0], [0.05])
-    relay = Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [-0.33], [0.9],
-                   [0.02 + 0.9 ** 2 * 0.05])
+    direct = ([uniform_profile(4, 1.0)], [0.17], [1.0], [0.05])
+    relay = ([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [-0.33], [0.9],
+             [0.02 + 0.9 ** 2 * 0.05])
     assert _oracle_error([direct, relay], 15, 4) < 1e-9
 
 
@@ -267,17 +292,16 @@ def test_block_matches_per_trial_oracle(seed, n, constellation, m, edge, at_boun
 
     def relay(i):  # the relay's noise, then the destination's, as rho^2 s_Z2 + s_Z3
         hops, cfo, rho = [profile(), profile()], offset(i + 1), rng.uniform(0.3, 2.0)
-        return Branch(hops, [cfo], [rho], [rng.uniform(0.0, 0.1) * rho ** 2
-                                           + rng.uniform(0.0, 0.1)])
+        return hops, [cfo], [rho], [rng.uniform(0.0, 0.1) * rho ** 2 + rng.uniform(0.0, 0.1)]
 
-    branches = [Branch([profile()], [offset(0)], [1.0], [rng.uniform(0.0, 0.1)])] + [
+    branches = [([profile()], [offset(0)], [1.0], [rng.uniform(0.0, 0.1)])] + [
         relay(i) for i in range(m)]
     if at_bound:
         b = int(rng.integers(0, m + 1))
         first = int(rng.integers(1, params.cp_len + 2))
         taps = [params.cp_len + 1] if b == 0 else [first, params.cp_len + 2 - first]
-        branches[b] = dataclasses.replace(
-            branches[b], hops=[uniform_profile(k, rng.uniform(0.25, 4.0)) for k in taps])
+        branches[b] = ([uniform_profile(k, rng.uniform(0.25, 4.0)) for k in taps],
+                       *branches[b][1:])
     assert _oracle_error(branches, [seed, 1], 2, params) < 1e-9
 
 
@@ -285,44 +309,42 @@ def test_combining_is_linear_in_branches():
     # a relay at rho = 0 adds nothing, so with the direct link muted the
     # two-relay point is exactly the sum of the one-relay points
     branches = [
-        Branch([MUTED], [0.1] * 3, [1.0] * 3, [0.0] * 3),
-        Branch([uniform_profile(3), uniform_profile(2)], [-0.2] * 3, [1.1, 0.0, 1.1], [0.0] * 3),
-        Branch([uniform_profile(2), FLAT], [0.3] * 3, [0.0, 0.9, 0.9], [0.0] * 3),
+        ([MUTED], [0.1] * 3, [1.0] * 3, [0.0] * 3),
+        ([uniform_profile(3), uniform_profile(2)], [-0.2] * 3, [1.1, 0.0, 1.1], [0.0] * 3),
+        ([uniform_profile(2), FLAT], [0.3] * 3, [0.0, 0.9, 0.9], [0.0] * 3),
     ]
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = simulate_block(PARAMS, branches, np.random.default_rng(18), 5)
+        block = _simulate(branches, 18, 5)
     for power in (block.signal_power, block.residual_power):
         assert np.array_equal(power[2], power[0] + power[1])
 
 
 def test_zero_genie_gain_is_flagged():
-    direct = Branch([MUTED], [0.1], [1.0], [0.01])
-    relay = Branch([FLAT, FLAT], [0.2], [1.0], [0.02])
+    direct = ([MUTED], [0.1], [1.0], [0.01])
+    relay = ([FLAT, FLAT], [0.2], [1.0], [0.02])
     with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
-        block = simulate_block(PARAMS, [direct, relay], np.random.default_rng(19), 3)
+        block = _simulate([direct, relay], 19, 3)
     assert np.isfinite(block.signal_power).all() and np.isfinite(block.residual_power).all()
     # a relay point at rho = 0 has a zero genie gain at every bin
-    silent = Branch([FLAT, FLAT], [0.2, 0.2], [1.0, 0.0], [0.02, 0.01])
+    silent = ([FLAT, FLAT], [0.2, 0.2], [1.0, 0.0], [0.02, 0.01])
     with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
-        simulate_block(PARAMS, [Branch([FLAT], [0.1, 0.1], [1.0, 1.0], [0.01, 0.01]), silent],
-                       np.random.default_rng(19), 3)
+        _simulate([([FLAT], [0.1, 0.1], [1.0, 1.0], [0.01, 0.01]), silent], 19, 3)
 
 
 # --------------------------------------------------------------- decomposition
 
 def test_no_offset_no_noise_leaves_zero_residual():
-    branches = [Branch([uniform_profile(4, 1.0)], [0.0], [1.0], [0.0]),
-                Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [1.0], [0.0])]
-    outcome = one_point(simulate_block(PARAMS, branches, np.random.default_rng(22), 1))
+    branches = [([uniform_profile(4, 1.0)], [0.0], [1.0], [0.0]),
+                ([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [1.0], [0.0])]
+    outcome = one_point(_simulate(branches, 22, 1))
     assert outcome.residual_power[0] == 0
 
 
 def test_scaling_symbols_by_two_quadruples_signal_power():
     # symbol_power 4 doubles every symbol, sample and bin exactly
-    direct = Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [0.0])
-    base = simulate_block(PARAMS, [direct], np.random.default_rng(24), 5)
-    scaled = simulate_block(OfdmParams(n_subcarriers=64, cp_len=16, symbol_power=4.0),
-                            [direct], np.random.default_rng(24), 5)
+    direct = ([uniform_profile(4, 1.0)], [0.1], [1.0], [0.0])
+    base = _simulate([direct], 24, 5)
+    scaled = _simulate([direct], 24, 5, OfdmParams(n_subcarriers=64, cp_len=16, symbol_power=4.0))
     assert np.array_equal(scaled.signal_power, 4.0 * base.signal_power)
     assert np.array_equal(scaled.residual_power, 4.0 * base.residual_power)
 
@@ -331,70 +353,74 @@ def test_noise_only_signal_power_converges_to_coherent_power():
     # with zero offsets the per-bin signal power must average to
     # direct_power + rho^2 * hop1_power * hop2_power (symbol power 1)
     params = OfdmParams(n_subcarriers=64, cp_len=16)
-    branches = [Branch([flat_profile(1.0)], [0.0], [1.0], [0.1 / 64]),
-                Branch([flat_profile(1.0), flat_profile(4.0)], [0.0], [1.0], [0.2 / 64])]
+    branches = [([flat_profile(1.0)], [0.0], [1.0], [0.1]),
+                ([flat_profile(1.0), flat_profile(4.0)], [0.0], [1.0], [0.2])]
     total = 0.0
     trials = 4000
     for b in range(10):
-        rng = np.random.default_rng([99, b])
-        total += np.sum(simulate_block(params, branches, rng, trials // 10).signal_power)
+        total += np.sum(_simulate(branches, [99, b], trials // 10, params).signal_power)
     per_bin = total / (trials * 64)
     assert per_bin == pytest.approx(1.0 + 4.0, rel=0.05)
 
 
-def _zero_offset_inputs():
-    """fig3_flat with two relays of unequal noise and gain rules, at zero
-    offsets: its LinkStats and simulator branches at two noise scales."""
+def _zero_offset_inputs(n=64, direct_noise_var=0.1):
+    """fig3_flat at N = n with two relays of unequal noise and gain rules,
+    at zero offsets: its config and point table at two noise scales."""
     raw = copy.deepcopy(PRESETS["fig3_flat"])
+    raw["ofdm"]["n_subcarriers"] = n
+    raw["direct"]["noise_var"] = direct_noise_var
     raw["relays"][0].update(relay_noise_var=0.3, dest_noise_var=0.05,
                             gain={"mode": "fixed", "rho": 1.7})
     raw["relays"].append(dict(raw["relays"][0], relay_noise_var=0.02, dest_noise_var=0.2,
                               gain={"mode": "general", "source_power": 1.0, "relay_power": 3.0}))
     raw["sweep"]["grid"] = [0.0]
     cfg = config_from_dict(raw)
-    stats, branches = point_inputs(cfg, *sweep_offsets(cfg))
-    assert not np.any(stats.cfos) and np.all([br.rho != 1.0 for br in branches[1:]])
-    return cfg, stats, branches
+    stats, rho = point_inputs(cfg, *sweep_offsets(cfg))
+    assert not np.any(stats.cfos) and np.all(rho[:, 1:] != 1.0)
+    return cfg, [link.hops for link in cfg.links], rho, stats
 
 
 def test_noise_only_residual_converges_to_the_closed_form_noise():
     # point_inputs alone decides that a relay's noise arrives amplified by
-    # its gain, and the per-sample variance s_b / N; with zero offsets the
-    # waveform oracle's residual per bin, from drawn noise, must average to
-    # sum_b s_b of the same points' LinkStats, the noise the closed form sees
-    cfg, stats, branches = _zero_offset_inputs()
+    # its gain; with zero offsets the waveform oracle's residual per bin,
+    # from noise drawn at s_b / N per sample, must average to sum_b s_b of
+    # the same points' LinkStats, the noise the closed form sees
+    cfg, hops, rho, stats = _zero_offset_inputs()
     trials = 4000
     for p, expected in enumerate(np.sum(stats.noise_vars, axis=-1)):
         total = 0.0
         for b in range(10):
             rng = np.random.default_rng([99, b])
-            total += np.sum(waveform_powers(cfg.ofdm, _one_point(branches, p), rng,
+            total += np.sum(waveform_powers(cfg.ofdm, *_one_point((hops, rho, stats), p), rng,
                                             trials // 10)[1])
         assert total / (trials * cfg.ofdm.n_subcarriers) == pytest.approx(expected, rel=0.01)
 
 
 def test_zero_offset_residual_is_the_noise_mean():
     # the engine draws no noise: at zero offsets each trial's residual is
-    # exactly N sum_b s_b, s_b = N noise_var, added in branch order
-    cfg, stats, branches = _zero_offset_inputs()
-    n = cfg.ofdm.n_subcarriers
-    outcome = simulate_block(cfg.ofdm, branches, np.random.default_rng(3), 5)
-    expected = 0.0
-    for br in branches:
-        expected = expected + n * (n * br.noise_var)
+    # exactly N sum_b s_b, added in branch order, with s_b the closed
+    # form's own; at N = 60 these s_b do not survive the round trip
+    # N (s_b / N), so an engine that took one would fail here
+    cfg, hops, rho, stats = _zero_offset_inputs(60, 0.476)
+    n, s = cfg.ofdm.n_subcarriers, stats.noise_vars
+    outcome = simulate_block(cfg.ofdm, hops, rho, stats, np.random.default_rng(3), 5)
+    expected = round_trip = 0.0
+    for b in range(s.shape[1]):
+        expected = expected + n * s[:, b]
+        round_trip = round_trip + n * (n * (s[:, b] / n))
+    assert np.any(round_trip != expected)
     assert np.array_equal(outcome.residual_power, np.repeat(expected[:, None], 5, axis=1))
-    assert expected == pytest.approx(n * np.sum(stats.noise_vars, axis=-1), rel=1e-15)
 
 
 # ----------------------------------------------------------------- whole trial
 
 def test_trial_is_deterministic_given_the_stream():
     params = OfdmParams(n_subcarriers=64, cp_len=16)
-    branches = [Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [0.001]),
-                Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.2], [0.8],
-                       [(1 + 0.8 ** 2) * 0.001])]
-    a = simulate_block(params, branches, np.random.default_rng([7, 1]), 1)
-    b = simulate_block(params, branches, np.random.default_rng([7, 1]), 1)
+    branches = [([uniform_profile(4, 1.0)], [0.1], [1.0], [0.001]),
+                ([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.2], [0.8],
+                 [(1 + 0.8 ** 2) * 0.001])]
+    a = _simulate(branches, [7, 1], 1, params)
+    b = _simulate(branches, [7, 1], 1, params)
     assert np.array_equal(a.signal_power, b.signal_power)
     assert np.array_equal(a.residual_power, b.residual_power)
 
@@ -402,12 +428,12 @@ def test_trial_is_deterministic_given_the_stream():
 def test_trial_supports_multiple_relay_branches():
     params = OfdmParams(n_subcarriers=64, cp_len=16)
     branches = [
-        Branch([flat_profile(1.0)], [0.05], [1.0], [0.001]),
-        Branch([flat_profile(1.0), flat_profile(2.0)], [0.1], [1.0], [0.002]),
-        Branch([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], [-0.2], [0.7],
-               [(1 + 0.7 ** 2) * 0.001]),
+        ([flat_profile(1.0)], [0.05], [1.0], [0.001]),
+        ([flat_profile(1.0), flat_profile(2.0)], [0.1], [1.0], [0.002]),
+        ([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], [-0.2], [0.7],
+         [(1 + 0.7 ** 2) * 0.001]),
     ]
-    outcome = one_point(simulate_block(params, branches, np.random.default_rng(5), 1))
+    outcome = one_point(_simulate(branches, 5, 1, params))
     assert outcome.signal_power[0] > 0 and outcome.residual_power[0] > 0
 
 
@@ -415,15 +441,15 @@ def test_trial_supports_multiple_relay_branches():
 
 GOLDEN_BRANCHES = {
     "selective_one_relay": [
-        Branch([uniform_profile(4, 1.0)], [0.1], [1.0], [0.1 / 64]),
-        Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.2], [0.8],
-               [(1 + 0.8 ** 2) * 0.1 / 64]),
+        ([uniform_profile(4, 1.0)], [0.1], [1.0], [0.1]),
+        ([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.2], [0.8],
+         [(1 + 0.8 ** 2) * 0.1]),
     ],
     "two_relays": [
-        Branch([flat_profile(1.0)], [0.05], [1.0], [0.001]),
-        Branch([flat_profile(1.0), flat_profile(2.0)], [0.1], [1.0], [0.002]),
-        Branch([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], [-0.2], [0.7],
-               [(1 + 0.7 ** 2) * 0.001]),
+        ([flat_profile(1.0)], [0.05], [1.0], [0.064]),
+        ([flat_profile(1.0), flat_profile(2.0)], [0.1], [1.0], [0.128]),
+        ([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], [-0.2], [0.7],
+         [(1 + 0.7 ** 2) * 0.064]),
     ],
 }
 
@@ -445,8 +471,7 @@ GOLDEN_POWERS = {
 
 @pytest.mark.parametrize("name, seed", sorted(GOLDEN_POWERS))
 def test_one_trial_block_reproduces_per_trial_engine(name, seed):
-    rng = np.random.default_rng([20260808, seed])
-    block = one_point(simulate_block(PARAMS, GOLDEN_BRANCHES[name], rng, 1))
+    block = one_point(_simulate(GOLDEN_BRANCHES[name], [20260808, seed], 1))
     signal, residual = GOLDEN_POWERS[(name, seed)]
     assert block.signal_power.shape == block.residual_power.shape == (1,)
     assert block.signal_power[0] == pytest.approx(signal, rel=1e-12)
@@ -455,33 +480,35 @@ def test_one_trial_block_reproduces_per_trial_engine(name, seed):
 
 # ----------------------------------------------------------- points of a block
 
-def _point_branches(branches, cfos, scales, gains=1.0):
-    """P-point branches from one-point ones: offsets (P, M + 1), and each
-    point's noise variance scaled by its entry of `scales`, its relay
-    gains by its entry of `gains` (the direct link keeps gain 1)."""
+def _point_table(branches, cfos, scales, gains=1.0):
+    """The engine's P-point table from one-point branches: offsets
+    (P, M + 1), and each point's noise scaled by its entry of `scales`,
+    its relay gains by its entry of `gains` (the direct link keeps gain 1)."""
     cfos, scales = np.asarray(cfos), np.asarray(scales)
     gains = np.broadcast_to(gains, scales.shape)
-    return [Branch(br.hops, cfos[:, b], br.rho * (gains if b else np.ones(scales.shape)),
-                   br.noise_var * scales)
-            for b, br in enumerate(branches)]
+    return engine_inputs([(hops, cfos[:, b], rho[0] * (gains if b else np.ones(scales.shape)),
+                           noise[0] * scales)
+                          for b, (hops, _, rho, noise) in enumerate(branches)])
 
 
-def _one_point(branches, p):
-    return [Branch(br.hops, br.cfo[p:p + 1], br.rho[p:p + 1], br.noise_var[p:p + 1])
-            for br in branches]
+def _one_point(table, p):
+    """Point p of the engine's (hops, rho, stats) table, as a one-point table."""
+    hops, rho, stats = table
+    fields = (stats.branch_powers, stats.cfos, stats.noise_vars)
+    return hops, rho[p:p + 1], LinkStats(stats.n_subcarriers, *(f[p:p + 1] for f in fields))
 
 
 POINT_BRANCHES = {
     "flat": [
-        Branch([flat_profile(1.0)], [0.0], [1.0], [0.1 / 64]),
-        Branch([flat_profile(1.0), flat_profile(4.0)], [0.0], [0.8], [(1 + 0.8 ** 2) * 0.1 / 64]),
+        ([flat_profile(1.0)], [0.0], [1.0], [0.1]),
+        ([flat_profile(1.0), flat_profile(4.0)], [0.0], [0.8], [(1 + 0.8 ** 2) * 0.1]),
     ],
     "selective_two_relays": [
-        Branch([uniform_profile(4, 1.0)], [0.0], [1.0], [0.1 / 64]),
-        Branch([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [0.8],
-               [(1 + 0.8 ** 2) * 0.1 / 64]),
-        Branch([uniform_profile(2, 1.0), uniform_profile(3, 2.0)], [0.0], [1.3],
-               [(0.2 + 1.3 ** 2 * 0.05) / 64]),
+        ([uniform_profile(4, 1.0)], [0.0], [1.0], [0.1]),
+        ([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [0.8],
+         [(1 + 0.8 ** 2) * 0.1]),
+        ([uniform_profile(2, 1.0), uniform_profile(3, 2.0)], [0.0], [1.3],
+         [0.2 + 1.3 ** 2 * 0.05]),
     ],
 }
 
@@ -504,11 +531,11 @@ def test_block_of_points_equals_one_point_blocks(name, trials, count):
     cfos += rng.uniform(-0.5, 0.5, (count - 4, relays + 1)).tolist()
     scales += rng.choice([1.0, 0.1, 0.0], count - 4).tolist()
     gains += rng.uniform(0.5, 1.5, count - 4).tolist()
-    points = _point_branches(branches, cfos, scales, gains)
-    block = simulate_block(PARAMS, points, np.random.default_rng([5, 3]), trials)
+    points = _point_table(branches, cfos, scales, gains)
+    block = simulate_block(PARAMS, *points, np.random.default_rng([5, 3]), trials)
     assert block.signal_power.shape == block.residual_power.shape == (count, trials)
     for p in range(count):
-        alone = one_point(simulate_block(PARAMS, _one_point(points, p),
+        alone = one_point(simulate_block(PARAMS, *_one_point(points, p),
                                          np.random.default_rng([5, 3]), trials))
         assert np.array_equal(block.signal_power[p], alone.signal_power)
         assert np.array_equal(block.residual_power[p], alone.residual_power)
@@ -517,24 +544,24 @@ def test_block_of_points_equals_one_point_blocks(name, trials, count):
 def test_block_of_points_consumes_the_stream_of_one_point():
     # every point shares the block's draws: the stream ends where one
     # point's block leaves it
-    points = _point_branches(POINT_BRANCHES["selective_two_relays"], np.zeros((3, 3)),
-                             [1.0, 0.5, 0.1])
+    points = _point_table(POINT_BRANCHES["selective_two_relays"], np.zeros((3, 3)),
+                          [1.0, 0.5, 0.1])
     shared, alone = np.random.default_rng(9), np.random.default_rng(9)
-    simulate_block(PARAMS, points, shared, 11)
-    simulate_block(PARAMS, _one_point(points, 2), alone, 11)
+    simulate_block(PARAMS, *points, shared, 11)
+    simulate_block(PARAMS, *_one_point(points, 2), alone, 11)
     assert shared.bit_generator.state == alone.bit_generator.state
 
 
 def test_block_draws_the_symbols_and_taps_only():
     # the engine integrates the noise out: at any noise variance the stream
     # ends after the symbols and each branch's taps, hop by hop
-    points = _point_branches(POINT_BRANCHES["selective_two_relays"],
-                             [[0.0, 0.3, -0.2], [0.1, 0.0, 0.5]], [1.0, 0.0])
+    points = _point_table(POINT_BRANCHES["selective_two_relays"],
+                          [[0.0, 0.3, -0.2], [0.1, 0.0, 0.5]], [1.0, 0.0])
     engine, replay = np.random.default_rng(9), np.random.default_rng(9)
-    simulate_block(PARAMS, points, engine, 11)
+    simulate_block(PARAMS, *points, engine, 11)
     draw_symbols(PARAMS, replay, 11)
-    for br in points:
-        for profile in br.hops:
+    for link in points[0]:
+        for profile in link:
             draw_channel(profile, replay, 11)
     assert engine.bit_generator.state == replay.bit_generator.state
 
@@ -551,8 +578,8 @@ def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
         for count in (1, 40):
             cfos = np.linspace(-0.5, 0.5, count)[:, None] * [direct, -1.0, 0.5]
             calls.clear()
-            simulate_block(PARAMS, _point_branches(POINT_BRANCHES["selective_two_relays"], cfos,
-                                                   np.ones(count)),
+            simulate_block(PARAMS, *_point_table(POINT_BRANCHES["selective_two_relays"], cfos,
+                                                 np.ones(count)),
                            np.random.default_rng(4), 7)
             counts.append(len(calls))
         assert counts[0] == counts[1] == 5 + inverses  # hop responses, then the inverses
@@ -561,8 +588,8 @@ def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
 def test_noise_free_zero_offset_point_has_zero_residual_beside_noisy_points():
     # the infinity sentinel reports such a point, whose residual is exactly 0
     cfos = [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [0.5, -0.5, 0.5]]
-    points = _point_branches(POINT_BRANCHES["selective_two_relays"], cfos, [0.0, 1.0, 1.0, 0.1])
-    block = simulate_block(PARAMS, points, np.random.default_rng(12), 102)
+    points = _point_table(POINT_BRANCHES["selective_two_relays"], cfos, [0.0, 1.0, 1.0, 0.1])
+    block = simulate_block(PARAMS, *points, np.random.default_rng(12), 102)
     assert np.all(block.residual_power[0] == 0)
     assert np.all(block.residual_power[1:] > 1e-6 * block.signal_power[1:])
 
@@ -590,11 +617,10 @@ def test_each_branch_term_has_its_exact_expectation(n, hops):
     params = OfdmParams(n_subcarriers=n, cp_len=8, constellation="qam16", symbol_power=1.5)
     rho, profiles = MOMENT_HOPS[hops]
     points = len(MOMENT_OFFSETS)
-    branch = Branch(profiles, MOMENT_OFFSETS, [rho] * points, [0.03] * points)
-    blocks = [simulate_block(params, [branch], np.random.default_rng([61, b]), 204)
-              for b in range(10)]
+    branch = (profiles, MOMENT_OFFSETS, [rho] * points, [0.03] * points)
+    blocks = [_simulate([branch], [61, b], 204, params) for b in range(10)]
     signal = np.concatenate([block.signal_power for block in blocks], axis=-1) / n
-    noise = n * (n * branch.noise_var[0])  # the residual's noise part, N s_b
+    noise = n * 0.03  # the residual's noise part, N s_b
     leakage = (np.concatenate([block.residual_power for block in blocks], axis=-1) - noise) / n
     a = rho ** 2 * math.prod(p.total_power for p in profiles) * params.symbol_power
     assert np.all(leakage[0] == 0)

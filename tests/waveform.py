@@ -138,20 +138,20 @@ def standard_noise(shape, rng: np.random.Generator) -> np.ndarray:
     return noise
 
 
-def replay_draws(params, branches, rng, trials):
-    """The draws of one `simulate_block` call at one point, replayed on
-    `rng` in the documented order, symbols (trials, N) then each branch's
-    taps hop by hop, followed by draws of the oracles' own: each branch's
-    one noise body at (trials, N), which the engine integrates out and does
-    not draw.  Every tap or noise block is drawn real part first.  Returns
-    (symbols, taps, noise) with taps[b][i] those of branch b's hop i and
-    noise[b] its noise, drawn even at noise_var 0."""
+def replay_draws(params, hops, rng, trials):
+    """The draws of one `simulate_block` call, replayed on `rng` in the
+    documented order, symbols (trials, N) then each branch's taps hop by
+    hop, `hops` holding each branch's profiles, followed by draws of the
+    oracles' own: each branch's one noise body at (trials, N), which the
+    engine integrates out and does not draw.  Every tap or noise block is
+    drawn real part first.  Returns (symbols, taps, noise) with taps[b][i]
+    those of branch b's hop i and noise[b] its noise, drawn even at s_b 0."""
     n = params.n_subcarriers
     table = CONSTELLATIONS[params.constellation] * np.sqrt(params.symbol_power)
     symbols = table[rng.integers(0, table.size, (trials, n))]
     taps = [[np.sqrt(p.tap_powers / 2.0) * standard_noise((trials, p.n_taps), rng)
-             for p in br.hops] for br in branches]
-    noise = [standard_noise((trials, n), rng) for _ in branches]
+             for p in link] for link in hops]
+    noise = [standard_noise((trials, n), rng) for _ in hops]
     return symbols, taps, noise
 
 
@@ -165,32 +165,32 @@ def split_powers(spectrum, gain, symbols):
             np.sum(np.abs(derotated - coherent) ** 2, axis=-1))
 
 
-def waveform_powers(params, branches, rng, trials):
+def waveform_powers(params, hops, rho, stats, rng, trials):
     """(signal, residual) powers per trial of `simulate_block` at one point,
-    the first of the branches' fields, rebuilt by running the waveform
-    sample by sample.
+    point 0 of its arguments, rebuilt by running the waveform sample by
+    sample.
 
     Per branch the modulated symbol passes each hop's linear convolution in
     turn, the CFO ramp of the branch offset, and the gain rho.  The
-    destination removes the prefix, adds the branch's noise body at its
-    per-sample variance, neither convolved nor rotated, transforms, and
+    destination removes the prefix, adds the branch's noise body at s_b / N
+    per sample, neither convolved nor rotated, transforms, and
     splits each bin by `split_powers` with the genie gain
     g = rho C(eps, 0) prod H; powers add over branches.
     """
     n = params.n_subcarriers
-    symbols, taps, noise = replay_draws(params, branches, rng, trials)
+    symbols, taps, noise = replay_draws(params, hops, rng, trials)
     tx = modulate(symbols, params)
     signal, residual = np.zeros(trials), np.zeros(trials)
-    for branch, branch_taps, z in zip(branches, taps, noise):
+    for branch_taps, z, eps, branch_rho, s in zip(taps, noise, stats.cfos[0], rho[0],
+                                                   stats.noise_vars[0]):
         rx = tx
         for h in branch_taps:
             rx = apply_channel(rx, h, params)
-        eps, rho = branch.cfo[0], branch.rho[0]
-        rx = rho * apply_cfo(rx, eps, params)
-        body = remove_cp(rx, params) + np.sqrt(branch.noise_var[0] / 2.0) * z
+        rx = branch_rho * apply_cfo(rx, eps, params)
+        body = remove_cp(rx, params) + np.sqrt(s / n / 2.0) * z
         spectrum = np.fft.fft(body, axis=-1)
         response = np.prod([np.fft.fft(h, n, axis=-1) for h in branch_taps], axis=0)
-        gain = rho * cfo_spectrum(eps, 0, n) * response
+        gain = branch_rho * cfo_spectrum(eps, 0, n) * response
         branch_signal, branch_residual = split_powers(spectrum, gain, symbols)
         signal += branch_signal
         residual += branch_residual
