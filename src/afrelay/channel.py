@@ -82,9 +82,7 @@ def frequency_response(taps, n: int) -> np.ndarray:
         raise ValueError("taps must be a non-empty array with taps on the last axis")
     if taps.shape[-1] > n:
         raise ValueError(f"channel has {taps.shape[-1]} taps, more than n={n} bins")
-    padded = np.zeros(taps.shape[:-1] + (n,), dtype=np.complex128)
-    padded[..., : taps.shape[-1]] = taps
-    return dft(padded)
+    return dft(taps, n)
 
 
 def require_isi_free(cp_len: int, hop_taps, link: str) -> None:

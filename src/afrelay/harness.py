@@ -481,40 +481,47 @@ def _empirical_results(cfg: ExperimentConfig, rho, stats):
     for b, outcome in enumerate(chain.from_iterable(results)):  # trials [bB, (b+1)B)
         at = slice(b * size, (b + 1) * size)
         sig[:, at], res[:, at] = outcome.signal_power, outcome.residual_power
-    return [_aggregate_trials(point_sig, point_res,
-                              f"row {p} (eps1={stats.cfos[p, 0]:.9g}, "
-                              f"eps2={stats.cfos[p, 1]:.9g})")
-            for p, (point_sig, point_res) in enumerate(zip(sig, res))]
+    return _aggregate_trials(sig, res, stats.cfos)
 
 
-def _aggregate_trials(sig: np.ndarray, res: np.ndarray, point: str) -> tuple:
-    """Ratio-of-sums estimate in dB and its delta-method standard error in dB.
+def _aggregate_trials(sig: np.ndarray, res: np.ndarray, cfos: np.ndarray) -> list:
+    """Ratio-of-sums estimate in dB and its delta-method standard error in
+    dB of each row of the (P, trials) powers, as a list of P pairs.
 
     The ratio of summed powers estimates the ratio of expectations; the
     per-trial (signal, residual) pairs give its log-domain variance,
     vs/ms^2 + vr/mr^2 - 2 cov/(ms mr), in one pass as the variance of
-    sig/ms - res/mr.  A residual total of exactly 0, the closed form's
-    den == 0, is the infinity sentinel (inf, 0); a total that overflows
-    raises `FloatingPointError` naming `point` and the total.
+    sig/ms - res/mr.  The sums and variances run over all rows at once.
+    A residual total of exactly 0, the closed form's den == 0, is the
+    infinity sentinel (inf, 0); a total that overflows raises
+    `FloatingPointError` naming the first such row p by its offsets
+    `cfos[p, :2]` and the total.
     """
-    trials = sig.size
+    trials = sig.shape[-1]
     with np.errstate(over="ignore"):  # the per-trial powers are finite: inf is overflow
-        total_sig, total_res = float(np.sum(sig)), float(np.sum(res))
-    for name, total in (("signal", total_sig), ("residual", total_res)):
-        if math.isinf(total):
-            raise FloatingPointError(f"{point}: the {name} power total of {trials} trials "
-                                     "overflows the float range")
-    if total_res == 0.0:
-        return math.inf, 0.0
-    lin = total_sig / total_res
-    db = 10.0 * math.log10(lin) if lin > 0 else -math.inf
-    if trials > 1 and lin > 0:
-        ms, mr = total_sig / trials, total_res / trials
-        var_log = float(np.var(sig / ms - res / mr, ddof=1)) / trials
-        stderr_db = 10.0 / math.log(10.0) * math.sqrt(var_log)
-    else:
-        stderr_db = math.nan
-    return db, stderr_db
+        total_sig, total_res = np.sum(sig, -1), np.sum(res, -1)
+    over = np.flatnonzero(np.isinf(total_sig) | np.isinf(total_res))
+    if over.size:
+        p = over[0]
+        name = "signal" if np.isinf(total_sig[p]) else "residual"
+        raise FloatingPointError(f"row {p} (eps1={cfos[p, 0]:.9g}, eps2={cfos[p, 1]:.9g}): "
+                                 f"the {name} power total of {trials} trials "
+                                 "overflows the float range")
+    var_log = np.full(len(sig), math.nan)
+    if trials > 1:
+        ms, mr = total_sig[:, None] / trials, total_res[:, None] / trials
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows read below only if lin > 0
+            var_log = np.var(sig / ms - res / mr, axis=-1, ddof=1) / trials
+    rows = []
+    for total_s, total_r, var in zip(total_sig.tolist(), total_res.tolist(), var_log.tolist()):
+        if total_r == 0.0:
+            rows.append((math.inf, 0.0))
+            continue
+        lin = total_s / total_r
+        db = 10.0 * math.log10(lin) if lin > 0 else -math.inf
+        stderr_db = 10.0 / math.log(10.0) * math.sqrt(var) if lin > 0 else math.nan
+        rows.append((db, stderr_db))
+    return rows
 
 
 # --------------------------------------------------------------------------

@@ -32,10 +32,11 @@ and channels, N ||rho W v + n||^2 has the exact mean N (s_b + rho^2 ||z||^2)
 for z = W v, since the cross term with n has mean 0.  The engine uses that
 conditional mean (conditional Monte Carlo) and draws no noise; the
 leakage ||z||^2, the CFO's cost, stays drawn, so the simulator does not
-recompute the closed form.  ||z||^2 is reduced once per branch and
-distinct nonzero offset; a point only adds s_b and its own rho, so no point
-runs a ramp, a transform or a derotation, and a branch at zero offset on
-every point runs no transform back to the time domain.
+recompute the closed form.  |v|^2 is formed once per branch, and
+||z_u||^2 = sum |W_u|^2 |v|^2 is one weighted sum per distinct nonzero
+offset u; a point only adds s_b and its own rho, so no point runs a ramp,
+a transform or a derotation, and a branch at zero offset on every point
+runs no transform back to the time domain.
 """
 from __future__ import annotations
 
@@ -141,10 +142,11 @@ def simulate_block(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkS
     gain of a branch is rho * C(cfo, 0) * prod H_i per bin, in hop order.
     A point's signal is (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is
     N s_b plus, at a nonzero offset u, N rho^2 ||z_u||^2 for z_u = W_u v
-    and v = idft(HX), reduced once per branch and distinct offset.  Each
-    point adds its branches' powers in branch order.  A sum that overflows
-    raises `FloatingPointError` naming the branch, `direct` or
-    `relays[i]`, rather than returning `inf`.
+    and v = idft(HX): |v|^2 once per branch, then one sum weighted by
+    |W_u|^2 per distinct offset, so a point's sum does not depend on the
+    other points' offsets.  Each point adds its branches' powers in branch
+    order.  A sum that overflows raises `FloatingPointError` naming the
+    branch, `direct` or `relays[i]`, rather than returning `inf`.
     """
     n, cp = params.n_subcarriers, params.cp_len
     shape = np.shape(stats.cfos)  # (P, M + 1)
@@ -162,6 +164,7 @@ def simulate_block(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkS
     gain = dirichlet_gain(offsets, n)
     coefficient = gain * np.exp(1j * np.pi * offsets * (1.0 - 1.0 / n))
     w = np.exp(2j * np.pi / n * offsets[:, None] * np.arange(n)) - coefficient[:, None]
+    w2 = w.real ** 2 + w.imag ** 2  # |W|^2
     signal, residual = np.zeros((2, shape[0], trials))
     with np.errstate(over="raise"):  # a sum beyond the float range is an error
         for b, index in enumerate(np.searchsorted(offsets, cfo).T):
@@ -175,15 +178,18 @@ def simulate_block(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkS
                     warnings.warn(f"genie gain is exactly zero at bins {zero.tolist()}; "
                                   "derotation phase set to 0 there", stacklevel=2)
                 spectrum *= symbols
-                signal += (magnitude[:, None] ** 2
-                           * np.sum(spectrum.real ** 2 + spectrum.imag ** 2, -1))
+                sv = spectrum.view(np.float64)  # (re, im) pairs
+                signal += magnitude[:, None] ** 2 * np.sum(sv * sv, -1)
                 power = np.repeat(s[:, b, None], trials, -1)  # residual / N: the noise's mean
                 moving = np.unique(index[offsets[index] != 0])
-                body = idft(spectrum) if moving.size else None
-                for u in moving:  # W is exactly 0 at a zero offset
-                    z = (w[u] * body).view(np.float64)  # (re, im) pairs
-                    at = np.flatnonzero(index == u)
-                    power[at] += rho[at, b, None] ** 2 * np.sum(z * z, -1)
+                if moving.size:  # W is exactly 0 at a zero offset: its leakage stays 0
+                    body = idft(spectrum).view(np.float64)  # (re, im) pairs
+                    np.square(body, out=body)
+                    v2 = body[:, 0::2] + body[:, 1::2]  # |v|^2
+                    leakage = np.zeros((offsets.size, trials))  # ||z_u||^2 per offset
+                    for u in moving:
+                        leakage[u] = np.sum(v2 * w2[u], -1)
+                    power += rho[:, b, None] ** 2 * leakage[index]
                 residual += n * power
             except FloatingPointError as exc:  # named as the config names the link
                 name = f"relays[{b - 1}]" if b else "direct"

@@ -37,13 +37,14 @@ def _as_signal(x, name: str) -> np.ndarray:
     return arr
 
 
-def dft(x) -> np.ndarray:
+def dft(x, n: int | None = None) -> np.ndarray:
     """Un-normalized forward transform Y[k] = sum_n x[n] exp(-j2*pi*k*n/N).
 
     Taken along the last axis, so a (trials, N) block transforms row by
-    row; any length N is exact.
+    row; any length N is exact.  With `n`, the rows are zero-padded to n
+    samples inside the transform.
     """
-    return np.fft.fft(_as_signal(x, "x"), axis=-1)
+    return np.fft.fft(_as_signal(x, "x"), n, axis=-1)
 
 
 def idft(spectrum) -> np.ndarray:

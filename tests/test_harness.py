@@ -389,9 +389,9 @@ def test_block_stream_is_independent_of_worker_count(monkeypatch):
             starts.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    def recording_aggregate(sig, res, point):
+    def recording_aggregate(sig, res, cfos):
         reduced.append((sig.shape, res.shape))
-        return aggregate(sig, res, point)
+        return aggregate(sig, res, cfos)
 
     aggregate = harness._aggregate_trials
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
@@ -408,8 +408,9 @@ def test_block_stream_is_independent_of_worker_count(monkeypatch):
         assert len(starts) - before <= 1
     assert starts == [2, 2, 3, 3]  # workers=1 never starts a pool
     assert empirical[1] == empirical[2] == empirical[3]  # bitwise-identical floats
-    # every point of every run reduced all 714 per-trial power pairs
-    assert reduced == [((714,), (714,))] * 9
+    # every point of every run reduced all 714 per-trial power pairs, the
+    # one-point run and the two-point sweep each in one call
+    assert reduced == [((1, 714), (1, 714)), ((2, 714), (2, 714))] * 3
     assert empirical[1].trials == 714
     assert rows[1] == rows[2] == rows[3]
 
@@ -482,7 +483,7 @@ def test_one_pass_stderr_matches_three_term_delta_method(trials):
     vs, vr = np.var(sig, ddof=1), np.var(res, ddof=1)
     cov = np.cov(sig, res, ddof=1)[0, 1]
     var_log = (vs / ms ** 2 + vr / mr ** 2 - 2.0 * cov / (ms * mr)) / trials
-    db, stderr_db = harness._aggregate_trials(sig, res, "row 0")
+    ((db, stderr_db),) = harness._aggregate_trials(sig[None], res[None], np.zeros((1, 2)))
     assert db == pytest.approx(10.0 * math.log10(np.sum(sig) / np.sum(res)), rel=1e-12)
     assert stderr_db == pytest.approx(10.0 / math.log(10.0) * math.sqrt(var_log), rel=1e-12)
 
