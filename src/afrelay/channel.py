@@ -4,7 +4,10 @@ Channels are block fading: one tap realization per OFDM symbol, taps drawn
 as independent circularly-symmetric complex Gaussians (Rayleigh-magnitude
 fading) with per-tap variances given by a power delay profile.  The
 functions work on whole blocks of trials: the leading axis indexes trials
-and the last axis holds taps, bins or samples.
+and the last axis holds taps, bins or samples.  A one-tap (frequency-flat)
+channel's response is its tap on every bin, so `frequency_response` returns
+it as one (..., 1) column, which broadcasts against (..., N) bins, and runs
+no transform.
 """
 from __future__ import annotations
 
@@ -76,12 +79,20 @@ def draw_channel(profile: PowerDelayProfile, rng: np.random.Generator, trials: i
 
 
 def frequency_response(taps, n: int) -> np.ndarray:
-    """Per-bin response H[k] of each row: transform of the taps zero-padded to n."""
+    """Per-bin response H[k] of each row: transform of the taps zero-padded to n.
+
+    Two or more taps give an (..., n) array.  One tap gives a fresh
+    (..., 1) copy of the taps: H[k] = h[0] on every bin exactly, since a
+    single tap's transform sums one term with exp(0) = 1, and the column
+    broadcasts against (..., n) bins.
+    """
     taps = np.asarray(taps, dtype=np.complex128)
     if taps.ndim == 0 or taps.size == 0:
         raise ValueError("taps must be a non-empty array with taps on the last axis")
     if taps.shape[-1] > n:
         raise ValueError(f"channel has {taps.shape[-1]} taps, more than n={n} bins")
+    if taps.shape[-1] == 1:
+        return taps.copy()
     return dft(taps, n)
 
 

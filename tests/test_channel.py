@@ -104,6 +104,15 @@ def test_bin_power_flat_across_bins_within_standard_error():
 
 def test_unit_tap_gives_flat_response():
     assert np.allclose(frequency_response(np.array([1.0]), 16), np.ones(16))
+    # a block of one-tap rows comes back as one column, the taps themselves,
+    # which broadcasts against the bins; it is a copy, not a view
+    taps = cgauss(np.random.default_rng(20), (5, 1))
+    kept = taps.copy()
+    resp = frequency_response(taps, 64)
+    assert resp.shape == (5, 1)
+    assert np.array_equal(resp, taps)
+    resp[:] = 0
+    assert np.array_equal(taps, kept)
 
 
 def test_pure_delay_is_allpass():
@@ -111,14 +120,16 @@ def test_pure_delay_is_allpass():
     assert np.allclose(np.abs(resp), 1.0, atol=1e-14)
 
 
-def test_response_matches_direct_sum():
+@pytest.mark.parametrize("n", [60, 64, 127, 1024])  # 127 is prime: a Bluestein transform
+@pytest.mark.parametrize("n_taps", [1, 2, 4, 17, 33])
+def test_response_matches_direct_sum(n_taps, n):
     rng = np.random.default_rng(13)
-    taps = cgauss(rng, 4)
-    n = 64
+    taps = cgauss(rng, n_taps)
     resp = frequency_response(taps, n)
     k = np.arange(n)[:, None]
-    direct = np.sum(taps[None, :] * np.exp(-2j * np.pi * k * np.arange(4)[None, :] / n), axis=1)
-    assert np.max(np.abs(resp - direct)) < 1e-12
+    direct = np.sum(taps[None, :] * np.exp(-2j * np.pi * k * np.arange(n_taps)[None, :] / n),
+                    axis=1)
+    assert np.max(np.abs(resp - direct)) < 1e-12 * np.max(np.abs(resp))
 
 
 def test_response_rejects_more_taps_than_bins():

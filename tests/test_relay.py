@@ -267,6 +267,15 @@ def test_combined_metric_matches_closed_form_assembly():
     assert _oracle_error([direct, relay], 15, 4) < 1e-9
 
 
+@pytest.mark.parametrize("n", [64, 89, 127])  # 89 and 127 are prime: Bluestein transforms
+def test_flat_hops_match_both_oracles(n):
+    # one-tap hops skip the transform; the oracles still take one
+    direct = ([FLAT], [0.17], [1.0], [0.05])
+    relay = ([FLAT, flat_profile(4.0)], [-0.33], [0.9], [0.02 + 0.9 ** 2 * 0.05])
+    params = OfdmParams(n_subcarriers=n, cp_len=16)
+    assert _oracle_error([direct, relay], 16, 4, params) < 1e-9
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([48, 64, 80, 96]),
        st.sampled_from(["qpsk", "qam16"]), st.integers(1, 16), st.sampled_from([None, 0.5]),
@@ -320,14 +329,16 @@ def test_combining_is_linear_in_branches():
 
 
 def test_zero_genie_gain_is_flagged():
+    # a flat hop's response is one column; the warning still names every bin
+    every_bin = re.escape(f"zero at bins {list(range(PARAMS.n_subcarriers))};")
     direct = ([MUTED], [0.1], [1.0], [0.01])
     relay = ([FLAT, FLAT], [0.2], [1.0], [0.02])
-    with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
+    with pytest.warns(UserWarning, match=every_bin):
         block = _simulate([direct, relay], 19, 3)
     assert np.isfinite(block.signal_power).all() and np.isfinite(block.residual_power).all()
     # a relay point at rho = 0 has a zero genie gain at every bin
     silent = ([FLAT, FLAT], [0.2, 0.2], [1.0, 0.0], [0.02, 0.01])
-    with pytest.warns(UserWarning, match=r"zero at bins \[0, 1, 2, "):
+    with pytest.warns(UserWarning, match=every_bin):
         _simulate([([FLAT], [0.1, 0.1], [1.0, 1.0], [0.01, 0.01]), silent], 19, 3)
 
 
@@ -567,22 +578,25 @@ def test_block_draws_the_symbols_and_taps_only():
 
 
 def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
-    # every transform runs once per block and branch, none per point, and a
-    # branch at zero offset on every point runs no inverse transform
+    # every transform runs once per block and branch, none per point; a
+    # branch at zero offset on every point runs no inverse transform, and a
+    # one-tap hop no forward one
     calls = []
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), **k:
                             calls.append(1) or _f(*a, **k))
-    for direct, inverses in ((1.0, 3), (0.0, 2)):
+    cases = [("selective_two_relays", 5, [1.0, -1.0, 0.5], 3),  # 5 hops of 2 to 4 taps
+             ("selective_two_relays", 5, [0.0, -1.0, 0.5], 2),
+             ("flat", 0, [0.0, 1.0], 1), ("flat", 0, [0.0, 0.0], 0)]
+    for name, responses, moving, inverses in cases:
         counts = []
         for count in (1, 40):
-            cfos = np.linspace(-0.5, 0.5, count)[:, None] * [direct, -1.0, 0.5]
+            cfos = np.linspace(-0.5, 0.5, count)[:, None] * moving
             calls.clear()
-            simulate_block(PARAMS, *_point_table(POINT_BRANCHES["selective_two_relays"], cfos,
-                                                 np.ones(count)),
+            simulate_block(PARAMS, *_point_table(POINT_BRANCHES[name], cfos, np.ones(count)),
                            np.random.default_rng(4), 7)
             counts.append(len(calls))
-        assert counts[0] == counts[1] == 5 + inverses  # hop responses, then the inverses
+        assert counts[0] == counts[1] == responses + inverses, name
 
 
 def test_noise_free_zero_offset_point_has_zero_residual_beside_noisy_points():
