@@ -4,10 +4,9 @@ Channels are block fading: one tap realization per OFDM symbol, taps drawn
 as independent circularly-symmetric complex Gaussians (Rayleigh-magnitude
 fading) with per-tap variances given by a power delay profile.  The
 functions work on whole blocks of trials: the leading axis indexes trials
-and the last axis holds taps, bins or samples.  A one-tap (frequency-flat)
-channel's response is its tap on every bin, so `frequency_response` returns
-it as one (..., 1) column, which broadcasts against (..., N) bins, and runs
-no transform.
+and the last axis holds taps, bins or samples.  A one-tap (flat) channel's
+response is one (..., 1) column, its tap on every bin, and a relay's two
+short hops are convolved into one response (`branch_response`).
 """
 from __future__ import annotations
 
@@ -81,10 +80,8 @@ def draw_channel(profile: PowerDelayProfile, rng: np.random.Generator, trials: i
 def frequency_response(taps, n: int) -> np.ndarray:
     """Per-bin response H[k] of each row: transform of the taps zero-padded to n.
 
-    Two or more taps give an (..., n) array.  One tap gives a fresh
-    (..., 1) copy of the taps: H[k] = h[0] on every bin exactly, since a
-    single tap's transform sums one term with exp(0) = 1, and the column
-    broadcasts against (..., n) bins.
+    Two or more taps give an (..., n) array.  One tap gives a fresh (..., 1)
+    copy, exactly H[k] = h[0] exp(0) on every bin; it broadcasts against bins.
     """
     taps = np.asarray(taps, dtype=np.complex128)
     if taps.ndim == 0 or taps.size == 0:
@@ -94,6 +91,29 @@ def frequency_response(taps, n: int) -> np.ndarray:
     if taps.shape[-1] == 1:
         return taps.copy()
     return dft(taps, n)
+
+
+def branch_response(taps, n: int) -> np.ndarray:
+    """Per-bin response of a branch from its hops' tap blocks: the product
+    of their responses in hop order, in place once it spans the bins.  Two
+    short hops are first convolved row by row (the shorter hop's Ls taps on
+    the outer axis, about Ls (L1 + L2) values a row), and their L1 + L2 - 1
+    taps take one transform; the rule 2 Ls (L1 + L2 - 1) <= n is the
+    crossover measured end to end at n = 64, 256 and 1024.
+    """
+    a, b = sorted(taps, key=lambda h: h.shape[-1]) if len(taps) == 2 else (None, None)
+    if a is not None and 2 * a.shape[-1] * (a.shape[-1] + b.shape[-1] - 1) <= n:
+        # rows a_l b + la zeros, re-read la + lb - 1 long: the column sums are a * b
+        rows, la, lb = a.shape[:-1], a.shape[-1], b.shape[-1]
+        skew = np.zeros(rows + (la, la + lb), np.complex128)
+        np.multiply(a[..., None], b[..., None, :], out=skew[..., :lb])
+        skew = skew.reshape(rows + (-1,))[..., :la * (la + lb - 1)]
+        taps = [skew.reshape(rows + (la, -1)).sum(-2)]
+    response = frequency_response(taps[0], n)
+    for h in taps[1:]:  # in place: one more live (..., n) array slows large blocks
+        response = np.multiply(response, frequency_response(h, n),
+                               out=response if response.shape[-1] == n else None)
+    return response
 
 
 def require_isi_free(cp_len: int, hop_taps, link: str) -> None:

@@ -36,10 +36,10 @@ recompute the closed form.  |v|^2 is formed once per branch, and
 ||z_u||^2 = sum |W_u|^2 |v|^2 is one weighted sum per distinct nonzero
 offset u; a point only adds s_b and its own rho, so no point runs a ramp,
 a transform or a derotation, and a branch at zero offset on every point
-runs no transform back to the time domain.  A one-tap (flat) hop's
-response is its tap on every bin (`channel.frequency_response`), so flat
-hops run no transform: a branch of flat hops keeps its response as one
-(trials, 1) column until the product with the symbols.
+runs no transform back to the time domain.  A relay of short hops takes
+one transform of their convolved taps (`channel.branch_response`), and a
+branch of flat hops none: its response stays one (trials, 1) column, the
+product of its taps, until the product with the symbols.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import LinkStats
-from .channel import draw_channel, frequency_response, require_isi_free
+from .channel import branch_response, draw_channel, require_isi_free
 from .ofdm import OfdmParams, draw_symbols
 from .transforms import dirichlet_gain, idft
 
@@ -142,8 +142,9 @@ def simulate_block(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkS
     A branch applies the CFO-rotated cascade of its hops, scaled by rho;
     its noise enters by its conditional mean.  Every branch's channel
     memory must fit in the prefix (`ValueError` otherwise).  The genie
-    gain of a branch is rho * C(cfo, 0) * prod H_i per bin, in hop order;
-    a flat hop's H_i is its tap, taken without a transform.
+    gain of a branch is rho * C(cfo, 0) * H per bin, for H = prod H_i over
+    its hops: one transform of their convolution when it is short,
+    2 Ls (L1 + L2 - 1) <= N for the shorter hop's Ls taps.
     A point's signal is (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is
     N s_b plus, at a nonzero offset u, N rho^2 ||z_u||^2 for z_u = W_u v
     and v = idft(HX): |v|^2 once per branch, then one sum weighted by
@@ -173,13 +174,7 @@ def simulate_block(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkS
     with np.errstate(over="raise"):  # a sum beyond the float range is an error
         for b, index in enumerate(np.searchsorted(offsets, cfo).T):
             try:
-                # H is (trials, 1) while every hop is flat; once it spans the bins
-                # the products run in place: one more live (trials, N) array per
-                # branch measurably slows large blocks
-                response = frequency_response(taps[b][0], n)
-                for h in taps[b][1:]:
-                    response = np.multiply(response, frequency_response(h, n),
-                                           out=response if response.shape[-1] == n else None)
+                response = branch_response(taps[b], n)  # (trials, 1) while every hop is flat
                 magnitude = rho[:, b] * gain[index]  # |genie gain / H|
                 if not (response.all() and magnitude.all()):
                     zero = np.any(response == 0, axis=0) | np.any(magnitude == 0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from afrelay.channel import (
     PowerDelayProfile,
+    branch_response,
     draw_channel,
     exponential_profile,
     flat_profile,
@@ -135,6 +136,61 @@ def test_response_matches_direct_sum(n_taps, n):
 def test_response_rejects_more_taps_than_bins():
     with pytest.raises(ValueError):
         frequency_response(np.ones(17), 16)
+
+
+# ------------------------------------------------------------- branch_response
+
+@pytest.mark.parametrize("l1, l2", [(1, 1), (1, 17), (17, 1), (4, 4), (3, 7), (8, 8),
+                                    (5, 4), (4, 5), (4, 6), (17, 2), (2, 17)])
+def test_branch_response_is_the_transform_of_the_convolved_hops(l1, l2):
+    # at N = 64, on both sides of the 2 Ls (L1 + L2 - 1) <= N rule and in both
+    # hop orders, against a per-row np.convolve oracle and the dft product
+    rng = np.random.default_rng(l1 * 100 + l2)
+    h1, h2 = cgauss(rng, (5, l1)), cgauss(rng, (5, l2))
+    resp = branch_response([h1, h2], 64)
+    cascade = np.array([np.convolve(a, b) for a, b in zip(h1, h2)])
+    assert np.max(np.abs(resp - dft(cascade, 64))) < 1e-12 * np.max(np.abs(resp))
+    product = dft(h1, 64) * dft(h2, 64)
+    assert np.max(np.abs(resp - product) / np.abs(product)) < 1e-12
+
+
+@pytest.mark.parametrize("l1, l2, transforms", [(5, 4, 1), (4, 5, 1), (2, 15, 1), (32, 1, 1),
+                                                (6, 4, 2), (4, 6, 2), (2, 16, 2), (8, 8, 2)])
+def test_branch_response_convolves_only_within_the_rule(monkeypatch, l1, l2, transforms):
+    # 2 Ls (L1 + L2 - 1) is 64 = N at 5 x 4, 2 x 15 and 32 x 1, 72 at 4 x 6,
+    # 68 at 2 x 16 and 240 at 8 x 8; beyond N each hop takes its own
+    # transform, in hop order
+    calls = []
+    monkeypatch.setattr(np.fft, "fft",
+                        lambda *a, _f=np.fft.fft, **k: calls.append(1) or _f(*a, **k))
+    rng = np.random.default_rng(23)
+    h1, h2 = cgauss(rng, (5, l1)), cgauss(rng, (5, l2))
+    resp = branch_response([h1, h2], 64)
+    assert len(calls) == transforms
+    if transforms == 2:
+        assert np.array_equal(resp, dft(h1, 64) * dft(h2, 64))
+
+
+def test_flat_branch_response_is_the_exact_tap_product():
+    rng = np.random.default_rng(21)
+    h1, h2 = cgauss(rng, (5, 1)), cgauss(rng, (5, 1))
+    resp = branch_response([h1, h2], 64)
+    assert resp.shape == (5, 1)
+    assert np.array_equal(resp, h1 * h2)
+
+
+@pytest.mark.parametrize("taps", [[1, 1], [5, 4], [4, 6]])
+def test_overflowing_branch_response_raises(taps):
+    # on both sides of the 2 Ls (L1 + L2 - 1) <= N rule a product beyond the
+    # float range raises under the engine's errstate
+    hops = [np.full((2, count), 1e200 + 0j) for count in taps]
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        branch_response(hops, 64)
+
+
+def test_single_hop_branch_response_is_the_hop_response():
+    taps = cgauss(np.random.default_rng(22), (3, 17))
+    assert np.array_equal(branch_response([taps], 64), frequency_response(taps, 64))
 
 
 # ------------------------------------------------------------- linear_convolve

@@ -239,10 +239,15 @@ def test_overflow_names_its_branch(b, name):
      ([uniform_profile(9), uniform_profile(9)], [0.23], [0.9], [0.02 + 0.9 ** 2 * 0.01])],
     [([FLAT], [0.0], [1.0], [0.01]),
      ([FLAT, uniform_profile(17)], [0.23], [0.9], [0.02 + 0.9 ** 2 * 0.01])],
-], ids=["direct_17", "relay_9_9", "relay_1_17"])
+    [([FLAT], [0.0], [1.0], [0.01]),
+     ([uniform_profile(15), uniform_profile(2)], [0.23], [0.9], [0.02 + 0.9 ** 2 * 0.01])],
+], ids=["direct_17", "relay_9_9", "relay_1_17", "relay_15_2"])
 def test_memory_equal_to_prefix_matches_oracle(branches):
     # memory 16 = PARAMS.cp_len, the most the prefix covers; one tap more is
-    # rejected by the isi_precondition tests above
+    # rejected by the isi_precondition tests above.  The relay's hops are
+    # convolved before the transform at 1 x 17 taps (2 Ls (L1 + L2 - 1) = 34
+    # <= N = 64) and at 15 x 2 (64, memory 15), and transformed one by one
+    # at 9 x 9 (306)
     assert _oracle_error(branches, 31, 3) < 1e-9
 
 
@@ -521,6 +526,16 @@ POINT_BRANCHES = {
         ([uniform_profile(2, 1.0), uniform_profile(3, 2.0)], [0.0], [1.3],
          [0.2 + 1.3 ** 2 * 0.05]),
     ],
+    # at N = 64 the relay's hops are convolved at 5 x 4 taps (2 Ls (L1 + L2
+    # - 1) = 2 x 4 x 8 = N) and transformed one by one at 4 x 6 (72)
+    "relay_5_4": [
+        ([flat_profile(1.0)], [0.0], [1.0], [0.1]),
+        ([uniform_profile(5, 1.0), uniform_profile(4, 4.0)], [0.0], [0.8], [0.2]),
+    ],
+    "relay_4_6": [
+        ([flat_profile(1.0)], [0.0], [1.0], [0.1]),
+        ([uniform_profile(4, 1.0), uniform_profile(6, 4.0)], [0.0], [0.8], [0.2]),
+    ],
 }
 
 
@@ -579,15 +594,17 @@ def test_block_draws_the_symbols_and_taps_only():
 
 def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
     # every transform runs once per block and branch, none per point; a
-    # branch at zero offset on every point runs no inverse transform, and a
-    # one-tap hop no forward one
+    # branch at zero offset on every point runs no inverse transform, a
+    # one-tap hop no forward one, and a relay of short hops, 2 Ls (L1 + L2
+    # - 1) <= N, one forward transform of their convolution
     calls = []
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), **k:
                             calls.append(1) or _f(*a, **k))
-    cases = [("selective_two_relays", 5, [1.0, -1.0, 0.5], 3),  # 5 hops of 2 to 4 taps
-             ("selective_two_relays", 5, [0.0, -1.0, 0.5], 2),
-             ("flat", 0, [0.0, 1.0], 1), ("flat", 0, [0.0, 0.0], 0)]
+    cases = [("selective_two_relays", 3, [1.0, -1.0, 0.5], 3),  # 4, 4x4 and 2x3 taps
+             ("selective_two_relays", 3, [0.0, -1.0, 0.5], 2),
+             ("flat", 0, [0.0, 1.0], 1), ("flat", 0, [0.0, 0.0], 0),
+             ("relay_5_4", 1, [0.0, 1.0], 1), ("relay_4_6", 2, [0.0, 1.0], 1)]
     for name, responses, moving, inverses in cases:
         counts = []
         for count in (1, 40):
