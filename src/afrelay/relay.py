@@ -38,8 +38,11 @@ offset u; a point only adds s_b and its own rho, so no point runs a ramp,
 a transform or a derotation, and a branch at zero offset on every point
 runs no transform back to the time domain.  A relay of short hops takes
 one transform of their convolved taps (`channel.branch_response`), and a
-branch of flat hops none: its response stays one (trials, 1) column, the
-product of its taps, until the product with the symbols.
+branch of flat hops none: its response is one (trials, 1) column h, the
+product of its taps, so v = h x for x = idft(X), |v|^2 = |h|^2 |x|^2 and
+its sums are |h|^2 times the block's ||X||^2 and sum |W_u|^2 |x|^2.  Flat
+branches share those, each formed once when a flat branch first needs it,
+so a block of flat branches runs at most one transform, idft(X).
 """
 from __future__ import annotations
 
@@ -149,7 +152,10 @@ def simulate_block(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkS
     N s_b plus, at a nonzero offset u, N rho^2 ||z_u||^2 for z_u = W_u v
     and v = idft(HX): |v|^2 once per branch, then one sum weighted by
     |W_u|^2 per distinct offset, so a point's sum does not depend on the
-    other points' offsets.  Each point adds its branches' powers in branch
+    other points' offsets.  A flat branch, all hops one tap, forms no
+    (trials, N) array: it scales the block's ||X||^2 and sum |W_u|^2 |x|^2,
+    x = idft(X), by its |h|^2, and flat branches share those sums and that
+    one inverse transform.  Each point adds its branches' powers in branch
     order.  A sum that overflows raises `FloatingPointError` naming the
     branch, `direct` or `relays[i]`, rather than returning `inf`.
     """
@@ -171,6 +177,7 @@ def simulate_block(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkS
     w = np.exp(2j * np.pi / n * offsets[:, None] * np.arange(n)) - coefficient[:, None]
     w2 = w.real ** 2 + w.imag ** 2  # |W|^2
     signal, residual = np.zeros((2, shape[0], trials))
+    norm = x2 = None  # ||X||^2 and |x|^2 for x = idft(X), formed once if flat branches need them
     with np.errstate(over="raise"):  # a sum beyond the float range is an error
         for b, index in enumerate(np.searchsorted(offsets, cfo).T):
             try:
@@ -181,8 +188,22 @@ def simulate_block(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkS
                     bins = np.flatnonzero(np.broadcast_to(zero, n)).tolist()
                     warnings.warn(f"genie gain is exactly zero at bins {bins}; "
                                   "derotation phase set to 0 there", stacklevel=2)
-                spectrum = np.multiply(response, symbols,  # HX
-                                       out=response if response.shape[-1] == n else None)
+                if response.shape[-1] == 1:  # flat: v = h x, so |v|^2 = |h|^2 |x|^2
+                    if norm is None:
+                        sv = symbols.view(np.float64)
+                        norm, sums = np.sum(sv * sv, -1), np.zeros((offsets.size, trials))
+                        formed = offsets == 0  # W is exactly 0 there: its sum stays 0
+                    h2 = np.sum(np.square(response.view(np.float64)), -1)  # |h|^2
+                    signal += magnitude[:, None] ** 2 * (h2 * norm)
+                    for u in np.unique(index[~formed[index]]):  # sum |W_u|^2 |x|^2
+                        if x2 is None:
+                            body = idft(symbols).view(np.float64)
+                            np.square(body, out=body)
+                            x2 = body[:, 0::2] + body[:, 1::2]
+                        sums[u], formed[u] = np.sum(x2 * w2[u], -1), True
+                    residual += n * (s[:, b, None] + rho[:, b, None] ** 2 * (h2 * sums[index]))
+                    continue
+                spectrum = np.multiply(response, symbols, out=response)  # HX
                 sv = spectrum.view(np.float64)  # (re, im) pairs
                 signal += magnitude[:, None] ** 2 * np.sum(sv * sv, -1)
                 power = np.repeat(s[:, b, None], trials, -1)  # residual / N: the noise's mean

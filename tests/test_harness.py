@@ -6,6 +6,7 @@ import math
 import re
 from dataclasses import replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -514,6 +515,43 @@ def test_multi_relay_sensitivities_match_finite_differences():
     for row, d1, d2 in zip(rows, fd1, fd2):
         assert abs(row.lambda1 - d1) / d1 < 1e-6
         assert abs(row.lambda2 - d2) / d2 < 1e-6
+
+
+# The slope of the empirical SNR in dB against eps2 is a central difference
+# over eps2 +- h; both points see the same draws (common random numbers), so
+# its standard error is paired, from each trial's influence on both ratios.
+# It is compared with the closed form's central difference at the same h,
+# not the exact slope (they differ by 4% at eps2 = 0.1).  Two z-scores, each
+# bounded at a 1e-4 / 2 false-failure chance (Bonferroni, as the per-branch
+# moment test in test_relay.py).
+SLOPE_Z_BOUND = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 2))
+
+
+def test_empirical_slope_matches_closed_form_difference():
+    h, centres = 0.02, (0.1, 0.3)
+    raw = copy.deepcopy(PRESETS["fig3_flat"])
+    raw.update(noise_scales=[0.1], trials=4000)
+    raw["sweep"]["grid"] = [c + d for c in centres for d in (-h, h)]
+    cfg = config_from_dict(raw)
+    stats, rho = point_inputs(cfg, *sweep_offsets(cfg))
+    size, hops = harness.block_size(cfg.ofdm), [link.hops for link in cfg.links]
+    blocks = [relay.simulate_block(cfg.ofdm, hops, rho, stats,
+                                   np.random.default_rng([cfg.master_seed, b]),
+                                   min(size, cfg.trials - b * size))
+              for b in range(-(-cfg.trials // size))]
+    sig, res = (np.concatenate([getattr(block, name) for block in blocks], -1)
+                for name in ("signal_power", "residual_power"))
+    ms, mr = sig.mean(-1), res.mean(-1)
+    db = 10.0 * np.log10(ms / mr)
+    influence = sig / ms[:, None] - res / mr[:, None]  # each trial's, on each log ratio
+    closed = analytical_snr(stats).snr_db
+    for lo, hi in ((0, 1), (2, 3)):
+        slope = (db[hi] - db[lo]) / (2 * h)
+        paired = 10.0 / math.log(10.0) * (influence[hi] - influence[lo]) / (2 * h)
+        stderr = paired.std(ddof=1) / math.sqrt(cfg.trials)
+        expected = (closed[hi] - closed[lo]) / (2 * h)
+        assert abs(slope - expected) <= SLOPE_Z_BOUND * stderr, (slope, expected, stderr)
+        assert stderr < 0.01 * abs(expected)  # the pairing resolves the slope to 1%
 
 
 def test_multi_relay_point_matches_multi_branch_closed_form():

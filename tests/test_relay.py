@@ -281,6 +281,23 @@ def test_flat_hops_match_both_oracles(n):
     assert _oracle_error([direct, relay], 16, 4, params) < 1e-9
 
 
+@pytest.mark.parametrize("n", [64, 127])
+def test_flat_relays_sharing_offsets_match_both_oracles(n):
+    # flat branches share the symbols' transform and each offset's sum:
+    # the direct link and a relay at 0.5, two relays at -0.5 (one muted),
+    # one at zero offset and one at its own offset
+    def relay(first, second, cfo, rho):
+        return ([flat_profile(first), flat_profile(second)], [cfo], [rho],
+                [0.02 + rho ** 2 * 0.05])
+
+    branches = [([FLAT], [0.5], [1.0], [0.05]), relay(1.0, 4.0, 0.5, 0.9),
+                relay(2.0, 1.0, -0.5, 1.2), relay(1.0, 0.0, -0.5, 0.7),
+                relay(0.5, 2.0, 0.0, 1.1), relay(3.0, 1.0, 0.17, 0.8)]
+    params = OfdmParams(n_subcarriers=n, cp_len=16)
+    with pytest.warns(UserWarning, match="genie gain is exactly zero"):
+        assert _oracle_error(branches, 23, 4, params) < 1e-9
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([48, 64, 80, 96]),
        st.sampled_from(["qpsk", "qam16"]), st.integers(1, 16), st.sampled_from([None, 0.5]),
@@ -321,16 +338,20 @@ def test_block_matches_per_trial_oracle(seed, n, constellation, m, edge, at_boun
 
 def test_combining_is_linear_in_branches():
     # a relay at rho = 0 adds nothing, so with the direct link muted the
-    # two-relay point is exactly the sum of the one-relay points
-    branches = [
-        ([MUTED], [0.1] * 3, [1.0] * 3, [0.0] * 3),
-        ([uniform_profile(3), uniform_profile(2)], [-0.2] * 3, [1.1, 0.0, 1.1], [0.0] * 3),
-        ([uniform_profile(2), FLAT], [0.3] * 3, [0.0, 0.9, 0.9], [0.0] * 3),
-    ]
-    with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = _simulate(branches, 18, 5)
-    for power in (block.signal_power, block.residual_power):
-        assert np.array_equal(power[2], power[0] + power[1])
+    # two-relay point is exactly the sum of the one-relay points; flat
+    # relays at one offset share its sum over the symbols
+    cases = [([uniform_profile(3), uniform_profile(2)], [uniform_profile(2), FLAT], -0.2, 0.3),
+             ([FLAT, flat_profile(4.0)], [flat_profile(2.0), FLAT], 0.3, 0.3)]
+    for first, second, cfo1, cfo2 in cases:
+        branches = [
+            ([MUTED], [0.1] * 3, [1.0] * 3, [0.0] * 3),
+            (first, [cfo1] * 3, [1.1, 0.0, 1.1], [0.0] * 3),
+            (second, [cfo2] * 3, [0.0, 0.9, 0.9], [0.0] * 3),
+        ]
+        with pytest.warns(UserWarning, match="genie gain is exactly zero"):
+            block = _simulate(branches, 18, 5)
+        for power in (block.signal_power, block.residual_power):
+            assert np.array_equal(power[2], power[0] + power[1])
 
 
 def test_zero_genie_gain_is_flagged():
@@ -519,6 +540,14 @@ POINT_BRANCHES = {
         ([flat_profile(1.0)], [0.0], [1.0], [0.1]),
         ([flat_profile(1.0), flat_profile(4.0)], [0.0], [0.8], [(1 + 0.8 ** 2) * 0.1]),
     ],
+    # three flat relays: with the direct link, four branches that share the
+    # block's idft(X) and its per-offset sums
+    "flat_three_relays": [
+        ([flat_profile(1.0)], [0.0], [1.0], [0.1]),
+        ([flat_profile(1.0), flat_profile(4.0)], [0.0], [0.8], [(1 + 0.8 ** 2) * 0.1]),
+        ([flat_profile(2.0), flat_profile(1.0)], [0.0], [1.3], [0.2 + 1.3 ** 2 * 0.05]),
+        ([flat_profile(0.5), flat_profile(3.0)], [0.0], [0.6], [0.1 + 0.6 ** 2 * 0.1]),
+    ],
     "selective_two_relays": [
         ([uniform_profile(4, 1.0)], [0.0], [1.0], [0.1]),
         ([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [0.8],
@@ -549,7 +578,7 @@ POINT_CASES.append(pytest.param("selective_two_relays", 7, 40, id="selective_two
 def test_block_of_points_equals_one_point_blocks(name, trials, count):
     branches = POINT_BRANCHES[name]
     relays = len(branches) - 1
-    cfos = [[0.0] + [0.0] * relays, [0.1, -0.2, 0.3][:relays + 1],
+    cfos = [[0.0] + [0.0] * relays, [0.1, -0.2, 0.3, -0.4][:relays + 1],
             [-0.45] + [0.45] * relays, [0.2] + [0.2] * relays]
     scales = [1.0, 1.0, 0.1, 0.0]  # the fourth point is noise-free
     gains = [1.0, 1.2, 0.7, 1.0]
@@ -596,7 +625,8 @@ def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
     # every transform runs once per block and branch, none per point; a
     # branch at zero offset on every point runs no inverse transform, a
     # one-tap hop no forward one, and a relay of short hops, 2 Ls (L1 + L2
-    # - 1) <= N, one forward transform of their convolution
+    # - 1) <= N, one forward transform of their convolution; flat branches
+    # share one inverse transform of the symbols, whatever their offsets
     calls = []
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), **k:
@@ -604,6 +634,7 @@ def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
     cases = [("selective_two_relays", 3, [1.0, -1.0, 0.5], 3),  # 4, 4x4 and 2x3 taps
              ("selective_two_relays", 3, [0.0, -1.0, 0.5], 2),
              ("flat", 0, [0.0, 1.0], 1), ("flat", 0, [0.0, 0.0], 0),
+             ("flat", 0, [1.0, 1.0], 1), ("flat_three_relays", 0, [1.0, -0.6, 0.3, 0.8], 1),
              ("relay_5_4", 1, [0.0, 1.0], 1), ("relay_4_6", 2, [0.0, 1.0], 1)]
     for name, responses, moving, inverses in cases:
         counts = []

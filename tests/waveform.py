@@ -158,9 +158,12 @@ def replay_draws(params, hops, rng, trials):
 def split_powers(spectrum, gain, symbols):
     """(signal, residual) power per trial of one branch: each bin of the
     received spectrum is derotated by conj(g)/|g| for its genie gain g
-    and split into the coherent term |g| X and the remainder."""
-    coherent = np.abs(gain) * symbols
-    derotated = spectrum * np.conj(gain) / np.abs(gain)
+    and split into the coherent term |g| X and the remainder; where g is 0
+    the derotation has phase 0, as in the engine."""
+    magnitude = np.abs(gain)
+    coherent = magnitude * symbols
+    derotated = np.divide(spectrum * np.conj(gain), magnitude, out=spectrum.astype(np.complex128),
+                          where=magnitude > 0)
     return (np.sum(np.abs(coherent) ** 2, axis=-1),
             np.sum(np.abs(derotated - coherent) ** 2, axis=-1))
 
