@@ -27,9 +27,11 @@ from .harness import (
 from .ofdm import OfdmParams, draw_symbols
 from .relay import (
     RelayGainConfig,
+    SweepPlan,
     TrialOutcome,
     gain_factor,
     simulate_block,
+    sweep_plan,
 )
 from .transforms import (
     dft,

@@ -9,8 +9,9 @@ rows ready for `write_csv`.  `point_inputs` is the one builder that turns
 a config and P sweep points into both sides' inputs, in one loop over
 `links`: the closed form's `LinkStats` with a leading point axis and the
 relay gains in the same (P, M + 1) layout.  The closed form evaluates the
-stats once per sweep; when the mode simulates, the engine reads the same
-stats object, with the gains and each link's hops, once per block.
+stats once per sweep; when the mode simulates, `relay.sweep_plan` reads the
+same stats object, with the gains and each link's hops, once per sweep,
+and every block's engine call reads that plan.
 
 Noise convention: configured noise variances are per received frequency
 bin, the same quantities the closed-form SNR consumes.  Each branch's
@@ -54,7 +55,7 @@ from .channel import (
     uniform_profile,
 )
 from .ofdm import OfdmParams
-from .relay import RelayGainConfig, gain_factor, simulate_block
+from .relay import RelayGainConfig, gain_factor, simulate_block, sweep_plan
 from .transforms import require_fractional_cfo
 
 SWEEP_AXES = ("eps1", "eps2", "both_equal")
@@ -442,11 +443,10 @@ def _simulate_blocks(task):
     """The `TrialOutcome` of each block of [first, stop) in order, one
     `simulate_block` call per block on its own generator; an error is
     re-raised naming the range."""
-    cfg, rho, stats, first, stop = task
-    size, hops = block_size(cfg.ofdm), [link.hops for link in cfg.links]
+    cfg, plan, first, stop = task
+    size = block_size(cfg.ofdm)
     try:
-        return [simulate_block(cfg.ofdm, hops, rho, stats,
-                               np.random.default_rng([cfg.master_seed, b]),
+        return [simulate_block(plan, np.random.default_rng([cfg.master_seed, b]),
                                min(size, cfg.trials - b * size)) for b in range(first, stop)]
     except Exception as exc:
         raise RuntimeError(f"blocks [{first}, {stop}): {exc}") from exc
@@ -456,18 +456,20 @@ def _empirical_results(cfg: ExperimentConfig, rho, stats):
     """The (snr_db, stderr_db) of each point of the table, in order, or
     (None, None) without end when the mode does not simulate.
 
-    The blocks split into at most `workers` contiguous ranges, each
-    covering every point.  With workers > 1 one process pool runs the
-    ranges; each point's per-trial powers are reassembled in trial order,
-    so the result does not depend on workers.
+    The engine's plan of the table is built once, and the blocks split
+    into at most `workers` contiguous ranges, each covering every point.
+    With workers > 1 one process pool runs the ranges; each point's
+    per-trial powers are reassembled in trial order, so the result does
+    not depend on workers.
     """
     if cfg.mode == "analytical":
         return repeat((None, None))
+    plan = sweep_plan(cfg.ofdm, [link.hops for link in cfg.links], rho, stats)
     size = block_size(cfg.ofdm)
     blocks = -(-cfg.trials // size)
     parts = min(cfg.workers, blocks)
     edges = [i * blocks // parts for i in range(parts + 1)]
-    tasks = [(cfg, rho, stats, a, b) for a, b in zip(edges, edges[1:])]
+    tasks = [(cfg, plan, a, b) for a, b in zip(edges, edges[1:])]
     pool = None
     if parts > 1:
         pool = ProcessPoolExecutor(max_workers=parts,

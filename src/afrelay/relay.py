@@ -10,7 +10,8 @@ prefix, transforms each branch, co-phases it using genie knowledge of the
 true dominant-term coefficient, and combines with equal gain.
 `simulate_block` is the one simulator entry point: it runs one
 random-stream block of trials at P sweep points on the same draws, reading
-their offsets and s_b from the closed form's own `LinkStats`.
+the sweep's `SweepPlan`, which `sweep_plan` builds once per sweep from the
+closed form's own `LinkStats` and checks.
 
 The channel is applied per frequency bin: a cyclic prefix that covers the
 channel memory (`channel.require_isi_free`) turns the linear convolution of
@@ -33,12 +34,13 @@ for z = W v, since the cross term with n has mean 0.  The engine uses that
 conditional mean (conditional Monte Carlo) and draws no noise; the
 leakage ||z||^2, the CFO's cost, stays drawn, so the simulator does not
 recompute the closed form.  |v|^2 is formed once per branch, and
-||z_u||^2 = sum |W_u|^2 |v|^2 is one weighted sum per distinct nonzero
-offset u; a point only adds s_b and its own rho, so no point runs a ramp,
-a transform or a derotation, and a branch at zero offset on every point
-runs no transform back to the time domain.  A relay of short hops takes
-one transform of their convolved taps (`channel.branch_response`), and a
-branch of flat hops none: its response is one (trials, 1) column h, the
+||z_u||^2 = sum |W_u|^2 |v|^2 is one `np.einsum` contraction per distinct
+nonzero offset u, which calls no BLAS; the plan holds |W_u|^2.  A point
+only adds s_b and its own rho, so no point runs a ramp, a transform or a
+derotation, and a branch at zero offset on every point runs no transform
+back to the time domain.  A relay of short hops takes one transform of
+their convolved taps (`channel.branch_response`), and a branch of flat
+hops none: its response is one (trials, 1) column h, the
 product of its taps, so v = h x for x = idft(X), |v|^2 = |h|^2 |x|^2 and
 its sums are |h|^2 times the block's ||X||^2 and sum |W_u|^2 |x|^2.  Flat
 branches share those, each formed once when a flat branch first needs it,
@@ -130,34 +132,29 @@ class TrialOutcome:
     residual_power: np.ndarray
 
 
-def simulate_block(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkStats,
-                   rng: np.random.Generator, trials: int) -> TrialOutcome:
-    """Run one stream block of `trials` trials at every point and decompose
-    their spectra.
+@dataclass(frozen=True)
+class SweepPlan:
+    """What every `simulate_block` call of a sweep reads, built once by
+    `sweep_plan`; the per-branch fields list the direct link first."""
 
-    `hops` holds each branch's hop profiles, direct link first; `rho` is
-    the (P, M + 1) gain of each point and branch; `stats` is the closed
-    form's table of the same points, of which the engine reads the offsets
-    and the per-bin noise s_b.  Every point receives the same draws.  `rng`
-    draws, in order: symbol indices (trials, N), then each branch's taps
-    hop by hop (each real block then imaginary block), and nothing else.
+    params: OfdmParams
+    hops: tuple          # each branch's hop profiles
+    rho: np.ndarray      # (P, M + 1) gain of each point and branch
+    noise: np.ndarray    # (P, M + 1) per-bin noise s_b
+    offsets: np.ndarray  # the distinct offsets u, ascending
+    gain: np.ndarray     # |C(u, 0)| per distinct offset
+    w2: np.ndarray       # |W_u|^2 per distinct offset, (offsets, N)
+    index: np.ndarray    # (M + 1, P): each branch's offset index per point
+    moving: tuple        # each branch's distinct nonzero offsets, by index
+    flat: tuple          # whether each branch's hops are all one tap
 
-    A branch applies the CFO-rotated cascade of its hops, scaled by rho;
-    its noise enters by its conditional mean.  Every branch's channel
-    memory must fit in the prefix (`ValueError` otherwise).  The genie
-    gain of a branch is rho * C(cfo, 0) * H per bin, for H = prod H_i over
-    its hops: one transform of their convolution when it is short,
-    2 Ls (L1 + L2 - 1) <= N for the shorter hop's Ls taps.
-    A point's signal is (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is
-    N s_b plus, at a nonzero offset u, N rho^2 ||z_u||^2 for z_u = W_u v
-    and v = idft(HX): |v|^2 once per branch, then one sum weighted by
-    |W_u|^2 per distinct offset, so a point's sum does not depend on the
-    other points' offsets.  A flat branch, all hops one tap, forms no
-    (trials, N) array: it scales the block's ||X||^2 and sum |W_u|^2 |x|^2,
-    x = idft(X), by its |h|^2, and flat branches share those sums and that
-    one inverse transform.  Each point adds its branches' powers in branch
-    order.  A sum that overflows raises `FloatingPointError` naming the
-    branch, `direct` or `relays[i]`, rather than returning `inf`.
+
+def sweep_plan(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkStats) -> SweepPlan:
+    """The engine's plan from each branch's hop profiles, direct link first,
+    the (P, M + 1) gains and the closed form's table of the same points,
+    whose offsets and per-bin noise s_b the engine reads.  It is the one
+    place the engine's inputs are checked: a branch has one or two hops,
+    and its channel memory must fit in the prefix (`ValueError` otherwise).
     """
     n, cp = params.n_subcarriers, params.cp_len
     shape = np.shape(stats.cfos)  # (P, M + 1)
@@ -168,53 +165,95 @@ def simulate_block(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkS
         if len(link) not in (1, 2):
             raise ValueError(f"a branch needs one or two hops, got {len(link)}")
         require_isi_free(cp, [sum(p.n_taps for p in link) - len(link) + 1], "the channel")
-    symbols = draw_symbols(params, rng, trials)
-    taps = [[draw_channel(profile, rng, trials) for profile in link] for link in hops]
-    cfo, rho, s = (np.asarray(v, dtype=np.float64) for v in (stats.cfos, rho, stats.noise_vars))
+    cfo, rho, noise = (np.asarray(v, dtype=np.float64) for v in (stats.cfos, rho, stats.noise_vars))
     offsets = np.unique(cfo)  # per distinct offset: |C(cfo, 0)|, C(cfo, 0) and W
     gain = dirichlet_gain(offsets, n)
     coefficient = gain * np.exp(1j * np.pi * offsets * (1.0 - 1.0 / n))
     w = np.exp(2j * np.pi / n * offsets[:, None] * np.arange(n)) - coefficient[:, None]
-    w2 = w.real ** 2 + w.imag ** 2  # |W|^2
-    signal, residual = np.zeros((2, shape[0], trials))
+    index = np.searchsorted(offsets, cfo).T
+    # W is exactly 0 at a zero offset: a branch's leakage there stays 0
+    moving = tuple(np.unique(i[offsets[i] != 0]) for i in index)
+    return SweepPlan(params, tuple(map(tuple, hops)), rho, noise, offsets, gain,
+                     w.real ** 2 + w.imag ** 2, index, moving,
+                     tuple(all(p.n_taps == 1 for p in link) for link in hops))
+
+
+def _contract(subscripts: str, *operands) -> np.ndarray:
+    """One `np.einsum` sum of products, which reads its operands once, forms
+    no temporary and calls no BLAS, so its result does not depend on the
+    BLAS thread count.  It returns inf on overflow without raising; here a
+    sum that is not finite raises `FloatingPointError`."""
+    total = np.einsum(subscripts, *operands)
+    if not np.isfinite(total).all():
+        raise FloatingPointError("overflow encountered in einsum")
+    return total
+
+
+def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int) -> TrialOutcome:
+    """Run one stream block of `trials` trials at every point of `plan`
+    and decompose their spectra.
+
+    Every point receives the same draws.  `rng` draws, in order: symbol
+    indices (trials, N), then each branch's taps hop by hop (each real
+    block then imaginary block), and nothing else.
+
+    A branch applies the CFO-rotated cascade of its hops, scaled by rho;
+    its noise enters by its conditional mean.  The genie gain of a branch
+    is rho * C(cfo, 0) * H per bin, for H = prod H_i over its hops
+    (`channel.branch_response`).  A point's signal is (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is
+    N s_b plus, at a nonzero offset u, N rho^2 ||z_u||^2 for z_u = W_u v
+    and v = idft(HX): |v|^2 once per branch, then one `einsum` contraction
+    with |W_u|^2 per distinct offset, so a point's sum does not depend on
+    the other points' offsets; ||HX||^2 is one contraction too.  A flat
+    branch, all hops one tap, forms no (trials, N) array: it scales the
+    block's ||X||^2 and sum |W_u|^2 |x|^2, x = idft(X), by its |h|^2, and
+    flat branches share those sums and that one inverse transform.  Each
+    point adds its branches' powers in branch order.  A sum that overflows
+    raises `FloatingPointError` naming the branch, `direct` or
+    `relays[i]`, rather than returning `inf`.
+    """
+    n, rho, s, w2 = plan.params.n_subcarriers, plan.rho, plan.noise, plan.w2
+    symbols = draw_symbols(plan.params, rng, trials)
+    taps = [[draw_channel(profile, rng, trials) for profile in link] for link in plan.hops]
+    signal, residual = np.zeros((2, rho.shape[0], trials))
     norm = x2 = None  # ||X||^2 and |x|^2 for x = idft(X), formed once if flat branches need them
     with np.errstate(over="raise"):  # a sum beyond the float range is an error
-        for b, index in enumerate(np.searchsorted(offsets, cfo).T):
+        for b, index in enumerate(plan.index):
             try:
                 response = branch_response(taps[b], n)  # (trials, 1) while every hop is flat
-                magnitude = rho[:, b] * gain[index]  # |genie gain / H|
+                magnitude = rho[:, b] * plan.gain[index]  # |genie gain / H|
                 if not (response.all() and magnitude.all()):
                     zero = np.any(response == 0, axis=0) | np.any(magnitude == 0)
                     bins = np.flatnonzero(np.broadcast_to(zero, n)).tolist()
                     warnings.warn(f"genie gain is exactly zero at bins {bins}; "
                                   "derotation phase set to 0 there", stacklevel=2)
-                if response.shape[-1] == 1:  # flat: v = h x, so |v|^2 = |h|^2 |x|^2
+                if plan.flat[b]:  # v = h x, so |v|^2 = |h|^2 |x|^2
                     if norm is None:
                         sv = symbols.view(np.float64)
-                        norm, sums = np.sum(sv * sv, -1), np.zeros((offsets.size, trials))
-                        formed = offsets == 0  # W is exactly 0 there: its sum stays 0
+                        norm, sums = _contract("tn,tn->t", sv, sv), np.zeros((len(w2), trials))
+                        formed = np.zeros(len(w2), bool)
                     h2 = np.sum(np.square(response.view(np.float64)), -1)  # |h|^2
                     signal += magnitude[:, None] ** 2 * (h2 * norm)
-                    for u in np.unique(index[~formed[index]]):  # sum |W_u|^2 |x|^2
+                    moving = plan.moving[b]
+                    for u in moving[~formed[moving]]:  # sum |W_u|^2 |x|^2
                         if x2 is None:
                             body = idft(symbols).view(np.float64)
                             np.square(body, out=body)
                             x2 = body[:, 0::2] + body[:, 1::2]
-                        sums[u], formed[u] = np.sum(x2 * w2[u], -1), True
+                        sums[u], formed[u] = _contract("tn,n->t", x2, w2[u]), True
                     residual += n * (s[:, b, None] + rho[:, b, None] ** 2 * (h2 * sums[index]))
                     continue
                 spectrum = np.multiply(response, symbols, out=response)  # HX
                 sv = spectrum.view(np.float64)  # (re, im) pairs
-                signal += magnitude[:, None] ** 2 * np.sum(sv * sv, -1)
+                signal += magnitude[:, None] ** 2 * _contract("tn,tn->t", sv, sv)
                 power = np.repeat(s[:, b, None], trials, -1)  # residual / N: the noise's mean
-                moving = np.unique(index[offsets[index] != 0])
-                if moving.size:  # W is exactly 0 at a zero offset: its leakage stays 0
+                if plan.moving[b].size:
                     body = idft(spectrum).view(np.float64)  # (re, im) pairs
                     np.square(body, out=body)
                     v2 = body[:, 0::2] + body[:, 1::2]  # |v|^2
-                    leakage = np.zeros((offsets.size, trials))  # ||z_u||^2 per offset
-                    for u in moving:
-                        leakage[u] = np.sum(v2 * w2[u], -1)
+                    leakage = np.zeros((len(w2), trials))  # ||z_u||^2 per offset
+                    for u in plan.moving[b]:
+                        leakage[u] = _contract("tn,n->t", v2, w2[u])
                     power += rho[:, b, None] ** 2 * leakage[index]
                 residual += n * power
             except FloatingPointError as exc:  # named as the config names the link

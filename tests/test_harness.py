@@ -427,9 +427,9 @@ def test_sweep_draws_each_block_once(monkeypatch):
         draws.append(trials)
         return draw_symbols(params, rng, trials)
 
-    def counting_simulate_block(params, hops, rho, stats, rng, trials):
+    def counting_simulate_block(plan, rng, trials):
         calls.append((type(rng), trials))
-        return simulate_block(params, hops, rho, stats, rng, trials)
+        return simulate_block(plan, rng, trials)
 
     raw = copy.deepcopy(TINY)
     raw["trials"] = 714  # three full 204-trial blocks and a short one
@@ -535,8 +535,8 @@ def test_empirical_slope_matches_closed_form_difference():
     cfg = config_from_dict(raw)
     stats, rho = point_inputs(cfg, *sweep_offsets(cfg))
     size, hops = harness.block_size(cfg.ofdm), [link.hops for link in cfg.links]
-    blocks = [relay.simulate_block(cfg.ofdm, hops, rho, stats,
-                                   np.random.default_rng([cfg.master_seed, b]),
+    plan = relay.sweep_plan(cfg.ofdm, hops, rho, stats)
+    blocks = [relay.simulate_block(plan, np.random.default_rng([cfg.master_seed, b]),
                                    min(size, cfg.trials - b * size))
               for b in range(-(-cfg.trials // size))]
     sig, res = (np.concatenate([getattr(block, name) for block in blocks], -1)
@@ -670,27 +670,56 @@ def test_analytical_sweep_builds_no_simulator_paths(monkeypatch):
 
 
 def test_engine_reads_the_closed_form_table(monkeypatch):
-    # one point table for both sides: every engine call gets the very
-    # LinkStats object the closed form evaluates, with rho in its layout
-    seen = {"analytical": [], "engine": []}
+    # one point table for both sides: the sweep's one engine plan is built
+    # from the very LinkStats object the closed form evaluates, with rho in
+    # its layout, and every engine call gets that plan
+    seen = {"analytical": [], "plans": [], "engine": []}
 
     def closed_form(stats):
         seen["analytical"].append(stats)
         return analytical_snr(stats)
 
-    def engine(params, hops, rho, stats, rng, trials):
-        seen["engine"].append(stats)
+    def plan(params, hops, rho, stats):
         assert rho.shape == stats.cfos.shape and len(hops) == stats.cfos.shape[1]
-        return simulate_block(params, hops, rho, stats, rng, trials)
+        seen["plans"].append((stats, sweep_plan(params, hops, rho, stats)))
+        return seen["plans"][-1][1]
 
-    simulate_block = harness.simulate_block
+    def engine(plan, rng, trials):
+        seen["engine"].append(plan)
+        return simulate_block(plan, rng, trials)
+
+    simulate_block, sweep_plan = harness.simulate_block, harness.sweep_plan
     monkeypatch.setattr(harness, "analytical_snr", closed_form)
+    monkeypatch.setattr(harness, "sweep_plan", plan)
     monkeypatch.setattr(harness, "simulate_block", engine)
     raw = three_relay_raw("eps2")
     raw.update(mode="both", trials=408)
     run_sweep(config_from_dict(raw))
     (stats,) = seen["analytical"]
-    assert len(seen["engine"]) == 2 and all(s is stats for s in seen["engine"])
+    ((planned, built),) = seen["plans"]
+    assert planned is stats
+    assert len(seen["engine"]) == 2 and all(p is built for p in seen["engine"])
+
+
+def test_engine_builds_its_tables_once_per_sweep(monkeypatch):
+    # the offsets' tables depend only on the sweep: a sweep of 7 blocks
+    # computes the Dirichlet gain as often as a sweep of one
+    calls = []
+
+    def counting_gain(eps, n):
+        calls.append(n)
+        return dirichlet_gain(eps, n)
+
+    dirichlet_gain = relay.dirichlet_gain
+    monkeypatch.setattr(relay, "dirichlet_gain", counting_gain)
+    counts = []
+    for blocks in (1, 7):
+        raw = three_relay_raw("eps2")
+        raw.update(mode="simulate", trials=blocks * 204)
+        calls.clear()
+        run_sweep(config_from_dict(raw))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 1
 
 
 # ------------------------------------------------------------------- run_sweep

@@ -23,7 +23,7 @@ from afrelay.channel import (
 )
 from afrelay.harness import PRESETS, config_from_dict, point_inputs, sweep_offsets
 from afrelay.ofdm import OfdmParams, draw_symbols
-from afrelay.relay import RelayGainConfig, gain_factor, simulate_block
+from afrelay.relay import RelayGainConfig, gain_factor, simulate_block, sweep_plan
 from conftest import engine_inputs, one_point, oracle_powers, paper_gain
 from waveform import apply_cfo, apply_channel, modulate, waveform_powers
 
@@ -48,10 +48,16 @@ def _draws(seed, profiles, trials):
 
 
 def _simulate(branches, seed, trials, params=PARAMS):
-    """`simulate_block` on the table of per-branch values (`engine_inputs`)
-    and default_rng(seed)."""
-    table = engine_inputs(branches, params.n_subcarriers)
-    return simulate_block(params, *table, np.random.default_rng(seed), trials)
+    """`simulate_block` on the plan of the table of per-branch values
+    (`engine_inputs`) and default_rng(seed)."""
+    return _run(engine_inputs(branches, params.n_subcarriers), seed, trials, params)
+
+
+def _run(table, seed, trials, params=PARAMS):
+    """`simulate_block` on the plan of the engine's (hops, rho, stats)
+    table and default_rng(seed), or on `seed` itself when it is a
+    generator."""
+    return simulate_block(sweep_plan(params, *table), np.random.default_rng(seed), trials)
 
 
 def _oracle_error(branches, seed, trials, params=PARAMS):
@@ -61,7 +67,7 @@ def _oracle_error(branches, seed, trials, params=PARAMS):
     N sum_b s_b that the engine adds in place of a draw."""
     n = params.n_subcarriers
     hops, rho, stats = engine_inputs(branches, n)
-    block = simulate_block(params, hops, rho, stats, np.random.default_rng(seed), trials)
+    block = _run((hops, rho, stats), seed, trials, params)
     silent = dataclasses.replace(stats, noise_vars=np.zeros_like(stats.noise_vars))
     noise = n * sum(stats.noise_vars[0])
     errors = []
@@ -115,7 +121,7 @@ def test_gain_config_validation():
 @pytest.mark.parametrize("hops", [[], [FLAT, FLAT, FLAT]], ids=["0_hops", "3_hops"])
 def test_branch_needs_one_or_two_hops(hops):
     with pytest.raises(ValueError, match="one or two hops"):
-        _simulate([(hops, [0.0], [1.0], [0.0])], 0, 1)
+        sweep_plan(PARAMS, *engine_inputs([(hops, [0.0], [1.0], [0.0])]))
 
 
 @pytest.mark.parametrize("hops, rho, n, message", [
@@ -131,7 +137,7 @@ def test_engine_rejects_a_table_that_does_not_fit(hops, rho, n, message):
     stats = LinkStats(n, [[1.0, 1.0]], [[0.0, 0.1]], [[0.1, 0.1]])
     need = r"need 2 hop lists, rho of shape \(1, 2\) and stats at N = 64; "
     with pytest.raises(ValueError, match=need + message):
-        simulate_block(PARAMS, hops, np.array(rho), stats, np.random.default_rng(0), 1)
+        sweep_plan(PARAMS, hops, np.array(rho), stats)
 
 
 # ----------------------------------------------------------------- direct link
@@ -160,7 +166,7 @@ def test_direct_link_isi_precondition():
     # 18 taps have memory 17, one beyond the prefix
     direct = ([uniform_profile(18)], [0.0], [1.0], [0.0])
     with pytest.raises(ValueError, match="has 18 taps, memory 17 .*prefix length 16"):
-        _simulate([direct], 0, 1)
+        sweep_plan(PARAMS, *engine_inputs([direct]))
 
 
 # ---------------------------------------------------------------- relay branch
@@ -218,15 +224,22 @@ def test_relay_branch_isi_precondition():
     for taps in ([9, 10], [1, 18]):
         relay = ([uniform_profile(n) for n in taps], [0.0], [1.0], [0.0])
         with pytest.raises(ValueError, match="has 18 taps, memory 17 .*prefix length 16"):
-            _simulate([([FLAT], [0.0], [1.0], [0.0]), relay], 0, 1)
+            sweep_plan(PARAMS, *engine_inputs([([FLAT], [0.0], [1.0], [0.0]), relay]))
 
 
-@pytest.mark.parametrize("b, name", [(0, "direct"), (2, "relays[1]")])
-def test_overflow_names_its_branch(b, name):
+@pytest.mark.parametrize("b, name, branch", [
+    (0, "direct", ([FLAT], [0.2], [1e160], [0.01])),
+    (2, "relays[1]", ([FLAT, FLAT], [0.2], [1e160], [0.01])),
+    # multi-tap hops at a nonzero offset: rho^2 is finite and ||HX||^2
+    # overflows inside its contraction, which returns inf without raising
+    (1, "relays[0]",
+     ([uniform_profile(4, 1e305), uniform_profile(3, 100.0)], [0.2], [1.0], [0.01])),
+], ids=["0-direct", "2-relays[1]", "1-relays[0]-multi_tap"])
+def test_overflow_names_its_branch(b, name, branch):
     # a power beyond the float range raises, naming the branch as the
     # config names its link
     branches = [([FLAT], [0.1], [1.0], [0.01])] + [([FLAT, FLAT], [0.2], [1.0], [0.01])] * 2
-    branches[b] = (branches[b][0], [0.2], [1e160], [0.01])
+    branches[b] = branch
     with pytest.raises(FloatingPointError, match=re.escape(name) + ": overflow"):
         _simulate(branches, 0, 3)
 
@@ -440,7 +453,7 @@ def test_zero_offset_residual_is_the_noise_mean():
     # N (s_b / N), so an engine that took one would fail here
     cfg, hops, rho, stats = _zero_offset_inputs(60, 0.476)
     n, s = cfg.ofdm.n_subcarriers, stats.noise_vars
-    outcome = simulate_block(cfg.ofdm, hops, rho, stats, np.random.default_rng(3), 5)
+    outcome = _run((hops, rho, stats), 3, 5, cfg.ofdm)
     expected = round_trip = 0.0
     for b in range(s.shape[1]):
         expected = expected + n * s[:, b]
@@ -587,11 +600,10 @@ def test_block_of_points_equals_one_point_blocks(name, trials, count):
     scales += rng.choice([1.0, 0.1, 0.0], count - 4).tolist()
     gains += rng.uniform(0.5, 1.5, count - 4).tolist()
     points = _point_table(branches, cfos, scales, gains)
-    block = simulate_block(PARAMS, *points, np.random.default_rng([5, 3]), trials)
+    block = _run(points, [5, 3], trials)
     assert block.signal_power.shape == block.residual_power.shape == (count, trials)
     for p in range(count):
-        alone = one_point(simulate_block(PARAMS, *_one_point(points, p),
-                                         np.random.default_rng([5, 3]), trials))
+        alone = one_point(_run(_one_point(points, p), [5, 3], trials))
         assert np.array_equal(block.signal_power[p], alone.signal_power)
         assert np.array_equal(block.residual_power[p], alone.residual_power)
 
@@ -602,8 +614,8 @@ def test_block_of_points_consumes_the_stream_of_one_point():
     points = _point_table(POINT_BRANCHES["selective_two_relays"], np.zeros((3, 3)),
                           [1.0, 0.5, 0.1])
     shared, alone = np.random.default_rng(9), np.random.default_rng(9)
-    simulate_block(PARAMS, *points, shared, 11)
-    simulate_block(PARAMS, *_one_point(points, 2), alone, 11)
+    _run(points, shared, 11)
+    _run(_one_point(points, 2), alone, 11)
     assert shared.bit_generator.state == alone.bit_generator.state
 
 
@@ -613,7 +625,7 @@ def test_block_draws_the_symbols_and_taps_only():
     points = _point_table(POINT_BRANCHES["selective_two_relays"],
                           [[0.0, 0.3, -0.2], [0.1, 0.0, 0.5]], [1.0, 0.0])
     engine, replay = np.random.default_rng(9), np.random.default_rng(9)
-    simulate_block(PARAMS, *points, engine, 11)
+    _run(points, engine, 11)
     draw_symbols(PARAMS, replay, 11)
     for link in points[0]:
         for profile in link:
@@ -641,8 +653,7 @@ def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
         for count in (1, 40):
             cfos = np.linspace(-0.5, 0.5, count)[:, None] * moving
             calls.clear()
-            simulate_block(PARAMS, *_point_table(POINT_BRANCHES[name], cfos, np.ones(count)),
-                           np.random.default_rng(4), 7)
+            _run(_point_table(POINT_BRANCHES[name], cfos, np.ones(count)), 4, 7)
             counts.append(len(calls))
         assert counts[0] == counts[1] == responses + inverses, name
 
@@ -651,7 +662,7 @@ def test_noise_free_zero_offset_point_has_zero_residual_beside_noisy_points():
     # the infinity sentinel reports such a point, whose residual is exactly 0
     cfos = [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [0.5, -0.5, 0.5]]
     points = _point_table(POINT_BRANCHES["selective_two_relays"], cfos, [0.0, 1.0, 1.0, 0.1])
-    block = simulate_block(PARAMS, *points, np.random.default_rng(12), 102)
+    block = _run(points, 12, 102)
     assert np.all(block.residual_power[0] == 0)
     assert np.all(block.residual_power[1:] > 1e-6 * block.signal_power[1:])
 
