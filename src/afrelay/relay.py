@@ -40,11 +40,11 @@ only adds s_b and its own rho, so no point runs a ramp, a transform or a
 derotation, and a branch at zero offset on every point runs no transform
 back to the time domain.  A relay of short hops takes one transform of
 their convolved taps (`channel.branch_response`), and a branch of flat
-hops none: its response is one (trials, 1) column h, the
-product of its taps, so v = h x for x = idft(X), |v|^2 = |h|^2 |x|^2 and
-its sums are |h|^2 times the block's ||X||^2 and sum |W_u|^2 |x|^2.  Flat
-branches share those, each formed once when a flat branch first needs it,
-so a block of flat branches runs at most one transform, idft(X).
+hops none: its response is one (trials, 1) column h, so v = h x for
+x = idft(X), and it reduces the symbols X at scale |h|^2 where a
+multi-tap branch reduces its own HX at scale 1.  The first flat branch
+reduces X at every flat branch's offsets, so a block of flat branches
+runs at most one transform, idft(X).
 """
 from __future__ import annotations
 
@@ -138,15 +138,14 @@ class SweepPlan:
     `sweep_plan`; the per-branch fields list the direct link first."""
 
     params: OfdmParams
-    hops: tuple          # each branch's hop profiles
-    rho: np.ndarray      # (P, M + 1) gain of each point and branch
-    noise: np.ndarray    # (P, M + 1) per-bin noise s_b
-    offsets: np.ndarray  # the distinct offsets u, ascending
-    gain: np.ndarray     # |C(u, 0)| per distinct offset
-    w2: np.ndarray       # |W_u|^2 per distinct offset, (offsets, N)
-    index: np.ndarray    # (M + 1, P): each branch's offset index per point
-    moving: tuple        # each branch's distinct nonzero offsets, by index
-    flat: tuple          # whether each branch's hops are all one tap
+    hops: tuple        # each branch's hop profiles
+    rho: np.ndarray    # (P, M + 1) gain of each point and branch
+    noise: np.ndarray  # (P, M + 1) per-bin noise s_b
+    gain: np.ndarray   # |C(u, 0)| per distinct offset u, ascending
+    w2: np.ndarray     # |W_u|^2 per distinct offset, (offsets, N)
+    index: np.ndarray  # (M + 1, P): each branch's offset index per point
+    moving: tuple      # each branch's distinct nonzero offsets, by index
+    flat: np.ndarray   # the flat branches' distinct nonzero offsets, by index
 
 
 def sweep_plan(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkStats) -> SweepPlan:
@@ -171,11 +170,13 @@ def sweep_plan(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkStats
     coefficient = gain * np.exp(1j * np.pi * offsets * (1.0 - 1.0 / n))
     w = np.exp(2j * np.pi / n * offsets[:, None] * np.arange(n)) - coefficient[:, None]
     index = np.searchsorted(offsets, cfo).T
-    # W is exactly 0 at a zero offset: a branch's leakage there stays 0
-    moving = tuple(np.unique(i[offsets[i] != 0]) for i in index)
-    return SweepPlan(params, tuple(map(tuple, hops)), rho, noise, offsets, gain,
-                     w.real ** 2 + w.imag ** 2, index, moving,
-                     tuple(all(p.n_taps == 1 for p in link) for link in hops))
+    flat = np.array([all(p.n_taps == 1 for p in link) for link in hops])
+
+    def moving(i):  # W is exactly 0 at a zero offset: a branch's leakage there stays 0
+        return np.unique(i[offsets[i] != 0])
+
+    return SweepPlan(params, tuple(map(tuple, hops)), rho, noise, gain, w.real ** 2 + w.imag ** 2,
+                     index, tuple(map(moving, index)), moving(index[flat]))
 
 
 def _contract(subscripts: str, *operands) -> np.ndarray:
@@ -189,6 +190,20 @@ def _contract(subscripts: str, *operands) -> np.ndarray:
     return total
 
 
+def _sums(spectrum: np.ndarray, w2: np.ndarray, moving: np.ndarray) -> tuple:
+    """||S||^2 per trial and the (offsets, trials) sums |W_u|^2 |idft(S)|^2,
+    zero at the offsets not in `moving`; no transform if `moving` is empty."""
+    sv = spectrum.view(np.float64)  # (re, im) pairs
+    norm, leakage = _contract("tn,tn->t", sv, sv), np.zeros((len(w2), len(spectrum)))
+    if moving.size:
+        body = idft(spectrum).view(np.float64)
+        np.square(body, out=body)
+        v2 = body[:, 0::2] + body[:, 1::2]  # |v|^2
+        for u in moving:
+            leakage[u] = _contract("tn,n->t", v2, w2[u])
+    return norm, leakage
+
+
 def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int) -> TrialOutcome:
     """Run one stream block of `trials` trials at every point of `plan`
     and decompose their spectra.
@@ -200,23 +215,24 @@ def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int) -> Tr
     A branch applies the CFO-rotated cascade of its hops, scaled by rho;
     its noise enters by its conditional mean.  The genie gain of a branch
     is rho * C(cfo, 0) * H per bin, for H = prod H_i over its hops
-    (`channel.branch_response`).  A point's signal is (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is
-    N s_b plus, at a nonzero offset u, N rho^2 ||z_u||^2 for z_u = W_u v
-    and v = idft(HX): |v|^2 once per branch, then one `einsum` contraction
-    with |W_u|^2 per distinct offset, so a point's sum does not depend on
-    the other points' offsets; ||HX||^2 is one contraction too.  A flat
-    branch, all hops one tap, forms no (trials, N) array: it scales the
-    block's ||X||^2 and sum |W_u|^2 |x|^2, x = idft(X), by its |h|^2, and
-    flat branches share those sums and that one inverse transform.  Each
-    point adds its branches' powers in branch order.  A sum that overflows
-    raises `FloatingPointError` naming the branch, `direct` or
-    `relays[i]`, rather than returning `inf`.
+    (`channel.branch_response`).  A point's signal is
+    (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is N s_b plus, at a nonzero
+    offset u, N rho^2 ||z_u||^2 for z_u = W_u v and v = idft(HX): `_sums`
+    forms |v|^2 once per branch, then one `einsum` contraction with |W_u|^2
+    per distinct offset, so a point's sum does not depend on the other
+    points' offsets; ||HX||^2 is one contraction too.  A flat branch, all
+    hops one tap, has a (trials, 1) response h and forms no (trials, N)
+    array: its sums are |h|^2 times the symbols' own, which the first flat
+    branch forms at every flat branch's offsets, so flat branches share one
+    inverse transform.  Every branch then adds its powers to each point in
+    branch order.  A sum that overflows raises `FloatingPointError` naming
+    the branch, `direct` or `relays[i]`, rather than returning `inf`.
     """
     n, rho, s, w2 = plan.params.n_subcarriers, plan.rho, plan.noise, plan.w2
     symbols = draw_symbols(plan.params, rng, trials)
     taps = [[draw_channel(profile, rng, trials) for profile in link] for link in plan.hops]
     signal, residual = np.zeros((2, rho.shape[0], trials))
-    norm = x2 = None  # ||X||^2 and |x|^2 for x = idft(X), formed once if flat branches need them
+    shared = None  # the symbols' `_sums`, formed by the first flat branch
     with np.errstate(over="raise"):  # a sum beyond the float range is an error
         for b, index in enumerate(plan.index):
             try:
@@ -227,35 +243,16 @@ def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int) -> Tr
                     bins = np.flatnonzero(np.broadcast_to(zero, n)).tolist()
                     warnings.warn(f"genie gain is exactly zero at bins {bins}; "
                                   "derotation phase set to 0 there", stacklevel=2)
-                if plan.flat[b]:  # v = h x, so |v|^2 = |h|^2 |x|^2
-                    if norm is None:
-                        sv = symbols.view(np.float64)
-                        norm, sums = _contract("tn,tn->t", sv, sv), np.zeros((len(w2), trials))
-                        formed = np.zeros(len(w2), bool)
-                    h2 = np.sum(np.square(response.view(np.float64)), -1)  # |h|^2
-                    signal += magnitude[:, None] ** 2 * (h2 * norm)
-                    moving = plan.moving[b]
-                    for u in moving[~formed[moving]]:  # sum |W_u|^2 |x|^2
-                        if x2 is None:
-                            body = idft(symbols).view(np.float64)
-                            np.square(body, out=body)
-                            x2 = body[:, 0::2] + body[:, 1::2]
-                        sums[u], formed[u] = _contract("tn,n->t", x2, w2[u]), True
-                    residual += n * (s[:, b, None] + rho[:, b, None] ** 2 * (h2 * sums[index]))
-                    continue
-                spectrum = np.multiply(response, symbols, out=response)  # HX
-                sv = spectrum.view(np.float64)  # (re, im) pairs
-                signal += magnitude[:, None] ** 2 * _contract("tn,tn->t", sv, sv)
-                power = np.repeat(s[:, b, None], trials, -1)  # residual / N: the noise's mean
-                if plan.moving[b].size:
-                    body = idft(spectrum).view(np.float64)  # (re, im) pairs
-                    np.square(body, out=body)
-                    v2 = body[:, 0::2] + body[:, 1::2]  # |v|^2
-                    leakage = np.zeros((len(w2), trials))  # ||z_u||^2 per offset
-                    for u in plan.moving[b]:
-                        leakage[u] = _contract("tn,n->t", v2, w2[u])
-                    power += rho[:, b, None] ** 2 * leakage[index]
-                residual += n * power
+                if response.shape[1] == 1:  # v = h x: the symbols' sums at scale |h|^2
+                    shared = shared or _sums(symbols, w2, plan.flat)
+                    norm, leakage = shared
+                    scale = np.sum(np.square(response.view(np.float64)), -1)
+                else:  # v = idft(HX) at scale 1
+                    spectrum = np.multiply(response, symbols, out=response)
+                    norm, leakage = _sums(spectrum, w2, plan.moving[b])
+                    scale = 1.0
+                signal += magnitude[:, None] ** 2 * (scale * norm)
+                residual += n * (s[:, b, None] + rho[:, b, None] ** 2 * (scale * leakage[index]))
             except FloatingPointError as exc:  # named as the config names the link
                 name = f"relays[{b - 1}]" if b else "direct"
                 raise FloatingPointError(f"{name}: {exc}") from exc

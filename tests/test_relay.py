@@ -227,21 +227,30 @@ def test_relay_branch_isi_precondition():
             sweep_plan(PARAMS, *engine_inputs([([FLAT], [0.0], [1.0], [0.0]), relay]))
 
 
-@pytest.mark.parametrize("b, name, branch", [
-    (0, "direct", ([FLAT], [0.2], [1e160], [0.01])),
-    (2, "relays[1]", ([FLAT, FLAT], [0.2], [1e160], [0.01])),
+@pytest.mark.parametrize("name, changes, params", [
+    ("direct", {0: ([FLAT], [0.2], [1e160], [0.01])}, PARAMS),
+    ("relays[1]", {2: ([FLAT, FLAT], [0.2], [1e160], [0.01])}, PARAMS),
     # multi-tap hops at a nonzero offset: rho^2 is finite and ||HX||^2
     # overflows inside its contraction, which returns inf without raising
-    (1, "relays[0]",
-     ([uniform_profile(4, 1e305), uniform_profile(3, 100.0)], [0.2], [1.0], [0.01])),
-], ids=["0-direct", "2-relays[1]", "1-relays[0]-multi_tap"])
-def test_overflow_names_its_branch(b, name, branch):
+    ("relays[0]",
+     {1: ([uniform_profile(4, 1e305), uniform_profile(3, 100.0)], [0.2], [1.0], [0.01])}, PARAMS),
+    # ||X||^2 = 64 x 3e306 overflows in the symbols' sums that the flat
+    # branches share: the faint multi-tap direct link's own stay finite, and
+    # relays[0], the first flat branch, forms them for relays[1] too, though
+    # its own offset is 0
+    ("relays[0]", {0: ([uniform_profile(4, 1e-10)], [0.1], [1.0], [0.01]),
+                   1: ([FLAT, flat_profile(1e-10)], [0.0], [1.0], [0.01]),
+                   2: ([FLAT, FLAT], [0.3], [1.0], [0.01])},
+     dataclasses.replace(PARAMS, symbol_power=3e306)),
+], ids=["0-direct", "2-relays[1]", "1-relays[0]-multi_tap", "1-relays[0]-shared_sums"])
+def test_overflow_names_its_branch(name, changes, params):
     # a power beyond the float range raises, naming the branch as the
     # config names its link
     branches = [([FLAT], [0.1], [1.0], [0.01])] + [([FLAT, FLAT], [0.2], [1.0], [0.01])] * 2
-    branches[b] = branch
+    for b, branch in changes.items():
+        branches[b] = branch
     with pytest.raises(FloatingPointError, match=re.escape(name) + ": overflow"):
-        _simulate(branches, 0, 3)
+        _simulate(branches, 0, 3, params)
 
 
 # ------------------------------------------------------ memory at the prefix
@@ -561,6 +570,13 @@ POINT_BRANCHES = {
         ([flat_profile(2.0), flat_profile(1.0)], [0.0], [1.3], [0.2 + 1.3 ** 2 * 0.05]),
         ([flat_profile(0.5), flat_profile(3.0)], [0.0], [0.6], [0.1 + 0.6 ** 2 * 0.1]),
     ],
+    # a multi-tap relay between flat branches, which share the symbols' sums
+    "mixed": [
+        ([flat_profile(1.0)], [0.0], [1.0], [0.1]),
+        ([uniform_profile(2, 1.0), uniform_profile(3, 2.0)], [0.0], [1.3],
+         [0.2 + 1.3 ** 2 * 0.05]),
+        ([flat_profile(2.0), flat_profile(1.0)], [0.0], [0.8], [(1 + 0.8 ** 2) * 0.1]),
+    ],
     "selective_two_relays": [
         ([uniform_profile(4, 1.0)], [0.0], [1.0], [0.1]),
         ([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [0.8],
@@ -647,7 +663,8 @@ def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
              ("selective_two_relays", 3, [0.0, -1.0, 0.5], 2),
              ("flat", 0, [0.0, 1.0], 1), ("flat", 0, [0.0, 0.0], 0),
              ("flat", 0, [1.0, 1.0], 1), ("flat_three_relays", 0, [1.0, -0.6, 0.3, 0.8], 1),
-             ("relay_5_4", 1, [0.0, 1.0], 1), ("relay_4_6", 2, [0.0, 1.0], 1)]
+             ("relay_5_4", 1, [0.0, 1.0], 1), ("relay_4_6", 2, [0.0, 1.0], 1),
+             ("mixed", 1, [1.0, -1.0, 0.5], 2)]  # one idft(HX), one idft(X)
     for name, responses, moving, inverses in cases:
         counts = []
         for count in (1, 40):
