@@ -247,22 +247,23 @@ def _parse_profile(raw, context: str, cp_len: int) -> PowerDelayProfile:
         raise ConfigValueError(f"{context}.kind must be one of {list(PROFILE_KEYS)}, got {kind!r}")
     _check_keys(raw, PROFILE_KEYS[kind], context)
     power = _as_number(_require(raw, "power", context), "power", context)
-    # every link is a closed-form branch, whose coherent power must be > 0
-    if power <= 0:
-        raise ConfigValueError(f"{context}: total power must be > 0, got {power!r}")
     try:
         if kind == "flat":  # one tap, no memory
-            return flat_profile(power)
-        n_taps = _as_int(_require(raw, "n_taps", context), "n_taps", context)
-        # no hop may outgrow the prefix; checked before n_taps sizes an array
-        require_isi_free(cp_len, [n_taps], "n_taps")
-        if kind == "uniform":
-            return uniform_profile(n_taps, power)
-        return exponential_profile(
-            n_taps, power, _as_number(raw.get("decay", 1.0), "decay", context)
-        )
+            profile = flat_profile(power)
+        else:
+            n_taps = _as_int(_require(raw, "n_taps", context), "n_taps", context)
+            # no hop may outgrow the prefix; checked before n_taps sizes an array
+            require_isi_free(cp_len, [n_taps], "n_taps")
+            profile = uniform_profile(n_taps, power) if kind == "uniform" else exponential_profile(
+                n_taps, power, _as_number(raw.get("decay", 1.0), "decay", context))
     except ValueError as exc:
         raise ConfigValueError(f"{context}: {exc}") from exc
+    # every link is a closed-form branch, whose coherent power must be > 0;
+    # the taps of a subnormal power can underflow to 0
+    if not profile.total_power > 0:
+        raise ConfigValueError(f"{context}: total power must be > 0, got {power!r} "
+                               f"(taps summing to {profile.total_power!r})")
+    return profile
 
 
 def _parse_gain(raw, context: str) -> RelayGainConfig:
@@ -407,8 +408,8 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
     and s_b = the last noise plus rho^2 times the earlier ones, the relay's
     noise arriving amplified by its gain.  This is the one place that rule
     is applied.  Each relay gain is resolved once per noise scaling.  Finite
-    config values whose a_b leaves (0, inf) or whose s_b overflows raise
-    ConfigValueError.
+    config values whose gain is undefined, whose a_b leaves (0, inf) or
+    whose s_b overflows raise ConfigValueError.
     """
     n, sx = cfg.ofdm.n_subcarriers, cfg.ofdm.symbol_power
     levels, level_of = np.unique(scales, return_inverse=True)
@@ -417,8 +418,11 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
         context = f"relays[{i - 1}]" if i else "direct"
         for scale in levels.tolist():
             noise = [v * scale for v in link.noise_vars]
-            rho = 1.0 if link.gain is None else gain_factor(
-                link.gain, link.hops[0].total_power, noise[0])
+            try:
+                rho = 1.0 if link.gain is None else gain_factor(
+                    link.gain, link.hops[0].total_power, noise[0])
+            except ValueError as exc:  # the relay's input power underflows to 0
+                raise ConfigValueError(f"{context}: {exc} at noise scale {scale!r}") from exc
             try:
                 rho_sq = rho ** 2
             except OverflowError:

@@ -44,7 +44,7 @@ hops none: its response is one (trials, 1) column h, so v = h x for
 x = idft(X), and it reduces the symbols X at scale |h|^2 where a
 multi-tap branch reduces its own HX at scale 1.  The first flat branch
 reduces X at every flat branch's offsets, so a block of flat branches
-runs at most one transform, idft(X).
+runs at most one transform, idft(X).  Overflow is checked per branch.
 """
 from __future__ import annotations
 
@@ -179,28 +179,18 @@ def sweep_plan(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkStats
                      index, tuple(map(moving, index)), moving(index[flat]))
 
 
-def _contract(subscripts: str, *operands) -> np.ndarray:
-    """One `np.einsum` sum of products, which reads its operands once, forms
-    no temporary and calls no BLAS, so its result does not depend on the
-    BLAS thread count.  It returns inf on overflow without raising; here a
-    sum that is not finite raises `FloatingPointError`."""
-    total = np.einsum(subscripts, *operands)
-    if not np.isfinite(total).all():
-        raise FloatingPointError("overflow encountered in einsum")
-    return total
-
-
 def _sums(spectrum: np.ndarray, w2: np.ndarray, moving: np.ndarray) -> tuple:
     """||S||^2 per trial and the (offsets, trials) sums |W_u|^2 |idft(S)|^2,
-    zero at the offsets not in `moving`; no transform if `moving` is empty."""
+    zero at the offsets not in `moving`; no transform if `moving` is empty.
+    Each sum is one `einsum`, which forms no temporary and calls no BLAS."""
     sv = spectrum.view(np.float64)  # (re, im) pairs
-    norm, leakage = _contract("tn,tn->t", sv, sv), np.zeros((len(w2), len(spectrum)))
+    norm, leakage = np.einsum("tn,tn->t", sv, sv), np.zeros((len(w2), len(spectrum)))
     if moving.size:
         body = idft(spectrum).view(np.float64)
         np.square(body, out=body)
         v2 = body[:, 0::2] + body[:, 1::2]  # |v|^2
         for u in moving:
-            leakage[u] = _contract("tn,n->t", v2, w2[u])
+            leakage[u] = np.einsum("tn,n->t", v2, w2[u])
     return norm, leakage
 
 
@@ -225,35 +215,38 @@ def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int) -> Tr
     array: its sums are |h|^2 times the symbols' own, which the first flat
     branch forms at every flat branch's offsets, so flat branches share one
     inverse transform.  Every branch then adds its powers to each point in
-    branch order.  A sum that overflows raises `FloatingPointError` naming
-    the branch, `direct` or `relays[i]`, rather than returning `inf`.
+    branch order, with overflow ignored: the engine only multiplies,
+    squares, sums and transforms, so an overflow reaches the branch's
+    powers as inf, or NaN (inf * 0), and a power that is not finite then
+    raises `FloatingPointError` naming the branch, `direct` or `relays[i]`.
     """
     n, rho, s, w2 = plan.params.n_subcarriers, plan.rho, plan.noise, plan.w2
     symbols = draw_symbols(plan.params, rng, trials)
     taps = [[draw_channel(profile, rng, trials) for profile in link] for link in plan.hops]
     signal, residual = np.zeros((2, rho.shape[0], trials))
     shared = None  # the symbols' `_sums`, formed by the first flat branch
-    with np.errstate(over="raise"):  # a sum beyond the float range is an error
+    # checked once per branch below; invalid too, as inf * 0 forms NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         for b, index in enumerate(plan.index):
-            try:
-                response = branch_response(taps[b], n)  # (trials, 1) while every hop is flat
-                magnitude = rho[:, b] * plan.gain[index]  # |genie gain / H|
-                if not (response.all() and magnitude.all()):
-                    zero = np.any(response == 0, axis=0) | np.any(magnitude == 0)
-                    bins = np.flatnonzero(np.broadcast_to(zero, n)).tolist()
-                    warnings.warn(f"genie gain is exactly zero at bins {bins}; "
-                                  "derotation phase set to 0 there", stacklevel=2)
-                if response.shape[1] == 1:  # v = h x: the symbols' sums at scale |h|^2
-                    shared = shared or _sums(symbols, w2, plan.flat)
-                    norm, leakage = shared
-                    scale = np.sum(np.square(response.view(np.float64)), -1)
-                else:  # v = idft(HX) at scale 1
-                    spectrum = np.multiply(response, symbols, out=response)
-                    norm, leakage = _sums(spectrum, w2, plan.moving[b])
-                    scale = 1.0
-                signal += magnitude[:, None] ** 2 * (scale * norm)
-                residual += n * (s[:, b, None] + rho[:, b, None] ** 2 * (scale * leakage[index]))
-            except FloatingPointError as exc:  # named as the config names the link
-                name = f"relays[{b - 1}]" if b else "direct"
-                raise FloatingPointError(f"{name}: {exc}") from exc
+            name = f"relays[{b - 1}]" if b else "direct"  # as the config names the link
+            response = branch_response(taps[b], n)  # (trials, 1) while every hop is flat
+            magnitude = rho[:, b] * plan.gain[index]  # |genie gain / H|
+            if not (response.all() and magnitude.all()):
+                zero = np.any(response == 0, axis=0) | np.any(magnitude == 0)
+                bins = np.flatnonzero(np.broadcast_to(zero, n)).tolist()
+                warnings.warn(f"{name}: genie gain is exactly zero at bins {bins}; "
+                              "derotation phase set to 0 there", stacklevel=2)
+            if response.shape[1] == 1:  # v = h x: the symbols' sums at scale |h|^2
+                shared = shared or _sums(symbols, w2, plan.flat)
+                norm, leakage = shared
+                scale = np.sum(np.square(response.view(np.float64)), -1)
+            else:  # v = idft(HX) at scale 1
+                spectrum = np.multiply(response, symbols, out=response)
+                norm, leakage = _sums(spectrum, w2, plan.moving[b])
+                scale = 1.0
+            signal += magnitude[:, None] ** 2 * (scale * norm)
+            residual += n * (s[:, b, None] + rho[:, b, None] ** 2 * (scale * leakage[index]))
+            if not (np.isfinite(signal).all() and np.isfinite(residual).all()):
+                raise FloatingPointError(f"{name}: overflow beyond the float range "
+                                         "in its signal or residual power")
     return TrialOutcome(signal, residual)

@@ -182,7 +182,8 @@ def test_flat_branch_response_is_the_exact_tap_product():
 @pytest.mark.parametrize("taps", [[1, 1], [5, 4], [4, 6]])
 def test_overflowing_branch_response_raises(taps):
     # on both sides of the 2 Ls (L1 + L2 - 1) <= N rule a product beyond the
-    # float range raises under the engine's errstate
+    # float range overflows, and no step hides it: under a raising errstate
+    # it raises
     hops = [np.full((2, count), 1e200 + 0j) for count in taps]
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         branch_response(hops, 64)

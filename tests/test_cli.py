@@ -152,6 +152,19 @@ def test_config_errors_exit_with_config_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
     assert "config error: direct: coherent power inf" in capsys.readouterr().err
 
+    # without relay noise, a relay input power that underflows to 0 leaves
+    # the gain undefined: the hop's taps of power 5e-324 / 4 round to 0, or
+    # its power 1e-200 times the source's does
+    faint = {"kind": "uniform", "n_taps": 4, "power": 5e-324}
+    for hop1, gain in ((faint, SMALL["relays"][0]["gain"]), (faint, {"mode": "upa_asymptotic"}),
+                       ({"kind": "flat", "power": 1e-200},
+                        {"mode": "general", "source_power": 1e-200, "relay_power": 1.0})):
+        relay = {**SMALL["relays"][0], "hop1_profile": hop1, "relay_noise_var": 0.0, "gain": gain}
+        bad.write_text(json.dumps({**SMALL, "relays": [relay]}))
+        assert main(["analyze", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: relays[0]" in capsys.readouterr().err
+        assert not out.exists()
+
     # an unhashable value where a name belongs
     bad.write_text(json.dumps({**SMALL, "ofdm": {**SMALL["ofdm"], "constellation": ["qpsk"]}}))
     assert main(["simulate", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
@@ -180,13 +193,23 @@ def test_block_failure_names_its_block_range(config_path, tmp_path, capsys, monk
     assert isinstance(failure.value.__cause__, ValueError)
 
 
-@pytest.mark.parametrize("symbol_power", [1e306, 1e303])
-def test_overflowed_power_sums_exit_with_runtime_code(symbol_power, tmp_path, capsys):
+@pytest.mark.parametrize("symbol_power, hop_power, message", [
+    (1e306, None, "blocks [0, 10): direct: overflow"),
+    (1e303, None, "row 0 (eps1=0, eps2=0): the signal power total of 2000 trials"),
+    (1.0, 1e160, "blocks [0, 10): relays[0]: overflow"),
+], ids=["1e+306", "1e+303", "loud_relay"])
+def test_overflowed_power_sums_exit_with_runtime_code(symbol_power, hop_power, message,
+                                                       tmp_path, capsys):
     # at 1e306 a per-trial sum overflows in the engine, at 1e303 only the
-    # totals of the 2000 trials do: either ends the run instead of writing
-    # inf, without a numpy warning; the closed form stays finite
+    # totals of the 2000 trials do, and a relay of hop powers 1e160 squares
+    # its flat response h1 h2 beyond the float range: each ends the run
+    # instead of writing inf, without a numpy warning; the closed form,
+    # a_b = rho^2 * 1e160 * 1e160 * s_X at rho^2 ~ 1e-160, stays finite
     raw = copy.deepcopy(harness.PRESETS["fig3_flat"])
     raw["ofdm"]["symbol_power"] = symbol_power
+    if hop_power is not None:
+        raw["relays"][0].update(hop1_profile={"kind": "flat", "power": hop_power},
+                                hop2_profile={"kind": "flat", "power": hop_power})
     config, out = tmp_path / "large.json", tmp_path / "large.csv"
     config.write_text(json.dumps(raw))
     with warnings.catch_warnings(record=True) as caught:
@@ -194,11 +217,9 @@ def test_overflowed_power_sums_exit_with_runtime_code(symbol_power, tmp_path, ca
         rc = main(["simulate", "--config", str(config), "--mode", "simulate", "--out", str(out)])
     assert rc == EXIT_RUNTIME
     err = capsys.readouterr().err
-    assert "overflow" in err
-    if symbol_power == 1e303:  # the totals name the first point and the total
-        assert "row 0 (eps1=0, eps2=0): the signal power total of 2000 trials" in err
-    else:  # the engine names the branch whose power overflowed
-        assert "blocks [0, 10): direct: overflow" in err
+    # the engine names the branch whose power overflowed, the totals the
+    # first point and the total
+    assert "overflow" in err and message in err
     assert not out.exists()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert main(["simulate", "--config", str(config), "--mode", "analytical",

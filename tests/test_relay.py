@@ -242,7 +242,14 @@ def test_relay_branch_isi_precondition():
                    1: ([FLAT, flat_profile(1e-10)], [0.0], [1.0], [0.01]),
                    2: ([FLAT, FLAT], [0.3], [1.0], [0.01])},
      dataclasses.replace(PARAMS, symbol_power=3e306)),
-], ids=["0-direct", "2-relays[1]", "1-relays[0]-multi_tap", "1-relays[0]-shared_sums"])
+    # flat hops at offset 0: |h|^2 overflows, and times the zero leakage
+    # it forms inf * 0, which must raise rather than warn
+    ("relays[0]", {1: ([flat_profile(1e200), flat_profile(1e200)], [0.0], [1.0], [0.01])},
+     PARAMS),
+    # the residual alone: N s_b = 64 x 1e307 while the signal stays finite
+    ("direct", {0: ([FLAT], [0.1], [1.0], [1e307])}, PARAMS),
+], ids=["0-direct", "2-relays[1]", "1-relays[0]-multi_tap", "1-relays[0]-shared_sums",
+        "1-relays[0]-flat_offset_0", "0-direct-noise"])
 def test_overflow_names_its_branch(name, changes, params):
     # a power beyond the float range raises, naming the branch as the
     # config names its link
@@ -388,6 +395,10 @@ def test_zero_genie_gain_is_flagged():
     silent = ([FLAT, FLAT], [0.2, 0.2], [1.0, 0.0], [0.02, 0.01])
     with pytest.warns(UserWarning, match=every_bin):
         _simulate([([FLAT], [0.1, 0.1], [1.0, 1.0], [0.01, 0.01]), silent], 19, 3)
+    # the warning names its branch as the config names the link
+    muted = ([FLAT, MUTED], [0.2], [1.0], [0.02])
+    with pytest.warns(UserWarning, match=re.escape("relays[1]: genie gain is exactly zero")):
+        _simulate([([FLAT], [0.1], [1.0], [0.01]), relay, muted], 19, 3)
 
 
 # --------------------------------------------------------------- decomposition
