@@ -77,11 +77,12 @@ def draw_channel(profile: PowerDelayProfile, rng: np.random.Generator, trials: i
     return std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def frequency_response(taps, n: int) -> np.ndarray:
+def frequency_response(taps, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Per-bin response H[k] of each row: transform of the taps zero-padded to n.
 
-    Two or more taps give an (..., n) array.  One tap gives a fresh (..., 1)
-    copy, exactly H[k] = h[0] exp(0) on every bin; it broadcasts against bins.
+    Two or more taps give an (..., n) array, written into `out` if given.
+    One tap gives a fresh (..., 1) copy, exactly H[k] = h[0] exp(0) on every
+    bin; it broadcasts against bins, and `out` stays unused.
     """
     taps = np.asarray(taps, dtype=np.complex128)
     if taps.ndim == 0 or taps.size == 0:
@@ -90,16 +91,18 @@ def frequency_response(taps, n: int) -> np.ndarray:
         raise ValueError(f"channel has {taps.shape[-1]} taps, more than n={n} bins")
     if taps.shape[-1] == 1:
         return taps.copy()
-    return dft(taps, n)
+    return dft(taps, n, out=out)
 
 
-def branch_response(taps, n: int) -> np.ndarray:
+def branch_response(taps, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Per-bin response of a branch from its hops' tap blocks: the product
     of their responses in hop order, in place once it spans the bins.  Two
     short hops are first convolved row by row (the shorter hop's Ls taps on
     the outer axis, about Ls (L1 + L2) values a row), and their L1 + L2 - 1
     taps take one transform; the rule 2 Ls (L1 + L2 - 1) <= n is the
-    crossover measured end to end at n = 64, 256 and 1024.
+    crossover measured end to end at n = 64, 256 and 1024.  A response
+    that spans the bins is written into `out` if given, a (..., n) complex
+    array; a flat branch's (..., 1) column is not.
     """
     a, b = sorted(taps, key=lambda h: h.shape[-1]) if len(taps) == 2 else (None, None)
     if a is not None and 2 * a.shape[-1] * (a.shape[-1] + b.shape[-1] - 1) <= n:
@@ -109,10 +112,10 @@ def branch_response(taps, n: int) -> np.ndarray:
         np.multiply(a[..., None], b[..., None, :], out=skew[..., :lb])
         skew = skew.reshape(rows + (-1,))[..., :la * (la + lb - 1)]
         taps = [skew.reshape(rows + (la, -1)).sum(-2)]
-    response = frequency_response(taps[0], n)
+    response = frequency_response(taps[0], n, out)
     for h in taps[1:]:  # in place: one more live (..., n) array slows large blocks
         response = np.multiply(response, frequency_response(h, n),
-                               out=response if response.shape[-1] == n else None)
+                               out=response if response.shape[-1] == n else out)
     return response
 
 

@@ -445,13 +445,15 @@ def block_size(params: OfdmParams) -> int:
 
 def _simulate_blocks(task):
     """The `TrialOutcome` of each block of [first, stop) in order, one
-    `simulate_block` call per block on its own generator; an error is
-    re-raised naming the range."""
+    `simulate_block` call per block on its own generator, all in one set
+    of (2, B, N) buffers; an error is re-raised naming the range."""
     cfg, plan, first, stop = task
     size = block_size(cfg.ofdm)
+    buffers = np.empty((2, min(size, cfg.trials), cfg.ofdm.n_subcarriers), np.complex128)
     try:
         return [simulate_block(plan, np.random.default_rng([cfg.master_seed, b]),
-                               min(size, cfg.trials - b * size)) for b in range(first, stop)]
+                               min(size, cfg.trials - b * size), buffers)
+                for b in range(first, stop)]
     except Exception as exc:
         raise RuntimeError(f"blocks [{first}, {stop}): {exc}") from exc
 

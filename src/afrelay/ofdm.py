@@ -47,12 +47,16 @@ class OfdmParams:
             raise ValueError(f"symbol_power must be > 0, got {self.symbol_power}")
 
 
-def draw_symbols(params: OfdmParams, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """Draw a (trials, N) block of i.i.d. uniform constellation points.
+def draw_symbols(params: OfdmParams, rng: np.random.Generator, trials: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Draw a (trials, N) block of i.i.d. uniform constellation points,
+    into `out` if given, a (trials, N) complex array.
 
     Points are scaled so the constellation's average power equals
     params.symbol_power (exact per point for QPSK).
     """
     table = CONSTELLATIONS[params.constellation] * np.sqrt(params.symbol_power)
     idx = rng.integers(0, table.size, (trials, params.n_subcarriers))
-    return table[idx]
+    # every index is in range, so "clip" changes nothing; unlike the default
+    # "raise", it writes straight into `out` rather than through a copy
+    return np.take(table, idx, out=out, mode="clip")

@@ -37,19 +37,22 @@ def _as_signal(x, name: str) -> np.ndarray:
     return arr
 
 
-def dft(x, n: int | None = None) -> np.ndarray:
+def dft(x, n: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Un-normalized forward transform Y[k] = sum_n x[n] exp(-j2*pi*k*n/N).
 
     Taken along the last axis, so a (trials, N) block transforms row by
     row; any length N is exact.  With `n`, the rows are zero-padded to n
-    samples inside the transform.
+    samples inside the transform.  With `out`, a complex array of the
+    result's shape, the result is written there.
     """
-    return np.fft.fft(_as_signal(x, "x"), n, axis=-1)
+    return np.fft.fft(_as_signal(x, "x"), n, axis=-1, out=out)
 
 
-def idft(spectrum) -> np.ndarray:
-    """Inverse of `dft` along the last axis: x[n] = (1/N) sum_k Y[k] exp(j2*pi*k*n/N)."""
-    return np.fft.ifft(_as_signal(spectrum, "spectrum"), axis=-1)
+def idft(spectrum, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of `dft` along the last axis: x[n] = (1/N) sum_k Y[k] exp(j2*pi*k*n/N).
+
+    With `out` the result is written there; `out` may be `spectrum` itself."""
+    return np.fft.ifft(_as_signal(spectrum, "spectrum"), axis=-1, out=out)
 
 
 def dirichlet_gain(eps, n: int) -> np.ndarray:

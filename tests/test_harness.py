@@ -3,7 +3,10 @@ import copy
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -423,13 +426,13 @@ def test_sweep_draws_each_block_once(monkeypatch):
     # those of the point run alone
     draws, calls = [], []
 
-    def counting_draw_symbols(params, rng, trials):
+    def counting_draw_symbols(params, rng, trials, out=None):
         draws.append(trials)
-        return draw_symbols(params, rng, trials)
+        return draw_symbols(params, rng, trials, out)
 
-    def counting_simulate_block(plan, rng, trials):
+    def counting_simulate_block(plan, rng, trials, buffers=None):
         calls.append((type(rng), trials))
-        return simulate_block(plan, rng, trials)
+        return simulate_block(plan, rng, trials, buffers)
 
     raw = copy.deepcopy(TINY)
     raw["trials"] = 714  # three full 204-trial blocks and a short one
@@ -452,6 +455,45 @@ def test_block_size_follows_the_transmitted_symbol_length():
     sizes = {(n, cp): harness.block_size(OfdmParams(n_subcarriers=n, cp_len=cp))
              for n, cp in ((64, 16), (1024, 64), (16384, 1))}
     assert sizes == {(64, 16): 204, (1024, 64): 15, (16384, 1): 1}
+
+
+# One warm-up sweep, then the mean minor page faults of five more.
+FAULTS_PER_SWEEP = """
+import json, resource, sys
+from afrelay.harness import config_from_dict, run_sweep
+cfg = config_from_dict(json.loads(sys.argv[1]))
+run_sweep(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    run_sweep(cfg)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts minor page faults on Linux")
+def test_warm_n1024_sweep_takes_no_fresh_pages():
+    # every block of a range draws and transforms in one set of (B, N)
+    # buffers, so a warm sweep of 7 blocks at N = 1024 faults in no fresh
+    # pages: 1,176-1,194 minor faults a sweep when each block allocated its
+    # own (15, 1024) arrays; now about 120 in the first sweep after the
+    # warm-up (the first whose buffer set comes from the heap, not mmap)
+    # and 0 after it, 25 on average.  The count depends on the heap's
+    # history, so it is taken in a fresh interpreter: after other tests
+    # even per-block arrays may find their pages already mapped.
+    hop = lambda power: {"kind": "exponential", "n_taps": 16, "power": power, "decay": 4.0}
+    relay = {"hop1_profile": hop(1.0), "hop2_profile": hop(4.0), "cfo": 0.0,
+             "relay_noise_var": 0.1, "dest_noise_var": 0.1,
+             "gain": {"mode": "upa", "total_power": 2.0}}
+    raw = {"ofdm": {"n_subcarriers": 1024, "cp_len": 64},
+           "direct": {"profile": hop(1.0), "cfo": 0.0, "noise_var": 0.1},
+           "relays": [relay] * 4, "sweep": {"axis": "eps2", "grid": [0.0, 0.2, 0.4]},
+           "noise_scales": [1.0, 0.1], "trials": 100, "master_seed": 777, "mode": "both",
+           "workers": 1}
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", FAULTS_PER_SWEEP, json.dumps(raw)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert float(run.stdout) < 100
 
 
 def test_tiny_noise_zero_offset_point_is_finite():
@@ -684,9 +726,9 @@ def test_engine_reads_the_closed_form_table(monkeypatch):
         seen["plans"].append((stats, sweep_plan(params, hops, rho, stats)))
         return seen["plans"][-1][1]
 
-    def engine(plan, rng, trials):
+    def engine(plan, rng, trials, buffers=None):
         seen["engine"].append(plan)
-        return simulate_block(plan, rng, trials)
+        return simulate_block(plan, rng, trials, buffers)
 
     simulate_block, sweep_plan = harness.simulate_block, harness.sweep_plan
     monkeypatch.setattr(harness, "analytical_snr", closed_form)

@@ -21,7 +21,7 @@ from afrelay.channel import (
     flat_profile,
     uniform_profile,
 )
-from afrelay.harness import PRESETS, config_from_dict, point_inputs, sweep_offsets
+from afrelay.harness import PRESETS, block_size, config_from_dict, point_inputs, sweep_offsets
 from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.relay import RelayGainConfig, gain_factor, simulate_block, sweep_plan
 from conftest import engine_inputs, one_point, oracle_powers, paper_gain
@@ -550,15 +550,15 @@ def test_one_trial_block_reproduces_per_trial_engine(name, seed):
 
 # ----------------------------------------------------------- points of a block
 
-def _point_table(branches, cfos, scales, gains=1.0):
-    """The engine's P-point table from one-point branches: offsets
+def _point_table(branches, cfos, scales, gains=1.0, n=64):
+    """The engine's P-point table at N = n from one-point branches: offsets
     (P, M + 1), and each point's noise scaled by its entry of `scales`,
     its relay gains by its entry of `gains` (the direct link keeps gain 1)."""
     cfos, scales = np.asarray(cfos), np.asarray(scales)
     gains = np.broadcast_to(gains, scales.shape)
     return engine_inputs([(hops, cfos[:, b], rho[0] * (gains if b else np.ones(scales.shape)),
                            noise[0] * scales)
-                          for b, (hops, _, rho, noise) in enumerate(branches)])
+                          for b, (hops, _, rho, noise) in enumerate(branches)], n)
 
 
 def _one_point(table, p):
@@ -658,6 +658,36 @@ def test_block_draws_the_symbols_and_taps_only():
         for profile in link:
             draw_channel(profile, replay, 11)
     assert engine.bit_generator.state == replay.bit_generator.state
+
+
+# four relays of 16-tap exponential hops at N = 1024, like the benchmark's
+# wide4_n1024 sweep: every branch takes the transform path
+WIDE4 = ([([exponential_profile(16, 1.0, 4.0)], [0.0], [1.0], [0.1])]
+         + [([exponential_profile(16, 1.0, 4.0), exponential_profile(16, 4.0, 4.0)], [0.0],
+             [0.9], [0.1 + 0.9 ** 2 * 0.1])] * 4)
+
+
+@pytest.mark.parametrize("branches, n", [pytest.param(POINT_BRANCHES["mixed"], 64, id="mixed"),
+                                         pytest.param(WIDE4, 1024, id="wide4")])
+def test_one_buffer_set_per_block_range_equals_fresh_blocks(branches, n):
+    # a block range draws and transforms every block in one (2, B, N)
+    # buffer set, sliced for the short last block; a block reads nothing
+    # that the set held before it, here NaN and then the previous block
+    params = OfdmParams(n_subcarriers=n, cp_len=n // 16)
+    m = len(branches)
+    cfos = [[0.0] * m, np.linspace(-0.5, 0.5, m), [0.3] * m]
+    plan = sweep_plan(params, *_point_table(branches, cfos, [1.0, 0.1, 0.0], n=n))
+    size = block_size(params)
+    trials = 2 * size + 5
+    buffers = np.full((2, size, n), complex(np.nan, np.nan))
+    for b in range(3):
+        rows = min(size, trials - b * size)
+        reused = simulate_block(plan, np.random.default_rng([7, b]), rows, buffers)
+        fresh = simulate_block(plan, np.random.default_rng([7, b]), rows)
+        assert reused.signal_power.shape == (3, rows)
+        assert np.array_equal(reused.signal_power, fresh.signal_power)
+        assert np.array_equal(reused.residual_power, fresh.residual_power)
+        assert np.isfinite(reused.residual_power).all()
 
 
 def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
