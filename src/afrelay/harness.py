@@ -4,8 +4,10 @@ A config describes one topology, the OFDM numerology and `links`, one
 `LinkSpec` per link, direct link first, each read by `_parse_link`; plus a
 CFO sweep: which offset axis moves, the grid it moves over, and the noise
 scalings at which the sweep repeats.  `run_sweep` evaluates the
-closed-form SNR and/or the Monte-Carlo estimate at every point and returns
-rows ready for `write_csv`.  `point_inputs` is the one builder that turns
+closed-form SNR and/or the Monte-Carlo estimate at every point, builds each
+output column once, and returns the table as `SweepRow`s ready for
+`write_csv`: slots dataclasses, mutable and not hashable, that
+`dataclasses.replace` copies.  `point_inputs` is the one builder that turns
 a config and P sweep points into both sides' inputs, in one loop over
 `links`: the closed form's `LinkStats` with a leading point axis and the
 relay gains in the same (P, M + 1) layout.  The closed form evaluates the
@@ -122,8 +124,8 @@ class ExperimentConfig:
             raise ConfigValueError(f"workers must be >= 1, got {self.workers}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+@dataclass(slots=True)
+class SweepRow:  # one CSV line, fields in column order
     eps1: float
     eps2: float
     analytical_db: float | None
@@ -459,8 +461,7 @@ def _simulate_blocks(task):
 
 
 def _empirical_results(cfg: ExperimentConfig, rho, stats):
-    """The (snr_db, stderr_db) of each point of the table, in order, or
-    (None, None) without end when the mode does not simulate.
+    """The empirical_db and stderr_db columns of the table, in point order.
 
     The engine's plan of the table is built once, and the blocks split
     into at most `workers` contiguous ranges, each covering every point.
@@ -468,8 +469,6 @@ def _empirical_results(cfg: ExperimentConfig, rho, stats):
     per-trial powers are reassembled in trial order, so the result does
     not depend on workers.
     """
-    if cfg.mode == "analytical":
-        return repeat((None, None))
     plan = sweep_plan(cfg.ofdm, [link.hops for link in cfg.links], rho, stats)
     size = block_size(cfg.ofdm)
     blocks = -(-cfg.trials // size)
@@ -489,7 +488,7 @@ def _empirical_results(cfg: ExperimentConfig, rho, stats):
     for b, outcome in enumerate(chain.from_iterable(results)):  # trials [bB, (b+1)B)
         at = slice(b * size, (b + 1) * size)
         sig[:, at], res[:, at] = outcome.signal_power, outcome.residual_power
-    return _aggregate_trials(sig, res, stats.cfos)
+    return zip(*_aggregate_trials(sig, res, stats.cfos))
 
 
 def _aggregate_trials(sig: np.ndarray, res: np.ndarray, cfos: np.ndarray) -> list:
@@ -554,42 +553,39 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     lambda2 is |sum_b dSNR/de_b| over the relay branches, the slope when
     every relay offset moves together (|dSNR/de_2| with one relay).  When
     the mode omits a side, the corresponding columns are left empty
-    (None), as are the slopes at an infinite SNR.  `on_row` is called with
-    each finished SweepRow in order, for progress reporting; when the mode
-    simulates, every point finishes with the last trial block, so all rows
-    arrive after it.
+    (None), as are the slopes at an infinite SNR.
+
+    The rows are `SweepRow`s, fields in CSV order: a slots dataclass,
+    mutable and not hashable, that `dataclasses.replace` copies.  Each
+    column is built once as a list and the rows from the columns by one
+    `map`.  `on_row` is called with each row once, in order, after the
+    whole table is built.
     """
     cfos, scales = sweep_offsets(cfg)
     stats, rho = point_inputs(cfg, cfos, scales)
-    analytical = lambda1 = lambda2 = repeat(None)
+    points = len(cfos)
+    # one list per column; `map` reads each through its own iterator, so
+    # columns may share a list but never an iterator
+    analytical = lambda1 = lambda2 = empirical = stderr = [None] * points
     if cfg.mode != "simulate":
         snr = analytical_snr(stats)
         analytical = snr.snr_db.tolist()
         # each point's relay slopes added left to right in branch order
-        lambda1, lambda2 = (np.where(snr.den == 0.0, None, np.abs(slope)).tolist()
+        lambda1, lambda2 = (np.abs(slope).tolist()
                             for slope in (snr.slopes[:, 0], sum(snr.slopes.T[1:])))
+        for p in np.flatnonzero(snr.den == 0.0).tolist():  # the infinite-SNR sentinel
+            lambda1[p] = lambda2[p] = None
+    if cfg.mode != "analytical":
+        empirical, stderr = _empirical_results(cfg, rho, stats)
     # each noise scaling repeats the grid's offsets; repeating the list lets
     # the rows share its float objects rather than hold one copy per row
     grid = len(cfg.sweep_grid)
     direct, relay = (cfos[:grid, b].tolist() * len(cfg.noise_scales) for b in (0, 1))
     trials = cfg.trials if cfg.mode != "analytical" else 0
-    rows = []
-    for eps1, eps2, db, l1, l2, (empirical_db, stderr_db) in zip(
-        direct, relay, analytical, lambda1, lambda2, _empirical_results(cfg, rho, stats)
-    ):
-        row = SweepRow(
-            eps1=eps1,
-            eps2=eps2,
-            analytical_db=db,
-            empirical_db=empirical_db,
-            stderr_db=stderr_db,
-            lambda1=l1,
-            lambda2=l2,
-            trials=trials,
-            seed=cfg.master_seed,
-        )
-        rows.append(row)
-        if on_row is not None:
+    rows = list(map(SweepRow, direct, relay, analytical, empirical, stderr, lambda1, lambda2,
+                    repeat(trials, points), repeat(cfg.master_seed, points)))
+    if on_row is not None:
+        for row in rows:
             on_row(row)
     return rows
 

@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from statistics import NormalDist
 
@@ -559,21 +559,28 @@ def test_multi_relay_sensitivities_match_finite_differences():
         assert abs(row.lambda2 - d2) / d2 < 1e-6
 
 
-# The slope of the empirical SNR in dB against eps2 is a central difference
-# over eps2 +- h; both points see the same draws (common random numbers), so
-# its standard error is paired, from each trial's influence on both ratios.
-# It is compared with the closed form's central difference at the same h,
-# not the exact slope (they differ by 4% at eps2 = 0.1).  Two z-scores, each
-# bounded at a 1e-4 / 2 false-failure chance (Bonferroni, as the per-branch
-# moment test in test_relay.py).
-SLOPE_Z_BOUND = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 2))
+# The slope of the empirical SNR in dB against one offset axis is a central
+# difference over eps +- h; both points see the same draws (common random
+# numbers), so its standard error is paired, from each trial's influence on
+# both ratios.  It is compared with the closed form's central difference at
+# the same h, not the exact slope (they differ by 4% at eps2 = 0.1).  Three
+# slopes at two centres each give six z-scores, each bounded at a 1e-4 / 6
+# false-failure chance (Bonferroni, as the per-branch moment test in
+# test_relay.py).  At seeds 1-5 and the preset's the largest |z| read 2.0,
+# and the largest stderr 0.8% of the slope (lambda1 at eps1 = 0.1).
+SLOPE_Z_BOUND = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 6))
 
 
-def test_empirical_slope_matches_closed_form_difference():
+@pytest.mark.parametrize("axis, relays", [("eps2", 1), ("eps1", 1), ("eps2", 2)],
+                         ids=["lambda2-one-relay", "lambda1", "lambda2-two-relays"])
+def test_empirical_slope_matches_closed_form_difference(axis, relays):
+    # lambda1 moves the direct offset; lambda2 moves every relay's offset,
+    # here of one relay or of two equal flat relays
     h, centres = 0.02, (0.1, 0.3)
     raw = copy.deepcopy(PRESETS["fig3_flat"])
+    raw["relays"] *= relays
     raw.update(noise_scales=[0.1], trials=4000)
-    raw["sweep"]["grid"] = [c + d for c in centres for d in (-h, h)]
+    raw["sweep"] = {"axis": axis, "grid": [c + d for c in centres for d in (-h, h)]}
     cfg = config_from_dict(raw)
     stats, rho = point_inputs(cfg, *sweep_offsets(cfg))
     size, hops = harness.block_size(cfg.ofdm), [link.hops for link in cfg.links]
@@ -898,3 +905,57 @@ def test_overrides_validate():
         with_overrides(cfg, mode="surface")
     with pytest.raises(ConfigError):
         with_overrides(cfg, trials=0)
+
+
+# ------------------------------------------------------------- the row table
+
+@pytest.mark.parametrize("mode", harness.MODES)
+def test_row_table_fields_and_on_row_in_every_mode(mode):
+    seen = []
+    rows = run_sweep(tiny_config(mode=mode, trials=8, noise_scales=[1.0, 0.5]), on_row=seen.append)
+    assert len(rows) == 4
+    assert len(seen) == len(rows) and all(a is b for a, b in zip(seen, rows))
+    for row in rows:
+        assert all(type(v) in (float, int, type(None)) for v in astuple(row)), row
+        changed = replace(row, analytical_db=1.5)
+        assert type(changed) is harness.SweepRow and changed.analytical_db == 1.5
+
+
+def noise_free_fixed_gain_config():
+    """Two equal noise-free relays at fixed gain rho = 1, every offset moved
+    together over -0.0, 0.0 and 0.1 at two noise scalings: the SNR is
+    infinite exactly at the zero offsets."""
+    raw = copy.deepcopy(TINY)
+    raw["direct"]["noise_var"] = 0.0
+    relay = dict(raw["relays"][0], relay_noise_var=0.0, dest_noise_var=0.0,
+                 gain={"mode": "fixed", "rho": 1.0})
+    raw["relays"] = [relay, dict(relay, hop2_profile={"kind": "flat", "power": 2.0})]
+    raw.update(sweep={"axis": "both_equal", "grid": [-0.0, 0.0, 0.1]},
+               noise_scales=[1.0, 0.1], mode="analytical")
+    return config_from_dict(raw)
+
+
+def test_slopes_are_none_exactly_at_the_sentinel():
+    cfg = noise_free_fixed_gain_config()
+    rows = run_sweep(cfg)
+    snr = analytical_snr(point_inputs(cfg, *sweep_offsets(cfg))[0])
+    assert [row.analytical_db == math.inf for row in rows] == (snr.den == 0.0).tolist() == [
+        True, True, False] * 2
+    for row, slopes in zip(rows, snr.slopes.tolist()):
+        if row.analytical_db == math.inf:
+            assert row.lambda1 is None and row.lambda2 is None
+        else:  # bitwise: lambda2 sums the relays' slopes in branch order
+            assert row.lambda1.hex() == abs(slopes[0]).hex()
+            assert row.lambda2.hex() == abs(slopes[1] + slopes[2]).hex()
+
+
+def test_csv_lines_equal_the_per_field_reference(tmp_path):
+    rows = run_sweep(with_overrides(noise_free_fixed_gain_config(), mode="both", trials=8))
+    write_csv(rows, tmp_path / "out.csv")
+    header, *lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
+    assert header == harness.CSV_HEADER and len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        fields = ("" if v is None else f"{v:.9g}" if type(v) is float else str(v)
+                  for v in astuple(row))
+        assert line == ",".join(fields)
+    assert [line.split(",")[0] for line in lines] == ["-0", "0", "0.1"] * 2

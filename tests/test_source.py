@@ -1,4 +1,4 @@
-"""The package holds no code that only the tests use."""
+"""The package holds no code that only the tests use, and only the CLI prints."""
 import ast
 from pathlib import Path
 
@@ -16,3 +16,12 @@ def test_every_top_level_definition_is_used_by_the_package():
     unused = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
     assert unused == []
+
+
+def test_only_the_cli_prints():
+    # the library reports through return values, exceptions and callbacks
+    printing = sorted(path.name for path in PACKAGE.glob("*.py")
+                      if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                             and node.func.id == "print"
+                             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert printing == ["cli.py"]
