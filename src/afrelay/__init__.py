@@ -28,7 +28,6 @@ from .ofdm import OfdmParams, draw_symbols
 from .relay import (
     RelayGainConfig,
     SweepPlan,
-    TrialOutcome,
     gain_factor,
     simulate_block,
     sweep_plan,

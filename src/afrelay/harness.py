@@ -11,9 +11,11 @@ output column once, and returns the table as `SweepRow`s ready for
 a config and P sweep points into both sides' inputs, in one loop over
 `links`: the closed form's `LinkStats` with a leading point axis and the
 relay gains in the same (P, M + 1) layout.  The closed form evaluates the
-stats once per sweep; when the mode simulates, `relay.sweep_plan` reads the
-same stats object, with the gains and each link's hops, once per sweep,
-and every block's engine call reads that plan.
+stats once per sweep; when the mode simulates, `trial_powers` builds
+`relay.sweep_plan` from the same stats object, with the gains and each
+link's hops, once per sweep, and every block's engine call reads that
+plan.  The engine's per-trial powers reach the estimator as one
+(2, P, trials) array, signal then residual.
 
 Noise convention: configured noise variances are per received frequency
 bin, the same quantities the closed-form SNR consumes.  Each branch's
@@ -30,9 +32,9 @@ draws in the order that function documents.  The stream has no point
 index: every point of a sweep uses the same block streams (common random
 numbers), so the points' empirical columns are correlated.  Each block is
 drawn once per sweep and simulated at every point.  A pool task is a
-contiguous range of blocks covering every point; each point's per-trial
-powers are reduced in trial order, so the result is bitwise independent
-of `workers`.
+contiguous range of blocks covering every point; the blocks' powers are
+joined in block order and each point's are reduced in trial order, so
+the result is bitwise independent of `workers`.
 """
 from __future__ import annotations
 
@@ -446,9 +448,9 @@ def block_size(params: OfdmParams) -> int:
 
 
 def _simulate_blocks(task):
-    """The `TrialOutcome` of each block of [first, stop) in order, one
-    `simulate_block` call per block on its own generator, all in one set
-    of (2, B, N) buffers; an error is re-raised naming the range."""
+    """The (2, P, trials) powers of each block of [first, stop) in order,
+    one `simulate_block` call per block on its own generator, all in one
+    set of (2, B, N) buffers; an error is re-raised naming the range."""
     cfg, plan, first, stop = task
     size = block_size(cfg.ofdm)
     buffers = np.empty((2, min(size, cfg.trials), cfg.ofdm.n_subcarriers), np.complex128)
@@ -460,14 +462,16 @@ def _simulate_blocks(task):
         raise RuntimeError(f"blocks [{first}, {stop}): {exc}") from exc
 
 
-def _empirical_results(cfg: ExperimentConfig, rho, stats):
-    """The empirical_db and stderr_db columns of the table, in point order.
+def trial_powers(cfg: ExperimentConfig, rho, stats) -> np.ndarray:
+    """The (2, P, trials) per-trial powers of the point table (rho, stats)
+    that `point_inputs` returns: row 0 the signal and row 1 the residual
+    of each point and trial, in trial order.
 
     The engine's plan of the table is built once, and the blocks split
     into at most `workers` contiguous ranges, each covering every point.
-    With workers > 1 one process pool runs the ranges; each point's
-    per-trial powers are reassembled in trial order, so the result does
-    not depend on workers.
+    With workers > 1 one process pool runs the ranges.  The blocks' arrays
+    are joined in block order by one concatenation, so the table does not
+    depend on workers.
     """
     plan = sweep_plan(cfg.ofdm, [link.hops for link in cfg.links], rho, stats)
     size = block_size(cfg.ofdm)
@@ -484,16 +488,13 @@ def _empirical_results(cfg: ExperimentConfig, rho, stats):
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    sig, res = np.empty((2, len(rho), cfg.trials))
-    for b, outcome in enumerate(chain.from_iterable(results)):  # trials [bB, (b+1)B)
-        at = slice(b * size, (b + 1) * size)
-        sig[:, at], res[:, at] = outcome.signal_power, outcome.residual_power
-    return zip(*_aggregate_trials(sig, res, stats.cfos))
+    return np.concatenate(list(chain.from_iterable(results)), axis=-1)
 
 
-def _aggregate_trials(sig: np.ndarray, res: np.ndarray, cfos: np.ndarray) -> list:
+def _aggregate_trials(powers: np.ndarray, cfos: np.ndarray) -> list:
     """Ratio-of-sums estimate in dB and its delta-method standard error in
-    dB of each row of the (P, trials) powers, as a list of P pairs.
+    dB of each point of the (2, P, trials) powers, signal then residual,
+    as a list of P pairs.
 
     The ratio of summed powers estimates the ratio of expectations; the
     per-trial (signal, residual) pairs give its log-domain variance,
@@ -504,6 +505,7 @@ def _aggregate_trials(sig: np.ndarray, res: np.ndarray, cfos: np.ndarray) -> lis
     `FloatingPointError` naming the first such row p by its offsets
     `cfos[p, :2]` and the total.
     """
+    sig, res = powers
     trials = sig.shape[-1]
     with np.errstate(over="ignore"):  # the per-trial powers are finite: inf is overflow
         total_sig, total_res = np.sum(sig, -1), np.sum(res, -1)
@@ -576,7 +578,7 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
         for p in np.flatnonzero(snr.den == 0.0).tolist():  # the infinite-SNR sentinel
             lambda1[p] = lambda2[p] = None
     if cfg.mode != "analytical":
-        empirical, stderr = _empirical_results(cfg, rho, stats)
+        empirical, stderr = zip(*_aggregate_trials(trial_powers(cfg, rho, stats), cfos))
     # each noise scaling repeats the grid's offsets; repeating the list lets
     # the rows share its float objects rather than hold one copy per row
     grid = len(cfg.sweep_grid)

@@ -52,12 +52,9 @@ block uses their first rows.  The symbols are drawn into the first.  Each
 multi-tap branch writes its forward transform into the second, forms HX
 there and transforms it back in place; the flat branches' idft(X) is
 written there too, never over X, which later branches still read.  Only
-the (P, trials) powers, which outlive the block, are fresh.  When every
-block allocated its symbols and each multi-tap branch's two transforms,
-(15, 1024) complex arrays of 240 KB at N = 1024, the C heap handed them
-out as fresh pages: a warm sweep of 7 such blocks and 5 multi-tap
-branches took 1,176-1,194 minor page faults; with the buffers it takes
-none once its process has run two sweeps.
+the returned powers, which outlive the block, are fresh: one (2, P,
+trials) float64 array, row 0 the signal and row 1 the residual of every
+point and trial, the table `harness.trial_powers` joins in block order.
 """
 from __future__ import annotations
 
@@ -137,15 +134,6 @@ def gain_factor(cfg: RelayGainConfig, hop1_gain_var: float, relay_noise_var: flo
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    """Signal and interference-plus-noise powers per point and trial:
-    (P, trials) arrays."""
-
-    signal_power: np.ndarray
-    residual_power: np.ndarray
-
-
-@dataclass(frozen=True)
 class SweepPlan:
     """What every `simulate_block` call of a sweep reads, built once by
     `sweep_plan`; the per-branch fields list the direct link first."""
@@ -209,9 +197,11 @@ def _sums(spectrum: np.ndarray, w2: np.ndarray, moving: np.ndarray, out: np.ndar
 
 
 def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int,
-                   buffers: np.ndarray | None = None) -> TrialOutcome:
+                   buffers: np.ndarray | None = None) -> np.ndarray:
     """Run one stream block of `trials` trials at every point of `plan`
-    and decompose their spectra.
+    and decompose their spectra into a (2, P, trials) float64 array: row
+    0 the signal power and row 1 the residual power of each point and
+    trial.
 
     `buffers` is a (2, rows, N) complex array of rows >= trials that the
     block works in; its first `trials` rows are overwritten, and nothing
@@ -246,7 +236,7 @@ def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int,
     held, work = buffers[:, :trials]  # the symbols; each branch's transforms
     symbols = draw_symbols(plan.params, rng, trials, out=held)
     taps = [[draw_channel(profile, rng, trials) for profile in link] for link in plan.hops]
-    signal, residual = np.zeros((2, rho.shape[0], trials))
+    signal, residual = powers = np.zeros((2, rho.shape[0], trials))
     shared = None  # the symbols' `_sums`, formed by the first flat branch
     # checked once per branch below; invalid too, as inf * 0 forms NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -269,7 +259,7 @@ def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int,
                 scale = 1.0
             signal += magnitude[:, None] ** 2 * (scale * norm)
             residual += n * (s[:, b, None] + rho[:, b, None] ** 2 * (scale * leakage[index]))
-            if not (np.isfinite(signal).all() and np.isfinite(residual).all()):
+            if not np.isfinite(powers).all():
                 raise FloatingPointError(f"{name}: overflow beyond the float range "
                                          "in its signal or residual power")
-    return TrialOutcome(signal, residual)
+    return powers

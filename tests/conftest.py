@@ -108,8 +108,8 @@ def oracle_powers(params, hops, rho, stats, rng, trials):
 
 
 def one_point(result, p=0):
-    """Point p of a batched `SnrBreakdown` or `TrialOutcome`: the same
-    dataclass holding row p of each field."""
+    """Point p of a batched `SnrBreakdown`: the same dataclass holding
+    row p of each field."""
     return dataclasses.replace(result, **{field.name: getattr(result, field.name)[p]
                                           for field in dataclasses.fields(result)})
 

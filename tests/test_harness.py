@@ -393,9 +393,9 @@ def test_block_stream_is_independent_of_worker_count(monkeypatch):
             starts.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    def recording_aggregate(sig, res, cfos):
-        reduced.append((sig.shape, res.shape))
-        return aggregate(sig, res, cfos)
+    def recording_aggregate(powers, cfos):
+        reduced.append(powers)
+        return aggregate(powers, cfos)
 
     aggregate = harness._aggregate_trials
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
@@ -413,8 +413,11 @@ def test_block_stream_is_independent_of_worker_count(monkeypatch):
     assert starts == [2, 2, 3, 3]  # workers=1 never starts a pool
     assert empirical[1] == empirical[2] == empirical[3]  # bitwise-identical floats
     # every point of every run reduced all 714 per-trial power pairs, the
-    # one-point run and the two-point sweep each in one call
-    assert reduced == [((1, 714), (1, 714)), ((2, 714), (2, 714))] * 3
+    # one-point run and the two-point sweep each in one call, and each
+    # table is bitwise that of one worker
+    assert [powers.shape for powers in reduced] == [(2, 1, 714), (2, 2, 714)] * 3
+    for one, two in zip(reduced[2::2], reduced[3::2]):  # workers 2 and 3
+        assert np.array_equal(one, reduced[0]) and np.array_equal(two, reduced[1])
     assert empirical[1].trials == 714
     assert rows[1] == rows[2] == rows[3]
 
@@ -449,6 +452,20 @@ def test_sweep_draws_each_block_once(monkeypatch):
     for row, eps, scale in zip(rows, *sweep_offsets(cfg)):
         (alone,) = run_sweep(one_point_config(cfg, eps.tolist(), scale))
         assert (row.empirical_db, row.stderr_db) == (alone.empirical_db, alone.stderr_db)
+
+
+def test_trial_powers_join_the_blocks_in_block_order():
+    # 714 trials at N=64 are three full 204-trial blocks and a short one of
+    # 102: the table is block b's powers, on default_rng([master_seed, b]),
+    # at trials [204 b, 204 (b + 1))
+    cfg = tiny_config(trials=714)
+    stats, rho = point_inputs(cfg, *sweep_offsets(cfg))
+    plan = relay.sweep_plan(cfg.ofdm, [link.hops for link in cfg.links], rho, stats)
+    blocks = [relay.simulate_block(plan, np.random.default_rng([cfg.master_seed, b]), trials)
+              for b, trials in enumerate([204, 204, 204, 102])]
+    powers = harness.trial_powers(cfg, rho, stats)
+    assert powers.shape == (2, 2, 714) and powers.dtype == np.float64
+    assert np.array_equal(powers, np.concatenate(blocks, axis=-1))
 
 
 def test_block_size_follows_the_transmitted_symbol_length():
@@ -526,9 +543,23 @@ def test_one_pass_stderr_matches_three_term_delta_method(trials):
     vs, vr = np.var(sig, ddof=1), np.var(res, ddof=1)
     cov = np.cov(sig, res, ddof=1)[0, 1]
     var_log = (vs / ms ** 2 + vr / mr ** 2 - 2.0 * cov / (ms * mr)) / trials
-    ((db, stderr_db),) = harness._aggregate_trials(sig[None], res[None], np.zeros((1, 2)))
+    ((db, stderr_db),) = harness._aggregate_trials(np.array([[sig], [res]]), np.zeros((1, 2)))
     assert db == pytest.approx(10.0 * math.log10(np.sum(sig) / np.sum(res)), rel=1e-12)
     assert stderr_db == pytest.approx(10.0 / math.log(10.0) * math.sqrt(var_log), rel=1e-12)
+
+
+def test_estimator_edge_points():
+    # a regular point; a residual total of exactly 0, the closed form's
+    # den == 0, is the infinity sentinel (inf, 0); a signal total of 0 has
+    # no finite dB and no standard error
+    powers = np.random.default_rng(5).exponential(1.0, (2, 3, 50))
+    powers[1, 1] = powers[0, 2] = 0.0
+    (db, stderr_db), infinite, silent = harness._aggregate_trials(powers, np.zeros((3, 2)))
+    sig, res = powers[:, 0]
+    assert db == pytest.approx(10.0 * math.log10(np.sum(sig) / np.sum(res)), rel=1e-12)
+    assert 0.0 < stderr_db < math.inf
+    assert infinite == (math.inf, 0.0)
+    assert silent[0] == -math.inf and math.isnan(silent[1])
 
 
 def test_multi_relay_sensitivities_match_finite_differences():
@@ -583,13 +614,7 @@ def test_empirical_slope_matches_closed_form_difference(axis, relays):
     raw["sweep"] = {"axis": axis, "grid": [c + d for c in centres for d in (-h, h)]}
     cfg = config_from_dict(raw)
     stats, rho = point_inputs(cfg, *sweep_offsets(cfg))
-    size, hops = harness.block_size(cfg.ofdm), [link.hops for link in cfg.links]
-    plan = relay.sweep_plan(cfg.ofdm, hops, rho, stats)
-    blocks = [relay.simulate_block(plan, np.random.default_rng([cfg.master_seed, b]),
-                                   min(size, cfg.trials - b * size))
-              for b in range(-(-cfg.trials // size))]
-    sig, res = (np.concatenate([getattr(block, name) for block in blocks], -1)
-                for name in ("signal_power", "residual_power"))
+    sig, res = harness.trial_powers(cfg, rho, stats)
     ms, mr = sig.mean(-1), res.mean(-1)
     db = 10.0 * np.log10(ms / mr)
     influence = sig / ms[:, None] - res / mr[:, None]  # each trial's, on each log ratio

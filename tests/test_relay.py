@@ -24,7 +24,7 @@ from afrelay.channel import (
 from afrelay.harness import PRESETS, block_size, config_from_dict, point_inputs, sweep_offsets
 from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.relay import RelayGainConfig, gain_factor, simulate_block, sweep_plan
-from conftest import engine_inputs, one_point, oracle_powers, paper_gain
+from conftest import engine_inputs, oracle_powers, paper_gain
 from waveform import apply_cfo, apply_channel, modulate, waveform_powers
 
 PARAMS = OfdmParams(n_subcarriers=64, cp_len=16)
@@ -73,7 +73,7 @@ def _oracle_error(branches, seed, trials, params=PARAMS):
     errors = []
     for oracle in (oracle_powers, waveform_powers):
         signal, residual = oracle(params, hops, rho, silent, np.random.default_rng(seed), trials)
-        for got, want in ((block.signal_power, signal), (block.residual_power, residual + noise)):
+        for got, want in zip(block, (signal, residual + noise)):
             errors.append(float(np.max(np.abs(got - want) / want)))
     return max(errors)
 # ------------------------------------------------------------------ gain factor
@@ -144,11 +144,11 @@ def test_engine_rejects_a_table_that_does_not_fit(hops, rho, n, message):
 
 def test_direct_link_trivial_passthrough():
     # flat fading, no offset, no noise: the received bins are h X[k]
-    block = _simulate([([FLAT], [0.0], [1.0], [0.0])], 1, 5)
+    signal, residual = _simulate([([FLAT], [0.0], [1.0], [0.0])], 1, 5)
     sym, (h,) = _draws(1, [FLAT], 5)
     expected = np.abs(h[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
-    assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
-    assert np.all(block.residual_power == 0)
+    assert np.allclose(signal, expected, rtol=1e-12, atol=0)
+    assert np.all(residual == 0)
 
 
 def test_direct_link_matches_closed_form_spectrum():
@@ -176,11 +176,11 @@ def test_relay_branch_trivial_passthrough():
     # rho h1 h2 X[k]
     relay = ([FLAT, flat_profile(4.0)], [0.0], [0.8], [0.0])
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = _simulate([([MUTED], [0.0], [1.0], [0.0]), relay], 6, 5)
+        signal, residual = _simulate([([MUTED], [0.0], [1.0], [0.0]), relay], 6, 5)
     sym, (_, h1, h2) = _draws(6, [MUTED, FLAT, flat_profile(4.0)], 5)
     expected = 0.8 ** 2 * np.abs(h1[:, 0] * h2[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
-    assert np.allclose(block.signal_power, expected, rtol=1e-12, atol=0)
-    assert np.all(block.residual_power == 0)
+    assert np.allclose(signal, expected, rtol=1e-12, atol=0)
+    assert np.all(residual == 0)
 
 
 def test_relay_branch_matches_closed_form_spectrum():
@@ -194,8 +194,7 @@ def test_relay_branch_linear_in_gain():
     relay = ([uniform_profile(3), uniform_profile(2)], [0.2, 0.2], [1.0, 2.0], [0.0, 0.0])
     with pytest.warns(UserWarning, match="genie gain is exactly zero"):
         block = _simulate([([MUTED], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]), relay], 10, 5)
-    assert np.array_equal(block.signal_power[1], 4.0 * block.signal_power[0])
-    assert np.array_equal(block.residual_power[1], 4.0 * block.residual_power[0])
+    assert np.array_equal(block[:, 1], 4.0 * block[:, 0])
 
 
 @pytest.mark.parametrize("cfo, noise, message", [
@@ -285,12 +284,11 @@ def test_memory_equal_to_prefix_matches_oracle(branches):
 def test_two_ideal_branches_combine_coherently():
     # co-phased, each branch adds its coherent power and no residual
     relay = ([FLAT, FLAT], [0.0], [1.0], [0.0])
-    block = _simulate([([FLAT], [0.0], [1.0], [0.0]), relay], 13, 5)
+    signal, residual = _simulate([([FLAT], [0.0], [1.0], [0.0]), relay], 13, 5)
     sym, (h0, h1, h2) = _draws(13, [FLAT, FLAT, FLAT], 5)
     gains = np.abs(h0[:, 0]) ** 2 + np.abs(h1[:, 0] * h2[:, 0]) ** 2
-    assert np.allclose(block.signal_power, gains * np.sum(np.abs(sym) ** 2, axis=-1),
-                       rtol=1e-12, atol=0)
-    assert np.all(block.residual_power == 0)
+    assert np.allclose(signal, gains * np.sum(np.abs(sym) ** 2, axis=-1), rtol=1e-12, atol=0)
+    assert np.all(residual == 0)
 
 
 def test_combined_metric_matches_closed_form_assembly():
@@ -379,8 +377,7 @@ def test_combining_is_linear_in_branches():
         ]
         with pytest.warns(UserWarning, match="genie gain is exactly zero"):
             block = _simulate(branches, 18, 5)
-        for power in (block.signal_power, block.residual_power):
-            assert np.array_equal(power[2], power[0] + power[1])
+        assert np.array_equal(block[:, 2], block[:, 0] + block[:, 1])
 
 
 def test_zero_genie_gain_is_flagged():
@@ -390,7 +387,7 @@ def test_zero_genie_gain_is_flagged():
     relay = ([FLAT, FLAT], [0.2], [1.0], [0.02])
     with pytest.warns(UserWarning, match=every_bin):
         block = _simulate([direct, relay], 19, 3)
-    assert np.isfinite(block.signal_power).all() and np.isfinite(block.residual_power).all()
+    assert np.isfinite(block).all()
     # a relay point at rho = 0 has a zero genie gain at every bin
     silent = ([FLAT, FLAT], [0.2, 0.2], [1.0, 0.0], [0.02, 0.01])
     with pytest.warns(UserWarning, match=every_bin):
@@ -406,20 +403,19 @@ def test_zero_genie_gain_is_flagged():
 def test_no_offset_no_noise_leaves_zero_residual():
     branches = [([uniform_profile(4, 1.0)], [0.0], [1.0], [0.0]),
                 ([uniform_profile(4, 1.0), uniform_profile(4, 4.0)], [0.0], [1.0], [0.0])]
-    outcome = one_point(_simulate(branches, 22, 1))
-    assert outcome.residual_power[0] == 0
+    _, residual = _simulate(branches, 22, 1)
+    assert residual[0, 0] == 0
 
 
-def test_scaling_symbols_by_two_quadruples_signal_power():
+def test_scaling_symbols_by_two_quadruples_both_powers():
     # symbol_power 4 doubles every symbol, sample and bin exactly
     direct = ([uniform_profile(4, 1.0)], [0.1], [1.0], [0.0])
     base = _simulate([direct], 24, 5)
     scaled = _simulate([direct], 24, 5, OfdmParams(n_subcarriers=64, cp_len=16, symbol_power=4.0))
-    assert np.array_equal(scaled.signal_power, 4.0 * base.signal_power)
-    assert np.array_equal(scaled.residual_power, 4.0 * base.residual_power)
+    assert np.array_equal(scaled, 4.0 * base)
 
 
-def test_noise_only_signal_power_converges_to_coherent_power():
+def test_noise_only_signal_converges_to_coherent_power():
     # with zero offsets the per-bin signal power must average to
     # direct_power + rho^2 * hop1_power * hop2_power (symbol power 1)
     params = OfdmParams(n_subcarriers=64, cp_len=16)
@@ -428,7 +424,7 @@ def test_noise_only_signal_power_converges_to_coherent_power():
     total = 0.0
     trials = 4000
     for b in range(10):
-        total += np.sum(_simulate(branches, [99, b], trials // 10, params).signal_power)
+        total += np.sum(_simulate(branches, [99, b], trials // 10, params)[0])
     per_bin = total / (trials * 64)
     assert per_bin == pytest.approx(1.0 + 4.0, rel=0.05)
 
@@ -473,13 +469,13 @@ def test_zero_offset_residual_is_the_noise_mean():
     # N (s_b / N), so an engine that took one would fail here
     cfg, hops, rho, stats = _zero_offset_inputs(60, 0.476)
     n, s = cfg.ofdm.n_subcarriers, stats.noise_vars
-    outcome = _run((hops, rho, stats), 3, 5, cfg.ofdm)
+    _, residual = _run((hops, rho, stats), 3, 5, cfg.ofdm)
     expected = round_trip = 0.0
     for b in range(s.shape[1]):
         expected = expected + n * s[:, b]
         round_trip = round_trip + n * (n * (s[:, b] / n))
     assert np.any(round_trip != expected)
-    assert np.array_equal(outcome.residual_power, np.repeat(expected[:, None], 5, axis=1))
+    assert np.array_equal(residual, np.repeat(expected[:, None], 5, axis=1))
 
 
 # ----------------------------------------------------------------- whole trial
@@ -491,8 +487,7 @@ def test_trial_is_deterministic_given_the_stream():
                  [(1 + 0.8 ** 2) * 0.001])]
     a = _simulate(branches, [7, 1], 1, params)
     b = _simulate(branches, [7, 1], 1, params)
-    assert np.array_equal(a.signal_power, b.signal_power)
-    assert np.array_equal(a.residual_power, b.residual_power)
+    assert np.array_equal(a, b)
 
 
 def test_trial_supports_multiple_relay_branches():
@@ -503,8 +498,7 @@ def test_trial_supports_multiple_relay_branches():
         ([uniform_profile(2, 1.0), uniform_profile(2, 1.0)], [-0.2], [0.7],
          [(1 + 0.7 ** 2) * 0.001]),
     ]
-    outcome = one_point(_simulate(branches, 5, 1, params))
-    assert outcome.signal_power[0] > 0 and outcome.residual_power[0] > 0
+    assert np.all(_simulate(branches, 5, 1, params) > 0)
 
 
 # ----------------------------------------------------------------- block engine
@@ -523,7 +517,7 @@ GOLDEN_BRANCHES = {
     ],
 }
 
-# (signal_power, residual_power) of one trial on default_rng([20260808, seed]).
+# (signal, residual) powers of one trial on default_rng([20260808, seed]).
 # The signals were recorded from the per-trial engine that simulate_block
 # replaced (one np.convolve and one transform call per trial and stage);
 # symbols and taps are drawn first, so no change to the noise moves them.
@@ -541,11 +535,9 @@ GOLDEN_POWERS = {
 
 @pytest.mark.parametrize("name, seed", sorted(GOLDEN_POWERS))
 def test_one_trial_block_reproduces_per_trial_engine(name, seed):
-    block = one_point(_simulate(GOLDEN_BRANCHES[name], [20260808, seed], 1))
-    signal, residual = GOLDEN_POWERS[(name, seed)]
-    assert block.signal_power.shape == block.residual_power.shape == (1,)
-    assert block.signal_power[0] == pytest.approx(signal, rel=1e-12)
-    assert block.residual_power[0] == pytest.approx(residual, rel=1e-12)
+    block = _simulate(GOLDEN_BRANCHES[name], [20260808, seed], 1)
+    assert block.shape == (2, 1, 1) and block.dtype == np.float64
+    assert block[:, 0, 0].tolist() == pytest.approx(GOLDEN_POWERS[(name, seed)], rel=1e-12)
 
 
 # ----------------------------------------------------------- points of a block
@@ -628,11 +620,9 @@ def test_block_of_points_equals_one_point_blocks(name, trials, count):
     gains += rng.uniform(0.5, 1.5, count - 4).tolist()
     points = _point_table(branches, cfos, scales, gains)
     block = _run(points, [5, 3], trials)
-    assert block.signal_power.shape == block.residual_power.shape == (count, trials)
+    assert block.shape == (2, count, trials)
     for p in range(count):
-        alone = one_point(_run(_one_point(points, p), [5, 3], trials))
-        assert np.array_equal(block.signal_power[p], alone.signal_power)
-        assert np.array_equal(block.residual_power[p], alone.residual_power)
+        assert np.array_equal(block[:, p], _run(_one_point(points, p), [5, 3], trials)[:, 0])
 
 
 def test_block_of_points_consumes_the_stream_of_one_point():
@@ -684,10 +674,9 @@ def test_one_buffer_set_per_block_range_equals_fresh_blocks(branches, n):
         rows = min(size, trials - b * size)
         reused = simulate_block(plan, np.random.default_rng([7, b]), rows, buffers)
         fresh = simulate_block(plan, np.random.default_rng([7, b]), rows)
-        assert reused.signal_power.shape == (3, rows)
-        assert np.array_equal(reused.signal_power, fresh.signal_power)
-        assert np.array_equal(reused.residual_power, fresh.residual_power)
-        assert np.isfinite(reused.residual_power).all()
+        assert reused.shape == (2, 3, rows)
+        assert np.array_equal(reused, fresh)
+        assert np.isfinite(reused[1]).all()
 
 
 def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
@@ -720,9 +709,9 @@ def test_noise_free_zero_offset_point_has_zero_residual_beside_noisy_points():
     # the infinity sentinel reports such a point, whose residual is exactly 0
     cfos = [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [0.5, -0.5, 0.5]]
     points = _point_table(POINT_BRANCHES["selective_two_relays"], cfos, [0.0, 1.0, 1.0, 0.1])
-    block = _run(points, 12, 102)
-    assert np.all(block.residual_power[0] == 0)
-    assert np.all(block.residual_power[1:] > 1e-6 * block.signal_power[1:])
+    signal, residual = _run(points, 12, 102)
+    assert np.all(residual[0] == 0)
+    assert np.all(residual[1:] > 1e-6 * signal[1:])
 
 
 # ------------------------------------------------------ per-branch moments
@@ -749,10 +738,10 @@ def test_each_branch_term_has_its_exact_expectation(n, hops):
     rho, profiles = MOMENT_HOPS[hops]
     points = len(MOMENT_OFFSETS)
     branch = (profiles, MOMENT_OFFSETS, [rho] * points, [0.03] * points)
-    blocks = [_simulate([branch], [61, b], 204, params) for b in range(10)]
-    signal = np.concatenate([block.signal_power for block in blocks], axis=-1) / n
+    signal, residual = np.concatenate([_simulate([branch], [61, b], 204, params)
+                                       for b in range(10)], axis=-1)
     noise = n * 0.03  # the residual's noise part, N s_b
-    leakage = (np.concatenate([block.residual_power for block in blocks], axis=-1) - noise) / n
+    signal, leakage = signal / n, (residual - noise) / n
     a = rho ** 2 * math.prod(p.total_power for p in profiles) * params.symbol_power
     assert np.all(leakage[0] == 0)
     for eps, sig, leak in zip(MOMENT_OFFSETS, signal, leakage):
