@@ -112,7 +112,3 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -24,8 +24,8 @@ signal term |g| X, for the genie gain g = rho C(eps, 0) H, and the
 remainder, branch by branch (not on the combined metric): the closed-form
 SNR tracks the per-branch second moments, and the combined metric's signal
 power would retain a cross term between branch magnitudes that the closed
-form does not contain.  Derotation has unit modulus (phase 0 where g is
-0), so the remainder's power is ||Y - gX||^2, by Parseval
+form does not contain.  Derotation has unit modulus, so the remainder's
+power is ||Y - gX||^2 and needs no phase where g is 0; by Parseval it is
 N ||y - rho c v||^2 over the received body y, with c = C(eps, 0).  With
 W = r - c for the CFO ramp r, y - rho c v is rho W v plus the branch's
 noise body n, of variance s_b / N per sample.  Given the trial's symbols
@@ -58,8 +58,7 @@ point and trial, the table `harness.trial_powers` joins in block order.
 """
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,12 +67,14 @@ from .channel import branch_response, draw_channel, require_isi_free
 from .ofdm import OfdmParams, draw_symbols
 from .transforms import dirichlet_gain, idft
 
-_GAIN_MODES = ("fixed", "general", "upa", "upa_asymptotic")
+_GAIN_PARAMS = {"fixed": ("rho",), "general": ("source_power", "relay_power"),
+                "upa": ("total_power",), "upa_asymptotic": ()}
 
 
 @dataclass(frozen=True)
 class RelayGainConfig:
-    """How the relay's amplification factor is chosen.
+    """How the relay's amplification factor is chosen: each mode reads its
+    parameters in `_GAIN_PARAMS`, each > 0, and every other one is None.
 
     fixed           -- use `rho` as given.
     general         -- power-constrained forwarding: the relay retransmits
@@ -91,19 +92,16 @@ class RelayGainConfig:
     relay_power: float | None = None
 
     def __post_init__(self):
-        if self.mode not in _GAIN_MODES:
-            raise ValueError(f"unknown gain mode {self.mode!r}, expected one of {_GAIN_MODES}")
-        if self.mode == "fixed" and (self.rho is None or self.rho <= 0):
-            raise ValueError("fixed gain mode requires rho > 0")
-        if self.mode == "general" and (
-            self.source_power is None
-            or self.relay_power is None
-            or self.source_power <= 0
-            or self.relay_power <= 0
-        ):
-            raise ValueError("general gain mode requires source_power > 0 and relay_power > 0")
-        if self.mode == "upa" and (self.total_power is None or self.total_power <= 0):
-            raise ValueError("upa gain mode requires total_power > 0")
+        modes = tuple(_GAIN_PARAMS)  # matched by ==, so an unhashable mode is unknown too
+        if self.mode not in modes:
+            raise ValueError(f"unknown gain mode {self.mode!r}, expected one of {modes}")
+        for key in [f.name for f in fields(self)][1:]:  # each parameter after `mode`
+            value = getattr(self, key)
+            if key not in _GAIN_PARAMS[self.mode]:
+                if value is not None:
+                    raise ValueError(f"{self.mode} gain mode does not read {key}")
+            elif value is None or not value > 0:  # NaN fails too
+                raise ValueError(f"{self.mode} gain mode requires {key} > 0")
 
 
 def gain_factor(cfg: RelayGainConfig, hop1_gain_var: float, relay_noise_var: float) -> float:
@@ -229,6 +227,8 @@ def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int,
     squares, sums and transforms, so an overflow reaches the branch's
     powers as inf, or NaN (inf * 0), and a power that is not finite then
     raises `FloatingPointError` naming the branch, `direct` or `relays[i]`.
+    No power needs a derotation phase, so a zero genie gain needs none: a
+    branch at H = 0 or rho = 0 adds exactly 0 and N s_b to the two powers.
     """
     n, rho, s, w2 = plan.params.n_subcarriers, plan.rho, plan.noise, plan.w2
     if buffers is None:
@@ -244,11 +244,6 @@ def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int,
             name = f"relays[{b - 1}]" if b else "direct"  # as the config names the link
             response = branch_response(taps[b], n, out=work)  # (trials, 1) if every hop is flat
             magnitude = rho[:, b] * plan.gain[index]  # |genie gain / H|
-            if not (response.all() and magnitude.all()):
-                zero = np.any(response == 0, axis=0) | np.any(magnitude == 0)
-                bins = np.flatnonzero(np.broadcast_to(zero, n)).tolist()
-                warnings.warn(f"{name}: genie gain is exactly zero at bins {bins}; "
-                              "derotation phase set to 0 there", stacklevel=2)
             if response.shape[1] == 1:  # v = h x: the symbols' sums at scale |h|^2
                 shared = shared or _sums(symbols, w2, plan.flat, work)
                 norm, leakage = shared

@@ -170,6 +170,24 @@ def test_config_errors_exit_with_config_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
     assert "config error: ofdm: unknown constellation ['qpsk']" in capsys.readouterr().err
     assert not out.exists()
+    relay = {**SMALL["relays"][0], "gain": {"mode": ["upa"], "total_power": 2.0}}
+    bad.write_text(json.dumps({**SMALL, "relays": [relay]}))
+    assert main(["simulate", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: relays[0].gain: unknown gain mode ['upa']" in capsys.readouterr().err
+    assert not out.exists()
+
+    # each gain mode reads only its own keys, and any other is an error
+    # naming the relay's gain and the key
+    for gain, key in (({"mode": "upa", "total_power": 2.0, "rho": 0.5}, "rho"),
+                      ({"mode": "fixed", "rho": 1.0, "total_power": -3.0}, "total_power"),
+                      ({"mode": "general", "source_power": 1.0, "relay_power": 1.0,
+                        "total_power": 2.0}, "total_power"),
+                      ({"mode": "upa_asymptotic", "source_power": 1.0}, "source_power")):
+        bad.write_text(json.dumps({**SMALL, "relays": [{**SMALL["relays"][0], "gain": gain}]}))
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: relays[0].gain: {gain['mode']} gain mode does not read {key}" in err
+        assert not out.exists()
 
 
 def test_runtime_errors_exit_with_runtime_code(config_path, tmp_path, capsys):

@@ -38,6 +38,7 @@ from afrelay.harness import (
 from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.relay import gain_factor
 from conftest import one_point, paper_snr
+from moments import exact_stderr_db
 
 TINY = {
     "ofdm": {"n_subcarriers": 64, "cp_len": 16, "constellation": "qpsk", "symbol_power": 1.0},
@@ -530,6 +531,29 @@ def test_stderr_shrinks_like_inverse_root_trials():
         stderr[trials] = row.stderr_db
     assert stderr[500] / stderr[2000] == pytest.approx(2.0, rel=0.2)
     assert stderr[2000] / stderr[8000] == pytest.approx(2.0, rel=0.2)
+
+
+# The exact stderr of flat QPSK branches (`moments.exact_stderr_db`) against
+# the estimator's at 20,400 trials (100 blocks at N = 64): over seeds 1-400
+# the 8,000 ratios of both configs below read 0.946-1.081, per-point medians
+# 0.996-0.999 and sds 0.012-0.020, right-skewed as |h1 h2|^2 is heavy-tailed.
+# Dropping the sum |W_b|^2 |W_c|^2 / N^2 from E L_b L_c moves seven of the
+# 20 points to 0.19-0.87, and dropping the covariance moves most to >= 1.17.
+EXACT_STDERR_BOUNDS = (0.92, 1.12)
+
+
+def test_stderr_matches_exact_value_for_flat_qpsk_branches():
+    # fig3_flat, and fig3_flat plus a flat relay held at -0.2 with fixed
+    # gain 0.7 while the direct offset moves
+    one = {**copy.deepcopy(PRESETS["fig3_flat"]), "trials": 20400, "mode": "simulate"}
+    two = copy.deepcopy(one)
+    two["relays"].append(dict(two["relays"][0], cfo=-0.2, gain={"mode": "fixed", "rho": 0.7}))
+    two["sweep"]["axis"] = "eps1"
+    lo, hi = EXACT_STDERR_BOUNDS
+    for raw in (one, two):
+        cfg = config_from_dict(raw)
+        ratio = np.array([row.stderr_db for row in run_sweep(cfg)]) / exact_stderr_db(cfg)
+        assert np.all((lo <= ratio) & (ratio <= hi)), ratio
 
 
 @pytest.mark.parametrize("trials", [2, 3, 102, 2000])

@@ -1,7 +1,7 @@
 """Relay gain rules and the block engine `simulate_block`: its trials
 against two independent per-trial oracles (the closed-form spectrum and
-the time-domain waveform) and exact cases, its warnings and preconditions,
-and its bitwise invariants across points."""
+the time-domain waveform) and exact cases, its preconditions and its
+bitwise invariants across points."""
 import copy
 import dataclasses
 import math
@@ -106,14 +106,27 @@ def test_fixed_mode_returns_rho():
 
 
 def test_gain_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown gain mode 'optimal'"):
         RelayGainConfig(mode="optimal")
-    with pytest.raises(ValueError):
-        RelayGainConfig(mode="fixed")
-    with pytest.raises(ValueError):
-        RelayGainConfig(mode="upa", total_power=0.0)
-    with pytest.raises(ValueError):
-        RelayGainConfig(mode="general", source_power=1.0)
+    with pytest.raises(ValueError, match="unknown gain mode"):
+        RelayGainConfig(mode=["upa"], total_power=2.0)  # compared, not hashed
+    # each parameter a mode reads must be > 0, which NaN is not
+    for kwargs, key in (({"mode": "fixed"}, "rho"),
+                        ({"mode": "fixed", "rho": math.nan}, "rho"),
+                        ({"mode": "upa", "total_power": 0.0}, "total_power"),
+                        ({"mode": "general", "source_power": 1.0}, "relay_power"),
+                        ({"mode": "general", "source_power": -1.0, "relay_power": 1.0},
+                         "source_power")):
+        with pytest.raises(ValueError, match=f"{kwargs['mode']} gain mode requires {key} > 0"):
+            RelayGainConfig(**kwargs)
+    # and every parameter it does not read must be left unset
+    for kwargs, key in (({"mode": "fixed", "rho": 1.0, "total_power": -3.0}, "total_power"),
+                        ({"mode": "general", "source_power": 1.0, "relay_power": 1.0,
+                          "rho": 1.0}, "rho"),
+                        ({"mode": "upa", "total_power": 2.0, "rho": 0.5}, "rho"),
+                        ({"mode": "upa_asymptotic", "relay_power": 1.0}, "relay_power")):
+        with pytest.raises(ValueError, match=f"{kwargs['mode']} gain mode does not read {key}$"):
+            RelayGainConfig(**kwargs)
 
 
 # --------------------------------------------------------------------- branch
@@ -175,8 +188,7 @@ def test_relay_branch_trivial_passthrough():
     # the relay alone, flat hops, no offset, no noise: its bins are
     # rho h1 h2 X[k]
     relay = ([FLAT, flat_profile(4.0)], [0.0], [0.8], [0.0])
-    with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        signal, residual = _simulate([([MUTED], [0.0], [1.0], [0.0]), relay], 6, 5)
+    signal, residual = _simulate([([MUTED], [0.0], [1.0], [0.0]), relay], 6, 5)
     sym, (_, h1, h2) = _draws(6, [MUTED, FLAT, flat_profile(4.0)], 5)
     expected = 0.8 ** 2 * np.abs(h1[:, 0] * h2[:, 0]) ** 2 * np.sum(np.abs(sym) ** 2, axis=-1)
     assert np.allclose(signal, expected, rtol=1e-12, atol=0)
@@ -192,8 +204,7 @@ def test_relay_branch_matches_closed_form_spectrum():
 def test_relay_branch_linear_in_gain():
     # doubling rho doubles every sample, bin and genie gain exactly
     relay = ([uniform_profile(3), uniform_profile(2)], [0.2, 0.2], [1.0, 2.0], [0.0, 0.0])
-    with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        block = _simulate([([MUTED], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]), relay], 10, 5)
+    block = _simulate([([MUTED], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]), relay], 10, 5)
     assert np.array_equal(block[:, 1], 4.0 * block[:, 0])
 
 
@@ -321,8 +332,7 @@ def test_flat_relays_sharing_offsets_match_both_oracles(n):
                 relay(2.0, 1.0, -0.5, 1.2), relay(1.0, 0.0, -0.5, 0.7),
                 relay(0.5, 2.0, 0.0, 1.1), relay(3.0, 1.0, 0.17, 0.8)]
     params = OfdmParams(n_subcarriers=n, cp_len=16)
-    with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-        assert _oracle_error(branches, 23, 4, params) < 1e-9
+    assert _oracle_error(branches, 23, 4, params) < 1e-9
 
 
 @settings(max_examples=20, deadline=None)
@@ -375,27 +385,31 @@ def test_combining_is_linear_in_branches():
             (first, [cfo1] * 3, [1.1, 0.0, 1.1], [0.0] * 3),
             (second, [cfo2] * 3, [0.0, 0.9, 0.9], [0.0] * 3),
         ]
-        with pytest.warns(UserWarning, match="genie gain is exactly zero"):
-            block = _simulate(branches, 18, 5)
+        block = _simulate(branches, 18, 5)
         assert np.array_equal(block[:, 2], block[:, 0] + block[:, 1])
 
 
-def test_zero_genie_gain_is_flagged():
-    # a flat hop's response is one column; the warning still names every bin
-    every_bin = re.escape(f"zero at bins {list(range(PARAMS.n_subcarriers))};")
-    direct = ([MUTED], [0.1], [1.0], [0.01])
-    relay = ([FLAT, FLAT], [0.2], [1.0], [0.02])
-    with pytest.warns(UserWarning, match=every_bin):
-        block = _simulate([direct, relay], 19, 3)
-    assert np.isfinite(block).all()
-    # a relay point at rho = 0 has a zero genie gain at every bin
-    silent = ([FLAT, FLAT], [0.2, 0.2], [1.0, 0.0], [0.02, 0.01])
-    with pytest.warns(UserWarning, match=every_bin):
-        _simulate([([FLAT], [0.1, 0.1], [1.0, 1.0], [0.01, 0.01]), silent], 19, 3)
-    # the warning names its branch as the config names the link
-    muted = ([FLAT, MUTED], [0.2], [1.0], [0.02])
-    with pytest.warns(UserWarning, match=re.escape("relays[1]: genie gain is exactly zero")):
-        _simulate([([FLAT], [0.1], [1.0], [0.01]), relay, muted], 19, 3)
+@pytest.mark.filterwarnings("error")
+def test_zero_genie_gain_adds_only_its_noise():
+    # the engine forms powers, so a genie gain of 0 at every bin needs no
+    # derotation phase: the branch adds exactly 0 to the signal and N s_b
+    # to the residual, and warns of nothing.  A muted direct link alone:
+    n = PARAMS.n_subcarriers
+    signal, residual = _simulate([([MUTED], [0.1, 0.0], [1.0, 1.0], [0.01, 0.03])], 19, 3)
+    assert np.array_equal(signal, np.zeros((2, 3)))
+    assert np.array_equal(residual, np.broadcast_to(n * np.array([[0.01], [0.03]]), (2, 3)))
+    # a relay at rho = 0 or with a muted hop, flat or multi-tap, added last
+    # at an offset already in the plan: its taps are the block's last draws,
+    # so the other branches' powers are those of the block without it
+    others = [([uniform_profile(3)], [0.1], [1.0], [0.01]), ([FLAT, FLAT], [0.2], [0.9], [0.02])]
+    base = _simulate(others, 19, 3)
+    assert np.isfinite(base).all() and np.all(base > 0)
+    silent = PowerDelayProfile(np.zeros(2))
+    for hops, rho in (([FLAT, FLAT], 0.0), ([uniform_profile(3), uniform_profile(2)], 0.0),
+                      ([FLAT, MUTED], 0.9), ([uniform_profile(3), silent], 0.9)):
+        signal, residual = _simulate(others + [(hops, [0.2], [rho], [0.03])], 19, 3)
+        assert np.array_equal(signal, base[0])
+        assert np.array_equal(residual, base[1] + n * 0.03)
 
 
 # --------------------------------------------------------------- decomposition

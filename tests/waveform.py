@@ -158,8 +158,9 @@ def replay_draws(params, hops, rng, trials):
 def split_powers(spectrum, gain, symbols):
     """(signal, residual) power per trial of one branch: each bin of the
     received spectrum is derotated by conj(g)/|g| for its genie gain g
-    and split into the coherent term |g| X and the remainder; where g is 0
-    the derotation has phase 0, as in the engine."""
+    and split into the coherent term |g| X and the remainder.  Where g is
+    0 the derotation here has phase 0; any unit-modulus phase gives the
+    same powers, and the engine, which forms powers alone, needs none."""
     magnitude = np.abs(gain)
     coherent = magnitude * symbols
     derotated = np.divide(spectrum * np.conj(gain), magnitude, out=spectrum.astype(np.complex128),
