@@ -7,15 +7,17 @@ scalings at which the sweep repeats.  `run_sweep` evaluates the
 closed-form SNR and/or the Monte-Carlo estimate at every point, builds each
 output column once, and returns the table as `SweepRow`s ready for
 `write_csv`: slots dataclasses, mutable and not hashable, that
-`dataclasses.replace` copies.  `point_inputs` is the one builder that turns
-a config and P sweep points into both sides' inputs, in one loop over
-`links`: the closed form's `LinkStats` with a leading point axis and the
-relay gains in the same (P, M + 1) layout.  The closed form evaluates the
-stats once per sweep; when the mode simulates, `trial_powers` builds
-`relay.sweep_plan` from the same stats object, with the gains and each
-link's hops, once per sweep, and every block's engine call reads that
-plan.  The engine's per-trial powers reach the estimator as one
-(2, P, trials) array, signal then residual.
+`dataclasses.replace` copies.  `write_csv` formats a chunk of rows at a
+time, with one `%` conversion per column chosen from the column's types,
+and writes the bytes of formatting each field on its own.  `point_inputs`
+is the one builder that turns a config and P sweep points into both
+sides' inputs, in one loop over `links`: the closed form's `LinkStats`
+with a leading point axis and the relay gains in the same (P, M + 1)
+layout.  The closed form evaluates the stats once per sweep; when the
+mode simulates, `trial_powers` builds `relay.sweep_plan` from the same
+stats object, with the gains and each link's hops, once per sweep, and
+every block's engine call reads that plan.  The engine's per-trial powers
+reach the estimator as one (2, P, trials) array, signal then residual.
 
 Noise convention: configured noise variances are per received frequency
 bin, the same quantities the closed-form SNR consumes.  Each branch's
@@ -34,17 +36,15 @@ numbers), so the points' empirical columns are correlated.  Each block is
 drawn once per sweep and simulated at every point.  A pool task is a
 contiguous range of blocks covering every point; the blocks' powers are
 joined in block order and each point's are reduced in trial order, so
-the result is bitwise independent of `workers`.
+the result is bitwise independent of `workers`.  The process pool and
+`hashlib` are imported on first use, not with the package.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from itertools import chain, repeat
-from dataclasses import asdict, dataclass, replace
+from itertools import chain, islice, repeat
+from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -271,7 +271,7 @@ def _parse_profile(raw, context: str, cp_len: int) -> PowerDelayProfile:
 
 
 def _parse_gain(raw, context: str) -> RelayGainConfig:
-    allowed = {"mode", "rho", "total_power", "source_power", "relay_power"}
+    allowed = [f.name for f in fields(RelayGainConfig)]
     _check_keys(raw, allowed, context)
     kwargs = {}
     for key in allowed:
@@ -393,6 +393,8 @@ def load_config(path) -> ExperimentConfig:
 def config_digest(cfg: ExperimentConfig) -> str:
     """Short stable hash of the experiment: every config field but the
     execution detail `workers`."""
+    import hashlib  # only the CLI's summary line reads the digest
+
     payload = asdict(cfg)
     del payload["workers"]
     blob = json.dumps(payload, sort_keys=True, default=np.ndarray.tolist).encode()
@@ -447,6 +449,18 @@ def block_size(params: OfdmParams) -> int:
     return max(1, BLOCK_SAMPLES // (params.n_subcarriers + params.cp_len))
 
 
+def __getattr__(name):
+    """`ProcessPoolExecutor`, imported on first use and then kept as a module
+    global, where a caller may replace it: only a sweep with workers > 1
+    starts a pool, so `import afrelay` loads no process machinery."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in globals():
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+    return globals()[name]
+
+
 def _simulate_blocks(task):
     """The (2, P, trials) powers of each block of [first, stop) in order,
     one `simulate_block` call per block on its own generator, all in one
@@ -481,8 +495,10 @@ def trial_powers(cfg: ExperimentConfig, rho, stats) -> np.ndarray:
     tasks = [(cfg, plan, a, b) for a, b in zip(edges, edges[1:])]
     pool = None
     if parts > 1:
-        pool = ProcessPoolExecutor(max_workers=parts,
-                                   mp_context=multiprocessing.get_context("spawn"))
+        import multiprocessing
+
+        pool = __getattr__("ProcessPoolExecutor")(
+            max_workers=parts, mp_context=multiprocessing.get_context("spawn"))
     try:
         results = list((pool.map if pool else map)(_simulate_blocks, tasks))
     finally:
@@ -594,27 +610,47 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
 
 _row_fields = attrgetter(*CSV_HEADER.split(","))
 
+# Rows formatted by one `%` operation: about 1 MB of fields and text.
+_CSV_CHUNK_ROWS = 4096
 
-def _line_format(types: tuple) -> str:
-    """The format string of a CSV line whose fields have these types:
-    9 significant digits for a float, empty for None, str() otherwise."""
-    fields = ("" if t is type(None) else f"{{{i}:.9g}}" if issubclass(t, float) else f"{{{i}}}"
-              for i, t in enumerate(types))
-    return ",".join(fields) + "\n"
+
+def _column_conversion(flat: list, column: int, width: int) -> str:
+    """The `%` conversion of one column of a chunk, whose fields lie in
+    `flat` row after row, `width` per row, chosen from the set of the
+    column's types: %.9g if every value is exactly a float, %.0s (empty)
+    if every value is None, %s if none is a float or None.  Any other
+    column is converted in place by the per-field rule, empty for None,
+    format(v, ".9g") for a float, str(v) otherwise, and written by %s."""
+    values = flat[column::width]
+    types = set(map(type, values))
+    if types == {float}:
+        return "%.9g"
+    if types == {type(None)}:
+        return "%.0s"
+    if any(t is type(None) or issubclass(t, float) for t in types):
+        flat[column::width] = ["" if v is None else format(v, ".9g")
+                               if issubclass(type(v), float) else str(v) for v in values]
+    return "%s"
 
 
 def write_csv(rows, path) -> None:
-    """Write sweep rows as UTF-8 CSV with the fixed column set, one
-    format call per row."""
-    formats = {}  # line format per tuple of field types
+    """Write sweep rows as UTF-8 CSV with the fixed column set: per field
+    9 significant digits for a float, empty for None, str() otherwise.
+
+    The rows go out in chunks of up to _CSV_CHUNK_ROWS.  Each chunk's
+    fields are joined into one flat list, each column's conversion is
+    chosen once from the set of its types, and the chunk's text is one
+    `%` operation on one line template repeated per row; the bytes are
+    those of formatting every field on its own."""
+    width = len(CSV_HEADER.split(","))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
-            for fields in map(_row_fields, rows):
-                types = tuple(map(type, fields))
-                if types not in formats:
-                    formats[types] = _line_format(types)
-                fh.write(formats[types].format(*fields))
+            rows = iter(rows)
+            while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
+                flat = list(chain.from_iterable(map(_row_fields, chunk)))
+                line = ",".join([_column_conversion(flat, j, width) for j in range(width)])
+                fh.write(((line + "\n") * len(chunk)) % tuple(flat))
     except OSError as exc:
         raise RuntimeError(f"cannot write CSV to {path}: {exc}") from exc
 

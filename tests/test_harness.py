@@ -7,7 +7,8 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
+from itertools import chain
 from pathlib import Path
 from statistics import NormalDist
 
@@ -223,6 +224,21 @@ def test_unknown_keys_rejected_at_every_level():
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("mode", list(relay._GAIN_PARAMS))
+def test_every_gain_parameter_parses(mode):
+    # the config's gain keys are RelayGainConfig's fields, which are
+    # `mode` and the parameters of relay._GAIN_PARAMS
+    assert {f.name for f in fields(relay.RelayGainConfig)} == {
+        "mode", *chain.from_iterable(relay._GAIN_PARAMS.values())}
+    params = {key: 0.5 + i for i, key in enumerate(relay._GAIN_PARAMS[mode])}
+    raw = copy.deepcopy(TINY)
+    raw["relays"][0]["gain"] = {"mode": mode, **params}
+    assert config_from_dict(raw).links[1].gain == relay.RelayGainConfig(mode, **params)
+    raw["relays"][0]["gain"]["gain_typo"] = 1.0
+    with pytest.raises(ConfigKeyError, match="gain_typo"):
+        config_from_dict(raw)
+
+
 def test_parse_errors_are_distinct(tmp_path):
     with pytest.raises(ConfigParseError, match="cannot read"):
         load_config(tmp_path / "missing.json")
@@ -421,6 +437,26 @@ def test_block_stream_is_independent_of_worker_count(monkeypatch):
         assert np.array_equal(one, reduced[0]) and np.array_equal(two, reduced[1])
     assert empirical[1].trials == 714
     assert rows[1] == rows[2] == rows[3]
+
+
+def test_import_loads_no_process_pool_or_hashlib():
+    # only a sweep with workers > 1 starts a pool and only config_digest
+    # hashes, so `import afrelay` leaves both modules to their first use;
+    # the pool class still resolves as harness.ProcessPoolExecutor
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import afrelay\n"
+        "names = ('multiprocessing', 'concurrent.futures.process', 'hashlib')\n"
+        "print([m for m in names if m in sys.modules and m not in before])\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "print(afrelay.harness.ProcessPoolExecutor is ProcessPoolExecutor)\n"
+        "print(hasattr(afrelay.harness, 'ThreadPoolExecutor'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.split("\n") == ["[]", "True", "False", ""]
 
 
 def test_sweep_draws_each_block_once(monkeypatch):
@@ -998,13 +1034,86 @@ def test_slopes_are_none_exactly_at_the_sentinel():
             assert row.lambda2.hex() == abs(slopes[1] + slopes[2]).hex()
 
 
+def per_field_line(row) -> str:
+    """The CSV line of a row with each field formatted on its own: empty
+    for None, 9 significant digits for a float (a subclass formats
+    itself), str() otherwise."""
+    values = (getattr(row, f.name) for f in fields(row))  # astuple would deep-copy objects
+    return ",".join("" if v is None else format(v, ".9g") if isinstance(v, float) else str(v)
+                    for v in values)
+
+
 def test_csv_lines_equal_the_per_field_reference(tmp_path):
     rows = run_sweep(with_overrides(noise_free_fixed_gain_config(), mode="both", trials=8))
     write_csv(rows, tmp_path / "out.csv")
     header, *lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
     assert header == harness.CSV_HEADER and len(lines) == len(rows)
-    for line, row in zip(lines, rows):
-        fields = ("" if v is None else f"{v:.9g}" if type(v) is float else str(v)
-                  for v in astuple(row))
-        assert line == ",".join(fields)
+    assert lines == [per_field_line(row) for row in rows]
     assert [line.split(",")[0] for line in lines] == ["-0", "0", "0.1"] * 2
+
+
+class TaggedFloat(float):
+    """A float subclass with its own __format__, which the writer must call."""
+
+    def __format__(self, spec):
+        return "~" + float.__format__(self, spec)
+
+
+class Label:
+    """A field with its own __str__, whose `%` signs must reach the CSV as text."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __str__(self):
+        return f"label%s{self.k}%%"
+
+
+CHUNK = harness._CSV_CHUNK_ROWS
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+               2.2250738585072014e-308, 1e300, -1e-300, 1.7976931348623157e308, 0.1]
+FIELD_KINDS = {
+    "float": st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
+    "none": st.none(),
+    "int": st.one_of(st.integers(), st.sampled_from([2 ** 53 + 1, -(2 ** 53) - 3, -(2 ** 70)])),
+    "bool": st.booleans(),
+    "float_subclass": st.floats().map(TaggedFloat),
+    "label": st.integers(0, 99).map(Label),
+}
+FIELD_KINDS["mixed"] = st.one_of(*FIELD_KINDS.values())
+
+
+@st.composite
+def csv_tables(draw):
+    """More than one chunk of rows, cut into up to six segments.  In each
+    segment every column cycles through a few values of one drawn kind, so
+    a column's types change inside chunks and across them."""
+    total = draw(st.integers(CHUNK + 1, CHUNK + CHUNK // 2))
+    cuts = sorted(draw(st.sets(st.one_of(st.just(CHUNK), st.integers(1, total - 1)),
+                               max_size=5)))
+    rows = []
+    for start, stop in zip([0, *cuts], [*cuts, total]):
+        pools = [draw(st.lists(FIELD_KINDS[draw(st.sampled_from(list(FIELD_KINDS)))],
+                               min_size=1, max_size=4)) for _ in harness.CSV_HEADER.split(",")]
+        rows += [harness.SweepRow(*(pool[i % len(pool)] for pool in pools))
+                 for i in range(start, stop)]
+    return rows
+
+
+# exactly one chunk, a None arriving in float columns on its last row
+ONE_CHUNK = [harness.SweepRow(0.001 * i, -0.0, None if i == CHUNK - 1 else 1.0 / (i + 1),
+                              None, None if i == CHUNK - 1 else math.nan, True,
+                              TaggedFloat(i), 2 ** 53 + i, Label(i))
+             for i in range(CHUNK)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(rows=csv_tables())
+@example(rows=[])
+@example(rows=ONE_CHUNK)
+def test_chunked_csv_equals_the_per_field_reference(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("csv") / "table.csv"
+    write_csv(rows, out)
+    header, *lines = out.read_text(encoding="utf-8").split("\n")
+    assert header == harness.CSV_HEADER
+    assert lines == [per_field_line(row) for row in rows] + [""]
