@@ -7,7 +7,6 @@ from .channel import (
     draw_channel,
     exponential_profile,
     flat_profile,
-    frequency_response,
     uniform_profile,
 )
 from .harness import (
@@ -32,11 +31,6 @@ from .relay import (
     simulate_block,
     sweep_plan,
 )
-from .transforms import (
-    dft,
-    dirichlet_gain,
-    dirichlet_gain_derivative,
-    idft,
-)
+from .transforms import dirichlet_gain, dirichlet_gain_derivative
 
 __version__ = "0.1.0"

@@ -1,20 +1,19 @@
-"""Random multipath channels, their frequency response and the ISI rule.
+"""Random multipath channels, a branch's frequency response and the ISI rule.
 
 Channels are block fading: one tap realization per OFDM symbol, taps drawn
 as independent circularly-symmetric complex Gaussians (Rayleigh-magnitude
 fading) with per-tap variances given by a power delay profile.  The
 functions work on whole blocks of trials: the leading axis indexes trials
-and the last axis holds taps, bins or samples.  A one-tap (flat) channel's
-response is one (..., 1) column, its tap on every bin, and a relay's two
-short hops are convolved into one response (`branch_response`).
+and the last axis holds taps, bins or samples.  `branch_response` is the
+one place a response is formed: a one-tap (flat) hop's response is one
+(..., 1) column, its tap on every bin, any other hop's is its zero-padded
+`np.fft.fft`, and a relay's two short hops are first convolved into one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .transforms import dft
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,32 +76,18 @@ def draw_channel(profile: PowerDelayProfile, rng: np.random.Generator, trials: i
     return std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def frequency_response(taps, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-bin response H[k] of each row: transform of the taps zero-padded to n.
-
-    Two or more taps give an (..., n) array, written into `out` if given.
-    One tap gives a fresh (..., 1) copy, exactly H[k] = h[0] exp(0) on every
-    bin; it broadcasts against bins, and `out` stays unused.
-    """
-    taps = np.asarray(taps, dtype=np.complex128)
-    if taps.ndim == 0 or taps.size == 0:
-        raise ValueError("taps must be a non-empty array with taps on the last axis")
-    if taps.shape[-1] > n:
-        raise ValueError(f"channel has {taps.shape[-1]} taps, more than n={n} bins")
-    if taps.shape[-1] == 1:
-        return taps.copy()
-    return dft(taps, n, out=out)
-
-
 def branch_response(taps, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Per-bin response of a branch from its hops' tap blocks: the product
-    of their responses in hop order, in place once it spans the bins.  Two
-    short hops are first convolved row by row (the shorter hop's Ls taps on
-    the outer axis, about Ls (L1 + L2) values a row), and their L1 + L2 - 1
-    taps take one transform; the rule 2 Ls (L1 + L2 - 1) <= n is the
-    crossover measured end to end at n = 64, 256 and 1024.  A response
-    that spans the bins is written into `out` if given, a (..., n) complex
-    array; a flat branch's (..., 1) column is not.
+    of their responses in hop order, in place once it spans the bins.  A
+    one-tap hop's response is its (..., 1) column, exactly H[k] = h[0] on
+    every bin, and any other hop's is the transform of its taps zero-padded
+    to n; more taps than bins raise `ValueError`.  Two short hops are first
+    convolved row by row (the shorter hop's Ls taps on the outer axis, about
+    Ls (L1 + L2) values a row), and their L1 + L2 - 1 taps take one
+    transform; the rule 2 Ls (L1 + L2 - 1) <= n is the crossover measured
+    end to end at n = 64, 256 and 1024.  A response that spans the bins is
+    written into `out` if given, a (..., n) complex array; a flat branch's
+    (..., 1) column is a copy, and not written there.
     """
     a, b = sorted(taps, key=lambda h: h.shape[-1]) if len(taps) == 2 else (None, None)
     if a is not None and 2 * a.shape[-1] * (a.shape[-1] + b.shape[-1] - 1) <= n:
@@ -112,10 +97,15 @@ def branch_response(taps, n: int, out: np.ndarray | None = None) -> np.ndarray:
         np.multiply(a[..., None], b[..., None, :], out=skew[..., :lb])
         skew = skew.reshape(rows + (-1,))[..., :la * (la + lb - 1)]
         taps = [skew.reshape(rows + (la, -1)).sum(-2)]
-    response = frequency_response(taps[0], n, out)
-    for h in taps[1:]:  # in place: one more live (..., n) array slows large blocks
-        response = np.multiply(response, frequency_response(h, n),
-                               out=response if response.shape[-1] == n else out)
+    response = None
+    for h in taps:  # in place: one more live (..., n) array slows large blocks
+        if h.shape[-1] > n:  # np.fft.fft would drop the taps beyond n
+            raise ValueError(f"channel has {h.shape[-1]} taps, more than n={n} bins")
+        if response is None:
+            response = h.copy() if h.shape[-1] == 1 else np.fft.fft(h, n, axis=-1, out=out)
+        else:
+            response = np.multiply(response, h if h.shape[-1] == 1 else np.fft.fft(h, n, axis=-1),
+                                   out=response if response.shape[-1] == n else out)
     return response
 
 

@@ -60,7 +60,7 @@ from .channel import (
 )
 from .ofdm import OfdmParams
 from .relay import RelayGainConfig, gain_factor, simulate_block, sweep_plan
-from .transforms import require_fractional_cfo
+from .transforms import FCFO_BOUND
 
 SWEEP_AXES = ("eps1", "eps2", "both_equal")
 MODES = ("analytical", "simulate", "both")
@@ -284,11 +284,11 @@ def _parse_gain(raw, context: str) -> RelayGainConfig:
 
 
 def _parse_cfo(value, key: str, context: str) -> float:
-    eps = _as_number(value, key, context)
-    try:
-        return require_fractional_cfo(eps, name=f"{context}.{key}")
-    except ValueError as exc:
-        raise ConfigValueError(str(exc)) from exc
+    eps, name = _as_number(value, key, context), f"{context}.{key}"
+    if abs(eps) > FCFO_BOUND:  # the closed interval LinkStats accepts
+        raise ConfigValueError(f"{name}={eps!r} is not a fractional CFO: require |{name}| <= "
+                               f"{FCFO_BOUND} (integer offsets are assumed already corrected)")
+    return eps
 
 
 def _parse_link(raw, context: str, cp_len: int, hop_keys, noise_keys, gain: bool) -> LinkSpec:

@@ -16,7 +16,7 @@ closed form's own `LinkStats` and checks.
 The channel is applied per frequency bin: a cyclic prefix that covers the
 channel memory (`channel.require_isi_free`) turns the linear convolution of
 the prefix-extended symbol into the per-bin product H[k]X[k], so the body
-of a branch's channel output is exactly v = idft(HX) and no time-domain
+of a branch's channel output is exactly v = ifft(HX) and no time-domain
 waveform is built (`tests/waveform.py` builds it, as an oracle).
 
 The per-trial outcome splits every branch spectrum Y into its coherent
@@ -41,16 +41,16 @@ derotation, and a branch at zero offset on every point runs no transform
 back to the time domain.  A relay of short hops takes one transform of
 their convolved taps (`channel.branch_response`), and a branch of flat
 hops none: its response is one (trials, 1) column h, so v = h x for
-x = idft(X), and it reduces the symbols X at scale |h|^2 where a
+x = ifft(X), and it reduces the symbols X at scale |h|^2 where a
 multi-tap branch reduces its own HX at scale 1.  The first flat branch
 reduces X at every flat branch's offsets, so a block of flat branches
-runs at most one transform, idft(X).  Overflow is checked per branch.
+runs at most one transform, ifft(X).  Overflow is checked per branch.
 
 A block works in one pair of (B, N) complex buffers, which
 `harness._simulate_blocks` allocates once per block range; a short last
 block uses their first rows.  The symbols are drawn into the first.  Each
 multi-tap branch writes its forward transform into the second, forms HX
-there and transforms it back in place; the flat branches' idft(X) is
+there and transforms it back in place; the flat branches' ifft(X) is
 written there too, never over X, which later branches still read.  Only
 the returned powers, which outlive the block, are fresh: one (2, P,
 trials) float64 array, row 0 the signal and row 1 the residual of every
@@ -65,7 +65,7 @@ import numpy as np
 from .analysis import LinkStats
 from .channel import branch_response, draw_channel, require_isi_free
 from .ofdm import OfdmParams, draw_symbols
-from .transforms import dirichlet_gain, idft
+from .transforms import dirichlet_gain
 
 _GAIN_PARAMS = {"fixed": ("rho",), "general": ("source_power", "relay_power"),
                 "upa": ("total_power",), "upa_asymptotic": ()}
@@ -179,14 +179,14 @@ def sweep_plan(params: OfdmParams, hops: list, rho: np.ndarray, stats: LinkStats
 
 
 def _sums(spectrum: np.ndarray, w2: np.ndarray, moving: np.ndarray, out: np.ndarray) -> tuple:
-    """||S||^2 per trial and the (offsets, trials) sums |W_u|^2 |idft(S)|^2,
+    """||S||^2 per trial and the (offsets, trials) sums |W_u|^2 |ifft(S)|^2,
     zero at the offsets not in `moving`; no transform if `moving` is empty.
     The transform is written into `out`, which may be `spectrum` itself.
     Each sum is one `einsum`, which forms no temporary and calls no BLAS."""
     sv = spectrum.view(np.float64)  # (re, im) pairs
     norm, leakage = np.einsum("tn,tn->t", sv, sv), np.zeros((len(w2), len(spectrum)))
     if moving.size:
-        body = idft(spectrum, out=out).view(np.float64)
+        body = np.fft.ifft(spectrum, axis=-1, out=out).view(np.float64)
         np.square(body, out=body)
         v2 = body[:, 0::2] + body[:, 1::2]  # |v|^2
         for u in moving:
@@ -215,7 +215,7 @@ def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int,
     is rho * C(cfo, 0) * H per bin, for H = prod H_i over its hops
     (`channel.branch_response`).  A point's signal is
     (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is N s_b plus, at a nonzero
-    offset u, N rho^2 ||z_u||^2 for z_u = W_u v and v = idft(HX): `_sums`
+    offset u, N rho^2 ||z_u||^2 for z_u = W_u v and v = ifft(HX): `_sums`
     forms |v|^2 once per branch, then one `einsum` contraction with |W_u|^2
     per distinct offset, so a point's sum does not depend on the other
     points' offsets; ||HX||^2 is one contraction too.  A flat branch, all
@@ -248,7 +248,7 @@ def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int,
                 shared = shared or _sums(symbols, w2, plan.flat, work)
                 norm, leakage = shared
                 scale = np.sum(np.square(response.view(np.float64)), -1)
-            else:  # v = idft(HX) at scale 1
+            else:  # v = ifft(HX) at scale 1
                 spectrum = np.multiply(response, symbols, out=response)  # in `work`
                 norm, leakage = _sums(spectrum, w2, plan.moving[b], work)
                 scale = 1.0

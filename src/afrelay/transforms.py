@@ -1,10 +1,11 @@
-"""DFT/IDFT kernels and the CFO attenuation of the intended subcarrier.
+"""The CFO attenuation of the intended subcarrier and its derivative.
 
-Conventions: the forward transform is un-normalized and the inverse carries
-the 1/N factor.  Under this pairing the transform of the unit-magnitude
-frequency-offset ramp (1/N)exp(j2*pi*eps*n/N) is the leakage coefficient
-C(eps, k), and `dirichlet_gain` is |C(eps, 0)|.  The full coefficient
-series is written out in the test oracle (`tests/waveform.py`).
+The engine transforms with numpy directly: `np.fft.fft` is the
+un-normalized forward transform and `np.fft.ifft` carries the 1/N factor.
+Under this pairing the transform of the unit-magnitude frequency-offset
+ramp (1/N)exp(j2*pi*eps*n/N) is the leakage coefficient C(eps, k), and
+`dirichlet_gain` is |C(eps, 0)|.  The full coefficient series is written
+out in the test oracle (`tests/waveform.py`).
 """
 from __future__ import annotations
 
@@ -17,42 +18,6 @@ FCFO_BOUND = 0.5
 # Below this the singular-denominator argument of the Dirichlet kernel is
 # treated as zero and the removable singularity is evaluated by its limit.
 _SINGULAR_ARG = 1e-9
-
-
-def require_fractional_cfo(eps: float, name: str = "eps") -> float:
-    """Validate a fractional CFO value, |eps| <= 0.5 subcarrier spacings."""
-    eps = float(eps)
-    if not np.isfinite(eps) or abs(eps) > FCFO_BOUND:
-        raise ValueError(
-            f"{name}={eps!r} is not a fractional CFO: require |{name}| <= {FCFO_BOUND} "
-            "(integer offsets are assumed already corrected)"
-        )
-    return eps
-
-
-def _as_signal(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim == 0 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty complex array, got shape {arr.shape}")
-    return arr
-
-
-def dft(x, n: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Un-normalized forward transform Y[k] = sum_n x[n] exp(-j2*pi*k*n/N).
-
-    Taken along the last axis, so a (trials, N) block transforms row by
-    row; any length N is exact.  With `n`, the rows are zero-padded to n
-    samples inside the transform.  With `out`, a complex array of the
-    result's shape, the result is written there.
-    """
-    return np.fft.fft(_as_signal(x, "x"), n, axis=-1, out=out)
-
-
-def idft(spectrum, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of `dft` along the last axis: x[n] = (1/N) sum_k Y[k] exp(j2*pi*k*n/N).
-
-    With `out` the result is written there; `out` may be `spectrum` itself."""
-    return np.fft.ifft(_as_signal(spectrum, "spectrum"), axis=-1, out=out)
 
 
 def dirichlet_gain(eps, n: int) -> np.ndarray:

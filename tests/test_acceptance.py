@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from afrelay.analysis import LinkStats
-from afrelay.channel import frequency_response
+from afrelay.channel import branch_response
 from afrelay.harness import (
     PRESETS,
     config_from_dict,
@@ -73,9 +73,9 @@ def test_c1_pipeline_oracle():
         for _ in range(2):  # relay noise, then destination noise
             standard_noise(y_relay.shape, rng)
 
-        ref_direct = ici_reference(sym[0], frequency_response(h_direct, 64), eps1)
+        ref_direct = ici_reference(sym[0], branch_response([h_direct], 64), eps1)
         ref_relay = ici_reference(
-            sym[0], frequency_response(h_hop1, 64) * frequency_response(h_hop2, 64),
+            sym[0], branch_response([h_hop1], 64) * branch_response([h_hop2], 64),
             eps2, scale=rho,
         )
         for signal, reference in ((y_direct, ref_direct), (y_relay, ref_relay)):
@@ -105,27 +105,32 @@ def test_c3_monte_carlo_vs_closed_form():
     start = time.perf_counter()
     worst_gap = 0.0
     worst_case = ""
-    for preset in ("fig3_flat", "fig4_selective"):
-        for axis in ("eps1", "eps2"):
-            raw = copy.deepcopy(PRESETS[preset])
-            raw["sweep"] = {"axis": axis, "grid": grid}
-            raw["noise_scales"] = [1.0, 0.1]
-            raw["trials"] = 2000
-            rows = run_sweep(config_from_dict(raw))
-            for row in rows:
-                gap = abs(row.empirical_db - row.analytical_db)
-                bound = max(0.3, 3.0 * row.stderr_db)
-                if gap > worst_gap:
-                    worst_gap = gap
-                    worst_case = f"{preset}/{axis} eps=({row.eps1},{row.eps2})"
-                assert gap < bound, (
-                    f"{preset}/{axis} at ({row.eps1}, {row.eps2}): "
-                    f"gap {gap:.3f} dB >= bound {bound:.3f} dB"
-                )
+    # each preset on each axis, and one run at a symbol power other than 1
+    cases = [(preset, axis, {}) for preset in ("fig3_flat", "fig4_selective")
+             for axis in ("eps1", "eps2")]
+    cases.append(("fig4_selective", "eps2", {"constellation": "qam16", "symbol_power": 0.37}))
+    for preset, axis, ofdm in cases:
+        raw = copy.deepcopy(PRESETS[preset])
+        raw["ofdm"].update(ofdm)
+        raw["sweep"] = {"axis": axis, "grid": grid}
+        raw["noise_scales"] = [1.0, 0.1]
+        raw["trials"] = 2000
+        rows = run_sweep(config_from_dict(raw))
+        name = "/".join([preset, axis, *map(str, ofdm.values())])
+        for row in rows:
+            gap = abs(row.empirical_db - row.analytical_db)
+            bound = max(0.3, 3.0 * row.stderr_db)
+            if gap > worst_gap:
+                worst_gap = gap
+                worst_case = f"{name} eps=({row.eps1},{row.eps2})"
+            assert gap < bound, (
+                f"{name} at ({row.eps1}, {row.eps2}): "
+                f"gap {gap:.3f} dB >= bound {bound:.3f} dB"
+            )
     elapsed = time.perf_counter() - start
     assert elapsed < 180.0, f"runtime {elapsed:.0f} s >= 180 s"
     return (
-        f"40 points x 2000 trials, worst gap {worst_gap:.3f} dB at {worst_case} "
+        f"{len(cases) * 10} points x 2000 trials, worst gap {worst_gap:.3f} dB at {worst_case} "
         f"(bound max(0.3, 3*stderr)), {elapsed:.0f} s"
     )
 

@@ -11,11 +11,9 @@ from afrelay.channel import (
     draw_channel,
     exponential_profile,
     flat_profile,
-    frequency_response,
     uniform_profile,
 )
 from afrelay.ofdm import OfdmParams, draw_symbols
-from afrelay.transforms import dft
 from conftest import cgauss, circular_convolve, ici_reference
 from waveform import (
     apply_cfo,
@@ -101,15 +99,15 @@ def test_bin_power_flat_across_bins_within_standard_error():
         assert abs(np.mean(power) - 1.0) < 3 * stderr
 
 
-# ----------------------------------------------------------- frequency_response
+# ------------------------------------------------------- one hop's response
 
 def test_unit_tap_gives_flat_response():
-    assert np.allclose(frequency_response(np.array([1.0]), 16), np.ones(16))
+    assert np.allclose(branch_response([np.array([1.0])], 16), np.ones(16))
     # a block of one-tap rows comes back as one column, the taps themselves,
     # which broadcasts against the bins; it is a copy, not a view
     taps = cgauss(np.random.default_rng(20), (5, 1))
     kept = taps.copy()
-    resp = frequency_response(taps, 64)
+    resp = branch_response([taps], 64)
     assert resp.shape == (5, 1)
     assert np.array_equal(resp, taps)
     resp[:] = 0
@@ -117,7 +115,7 @@ def test_unit_tap_gives_flat_response():
 
 
 def test_pure_delay_is_allpass():
-    resp = frequency_response(np.array([0.0, 1.0]), 16)
+    resp = branch_response([np.array([0.0, 1.0])], 16)
     assert np.allclose(np.abs(resp), 1.0, atol=1e-14)
 
 
@@ -126,7 +124,7 @@ def test_pure_delay_is_allpass():
 def test_response_matches_direct_sum(n_taps, n):
     rng = np.random.default_rng(13)
     taps = cgauss(rng, n_taps)
-    resp = frequency_response(taps, n)
+    resp = branch_response([taps], n)
     k = np.arange(n)[:, None]
     direct = np.sum(taps[None, :] * np.exp(-2j * np.pi * k * np.arange(n_taps)[None, :] / n),
                     axis=1)
@@ -134,32 +132,37 @@ def test_response_matches_direct_sum(n_taps, n):
 
 
 def test_response_rejects_more_taps_than_bins():
-    with pytest.raises(ValueError):
-        frequency_response(np.ones(17), 16)
+    # np.fft.fft(h, n) would drop the taps beyond n; each hop is checked,
+    # a second one too (2 x 1 x 17 > 16: no convolution)
+    for hops in ([np.ones(17)], [np.ones((2, 1)), np.ones((2, 17))]):
+        with pytest.raises(ValueError, match="17 taps, more than n=16"):
+            branch_response(hops, 16)
 
 
 # ------------------------------------------------------------- branch_response
 
 @pytest.mark.parametrize("l1, l2", [(1, 1), (1, 17), (17, 1), (4, 4), (3, 7), (8, 8),
-                                    (5, 4), (4, 5), (4, 6), (17, 2), (2, 17)])
+                                    (5, 4), (4, 5), (4, 6), (17, 2), (2, 17), (1, 33), (33, 1)])
 def test_branch_response_is_the_transform_of_the_convolved_hops(l1, l2):
     # at N = 64, on both sides of the 2 Ls (L1 + L2 - 1) <= N rule and in both
-    # hop orders, against a per-row np.convolve oracle and the dft product
+    # hop orders, against a per-row np.convolve oracle and the fft product;
+    # 1 x 33 is a flat hop beside one too long to convolve (2 x 1 x 33 > 64)
     rng = np.random.default_rng(l1 * 100 + l2)
     h1, h2 = cgauss(rng, (5, l1)), cgauss(rng, (5, l2))
     resp = branch_response([h1, h2], 64)
     cascade = np.array([np.convolve(a, b) for a, b in zip(h1, h2)])
-    assert np.max(np.abs(resp - dft(cascade, 64))) < 1e-12 * np.max(np.abs(resp))
-    product = dft(h1, 64) * dft(h2, 64)
+    assert np.max(np.abs(resp - np.fft.fft(cascade, 64))) < 1e-12 * np.max(np.abs(resp))
+    product = np.fft.fft(h1, 64) * np.fft.fft(h2, 64)
     assert np.max(np.abs(resp - product) / np.abs(product)) < 1e-12
 
 
 @pytest.mark.parametrize("l1, l2, transforms", [(5, 4, 1), (4, 5, 1), (2, 15, 1), (32, 1, 1),
-                                                (6, 4, 2), (4, 6, 2), (2, 16, 2), (8, 8, 2)])
+                                                (6, 4, 2), (4, 6, 2), (2, 16, 2), (8, 8, 2),
+                                                (1, 33, 1), (33, 1, 1)])
 def test_branch_response_convolves_only_within_the_rule(monkeypatch, l1, l2, transforms):
     # 2 Ls (L1 + L2 - 1) is 64 = N at 5 x 4, 2 x 15 and 32 x 1, 72 at 4 x 6,
-    # 68 at 2 x 16 and 240 at 8 x 8; beyond N each hop takes its own
-    # transform, in hop order
+    # 68 at 2 x 16, 66 at 1 x 33 and 240 at 8 x 8; beyond N each hop takes
+    # its own response, in hop order: a flat hop its tap column, no transform
     calls = []
     monkeypatch.setattr(np.fft, "fft",
                         lambda *a, _f=np.fft.fft, **k: calls.append(1) or _f(*a, **k))
@@ -167,8 +170,9 @@ def test_branch_response_convolves_only_within_the_rule(monkeypatch, l1, l2, tra
     h1, h2 = cgauss(rng, (5, l1)), cgauss(rng, (5, l2))
     resp = branch_response([h1, h2], 64)
     assert len(calls) == transforms
-    if transforms == 2:
-        assert np.array_equal(resp, dft(h1, 64) * dft(h2, 64))
+    if 2 * min(l1, l2) * (l1 + l2 - 1) > 64:
+        hop = lambda h: h if h.shape[-1] == 1 else np.fft.fft(h, 64)
+        assert np.array_equal(resp, hop(h1) * hop(h2))
 
 
 def test_flat_branch_response_is_the_exact_tap_product():
@@ -191,7 +195,7 @@ def test_overflowing_branch_response_raises(taps):
 
 def test_single_hop_branch_response_is_the_hop_response():
     taps = cgauss(np.random.default_rng(22), (3, 17))
-    assert np.array_equal(branch_response([taps], 64), frequency_response(taps, 64))
+    assert np.array_equal(branch_response([taps], 64), np.fft.fft(taps, 64))
 
 
 # ------------------------------------------------------------- linear_convolve
@@ -244,8 +248,8 @@ def test_noise_free_zero_cfo_pipeline_factorizes_per_bin():
     rng = np.random.default_rng(15)
     sym = draw_symbols(params, rng, 1)
     taps = cgauss(rng, 4)
-    received = dft(remove_cp(apply_channel(modulate(sym, params), taps, params), params))
-    expected = frequency_response(taps, 64) * sym
+    received = np.fft.fft(remove_cp(apply_channel(modulate(sym, params), taps, params), params))
+    expected = branch_response([taps], 64) * sym
     assert np.max(np.abs(received - expected)) / np.max(np.abs(expected)) < 1e-10
 
 
@@ -296,8 +300,8 @@ def test_single_link_spectrum_matches_closed_form():
     taps = cgauss(rng, 4)
     eps = 0.3
     received = apply_cfo(apply_channel(modulate(sym, params), taps, params), eps, params)
-    spectrum = dft(remove_cp(received, params))[0]
-    reference = ici_reference(sym[0], frequency_response(taps, 64), eps)
+    spectrum = np.fft.fft(remove_cp(received, params))[0]
+    reference = ici_reference(sym[0], branch_response([taps], 64), eps)
     assert np.max(np.abs(spectrum - reference)) / np.max(np.abs(reference)) < 1e-9
 
 

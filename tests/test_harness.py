@@ -115,6 +115,23 @@ def test_out_of_range_offset_rejected():
         config_from_dict(raw)
 
 
+def test_fractional_cfo_bound_enforced():
+    # the closed interval [-0.5, 0.5], the one LinkStats accepts; the message
+    # names the key and the bound
+    def raw(eps):
+        raw = copy.deepcopy(TINY)
+        raw["direct"]["cfo"] = raw["relays"][0]["cfo"] = eps
+        raw["sweep"]["grid"] = [eps]
+        return raw
+
+    for eps in (0.5, -0.5):
+        cfg = config_from_dict(raw(eps))
+        assert [link.cfo for link in cfg.links] == [eps, eps] and cfg.sweep_grid == (eps,)
+    for eps in (np.nextafter(0.5, 1), -np.nextafter(0.5, 1)):
+        with pytest.raises(ConfigValueError, match=r"direct\.cfo=.* <= 0\.5"):
+            config_from_dict(raw(float(eps)))
+
+
 def test_offsets_at_half_a_subcarrier_are_accepted():
     # [-0.5, 0.5] is closed: both edges load, simulate, and the closed form
     # is even across them
@@ -754,27 +771,35 @@ def test_sweep_rows_equal_one_point_evaluations(axis, monkeypatch):
 
 @pytest.mark.parametrize("axis", ["eps1", "eps2", "both_equal"])
 def test_single_relay_sweep_matches_paper_formula(axis):
+    # the general gain written out, rho = sqrt(P_R / (s_H2 P_S + s_Z2)) with
+    # P_S != P_R, and a symbol power other than 1, so that neither a swap of
+    # the two powers nor a branch weight without s_X goes unseen
     raw = three_relay_raw(axis)
     raw["relays"] = raw["relays"][1:2]  # the general-gain relay
-    cfg = config_from_dict(raw)
-    direct, relay = cfg.links
-    (direct_hop,), (hop1, hop2) = direct.hops, relay.hops
-    (direct_noise,), (relay_noise, dest_noise) = direct.noise_vars, relay.noise_vars
-    for row, eps, scale in zip(run_sweep(cfg), *sweep_offsets(cfg)):
-        _, _, snr = paper_snr(
-            direct_gain_var=direct_hop.total_power,
-            hop1_gain_var=hop1.total_power,
-            hop2_gain_var=hop2.total_power,
-            symbol_power=cfg.ofdm.symbol_power,
-            direct_noise_var=direct_noise * scale,
-            relay_noise_var=relay_noise * scale,
-            dest_noise_var=dest_noise * scale,
-            cfo_direct=eps[0],
-            cfo_relay=eps[1],
-            rho=gain_factor(relay.gain, hop1.total_power, relay_noise * scale),
-            n_subcarriers=cfg.ofdm.n_subcarriers,
-        )
-        assert row.analytical_db == pytest.approx(10.0 * math.log10(snr), rel=1e-12)
+    for symbol_power in (1.0, 0.37):
+        raw["ofdm"]["symbol_power"] = symbol_power
+        cfg = config_from_dict(raw)
+        direct, relay = cfg.links
+        (direct_hop,), (hop1, hop2) = direct.hops, relay.hops
+        (direct_noise,), (relay_noise, dest_noise) = direct.noise_vars, relay.noise_vars
+        source_power, relay_power = relay.gain.source_power, relay.gain.relay_power
+        assert (source_power, relay_power) == (1.5, 2.5)
+        for row, eps, scale in zip(run_sweep(cfg), *sweep_offsets(cfg)):
+            _, _, snr = paper_snr(
+                direct_gain_var=direct_hop.total_power,
+                hop1_gain_var=hop1.total_power,
+                hop2_gain_var=hop2.total_power,
+                symbol_power=symbol_power,
+                direct_noise_var=direct_noise * scale,
+                relay_noise_var=relay_noise * scale,
+                dest_noise_var=dest_noise * scale,
+                cfo_direct=eps[0],
+                cfo_relay=eps[1],
+                rho=math.sqrt(relay_power / (hop1.total_power * source_power
+                                             + relay_noise * scale)),
+                n_subcarriers=cfg.ofdm.n_subcarriers,
+            )
+            assert row.analytical_db == pytest.approx(10.0 * math.log10(snr), rel=1e-12)
 
 
 def test_noise_free_sweep_is_infinite_only_at_zero_offsets():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from afrelay.ofdm import CONSTELLATIONS, OfdmParams, draw_symbols
-from afrelay.transforms import dft
 from waveform import modulate, remove_cp
 
 
@@ -77,7 +76,7 @@ def test_perfect_channel_round_trip(n, cp):
         pytest.skip("prefix must be shorter than the symbol")
     params = OfdmParams(n_subcarriers=n, cp_len=cp)
     sym = draw_symbols(params, np.random.default_rng(n + cp), 2)
-    recovered = dft(remove_cp(modulate(sym, params), params))
+    recovered = np.fft.fft(remove_cp(modulate(sym, params), params))
     assert np.max(np.abs(recovered - sym)) < 1e-12
 
 

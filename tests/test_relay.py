@@ -88,6 +88,13 @@ def test_uniform_allocation_hand_value():
     assert gain_factor(cfg, 1.0, 1.0) == pytest.approx(np.sqrt(0.5), rel=1e-15)
 
 
+def test_general_gain_hand_value():
+    # rho = sqrt(P_R / (s_H2 P_S + s_Z2)) with P_S != P_R: swapping the two
+    # powers gives sqrt(1.5 / 5.5) instead
+    cfg = RelayGainConfig(mode="general", source_power=1.5, relay_power=2.5)
+    assert gain_factor(cfg, 2.0, 0.5) == pytest.approx(np.sqrt(2.5 / 3.5), rel=1e-15)
+
+
 def test_uniform_allocation_converges_to_asymptote():
     cfg = RelayGainConfig(mode="upa", total_power=1e6)
     rho = gain_factor(cfg, 2.0, 0.1)
@@ -317,6 +324,17 @@ def test_flat_hops_match_both_oracles(n):
     relay = ([FLAT, flat_profile(4.0)], [-0.33], [0.9], [0.02 + 0.9 ** 2 * 0.05])
     params = OfdmParams(n_subcarriers=n, cp_len=16)
     assert _oracle_error([direct, relay], 16, 4, params) < 1e-9
+
+
+@pytest.mark.parametrize("l1, l2", [(1, 33), (33, 1)])
+def test_flat_hop_beside_a_long_hop_matches_both_oracles(l1, l2):
+    # 2 x 1 x (1 + 33 - 1) = 66 > N = 64: the hops are not convolved, and
+    # the flat hop's tap column multiplies the long hop's transform
+    direct = ([FLAT], [0.17], [1.0], [0.05])
+    hops = [uniform_profile(l1, 1.0), uniform_profile(l2, 4.0)]
+    relay = (hops, [-0.33], [0.9], [0.02 + 0.9 ** 2 * 0.05])
+    params = OfdmParams(n_subcarriers=64, cp_len=40)
+    assert _oracle_error([direct, relay], 17, 4, params) < 1e-9
 
 
 @pytest.mark.parametrize("n", [64, 127])
@@ -580,7 +598,7 @@ POINT_BRANCHES = {
         ([flat_profile(1.0), flat_profile(4.0)], [0.0], [0.8], [(1 + 0.8 ** 2) * 0.1]),
     ],
     # three flat relays: with the direct link, four branches that share the
-    # block's idft(X) and its per-offset sums
+    # block's ifft(X) and its per-offset sums
     "flat_three_relays": [
         ([flat_profile(1.0)], [0.0], [1.0], [0.1]),
         ([flat_profile(1.0), flat_profile(4.0)], [0.0], [0.8], [(1 + 0.8 ** 2) * 0.1]),
@@ -708,7 +726,7 @@ def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
              ("flat", 0, [0.0, 1.0], 1), ("flat", 0, [0.0, 0.0], 0),
              ("flat", 0, [1.0, 1.0], 1), ("flat_three_relays", 0, [1.0, -0.6, 0.3, 0.8], 1),
              ("relay_5_4", 1, [0.0, 1.0], 1), ("relay_4_6", 2, [0.0, 1.0], 1),
-             ("mixed", 1, [1.0, -1.0, 0.5], 2)]  # one idft(HX), one idft(X)
+             ("mixed", 1, [1.0, -1.0, 0.5], 2)]  # one ifft(HX), one ifft(X)
     for name, responses, moving, inverses in cases:
         counts = []
         for count in (1, 40):

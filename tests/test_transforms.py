@@ -1,17 +1,12 @@
-"""Transform kernels and CFO leakage functions, checked against direct-sum
-and finite-difference reference routes."""
+"""The transform convention the engine relies on (numpy's un-normalized
+`fft`, the 1/N `ifft`) and the CFO leakage functions, checked against
+direct-sum and finite-difference reference routes."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afrelay.transforms import (
-    dft,
-    dirichlet_gain,
-    dirichlet_gain_derivative,
-    idft,
-    require_fractional_cfo,
-)
+from afrelay.transforms import dirichlet_gain, dirichlet_gain_derivative
 from conftest import cgauss, circular_convolve, dft_direct, leakage_vector
 from waveform import cfo_spectrum
 
@@ -21,18 +16,18 @@ F64_AT_QUARTER = 0.9003389142253430
 DF64_AT_QUARTER = -0.7726767505077363
 
 
-# ---------------------------------------------------------------- dft / idft
+# ------------------------------------------------------------ np.fft convention
 
 def test_dft_impulse_gives_flat_spectrum():
     x = np.zeros(16, dtype=complex)
     x[0] = 1.0
-    assert np.allclose(dft(x), np.ones(16), atol=1e-14)
+    assert np.allclose(np.fft.fft(x), np.ones(16), atol=1e-14)
 
 
 def test_dft_complex_exponential_hits_single_bin():
     n, m = 64, 5
     x = np.exp(2j * np.pi * m * np.arange(n) / n)
-    spec = dft(x)
+    spec = np.fft.fft(x)
     assert abs(spec[m] - n) < 1e-12
     others = np.delete(spec, m)
     assert np.max(np.abs(others)) < 1e-12
@@ -42,7 +37,7 @@ def test_dft_matches_direct_double_loop():
     rng = np.random.default_rng(1)
     x = cgauss(rng, 64)
     ref = dft_direct(x)
-    err = np.max(np.abs(dft(x) - ref)) / np.max(np.abs(ref))
+    err = np.max(np.abs(np.fft.fft(x) - ref)) / np.max(np.abs(ref))
     assert err < 1e-10
 
 
@@ -50,11 +45,11 @@ def test_dft_arbitrary_length_matches_direct_sum():
     rng = np.random.default_rng(2)
     x = cgauss(rng, 12)  # not a power of two
     ref = dft_direct(x)
-    assert np.max(np.abs(dft(x) - ref)) / np.max(np.abs(ref)) < 1e-10
+    assert np.max(np.abs(np.fft.fft(x) - ref)) / np.max(np.abs(ref)) < 1e-10
 
 
 def test_idft_flat_spectrum_gives_impulse():
-    out = idft(np.ones(16))
+    out = np.fft.ifft(np.ones(16))
     expected = np.zeros(16, dtype=complex)
     expected[0] = 1.0
     assert np.allclose(out, expected, atol=1e-14)
@@ -64,33 +59,23 @@ def test_idft_flat_spectrum_gives_impulse():
 def test_round_trip_identity(n):
     rng = np.random.default_rng(n)
     x = cgauss(rng, n)
-    assert np.max(np.abs(idft(dft(x)) - x)) < 1e-12
+    assert np.max(np.abs(np.fft.ifft(np.fft.fft(x)) - x)) < 1e-12
 
 
 def test_round_trip_arbitrary_length():
     rng = np.random.default_rng(3)
     x = cgauss(rng, 12)
-    assert np.max(np.abs(idft(dft(x)) - x)) < 1e-12
+    assert np.max(np.abs(np.fft.ifft(np.fft.fft(x)) - x)) < 1e-12
 
 
 def test_parseval_under_scaled_inverse():
     rng = np.random.default_rng(4)
     x = cgauss(rng, 64)
-    spec = dft(x)
+    spec = np.fft.fft(x)
     assert abs(np.sum(np.abs(x) ** 2) - np.sum(np.abs(spec) ** 2) / 64) < 1e-12
 
 
-@pytest.mark.parametrize("func", [dft, idft])
-def test_transform_rejects_empty_and_scalar_input(func):
-    with pytest.raises(ValueError):
-        func(np.array([], dtype=complex))
-    with pytest.raises(ValueError):
-        func(np.zeros((4, 0), dtype=complex))
-    with pytest.raises(ValueError):
-        func(np.complex128(1.0))
-
-
-@pytest.mark.parametrize("func", [dft, idft])
+@pytest.mark.parametrize("func", [np.fft.fft, np.fft.ifft], ids=["dft", "idft"])
 def test_transform_acts_on_each_row_of_a_block(func):
     rng = np.random.default_rng(8)
     block = cgauss(rng, (5, 12))
@@ -103,7 +88,7 @@ def test_transform_acts_on_each_row_of_a_block(func):
 def test_round_trip_property(seed):
     rng = np.random.default_rng(seed)
     x = cgauss(rng, 64)
-    assert np.max(np.abs(idft(dft(x)) - x)) < 1e-12
+    assert np.max(np.abs(np.fft.ifft(np.fft.fft(x)) - x)) < 1e-12
 
 
 # ---------------------------------------------------------- cyclic convolution
@@ -127,8 +112,8 @@ def test_convolve_commutes():
 def test_convolve_matches_transform_domain_product():
     rng = np.random.default_rng(7)
     a, b = cgauss(rng, 64), cgauss(rng, 64)
-    direct = dft(circular_convolve(a, b, 64))
-    product = dft(a) * dft(b)
+    direct = np.fft.fft(circular_convolve(a, b, 64))
+    product = np.fft.fft(a) * np.fft.fft(b)
     assert np.max(np.abs(direct - product)) / np.max(np.abs(product)) < 1e-10
 
 
@@ -151,8 +136,8 @@ def test_convolve_rejects_nonpositive_length():
 def test_convolution_theorem_property(seed):
     rng = np.random.default_rng(seed)
     a, b = cgauss(rng, 16), cgauss(rng, 16)
-    lhs = dft(circular_convolve(a, b, 16))
-    rhs = dft(a) * dft(b)
+    lhs = np.fft.fft(circular_convolve(a, b, 16))
+    rhs = np.fft.fft(a) * np.fft.fft(b)
     assert np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(rhs)), 1e-30) < 1e-10
 
 
@@ -269,7 +254,7 @@ def test_leakage_energy_sums_to_one(eps):
 def test_leakage_matches_transform_of_ramp():
     n, eps = 64, 0.3
     ramp = np.exp(2j * np.pi * eps * np.arange(n) / n) / n
-    via_transform = dft(ramp)
+    via_transform = np.fft.fft(ramp)
     closed_form = leakage_vector(eps, n)
     err = np.max(np.abs(closed_form - via_transform)) / np.max(np.abs(via_transform))
     assert err < 1e-10
@@ -292,15 +277,3 @@ def test_energy_identity_over_offset_grid():
     for eps in np.linspace(-0.49, 0.49, 50):
         total = sum(abs(cfo_spectrum(eps, k, 64)) ** 2 for k in range(64))
         assert abs(total - 1.0) < 1e-12
-
-
-# ----------------------------------------------------------------- validation
-
-def test_fractional_cfo_bound_enforced():
-    # the closed interval [-0.5, 0.5], the one LinkStats accepts
-    assert require_fractional_cfo(0.49) == 0.49
-    assert require_fractional_cfo(0.5) == 0.5
-    assert require_fractional_cfo(-0.5) == -0.5
-    for eps in (0.6, np.nextafter(0.5, 1), -np.nextafter(0.5, 1), np.nan, np.inf):
-        with pytest.raises(ValueError, match="0.5"):
-            require_fractional_cfo(eps)
