@@ -1,7 +1,7 @@
 """OFDM amplify-and-forward relay link simulator with closed-form SNR
 cross-validation under per-link carrier frequency offsets."""
 
-from .analysis import LinkStats, SnrBreakdown, analytical_snr
+from .analysis import LinkStats, SnrBreakdown, analytical_snr, snr_db
 from .channel import (
     PowerDelayProfile,
     draw_channel,

@@ -15,6 +15,8 @@ collects each branch's coherent power and the denominator the
 inter-carrier leakage plus noise, branch by branch.  M = 1 is the
 single-relay topology and M = 0 the point-to-point link.  Every quantity
 carries a leading axis of P points, so a sweep is one evaluation.
+`snr_db` turns num / den into dB with the den = 0 sentinel; the
+Monte-Carlo estimator ends with the same call on its trial totals.
 """
 from __future__ import annotations
 
@@ -65,6 +67,15 @@ class SnrBreakdown:
     slopes: np.ndarray
 
 
+def snr_db(num, den):
+    """(linear, dB) SNR of the ratios num / den, elementwise.  den == 0, the
+    noise-free zero-offset case, is the infinity sentinel, a deliberate
+    infinity and not an overflow; a ratio <= 0 is -inf dB."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lin = np.where(den == 0.0, np.inf, num / den)
+        return lin, np.where(lin > 0, 10.0 * np.log10(lin), -np.inf)
+
+
 def analytical_snr(stats: LinkStats) -> SnrBreakdown:
     """Closed-form SNR of the topology and its slope against each offset,
     at every point of the stats in one evaluation.
@@ -81,15 +92,11 @@ def analytical_snr(stats: LinkStats) -> SnrBreakdown:
     # terms pairwise, which would round differently
     num = sum((f ** 2 * a).T)
     den = sum(((1.0 - f ** 2) * a + s).T)
-    # den == 0 only in the noise-free zero-offset degenerate case; the
-    # sentinel is a deliberate infinity, not an overflow.
-    sentinel = den == 0.0
+    lin, db = snr_db(num, den)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lin = np.where(sentinel, np.inf, num / den)
-        db = np.where(lin > 0, 10.0 * np.log10(lin), -np.inf)
         # den divides twice rather than once squared, which overflows
         # for den beyond about 1e154 while the slope is finite
         slopes = (2.0 * f * dirichlet_gain_derivative(eps, n) * a / den[:, None]
                   * ((num + den) / den)[:, None])
-    slopes[sentinel] = np.nan
+    slopes[den == 0.0] = np.nan  # the infinity sentinel
     return SnrBreakdown(num, den, lin, db, slopes)

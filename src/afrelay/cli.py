@@ -53,6 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="closed-form SNR surface and sensitivities only")
     ana.add_argument("--config", required=True, help="JSON config path or preset name")
     ana.add_argument("--out", required=True, help="output CSV path")
+    ana.set_defaults(mode="analytical", trials=None, seed=None, workers=None)
 
     pre = sub.add_parser("presets", help="preset management")
     pre.add_argument("action", choices=["list"])
@@ -76,15 +77,9 @@ def _print_summary(cfg, rows, elapsed: float, out) -> None:
         print(f"  ... {len(rows) - SUMMARY_ROWS} more rows in {out}")
 
 
-def _run_sweep_command(args, mode_override=None) -> int:
-    cfg = load_config(args.config)
-    cfg = with_overrides(
-        cfg,
-        mode=mode_override if mode_override is not None else getattr(args, "mode", None),
-        trials=getattr(args, "trials", None),
-        master_seed=getattr(args, "seed", None),
-        workers=getattr(args, "workers", None),
-    )
+def _run_sweep_command(args) -> int:
+    cfg = with_overrides(load_config(args.config), mode=args.mode, trials=args.trials,
+                         master_seed=args.seed, workers=args.workers)
     start = time.perf_counter()
     rows = run_sweep(cfg)
     elapsed = time.perf_counter() - start
@@ -101,14 +96,10 @@ def main(argv=None) -> int:
             for name, info in PRESET_INFO.items():
                 print(f"{name:16s} {info}")
             return EXIT_OK
-        if args.command == "simulate":
-            return _run_sweep_command(args)
-        if args.command == "analyze":
-            return _run_sweep_command(args, mode_override="analytical")
+        return _run_sweep_command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_OK

@@ -5,9 +5,9 @@ A config describes one topology, the OFDM numerology and `links`, one
 CFO sweep: which offset axis moves, the grid it moves over, and the noise
 scalings at which the sweep repeats.  `run_sweep` evaluates the
 closed-form SNR and/or the Monte-Carlo estimate at every point, builds each
-output column once, and returns the table as `SweepRow`s ready for
-`write_csv`: slots dataclasses, mutable and not hashable, that
-`dataclasses.replace` copies.  `write_csv` formats a chunk of rows at a
+output column once, and returns the table as `SweepRow`s, whose fields
+are the CSV's columns; both dB columns come from one rule,
+`analysis.snr_db`.  `write_csv` formats a chunk of rows at a
 time, with one `%` conversion per column chosen from the column's types,
 and writes the bytes of formatting each field on its own.  `point_inputs`
 is the one builder that turns a config and P sweep points into both
@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import LinkStats, analytical_snr
+from .analysis import LinkStats, analytical_snr, snr_db
 from .channel import (
     PowerDelayProfile,
     exponential_profile,
@@ -64,8 +64,6 @@ from .transforms import FCFO_BOUND
 
 SWEEP_AXES = ("eps1", "eps2", "both_equal")
 MODES = ("analytical", "simulate", "both")
-
-CSV_HEADER = "eps1,eps2,analytical_db,empirical_db,stderr_db,lambda1,lambda2,trials,seed"
 
 # Transmitted samples per random-stream block, prefix included: B =
 # max(1, BLOCK_SAMPLES // (N + cp_len)).  The engine's arrays are (B, N);
@@ -137,6 +135,11 @@ class SweepRow:  # one CSV line, fields in column order
     lambda2: float | None
     trials: int
     seed: int
+
+
+_COLUMNS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(_COLUMNS)
+_row_fields = attrgetter(*_COLUMNS)
 
 
 # --------------------------------------------------------------------------
@@ -414,12 +417,14 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
     and s_b = the last noise plus rho^2 times the earlier ones, the relay's
     noise arriving amplified by its gain.  This is the one place that rule
     is applied.  Each relay gain is resolved once per noise scaling.  Finite
-    config values whose gain is undefined, whose a_b leaves (0, inf) or
-    whose s_b overflows raise ConfigValueError.
+    config values whose gain is undefined, whose a_b leaves (0, inf), whose
+    s_b or whose sum_b (a_b + s_b), the closed form's num + den, overflows
+    raise ConfigValueError.
     """
     n, sx = cfg.ofdm.n_subcarriers, cfg.ofdm.symbol_power
     levels, level_of = np.unique(scales, return_inverse=True)
     table = []  # (rho, a_b, s_b) per link and noise scaling
+    totals = dict.fromkeys(levels.tolist(), 0.0)  # sum_b (a_b + s_b) per noise scaling
     for i, link in enumerate(cfg.links):
         context = f"relays[{i - 1}]" if i else "direct"
         for scale in levels.tolist():
@@ -439,6 +444,9 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
                 raise ConfigValueError(f"{context}: coherent power {a!r} and noise {s!r} at noise "
                                        f"scale {scale!r} leave the range 0 < a < inf, s finite")
             table.append((rho, a, s))
+            totals[scale] += a + s  # float addition: an overflow is inf, with no warning
+            if totals[scale] == math.inf:
+                raise ConfigValueError(f"branch powers and noise overflow at noise scale {scale!r}")
     rho, a, s = np.array(table).reshape(len(cfg.links), len(levels), 3)[:, level_of].T
     return LinkStats(n, a, cfos, s), rho
 
@@ -507,17 +515,17 @@ def trial_powers(cfg: ExperimentConfig, rho, stats) -> np.ndarray:
     return np.concatenate(list(chain.from_iterable(results)), axis=-1)
 
 
-def _aggregate_trials(powers: np.ndarray, cfos: np.ndarray) -> list:
+def _aggregate_trials(powers: np.ndarray, cfos: np.ndarray):
     """Ratio-of-sums estimate in dB and its delta-method standard error in
     dB of each point of the (2, P, trials) powers, signal then residual,
-    as a list of P pairs.
+    as two (P,) arrays, the closed form's layout.
 
-    The ratio of summed powers estimates the ratio of expectations; the
-    per-trial (signal, residual) pairs give its log-domain variance,
-    vs/ms^2 + vr/mr^2 - 2 cov/(ms mr), in one pass as the variance of
-    sig/ms - res/mr.  The sums and variances run over all rows at once.
-    A residual total of exactly 0, the closed form's den == 0, is the
-    infinity sentinel (inf, 0); a total that overflows raises
+    The ratio of summed powers estimates the ratio of expectations, in dB
+    by the closed form's `snr_db`; the per-trial (signal, residual) pairs
+    give its log-domain variance, vs/ms^2 + vr/mr^2 - 2 cov/(ms mr), in one
+    pass as the variance of sig/ms - res/mr.  A residual total of exactly 0,
+    the closed form's den == 0, is the infinity sentinel (inf, 0), and a
+    signal total of 0 is (-inf, NaN); a total that overflows raises
     `FloatingPointError` naming the first such row p by its offsets
     `cfos[p, :2]` and the total.
     """
@@ -535,18 +543,12 @@ def _aggregate_trials(powers: np.ndarray, cfos: np.ndarray) -> list:
     var_log = np.full(len(sig), math.nan)
     if trials > 1:
         ms, mr = total_sig[:, None] / trials, total_res[:, None] / trials
-        with np.errstate(divide="ignore", invalid="ignore"):  # rows read below only if lin > 0
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows kept below only if lin > 0
             var_log = np.var(sig / ms - res / mr, axis=-1, ddof=1) / trials
-    rows = []
-    for total_s, total_r, var in zip(total_sig.tolist(), total_res.tolist(), var_log.tolist()):
-        if total_r == 0.0:
-            rows.append((math.inf, 0.0))
-            continue
-        lin = total_s / total_r
-        db = 10.0 * math.log10(lin) if lin > 0 else -math.inf
-        stderr_db = 10.0 / math.log(10.0) * math.sqrt(var) if lin > 0 else math.nan
-        rows.append((db, stderr_db))
-    return rows
+    lin, db = snr_db(total_sig, total_res)
+    stderr_db = np.where(lin > 0, 10.0 / math.log(10.0) * np.sqrt(var_log), np.nan)
+    stderr_db[total_res == 0.0] = 0.0
+    return db, stderr_db
 
 
 # --------------------------------------------------------------------------
@@ -594,7 +596,8 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
         for p in np.flatnonzero(snr.den == 0.0).tolist():  # the infinite-SNR sentinel
             lambda1[p] = lambda2[p] = None
     if cfg.mode != "analytical":
-        empirical, stderr = zip(*_aggregate_trials(trial_powers(cfg, rho, stats), cfos))
+        empirical, stderr = map(np.ndarray.tolist, _aggregate_trials(
+            trial_powers(cfg, rho, stats), cfos))
     # each noise scaling repeats the grid's offsets; repeating the list lets
     # the rows share its float objects rather than hold one copy per row
     grid = len(cfg.sweep_grid)
@@ -607,8 +610,6 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
             on_row(row)
     return rows
 
-
-_row_fields = attrgetter(*CSV_HEADER.split(","))
 
 # Rows formatted by one `%` operation: about 1 MB of fields and text.
 _CSV_CHUNK_ROWS = 4096
@@ -642,7 +643,7 @@ def write_csv(rows, path) -> None:
     chosen once from the set of its types, and the chunk's text is one
     `%` operation on one line template repeated per row; the bytes are
     those of formatting every field on its own."""
-    width = len(CSV_HEADER.split(","))
+    width = len(_COLUMNS)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")

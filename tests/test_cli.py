@@ -91,7 +91,13 @@ def test_analyze_writes_surface(config_path, tmp_path):
     for line in lines[1:]:
         fields = line.split(",")
         assert fields[2] != "" and fields[5] != ""  # analytical_db, lambda1
-        assert fields[3] == ""  # empirical empty
+        assert fields[3] == fields[4] == ""  # empirical_db, stderr_db empty
+        assert fields[7] == "0" and fields[8] == str(SMALL["master_seed"])  # trials, seed
+    # analyze sets no trials, seed or workers: argparse rejects them
+    for flag, value in (("--trials", "8"), ("--seed", "1"), ("--workers", "2"), ("--mode", "both")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--config", str(config_path), "--out", str(out), flag, value])
+        assert exit_info.value.code == 2  # argparse's usage error
 
 
 def test_analyze_summary_is_bounded_on_a_large_surface(tmp_path, capsys):
@@ -110,10 +116,19 @@ def test_analyze_summary_is_bounded_on_a_large_surface(tmp_path, capsys):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1001
 
 
-def test_config_errors_exit_with_config_code(tmp_path, capsys):
+def test_config_errors_exit_with_config_code(config_path, tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["simulate", "--config", str(missing)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+    # overrides are checked like config values
+    for flag, value, message in (("--workers", "0", "workers must be >= 1"),
+                                 ("--seed", "-1", "master_seed must be a 64-bit")):
+        out = tmp_path / "override.csv"
+        assert main(["simulate", "--config", str(config_path), flag, value,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     bad, out = tmp_path / "bad.json", tmp_path / "bad.csv"
     bad.write_text(json.dumps({**SMALL, "surprise": 1}))
@@ -242,6 +257,33 @@ def test_overflowed_power_sums_exit_with_runtime_code(symbol_power, hop_power, m
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert main(["simulate", "--config", str(config), "--mode", "analytical",
                  "--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--trials", "8"]])
+@pytest.mark.parametrize("case, scale", [("signal", "0.1"), ("noise", "1.0")])
+def test_overflowing_branch_sums_exit_with_config_code(case, scale, command, tmp_path, capsys):
+    # each branch's a_b and s_b is finite but their sum over branches is
+    # not: at symbol power 1e308 with a relay second hop of power 1, a_b is
+    # 1e308 on the direct link and about 0.9e308 on the relay, the closed
+    # form's num; 1e308 noise on the direct link and at the relay's
+    # destination overflows its den at noise scale 1.  Unchecked, both
+    # wrote inf dB or nan slopes with exit 0.
+    raw = copy.deepcopy(harness.PRESETS["fig3_flat"])
+    if case == "signal":
+        raw["ofdm"]["symbol_power"] = 1e308
+        raw["relays"][0]["hop2_profile"] = {"kind": "flat", "power": 1.0}
+    else:
+        raw["direct"]["noise_var"] = raw["relays"][0]["dest_noise_var"] = 1e308
+    config, out = tmp_path / "sums.json", tmp_path / "sums.csv"
+    config.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*command, "--config", str(config), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: branch powers and noise overflow at noise scale {scale}" in err
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_module_entry_point_runs(config_path, tmp_path):

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afrelay import harness, relay
-from afrelay.analysis import analytical_snr
+from afrelay.analysis import analytical_snr, snr_db
 from afrelay.cli import EXIT_CONFIG, main
 from afrelay.harness import (
     PRESETS,
@@ -282,6 +282,13 @@ def test_value_invariants_reported_with_key_names():
     raw["sweep"]["axis"] = "eps3"
     with pytest.raises(ConfigValueError, match="eps3"):
         config_from_dict(raw)
+    for key, value, message in (("workers", 0, "workers must be >= 1"),
+                                ("master_seed", -1, "master_seed must be a 64-bit"),
+                                ("master_seed", 2 ** 64, "master_seed must be a 64-bit"),
+                                ("noise_scales", 5, "noise_scales must be a non-empty list"),
+                                ("noise_scales", [], "noise_scales must be a non-empty list")):
+        with pytest.raises(ConfigValueError, match=message):
+            config_from_dict({**copy.deepcopy(TINY), key: value})
 
 
 @pytest.mark.parametrize("where", [
@@ -620,7 +627,7 @@ def test_one_pass_stderr_matches_three_term_delta_method(trials):
     vs, vr = np.var(sig, ddof=1), np.var(res, ddof=1)
     cov = np.cov(sig, res, ddof=1)[0, 1]
     var_log = (vs / ms ** 2 + vr / mr ** 2 - 2.0 * cov / (ms * mr)) / trials
-    ((db, stderr_db),) = harness._aggregate_trials(np.array([[sig], [res]]), np.zeros((1, 2)))
+    (db,), (stderr_db,) = harness._aggregate_trials(np.array([[sig], [res]]), np.zeros((1, 2)))
     assert db == pytest.approx(10.0 * math.log10(np.sum(sig) / np.sum(res)), rel=1e-12)
     assert stderr_db == pytest.approx(10.0 / math.log(10.0) * math.sqrt(var_log), rel=1e-12)
 
@@ -631,12 +638,31 @@ def test_estimator_edge_points():
     # no finite dB and no standard error
     powers = np.random.default_rng(5).exponential(1.0, (2, 3, 50))
     powers[1, 1] = powers[0, 2] = 0.0
-    (db, stderr_db), infinite, silent = harness._aggregate_trials(powers, np.zeros((3, 2)))
+    db, stderr_db = harness._aggregate_trials(powers, np.zeros((3, 2)))
+    assert db.shape == stderr_db.shape == (3,)
+    assert np.array_equal(db, snr_db(*np.sum(powers, -1))[1])  # the closed form's rule
     sig, res = powers[:, 0]
-    assert db == pytest.approx(10.0 * math.log10(np.sum(sig) / np.sum(res)), rel=1e-12)
-    assert 0.0 < stderr_db < math.inf
-    assert infinite == (math.inf, 0.0)
-    assert silent[0] == -math.inf and math.isnan(silent[1])
+    assert db[0] == pytest.approx(10.0 * math.log10(np.sum(sig) / np.sum(res)), rel=1e-12)
+    assert 0.0 < stderr_db[0] < math.inf
+    assert (db[1], stderr_db[1]) == (math.inf, 0.0)
+    assert db[2] == -math.inf and math.isnan(stderr_db[2])
+
+
+def test_estimator_reads_the_closed_forms_db():
+    # with one trial a point's totals are exactly the closed form's num and
+    # den, and both sides then read bitwise the same dB, sentinel included
+    raw = copy.deepcopy(TINY)
+    raw["sweep"]["grid"] = [0.0, 0.1, 0.3]
+    raw["direct"]["noise_var"] = raw["relays"][0]["relay_noise_var"] = 0.0
+    raw["relays"][0]["dest_noise_var"] = 0.0
+    raw["relays"][0]["gain"] = {"mode": "fixed", "rho": 1.0}
+    cfg = config_from_dict(raw)
+    snr = analytical_snr(point_inputs(cfg, *sweep_offsets(cfg))[0])
+    assert snr.den[0] == 0.0 and np.all(snr.den[1:] > 0)
+    db, stderr_db = harness._aggregate_trials(np.stack([snr.num, snr.den])[..., None],
+                                              np.zeros((3, 2)))
+    assert np.array_equal(db, snr.snr_db)
+    assert db[0] == math.inf and stderr_db[0] == 0.0
 
 
 def test_multi_relay_sensitivities_match_finite_differences():
@@ -1015,6 +1041,10 @@ def test_overrides_validate():
         with_overrides(cfg, mode="surface")
     with pytest.raises(ConfigError):
         with_overrides(cfg, trials=0)
+    with pytest.raises(ConfigValueError, match="workers must be >= 1"):
+        with_overrides(cfg, workers=0)
+    with pytest.raises(ConfigValueError, match="master_seed"):
+        with_overrides(cfg, master_seed=-1)
 
 
 # ------------------------------------------------------------- the row table
