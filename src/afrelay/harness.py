@@ -26,18 +26,19 @@ formed once, in `point_inputs`, and both sides read it per bin from the
 one `LinkStats`.  The engine draws no noise: it adds the noise's exact
 conditional mean, N s_b, to each trial's residual.
 
-Reproducibility: trials run in blocks of B = max(1, 16384 // (N + cp_len))
-(204 at N=64, 15 at N=1024), a size fixed by the numerology alone.  Block
-b covers trials [bB, (b+1)B), the last one possibly short, and is one
-`simulate_block` call on numpy's default_rng([master_seed, b]), which
-draws in the order that function documents.  The stream has no point
-index: every point of a sweep uses the same block streams (common random
-numbers), so the points' empirical columns are correlated.  Each block is
-drawn once per sweep and simulated at every point.  A pool task is a
-contiguous range of blocks covering every point; the blocks' powers are
-joined in block order and each point's are reduced in trial order, so
-the result is bitwise independent of `workers`.  The process pool and
-`hashlib` are imported on first use, not with the package.
+Reproducibility: trials run in blocks of B = max(1, 65536 // (N + cp_len))
+(819 at N=64 with cp 16, 60 at N=1024 with cp 64), a size fixed by the
+numerology alone.  Block b covers trials [bB, (b+1)B), the last one
+possibly short, and is one `simulate_block` call on numpy's
+default_rng([master_seed, b]), which draws in the order that function
+documents.  The stream has no point index: every point of a sweep uses
+the same block streams (common random numbers), so the points' empirical
+columns are correlated.  Each block is drawn once per sweep and simulated
+at every point.  A pool task is a contiguous range of blocks covering
+every point; the blocks' powers are joined in block order and each
+point's are reduced in trial order, so the result is bitwise independent
+of `workers`.  The process pool and `hashlib` are imported on first use,
+not with the package.
 """
 from __future__ import annotations
 
@@ -66,11 +67,18 @@ SWEEP_AXES = ("eps1", "eps2", "both_equal")
 MODES = ("analytical", "simulate", "both")
 
 # Transmitted samples per random-stream block, prefix included: B =
-# max(1, BLOCK_SAMPLES // (N + cp_len)).  The engine's arrays are (B, N);
-# the rule keeps cp_len because B is part of the stream contract and the
-# rule without it (256 rows at N=64, not 204) showed no consistent speed
-# difference on a flat N=64 sweep.
-BLOCK_SAMPLES = 16384
+# max(1, BLOCK_SAMPLES // (N + cp_len)), 819 at N=64 (cp 16), 204 at N=256
+# (cp 64) and 60 at N=1024 (cp 64).  Every block pays once for its
+# generator, its engine call and its per-point reductions, so fewer, larger
+# blocks are faster.  Against 16384 samples, the best of repeated
+# in-process `run_sweep` calls (2-vCPU Xeon, numpy 2.4) read:
+#   fig3_flat (N=64)             1.10x at 400 trials, 1.41x at 4,080
+#   fig4_selective (N=64)        1.17x at 2,000, 1.21x at 4,080
+#   33-tap hops at N=256         1.07x at 816, 1.13x at 1,632
+#   wide4_n1024 (N=1024)         1.15x at 100, 1.12x at 600, 1.26x at 1,200
+# The engine's (2, B, N) buffers grow with it: peak RSS on the benchmark's
+# wide4_n1024 rose from 40.1 to 42.3 MB.
+BLOCK_SAMPLES = 65536
 
 
 class ConfigError(Exception):
@@ -452,8 +460,9 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
 
 
 def block_size(params: OfdmParams) -> int:
-    """Trials per random-stream block: about BLOCK_SAMPLES samples per row
-    array, fixed by the numerology alone."""
+    """Trials per random-stream block: as many transmitted symbols, prefix
+    included, as fit in BLOCK_SAMPLES samples, and at least one; fixed by
+    the numerology alone, never by `workers`."""
     return max(1, BLOCK_SAMPLES // (params.n_subcarriers + params.cp_len))
 
 

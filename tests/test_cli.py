@@ -227,9 +227,9 @@ def test_block_failure_names_its_block_range(config_path, tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize("symbol_power, hop_power, message", [
-    (1e306, None, "blocks [0, 10): direct: overflow"),
+    (1e306, None, "blocks [0, 3): direct: overflow"),
     (1e303, None, "row 0 (eps1=0, eps2=0): the signal power total of 2000 trials"),
-    (1.0, 1e160, "blocks [0, 10): relays[0]: overflow"),
+    (1.0, 1e160, "blocks [0, 3): relays[0]: overflow"),
 ], ids=["1e+306", "1e+303", "loud_relay"])
 def test_overflowed_power_sums_exit_with_runtime_code(symbol_power, hop_power, message,
                                                        tmp_path, capsys):
@@ -299,20 +299,26 @@ def test_module_entry_point_runs(config_path, tmp_path):
     assert out.exists()
 
 
-@pytest.mark.parametrize("name", ["fig4_selective", "two_relays"])
-def test_simulate_reproduces_the_golden_csv(name, tmp_path):
-    # the random stream and everything after it, pinned at 204 trials
-    # (one block at N=64); rel 1e-7 allows 9th-digit rounding across numpy
-    # builds, so only a change to the stream or the model moves these files
+@pytest.mark.parametrize("name, trials", [
+    ("fig4_selective", 204), ("two_relays", 204), ("fig4_selective", 820),
+], ids=["fig4_selective", "two_relays", "fig4_selective_trials820"])
+def test_simulate_reproduces_the_golden_csv(name, trials, tmp_path):
+    # the random stream and everything after it, pinned at 204 trials (part
+    # of one block at N=64) and at 820, one full block of 819 and one trial
+    # of the next, which pins where a block ends; rel 1e-7 allows
+    # 9th-digit rounding across numpy builds, so only a change to the
+    # stream or the model moves these files
     config = name
     if name == "two_relays":
         config = tmp_path / "two_relays.json"
         config.write_text(json.dumps(_two_relays()))
+    size = harness.block_size(harness.load_config(config).ofdm)
+    assert trials <= size or trials == size + 1
     out = tmp_path / "out.csv"
-    assert main(["simulate", "--config", str(config), "--trials", "204",
+    assert main(["simulate", "--config", str(config), "--trials", str(trials),
                  "--out", str(out)]) == EXIT_OK
     header, *rows = out.read_text(encoding="utf-8").splitlines()
-    golden_header, *golden_rows = (DATA / f"{name}_trials204.csv").read_text(
+    golden_header, *golden_rows = (DATA / f"{name}_trials{trials}.csv").read_text(
         encoding="utf-8").splitlines()
     assert header == golden_header
     assert len(rows) == len(golden_rows)

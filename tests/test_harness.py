@@ -426,7 +426,7 @@ def test_identical_results_across_worker_counts():
 
 
 def test_block_stream_is_independent_of_worker_count(monkeypatch):
-    # 714 trials at N=64 are three full 204-trial blocks and a short one
+    # three full blocks and a short one of half a block
     starts, reduced = [], []
 
     class CountingPool(harness.ProcessPoolExecutor):
@@ -441,25 +441,26 @@ def test_block_stream_is_independent_of_worker_count(monkeypatch):
     aggregate = harness._aggregate_trials
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(harness, "_aggregate_trials", recording_aggregate)
+    size = harness.block_size(tiny_config().ofdm)
+    trials = 3 * size + size // 2
     raw = copy.deepcopy(TINY)
-    raw["trials"] = 714
+    raw["trials"] = trials
     empirical, rows = {}, {}
     for workers in (1, 2, 3):
         cfg = config_from_dict({**raw, "workers": workers})
-        assert harness.block_size(cfg.ofdm) == 204
         (empirical[workers],) = run_sweep(one_point_config(cfg, (0.1, 0.2)))
         before = len(starts)
         rows[workers] = run_sweep(cfg)
         assert len(starts) - before <= 1
     assert starts == [2, 2, 3, 3]  # workers=1 never starts a pool
     assert empirical[1] == empirical[2] == empirical[3]  # bitwise-identical floats
-    # every point of every run reduced all 714 per-trial power pairs, the
+    # every point of every run reduced all its per-trial power pairs, the
     # one-point run and the two-point sweep each in one call, and each
     # table is bitwise that of one worker
-    assert [powers.shape for powers in reduced] == [(2, 1, 714), (2, 2, 714)] * 3
+    assert [powers.shape for powers in reduced] == [(2, 1, trials), (2, 2, trials)] * 3
     for one, two in zip(reduced[2::2], reduced[3::2]):  # workers 2 and 3
         assert np.array_equal(one, reduced[0]) and np.array_equal(two, reduced[1])
-    assert empirical[1].trials == 714
+    assert empirical[1].trials == trials
     assert rows[1] == rows[2] == rows[3]
 
 
@@ -498,8 +499,9 @@ def test_sweep_draws_each_block_once(monkeypatch):
         calls.append((type(rng), trials))
         return simulate_block(plan, rng, trials, buffers)
 
+    size = harness.block_size(tiny_config().ofdm)
     raw = copy.deepcopy(TINY)
-    raw["trials"] = 714  # three full 204-trial blocks and a short one
+    raw["trials"] = 3 * size + size // 2  # three full blocks and a short one
     raw["sweep"]["grid"] = [0.0, 0.2, 0.4]
     raw["noise_scales"] = [1.0, 0.1]
     cfg = config_from_dict(raw)
@@ -508,31 +510,33 @@ def test_sweep_draws_each_block_once(monkeypatch):
     monkeypatch.setattr(harness, "simulate_block", counting_simulate_block)
     rows = run_sweep(cfg)
     assert len(rows) == 6
-    assert draws == [204, 204, 204, 102]
-    assert calls == [(np.random.Generator, 204)] * 3 + [(np.random.Generator, 102)]
+    assert draws == [size] * 3 + [size // 2]
+    assert calls == [(np.random.Generator, size)] * 3 + [(np.random.Generator, size // 2)]
     for row, eps, scale in zip(rows, *sweep_offsets(cfg)):
         (alone,) = run_sweep(one_point_config(cfg, eps.tolist(), scale))
         assert (row.empirical_db, row.stderr_db) == (alone.empirical_db, alone.stderr_db)
 
 
 def test_trial_powers_join_the_blocks_in_block_order():
-    # 714 trials at N=64 are three full 204-trial blocks and a short one of
-    # 102: the table is block b's powers, on default_rng([master_seed, b]),
-    # at trials [204 b, 204 (b + 1))
-    cfg = tiny_config(trials=714)
+    # three full blocks of B trials and a short one of B // 2: the table is
+    # block b's powers, on default_rng([master_seed, b]), at trials
+    # [B b, B (b + 1))
+    size = harness.block_size(tiny_config().ofdm)
+    cfg = tiny_config(trials=3 * size + size // 2)
     stats, rho = point_inputs(cfg, *sweep_offsets(cfg))
     plan = relay.sweep_plan(cfg.ofdm, [link.hops for link in cfg.links], rho, stats)
     blocks = [relay.simulate_block(plan, np.random.default_rng([cfg.master_seed, b]), trials)
-              for b, trials in enumerate([204, 204, 204, 102])]
+              for b, trials in enumerate([size] * 3 + [size // 2])]
     powers = harness.trial_powers(cfg, rho, stats)
-    assert powers.shape == (2, 2, 714) and powers.dtype == np.float64
+    assert powers.shape == (2, 2, cfg.trials) and powers.dtype == np.float64
     assert np.array_equal(powers, np.concatenate(blocks, axis=-1))
 
 
 def test_block_size_follows_the_transmitted_symbol_length():
     sizes = {(n, cp): harness.block_size(OfdmParams(n_subcarriers=n, cp_len=cp))
-             for n, cp in ((64, 16), (1024, 64), (16384, 1))}
-    assert sizes == {(64, 16): 204, (1024, 64): 15, (16384, 1): 1}
+             for n, cp in ((64, 16), (256, 64), (1024, 64), (16384, 1), (65536, 1))}
+    assert sizes == {(64, 16): 819, (256, 64): 204, (1024, 64): 60, (16384, 1): 3,
+                     (65536, 1): 1}
 
 
 # One warm-up sweep, then the mean minor page faults of five more.
@@ -552,13 +556,14 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
                     reason="ru_minflt counts minor page faults on Linux")
 def test_warm_n1024_sweep_takes_no_fresh_pages():
     # every block of a range draws and transforms in one set of (B, N)
-    # buffers, so a warm sweep of 7 blocks at N = 1024 faults in no fresh
-    # pages: 1,176-1,194 minor faults a sweep when each block allocated its
-    # own (15, 1024) arrays; now about 120 in the first sweep after the
-    # warm-up (the first whose buffer set comes from the heap, not mmap)
-    # and 0 after it, 25 on average.  The count depends on the heap's
-    # history, so it is taken in a fresh interpreter: after other tests
-    # even per-block arrays may find their pages already mapped.
+    # buffers, so a warm sweep of 2 blocks (60 and 40 trials) at N = 1024
+    # faults in no fresh pages: per-block (60, 1024) arrays would take about
+    # 697 minor faults a sweep; the one set takes 480 in the first sweep
+    # after the warm-up (the first whose 1.97 MB set comes from the heap,
+    # not mmap: one fault per 4 KB page) and 0 after it, 96 on average.
+    # The count depends on the heap's history, so it is taken in a fresh
+    # interpreter: after other tests even per-block arrays may find their
+    # pages already mapped.
     hop = lambda power: {"kind": "exponential", "n_taps": 16, "power": power, "decay": 4.0}
     relay = {"hop1_profile": hop(1.0), "hop2_profile": hop(4.0), "cfo": 0.0,
              "relay_noise_var": 0.1, "dest_noise_var": 0.1,
@@ -594,9 +599,10 @@ def test_stderr_shrinks_like_inverse_root_trials():
 
 
 # The exact stderr of flat QPSK branches (`moments.exact_stderr_db`) against
-# the estimator's at 20,400 trials (100 blocks at N = 64): over seeds 1-400
-# the 8,000 ratios of both configs below read 0.946-1.081, per-point medians
-# 0.996-0.999 and sds 0.012-0.020, right-skewed as |h1 h2|^2 is heavy-tailed.
+# the estimator's at 20,400 trials (25 blocks at N = 64, the last short):
+# over seeds 1-400 the 8,000 ratios of both configs below read 0.951-1.078,
+# per-point medians 0.997-1.000 and sds 0.013-0.021, right-skewed as
+# |h1 h2|^2 is heavy-tailed.
 # Dropping the sum |W_b|^2 |W_c|^2 / N^2 from E L_b L_c moves seven of the
 # 20 points to 0.19-0.87, and dropping the covariance moves most to >= 1.17.
 EXACT_STDERR_BOUNDS = (0.92, 1.12)
@@ -700,7 +706,7 @@ def test_multi_relay_sensitivities_match_finite_differences():
 # the same h, not the exact slope (they differ by 4% at eps2 = 0.1).  Three
 # slopes at two centres each give six z-scores, each bounded at a 1e-4 / 6
 # false-failure chance (Bonferroni, as the per-branch moment test in
-# test_relay.py).  At seeds 1-5 and the preset's the largest |z| read 2.0,
+# test_relay.py).  At seeds 1-5 and the preset's the largest |z| read 2.5,
 # and the largest stderr 0.8% of the slope (lambda1 at eps1 = 0.1).
 SLOPE_Z_BOUND = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 6))
 
@@ -878,7 +884,7 @@ def test_engine_reads_the_closed_form_table(monkeypatch):
     monkeypatch.setattr(harness, "sweep_plan", plan)
     monkeypatch.setattr(harness, "simulate_block", engine)
     raw = three_relay_raw("eps2")
-    raw.update(mode="both", trials=408)
+    raw.update(mode="both", trials=2 * harness.block_size(OfdmParams(**raw["ofdm"])))
     run_sweep(config_from_dict(raw))
     (stats,) = seen["analytical"]
     ((planned, built),) = seen["plans"]
@@ -900,7 +906,7 @@ def test_engine_builds_its_tables_once_per_sweep(monkeypatch):
     counts = []
     for blocks in (1, 7):
         raw = three_relay_raw("eps2")
-        raw.update(mode="simulate", trials=blocks * 204)
+        raw.update(mode="simulate", trials=blocks * harness.block_size(OfdmParams(**raw["ofdm"])))
         calls.clear()
         run_sweep(config_from_dict(raw))
         counts.append(len(calls))
