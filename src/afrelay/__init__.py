@@ -11,16 +11,12 @@ from .channel import (
 )
 from .harness import (
     ConfigError,
-    ConfigKeyError,
-    ConfigParseError,
-    ConfigValueError,
     ExperimentConfig,
     LinkSpec,
     SweepRow,
     config_from_dict,
     load_config,
     run_sweep,
-    sweep_offsets,
     write_csv,
 )
 from .ofdm import OfdmParams, draw_symbols

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from .harness import (
     PRESET_INFO,
@@ -19,7 +20,6 @@ from .harness import (
     config_digest,
     load_config,
     run_sweep,
-    with_overrides,
     write_csv,
 )
 
@@ -78,8 +78,8 @@ def _print_summary(cfg, rows, elapsed: float, out) -> None:
 
 
 def _run_sweep_command(args) -> int:
-    cfg = with_overrides(load_config(args.config), mode=args.mode, trials=args.trials,
-                         master_seed=args.seed, workers=args.workers)
+    flags = dict(mode=args.mode, trials=args.trials, master_seed=args.seed, workers=args.workers)
+    cfg = replace(load_config(args.config), **{k: v for k, v in flags.items() if v is not None})
     start = time.perf_counter()
     rows = run_sweep(cfg)
     elapsed = time.perf_counter() - start

@@ -10,13 +10,15 @@ are the CSV's columns; both dB columns come from one rule,
 `analysis.snr_db`.  `write_csv` formats a chunk of rows at a
 time, with one `%` conversion per column chosen from the column's types,
 and writes the bytes of formatting each field on its own.  `point_inputs`
-is the one builder that turns a config and P sweep points into both
-sides' inputs, in one loop over `links`: the closed form's `LinkStats`
-with a leading point axis and the relay gains in the same (P, M + 1)
-layout.  The closed form evaluates the stats once per sweep; when the
-mode simulates, `trial_powers` builds `relay.sweep_plan` from the same
-stats object, with the gains and each link's hops, once per sweep, and
-every block's engine call reads that plan.  The engine's per-trial powers
+is the one builder that turns a config into both sides' inputs at its P
+sweep points, noise scales outer and grid inner, in one loop over
+`links`: the closed form's `LinkStats` with a leading point axis, the
+points' offsets included, and the relay gains in the same (P, M + 1)
+layout.  Every config problem raises `ConfigError`.  The closed form
+evaluates the stats once per sweep; when the mode simulates,
+`trial_powers` builds `relay.sweep_plan` from the same stats object, with
+the gains and each link's hops, once per sweep, and every block's engine
+call reads that plan.  The engine's per-trial powers
 reach the estimator as one (2, P, trials) array, signal then residual.
 
 Noise convention: configured noise variances are per received frequency
@@ -35,17 +37,18 @@ documents.  The stream has no point index: every point of a sweep uses
 the same block streams (common random numbers), so the points' empirical
 columns are correlated.  Each block is drawn once per sweep and simulated
 at every point.  A pool task is a contiguous range of blocks covering
-every point; the blocks' powers are joined in block order and each
-point's are reduced in trial order, so the result is bitwise independent
-of `workers`.  The process pool and `hashlib` are imported on first use,
-not with the package.
+every point, and a sweep has no more tasks than `os.cpu_count()`; the
+blocks' powers are joined in block order and each point's are reduced in
+trial order, so the result is bitwise independent of `workers`.  The
+process pool and `hashlib` are imported on first use, not with the package.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 from itertools import chain, islice, repeat
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
@@ -82,19 +85,8 @@ BLOCK_SAMPLES = 65536
 
 
 class ConfigError(Exception):
-    """Any problem with an experiment configuration."""
-
-
-class ConfigParseError(ConfigError):
-    """The config source could not be read or parsed."""
-
-
-class ConfigKeyError(ConfigError):
-    """The config contains a key that is not part of the schema."""
-
-
-class ConfigValueError(ConfigError):
-    """A config value violates an invariant."""
+    """Any problem with an experiment configuration: a source that cannot
+    be read or parsed, an unknown key, or a value that breaks an invariant."""
 
 
 @dataclass(frozen=True)
@@ -123,13 +115,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.trials < 1:
-            raise ConfigValueError(f"trials must be >= 1, got {self.trials}")
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < 2 ** 64:
-            raise ConfigValueError("master_seed must be a 64-bit unsigned integer")
+            raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if self.workers < 1:
-            raise ConfigValueError(f"workers must be >= 1, got {self.workers}")
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(slots=True)
@@ -214,35 +206,33 @@ PRESET_INFO = {
 
 def _check_keys(raw: dict, allowed, context: str) -> None:
     if not isinstance(raw, dict):
-        raise ConfigValueError(f"{context} must be an object, got {raw!r}")
+        raise ConfigError(f"{context} must be an object, got {raw!r}")
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
-        raise ConfigKeyError(
-            f"unknown key(s) {unknown} in {context}; allowed keys: {sorted(allowed)}"
-        )
+        raise ConfigError(f"unknown key(s) {unknown} in {context}; allowed keys: {sorted(allowed)}")
 
 
 def _require(raw: dict, key: str, context: str):
     if key not in raw:
-        raise ConfigValueError(f"missing required key {key!r} in {context}")
+        raise ConfigError(f"missing required key {key!r} in {context}")
     return raw[key]
 
 
 def _as_number(value, key: str, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigValueError(f"{context}.{key} must be a number, got {value!r}")
+        raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):  # JSON admits NaN and Infinity
-        raise ConfigValueError(f"{context}.{key} must be finite, got {value!r}")
+        raise ConfigError(f"{context}.{key} must be finite, got {value!r}")
     return number
 
 
 def _as_int(value, key: str, context: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigValueError(f"{context}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{context}.{key} must be an integer, got {value!r}")
     return value
 
 
@@ -256,10 +246,10 @@ PROFILE_KEYS = {
 
 def _parse_profile(raw, context: str, cp_len: int) -> PowerDelayProfile:
     if not isinstance(raw, dict):
-        raise ConfigValueError(f"{context} must be an object, got {raw!r}")
+        raise ConfigError(f"{context} must be an object, got {raw!r}")
     kind = _require(raw, "kind", context)
     if kind not in list(PROFILE_KEYS):  # a list compares unhashable values too
-        raise ConfigValueError(f"{context}.kind must be one of {list(PROFILE_KEYS)}, got {kind!r}")
+        raise ConfigError(f"{context}.kind must be one of {list(PROFILE_KEYS)}, got {kind!r}")
     _check_keys(raw, PROFILE_KEYS[kind], context)
     power = _as_number(_require(raw, "power", context), "power", context)
     try:
@@ -272,12 +262,12 @@ def _parse_profile(raw, context: str, cp_len: int) -> PowerDelayProfile:
             profile = uniform_profile(n_taps, power) if kind == "uniform" else exponential_profile(
                 n_taps, power, _as_number(raw.get("decay", 1.0), "decay", context))
     except ValueError as exc:
-        raise ConfigValueError(f"{context}: {exc}") from exc
+        raise ConfigError(f"{context}: {exc}") from exc
     # every link is a closed-form branch, whose coherent power must be > 0;
     # the taps of a subnormal power can underflow to 0
     if not profile.total_power > 0:
-        raise ConfigValueError(f"{context}: total power must be > 0, got {power!r} "
-                               f"(taps summing to {profile.total_power!r})")
+        raise ConfigError(f"{context}: total power must be > 0, got {power!r} "
+                          f"(taps summing to {profile.total_power!r})")
     return profile
 
 
@@ -291,14 +281,14 @@ def _parse_gain(raw, context: str) -> RelayGainConfig:
     try:
         return RelayGainConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigValueError(f"{context}: {exc}") from exc
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _parse_cfo(value, key: str, context: str) -> float:
     eps, name = _as_number(value, key, context), f"{context}.{key}"
     if abs(eps) > FCFO_BOUND:  # the closed interval LinkStats accepts
-        raise ConfigValueError(f"{name}={eps!r} is not a fractional CFO: require |{name}| <= "
-                               f"{FCFO_BOUND} (integer offsets are assumed already corrected)")
+        raise ConfigError(f"{name}={eps!r} is not a fractional CFO: require |{name}| <= "
+                          f"{FCFO_BOUND} (integer offsets are assumed already corrected)")
     return eps
 
 
@@ -310,14 +300,14 @@ def _parse_link(raw, context: str, cp_len: int, hop_keys, noise_keys, gain: bool
     noise_vars = tuple(_as_number(_require(raw, key, context), key, context) for key in noise_keys)
     for key, var in zip(noise_keys, noise_vars):
         if var < 0:
-            raise ConfigValueError(f"{context}.{key} must be >= 0, got {var!r}")
+            raise ConfigError(f"{context}.{key} must be >= 0, got {var!r}")
     hops = tuple(_parse_profile(_require(raw, key, context), f"{context}.{key}", cp_len)
                  for key in hop_keys)
     # the inter-symbol interference rule for the cascade of the link's hops
     try:
         require_isi_free(cp_len, [hop.n_taps for hop in hops], context)
     except ValueError as exc:
-        raise ConfigValueError(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
     return LinkSpec(
         hops=hops,
         noise_vars=noise_vars,
@@ -344,13 +334,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             symbol_power=_as_number(ofdm_raw.get("symbol_power", 1.0), "symbol_power", "ofdm"),
         )
     except ValueError as exc:
-        raise ConfigValueError(f"ofdm: {exc}") from exc
+        raise ConfigError(f"ofdm: {exc}") from exc
 
     direct = _parse_link(_require(raw, "direct", "config"), "direct", ofdm.cp_len,
                          ("profile",), ("noise_var",), gain=False)
     relays_raw = _require(raw, "relays", "config")
     if not isinstance(relays_raw, list) or not relays_raw:
-        raise ConfigValueError("relays must be a non-empty list of relay branches")
+        raise ConfigError("relays must be a non-empty list of relay branches")
     relays = [_parse_link(r, f"relays[{i}]", ofdm.cp_len, ("hop1_profile", "hop2_profile"),
                           ("relay_noise_var", "dest_noise_var"), gain=True)
               for i, r in enumerate(relays_raw)]
@@ -359,18 +349,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _check_keys(sweep_raw, {"axis", "grid"}, "sweep")
     axis = _require(sweep_raw, "axis", "sweep")
     if axis not in SWEEP_AXES:
-        raise ConfigValueError(f"sweep.axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}, got {axis!r}")
     grid_raw = _require(sweep_raw, "grid", "sweep")
     if not isinstance(grid_raw, list) or not grid_raw:
-        raise ConfigValueError("sweep.grid must be a non-empty list of offsets")
+        raise ConfigError("sweep.grid must be a non-empty list of offsets")
     grid = tuple(_parse_cfo(g, f"grid[{i}]", "sweep") for i, g in enumerate(grid_raw))
 
     scales_raw = raw.get("noise_scales", [1.0])
     if not isinstance(scales_raw, list) or not scales_raw:
-        raise ConfigValueError("noise_scales must be a non-empty list of positive factors")
+        raise ConfigError("noise_scales must be a non-empty list of positive factors")
     scales = tuple(_as_number(s, f"noise_scales[{i}]", "config") for i, s in enumerate(scales_raw))
     if any(s <= 0 for s in scales):
-        raise ConfigValueError("noise_scales must be > 0")
+        raise ConfigError("noise_scales must be > 0")
 
     return ExperimentConfig(
         ofdm=ofdm,
@@ -393,11 +383,11 @@ def load_config(path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 
 
@@ -415,22 +405,25 @@ def config_digest(cfg: ExperimentConfig) -> str:
 # --------------------------------------------------------------------------
 # point evaluation
 
-def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
-    """The point table of P points, given as `sweep_offsets` returns them,
-    that both the closed form and the engine read.
+def point_inputs(cfg: ExperimentConfig):
+    """The point table of the config's P sweep points, noise scales outer
+    and grid inner, that both the closed form and the engine read.
 
     Returns (LinkStats with a leading point axis, rho), rho the (P, M + 1)
     gain of each point and branch, both from one loop over `cfg.links`, one
     branch per link, direct link first (gain 1): a_b = rho^2 prod P_hop s_X
     and s_b = the last noise plus rho^2 times the earlier ones, the relay's
     noise arriving amplified by its gain.  This is the one place that rule
-    is applied.  Each relay gain is resolved once per noise scaling.  Finite
-    config values whose gain is undefined, whose a_b leaves (0, inf), whose
-    s_b or whose sum_b (a_b + s_b), the closed form's num + den, overflows
-    raise ConfigValueError.
+    is applied.  The offsets, a (P, M + 1) array in `LinkStats.cfos`, hold
+    each link's configured offset except where the sweep axis moves it to
+    the grid value.  Each relay gain is resolved once per distinct noise
+    scaling, in ascending order, and repeated over the grid.  Finite config
+    values whose gain is undefined, whose a_b leaves (0, inf), whose s_b or
+    whose sum_b (a_b + s_b), the closed form's num + den, overflows raise
+    ConfigError.
     """
     n, sx = cfg.ofdm.n_subcarriers, cfg.ofdm.symbol_power
-    levels, level_of = np.unique(scales, return_inverse=True)
+    levels, level_of = np.unique(cfg.noise_scales, return_inverse=True)
     table = []  # (rho, a_b, s_b) per link and noise scaling
     totals = dict.fromkeys(levels.tolist(), 0.0)  # sum_b (a_b + s_b) per noise scaling
     for i, link in enumerate(cfg.links):
@@ -441,7 +434,7 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
                 rho = 1.0 if link.gain is None else gain_factor(
                     link.gain, link.hops[0].total_power, noise[0])
             except ValueError as exc:  # the relay's input power underflows to 0
-                raise ConfigValueError(f"{context}: {exc} at noise scale {scale!r}") from exc
+                raise ConfigError(f"{context}: {exc} at noise scale {scale!r}") from exc
             try:
                 rho_sq = rho ** 2
             except OverflowError:
@@ -449,13 +442,18 @@ def point_inputs(cfg: ExperimentConfig, cfos: np.ndarray, scales: np.ndarray):
             a = math.prod([rho_sq, *(h.total_power for h in link.hops), sx])
             s = noise[-1] + rho_sq * sum(noise[:-1])
             if not (0.0 < a < math.inf and math.isfinite(s)):
-                raise ConfigValueError(f"{context}: coherent power {a!r} and noise {s!r} at noise "
-                                       f"scale {scale!r} leave the range 0 < a < inf, s finite")
+                raise ConfigError(f"{context}: coherent power {a!r} and noise {s!r} at noise "
+                                  f"scale {scale!r} leave the range 0 < a < inf, s finite")
             table.append((rho, a, s))
             totals[scale] += a + s  # float addition: an overflow is inf, with no warning
             if totals[scale] == math.inf:
-                raise ConfigValueError(f"branch powers and noise overflow at noise scale {scale!r}")
-    rho, a, s = np.array(table).reshape(len(cfg.links), len(levels), 3)[:, level_of].T
+                raise ConfigError(f"branch powers and noise overflow at noise scale {scale!r}")
+    grid = np.array(cfg.sweep_grid)[:, None]
+    configured = [link.cfo for link in cfg.links]
+    moved = [cfg.sweep_axis != "eps2"] + [cfg.sweep_axis != "eps1"] * (len(configured) - 1)
+    cfos = np.tile(np.where(moved, grid, configured), (len(cfg.noise_scales), 1))
+    rho, a, s = np.array(table).reshape(len(cfg.links), len(levels), 3)[
+        :, np.repeat(level_of, grid.size)].T
     return LinkStats(n, a, cfos, s), rho
 
 
@@ -499,15 +497,16 @@ def trial_powers(cfg: ExperimentConfig, rho, stats) -> np.ndarray:
     of each point and trial, in trial order.
 
     The engine's plan of the table is built once, and the blocks split
-    into at most `workers` contiguous ranges, each covering every point.
-    With workers > 1 one process pool runs the ranges.  The blocks' arrays
+    into at most `workers` contiguous ranges, and no more ranges than
+    `os.cpu_count()`, each covering every point.  With more than one range
+    one process pool runs them, one process per range.  The blocks' arrays
     are joined in block order by one concatenation, so the table does not
     depend on workers.
     """
     plan = sweep_plan(cfg.ofdm, [link.hops for link in cfg.links], rho, stats)
     size = block_size(cfg.ofdm)
     blocks = -(-cfg.trials // size)
-    parts = min(cfg.workers, blocks)
+    parts = min(cfg.workers, blocks, os.cpu_count() or 1)
     edges = [i * blocks // parts for i in range(parts + 1)]
     tasks = [(cfg, plan, a, b) for a, b in zip(edges, edges[1:])]
     pool = None
@@ -563,17 +562,6 @@ def _aggregate_trials(powers: np.ndarray, cfos: np.ndarray):
 # --------------------------------------------------------------------------
 # sweeps
 
-def sweep_offsets(cfg: ExperimentConfig):
-    """Offsets, a (P, M + 1) array with the direct link first, and noise
-    scalings of the P sweep points in output order: noise scales outer,
-    grid inner."""
-    grid = np.array(cfg.sweep_grid)[:, None]
-    configured = [link.cfo for link in cfg.links]
-    moved = [cfg.sweep_axis != "eps2"] + [cfg.sweep_axis != "eps1"] * (len(configured) - 1)
-    cfos = np.where(moved, grid, configured)
-    return np.tile(cfos, (len(cfg.noise_scales), 1)), np.repeat(cfg.noise_scales, grid.size)
-
-
 def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     """Evaluate every sweep point, the closed form once over all of them,
     and return the result table.
@@ -590,8 +578,8 @@ def run_sweep(cfg: ExperimentConfig, on_row=None) -> list:
     `map`.  `on_row` is called with each row once, in order, after the
     whole table is built.
     """
-    cfos, scales = sweep_offsets(cfg)
-    stats, rho = point_inputs(cfg, cfos, scales)
+    stats, rho = point_inputs(cfg)
+    cfos = stats.cfos
     points = len(cfos)
     # one list per column; `map` reads each through its own iterator, so
     # columns may share a list but never an iterator
@@ -663,10 +651,3 @@ def write_csv(rows, path) -> None:
                 fh.write(((line + "\n") * len(chunk)) % tuple(flat))
     except OSError as exc:
         raise RuntimeError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def with_overrides(cfg: ExperimentConfig, *, mode=None, trials=None,
-                   master_seed=None, workers=None) -> ExperimentConfig:
-    """Copy a config with the CLI-style overrides that are not None applied."""
-    updates = dict(mode=mode, trials=trials, master_seed=master_seed, workers=workers)
-    return replace(cfg, **{k: v for k, v in updates.items() if v is not None})

@@ -10,6 +10,7 @@ per-bin product H[k]X[k] (the time-domain pipeline runs as a test oracle,
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class OfdmParams:
     def __post_init__(self):
         if self.n_subcarriers < 8:
             raise ValueError(f"n_subcarriers must be >= 8, got {self.n_subcarriers}")
+        if self.n_subcarriers > sys.float_info.max:  # the closed form reads N as a float
+            raise ValueError(f"n_subcarriers must lie in the float range, got {self.n_subcarriers}")
         if not 0 <= self.cp_len < self.n_subcarriers:
             raise ValueError(
                 f"cp_len must satisfy 0 <= cp_len < n_subcarriers, got {self.cp_len}"

@@ -48,6 +48,7 @@ def dirichlet_gain_derivative(eps, n: int) -> np.ndarray:
     s, c = np.sin(np.pi * e), np.cos(np.pi * e)
     sn, cn = np.sin(np.pi * e / n), np.cos(np.pi * e / n)
     with np.errstate(divide="ignore", invalid="ignore"):
+        # 1/n/n: an int n beyond 1e154 has an n**2 that no float holds
         return np.where(np.abs(np.pi * e / n) < _SINGULAR_ARG,
-                        -(np.pi ** 2) * e * (1.0 - 1.0 / n ** 2) / 3.0,
+                        -(np.pi ** 2) * e * (1.0 - 1.0 / n / n) / 3.0,
                         np.pi * (n * c * sn - s * cn) / (n * sn) ** 2)

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from afrelay.harness import point_inputs, sweep_offsets
+from afrelay.harness import point_inputs
 from waveform import cfo_spectrum
 
 
@@ -44,8 +44,7 @@ def exact_stderr_db(cfg) -> np.ndarray:
             hop.n_taps != 1 for link in cfg.links for hop in link.hops):
         raise ValueError("the exact moments need QPSK symbols and flat hops")
     n = cfg.ofdm.n_subcarriers
-    cfos, scales = sweep_offsets(cfg)
-    stats, _ = point_inputs(cfg, cfos, scales)
+    stats, _ = point_inputs(cfg)
     kappa = np.array([2.0 ** len(link.hops) - 1.0 for link in cfg.links])  # Var g / (E g)^2
     ramp = np.arange(n) / n
     out = []

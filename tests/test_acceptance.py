@@ -7,6 +7,7 @@ import copy
 import functools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from afrelay.harness import (
     PRESETS,
     config_from_dict,
     run_sweep,
-    with_overrides,
     write_csv,
 )
 from afrelay.ofdm import OfdmParams, draw_symbols
@@ -156,7 +156,7 @@ def test_c3_replicate_seed_calibration():
                             "sweep": {"axis": "eps2", "grid": [0.3]}, "noise_scales": [0.1]})
     z = []
     for seed in CALIBRATION_SEEDS:
-        (row,) = run_sweep(with_overrides(cfg, master_seed=seed))
+        (row,) = run_sweep(replace(cfg, master_seed=seed))
         z.append((row.empirical_db - row.analytical_db) / row.stderr_db)
     mean, sd = float(np.mean(z)), float(np.std(z, ddof=1))
     elapsed = time.perf_counter() - start

@@ -204,6 +204,19 @@ def test_config_errors_exit_with_config_code(config_path, tmp_path, capsys):
         assert f"config error: relays[0].gain: {gain['mode']} gain mode does not read {key}" in err
         assert not out.exists()
 
+    # JSON integers beyond the float range: the closed form reads N as a
+    # float, and cp_len < n_subcarriers bounds the prefix by the same range
+    for n, cp, key in ((10 ** 400, 16, "n_subcarriers"), (10 ** 400, 10 ** 399, "n_subcarriers"),
+                       (64, 10 ** 399, "cp_len")):
+        bad.write_text(json.dumps({**SMALL, "ofdm": {**SMALL["ofdm"], "n_subcarriers": n,
+                                                     "cp_len": cp}}))
+        assert main(["analyze", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: ofdm: {key} must" in capsys.readouterr().err
+        assert not out.exists()
+    # an N near the top of the float range still has a closed form
+    bad.write_text(json.dumps({**SMALL, "ofdm": {**SMALL["ofdm"], "n_subcarriers": 10 ** 308}}))
+    assert main(["analyze", "--config", str(bad), "--out", str(out)]) == EXIT_OK
+
 
 def test_runtime_errors_exit_with_runtime_code(config_path, tmp_path, capsys):
     rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path)])

@@ -23,17 +23,12 @@ from afrelay.cli import EXIT_CONFIG, main
 from afrelay.harness import (
     PRESETS,
     ConfigError,
-    ConfigKeyError,
-    ConfigParseError,
-    ConfigValueError,
     ExperimentConfig,
     config_digest,
     config_from_dict,
     load_config,
     point_inputs,
     run_sweep,
-    sweep_offsets,
-    with_overrides,
     write_csv,
 )
 from afrelay.ofdm import OfdmParams, draw_symbols
@@ -68,6 +63,12 @@ def tiny_config(**updates):
     raw = copy.deepcopy(TINY)
     raw.update(updates)
     return config_from_dict(raw)
+
+
+def sweep_points(cfg):
+    """Each sweep point's offsets, direct link first, and noise scaling,
+    in row order: noise scales outer, grid inner."""
+    return point_inputs(cfg)[0].cfos, np.repeat(cfg.noise_scales, len(cfg.sweep_grid))
 
 
 def one_point_config(cfg, eps, scale=1.0):
@@ -107,11 +108,11 @@ def test_config_file_round_trip(tmp_path):
 def test_out_of_range_offset_rejected():
     raw = copy.deepcopy(TINY)
     raw["sweep"]["grid"] = [0.0, 0.6]
-    with pytest.raises(ConfigValueError, match="0.5"):
+    with pytest.raises(ConfigError, match="0.5"):
         config_from_dict(raw)
     raw = copy.deepcopy(TINY)
     raw["relays"][0]["cfo"] = -0.75
-    with pytest.raises(ConfigValueError, match="0.5"):
+    with pytest.raises(ConfigError, match="0.5"):
         config_from_dict(raw)
 
 
@@ -128,7 +129,7 @@ def test_fractional_cfo_bound_enforced():
         cfg = config_from_dict(raw(eps))
         assert [link.cfo for link in cfg.links] == [eps, eps] and cfg.sweep_grid == (eps,)
     for eps in (np.nextafter(0.5, 1), -np.nextafter(0.5, 1)):
-        with pytest.raises(ConfigValueError, match=r"direct\.cfo=.* <= 0\.5"):
+        with pytest.raises(ConfigError, match=r"direct\.cfo=.* <= 0\.5"):
             config_from_dict(raw(float(eps)))
 
 
@@ -147,7 +148,7 @@ def test_prefix_shorter_than_relay_memory_rejected():
     raw["ofdm"]["cp_len"] = 5
     raw["relays"][0]["hop1_profile"] = {"kind": "uniform", "n_taps": 4, "power": 1.0}
     raw["relays"][0]["hop2_profile"] = {"kind": "uniform", "n_taps": 4, "power": 4.0}
-    with pytest.raises(ConfigValueError, match="inter-symbol interference"):
+    with pytest.raises(ConfigError, match="inter-symbol interference"):
         config_from_dict(raw)
 
 
@@ -180,7 +181,7 @@ def test_isi_rule_bounds_each_link_by_its_total_taps(cp_len, direct, hop1, hop2,
     if accepted:
         config_from_dict(raw)
     else:
-        with pytest.raises(ConfigValueError, match="inter-symbol interference"):
+        with pytest.raises(ConfigError, match="inter-symbol interference"):
             config_from_dict(raw)
 
 
@@ -229,15 +230,15 @@ def test_any_json_value_gives_a_config_or_a_config_error(target, value):
 def test_unknown_keys_rejected_at_every_level():
     raw = copy.deepcopy(TINY)
     raw["typo_key"] = 1
-    with pytest.raises(ConfigKeyError, match="typo_key"):
+    with pytest.raises(ConfigError, match="typo_key"):
         config_from_dict(raw)
     raw = copy.deepcopy(TINY)
     raw["ofdm"]["oversampling"] = 2
-    with pytest.raises(ConfigKeyError, match="oversampling"):
+    with pytest.raises(ConfigError, match="oversampling"):
         config_from_dict(raw)
     raw = copy.deepcopy(TINY)
     raw["relays"][0]["gain"]["alpha"] = 1.0
-    with pytest.raises(ConfigKeyError, match="alpha"):
+    with pytest.raises(ConfigError, match="alpha"):
         config_from_dict(raw)
 
 
@@ -252,42 +253,42 @@ def test_every_gain_parameter_parses(mode):
     raw["relays"][0]["gain"] = {"mode": mode, **params}
     assert config_from_dict(raw).links[1].gain == relay.RelayGainConfig(mode, **params)
     raw["relays"][0]["gain"]["gain_typo"] = 1.0
-    with pytest.raises(ConfigKeyError, match="gain_typo"):
+    with pytest.raises(ConfigError, match="gain_typo"):
         config_from_dict(raw)
 
 
 def test_parse_errors_are_distinct(tmp_path):
-    with pytest.raises(ConfigParseError, match="cannot read"):
+    with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(ConfigParseError, match="not valid JSON"):
+    with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(bad)
 
 
 def test_value_invariants_reported_with_key_names():
     raw = copy.deepcopy(TINY)
     raw["trials"] = 0
-    with pytest.raises(ConfigValueError, match="trials"):
+    with pytest.raises(ConfigError, match="trials"):
         config_from_dict(raw)
     raw = copy.deepcopy(TINY)
     raw["relays"] = []
-    with pytest.raises(ConfigValueError, match="relays"):
+    with pytest.raises(ConfigError, match="relays"):
         config_from_dict(raw)
     raw = copy.deepcopy(TINY)
     raw["noise_scales"] = [1.0, 0.0]
-    with pytest.raises(ConfigValueError, match="noise_scales"):
+    with pytest.raises(ConfigError, match="noise_scales"):
         config_from_dict(raw)
     raw = copy.deepcopy(TINY)
     raw["sweep"]["axis"] = "eps3"
-    with pytest.raises(ConfigValueError, match="eps3"):
+    with pytest.raises(ConfigError, match="eps3"):
         config_from_dict(raw)
     for key, value, message in (("workers", 0, "workers must be >= 1"),
                                 ("master_seed", -1, "master_seed must be a 64-bit"),
                                 ("master_seed", 2 ** 64, "master_seed must be a 64-bit"),
                                 ("noise_scales", 5, "noise_scales must be a non-empty list"),
                                 ("noise_scales", [], "noise_scales must be a non-empty list")):
-        with pytest.raises(ConfigValueError, match=message):
+        with pytest.raises(ConfigError, match=message):
             config_from_dict({**copy.deepcopy(TINY), key: value})
 
 
@@ -307,7 +308,7 @@ def test_zero_power_profile_rejected(where, profile):
     for name in parents:
         section = section[name]
     section[key] = profile
-    with pytest.raises(ConfigValueError, match="total power must be > 0"):
+    with pytest.raises(ConfigError, match="total power must be > 0"):
         config_from_dict(raw)
 
 
@@ -322,7 +323,7 @@ def test_oversized_tap_count_rejected_before_allocation(where, kind):
     for name in parents:
         section = section[name]
     section[key] = {"kind": kind, "n_taps": 10 ** 15, "power": 1.0}
-    with pytest.raises(ConfigValueError, match=f"{key}: .*n_taps has {10 ** 15} taps"):
+    with pytest.raises(ConfigError, match=f"{key}: .*n_taps has {10 ** 15} taps"):
         config_from_dict(raw)
 
 
@@ -330,7 +331,7 @@ def test_oversized_tap_count_rejected_before_allocation(where, kind):
 def test_non_object_section_rejected(section):
     raw = copy.deepcopy(TINY)
     raw[section] = 5
-    with pytest.raises(ConfigValueError, match=f"{section} must be an object"):
+    with pytest.raises(ConfigError, match=f"{section} must be an object"):
         config_from_dict(raw)
 
 
@@ -347,7 +348,7 @@ def test_negative_noise_variance_rejected_with_key_name(where, tmp_path, capsys)
     section[key] = -0.1
     context = "".join(f"[{name}]" if isinstance(name, int) else name for name in parents)
     message = f"{context}.{key} must be >= 0"
-    with pytest.raises(ConfigValueError, match=re.escape(message)):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict(raw)
     path = tmp_path / "negative_noise.json"
     path.write_text(json.dumps(raw))
@@ -365,7 +366,7 @@ def test_non_finite_numbers_rejected_with_key_names(tmp_path, old, new, key):
     # Python's json reads NaN, Infinity and integers beyond the float range
     path = tmp_path / "nonfinite.json"
     path.write_text(json.dumps(TINY).replace(old, new))
-    with pytest.raises(ConfigValueError, match=re.escape(f"{key} must be finite")):
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be finite")):
         load_config(path)
 
 
@@ -413,7 +414,7 @@ def test_degenerate_point_returns_infinite_sentinel_on_both_sides():
 
 
 def test_monte_carlo_tracks_closed_form():
-    cfg = with_overrides(load_config("fig3_flat"), trials=2000)
+    cfg = replace(load_config("fig3_flat"), trials=2000)
     (row,) = run_sweep(one_point_config(cfg, (0.0, 0.2)))
     gap = abs(row.empirical_db - row.analytical_db)
     assert gap < max(0.3, 3.0 * row.stderr_db)
@@ -440,6 +441,7 @@ def test_block_stream_is_independent_of_worker_count(monkeypatch):
 
     aggregate = harness._aggregate_trials
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # a 3-way split on any host
     monkeypatch.setattr(harness, "_aggregate_trials", recording_aggregate)
     size = harness.block_size(tiny_config().ofdm)
     trials = 3 * size + size // 2
@@ -462,6 +464,32 @@ def test_block_stream_is_independent_of_worker_count(monkeypatch):
         assert np.array_equal(one, reduced[0]) and np.array_equal(two, reduced[1])
     assert empirical[1].trials == trials
     assert rows[1] == rows[2] == rows[3]
+
+
+def test_pool_never_outnumbers_the_cpus(monkeypatch):
+    # a sweep asks for at most os.cpu_count() processes, whatever `workers`
+    # says, and with one range (or an unknown count) for no pool; the
+    # stand-in pool runs its tasks in this process and starts none
+    asked = []
+
+    class RecordingPool:
+        map = staticmethod(map)
+
+        def __init__(self, max_workers, mp_context):
+            asked.append(max_workers)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    trials = 5 * harness.block_size(tiny_config().ofdm)
+    serial = run_sweep(tiny_config(trials=trials))
+    for cpus, workers, expected in ((2, 500, [2]), (4, 3, [3]), (8, 500, [5]),
+                                    (1, 500, []), (None, 500, [])):
+        asked.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_sweep(tiny_config(trials=trials, workers=workers)) == serial
+        assert asked == expected
 
 
 def test_import_loads_no_process_pool_or_hashlib():
@@ -512,7 +540,7 @@ def test_sweep_draws_each_block_once(monkeypatch):
     assert len(rows) == 6
     assert draws == [size] * 3 + [size // 2]
     assert calls == [(np.random.Generator, size)] * 3 + [(np.random.Generator, size // 2)]
-    for row, eps, scale in zip(rows, *sweep_offsets(cfg)):
+    for row, eps, scale in zip(rows, *sweep_points(cfg)):
         (alone,) = run_sweep(one_point_config(cfg, eps.tolist(), scale))
         assert (row.empirical_db, row.stderr_db) == (alone.empirical_db, alone.stderr_db)
 
@@ -523,7 +551,7 @@ def test_trial_powers_join_the_blocks_in_block_order():
     # [B b, B (b + 1))
     size = harness.block_size(tiny_config().ofdm)
     cfg = tiny_config(trials=3 * size + size // 2)
-    stats, rho = point_inputs(cfg, *sweep_offsets(cfg))
+    stats, rho = point_inputs(cfg)
     plan = relay.sweep_plan(cfg.ofdm, [link.hops for link in cfg.links], rho, stats)
     blocks = [relay.simulate_block(plan, np.random.default_rng([cfg.master_seed, b]), trials)
               for b, trials in enumerate([size] * 3 + [size // 2])]
@@ -539,11 +567,12 @@ def test_block_size_follows_the_transmitted_symbol_length():
                      (65536, 1): 1}
 
 
-# One warm-up sweep, then the mean minor page faults of five more.
+# Two warm-up sweeps, then the mean minor page faults of five more.
 FAULTS_PER_SWEEP = """
 import json, resource, sys
 from afrelay.harness import config_from_dict, run_sweep
 cfg = config_from_dict(json.loads(sys.argv[1]))
+run_sweep(cfg)
 run_sweep(cfg)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(5):
@@ -557,11 +586,11 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
 def test_warm_n1024_sweep_takes_no_fresh_pages():
     # every block of a range draws and transforms in one set of (B, N)
     # buffers, so a warm sweep of 2 blocks (60 and 40 trials) at N = 1024
-    # faults in no fresh pages: per-block (60, 1024) arrays would take about
-    # 697 minor faults a sweep; the one set takes 480 in the first sweep
-    # after the warm-up (the first whose 1.97 MB set comes from the heap,
-    # not mmap: one fault per 4 KB page) and 0 after it, 96 on average.
-    # The count depends on the heap's history, so it is taken in a fresh
+    # faults in no fresh pages: per-block (60, 1024) arrays take 697 minor
+    # faults a sweep; the one set takes 480 in the second sweep (the first
+    # whose 1.97 MB set comes from the heap, not mmap: one fault per 4 KB
+    # page), which is why two sweeps warm up, and 0 after it.  The count
+    # depends on the heap's history, so it is taken in a fresh
     # interpreter: after other tests even per-block arrays may find their
     # pages already mapped.
     hop = lambda power: {"kind": "exponential", "n_taps": 16, "power": power, "decay": 4.0}
@@ -582,7 +611,7 @@ def test_warm_n1024_sweep_takes_no_fresh_pages():
 def test_tiny_noise_zero_offset_point_is_finite():
     # only a residual of exactly 0 is the infinity sentinel: at noise scale
     # 1e-26 the zero-offset point's SNR is near 272 dB, finite on both sides
-    cfg = with_overrides(load_config("fig3_flat"), trials=408)
+    cfg = replace(load_config("fig3_flat"), trials=408)
     (row,) = run_sweep(one_point_config(cfg, (0.0, 0.0), 1e-26))
     assert math.isfinite(row.analytical_db) and math.isfinite(row.empirical_db)
     assert abs(row.empirical_db - row.analytical_db) < max(0.3, 3.0 * row.stderr_db)
@@ -592,7 +621,7 @@ def test_stderr_shrinks_like_inverse_root_trials():
     cfg = one_point_config(load_config("fig3_flat"), (0.0, 0.2))
     stderr = {}
     for trials in (500, 2000, 8000):
-        (row,) = run_sweep(with_overrides(cfg, trials=trials))
+        (row,) = run_sweep(replace(cfg, trials=trials))
         stderr[trials] = row.stderr_db
     assert stderr[500] / stderr[2000] == pytest.approx(2.0, rel=0.2)
     assert stderr[2000] / stderr[8000] == pytest.approx(2.0, rel=0.2)
@@ -663,7 +692,7 @@ def test_estimator_reads_the_closed_forms_db():
     raw["relays"][0]["dest_noise_var"] = 0.0
     raw["relays"][0]["gain"] = {"mode": "fixed", "rho": 1.0}
     cfg = config_from_dict(raw)
-    snr = analytical_snr(point_inputs(cfg, *sweep_offsets(cfg))[0])
+    snr = analytical_snr(point_inputs(cfg)[0])
     assert snr.den[0] == 0.0 and np.all(snr.den[1:] > 0)
     db, stderr_db = harness._aggregate_trials(np.stack([snr.num, snr.den])[..., None],
                                               np.zeros((3, 2)))
@@ -722,7 +751,7 @@ def test_empirical_slope_matches_closed_form_difference(axis, relays):
     raw.update(noise_scales=[0.1], trials=4000)
     raw["sweep"] = {"axis": axis, "grid": [c + d for c in centres for d in (-h, h)]}
     cfg = config_from_dict(raw)
-    stats, rho = point_inputs(cfg, *sweep_offsets(cfg))
+    stats, rho = point_inputs(cfg)
     sig, res = harness.trial_powers(cfg, rho, stats)
     ms, mr = sig.mean(-1), res.mean(-1)
     db = 10.0 * np.log10(ms / mr)
@@ -774,8 +803,8 @@ def three_relay_raw(axis):
 def one_point_columns(cfg, i):
     """analytical_db, lambda1 and lambda2 of sweep point i evaluated alone,
     from its own one-point inputs."""
-    cfos, scales = sweep_offsets(cfg)
-    stats, _ = point_inputs(cfg, cfos[i:i + 1], scales[i:i + 1])
+    cfos, scales = sweep_points(cfg)
+    stats, _ = point_inputs(one_point_config(cfg, cfos[i].tolist(), scales[i]))
     snr = one_point(analytical_snr(stats))
     if snr.den == 0.0:
         return snr.snr_db, None, None
@@ -794,7 +823,7 @@ def test_sweep_rows_equal_one_point_evaluations(axis, monkeypatch):
     cfg = config_from_dict(three_relay_raw(axis))
     rows = run_sweep(cfg)
     assert len(calls) == len(cfg.noise_scales) * (len(cfg.links) - 1)  # per scale and relay
-    cfos, _ = sweep_offsets(cfg)
+    cfos = point_inputs(cfg)[0].cfos
     assert len(rows) == len(cfos) == 18
     for i, row in enumerate(rows):
         assert (row.eps1, row.eps2) == (cfos[i, 0], cfos[i, 1])
@@ -816,7 +845,7 @@ def test_single_relay_sweep_matches_paper_formula(axis):
         (direct_noise,), (relay_noise, dest_noise) = direct.noise_vars, relay.noise_vars
         source_power, relay_power = relay.gain.source_power, relay.gain.relay_power
         assert (source_power, relay_power) == (1.5, 2.5)
-        for row, eps, scale in zip(run_sweep(cfg), *sweep_offsets(cfg)):
+        for row, eps, scale in zip(run_sweep(cfg), *sweep_points(cfg)):
             _, _, snr = paper_snr(
                 direct_gain_var=direct_hop.total_power,
                 hop1_gain_var=hop1.total_power,
@@ -945,9 +974,9 @@ def test_sweep_rows_ordered_noise_scale_outer_grid_inner():
     raw["noise_scales"] = [1.0, 0.1]
     raw["mode"] = "analytical"
     cfg = config_from_dict(raw)
-    cfos, scales = sweep_offsets(cfg)
-    assert scales.tolist() == [1.0, 1.0, 0.1, 0.1]
-    assert cfos[:, 1].tolist() == [0.0, 0.2, 0.0, 0.2]
+    stats, _ = point_inputs(cfg)
+    assert stats.noise_vars[:, 0].tolist() == [0.1 * s for s in (1.0, 1.0, 0.1, 0.1)]
+    assert stats.cfos[:, 1].tolist() == [0.0, 0.2, 0.0, 0.2]
 
 
 def test_simulate_mode_leaves_analytical_columns_empty():
@@ -957,26 +986,32 @@ def test_simulate_mode_leaves_analytical_columns_empty():
     assert all(r.empirical_db is not None for r in rows)
 
 
-def test_selective_preset_degrades_at_least_as_much_as_flat():
-    # matched sweep points, degradation measured from each preset's own
-    # zero-offset point; selective >= flat within twice the combined stderr
-    # of all four points (the zero-offset references have the largest)
-    results = {}
+# fig3_flat and fig4_selective have one closed form, since a profile enters
+# it only by its total power, so their empirical degradations from the
+# zero-offset point estimate one number.  Their difference is bounded
+# two-sided in units of the four points' combined stderr.  That z is
+# heavy-tailed (|h1 h2|^2 is): over master seeds 100001-140000 at 4,095
+# trials, 4 of 40,000 runs had a point beyond 4.5 (2 in each half), a
+# false-failure chance near 1e-4 per run, and the largest read 5.5.  The
+# one-sided check it replaces, selective >= flat - 2 stderrs at 600
+# trials, failed 732 of the first 20,000 of those seeds.
+DEGRADATION_Z_BOUND = 4.5
+
+
+def test_selective_and_flat_presets_degrade_alike():
+    degradations = {}
     for name in ("fig3_flat", "fig4_selective"):
         raw = copy.deepcopy(PRESETS[name])
         raw["sweep"] = {"axis": "eps2", "grid": [0.0, 0.2, 0.4]}
         raw["noise_scales"] = [1.0]
-        raw["trials"] = 600
-        rows = run_sweep(config_from_dict(raw))
-        results[name] = rows
-    flat_zero, sel_zero = results["fig3_flat"][0], results["fig4_selective"][0]
-    for flat_row, sel_row in zip(results["fig3_flat"][1:], results["fig4_selective"][1:]):
-        flat_deg = flat_zero.empirical_db - flat_row.empirical_db
-        sel_deg = sel_zero.empirical_db - sel_row.empirical_db
-        slack = 2.0 * math.sqrt(sum(
-            r.stderr_db ** 2 for r in (flat_zero, flat_row, sel_zero, sel_row)
-        ))
-        assert sel_deg >= flat_deg - slack
+        raw["trials"] = 4095  # 5 blocks of 819
+        zero, *rows = run_sweep(config_from_dict(raw))
+        degradations[name] = [(zero.analytical_db - row.analytical_db,
+                               zero.empirical_db - row.empirical_db,
+                               math.hypot(zero.stderr_db, row.stderr_db)) for row in rows]
+    for (closed_flat, flat, se_flat), (closed_sel, sel, se_sel) in zip(*degradations.values()):
+        assert closed_sel == pytest.approx(closed_flat, rel=1e-12)
+        assert abs(sel - flat) <= DEGRADATION_Z_BOUND * math.hypot(se_flat, se_sel)
 
 
 # ------------------------------------------------------------------- write_csv
@@ -1041,16 +1076,16 @@ def test_analytical_mode_empirical_fields_empty_in_csv(tmp_path):
 
 def test_overrides_validate():
     cfg = tiny_config()
-    assert with_overrides(cfg).trials == cfg.trials
-    assert with_overrides(cfg, trials=10).trials == 10
+    assert replace(cfg).trials == cfg.trials
+    assert replace(cfg, trials=10).trials == 10
     with pytest.raises(ConfigError):
-        with_overrides(cfg, mode="surface")
+        replace(cfg, mode="surface")
     with pytest.raises(ConfigError):
-        with_overrides(cfg, trials=0)
-    with pytest.raises(ConfigValueError, match="workers must be >= 1"):
-        with_overrides(cfg, workers=0)
-    with pytest.raises(ConfigValueError, match="master_seed"):
-        with_overrides(cfg, master_seed=-1)
+        replace(cfg, trials=0)
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        replace(cfg, workers=0)
+    with pytest.raises(ConfigError, match="master_seed"):
+        replace(cfg, master_seed=-1)
 
 
 # ------------------------------------------------------------- the row table
@@ -1084,7 +1119,7 @@ def noise_free_fixed_gain_config():
 def test_slopes_are_none_exactly_at_the_sentinel():
     cfg = noise_free_fixed_gain_config()
     rows = run_sweep(cfg)
-    snr = analytical_snr(point_inputs(cfg, *sweep_offsets(cfg))[0])
+    snr = analytical_snr(point_inputs(cfg)[0])
     assert [row.analytical_db == math.inf for row in rows] == (snr.den == 0.0).tolist() == [
         True, True, False] * 2
     for row, slopes in zip(rows, snr.slopes.tolist()):
@@ -1105,7 +1140,7 @@ def per_field_line(row) -> str:
 
 
 def test_csv_lines_equal_the_per_field_reference(tmp_path):
-    rows = run_sweep(with_overrides(noise_free_fixed_gain_config(), mode="both", trials=8))
+    rows = run_sweep(replace(noise_free_fixed_gain_config(), mode="both", trials=8))
     write_csv(rows, tmp_path / "out.csv")
     header, *lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
     assert header == harness.CSV_HEADER and len(lines) == len(rows)

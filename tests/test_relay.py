@@ -21,7 +21,7 @@ from afrelay.channel import (
     flat_profile,
     uniform_profile,
 )
-from afrelay.harness import PRESETS, block_size, config_from_dict, point_inputs, sweep_offsets
+from afrelay.harness import PRESETS, block_size, config_from_dict, point_inputs
 from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.relay import RelayGainConfig, gain_factor, simulate_block, sweep_plan
 from conftest import engine_inputs, oracle_powers, paper_gain
@@ -473,7 +473,7 @@ def _zero_offset_inputs(n=64, direct_noise_var=0.1):
                               gain={"mode": "general", "source_power": 1.0, "relay_power": 3.0}))
     raw["sweep"]["grid"] = [0.0]
     cfg = config_from_dict(raw)
-    stats, rho = point_inputs(cfg, *sweep_offsets(cfg))
+    stats, rho = point_inputs(cfg)
     assert not np.any(stats.cfos) and np.all(rho[:, 1:] != 1.0)
     return cfg, [link.hops for link in cfg.links], rho, stats
 
