@@ -7,7 +7,8 @@ functions work on whole blocks of trials: the leading axis indexes trials
 and the last axis holds taps, bins or samples.  `branch_response` is the
 one place a response is formed: a one-tap (flat) hop's response is one
 (..., 1) column, its tap on every bin, any other hop's is its zero-padded
-`np.fft.fft`, and a relay's two short hops are first convolved into one.
+`np.fft.fft`, and a relay's two short multi-tap hops are first convolved
+into one through a short power-of-two transform.
 """
 from __future__ import annotations
 
@@ -81,31 +82,30 @@ def branch_response(taps, n: int, out: np.ndarray | None = None) -> np.ndarray:
     of their responses in hop order, in place once it spans the bins.  A
     one-tap hop's response is its (..., 1) column, exactly H[k] = h[0] on
     every bin, and any other hop's is the transform of its taps zero-padded
-    to n; more taps than bins raise `ValueError`.  Two short hops are first
-    convolved row by row (the shorter hop's Ls taps on the outer axis, about
-    Ls (L1 + L2) values a row), and their L1 + L2 - 1 taps take one
-    transform; the rule 2 Ls (L1 + L2 - 1) <= n is the crossover measured
-    end to end at n = 64, 256 and 1024.  A response that spans the bins is
-    written into `out` if given, a (..., n) complex array; a flat branch's
-    (..., 1) column is a copy, and not written there.
-    """
-    a, b = sorted(taps, key=lambda h: h.shape[-1]) if len(taps) == 2 else (None, None)
-    if a is not None and 2 * a.shape[-1] * (a.shape[-1] + b.shape[-1] - 1) <= n:
-        # rows a_l b + la zeros, re-read la + lb - 1 long: the column sums are a * b
-        rows, la, lb = a.shape[:-1], a.shape[-1], b.shape[-1]
-        skew = np.zeros(rows + (la, la + lb), np.complex128)
-        np.multiply(a[..., None], b[..., None, :], out=skew[..., :lb])
-        skew = skew.reshape(rows + (-1,))[..., :la * (la + lb - 1)]
-        taps = [skew.reshape(rows + (la, -1)).sum(-2)]
-    response = None
+    to n (by hand: numpy's own padding is slower), first into `out` if
+    given, a (..., n) complex array; more taps than bins raise `ValueError`.
+    Two multi-tap hops are first convolved, exactly, by m-point transforms,
+    m the power of two >= L1 + L2 - 1, while 4 m <= n (the crossover
+    measured end to end at n = 64, 256 and 1024).  A flat branch's (..., 1)
+    column is a copy, not written into `out`."""
+    if len(taps) == 2 and min(h.shape[-1] for h in taps) > 1:
+        length = taps[0].shape[-1] + taps[1].shape[-1] - 1
+        m = 1 << (length - 1).bit_length()
+        if 4 * m <= n:
+            spectrum = np.fft.fft(taps[0], m, axis=-1) * np.fft.fft(taps[1], m, axis=-1)
+            taps = [np.fft.ifft(spectrum, axis=-1)[..., :length]]
+    response, free = None, out  # `free`: no response is held there yet
     for h in taps:  # in place: one more live (..., n) array slows large blocks
         if h.shape[-1] > n:  # np.fft.fft would drop the taps beyond n
             raise ValueError(f"channel has {h.shape[-1]} taps, more than n={n} bins")
-        if response is None:
-            response = h.copy() if h.shape[-1] == 1 else np.fft.fft(h, n, axis=-1, out=out)
-        else:
-            response = np.multiply(response, h if h.shape[-1] == 1 else np.fft.fft(h, n, axis=-1),
-                                   out=response if response.shape[-1] == n else out)
+        hop = h
+        if h.shape[-1] > 1:
+            hop, free = np.empty(h.shape[:-1] + (n,), np.complex128) if free is None else free, None
+            hop[..., h.shape[-1]:] = 0
+            hop[..., :h.shape[-1]] = h
+            np.fft.fft(hop, axis=-1, out=hop)
+        response = (h.copy() if hop is h else hop) if response is None else np.multiply(
+            response, hop, out=hop if hop.shape[-1] > response.shape[-1] else response)
     return response
 
 

@@ -386,7 +386,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # over-long integers, too deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 
@@ -435,10 +435,7 @@ def point_inputs(cfg: ExperimentConfig):
                     link.gain, link.hops[0].total_power, noise[0])
             except ValueError as exc:  # the relay's input power underflows to 0
                 raise ConfigError(f"{context}: {exc} at noise scale {scale!r}") from exc
-            try:
-                rho_sq = rho ** 2
-            except OverflowError:
-                rho_sq = math.inf
+            rho_sq = rho * rho  # a float product overflows to inf, where ** raises
             a = math.prod([rho_sq, *(h.total_power for h in link.hops), sx])
             s = noise[-1] + rho_sq * sum(noise[:-1])
             if not (0.0 < a < math.inf and math.isfinite(s)):

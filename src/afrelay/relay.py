@@ -38,10 +38,10 @@ recompute the closed form.  |v|^2 is formed once per branch, and
 nonzero offset u, which calls no BLAS; the plan holds |W_u|^2.  A point
 only adds s_b and its own rho, so no point runs a ramp, a transform or a
 derotation, and a branch at zero offset on every point runs no transform
-back to the time domain.  A relay of short hops takes one transform of
-their convolved taps (`channel.branch_response`), and a branch of flat
-hops none: its response is one (trials, 1) column h, so v = h x for
-x = ifft(X), and it reduces the symbols X at scale |h|^2 where a
+back to the time domain.  A relay of short multi-tap hops takes one
+N-point transform of their convolved taps (`channel.branch_response`),
+and a branch of flat hops none: its response is one (trials, 1) column
+h, so v = h x for x = ifft(X), and it reduces X at scale |h|^2 where a
 multi-tap branch reduces its own HX at scale 1.  The first flat branch
 reduces X at every flat branch's offsets, so a block of flat branches
 runs at most one transform, ifft(X).  Overflow is checked per branch.

@@ -15,24 +15,30 @@ import numpy as np
 # integer-offset correction; the interval [-FCFO_BOUND, FCFO_BOUND] is closed.
 FCFO_BOUND = 0.5
 
-# Below this the singular-denominator argument of the Dirichlet kernel is
-# treated as zero and the removable singularity is evaluated by its limit.
-_SINGULAR_ARG = 1e-9
+# Below these |eps| the gain is 1 in double precision, and the derivative
+# its leading-order expansion, there more accurate than its exact form.
+_ZERO_OFFSET, _SMALL_OFFSET = 1e-9, 1e-4
+
+
+def _n_sin(y, n):
+    """n sin(y / n) as y sin(t) / t, t = y / n: exactly y once t is tiny."""
+    if n < 2:
+        raise ValueError(f"subcarrier count must be >= 2, got {n}")
+    t = y / n
+    return y * (np.sin(t) / t)
 
 
 def dirichlet_gain(eps, n: int) -> np.ndarray:
     """Amplitude kept on the intended subcarrier under each fractional CFO.
 
     f(eps) = sin(pi*eps) / (n sin(pi*eps/n)); f(0) = 1, even in eps,
-    strictly decreasing in |eps| on [0, 0.5].  Computed on |eps| so the
-    even symmetry is exact.  Elementwise over an array of offsets.
+    strictly decreasing in |eps| on [0, 0.5], and sin(pi*eps) / (pi*eps) as
+    n grows without bound.  Computed on |eps| so the even symmetry is
+    exact.  Elementwise over an array of offsets.
     """
-    if n < 2:
-        raise ValueError(f"subcarrier count must be >= 2, got {n}")
     e = np.abs(np.asarray(eps, dtype=np.float64))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.pi * e / n < _SINGULAR_ARG, 1.0,
-                        np.sin(np.pi * e) / (n * np.sin(np.pi * e / n)))
+        return np.where(e < _ZERO_OFFSET, 1.0, np.sin(np.pi * e) / _n_sin(np.pi * e, n))
 
 
 def dirichlet_gain_derivative(eps, n: int) -> np.ndarray:
@@ -42,13 +48,10 @@ def dirichlet_gain_derivative(eps, n: int) -> np.ndarray:
     -(pi^2 eps / 3)(1 - 1/n^2) is used, which gives exactly 0 at eps = 0.
     Elementwise, like `dirichlet_gain`.
     """
-    if n < 2:
-        raise ValueError(f"subcarrier count must be >= 2, got {n}")
     e = np.asarray(eps, dtype=np.float64)
-    s, c = np.sin(np.pi * e), np.cos(np.pi * e)
-    sn, cn = np.sin(np.pi * e / n), np.cos(np.pi * e / n)
+    y = np.pi * e
     with np.errstate(divide="ignore", invalid="ignore"):
+        d = _n_sin(y, n)
         # 1/n/n: an int n beyond 1e154 has an n**2 that no float holds
-        return np.where(np.abs(np.pi * e / n) < _SINGULAR_ARG,
-                        -(np.pi ** 2) * e * (1.0 - 1.0 / n / n) / 3.0,
-                        np.pi * (n * c * sn - s * cn) / (n * sn) ** 2)
+        return np.where(np.abs(e) < _SMALL_OFFSET, -(np.pi ** 2) * e * (1.0 - 1.0 / n / n) / 3.0,
+                        np.pi * (np.cos(y) * d - np.sin(y) * np.cos(y / n)) / d ** 2)

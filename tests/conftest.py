@@ -126,6 +126,19 @@ def engine_inputs(branches, n=64):
     return hops, rho, LinkStats(n, np.ones_like(rho), cfo, noise)
 
 
+def record_transforms(monkeypatch):
+    """Patch np.fft.fft and np.fft.ifft to log (name, length of the
+    transformed axis) per call; returns the log."""
+    calls = []
+    for name in ("fft", "ifft"):
+        def logged(*a, _f=getattr(np.fft, name), _name=name, **k):
+            result = _f(*a, **k)
+            calls.append((_name, result.shape[-1]))
+            return result
+        monkeypatch.setattr(np.fft, name, logged)
+    return calls
+
+
 def cgauss(rng, shape, var=1.0):
     """Circularly-symmetric complex Gaussian samples of the given variance."""
     return np.sqrt(var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))

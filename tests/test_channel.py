@@ -14,7 +14,7 @@ from afrelay.channel import (
     uniform_profile,
 )
 from afrelay.ofdm import OfdmParams, draw_symbols
-from conftest import cgauss, circular_convolve, ici_reference
+from conftest import cgauss, circular_convolve, ici_reference, record_transforms
 from waveform import (
     apply_cfo,
     apply_channel,
@@ -133,7 +133,7 @@ def test_response_matches_direct_sum(n_taps, n):
 
 def test_response_rejects_more_taps_than_bins():
     # np.fft.fft(h, n) would drop the taps beyond n; each hop is checked,
-    # a second one too (2 x 1 x 17 > 16: no convolution)
+    # a second one too (beside a flat hop, which is never convolved)
     for hops in ([np.ones(17)], [np.ones((2, 1)), np.ones((2, 17))]):
         with pytest.raises(ValueError, match="17 taps, more than n=16"):
             branch_response(hops, 16)
@@ -141,38 +141,93 @@ def test_response_rejects_more_taps_than_bins():
 
 # ------------------------------------------------------------- branch_response
 
+def short_length(l1, l2):
+    """m, the power of two >= L1 + L2 - 1 that convolves two multi-tap hops."""
+    return 1 << (l1 + l2 - 2).bit_length()
+
+
+def assert_is_the_convolved_transform(resp, h1, h2):
+    # against a per-row np.convolve oracle of the L1 + L2 - 1 tap cascade
+    cascade = np.array([np.convolve(a, b) for a, b in zip(h1, h2)])
+    expected = np.fft.fft(cascade, resp.shape[-1])
+    assert np.max(np.abs(resp - expected)) < 1e-12 * np.max(np.abs(resp))
+
+
 @pytest.mark.parametrize("l1, l2", [(1, 1), (1, 17), (17, 1), (4, 4), (3, 7), (8, 8),
-                                    (5, 4), (4, 5), (4, 6), (17, 2), (2, 17), (1, 33), (33, 1)])
+                                    (5, 4), (4, 5), (4, 6), (17, 2), (2, 17), (1, 33), (33, 1),
+                                    (8, 9), (9, 9)])
 def test_branch_response_is_the_transform_of_the_convolved_hops(l1, l2):
-    # at N = 64, on both sides of the 2 Ls (L1 + L2 - 1) <= N rule and in both
-    # hop orders, against a per-row np.convolve oracle and the fft product;
-    # 1 x 33 is a flat hop beside one too long to convolve (2 x 1 x 33 > 64)
+    # at N = 64, on both sides of the 4 m <= N rule and in both hop orders,
+    # against the oracle and the fft product: 8 x 9 is the longest cascade
+    # (16 taps) of the short route and 9 x 9 (17 taps, cp + 1) the shortest
+    # of the product; 1 x 33 is a flat hop beside a long one, never convolved
     rng = np.random.default_rng(l1 * 100 + l2)
     h1, h2 = cgauss(rng, (5, l1)), cgauss(rng, (5, l2))
     resp = branch_response([h1, h2], 64)
-    cascade = np.array([np.convolve(a, b) for a, b in zip(h1, h2)])
-    assert np.max(np.abs(resp - np.fft.fft(cascade, 64))) < 1e-12 * np.max(np.abs(resp))
+    assert_is_the_convolved_transform(resp, h1, h2)
     product = np.fft.fft(h1, 64) * np.fft.fft(h2, 64)
     assert np.max(np.abs(resp - product) / np.abs(product)) < 1e-12
 
 
+@pytest.mark.parametrize("n, l1, l2, short", [
+    (256, 8, 9, True), (256, 32, 33, True), (256, 33, 32, True),   # m = 16, 64, 64
+    (256, 33, 33, False), (256, 2, 64, False), (256, 1, 65, False),  # 65 taps: m = 128
+    (1024, 16, 16, True), (1024, 33, 33, True), (1024, 128, 129, True),  # m = 32, 128, 256
+    (1024, 129, 129, False), (1024, 256, 2, False)])                     # m = 512
+def test_long_branch_response_is_the_transform_of_the_convolved_hops(monkeypatch, n, l1, l2,
+                                                                     short):
+    # on both sides of 4 m <= N at N = 256 and 1024; 33 x 33 is a cascade of
+    # cp + 1 = 65 taps at cp 64, short at N = 1024 and a product at N = 256
+    rng = np.random.default_rng(n + l1 * 100 + l2)
+    h1, h2 = cgauss(rng, (5, l1)), cgauss(rng, (5, l2))
+    calls = record_transforms(monkeypatch)
+    resp = branch_response([h1, h2], n)
+    m = short_length(l1, l2)
+    assert (4 * m <= n and min(l1, l2) > 1) == short
+    assert calls == ([("fft", m), ("fft", m), ("ifft", m), ("fft", n)] if short
+                     else [("fft", n)] * (1 + (min(l1, l2) > 1)))
+    assert_is_the_convolved_transform(resp, h1, h2)
+
+
 @pytest.mark.parametrize("l1, l2, transforms", [(5, 4, 1), (4, 5, 1), (2, 15, 1), (32, 1, 1),
-                                                (6, 4, 2), (4, 6, 2), (2, 16, 2), (8, 8, 2),
-                                                (1, 33, 1), (33, 1, 1)])
+                                                (6, 4, 1), (4, 6, 1), (2, 16, 2), (8, 8, 1),
+                                                (1, 33, 1), (33, 1, 1), (8, 9, 1), (9, 9, 2),
+                                                (1, 1, 0)])
 def test_branch_response_convolves_only_within_the_rule(monkeypatch, l1, l2, transforms):
-    # 2 Ls (L1 + L2 - 1) is 64 = N at 5 x 4, 2 x 15 and 32 x 1, 72 at 4 x 6,
-    # 68 at 2 x 16, 66 at 1 x 33 and 240 at 8 x 8; beyond N each hop takes
-    # its own response, in hop order: a flat hop its tap column, no transform
-    calls = []
-    monkeypatch.setattr(np.fft, "fft",
-                        lambda *a, _f=np.fft.fft, **k: calls.append(1) or _f(*a, **k))
+    # `transforms` counts the N-point ones.  With m the power of two >= L1 +
+    # L2 - 1, 4 m is 32 at 5 x 4, 64 = N at 2 x 15, 6 x 4, 8 x 8 and 8 x 9,
+    # and 128 at 2 x 16 and 9 x 9; within the rule two m-point transforms
+    # and one inverse convolve the hops and their cascade takes one N-point
+    # transform, beyond it each hop takes its own response, in hop order: a
+    # flat hop, which is never convolved, its tap column, no transform
+    calls = record_transforms(monkeypatch)
     rng = np.random.default_rng(23)
     h1, h2 = cgauss(rng, (5, l1)), cgauss(rng, (5, l2))
     resp = branch_response([h1, h2], 64)
-    assert len(calls) == transforms
-    if 2 * min(l1, l2) * (l1 + l2 - 1) > 64:
+    m, length = short_length(l1, l2), l1 + l2 - 1
+    short = min(l1, l2) > 1 and 4 * m <= 64
+    assert [c for c in calls if c[1] == 64] == [("fft", 64)] * transforms
+    assert [c for c in calls if c[1] != 64] == ([("fft", m), ("fft", m), ("ifft", m)] if short
+                                                else [])
+    monkeypatch.undo()
+    if short:
+        spectrum = np.fft.fft(h1, m) * np.fft.fft(h2, m)
+        assert np.array_equal(resp, np.fft.fft(np.fft.ifft(spectrum)[:, :length], 64))
+    else:
         hop = lambda h: h if h.shape[-1] == 1 else np.fft.fft(h, 64)
         assert np.array_equal(resp, hop(h1) * hop(h2))
+
+
+@pytest.mark.parametrize("taps", [[1], [17], [1, 1], [1, 17], [17, 1], [4, 4], [8, 9], [9, 9]])
+def test_branch_response_into_out_equals_a_fresh_one(taps):
+    # `out` holds stale values: each transform pads its taps there by hand,
+    # and a response that spans the bins is `out` itself
+    rng = np.random.default_rng(sum(taps))
+    hops = [cgauss(rng, (5, count)) for count in taps]
+    out = np.full((5, 64), complex(np.nan, np.nan))
+    resp = branch_response(hops, 64, out=out)
+    assert np.array_equal(resp, branch_response(hops, 64))
+    assert (resp is out) == (max(taps) > 1)
 
 
 def test_flat_branch_response_is_the_exact_tap_product():
@@ -183,11 +238,11 @@ def test_flat_branch_response_is_the_exact_tap_product():
     assert np.array_equal(resp, h1 * h2)
 
 
-@pytest.mark.parametrize("taps", [[1, 1], [5, 4], [4, 6]])
+@pytest.mark.parametrize("taps", [[1, 1], [5, 4], [4, 6], [9, 9], [8, 9]])
 def test_overflowing_branch_response_raises(taps):
-    # on both sides of the 2 Ls (L1 + L2 - 1) <= N rule a product beyond the
-    # float range overflows, and no step hides it: under a raising errstate
-    # it raises
+    # for flat hops, on the short route (5 x 4, 4 x 6 and 8 x 9) and on the
+    # product (9 x 9) a product beyond the float range overflows, and no
+    # step hides it: under a raising errstate it raises
     hops = [np.full((2, count), 1e200 + 0j) for count in taps]
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         branch_response(hops, 64)

@@ -218,6 +218,20 @@ def test_config_errors_exit_with_config_code(config_path, tmp_path, capsys):
     assert main(["analyze", "--config", str(bad), "--out", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("text", [
+    '{"trials": 1' + "0" * 5000 + "}",  # beyond Python's 4,300-digit integer limit
+    "[" * 200000,                       # nested beyond the parser's recursion limit
+], ids=["long_integer", "deep_nesting"])
+def test_unreadable_json_exits_with_config_code(text, tmp_path, capsys):
+    # json.loads raises a plain ValueError or a RecursionError here, not a
+    # JSONDecodeError, and both are config errors
+    bad, out = tmp_path / "bad.json", tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert main(["analyze", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_errors_exit_with_runtime_code(config_path, tmp_path, capsys):
     rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path)])
     assert rc == EXIT_RUNTIME

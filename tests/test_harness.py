@@ -960,6 +960,24 @@ def test_analytical_sweep_is_fast_and_has_empty_empirical_columns():
     assert all(r.analytical_db is not None for r in rows)
 
 
+@pytest.mark.parametrize("n", [2 ** 31, 2 ** 40, 10 ** 300], ids=["2^31", "2^40", "10^300"])
+def test_closed_form_keeps_its_cfo_loss_at_huge_n(n):
+    # fig3_flat at eps2 = 0.2, noise scale 1: the CFO loss tends to a limit
+    # as N grows, and N = 2**28 is already there; N = 2**31 once read the
+    # zero-offset 12.02 dB and lambda2 278.6 in place of 7.49 dB and 38.2
+    def point(n):
+        raw = copy.deepcopy(PRESETS["fig3_flat"])
+        raw["ofdm"]["n_subcarriers"], raw["mode"] = n, "analytical"
+        raw["sweep"]["grid"], raw["noise_scales"] = [0.2], [1.0]
+        (row,) = run_sweep(config_from_dict(raw))
+        return row
+    reference, row = point(2 ** 28), point(n)
+    assert reference.analytical_db == pytest.approx(7.4929, abs=1e-4)
+    assert row.analytical_db == pytest.approx(reference.analytical_db, abs=1e-6)
+    assert row.lambda2 == pytest.approx(reference.lambda2, rel=1e-6)
+    assert row.lambda2 == pytest.approx(38.2, abs=0.05)
+
+
 def test_sweep_maximum_sits_at_zero_offset():
     raw = copy.deepcopy(TINY)
     raw["sweep"] = {"axis": "both_equal", "grid": [0.0, 0.1, 0.2, 0.3, 0.4]}

@@ -24,7 +24,7 @@ from afrelay.channel import (
 from afrelay.harness import PRESETS, block_size, config_from_dict, point_inputs
 from afrelay.ofdm import OfdmParams, draw_symbols
 from afrelay.relay import RelayGainConfig, gain_factor, simulate_block, sweep_plan
-from conftest import engine_inputs, oracle_powers, paper_gain
+from conftest import engine_inputs, oracle_powers, paper_gain, record_transforms
 from waveform import apply_cfo, apply_channel, modulate, waveform_powers
 
 PARAMS = OfdmParams(n_subcarriers=64, cp_len=16)
@@ -291,9 +291,9 @@ def test_overflow_names_its_branch(name, changes, params):
 def test_memory_equal_to_prefix_matches_oracle(branches):
     # memory 16 = PARAMS.cp_len, the most the prefix covers; one tap more is
     # rejected by the isi_precondition tests above.  The relay's hops are
-    # convolved before the transform at 1 x 17 taps (2 Ls (L1 + L2 - 1) = 34
-    # <= N = 64) and at 15 x 2 (64, memory 15), and transformed one by one
-    # at 9 x 9 (306)
+    # convolved through 16-point transforms before the N-point one at 15 x 2
+    # (4 m = 64 <= N = 64, memory 15), and transformed one by one at 9 x 9
+    # (m = 32) and at 1 x 17, whose flat hop is never convolved
     assert _oracle_error(branches, 31, 3) < 1e-9
 
 
@@ -619,8 +619,10 @@ POINT_BRANCHES = {
         ([uniform_profile(2, 1.0), uniform_profile(3, 2.0)], [0.0], [1.3],
          [0.2 + 1.3 ** 2 * 0.05]),
     ],
-    # at N = 64 the relay's hops are convolved at 5 x 4 taps (2 Ls (L1 + L2
-    # - 1) = 2 x 4 x 8 = N) and transformed one by one at 4 x 6 (72)
+    # at N = 64 the relay's hops are convolved through m-point transforms,
+    # m the power of two >= L1 + L2 - 1, while 4 m <= N: at 5 x 4 taps
+    # (m = 8), 4 x 6 (16) and 8 x 9 (16, the longest cascade that is), and
+    # transformed one by one at 9 x 9 (32)
     "relay_5_4": [
         ([flat_profile(1.0)], [0.0], [1.0], [0.1]),
         ([uniform_profile(5, 1.0), uniform_profile(4, 4.0)], [0.0], [0.8], [0.2]),
@@ -628,6 +630,14 @@ POINT_BRANCHES = {
     "relay_4_6": [
         ([flat_profile(1.0)], [0.0], [1.0], [0.1]),
         ([uniform_profile(4, 1.0), uniform_profile(6, 4.0)], [0.0], [0.8], [0.2]),
+    ],
+    "relay_8_9": [
+        ([flat_profile(1.0)], [0.0], [1.0], [0.1]),
+        ([uniform_profile(8, 1.0), uniform_profile(9, 4.0)], [0.0], [0.8], [0.2]),
+    ],
+    "relay_9_9": [
+        ([flat_profile(1.0)], [0.0], [1.0], [0.1]),
+        ([uniform_profile(9, 1.0), uniform_profile(9, 4.0)], [0.0], [0.8], [0.2]),
     ],
 }
 
@@ -712,29 +722,33 @@ def test_one_buffer_set_per_block_range_equals_fresh_blocks(branches, n):
 
 
 def test_transforms_per_block_do_not_depend_on_the_point_count(monkeypatch):
-    # every transform runs once per block and branch, none per point; a
-    # branch at zero offset on every point runs no inverse transform, a
-    # one-tap hop no forward one, and a relay of short hops, 2 Ls (L1 + L2
-    # - 1) <= N, one forward transform of their convolution; flat branches
-    # share one inverse transform of the symbols, whatever their offsets
-    calls = []
-    for name in ("fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), **k:
-                            calls.append(1) or _f(*a, **k))
-    cases = [("selective_two_relays", 3, [1.0, -1.0, 0.5], 3),  # 4, 4x4 and 2x3 taps
-             ("selective_two_relays", 3, [0.0, -1.0, 0.5], 2),
-             ("flat", 0, [0.0, 1.0], 1), ("flat", 0, [0.0, 0.0], 0),
-             ("flat", 0, [1.0, 1.0], 1), ("flat_three_relays", 0, [1.0, -0.6, 0.3, 0.8], 1),
-             ("relay_5_4", 1, [0.0, 1.0], 1), ("relay_4_6", 2, [0.0, 1.0], 1),
-             ("mixed", 1, [1.0, -1.0, 0.5], 2)]  # one ifft(HX), one ifft(X)
-    for name, responses, moving, inverses in cases:
+    # every transform runs once per block and branch, none per point, each
+    # counted by the length of its transformed axis; a branch at zero offset
+    # on every point runs no inverse transform, a one-tap hop no forward
+    # one, and a relay of multi-tap hops within 4 m <= N one forward N-point
+    # transform of their convolution, which takes two forward m-point
+    # transforms and one inverse; flat branches share one inverse transform
+    # of the symbols, whatever their offsets
+    calls = record_transforms(monkeypatch)
+    short = lambda m: [("fft", m), ("fft", m), ("ifft", m)]
+    cases = [("selective_two_relays", 3, [1.0, -1.0, 0.5], 3, short(8) + short(4)),  # 4, 4x4, 2x3
+             ("selective_two_relays", 3, [0.0, -1.0, 0.5], 2, short(8) + short(4)),
+             ("flat", 0, [0.0, 1.0], 1, []), ("flat", 0, [0.0, 0.0], 0, []),
+             ("flat", 0, [1.0, 1.0], 1, []), ("flat_three_relays", 0, [1.0, -0.6, 0.3, 0.8], 1, []),
+             ("relay_5_4", 1, [0.0, 1.0], 1, short(8)), ("relay_4_6", 1, [0.0, 1.0], 1, short(16)),
+             ("relay_8_9", 1, [0.0, 1.0], 1, short(16)), ("relay_9_9", 2, [0.0, 1.0], 1, []),
+             ("mixed", 1, [1.0, -1.0, 0.5], 2, short(4))]  # one ifft(HX), one ifft(X)
+    for name, responses, moving, inverses, convolutions in cases:
         counts = []
         for count in (1, 40):
             cfos = np.linspace(-0.5, 0.5, count)[:, None] * moving
             calls.clear()
             _run(_point_table(POINT_BRANCHES[name], cfos, np.ones(count)), 4, 7)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == responses + inverses, name
+            counts.append((sorted(c for c in calls if c[1] == 64),
+                           sorted(c for c in calls if c[1] != 64)))
+        assert counts[0] == counts[1] == (
+            sorted([("fft", 64)] * responses + [("ifft", 64)] * inverses),
+            sorted(convolutions)), name
 
 
 def test_noise_free_zero_offset_point_has_zero_residual_beside_noisy_points():

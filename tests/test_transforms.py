@@ -196,29 +196,58 @@ def test_derivative_matches_finite_difference():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.floats(0.05, 0.45), st.sampled_from([16, 64, 256]))
+@given(st.floats(0.05, 0.45), st.sampled_from([2, 16, 64, 256, 2 ** 31, 2 ** 40, 10 ** 300]))
 def test_derivative_finite_difference_property(eps, n):
     exact = dirichlet_gain_derivative(eps, n)
     approx = central_difference_gain(eps, n)
     assert abs(exact - approx) / abs(approx) < 1e-6
 
 
+HUGE_N = [pytest.param(n, id=name) for n, name in ((2 ** 28, "2^28"), (2 ** 31, "2^31"),
+                                                   (2 ** 40, "2^40"), (10 ** 300, "10^300"))]
+
+
+@pytest.mark.parametrize("n", HUGE_N)
+def test_gain_and_derivative_at_huge_n_reach_the_sinc_limit(n):
+    # as n grows f tends to sin(pi eps) / (pi eps), within (pi eps / n)^2 / 6
+    # of it, and f' to that limit's derivative; a branch on eps / n would
+    # read f = 1 here, the gain without any CFO loss
+    eps = np.array([1e-3, 0.05, 0.2, 0.37, 0.5])
+    x = np.pi * eps
+    assert dirichlet_gain(eps, n) == pytest.approx(np.sin(x) / x, rel=1e-13)
+    limit_slope = np.pi * (x * np.cos(x) - np.sin(x)) / x ** 2
+    assert dirichlet_gain_derivative(eps, n) == pytest.approx(limit_slope, rel=1e-9)
+    assert dirichlet_gain_derivative(-eps, n) == pytest.approx(-limit_slope, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 64, 1024, 2 ** 40])
+def test_gain_and_derivative_are_continuous_across_their_small_offset_branches(n):
+    # f is 1 below |eps| = 1e-9 and f' its leading-order expansion below
+    # 1e-4: on either side of each edge the values agree to that order
+    for edge in (1e-9, 1e-4):
+        below, above = np.nextafter(edge, 0), edge
+        assert dirichlet_gain(above, n) == pytest.approx(dirichlet_gain(below, n), rel=1e-15)
+        slopes = dirichlet_gain_derivative(np.array([below, above]), n)
+        assert slopes[1] == pytest.approx(slopes[0], rel=1e-7)
+
+
 # ---------------------------------------------------- elementwise over arrays
 
-def offsets(n):
-    """Offsets in [-0.5, 0.5] weighted towards the edge cases: inside the
-    singular band |eps| < 1e-9 n / pi, exactly 0, and exactly +-0.5."""
-    band = 1e-9 * n / np.pi
+def offsets():
+    """Offsets in [-0.5, 0.5] weighted towards the edge cases: inside and at
+    the edges of the small-offset branches |eps| < 1e-9 (the gain) and
+    |eps| < 1e-4 (its derivative), exactly 0, and exactly +-0.5."""
     return st.one_of(
         st.floats(-0.5, 0.5),
-        st.floats(-band, band),
-        st.sampled_from([0.0, -0.0, 0.5, -0.5, band, -band]),
+        st.floats(-1e-4, 1e-4),
+        st.floats(-1e-9, 1e-9),
+        st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-9, -1e-9, 1e-4, -1e-4]),
     )
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 7, 12, 64, 100, 1000]).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(offsets(n), min_size=1, max_size=20))))
+    lambda n: st.tuples(st.just(n), st.lists(offsets(), min_size=1, max_size=20))))
 def test_array_call_equals_one_element_calls_bitwise(case):
     n, eps = case
     arr = np.array(eps)
