@@ -34,11 +34,11 @@ for z = W v, since the cross term with n has mean 0.  The engine uses that
 conditional mean (conditional Monte Carlo) and draws no noise; the
 leakage ||z||^2, the CFO's cost, stays drawn, so the simulator does not
 recompute the closed form.  |v|^2 is formed once per branch, and
-||z_u||^2 = sum |W_u|^2 |v|^2 is one `np.einsum` contraction per distinct
-nonzero offset u, which calls no BLAS; the plan holds |W_u|^2.  A point
-only adds s_b and its own rho, so no point runs a ramp, a transform or a
-derotation, and a branch at zero offset on every point runs no transform
-back to the time domain.  A relay of short multi-tap hops takes one
+||z_u||^2 = sum |W_u|^2 |v|^2 over its distinct nonzero offsets u is one
+`np.einsum` contraction, which calls no BLAS; the plan holds |W_u|^2.  A
+point only adds s_b and its own rho, so no point runs a ramp, a transform
+or a derotation, and a branch at zero offset on every point transforms
+nothing back to the time domain.  A relay of short multi-tap hops takes one
 N-point transform of their convolved taps (`channel.branch_response`),
 and a branch of flat hops none: its response is one (trials, 1) column
 h, so v = h x for x = ifft(X), and it reduces X at scale |h|^2 where a
@@ -182,15 +182,15 @@ def _sums(spectrum: np.ndarray, w2: np.ndarray, moving: np.ndarray, out: np.ndar
     """||S||^2 per trial and the (offsets, trials) sums |W_u|^2 |ifft(S)|^2,
     zero at the offsets not in `moving`; no transform if `moving` is empty.
     The transform is written into `out`, which may be `spectrum` itself.
-    Each sum is one `einsum`, which forms no temporary and calls no BLAS."""
+    The norms are one `einsum`, and the sums of every offset in `moving`
+    another; neither calls BLAS."""
     sv = spectrum.view(np.float64)  # (re, im) pairs
     norm, leakage = np.einsum("tn,tn->t", sv, sv), np.zeros((len(w2), len(spectrum)))
     if moving.size:
         body = np.fft.ifft(spectrum, axis=-1, out=out).view(np.float64)
         np.square(body, out=body)
         v2 = body[:, 0::2] + body[:, 1::2]  # |v|^2
-        for u in moving:
-            leakage[u] = np.einsum("tn,n->t", v2, w2[u])
+        leakage[moving] = np.einsum("tn,un->ut", v2, w2[moving])
     return norm, leakage
 
 
@@ -216,19 +216,19 @@ def simulate_block(plan: SweepPlan, rng: np.random.Generator, trials: int,
     (`channel.branch_response`).  A point's signal is
     (rho |C(cfo, 0)|)^2 ||HX||^2.  Its residual is N s_b plus, at a nonzero
     offset u, N rho^2 ||z_u||^2 for z_u = W_u v and v = ifft(HX): `_sums`
-    forms |v|^2 once per branch, then one `einsum` contraction with |W_u|^2
-    per distinct offset, so a point's sum does not depend on the other
-    points' offsets; ||HX||^2 is one contraction too.  A flat branch, all
-    hops one tap, has a (trials, 1) response h and forms no (trials, N)
-    array: its sums are |h|^2 times the symbols' own, which the first flat
-    branch forms at every flat branch's offsets, so flat branches share one
-    inverse transform.  Every branch then adds its powers to each point in
-    branch order, with overflow ignored: the engine only multiplies,
-    squares, sums and transforms, so an overflow reaches the branch's
-    powers as inf, or NaN (inf * 0), and a power that is not finite then
-    raises `FloatingPointError` naming the branch, `direct` or `relays[i]`.
-    No power needs a derotation phase, so a zero genie gain needs none: a
-    branch at H = 0 or rho = 0 adds exactly 0 and N s_b to the two powers.
+    forms |v|^2 once per branch, then one `einsum` contraction with the
+    |W_u|^2 of all its distinct offsets, each sum formed alone, so a
+    point's sum does not depend on the other points' offsets; ||HX||^2 is
+    one contraction too.  A flat branch, all hops one tap, has a (trials,
+    1) response h and forms no (trials, N) array: its sums are |h|^2 times
+    the symbols' own, which the first flat branch forms at every flat
+    branch's offsets, so flat branches share one inverse transform.  Every
+    branch then adds its powers to each point in branch order, with
+    overflow ignored: the engine only multiplies, squares, sums and
+    transforms, so an overflow reaches the branch's powers as inf, or NaN
+    (inf * 0), and a non-finite power raises `FloatingPointError` naming
+    the branch, `direct` or `relays[i]`.  No power needs a derotation
+    phase: a branch at H = 0 or rho = 0 adds exactly 0 and N s_b.
     """
     n, rho, s, w2 = plan.params.n_subcarriers, plan.rho, plan.noise, plan.w2
     if buffers is None:

@@ -11,6 +11,7 @@ import pytest
 
 from afrelay import harness
 from afrelay.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, SUMMARY_ROWS, main
+from cli_runs import two_relays
 
 SMALL = {
     "ofdm": {"n_subcarriers": 64, "cp_len": 16, "constellation": "qpsk", "symbol_power": 1.0},
@@ -34,15 +35,6 @@ SMALL = {
 
 
 DATA = Path(__file__).resolve().parent / "data"
-
-
-def _two_relays():
-    """fig3_flat with a second relay at offset 0.2 and fixed gain 0.7,
-    swept along eps1: the two-relay config the CI workflow runs."""
-    raw = copy.deepcopy(harness.PRESETS["fig3_flat"])
-    raw["relays"].append(dict(raw["relays"][0], cfo=0.2, gain={"mode": "fixed", "rho": 0.7}))
-    raw["sweep"]["axis"] = "eps1"
-    return raw
 
 
 @pytest.fixture
@@ -338,7 +330,7 @@ def test_simulate_reproduces_the_golden_csv(name, trials, tmp_path):
     config = name
     if name == "two_relays":
         config = tmp_path / "two_relays.json"
-        config.write_text(json.dumps(_two_relays()))
+        config.write_text(json.dumps(two_relays()))
     size = harness.block_size(harness.load_config(config).ofdm)
     assert trials <= size or trials == size + 1
     out = tmp_path / "out.csv"

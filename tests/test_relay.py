@@ -23,7 +23,7 @@ from afrelay.channel import (
 )
 from afrelay.harness import PRESETS, block_size, config_from_dict, point_inputs
 from afrelay.ofdm import OfdmParams, draw_symbols
-from afrelay.relay import RelayGainConfig, gain_factor, simulate_block, sweep_plan
+from afrelay.relay import RelayGainConfig, _sums, gain_factor, simulate_block, sweep_plan
 from conftest import engine_inputs, oracle_powers, paper_gain, record_transforms
 from waveform import apply_cfo, apply_channel, modulate, waveform_powers
 
@@ -665,6 +665,21 @@ def test_block_of_points_equals_one_point_blocks(name, trials, count):
     assert block.shape == (2, count, trials)
     for p in range(count):
         assert np.array_equal(block[:, p], _run(_one_point(points, p), [5, 3], trials)[:, 0])
+
+
+@pytest.mark.parametrize("trials, n, offsets", [(60, 1024, 2), (819, 64, 5), (458, 127, 4),
+                                                (1, 64, 3)])
+def test_leakage_of_all_offsets_is_the_per_offset_contraction(trials, n, offsets):
+    # the one contraction over a branch's offsets forms each offset's sum
+    # as the per-offset loop does, so every sum is bitwise the same
+    rng = np.random.default_rng(trials)
+    spectrum = rng.standard_normal((trials, 2 * n)).view(np.complex128)
+    w2, moving = rng.random((offsets + 2, n)), np.arange(1, offsets + 1)
+    _, leakage = _sums(spectrum.copy(), w2, moving, np.empty_like(spectrum))
+    v = np.fft.ifft(spectrum, axis=-1)
+    v2 = v.real ** 2 + v.imag ** 2
+    assert np.array_equal(leakage[moving], [np.einsum("tn,n->t", v2, w2[u]) for u in moving])
+    assert not leakage[[0, -1]].any()
 
 
 def test_block_of_points_consumes_the_stream_of_one_point():
